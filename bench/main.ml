@@ -1,11 +1,10 @@
 (* Reproduction harness: regenerates every table and figure of the
-   paper's evaluation (section 5) on the simulated DSSMP, and provides
-   Bechamel micro-benchmarks of the simulator itself.
+   paper's evaluation (section 5) on the simulated DSSMP, plus the
+   smoke gates `make check` runs.
 
      dune exec bench/main.exe            # everything (default)
      dune exec bench/main.exe -- table3 table4 fig6 ... fig12
      dune exec bench/main.exe -- -j 4 fig9        # sweep points on 4 domains
-     dune exec bench/main.exe -- bechamel   # wall-clock benches only
 
    Every simulation is self-contained, so -j/--jobs N fans sweep and
    ablation points out over N domains (Mgs_util.Dpool); the printed
@@ -209,7 +208,7 @@ let adapt_smoke () =
 
 (* Request-serving gate for `make kv-smoke` / `make check`: a tiny KV
    cell with the application verifier and the protocol invariant
-   checker both on, a determinism double-run, sharded-engine identity,
+   checker both on, a determinism double-run, job-count identity,
    and two adaptive cells proving the classifier engages on serving
    traffic — a thundering-herd cell whose synchronized put waves over
    one striped page must reach the invalidate-on-read regime, and a
@@ -222,14 +221,13 @@ let kv_smoke () =
   in
   let w = Mgs_serve.Kv.workload Mgs_serve.Kv.tiny in
   let run par = (Sweep.run_point ~check:true ~par ~nprocs:8 ~cluster:2 w).Sweep.report in
-  let oracle = ident (run 0) in
-  if ident (run 0) <> oracle then failwith "kv-smoke: rerun diverges";
+  let oracle = ident (run 1) in
+  if ident (run 1) <> oracle then failwith "kv-smoke: rerun diverges";
   List.iter
     (fun par ->
       if ident (run par) <> oracle then
-        failwith
-          (Printf.sprintf "kv-smoke: diverges from the sequential engine at par=%d" par))
-    [ 1; 4 ];
+        failwith (Printf.sprintf "kv-smoke: diverges from par=1 at par=%d" par))
+    [ 2; 4 ];
   let herd =
     {
       Mgs_serve.Kv.default with
@@ -272,16 +270,15 @@ let kv_smoke () =
   if c.Mgs.Pstats.adapt_migs = 0 || c.Mgs.Pstats.adapt_fwds = 0 then
     failwith "kv-smoke: the contended cell never migrated a home";
   Printf.printf
-    "kv-smoke: OK (checker on, rerun + par 1/4 identical; herd reclass=%d res_inv=%d, \
+    "kv-smoke: OK (checker on, rerun + par 1/2/4 identical; herd reclass=%d res_inv=%d, \
      contended migs=%d fwds=%d)\n"
     h.Mgs.Pstats.adapt_reclass h.Mgs.Pstats.adapt_res_inv c.Mgs.Pstats.adapt_migs
     c.Mgs.Pstats.adapt_fwds
 
-(* Sharded-engine identity gate for `make check`: small machines run on
-   the sequential engine and on the sharded engine at several job
-   counts must produce identical reports.  Wall-clock and peak queue
-   depth are host/engine artifacts and are not part of the contract, so
-   the identity string below omits them. *)
+(* Job-count identity gate for `make check`: small machines run on one
+   domain and windowed on several must produce identical reports.
+   Wall-clock and peak queue depth are host/engine artifacts and are
+   not part of the contract, so the identity string below omits them. *)
 let par_smoke () =
   let ident (r : Mgs.Report.t) =
     Format.asprintf "%d/%d/%d/%d/%d/%d/%a" r.Mgs.Report.runtime r.Mgs.Report.sim_events
@@ -302,24 +299,23 @@ let par_smoke () =
         (Sweep.run_point ~check:false ~protocol ~par ~nprocs:8 ~cluster:2 w).Sweep.report
         |> ident
       in
-      let oracle = run 0 in
+      let oracle = run 1 in
       List.iter
         (fun par ->
           incr checked;
           if run par <> oracle then
             failwith
-              (Printf.sprintf "par-smoke: %s/%s diverges from the sequential engine at par=%d"
-                 name protocol par))
-        [ 1; 4 ])
+              (Printf.sprintf "par-smoke: %s/%s diverges from par=1 at par=%d" name protocol
+                 par))
+        [ 2; 4 ])
     cells;
-  Printf.printf "par-smoke: OK (%d sharded runs identical to the sequential engine)\n"
-    !checked
+  Printf.printf "par-smoke: OK (%d windowed runs identical to par=1)\n" !checked
 
 (* Observability under the parallel engine, for `make obs-par-smoke`:
    with the trace and metrics subscribers installed the engine must
    keep its par_jobs domains (no single-domain forcing), and the
    merged chrome JSON, span dump, metrics CSV, and histogram summary
-   must each be byte-identical to the sequential engine's. *)
+   must each be byte-identical to the single-domain run's. *)
 let obs_par_smoke () =
   let cells = [ ("jacobi", tiny "jacobi", "mgs"); ("water", tiny "water", "hlrc") ] in
   let exports par (_, w, protocol) =
@@ -344,21 +340,17 @@ let obs_par_smoke () =
   let checked = ref 0 in
   List.iter
     (fun ((name, _, protocol) as cell) ->
-      let oracle = exports 0 cell in
+      let oracle = exports 1 cell in
       List.iter
         (fun par ->
           incr checked;
           if exports par cell <> oracle then
             failwith
-              (Printf.sprintf
-                 "obs-par-smoke: %s/%s exports diverge from the sequential engine at \
-                  par=%d"
+              (Printf.sprintf "obs-par-smoke: %s/%s exports diverge from par=1 at par=%d"
                  name protocol par))
-        [ 1; 4 ])
+        [ 2; 4 ])
     cells;
-  Printf.printf
-    "obs-par-smoke: OK (%d traced+metered sharded runs export-identical to the \
-     sequential engine)\n"
+  Printf.printf "obs-par-smoke: OK (%d traced+metered windowed runs export-identical to par=1)\n"
     !checked
 
 let summary () =
@@ -374,55 +366,6 @@ let summary () =
          ("Water-kernel", Lazy.force wkern);
          ("Water-kernel (tiled)", Lazy.force wkern_tiled);
        ]);
-  print_newline ()
-
-(* --- Bechamel wall-clock benches of the simulator ------------------- *)
-
-let bechamel () =
-  let open Bechamel in
-  let run_workload ~cluster w () = ignore (Sweep.run_point ~verify:false ~nprocs:8 ~cluster w) in
-  let t name w ~cluster = Test.make ~name (Staged.stage (run_workload ~cluster w)) in
-  let micro_test =
-    Test.make ~name:"table3-micro"
-      (Staged.stage (fun () -> ignore (Mgs_harness.Micro.run_all ())))
-  in
-  let tests =
-    Test.make_grouped ~name:"simulator"
-      [
-        micro_test;
-        t "table4+fig6-jacobi" (tiny "jacobi") ~cluster:2;
-        t "fig7-matmul" (tiny "matmul") ~cluster:2;
-        t "fig8-tsp" (tiny "tsp") ~cluster:2;
-        t "fig9-water" (tiny "water") ~cluster:2;
-        t "fig10-barnes" (tiny "barnes") ~cluster:2;
-        t "fig11-locks" (tiny "water") ~cluster:4;
-        t "fig12-kernel" (tiny "water-kernel") ~cluster:2;
-        t "fig12-kernel-tiled" (tiny "water-kernel-tiled") ~cluster:2;
-      ]
-  in
-  let benchmark () =
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-    Benchmark.all cfg instances tests
-  in
-  let analyze results =
-    let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in
-    Analyze.all ols Toolkit.Instance.monotonic_clock results
-  in
-  print_endline "=== Bechamel: simulator wall-clock per experiment ===";
-  let results = analyze (benchmark ()) in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      let est =
-        match Analyze.OLS.estimates ols with
-        | Some [ est ] -> Printf.sprintf "%.3f ms/run" (est /. 1e6)
-        | _ -> "(no estimate)"
-      in
-      rows := [ name; est ] :: !rows)
-    results;
-  Mgs_util.Tableprint.print ~header:[ "experiment"; "wall clock" ]
-    ~rows:(List.sort compare !rows);
   print_newline ()
 
 (* --- ablation studies (design choices from DESIGN.md) --------------- *)
@@ -512,7 +455,7 @@ let adapt_ablation () =
   let rows =
     Mgs_util.Dpool.map ~jobs:!jobs
       (fun (name, w, nprocs, cluster) ->
-        let par = if nprocs > 16 then 4 else 0 in
+        let par = if nprocs > 16 then 4 else 1 in
         let check = nprocs <= 16 in
         let cell adapt =
           (Sweep.run_point ~adapt ~check ~par ~protocol:"mgs" ~nprocs ~cluster w)
@@ -669,7 +612,6 @@ let targets : (string * (unit -> unit)) list =
     ("scaling", scaling);
     ("csv", csv);
     ("messages", messages);
-    ("bechamel", bechamel);
   ]
 
 let () =

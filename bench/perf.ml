@@ -23,12 +23,21 @@ type row = {
   events_per_s : float;
 }
 
-let measure ?(par = 0) ?(check = true) ?(adapt = false) ~nprocs ~cluster (name, w) =
-  let a0 = Gc.allocated_bytes () in
+(* Bytes allocated by every domain so far: minor + major - promoted
+   words from [Gc.quick_stat], as perfbench/rep.ml counts them.
+   [Gc.allocated_bytes] sees only the calling domain and under-counts
+   the windowed rows. *)
+let allocated_bytes () =
+  let s = Gc.quick_stat () in
+  (s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words)
+  *. float_of_int (Sys.word_size / 8)
+
+let measure ?(par = 1) ?(check = true) ?(adapt = false) ~nprocs ~cluster (name, w) =
+  let a0 = allocated_bytes () in
   let t0 = Unix.gettimeofday () in
   let pt = Sweep.run_point ~check ~par ~adapt ~nprocs ~cluster w in
   let wall = Unix.gettimeofday () -. t0 in
-  let allocated = Gc.allocated_bytes () -. a0 in
+  let allocated = allocated_bytes () -. a0 in
   let r = pt.Sweep.report in
   {
     app = name;
@@ -46,11 +55,11 @@ let measure ?(par = 0) ?(check = true) ?(adapt = false) ~nprocs ~cluster (name, 
    the same byte-identity gate as the app rows — a sim_events/sim_cycles
    drift here means a lock algorithm's message flow changed. *)
 let measure_lock ~cluster ~fibers lock =
-  let a0 = Gc.allocated_bytes () in
+  let a0 = allocated_bytes () in
   let t0 = Unix.gettimeofday () in
   let pt = Mgs_harness.Micro.lock_point ~lock ~protocol:"mgs" ~cluster ~fibers () in
   let wall = Unix.gettimeofday () -. t0 in
-  let allocated = Gc.allocated_bytes () -. a0 in
+  let allocated = allocated_bytes () -. a0 in
   {
     app = "lock-" ^ lock;
     nprocs = max fibers cluster;
@@ -63,13 +72,12 @@ let measure_lock ~cluster ~fibers lock =
       (if wall > 0. then float_of_int pt.Mgs_harness.Micro.lk_sim_events /. wall else 0.);
   }
 
-(* Large-P rows on the sharded event engine: P = 64..1024 processors at
+(* Large-P rows on the windowed engine: P = 64..1024 processors at
    C = 16 and 64, jacobi sized so every processor owns one grid row and
    water capped at 256 molecules (beyond that the pairwise force phase,
-   not the engine, dominates).  The engine check is off so the runs
-   really shard across domains; sim_events/sim_cycles still gate the
-   diff because the sharded engine is byte-identical to the sequential
-   one. *)
+   not the engine, dominates).  The invariant checker is off so the runs
+   really spread across domains; sim_events/sim_cycles still gate the
+   diff because results are byte-identical at every job count. *)
 let large_rows () =
   List.concat_map
     (fun (nprocs, cluster) ->
@@ -113,7 +121,7 @@ let traced_rows () =
     (fun cluster ->
       List.map
         (fun (name, w) ->
-          let a0 = Gc.allocated_bytes () in
+          let a0 = allocated_bytes () in
           let t0 = Unix.gettimeofday () in
           let cfg = Mgs.Machine.config ~lan_latency:1000 ~par_jobs:4 ~nprocs ~cluster () in
           let m = Mgs.Machine.create cfg in
@@ -126,7 +134,7 @@ let traced_rows () =
           ignore (String.length (Mgs_obs.Trace.chrome_json tr));
           ignore (String.length (Mgs_obs.Metrics.csv mt));
           let wall = Unix.gettimeofday () -. t0 in
-          let allocated = Gc.allocated_bytes () -. a0 in
+          let allocated = allocated_bytes () -. a0 in
           {
             app = name;
             nprocs;
@@ -268,7 +276,8 @@ let rows_of_file path =
 (* Compare a fresh run against the committed baseline.  sim_events and
    sim_cycles are simulation-deterministic: any change there is semantic
    drift, not host noise, and fails the gate outright.  Allocation is
-   host-deterministic too (Gc.allocated_bytes); >10% growth fails.
+   host-deterministic too (all domains, from Gc.quick_stat); >10% growth
+   fails.
    Wall-clock and events/s are reported but never gate — they depend on
    the host's load. *)
 let diff_against ~base rows =

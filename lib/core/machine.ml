@@ -12,10 +12,8 @@ type config = {
   shadow : bool;
   tlb_entries : int option;
   par_jobs : int;
-      (* 0 = sequential event engine (default, the oracle); >= 1 =
-         sharded engine, one shard per SSMP, run on [par_jobs] domains
-         (clamped to the SSMP count).  [1] exercises the sharded data
-         path single-threaded; results are byte-identical either way. *)
+      (* domains the event engine's per-SSMP shards run on (clamped to
+         the SSMP count); results are byte-identical for every value *)
   adapt : bool;
       (* adaptive per-page coherence: online sharing-pattern
          classification, regime switching and home migration.  Off by
@@ -25,13 +23,11 @@ type config = {
 let config ?(page_words = 256) ?(line_words = 4) ?(costs = Costs.default) ?lan_latency
     ?(event_limit = 500_000_000) ?(shadow = Sys.getenv_opt "MGS_SHADOW" = Some "1")
     ?(features = State.default_features) ?(protocol = State.Protocol_mgs) ?tlb_entries
-    ?(par_jobs = 0) ?(adapt = false) ~nprocs ~cluster () =
+    ?(par_jobs = 1) ?(adapt = false) ~nprocs ~cluster () =
   let costs =
     match lan_latency with None -> costs | Some d -> Costs.with_lan_latency costs d
   in
-  if par_jobs < 0 then invalid_arg "Machine.config: par_jobs < 0";
-  if par_jobs > 0 && costs.Costs.lan.Costs.latency < 1 then
-    invalid_arg "Machine.config: the sharded engine needs lan latency >= 1 for lookahead";
+  if par_jobs < 1 then invalid_arg "Machine.config: par_jobs < 1";
   if adapt && protocol = State.Protocol_ivy then
     invalid_arg
       "Machine.config: protocol \"ivy\" supports no adaptive coherence regime \
@@ -59,17 +55,12 @@ let create cfg =
   let sim = Sim.create () in
   let geom = Geom.create ~page_words:cfg.page_words ~line_words:cfg.line_words () in
   let topo = Topology.create ~nprocs:cfg.nprocs ~cluster:cfg.cluster in
-  (* declare the shard layout even on the sequential engine: per-shard
-     observability cells and engine counters attribute events to the
-     same SSMP the sharded engine would run them on *)
-  Sim.set_topology sim ~nshards:topo.Topology.nssmps;
   (* shard per SSMP; the fixed inter-SSMP LAN latency is the
      conservative lookahead window (every cross-SSMP delivery pays at
      least that much wire time, so events a shard runs inside a window
      cannot affect another shard within it) *)
-  if cfg.par_jobs > 0 then
-    Sim.make_sharded sim ~nshards:topo.Topology.nssmps
-      ~lookahead:cfg.costs.Costs.lan.Costs.latency;
+  Sim.make_sharded sim ~nshards:topo.Topology.nssmps
+    ~lookahead:cfg.costs.Costs.lan.Costs.latency;
   let cpus = Array.init cfg.nprocs Cpu.create in
   let caches =
     Array.init topo.Topology.nssmps (fun _ ->
@@ -134,10 +125,9 @@ let enable_trace ?capacity (m : t) =
   | None ->
     (* one trace cell per SSMP: each engine shard emits into its own
        ring/span store and exports merge on genealogy stamps, so the
-       trace no longer forces the sharded engine onto one domain *)
+       trace does not force the engine onto one domain *)
     let cells = m.topo.Topology.nssmps in
     let tr = Mgs_obs.Trace.create ?capacity ~cells () in
-    if cells > 1 then Sim.enable_stamps m.sim;
     m.obs <- Some tr;
     Am.set_obs m.am (Some tr);
     Lan.set_obs m.lan (Some tr);
@@ -357,47 +347,42 @@ let peek (m : t) addr =
 let run (m : t) body =
   let limit = m.event_limit in
   let t0 = Unix.gettimeofday () in
-  (if Sim.sharded m.sim then begin
-     (* trace, spans, and metrics are per-shard (each domain writes only
-        its own cell) and no longer constrain the engine.  What still
-        forces a single domain: the shadow heap, the AM recorder, and
-        trace subscribers (the online invariant checker) — each is one
-        shared mutable structure written from every shard.  Results are
-        identical either way — only wall time changes — but the
-        reduction is loud so a slow "parallel" run is explicable. *)
-     let force what =
-       Printf.eprintf
-         "mgs: %s is a single-domain subsystem; parallel engine reduced from %d \
-          domains to 1 (results are unchanged)\n\
-          %!"
-         what (max 1 m.par_jobs)
-     in
-     let eff =
-       if m.par_jobs >= 2 && m.shadow <> None then begin
-         force "shadow heap checking";
-         1
-       end
-       else if m.par_jobs >= 2 && Am.recording m.am then begin
-         force "message recording (trace_messages)";
-         1
-       end
-       else if
-         m.par_jobs >= 2
-         && (match m.obs with Some tr -> Mgs_obs.Trace.has_subscribers tr | None -> false)
-       then begin
-         force "the online invariant checker (trace subscribers)";
-         1
-       end
-       else max 1 m.par_jobs
-     in
-     Sim.set_jobs m.sim eff
-   end);
+  (* trace, spans, and metrics are per-shard (each domain writes only
+     its own cell) and do not constrain the engine.  What still forces a
+     single domain: the shadow heap, the AM recorder, and trace
+     subscribers (the online invariant checker) — each is one shared
+     mutable structure written from every shard.  Results are identical
+     either way — only wall time changes — but the reduction is loud so
+     a slow "parallel" run is explicable. *)
+  let force what =
+    Printf.eprintf
+      "mgs: %s is a single-domain subsystem; parallel engine reduced from %d \
+       domains to 1 (results are unchanged)\n\
+       %!"
+      what m.par_jobs
+  in
+  let eff =
+    if m.par_jobs >= 2 && m.shadow <> None then begin
+      force "shadow heap checking";
+      1
+    end
+    else if m.par_jobs >= 2 && Am.recording m.am then begin
+      force "message recording (trace_messages)";
+      1
+    end
+    else if
+      m.par_jobs >= 2
+      && (match m.obs with Some tr -> Mgs_obs.Trace.has_subscribers tr | None -> false)
+    then begin
+      force "the online invariant checker (trace subscribers)";
+      1
+    end
+    else m.par_jobs
+  in
+  Sim.set_jobs m.sim eff;
   let fibers =
     List.init m.topo.Topology.nprocs (fun p ->
-        (* always pin the fiber to its processor's SSMP: the sequential
-           engine uses the shard purely as an attribution tag, so
-           per-shard observability cells fill identically in both
-           modes *)
+        (* each fiber starts on its processor's SSMP shard *)
         let shard = Topology.ssmp_of_proc m.topo p in
         Mgs_engine.Fiber.spawn m.sim ~shard ~at:0 ~name:(Printf.sprintf "proc%d" p)
           (fun () ->
@@ -429,7 +414,7 @@ let run (m : t) body =
   | None -> ());
   (* collapse the per-shard counter cells into the base cell: protocol
      counters are commutative sums, and post-run readers (tests, REPL
-     poking at [m.pstats]) expect totals regardless of engine mode *)
+     poking at [m.pstats]) expect totals whatever the job count *)
   Array.iteri
     (fun i p ->
       if i > 0 then begin

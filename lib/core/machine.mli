@@ -26,12 +26,11 @@ type config = {
           data-race-free programs *)
   tlb_entries : int option;  (** finite TLB capacity (FIFO); unbounded if [None] *)
   par_jobs : int;
-      (** 0 = sequential event engine (default, the oracle).  [>= 1]
-          selects the sharded engine — one event-queue shard per SSMP,
-          executed on [par_jobs] OCaml domains (clamped to the SSMP
-          count), synchronized conservatively on the inter-SSMP LAN
-          latency.  Reports are byte-identical to the sequential engine
-          for every [par_jobs]; only wall time differs. *)
+      (** OCaml domains for the event engine, which keeps one
+          event-queue shard per SSMP synchronized conservatively on the
+          inter-SSMP LAN latency.  Clamped to the SSMP count, and to 1
+          when the LAN latency is 0 (no lookahead window).  Reports are
+          byte-identical for every [par_jobs]; only wall time differs. *)
   adapt : bool;
       (** adaptive per-page coherence ({!Mgs_cache.Adapt}): classify
           each page's sharing pattern at invalidation-epoch boundaries,
@@ -60,11 +59,9 @@ val config :
   config
 (** Defaults: 1 KB pages (256 words), 16 B lines, {!Mgs_machine.Costs.default} with
     its LAN latency overridden by [lan_latency] when given; [par_jobs]
-    defaults to 0 (sequential engine); [adapt] defaults to [false].
-    @raise Invalid_argument if [par_jobs < 0], or if [par_jobs > 0] with
-    a LAN latency below 1 cycle (the sharded engine needs a positive
-    lookahead window), or if [adapt] is combined with a protocol that
-    supports no adaptive regime (ivy). *)
+    defaults to 1 (the calling domain); [adapt] defaults to [false].
+    @raise Invalid_argument if [par_jobs < 1], or if [adapt] is combined
+    with a protocol that supports no adaptive regime (ivy). *)
 
 type t = State.t
 
@@ -100,7 +97,7 @@ val metrics : t -> Mgs_obs.Metrics.t option
 val enable_engine_stats : t -> Mgs_obs.Metrics.t
 (** Additionally sample the engine's nondeterministic self-profiling
     series — window count, outbox merges, window stalls, barrier wait
-    wall time (all 0 on the sequential engine).  These depend on domain
+    wall time (all 0 unless a run is windowed).  These depend on domain
     scheduling, so they are opt-in: without them the metrics export
     stays byte-identical across job counts.  Implies {!enable_metrics};
     call before [run]. *)

@@ -63,8 +63,7 @@ let of_machine ?(wall_seconds = 0.) ?(outcome = Completed) m =
   let lan_stats = Lan.stats m.lan in
   (* transport counters live with the protocol counters: they are part
      of the same "what did the coherence traffic cost" story.  The sum
-     merges the sharded engine's per-shard cells (a plain copy on a
-     sequential machine). *)
+     merges the engine's per-shard cells. *)
   let pstats = pstats_sum m in
   let sc = sync_sum m in
   pstats.Pstats.net_retries <- lan_stats.Lan.retransmits;

@@ -184,13 +184,13 @@ type t = {
   servers : (int, sentry) Hashtbl.t; (* vpn -> home-side entry *)
   tlbs : Tlb.t array;
   pstats : Pstats.t;
-      (* shard 0's (and every sequential run's) counter cell; shards
-         1.. write [pstats_extra] instead — see {!stats} *)
+      (* shard 0's (and host code's) counter cell; shards 1.. write
+         [pstats_extra] instead — see {!stats} *)
   pstats_extra : Pstats.t array;
-      (* per-shard counter cells for the sharded engine, indexed by
-         SSMP; slot 0 is unused (shard 0 writes [pstats]).  Protocol
-         counters are commutative sums, so per-shard cells merged at
-         read time ({!pstats_sum}) equal the sequential totals. *)
+      (* per-shard counter cells, indexed by SSMP; slot 0 is unused
+         (shard 0 writes [pstats]).  Protocol counters are commutative
+         sums, so per-shard cells merged at read time ({!pstats_sum})
+         give the same totals at every job count. *)
   sync_counters : sync_counters;
   sync_extra : sync_counters array; (* same scheme as [pstats_extra] *)
   mutable sync_hooks : sync_hook list;
@@ -198,8 +198,7 @@ type t = {
   mutable fibers : Mgs_engine.Fiber.t list;
   mutable event_limit : int; (* livelock guard for Machine.run *)
   mutable par_jobs : int;
-      (* requested engine domains; 0 = sequential engine (the default
-         and the oracle), >= 1 = sharded engine with that many domains *)
+      (* requested engine domains, >= 1 *)
   shadow : (int, float) Hashtbl.t option;
       (* sequentially-consistent mirror used to detect protocol data
          loss in data-race-free programs (config flag or MGS_SHADOW=1) *)
@@ -231,18 +230,17 @@ type t = {
 let bump_gen m = Atomic.incr m.gen
 
 (* The counter cell protocol code must bump: the executing shard's.
-   Sequential runs (and host code) always resolve to [m.pstats], so the
-   sharded engine costs the sequential path nothing but this branch. *)
+   Shard 0 and host code share [m.pstats]. *)
 let stats m =
-  let c = Mgs_engine.Shard.cur () in
+  let c = Mgs_engine.Sim.cur () in
   if c <= 0 then m.pstats else m.pstats_extra.(c)
 
 let syncs m =
-  let c = Mgs_engine.Shard.cur () in
+  let c = Mgs_engine.Sim.cur () in
   if c <= 0 then m.sync_counters else m.sync_extra.(c)
 
 (* Merged protocol counters: [m.pstats] plus every extra shard cell.
-   This — not [m.pstats] — is what reports read on a sharded machine. *)
+   This — not [m.pstats] — is what reports read. *)
 let pstats_sum m =
   let t = Pstats.copy m.pstats in
   Array.iteri (fun i p -> if i > 0 then Pstats.add_into t p) m.pstats_extra;

@@ -17,9 +17,9 @@ type t
 val spawn : Sim.t -> ?shard:int -> at:Sim.time -> name:string -> (unit -> unit) -> t
 (** [spawn sim ~at ~name body] schedules [body] to start at time [at].
     [name] is used in error reports.  [shard] pins the fiber's first
-    event to an explicit shard of a sharded simulator (its processor's
-    SSMP); subsequent resumptions stay on whatever shard schedules
-    them, which for SSMP-local work is the same one. *)
+    event to an explicit shard (its processor's SSMP); subsequent
+    resumptions stay on whatever shard schedules them, which for
+    SSMP-local work is the same one. *)
 
 val status : t -> status
 val name : t -> string

@@ -1,23 +1,25 @@
 (* Binary min-heap over canonical genealogy keys.
 
-   The sharded engine orders every event by the key
-   [(fire, sched, src, seq, parent)]:
+   The engine orders every event by the key
+   [(fire, sched, src, seq, parent)], which reproduces the reference
+   order — one global clock, ties broken by a global insertion
+   counter:
 
    - [fire]   absolute simulated time the event runs at;
    - [sched]  the scheduling shard's clock when the event was created
-     (events created at an earlier clock were inserted earlier in the
-     sequential engine, so they win fire-time ties);
+     (events created at an earlier clock were inserted earlier, so
+     they win fire-time ties);
    - [src]    the scheduling shard's id;
    - [seq]    the scheduling shard's private counter (program order
      within one shard — the common, O(1) tie-break);
    - [parent] the key of the event that created this one.  When two
      events tie on [(fire, sched)] but come from different shards, the
-     sequential engine orders them by which creator popped first; the
+     reference order runs them in the order their creators ran; the
      creators' keys encode exactly that, so the tie recurses into them.
      The recursion terminates: creators fired strictly earlier or were
      host-scheduled roots, which carry the [no_parent] sentinel and
-     sort before execution-created peers (the sequential insertion
-     counter gives pre-run insertions the smallest values).
+     sort before execution-created peers (pre-run insertions come
+     first).
 
    Keys are immutable records sharing parent tails, so a fiber's event
    chain costs one small record per event and dies with its pending
@@ -168,8 +170,3 @@ let popped_key q = q.popped_key
 let popped_fire q = q.popped_key.k_fire
 
 let popped_own q = q.popped_own
-
-let clear q =
-  Array.fill q.keys 0 q.n no_parent;
-  Array.fill q.fn 0 q.n nop;
-  q.n <- 0

@@ -4,11 +4,11 @@
     A key orders an event by [(fire, sched, src, seq)] with one
     refinement: when two events tie on [(fire, sched)] but were created
     by {e different} shards, the tie is broken by recursively comparing
-    the keys of the events that created them.  That parent pop order is
-    exactly what the sequential engine's global insertion counter
-    encodes, so the canonical order reproduces the sequential engine's
-    [(time, scheduling order)] tie-breaking in every case — including
-    two shards scheduling onto a common destination at the same clock.
+    the keys of the events that created them.  That parent order is
+    exactly what a global insertion counter encodes, so the canonical
+    order reproduces [(time, scheduling order)] tie-breaking on one
+    global clock in every case — including two shards scheduling onto
+    a common destination at the same clock.
 
     [own] names the shard that will execute the event — it is carried,
     not part of the order. *)
@@ -23,8 +23,8 @@ type key = private {
 
 val no_parent : key
 (** Sentinel parent for host-scheduled (root) events.  Roots sort
-    before same-[(fire, sched)] events created during execution, as the
-    sequential engine's insertion counter does. *)
+    before same-[(fire, sched)] events created during execution, as a
+    global insertion counter does. *)
 
 val key : fire:int -> sched:int -> src:int -> seq:int -> parent:key -> key
 
@@ -56,5 +56,3 @@ val pop_min : t -> unit -> unit
 val popped_key : t -> key
 val popped_fire : t -> int
 val popped_own : t -> int
-
-val clear : t -> unit

@@ -1,105 +1,164 @@
+(* Discrete-event engine: one event partition ("shard") per SSMP
+   cluster, synchronized conservatively with the inter-SSMP LAN
+   latency as the lookahead window.
+
+   Every event carries a canonical genealogy key (see {!Shardq}).  The
+   engine runs in one of two modes, chosen by the effective job count
+   for the run:
+
+   - {b canonical-global} (jobs = 1): a single heap ordered by the
+     canonical key, drained on the calling domain.  This is a total
+     order over all shards and is the order the parallel mode must
+     reproduce per shard: fire time, then scheduling order — the key's
+     recursive parent component resolves even cross-shard ties the way
+     a global insertion counter would.
+
+   - {b windowed} (jobs >= 2): per-shard heaps drained concurrently on
+     [jobs] domains between barriers.  Each window executes every event
+     with [fire < T + lookahead] where [T] is the globally earliest
+     pending fire time.  Cross-shard events are appended to the
+     scheduling shard's outbox and merged into the destination heap at
+     the barrier; because the LAN delivers cross-SSMP work no earlier
+     than [send + lookahead], a message created inside a window always
+     fires at or after the window's end, so the destination's per-shard
+     execution order is identical to its subsequence of the
+     canonical-global order — which is what makes the two modes produce
+     byte-identical results.  A window needs a positive width, so a
+     zero lookahead always runs canonical-global.
+
+   Shard-local clocks, counters and statistics are only ever touched by
+   the domain currently running that shard; the window barrier's mutex
+   publishes them between domains. *)
+
 type time = int
 
-type t = {
-  queue : (unit -> unit) Mgs_util.Pqueue.t;
-  mutable clock : time;
-  mutable seq : int;
+type shard = {
+  id : int;
+  q : Shardq.t; (* per-shard heap (windowed mode) *)
+  mutable clock : int;
+  mutable ctr : int; (* scheduling counter: [seq] source *)
+  mutable running : Shardq.key; (* key of the event being executed *)
   mutable executed : int;
+  mutable clamped : int; (* past-due schedules clamped to the clock *)
   mutable peak : int;
-  mutable clamped : int;
-  mutable engine : Shard.t option;
-      (* when set, every operation dispatches to the sharded engine and
-         the sequential fields above stay frozen *)
-  (* sequential per-shard attribution: the sequential engine routes
-     every event to the same shard the sharded engine would, so
-     per-shard observability cells fill identically in both modes. *)
-  mutable sexec : int array; (* events executed, per shard *)
-  mutable sxsend : int array; (* cross-shard sends originated, per shard *)
-  mutable sclamp : int array; (* clamps attributed, per shard *)
-  mutable stamps : bool;
-      (* publish a (time, insertion-seq) pseudo-key per event so the
-         observability layer can stamp emissions; off by default to keep
-         the sequential fast path allocation-free *)
-  mutable hook : (shard:int -> now:int -> unit) option;
+  mutable outbox : outmsg list; (* cross-shard sends, merged at barriers *)
+  mutable failure : exn option; (* first exception raised while draining *)
+  (* engine self-profiling; only the owning domain writes these *)
+  mutable xsends : int; (* cross-shard sends originated by this shard *)
+  mutable merges : int; (* outbox messages merged INTO this shard *)
+  mutable stalls : int; (* windows in which this shard drained 0 events *)
+  mutable wall : float; (* host seconds spent draining this shard *)
 }
 
-type stats = { s_executed : int; s_peak : int; s_clamped : int }
+and outmsg = { o_dst : int; o_key : Shardq.key; o_fn : unit -> unit }
+
+type t = {
+  mutable shards : shard array;
+  mutable lookahead : int;
+  mutable jobs : int; (* effective domains for the next run; >= 1 *)
+  g : Shardq.t; (* canonical-global heap (jobs = 1) *)
+  mutable strict : bool;
+  mutable gpeak : int;
+  mutable windows : int; (* lookahead windows opened (windowed mode) *)
+  mutable barrier_wall : float; (* coordinator seconds waiting at barriers *)
+  mutable on_event : (shard:int -> now:int -> unit) option;
+      (* called on the executing domain immediately before each event,
+         after the shard clock and counters have advanced.  Used by the
+         metrics sampler; the callback must only touch state owned by
+         [shard] or the determinism contract breaks. *)
+}
+
+exception Late_delivery of { dst : int; fire : int; clock : int }
+
+(* Which shard the running domain is currently executing; -1 between
+   events (host code).  Domain-local so concurrent shards each see
+   their own. *)
+let cur_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> -1)
+
+let cur () = Domain.DLS.get cur_key
+
+let set_cur v = Domain.DLS.set cur_key v
+
+(* Genealogy key of the event this domain is currently executing.  The
+   observability layer stamps every emission with it so per-shard cells
+   can be merged back into the canonical execution order at export.
+   Only meaningful while [cur () >= 0]. *)
+let run_key : Shardq.key Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Shardq.no_parent)
+
+let running_key () = Domain.DLS.get run_key
+
+let new_shard id =
+  {
+    id;
+    q = Shardq.create ();
+    clock = 0;
+    ctr = 0;
+    running = Shardq.no_parent;
+    executed = 0;
+    clamped = 0;
+    peak = 0;
+    outbox = [];
+    failure = None;
+    xsends = 0;
+    merges = 0;
+    stalls = 0;
+    wall = 0.;
+  }
 
 let create () =
   {
-    queue = Mgs_util.Pqueue.create ();
-    clock = 0;
-    seq = 0;
-    executed = 0;
-    peak = 0;
-    clamped = 0;
-    engine = None;
-    sexec = Array.make 1 0;
-    sxsend = Array.make 1 0;
-    sclamp = Array.make 1 0;
-    stamps = false;
-    hook = None;
+    shards = [| new_shard 0 |];
+    lookahead = 0;
+    jobs = 1;
+    g = Shardq.create ();
+    strict = false;
+    gpeak = 0;
+    windows = 0;
+    barrier_wall = 0.;
+    on_event = None;
   }
 
-(* Declare the shard count for per-shard attribution on a sequential
-   simulator (the sharded engine knows its own).  Call before running;
-   resizing discards prior per-shard counts. *)
-let set_topology sim ~nshards =
-  if nshards < 1 then invalid_arg "Sim.set_topology: nshards < 1";
-  if Array.length sim.sexec <> nshards then begin
-    sim.sexec <- Array.make nshards 0;
-    sim.sxsend <- Array.make nshards 0;
-    sim.sclamp <- Array.make nshards 0
-  end
+let set_strict sim v = sim.strict <- v
 
-let make_sharded sim ~nshards ~lookahead =
-  (match sim.engine with
-  | Some e when Shard.nshards e = nshards && Shard.lookahead e = lookahead -> ()
-  | Some _ -> invalid_arg "Sim.make_sharded: engine already installed"
-  | None ->
-    if not (Mgs_util.Pqueue.is_empty sim.queue) then
-      invalid_arg "Sim.make_sharded: events already queued sequentially";
-    let e = Shard.create ~nshards ~lookahead in
-    Shard.set_on_event e sim.hook;
-    sim.engine <- Some e);
-  ()
+let set_on_event sim h = sim.on_event <- h
 
-let sharded sim = sim.engine <> None
+(* ------------------------------------------------------------------ *)
+(* Observation                                                         *)
+(* ------------------------------------------------------------------ *)
 
-let nshards sim =
-  match sim.engine with
-  | None -> Array.length sim.sexec
-  | Some e -> Shard.nshards e
+let now sim =
+  let c = cur () in
+  if c >= 0 then sim.shards.(c).clock
+  else
+    (* host view: the engine has advanced to the latest shard clock *)
+    Array.fold_left (fun acc s -> max acc s.clock) 0 sim.shards
 
-let set_jobs sim jobs =
-  match sim.engine with
-  | None -> if jobs > 1 then invalid_arg "Sim.set_jobs: sequential simulator"
-  | Some e -> Shard.set_jobs e jobs
+let events_executed sim = Array.fold_left (fun acc s -> acc + s.executed) 0 sim.shards
 
-let set_strict sim v = match sim.engine with None -> () | Some e -> Shard.set_strict e v
+let pending sim =
+  Shardq.length sim.g
+  + Array.fold_left
+      (fun acc s -> acc + Shardq.length s.q + List.length s.outbox)
+      0 sim.shards
 
-let enable_stamps sim =
-  (* the sharded engine always publishes real genealogy keys; only the
-     sequential engine needs the opt-in pseudo-key *)
-  match sim.engine with None -> sim.stamps <- true | Some _ -> ()
+let peak_pending sim =
+  max sim.gpeak (Array.fold_left (fun acc s -> acc + s.peak) 0 sim.shards)
 
-let set_on_event sim h =
-  sim.hook <- h;
-  match sim.engine with None -> () | Some e -> Shard.set_on_event e h
-
-let now sim = match sim.engine with None -> sim.clock | Some e -> Shard.now e
-
-let events_executed sim =
-  match sim.engine with None -> sim.executed | Some e -> Shard.executed e
-
-let peak_pending sim = match sim.engine with None -> sim.peak | Some e -> Shard.peak e
+type stats = { s_executed : int; s_peak : int; s_clamped : int }
 
 let stats sim =
-  match sim.engine with
-  | None -> { s_executed = sim.executed; s_peak = sim.peak; s_clamped = sim.clamped }
-  | Some e -> { s_executed = Shard.executed e; s_peak = Shard.peak e; s_clamped = Shard.clamped e }
+  {
+    s_executed = events_executed sim;
+    s_peak = peak_pending sim;
+    s_clamped = Array.fold_left (fun acc s -> acc + s.clamped) 0 sim.shards;
+  }
 
-type shard_stat = Shard.shard_stat = {
+(* Per-shard self-profiling snapshot.  [st_executed] and [st_xsends] are
+   deterministic (a pure function of the simulated program); the rest
+   depend on the job count, the host, and outbox timing, and are
+   deliberately excluded from the byte-identity contract. *)
+type shard_stat = {
   st_id : int;
   st_executed : int;
   st_xsends : int;
@@ -111,120 +170,334 @@ type shard_stat = Shard.shard_stat = {
 }
 
 let shard_stats sim =
-  match sim.engine with
-  | Some e -> Shard.shard_stats e
-  | None ->
-    Array.init (Array.length sim.sexec) (fun i ->
-        {
-          st_id = i;
-          st_executed = sim.sexec.(i);
-          st_xsends = sim.sxsend.(i);
-          st_clamped = sim.sclamp.(i);
-          st_peak = 0;
-          st_merges = 0;
-          st_stalls = 0;
-          st_wall = 0.;
-        })
+  Array.map
+    (fun s ->
+      {
+        st_id = s.id;
+        st_executed = s.executed;
+        st_xsends = s.xsends;
+        st_clamped = s.clamped;
+        st_peak = s.peak;
+        st_merges = s.merges;
+        st_stalls = s.stalls;
+        st_wall = s.wall;
+      })
+    sim.shards
 
-let windows sim = match sim.engine with None -> 0 | Some e -> Shard.windows e
+let windows sim = sim.windows
 
-let barrier_wall sim =
-  match sim.engine with None -> 0. | Some e -> Shard.barrier_wall e
+let barrier_wall sim = sim.barrier_wall
 
-let shard_executed sim i =
-  match sim.engine with None -> sim.sexec.(i) | Some e -> Shard.shard_executed e i
+let shard_executed sim i = sim.shards.(i).executed
 
-let shard_xsends sim i =
-  match sim.engine with None -> sim.sxsend.(i) | Some e -> Shard.shard_xsends e i
+let shard_xsends sim i = sim.shards.(i).xsends
 
-(* Sequential scheduling with per-shard attribution.  [dst] is the shard
-   that will execute the event — the same value the sharded engine's
-   [at_shard] would route to — carried through the heap as the [own]
-   tag. *)
-let seq_schedule sim ~dst t f =
-  let c = Shard.cur () in
+(* Repartition a simulator that has not scheduled anything yet. *)
+let make_sharded sim ~nshards ~lookahead =
+  if nshards <> Array.length sim.shards || lookahead <> sim.lookahead then begin
+    if nshards < 1 then invalid_arg "Sim.make_sharded: nshards < 1";
+    if lookahead < 0 then invalid_arg "Sim.make_sharded: lookahead < 0";
+    if events_executed sim > 0 || pending sim > 0 then
+      invalid_arg "Sim.make_sharded: events already scheduled";
+    sim.shards <- Array.init nshards new_shard;
+    sim.lookahead <- lookahead;
+    sim.jobs <- 1
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Scheduling                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let push_local sim ~key ~own fn =
+  if sim.jobs > 1 then begin
+    let d = sim.shards.(own) in
+    Shardq.push d.q ~key ~own fn;
+    let len = Shardq.length d.q in
+    if len > d.peak then d.peak <- len
+  end
+  else begin
+    Shardq.push sim.g ~key ~own fn;
+    let len = Shardq.length sim.g in
+    if len > sim.gpeak then sim.gpeak <- len
+  end
+
+(* Schedule [fn] to run on shard [dst] at absolute time [t].  The key is
+   minted from the scheduling context: inside an event, the executing
+   shard and the executing event's key as parent; host-side, the
+   destination shard itself with the root sentinel.  Past-due times are
+   clamped to the scheduler's clock and counted. *)
+let at_shard sim ~shard:dst t fn =
+  if dst < 0 || dst >= Array.length sim.shards then invalid_arg "Sim.at_shard: bad shard";
+  let c = cur () in
+  let s = if c >= 0 then sim.shards.(c) else sim.shards.(dst) in
   let fire =
-    if t < sim.clock then begin
-      sim.clamped <- sim.clamped + 1;
-      let attr = if c >= 0 && c < Array.length sim.sclamp then c else dst in
-      sim.sclamp.(attr) <- sim.sclamp.(attr) + 1;
-      sim.clock
+    if t < s.clock then begin
+      s.clamped <- s.clamped + 1;
+      s.clock
     end
     else t
   in
-  if c >= 0 && c <> dst && c < Array.length sim.sxsend then
-    sim.sxsend.(c) <- sim.sxsend.(c) + 1;
-  sim.seq <- sim.seq + 1;
-  Mgs_util.Pqueue.push sim.queue ~prio:fire ~seq:sim.seq ~own:dst f;
-  let len = Mgs_util.Pqueue.length sim.queue in
-  if len > sim.peak then sim.peak <- len
+  let seq = s.ctr in
+  s.ctr <- seq + 1;
+  let parent = if c >= 0 then s.running else Shardq.no_parent in
+  let key = Shardq.key ~fire ~sched:s.clock ~src:s.id ~seq ~parent in
+  if c >= 0 && c <> dst then s.xsends <- s.xsends + 1;
+  if sim.jobs > 1 && c >= 0 && c <> dst then
+    (* cross-shard send from inside an event: park in the outbox; the
+       barrier merges it into [dst]'s heap before the next window *)
+    s.outbox <- { o_dst = dst; o_key = key; o_fn = fn } :: s.outbox
+  else push_local sim ~key ~own:dst fn
 
-let at sim t f =
-  match sim.engine with
-  | None ->
-    let c = Shard.cur () in
-    let dst = if c >= 0 && c < Array.length sim.sexec then c else 0 in
-    seq_schedule sim ~dst t f
-  | Some e -> Shard.at e t f
-
-let at_shard sim ~shard t f =
-  match sim.engine with
-  | None ->
-    (* tolerate out-of-range shards (a simulator whose topology was
-       never declared): attribution falls back to shard 0 *)
-    let dst = if shard >= 0 && shard < Array.length sim.sexec then shard else 0 in
-    seq_schedule sim ~dst t f
-  | Some e -> Shard.at_shard e ~shard t f
+(* [at] without an explicit target: stay on the executing shard (the
+   common case — timers, fiber resumptions, local protocol work).
+   Host-side calls without a target land on shard 0. *)
+let at sim t fn =
+  let c = cur () in
+  at_shard sim ~shard:(if c >= 0 then c else 0) t fn
 
 let after sim d f =
   if d < 0 then invalid_arg "Sim.after: negative delay";
   at sim (now sim + d) f
 
-let pending sim =
-  match sim.engine with
-  | None -> Mgs_util.Pqueue.length sim.queue
-  | Some e -> Shard.pending e
+(* ------------------------------------------------------------------ *)
+(* Execution                                                           *)
+(* ------------------------------------------------------------------ *)
 
-let step sim =
-  match sim.engine with
-  | Some _ -> invalid_arg "Sim.step: sharded simulator (use run)"
-  | None -> (
-    match Mgs_util.Pqueue.pop_min sim.queue with
-    | exception Mgs_util.Pqueue.Empty_queue -> false
-    | f ->
-      let t = Mgs_util.Pqueue.popped_prio sim.queue in
-      let own = Mgs_util.Pqueue.popped_own sim.queue in
-      sim.clock <- max sim.clock t;
-      sim.executed <- sim.executed + 1;
-      sim.sexec.(own) <- sim.sexec.(own) + 1;
-      if sim.stamps then
-        (* pseudo-key ordered exactly like the sequential pop order:
-           fire time, then global insertion sequence (materialized
-           lazily so unobserved events allocate nothing) *)
-        Shard.set_run_key_seq ~fire:t
-          ~sched:(Mgs_util.Pqueue.popped_seq sim.queue);
-      Shard.set_cur own;
-      (match sim.hook with Some h -> h ~shard:own ~now:t | None -> ());
-      (match f () with
-      | () -> Shard.set_cur (-1)
+let limit_msg ~limit ~executed ~clock ~pending =
+  Printf.sprintf
+    "Sim.run: event limit exhausted (livelock?): limit=%d executed=%d clock=%d pending=%d"
+    limit executed clock pending
+
+(* jobs = 1: drain the canonical-global heap in key order. *)
+let run_global sim ~limit =
+  let n0 = events_executed sim in
+  let rec go n =
+    if n - n0 >= limit then
+      failwith (limit_msg ~limit ~executed:n ~clock:(now sim) ~pending:(pending sim))
+    else if Shardq.is_empty sim.g then n - n0
+    else begin
+      let fn = Shardq.pop_min sim.g in
+      let s = sim.shards.(Shardq.popped_own sim.g) in
+      let t = Shardq.popped_fire sim.g in
+      if t > s.clock then s.clock <- t;
+      s.executed <- s.executed + 1;
+      s.running <- Shardq.popped_key sim.g;
+      set_cur s.id;
+      Domain.DLS.set run_key s.running;
+      (match sim.on_event with Some h -> h ~shard:s.id ~now:t | None -> ());
+      (match fn () with
+      | () ->
+        s.running <- Shardq.no_parent;
+        set_cur (-1)
       | exception e ->
-        Shard.set_cur (-1);
+        s.running <- Shardq.no_parent;
+        set_cur (-1);
         raise e);
-      true)
+      go (n + 1)
+    end
+  in
+  go n0
+
+(* jobs >= 2: windowed execution on Domains.  Shard [i] is pinned to
+   worker [i mod jobs] for the whole run so fiber continuations never
+   migrate between domains mid-run. *)
+
+(* Drain every event of [s] with [fire < wend].  [allow] bounds the
+   number of events this one drain may execute (livelock guard: a shard
+   stuck rescheduling itself inside one window would otherwise never
+   reach the barrier). *)
+let drain sim s ~wend ~allow =
+  let t0 = Unix.gettimeofday () in
+  let n = ref 0 in
+  (try
+     let continue_ = ref true in
+     while !continue_ do
+       match Shardq.min_fire s.q with
+       | Some f when f < wend ->
+         if !n >= allow then
+           failwith
+             (limit_msg ~limit:allow ~executed:(s.executed) ~clock:s.clock
+                ~pending:(Shardq.length s.q))
+         else begin
+           let fn = Shardq.pop_min s.q in
+           let t = Shardq.popped_fire s.q in
+           if t > s.clock then s.clock <- t;
+           s.executed <- s.executed + 1;
+           s.running <- Shardq.popped_key s.q;
+           incr n;
+           set_cur s.id;
+           Domain.DLS.set run_key s.running;
+           (match sim.on_event with Some h -> h ~shard:s.id ~now:t | None -> ());
+           fn ();
+           s.running <- Shardq.no_parent;
+           set_cur (-1)
+         end
+       | _ -> continue_ := false
+     done
+   with e ->
+     s.running <- Shardq.no_parent;
+     set_cur (-1);
+     s.failure <- Some e);
+  if !n = 0 then s.stalls <- s.stalls + 1;
+  s.wall <- s.wall +. (Unix.gettimeofday () -. t0);
+  !n
+
+(* Merge every outbox message into its destination heap.  Runs on the
+   coordinating domain while the workers are parked at the barrier.  A
+   message firing before its destination's clock means the lookahead
+   argument was violated (an engine or cost-model bug, not a program
+   bug): it is counted as a clamp on the destination and, under strict
+   mode, raised. *)
+let flush_outboxes sim =
+  Array.iter
+    (fun s ->
+      let msgs = s.outbox in
+      s.outbox <- [];
+      List.iter
+        (fun o ->
+          let d = sim.shards.(o.o_dst) in
+          let key =
+            if o.o_key.Shardq.k_fire < d.clock then begin
+              d.clamped <- d.clamped + 1;
+              if sim.strict then
+                raise
+                  (Late_delivery
+                     { dst = d.id; fire = o.o_key.Shardq.k_fire; clock = d.clock });
+              Shardq.refire o.o_key ~fire:d.clock
+            end
+            else o.o_key
+          in
+          Shardq.push d.q ~key ~own:o.o_dst o.o_fn;
+          d.merges <- d.merges + 1;
+          let len = Shardq.length d.q in
+          if len > d.peak then d.peak <- len)
+        msgs)
+    sim.shards
+
+let window_min sim =
+  Array.fold_left
+    (fun acc s ->
+      match Shardq.min_fire s.q with
+      | None -> acc
+      | Some f -> ( match acc with None -> Some f | Some a -> Some (min a f)))
+    None sim.shards
+
+let run_windowed sim ~jobs ~limit =
+  let nsh = Array.length sim.shards in
+  Array.iter (fun s -> s.failure <- None) sim.shards;
+  let n0 = events_executed sim in
+  (* barrier state, all under [mu] *)
+  let mu = Mutex.create () in
+  let cv = Condition.create () in
+  let epoch = ref 0 in
+  let done_count = ref 0 in
+  let wend = ref 0 in
+  let allow = ref 0 in
+  let stop = ref false in
+  let drain_assigned w =
+    let executed_here = ref 0 in
+    let wendv = !wend and allowv = !allow in
+    let i = ref w in
+    while !i < nsh do
+      let s = sim.shards.(!i) in
+      if s.failure = None then
+        executed_here := !executed_here + drain sim s ~wend:wendv ~allow:allowv;
+      i := !i + jobs
+    done;
+    !executed_here
+  in
+  let worker w () =
+    let my_epoch = ref 0 in
+    let running = ref true in
+    while !running do
+      Mutex.lock mu;
+      while !epoch = !my_epoch && not !stop do
+        Condition.wait cv mu
+      done;
+      if !stop then begin
+        Mutex.unlock mu;
+        running := false
+      end
+      else begin
+        my_epoch := !epoch;
+        Mutex.unlock mu;
+        ignore (drain_assigned w);
+        Mutex.lock mu;
+        incr done_count;
+        Condition.broadcast cv;
+        Mutex.unlock mu
+      end
+    done
+  in
+  let domains = Array.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1) ())) in
+  let shutdown () =
+    Mutex.lock mu;
+    stop := true;
+    Condition.broadcast cv;
+    Mutex.unlock mu;
+    Array.iter Domain.join domains
+  in
+  Fun.protect ~finally:shutdown (fun () ->
+      let running = ref true in
+      while !running do
+        flush_outboxes sim;
+        match window_min sim with
+        | None -> running := false
+        | Some t ->
+          let total = events_executed sim - n0 in
+          if total >= limit then
+            failwith
+              (limit_msg ~limit ~executed:(events_executed sim) ~clock:(now sim)
+                 ~pending:(pending sim));
+          (* open the window *)
+          sim.windows <- sim.windows + 1;
+          Mutex.lock mu;
+          wend := t + sim.lookahead;
+          allow := limit - total;
+          incr epoch;
+          done_count := 0;
+          Condition.broadcast cv;
+          Mutex.unlock mu;
+          (* the coordinator is worker 0 *)
+          ignore (drain_assigned 0);
+          let b0 = Unix.gettimeofday () in
+          Mutex.lock mu;
+          while !done_count < jobs - 1 do
+            Condition.wait cv mu
+          done;
+          Mutex.unlock mu;
+          sim.barrier_wall <- sim.barrier_wall +. (Unix.gettimeofday () -. b0);
+          (* deterministic failure propagation: every worker has
+             stopped; report the lowest-numbered failing shard *)
+          Array.iter
+            (fun s -> match s.failure with Some e -> raise e | None -> ())
+            sim.shards
+      done);
+  events_executed sim - n0
 
 let run sim ?(limit = max_int) () =
-  match sim.engine with
-  | Some e -> Shard.run e ~limit ()
-  | None ->
-    let rec go n =
-      if n >= limit then
-        failwith
-          (Printf.sprintf
-             "Sim.run: event limit exhausted (livelock?): limit=%d executed=%d \
-              clock=%d pending=%d"
-             limit sim.executed sim.clock
-             (Mgs_util.Pqueue.length sim.queue))
-      else if step sim then go (n + 1)
-      else n
+  if sim.jobs = 1 then run_global sim ~limit else run_windowed sim ~jobs:sim.jobs ~limit
+
+(* Changing the job count switches which structure holds pending
+   events; migrate anything queued (e.g. left behind by an aborted run)
+   so nothing is stranded.  Keys are preserved, so order is too. *)
+let set_jobs sim jobs =
+  let jobs = if sim.lookahead = 0 then 1 else max 1 (min jobs (Array.length sim.shards)) in
+  if jobs <> sim.jobs then begin
+    let was_windowed = sim.jobs > 1 and now_windowed = jobs > 1 in
+    sim.jobs <- jobs;
+    let move src_q dst_q_of =
+      while not (Shardq.is_empty src_q) do
+        let fn = Shardq.pop_min src_q in
+        Shardq.push
+          (dst_q_of (Shardq.popped_own src_q))
+          ~key:(Shardq.popped_key src_q) ~own:(Shardq.popped_own src_q) fn
+      done
     in
-    go 0
+    if was_windowed && not now_windowed then begin
+      flush_outboxes sim;
+      Array.iter (fun s -> move s.q (fun _ -> sim.g)) sim.shards
+    end
+    else if now_windowed && not was_windowed then
+      move sim.g (fun own -> sim.shards.(own).q)
+  end

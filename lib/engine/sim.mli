@@ -1,17 +1,19 @@
 (** Discrete-event simulation core.
 
-    A simulator owns a queue of timestamped events (thunks).  [run]
-    executes events in nondecreasing time order; ties are broken by
-    scheduling order, so a run is fully deterministic.  All simulated
-    components (network links, protocol engines, processor fibers)
-    interact exclusively by scheduling events.
+    A simulator owns timestamped events (thunks), partitioned into one
+    shard per SSMP cluster.  [run] executes events in nondecreasing
+    time order; ties are broken by scheduling order through each
+    event's genealogy key ({!Shardq}), so a run is fully deterministic.
+    All simulated components (network links, protocol engines,
+    processor fibers) interact exclusively by scheduling events.
 
-    A simulator is sequential by default.  {!make_sharded} installs a
-    {!Shard} engine behind it: events are then partitioned per shard
-    (one per SSMP cluster) and {!run} can drain the shards on OCaml
-    Domains with conservative lookahead synchronization.  The sharded
-    engine is designed to be byte-identical to the sequential one and
-    the sequential engine remains the oracle. *)
+    With an effective job count of 1 the engine drains a single heap in
+    the canonical key order on the calling domain; with jobs >= 2 it
+    drains per-shard heaps on OCaml Domains between conservative
+    lookahead barriers, merging cross-shard sends at window boundaries.
+    Both produce identical results; the contract relies on every
+    cross-shard event firing at least [lookahead] after its creation,
+    which the LAN's fixed inter-SSMP latency guarantees. *)
 
 type time = int
 (** Simulated time in processor cycles. *)
@@ -19,36 +21,20 @@ type time = int
 type t
 (** A simulator instance. *)
 
+exception Late_delivery of { dst : int; fire : int; clock : int }
+(** Raised (strict mode only) when a cross-shard event would fire
+    before its destination shard's clock — a lookahead violation. *)
+
 val create : unit -> t
-(** [create ()] is a fresh sequential simulator at time 0 with no
-    events. *)
+(** [create ()] is a fresh simulator at time 0 with no events, one
+    shard, and lookahead 0. *)
 
 val make_sharded : t -> nshards:int -> lookahead:int -> unit
-(** Install a sharded engine with [nshards] partitions and a
-    conservative [lookahead] window (the inter-SSMP LAN latency).
-    Idempotent for identical parameters.
-    @raise Invalid_argument if a different engine is already installed,
-    if events were already queued sequentially, or if [lookahead < 1]. *)
-
-val sharded : t -> bool
-
-val set_topology : t -> nshards:int -> unit
-(** Declare the shard (SSMP) count of a sequential simulator so events
-    and statistics are attributed to the same per-shard cells the
-    sharded engine would use — the observability layer's per-shard
-    stores rely on this routing being identical across modes.  The
-    sharded engine knows its own count; calling this after
-    {!make_sharded} is a no-op.  Resizing discards per-shard counts. *)
-
-val nshards : t -> int
-(** Declared shard count ([1] when never declared). *)
-
-val enable_stamps : t -> unit
-(** Sequential engines only: publish a (time, insertion-seq) pseudo
-    genealogy key per event (readable via {!Shard.running_key}) so
-    observability emissions can be order-stamped.  Off by default — the
-    key is a fresh allocation per event and the untraced fast path stays
-    allocation-free.  The sharded engine always publishes real keys. *)
+(** Repartition into [nshards] shards with a conservative [lookahead]
+    window (the inter-SSMP LAN latency).  A no-op for the current
+    parameters; resets the job count to 1.
+    @raise Invalid_argument if events were already scheduled, if
+    [nshards < 1], or if [lookahead < 0]. *)
 
 val set_on_event : t -> (shard:int -> now:int -> unit) option -> unit
 (** Install a callback run immediately before each event on the
@@ -57,81 +43,86 @@ val set_on_event : t -> (shard:int -> now:int -> unit) option -> unit
     [shard]; anything else breaks byte-identity across job counts. *)
 
 val set_jobs : t -> int -> unit
-(** Effective domain count for subsequent {!run}s of a sharded
-    simulator (clamped to [1 .. nshards]).  [1] drains a single heap in
-    the canonical order on the calling domain; [>= 2] runs shards
-    concurrently between lookahead barriers.
-    @raise Invalid_argument when [> 1] on a sequential simulator. *)
+(** Effective domain count for subsequent {!run}s, clamped to
+    [1 .. nshards], and to 1 when the lookahead is 0 (a window needs a
+    positive width).  [1] drains a single heap in the canonical order
+    on the calling domain; [>= 2] runs shards concurrently between
+    lookahead barriers.  Pending events migrate between the global and
+    per-shard heaps when the mode changes, preserving their keys. *)
 
 val set_strict : t -> bool -> unit
-(** Strict mode (sharded only): a cross-shard event merged after its
-    destination's clock — a lookahead violation — raises
-    {!Shard.Late_delivery} instead of being clamped and counted. *)
+(** Strict mode: a cross-shard event merged after its destination's
+    clock — a lookahead violation — raises {!Late_delivery} instead of
+    being clamped and counted. *)
+
+val cur : unit -> int
+(** Shard currently executing on this domain; -1 outside an event. *)
+
+val running_key : unit -> Shardq.key
+(** Genealogy key of the event this domain is currently executing; the
+    observability layer stamps emissions with it so per-shard cells
+    merge back into the canonical execution order.  Meaningful only
+    while {!cur} is [>= 0]. *)
 
 val now : t -> time
-(** [now sim] is the timestamp of the event currently executing (or the
-    last executed); 0 before any event runs. *)
+(** The executing shard's clock inside an event; from host code, the
+    latest shard clock (0 before any event runs). *)
 
 val at : t -> time -> (unit -> unit) -> unit
-(** [at sim t f] schedules [f] to run at absolute time [max t (now sim)].
-    Scheduling in the past is clamped to the present rather than
-    rejected: protocol handlers routinely complete work whose latency
-    was accounted on a processor clock that lags global time.  Each
-    clamp is counted in {!stats}.  On a sharded simulator the event
-    lands on the shard currently executing. *)
+(** [at sim t f] schedules [f] on the executing shard (shard 0 from host
+    code) at absolute time [max t clock], where [clock] is the
+    scheduling shard's.  Scheduling in the past is clamped to the
+    present rather than rejected: protocol handlers routinely complete
+    work whose latency was accounted on a processor clock that lags
+    simulated time.  Each clamp is counted in {!stats}. *)
 
 val at_shard : t -> shard:int -> time -> (unit -> unit) -> unit
 (** [at_shard sim ~shard t f] schedules [f] on an explicit shard —
-    cross-SSMP message delivery and host-side seeding.  Equivalent to
-    {!at} on a sequential simulator. *)
+    cross-SSMP message delivery and host-side seeding.  Under windowed
+    execution a cross-shard call parks the event in the scheduling
+    shard's outbox until the next window barrier.
+    @raise Invalid_argument if [shard] is out of range. *)
 
 val after : t -> time -> (unit -> unit) -> unit
 (** [after sim d f] is [at sim (now sim + d) f].  [d] must be [>= 0]. *)
-
-val pending : t -> int
-(** Number of events not yet executed. *)
 
 val events_executed : t -> int
 (** Total events executed since creation (throughput accounting). *)
 
 val peak_pending : t -> int
-(** High-water mark of the event queue length.  Windowed sharded runs
-    report the sum of per-shard peaks (an upper bound); this figure is
-    host-/engine-sensitive and deliberately excluded from the
-    determinism contract. *)
+(** High-water mark of pending events.  Windowed runs report the sum of
+    per-shard peaks (an upper bound); this figure is host-/engine-
+    sensitive and deliberately excluded from the determinism contract. *)
 
 type stats = { s_executed : int; s_peak : int; s_clamped : int }
 
 val stats : t -> stats
 (** Execution counters: events executed, peak pending, and the number
-    of past-due schedules clamped forward to the clock ([s_clamped] —
-    silent before, now observable so cross-shard delivery bugs surface
-    as counted clamps). *)
+    of past-due schedules clamped forward to the clock ([s_clamped]), so
+    cross-shard delivery bugs surface as counted clamps. *)
 
-type shard_stat = Shard.shard_stat = {
+type shard_stat = {
   st_id : int;
-  st_executed : int;
-  st_xsends : int;
-  st_clamped : int;
-  st_peak : int;
-  st_merges : int;
-  st_stalls : int;
-  st_wall : float;
+  st_executed : int;  (** events executed by this shard (deterministic) *)
+  st_xsends : int;  (** cross-shard sends originated here (deterministic) *)
+  st_clamped : int;  (** past-due schedules clamped on this shard *)
+  st_peak : int;  (** per-shard heap high-water mark *)
+  st_merges : int;  (** outbox messages merged into this shard *)
+  st_stalls : int;  (** windows in which this shard executed nothing *)
+  st_wall : float;  (** host seconds spent draining this shard *)
 }
 
 val shard_stats : t -> shard_stat array
-(** Per-shard self-profiling, in both modes: the sequential engine
-    synthesizes entries from its per-shard attribution counters
-    (merges/stalls/wall are 0 there).  [st_executed]/[st_xsends] are
-    deterministic; the rest are not part of the byte-identity
+(** One entry per shard.  [st_executed] and [st_xsends] are pure
+    functions of the simulated program; the remaining fields depend on
+    the job count and host and are excluded from the byte-identity
     contract. *)
 
 val windows : t -> int
-(** Lookahead windows opened (0 for sequential or jobs = 1 runs). *)
+(** Lookahead windows opened (0 unless windowed runs happened). *)
 
 val barrier_wall : t -> float
-(** Host seconds the windowed coordinator spent at barriers (0 when
-    never windowed). *)
+(** Host seconds the windowed coordinator spent at barriers. *)
 
 val shard_executed : t -> int -> int
 (** Events executed by one shard — shard-local, deterministic. *)
@@ -139,10 +130,6 @@ val shard_executed : t -> int -> int
 val shard_xsends : t -> int -> int
 (** Cross-shard sends originated by one shard — shard-local,
     deterministic. *)
-
-val step : t -> bool
-(** [step sim] executes the next event; [false] when none remain.
-    @raise Invalid_argument on a sharded simulator. *)
 
 val run : t -> ?limit:int -> unit -> int
 (** [run sim ()] executes events until none remain and returns the

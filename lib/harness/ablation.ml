@@ -80,18 +80,16 @@ let adapt_study () =
     { baseline with label = "adaptive hlrc"; protocol = "hlrc"; adapt = true };
   ]
 
-let run ?clusters ?(jobs = 1) ?(par = 0) ~nprocs ~variants w =
+let run ?clusters ?(jobs = 1) ?(par = 1) ~nprocs ~variants w =
   (* feature toggles are not part of Sweep.run_point's interface, so
      drive the machines directly *)
   let clusters = Option.value ~default:(Sweep.clusters_of nprocs) clusters in
   let run_cell (v, cluster) =
-    (* the zero-latency variant has no lookahead window to shard on *)
-    let par_jobs = if v.lan_latency < 1 then 0 else par in
     let cfg =
       Mgs.Machine.config ~page_words:v.page_words ~lan_latency:v.lan_latency
         ~features:v.features
         ~protocol:(Mgs.Protocol.proto_of_name v.protocol)
-        ?tlb_entries:v.tlb_entries ~par_jobs ~adapt:v.adapt ~nprocs ~cluster ()
+        ?tlb_entries:v.tlb_entries ~par_jobs:par ~adapt:v.adapt ~nprocs ~cluster ()
     in
     let m = Mgs.Machine.create cfg in
     let body, check = w.Sweep.prepare m in

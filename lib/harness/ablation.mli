@@ -30,8 +30,8 @@ val run :
 (** Run the workload under every variant; render a table with one
     runtime column per variant plus the framework metrics per variant.
     [jobs] (default 1) fans the variant x cluster grid out over a domain
-    pool; [par] (default 0 = sequential engine) shards the event engine
-    inside each cell (skipped for zero-latency variants, which have no
+    pool; [par] (default 1) runs the event engine inside each cell on
+    that many domains (one for zero-latency variants, which have no
     lookahead window); the rendered table is identical for any [jobs]
     or [par]. *)
 

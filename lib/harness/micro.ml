@@ -201,7 +201,7 @@ type lock_point = {
   lk_sim_events : int;
 }
 
-let lock_point ?(iters = 16) ?(crit = 200) ?(think = 1500) ?(par = 0) ?(adapt = false)
+let lock_point ?(iters = 16) ?(crit = 200) ?(think = 1500) ?(par = 1) ?(adapt = false)
     ~lock ~protocol ~cluster ~fibers () =
   (* enough processors for the contenders, rounded up so C divides P *)
   let nprocs = (max fibers cluster + cluster - 1) / cluster * cluster in

@@ -53,8 +53,8 @@ val lock_point :
 (** One run: [fibers] contenders (default 16 iterations each, 200-cycle
     critical sections, 1500-cycle think time) on a machine with
     [max fibers cluster] processors (rounded up so C divides P).
-    [par] selects the sharded event engine (registered locks force it
-    onto one domain; results are identical either way); [adapt] turns
+    [par] (default 1) runs the event engine on that many domains
+    (results are identical for any value); [adapt] turns
     on the adaptive coherence layer — lock-protected counters are the
     canonical migratory pattern.
     @raise Failure if the protected counter lost an increment or the

@@ -11,7 +11,7 @@ let clusters_of nprocs =
 
 let run_point ?(page_words = 256) ?(costs = Mgs_machine.Costs.default) ?(lan_latency = 1000)
     ?(protocol = "mgs") ?faults ?(fault_seed = 42) ?(verify = true) ?(check = true)
-    ?(par = 0) ?(adapt = false) ~nprocs ~cluster w =
+    ?(par = 1) ?(adapt = false) ~nprocs ~cluster w =
   let cfg =
     Mgs.Machine.config ~page_words ~costs ~lan_latency
       ~protocol:(Mgs.Protocol.proto_of_name protocol) ~par_jobs:par ~adapt ~nprocs ~cluster

@@ -42,9 +42,9 @@ val run_point :
     {!Mgs.Machine.assert_quiescent} — skipped when the run ended in a
     partition, which the caller observes via [report.outcome]; [check]
     (default true) runs the online protocol invariant checker
-    ({!Mgs.Invariant}) and fails on any violation; [par] (default 0 =
-    sequential engine) selects the sharded event engine on that many
-    domains — byte-identical results.  Trace, span, and metrics
+    ({!Mgs.Invariant}) and fails on any violation; [par] (default 1)
+    runs the event engine on that many domains — byte-identical
+    results.  Trace, span, and metrics
     subscribers are per-shard and do not limit parallelism; only the
     online invariant checker's global state still forces one domain,
     so pass [~check:false] to actually run parallel.  [adapt] (default
@@ -71,8 +71,8 @@ val sweep :
   point list
 (** All cluster sizes (ascending).  [jobs] (default 1) runs up to that
     many points concurrently on separate domains ({!Mgs_util.Dpool});
-    [par] additionally shards the event engine {e inside} each point.
-    Results are identical to the sequential sweep regardless of either
+    [par] additionally runs the event engine {e inside} each point on
+    that many domains.  Results are identical regardless of either
     knob. *)
 
 (** {1 Chaos sweeps}

@@ -13,7 +13,7 @@
    cell ran in between).  A cell's pre-event state at a boundary is a
    pure function of that cell's executed-event prefix, which the engine
    keeps identical across job counts, so the merged time-series is
-   byte-identical between sequential and parallel runs.  The final
+   byte-identical across job counts.  The final
    {!sample} fills every cell to the last crossed boundary and appends
    one row at the exact end time.
 
@@ -101,7 +101,7 @@ let counter t ?(labels = []) name =
     c
 
 let incr ?(by = 1) c =
-  let cell = Mgs_engine.Shard.cur () in
+  let cell = Mgs_engine.Sim.cur () in
   let cell = if cell < 0 || cell >= Array.length c.ca then 0 else cell in
   c.ca.(cell) <- c.ca.(cell) + by
 
@@ -118,7 +118,7 @@ let gauge t ?(labels = []) name =
     g
 
 let set g v =
-  let cell = Mgs_engine.Shard.cur () in
+  let cell = Mgs_engine.Sim.cur () in
   let cell = if cell < 0 || cell >= Array.length g.ga then 0 else cell in
   g.ga.(cell) <- v
 

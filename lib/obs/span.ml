@@ -16,7 +16,7 @@
    it (see {!Mgs_engine.Shardq}) — which reconstructs the canonical
    execution order regardless of the job count.  Span and transaction
    IDs are renumbered densely in that order at export, so every export
-   is byte-identical between sequential, jobs=1, and jobs>=2 runs.
+   is byte-identical between jobs=1 and jobs>=2 runs.
    Single-cell stores skip stamping entirely and export raw IDs — the
    original single-domain behavior, byte for byte.
 
@@ -127,17 +127,16 @@ let cells t = t.ncells
 (* The cell the running domain writes to: the executing shard's, or
    cell 0 for host code (and for shards beyond the declared count). *)
 let cur_cell t =
-  let c = Mgs_engine.Shard.cur () in
+  let c = Mgs_engine.Sim.cur () in
   if c < 0 || c >= t.ncells then 0 else c
 
 (* The order stamp for an emission happening now: the executing event's
    genealogy key, or a synthetic host key ordered by emission time then
    a host-side counter.  [sched = max_int] makes a host emission sort
-   after every event emission of the same instant — matching the
-   sequential engine, where host code runs only once the queue has
-   drained past that time. *)
+   after every event emission of the same instant: host code runs only
+   once the events of that instant have drained. *)
 let stamp t ~time =
-  if Mgs_engine.Shard.cur () >= 0 then Mgs_engine.Shard.running_key ()
+  if Mgs_engine.Sim.cur () >= 0 then Mgs_engine.Sim.running_key ()
   else begin
     let seq = t.host_seq in
     t.host_seq <- seq + 1;

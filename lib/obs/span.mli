@@ -52,6 +52,11 @@ val create : ?capacity:int -> ?cells:int -> unit -> t
 
 val cells : t -> int
 
+val stamp : t -> time:int -> Mgs_engine.Shardq.key
+(** The merge-order stamp for a record made now: the executing event's
+    genealogy key, or, from host code, a fresh key ordered by [time]
+    and then host emission order, after every event of that instant. *)
+
 val mint_txn : t -> int
 (** Reserve a fresh transaction ID without opening a span. *)
 

@@ -17,19 +17,10 @@
 type cell = {
   ring : Event.t Ring.t;
   (* Order stamps for the ring's slots, same rotation: the event in slot
-     [i] was emitted under the genealogy key [skey.(i)] — or, when that
-     slot holds [Shardq.no_parent] (or [skey] was never allocated),
-     under the unboxed scalar pseudo-key [(sfire, ssched, 0, 0).(i)]
-     the sequential engine published.  Scalar stamps stay unboxed so a
-     traced sequential event costs no allocation; they are materialized
-     as key records only at merge time (bounded by the ring capacity).
-     Each array is allocated on first use — a sequential run never
-     allocates [skey], a sharded run never allocates [sfire]/[ssched] —
-     and single-cell traces skip stamping entirely. *)
+     [i] was emitted under the genealogy key [skey.(i)].  Allocated on
+     first use; single-cell traces skip stamping entirely. *)
   cell_cap : int;
   mutable skey : Mgs_engine.Shardq.key array;
-  mutable sfire : int array;
-  mutable ssched : int array;
   hists : (string, Hist.t) Hashtbl.t;
 }
 
@@ -38,7 +29,6 @@ type t = {
   cells : cell array;
   mutable subscribers : (Event.t -> unit) list;
   spans : Span.t;
-  mutable host_seq : int; (* order stamp for host-side emissions *)
 }
 
 let default_capacity = 65536
@@ -57,13 +47,10 @@ let create ?(capacity = default_capacity) ?span_capacity ?(cells = 1) () =
             ring = Ring.create ~capacity:cell_cap;
             cell_cap;
             skey = [||];
-            sfire = [||];
-            ssched = [||];
             hists = Hashtbl.create 32;
           });
     subscribers = [];
     spans = Span.create ?capacity:span_capacity ~cells ();
-    host_seq = 0;
   }
 
 let subscribe t f = t.subscribers <- f :: t.subscribers
@@ -75,7 +62,7 @@ let spans t = t.spans
 let cells t = t.ncells
 
 let cur_cell t =
-  let c = Mgs_engine.Shard.cur () in
+  let c = Mgs_engine.Sim.cur () in
   if c < 0 || c >= t.ncells then 0 else c
 
 let hist_for cl tag =
@@ -86,65 +73,20 @@ let hist_for cl tag =
     h
 
 (* A single-cell trace skips the stamp (the ring order is already the
-   execution order).  Multi-cell emissions record the executing event's
-   genealogy — as scalars when the sequential engine's pseudo-key is
-   still unmaterialized, as the (already-allocated) key record when the
-   sharded engine minted one — or a synthetic (time, host counter)
-   scalar key host-side.  The slot index mirrors [Ring.push]'s write
-   position, so the stamp arrays rotate with the ring. *)
-let store_key cl slot k =
-  if Array.length cl.skey = 0 then
-    cl.skey <- Array.make cl.cell_cap Mgs_engine.Shardq.no_parent;
-  cl.skey.(slot) <- k
-
-let store_scalar cl slot ~fire ~sched =
-  if Array.length cl.sfire = 0 then begin
-    cl.sfire <- Array.make cl.cell_cap 0;
-    cl.ssched <- Array.make cl.cell_cap 0
-  end;
-  if Array.length cl.skey > 0 then
-    cl.skey.(slot) <- Mgs_engine.Shardq.no_parent;
-  cl.sfire.(slot) <- fire;
-  cl.ssched.(slot) <- sched
-
+   execution order).  Multi-cell emissions record {!Span.stamp}: the
+   executing event's genealogy key, or a synthetic host key.  The slot
+   index mirrors [Ring.push]'s write position, so the stamp array
+   rotates with the ring. *)
 let emit t (e : Event.t) =
   let cl = t.cells.(cur_cell t) in
   if t.ncells > 1 then begin
-    let slot = Ring.pushed cl.ring mod cl.cell_cap in
-    if Mgs_engine.Shard.cur () >= 0 then
-      if Mgs_engine.Shard.running_scalar () then
-        store_scalar cl slot ~fire:(Mgs_engine.Shard.running_fire ())
-          ~sched:(Mgs_engine.Shard.running_sched ())
-      else store_key cl slot (Mgs_engine.Shard.running_key ())
-    else begin
-      (* Host emissions (outside any event) are rare — a materialized
-         synthetic key, ordered by time then a host counter, is fine.
-         [sched = max_int] sorts it after every event emission of the
-         same instant, matching the sequential engine where host code
-         runs only once the queue has drained past that time. *)
-      let seq = t.host_seq in
-      t.host_seq <- seq + 1;
-      store_key cl slot
-        (Mgs_engine.Shardq.key ~fire:e.time ~sched:max_int ~src:max_int ~seq
-           ~parent:Mgs_engine.Shardq.no_parent)
-    end
+    if Array.length cl.skey = 0 then
+      cl.skey <- Array.make cl.cell_cap Mgs_engine.Shardq.no_parent;
+    cl.skey.(Ring.pushed cl.ring mod cl.cell_cap) <- Span.stamp t.spans ~time:e.time
   end;
   Ring.push cl.ring e;
   Hist.add (hist_for cl e.tag) e.dur;
   List.iter (fun f -> f e) t.subscribers
-
-(* The genealogy key of the event in ring slot [slot]: the recorded key
-   record, or a scalar stamp materialized on demand (merge-time only,
-   bounded by the ring capacity). *)
-let key_at cl slot =
-  let k =
-    if Array.length cl.skey = 0 then Mgs_engine.Shardq.no_parent
-    else cl.skey.(slot)
-  in
-  if k != Mgs_engine.Shardq.no_parent then k
-  else
-    Mgs_engine.Shardq.key ~fire:cl.sfire.(slot) ~sched:cl.ssched.(slot) ~src:0
-      ~seq:0 ~parent:Mgs_engine.Shardq.no_parent
 
 let emitted t = Array.fold_left (fun acc cl -> acc + Ring.pushed cl.ring) 0 t.cells
 
@@ -170,7 +112,7 @@ let merged t =
         let pos = ref 0 in
         Ring.iter
           (fun ev ->
-            entries.(!idx) <- (key_at cl ((start + !pos) mod cap), !pos, ev);
+            entries.(!idx) <- (cl.skey.((start + !pos) mod cap), !pos, ev);
             incr idx;
             incr pos)
           cl.ring)

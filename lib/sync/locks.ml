@@ -90,7 +90,7 @@ let home_local m ~home_proc proc =
 (* Per-SSMP episode counters: fiber-side code bumps the cell of the
    calling processor's SSMP — the shard it executes on — so concurrent
    shards of the parallel engine never write the same slot.  Accessors
-   sum; sums are commutative, so they match the sequential engine. *)
+   sum; sums are commutative, so they match at every job count. *)
 let asum = Array.fold_left ( + ) 0
 
 (* --- test-and-set with exponential backoff ------------------------- *)
@@ -374,7 +374,7 @@ module Mcs = struct
 
   (* Deterministic node IDs without a shared counter: each processor
      mints from its own stripe, so concurrent acquires on different
-     shards allocate the same IDs the sequential engine would. *)
+     shards allocate the same IDs at every job count. *)
   let mint_id l proc =
     let k = l.mint.(proc) in
     l.mint.(proc) <- k + 1;

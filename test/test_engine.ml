@@ -1,9 +1,60 @@
-(* Tests for the discrete-event core: event ordering, clamping, fibers,
-   and wait queues. *)
+(* Tests for the discrete-event core: the event heap, event ordering,
+   clamping, fibers, and wait queues. *)
 
 module Sim = Mgs_engine.Sim
 module Fiber = Mgs_engine.Fiber
 module Waitq = Mgs_engine.Waitq
+module Q = Mgs_engine.Shardq
+
+(* --- the event heap ---------------------------------------------------- *)
+
+let push q ~fire ~seq f =
+  Q.push q ~key:(Q.key ~fire ~sched:0 ~src:0 ~seq ~parent:Q.no_parent) ~own:0 f
+
+let test_pqueue_basic () =
+  let q = Q.create () in
+  Alcotest.(check bool) "fresh empty" true (Q.is_empty q);
+  let log = ref [] in
+  List.iteri
+    (fun seq (fire, v) -> push q ~fire ~seq (fun () -> log := v :: !log))
+    [ (5, "e"); (1, "a"); (3, "c") ];
+  Alcotest.(check int) "length" 3 (Q.length q);
+  Alcotest.(check (option int)) "min fire" (Some 1) (Q.min_fire q);
+  while not (Q.is_empty q) do
+    Q.pop_min q ()
+  done;
+  Alcotest.(check (list string)) "fire order" [ "a"; "c"; "e" ] (List.rev !log);
+  Alcotest.check_raises "pop when empty" Q.Empty_queue (fun () -> ignore (Q.pop_min q : unit -> unit))
+
+let test_pqueue_fifo_ties () =
+  let q = Q.create () in
+  let log = ref [] in
+  List.iteri (fun seq v -> push q ~fire:7 ~seq (fun () -> log := v :: !log)) [ "x"; "y"; "z" ];
+  while not (Q.is_empty q) do
+    Q.pop_min q ()
+  done;
+  Alcotest.(check (list string)) "ties pop in scheduling order" [ "x"; "y"; "z" ]
+    (List.rev !log)
+
+(* pop order matches a sorted reference over 10k random (fire, seq)
+   pushes from one shard *)
+let prop_pqueue_10k =
+  QCheck2.Test.make ~name:"10k random (prio, seq) pushes pop sorted" ~count:10
+    QCheck2.Gen.(list_size (return 10_000) (pair (int_bound 500) (int_bound 1_000_000)))
+    (fun pairs ->
+      let q = Q.create () in
+      List.iter (fun (fire, seq) -> push q ~fire ~seq ignore) pairs;
+      let rec drain acc =
+        if Q.is_empty q then List.rev acc
+        else begin
+          Q.pop_min q ();
+          let k = Q.popped_key q in
+          drain ((k.Q.k_fire, k.Q.k_seq) :: acc)
+        end
+      in
+      drain [] = List.sort compare pairs)
+
+(* --- the simulator ------------------------------------------------------ *)
 
 let test_event_order () =
   let sim = Sim.create () in
@@ -87,10 +138,30 @@ let test_sharded_strict_raises () =
       Sim.at_shard sim ~shard:1 20 (fun () -> ()));
   match Sim.run sim () with
   | _ -> Alcotest.fail "expected Late_delivery"
-  | exception Mgs_engine.Shard.Late_delivery { dst; fire; clock } ->
+  | exception Sim.Late_delivery { dst; fire; clock } ->
     Alcotest.(check int) "dst shard" 1 dst;
     Alcotest.(check int) "fire" 20 fire;
     Alcotest.(check int) "destination clock" 900 clock
+
+(* A zero lookahead admits no window: the engine runs on one domain
+   whatever job count it is given, and zero-delay cross-shard hops run in
+   scheduling order.  A simulator that has scheduled events cannot be
+   repartitioned. *)
+let test_lookahead_zero () =
+  let sim = Sim.create () in
+  Sim.make_sharded sim ~nshards:4 ~lookahead:0;
+  Sim.set_jobs sim 4;
+  let log = ref [] in
+  for s = 0 to 3 do
+    Sim.at_shard sim ~shard:s 0 (fun () ->
+        Sim.at_shard sim ~shard:((s + 1) mod 4) 0 (fun () -> log := s :: !log))
+  done;
+  Alcotest.(check int) "events" 8 (Sim.run sim ());
+  Alcotest.(check (list int)) "hops in scheduling order" [ 0; 1; 2; 3 ] (List.rev !log);
+  Alcotest.(check int) "no window opened" 0 (Sim.windows sim);
+  Alcotest.check_raises "no repartition after scheduling"
+    (Invalid_argument "Sim.make_sharded: events already scheduled") (fun () ->
+      Sim.make_sharded sim ~nshards:2 ~lookahead:0)
 
 let test_fiber_completes () =
   let sim = Sim.create () in
@@ -195,11 +266,16 @@ let prop_clock_monotone =
       ignore (Sim.run sim ());
       !ok)
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_clock_monotone ]
+let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_pqueue_10k; prop_clock_monotone ]
 
 let () =
   Alcotest.run "engine"
     [
+      ( "pqueue",
+        [
+          Alcotest.test_case "basic order" `Quick test_pqueue_basic;
+          Alcotest.test_case "fifo on ties" `Quick test_pqueue_fifo_ties;
+        ] );
       ( "sim",
         [
           Alcotest.test_case "event order" `Quick test_event_order;
@@ -212,6 +288,7 @@ let () =
             test_sharded_late_merge_clamped;
           Alcotest.test_case "strict mode raises on late merge" `Quick
             test_sharded_strict_raises;
+          Alcotest.test_case "lookahead 0 runs on one domain" `Quick test_lookahead_zero;
         ] );
       ( "fiber",
         [

@@ -169,6 +169,17 @@ let test_ablation_jobs_deterministic () =
   in
   Alcotest.(check string) "ablation table identical" (run 1) (run 4)
 
+(* The latency study has a zero-latency variant, which leaves the engine
+   no lookahead window: it runs on one domain whatever [par] asks, and
+   the table is the same. *)
+let test_ablation_par_zero_latency () =
+  let run par =
+    Mgs_harness.Ablation.run ~clusters:[ 1; 2; 4 ] ~par ~nprocs:4
+      ~variants:(Mgs_harness.Ablation.latency_study ())
+      trivial_workload
+  in
+  Alcotest.(check string) "latency study identical at par 2" (run 1) (run 2)
+
 let test_figures_render () =
   let points = Sweep.sweep ~nprocs:4 trivial_workload in
   let fig = Figures.breakdown_figure ~title:"Trivial" points in
@@ -279,6 +290,8 @@ let () =
             test_export_jobs_deterministic;
           Alcotest.test_case "-j determinism (ablation)" `Quick
             test_ablation_jobs_deterministic;
+          Alcotest.test_case "--par with a zero-latency variant" `Quick
+            test_ablation_par_zero_latency;
           Alcotest.test_case "chaos sweep" `Quick test_chaos_sweep;
         ] );
       ( "rendering",

@@ -15,10 +15,16 @@ module Cpu = Mgs_machine.Cpu
 
 let costs = Costs.default
 
+(* One shard per SSMP, as Machine.create builds the simulator. *)
+let sim_for nssmps =
+  let sim = Sim.create () in
+  Sim.make_sharded sim ~nshards:nssmps ~lookahead:costs.Costs.lan.latency;
+  sim
+
 let env ~src ~dst ~words = Envelope.make ~src_ssmp:src ~dst_ssmp:dst ~words ()
 
 let test_lan_latency () =
-  let sim = Sim.create () in
+  let sim = sim_for 4 in
   let lan = Lan.create sim costs ~nssmps:4 in
   let arrived = ref (-1) in
   Lan.send lan (env ~src:0 ~dst:1 ~words:0) ~at:0 (fun t -> arrived := t);
@@ -26,7 +32,7 @@ let test_lan_latency () =
   Alcotest.(check int) "fixed latency" costs.Costs.lan.latency !arrived
 
 let test_lan_dma () =
-  let sim = Sim.create () in
+  let sim = sim_for 4 in
   let lan = Lan.create sim costs ~nssmps:4 in
   let arrived = ref (-1) in
   Lan.send lan (env ~src:0 ~dst:1 ~words:256) ~at:0 (fun t -> arrived := t);
@@ -36,7 +42,7 @@ let test_lan_dma () =
     !arrived
 
 let test_lan_sender_occupancy () =
-  let sim = Sim.create () in
+  let sim = sim_for 4 in
   let lan = Lan.create sim costs ~nssmps:4 in
   let t1 = ref 0 and t2 = ref 0 in
   Lan.send lan (env ~src:0 ~dst:1 ~words:0) ~at:0 (fun t -> t1 := t);
@@ -46,7 +52,7 @@ let test_lan_sender_occupancy () =
     (!t2 - !t1)
 
 let test_lan_fifo_no_overtake () =
-  let sim = Sim.create () in
+  let sim = sim_for 4 in
   let lan = Lan.create sim costs ~nssmps:4 in
   let order = ref [] in
   (* a bulk message followed by a short one on the same channel *)
@@ -56,7 +62,7 @@ let test_lan_fifo_no_overtake () =
   Alcotest.(check bool) "bulk delivered first" true (List.rev !order = [ `Bulk; `Short ])
 
 let test_lan_intra_fast_path () =
-  let sim = Sim.create () in
+  let sim = sim_for 4 in
   let lan = Lan.create sim costs ~nssmps:4 in
   let arrived = ref (-1) in
   Lan.send lan (env ~src:2 ~dst:2 ~words:0) ~at:0 (fun t -> arrived := t);
@@ -65,7 +71,7 @@ let test_lan_intra_fast_path () =
   Alcotest.(check int) "not counted as LAN traffic" 0 (Lan.stats lan).Lan.messages
 
 let test_lan_stats () =
-  let sim = Sim.create () in
+  let sim = sim_for 4 in
   let lan = Lan.create sim costs ~nssmps:4 in
   Lan.send lan (env ~src:0 ~dst:1 ~words:10) ~at:0 (fun _ -> ());
   Lan.send lan (env ~src:1 ~dst:0 ~words:20) ~at:0 (fun _ -> ());
@@ -77,7 +83,7 @@ let test_lan_stats () =
   Alcotest.(check int) "reset" 0 (Lan.stats lan).Lan.messages
 
 let test_lan_full_reset () =
-  let sim = Sim.create () in
+  let sim = sim_for 4 in
   let lan = Lan.create sim costs ~nssmps:4 in
   (* two warmup messages leave the sender occupied until 2x occupancy
      and push the channel's FIFO watermark past one latency *)
@@ -125,7 +131,7 @@ let test_fault_scale () =
    transport adds sequencing and acks, but the payload's delivery time
    is exactly the perfect-wire one. *)
 let test_zero_rate_plan_timing () =
-  let sim = Sim.create () in
+  let sim = sim_for 4 in
   let lan = Lan.create sim costs ~nssmps:4 in
   Lan.set_fault_plan lan (Some (Fault.make Fault.none ~seed:7 ~nssmps:4));
   let arrived = ref (-1) in
@@ -139,7 +145,7 @@ let test_zero_rate_plan_timing () =
   Alcotest.(check int) "nothing unacked at quiescence" 0 (Lan.unacked lan)
 
 let test_slowdown_scales_latency () =
-  let sim = Sim.create () in
+  let sim = sim_for 4 in
   let lan = Lan.create sim costs ~nssmps:4 in
   let spec = { Fault.none with Fault.slow = [ (1, 2.0) ] } in
   Lan.set_fault_plan lan (Some (Fault.make spec ~seed:7 ~nssmps:4));
@@ -157,7 +163,7 @@ let test_slowdown_scales_latency () =
 (* drop=1.0: no transmission or ack ever gets through, so the sender
    retries up to the cap and then declares the channel partitioned. *)
 let test_partition_on_retry_exhaustion () =
-  let sim = Sim.create () in
+  let sim = sim_for 4 in
   let lan = Lan.create sim costs ~nssmps:4 in
   let spec = { Fault.none with Fault.drop = 1.0; rto = 5000; max_retries = 2 } in
   Lan.set_fault_plan lan (Some (Fault.make spec ~seed:7 ~nssmps:4));
@@ -173,7 +179,7 @@ let test_partition_on_retry_exhaustion () =
   Alcotest.(check int) "three timer expiries" 3 (Lan.stats lan).Lan.timeouts
 
 let test_lossy_delivers_exactly_once () =
-  let sim = Sim.create () in
+  let sim = sim_for 4 in
   let lan = Lan.create sim costs ~nssmps:4 in
   let spec =
     { Fault.none with Fault.drop = 0.4; dup = 0.3; delay_p = 0.3; delay_max = 1500;
@@ -198,7 +204,7 @@ let test_lossy_delivers_exactly_once () =
     ((Lan.stats lan).Lan.retransmits > 0 && (Lan.stats lan).Lan.dup_drops > 0)
 
 let test_reset_clears_transport_state () =
-  let sim = Sim.create () in
+  let sim = sim_for 4 in
   let lan = Lan.create sim costs ~nssmps:4 in
   let spec = { Fault.none with Fault.drop = 0.4; max_retries = 30 } in
   Lan.set_fault_plan lan (Some (Fault.make spec ~seed:3 ~nssmps:4));
@@ -221,7 +227,7 @@ let test_reset_clears_transport_state () =
         arrivals := (t - base) :: !arrivals)
   done;
   ignore (Sim.run sim ());
-  let sim2 = Sim.create () in
+  let sim2 = sim_for 4 in
   let lan2 = Lan.create sim2 costs ~nssmps:4 in
   Lan.set_fault_plan lan2 (Some (Fault.make spec ~seed:3 ~nssmps:4));
   let arrivals2 = ref [] in
@@ -235,7 +241,7 @@ let test_reset_clears_transport_state () =
 (* --- active messages -------------------------------------------------- *)
 
 let make_am () =
-  let sim = Sim.create () in
+  let sim = sim_for 2 in
   let topo = Topo.create ~nprocs:8 ~cluster:4 in
   let cpus = Array.init 8 Cpu.create in
   let lan = Lan.create sim costs ~nssmps:2 in
@@ -313,7 +319,7 @@ let prop_lan_fifo =
   QCheck2.Test.make ~name:"per-channel arrivals are monotone" ~count:200
     QCheck2.Gen.(list (pair (int_bound 3) (int_bound 300)))
     (fun msgs ->
-      let sim = Sim.create () in
+      let sim = sim_for 4 in
       let lan = Lan.create sim costs ~nssmps:4 in
       let last = Hashtbl.create 8 in
       let ok = ref true in
@@ -347,7 +353,7 @@ let run_chaos (drop, dup, delay_p, delay_max, reorder, seed, msgs) =
   let spec =
     { Fault.none with Fault.drop; dup; delay_p; delay_max; reorder; max_retries = 40 }
   in
-  let sim = Sim.create () in
+  let sim = sim_for 4 in
   let lan = Lan.create sim costs ~nssmps:4 in
   Lan.set_fault_plan lan (Some (Fault.make spec ~seed ~nssmps:4));
   let deliveries = Hashtbl.create 64 in

@@ -1,17 +1,17 @@
 (* Shard-safe observability: with trace, spans, and metrics installed,
-   the sharded engine keeps running on par_jobs domains — no forcing —
-   and every export is byte-identical to the sequential oracle:
+   the engine keeps running on par_jobs domains — no forcing — and
+   every export is byte-identical to the single-domain run's:
 
    - full machines: chrome JSON, span dump, metrics CSV, and the
-     histogram summary across par in {0, 1, 2, 4}, for every protocol
-     x app cell;
+     histogram summary at par 2 and 4 against par 1, for every
+     protocol x app cell;
    - registry locks and condition variables under the parallel engine
      (the paper's workloads barely contend, so a dedicated contended
      run covers the lock/CV protocols);
    - raw engine: a qcheck micro-DAG emitting into a per-shard trace,
      with delays piled onto same-cycle and window-edge collisions —
-     the merged genealogy order must be identical for any job count
-     and equal to the sequential engine's execution order. *)
+     the merged genealogy order must equal the reference model's
+     execution order at every job count. *)
 
 module Sim = Mgs_engine.Sim
 module Trace = Mgs_obs.Trace
@@ -52,7 +52,7 @@ let test_export_identity () =
     (fun protocol ->
       List.iter
         (fun (aname, w) ->
-          let c0, s0, m0, h0 = exports ~protocol ~par:0 w in
+          let c0, s0, m0, h0 = exports ~protocol ~par:1 w in
           List.iter
             (fun par ->
               let c, s, mm, h = exports ~protocol ~par w in
@@ -63,7 +63,7 @@ let test_export_identity () =
               Alcotest.(check string) (lbl "spans") s0 s;
               Alcotest.(check string) (lbl "metrics csv") m0 mm;
               Alcotest.(check string) (lbl "summary") h0 h)
-            [ 1; 2; 4 ])
+            [ 2; 4 ])
         apps)
     protocols
 
@@ -110,7 +110,7 @@ let contended ~par name =
     Mgs_obs.Metrics.csv mt )
 
 let test_lock_cv_par () =
-  let i0, c0, m0 = contended ~par:0 "mcs" in
+  let i0, c0, m0 = contended ~par:1 "mcs" in
   Alcotest.(check string) "all items consumed" "consumed=4" (String.sub i0 0 10);
   List.iter
     (fun par ->
@@ -118,14 +118,14 @@ let test_lock_cv_par () =
       Alcotest.(check string) (Printf.sprintf "mcs par=%d: counters" par) i0 i;
       Alcotest.(check string) (Printf.sprintf "mcs par=%d: chrome" par) c0 c;
       Alcotest.(check string) (Printf.sprintf "mcs par=%d: metrics" par) m0 mm)
-    [ 1; 2; 4 ]
+    [ 2; 4 ]
 
 (* --- raw engine: same-cycle cross-shard emit ordering -------------- *)
 
 (* Random event forests where delays land on the same cycle and on
    lookahead-window edges, each execution emitting into a per-shard
-   trace cell.  The merged order (genealogy keys) must be identical
-   for every job count and equal to the sequential engine's. *)
+   trace cell.  The merged order (genealogy keys) must equal the
+   reference model's execution order at every job count. *)
 
 type node = { hop : int; (* 0 = stay; k > 0 = (shard + k) mod n *) pad : int; kids : node list }
 
@@ -147,51 +147,57 @@ let gen_plan : (int * int * node) list QCheck2.Gen.t =
      let* n = gen_node in
      pure (shard, t, n))
 
-let run_traced ~mode plan =
+(* The reference model logs "id@time" in execution order; the engine
+   emits the same into the trace and is read back merged. *)
+let run_traced ~engine plan =
   let nshards = 4 in
-  (* Host-scheduled roots tie-break by shard id in genealogy order, so
-     the engine contract requires seeding them in (time, shard) order —
-     exactly what Machine.run does by spawning fibers in proc order.
-     Events created *during* execution carry full genealogy and need no
-     such discipline. *)
-  let plan =
-    List.stable_sort (fun (s1, t1, _) (s2, t2, _) -> compare (t1, s1) (t2, s2)) plan
-  in
-  let sim = Sim.create () in
-  (match mode with
-  | `Seq ->
-    Sim.set_topology sim ~nshards;
-    Sim.enable_stamps sim
-  | `Jobs j ->
-    Sim.make_sharded sim ~nshards ~lookahead:la;
-    Sim.set_jobs sim j);
+  let sim = Sim.create () and r = Refsim.create () in
   let tr = Trace.create ~capacity:8192 ~cells:nshards () in
+  let log = ref [] in
+  let now, at_shard, emit =
+    match engine with
+    | `Ref ->
+      ( (fun () -> Refsim.now r),
+        Refsim.at_shard r,
+        fun id -> log := Printf.sprintf "%d@%d" id (Refsim.now r) :: !log )
+    | `Jobs j ->
+      Sim.make_sharded sim ~nshards ~lookahead:la;
+      Sim.set_jobs sim j;
+      ( (fun () -> Sim.now sim),
+        Sim.at_shard sim,
+        fun id ->
+          Trace.emit tr
+            (Mgs_obs.Event.make ~time:(Sim.now sim) ~engine:Mgs_obs.Event.Network
+               ~tag:(string_of_int id) ()) )
+  in
   let rec exec id ~shard node () =
-    Trace.emit tr
-      (Mgs_obs.Event.make ~time:(Sim.now sim) ~engine:Mgs_obs.Event.Network
-         ~tag:(string_of_int id) ());
+    emit id;
     List.iteri
       (fun i kid ->
         let dst = (shard + kid.hop) mod nshards in
         let d = if kid.hop = 0 then kid.pad else la + kid.pad in
-        Sim.at_shard sim ~shard:dst
-          (Sim.now sim + d)
-          (exec ((id * 8) + i + 1) ~shard:dst kid))
+        at_shard ~shard:dst (now () + d) (exec ((id * 8) + i + 1) ~shard:dst kid))
       node.kids
   in
   List.iteri
-    (fun i (shard, t, n) -> Sim.at_shard sim ~shard t (exec (i * 1000) ~shard n))
-    plan;
-  ignore (Sim.run sim ());
-  List.map
-    (fun (e : Mgs_obs.Event.t) -> Printf.sprintf "%s@%d" e.Mgs_obs.Event.tag e.Mgs_obs.Event.time)
-    (Trace.events tr)
+    (fun i (shard, t, n) -> at_shard ~shard t (exec (i * 1000) ~shard n))
+    (Refsim.seeding_order plan);
+  match engine with
+  | `Ref ->
+    Refsim.run r;
+    List.rev !log
+  | `Jobs _ ->
+    ignore (Sim.run sim ());
+    List.map
+      (fun (e : Mgs_obs.Event.t) ->
+        Printf.sprintf "%s@%d" e.Mgs_obs.Event.tag e.Mgs_obs.Event.time)
+      (Trace.events tr)
 
 let prop_emit_order =
   QCheck2.Test.make ~name:"merged emit order identical for any job count" ~count:120
     gen_plan (fun plan ->
-      let oracle = run_traced ~mode:`Seq plan in
-      List.for_all (fun j -> run_traced ~mode:(`Jobs j) plan = oracle) [ 1; 2; 4 ])
+      let oracle = run_traced ~engine:`Ref plan in
+      List.for_all (fun j -> run_traced ~engine:(`Jobs j) plan = oracle) [ 1; 2; 4 ])
 
 let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_emit_order ]
 

@@ -1,21 +1,21 @@
-(* The sharded engine's determinism contract: for any job count, a
-   sharded run is byte-identical to the sequential oracle on every
-   report field that describes the simulated machine (wall-clock and
-   the engine-sensitive peak-queue figure are explicitly excluded).
+(* The engine's determinism contract: for any job count, a run is
+   byte-identical to the single-domain run on every report field that
+   describes the simulated machine (wall-clock and the engine-sensitive
+   peak-queue figure are explicitly excluded).
 
    Three layers of evidence:
-   - full machines: every protocol x app x faults cell, sequential vs
-     par=1 vs par=2 vs par=4;
+   - full machines: every protocol x app x faults cell, par=1 vs par=2
+     vs par=4;
    - observability: the span/trace dump of an instrumented run matches
      (the trace is per-shard-celled and merged at export, so par >= 2
      really runs multi-domain; test_obs_par covers the full export
      matrix);
-   - raw engine: randomized micro-DAGs over a bare sharded simulator,
-     with delays chosen to pile events onto lookahead-window
-     boundaries, compared per-shard between job counts. *)
+   - raw engine: randomized micro-DAGs over a bare simulator, with
+     delays chosen to pile events onto lookahead-window boundaries,
+     compared per shard against the reference model (Refsim) at every
+     job count. *)
 
 module Sim = Mgs_engine.Sim
-module Shard = Mgs_engine.Shard
 
 (* --- report identity ------------------------------------------------- *)
 
@@ -67,12 +67,12 @@ let test_machine_equivalence () =
                     .Mgs_harness.Sweep.report
               in
               let label p =
-                Printf.sprintf "%s/%s/%s: par=%d matches sequential" protocol aname fname p
+                Printf.sprintf "%s/%s/%s: par=%d matches par=1" protocol aname fname p
               in
-              let oracle = run 0 in
+              let oracle = run 1 in
               List.iter
                 (fun par -> Alcotest.(check string) (label par) oracle (run par))
-                [ 1; 2; 4 ])
+                [ 2; 4 ])
             [
               ("clean", None);
               ("faults", Some (Mgs_net.Fault.scale Mgs_net.Fault.default_chaos ~intensity:0.25));
@@ -89,19 +89,19 @@ let test_job_ladder () =
       (Mgs_harness.Sweep.run_point ~check:false ~par ~nprocs:16 ~cluster:4 w)
         .Mgs_harness.Sweep.report
   in
-  let oracle = run 0 in
+  let oracle = run 1 in
   List.iter
     (fun par ->
       Alcotest.(check string)
         (Printf.sprintf "P=16 C=4 par=%d" par)
         oracle (run par))
-    [ 1; 2; 3; 4; 8 ]
+    [ 2; 3; 4; 8 ]
 
 (* --- observability parity -------------------------------------------- *)
 
 (* The trace keeps one cell per shard and merges at export, so the
    engine stays on par_jobs domains; the merged event dump must be
-   byte-identical to the sequential engine's. *)
+   byte-identical to the single-domain run's. *)
 let trace_dump par =
   let w = Mgs_apps.Jacobi.workload Mgs_apps.Jacobi.tiny in
   let cfg = Mgs.Machine.config ~lan_latency:1000 ~par_jobs:par ~nprocs:8 ~cluster:2 () in
@@ -119,20 +119,21 @@ let trace_dump par =
   (ident report, Buffer.contents buf)
 
 let test_trace_parity () =
-  let i0, d0 = trace_dump 0 in
   let i1, d1 = trace_dump 1 in
-  Alcotest.(check string) "report" i0 i1;
-  Alcotest.(check string) "event dump" d0 d1;
-  let i4, d4 = trace_dump 4 in
-  Alcotest.(check string) "report (par=4, multi-domain)" i0 i4;
-  Alcotest.(check string) "event dump (par=4)" d0 d4
+  List.iter
+    (fun par ->
+      let i, d = trace_dump par in
+      Alcotest.(check string) (Printf.sprintf "report (par=%d)" par) i1 i;
+      Alcotest.(check string) (Printf.sprintf "event dump (par=%d)" par) d1 d)
+    [ 2; 4 ]
 
 (* --- raw-engine micro-DAGs ------------------------------------------- *)
 
-(* A random forest of events over a bare sharded simulator.  Delays are
-   drawn from the lookahead-window boundary neighborhood so same-time
-   ties and window-edge merges happen constantly; cross-shard hops pay
-   at least the lookahead, as the LAN does. *)
+(* A random forest of events, run on the reference model and on a bare
+   simulator.  Delays are drawn from the lookahead-window boundary
+   neighborhood so same-time ties and window-edge merges happen
+   constantly; cross-shard hops pay at least the lookahead, as the LAN
+   does. *)
 
 type node = { hop : int; (* 0 = stay; k > 0 = (shard + k) mod n *) pad : int; kids : node list }
 
@@ -154,41 +155,50 @@ let gen_plan : (int * int * node) list QCheck2.Gen.t =
      let* n = gen_node in
      pure (shard, t, n))
 
-(* Execute a plan; returns per-shard execution logs and the stats. *)
-let run_plan ~jobs plan =
+(* Execute a plan on the reference model or on the engine at [jobs];
+   returns per-shard execution logs, events executed, and clamps. *)
+let run_plan ~engine plan =
   let nshards = 4 in
-  let sim = Sim.create () in
-  Sim.make_sharded sim ~nshards ~lookahead:la;
-  Sim.set_jobs sim jobs;
+  let sim = Sim.create () and r = Refsim.create () in
+  let now, at_shard =
+    match engine with
+    | `Ref -> ((fun () -> Refsim.now r), Refsim.at_shard r)
+    | `Jobs jobs ->
+      Sim.make_sharded sim ~nshards ~lookahead:la;
+      Sim.set_jobs sim jobs;
+      ((fun () -> Sim.now sim), Sim.at_shard sim)
+  in
   let logs = Array.make nshards [] in
   (* each shard appends only to its own log cell *)
   let rec exec id ~shard node () =
-    logs.(shard) <- (id, Sim.now sim) :: logs.(shard);
+    logs.(shard) <- (id, now ()) :: logs.(shard);
     List.iteri
       (fun i kid ->
         let dst = (shard + kid.hop) mod nshards in
         let d = if kid.hop = 0 then kid.pad else la + kid.pad in
-        Sim.at_shard sim ~shard:dst
-          (Sim.now sim + d)
-          (exec ((id * 8) + i + 1) ~shard:dst kid))
+        at_shard ~shard:dst (now () + d) (exec ((id * 8) + i + 1) ~shard:dst kid))
       node.kids
   in
   List.iteri
-    (fun i (shard, t, n) -> Sim.at_shard sim ~shard t (exec (i * 1000) ~shard n))
-    plan;
-  ignore (Sim.run sim ());
-  let st = Sim.stats sim in
-  (Array.map List.rev logs, st.Sim.s_executed, st.Sim.s_clamped)
+    (fun i (shard, t, n) -> at_shard ~shard t (exec (i * 1000) ~shard n))
+    (Refsim.seeding_order plan);
+  let counts =
+    match engine with
+    | `Ref ->
+      Refsim.run r;
+      (Refsim.executed r, Refsim.clamped r)
+    | `Jobs _ ->
+      ignore (Sim.run sim ());
+      let st = Sim.stats sim in
+      (st.Sim.s_executed, st.Sim.s_clamped)
+  in
+  (Array.map List.rev logs, counts)
 
 let prop_dag_equivalence =
   QCheck2.Test.make ~name:"micro-DAG: per-shard schedules identical for any job count"
     ~count:120 gen_plan (fun plan ->
-      let l1, n1, c1 = run_plan ~jobs:1 plan in
-      List.for_all
-        (fun jobs ->
-          let lj, nj, cj = run_plan ~jobs plan in
-          lj = l1 && nj = n1 && cj = c1)
-        [ 2; 4 ])
+      let oracle = run_plan ~engine:`Ref plan in
+      List.for_all (fun jobs -> run_plan ~engine:(`Jobs jobs) plan = oracle) [ 1; 2; 4 ])
 
 let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_dag_equivalence ]
 

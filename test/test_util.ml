@@ -1,83 +1,10 @@
-(* Unit and property tests for mgs_util: priority queue, bitsets, RNG,
+(* Unit and property tests for mgs_util: domain pool, bitsets, RNG,
    accumulators, and table rendering. *)
 
-module Pq = Mgs_util.Pqueue
 module Bs = Mgs_util.Bitset
 module Rng = Mgs_util.Rng
 module Accum = Mgs_util.Accum
 module Tp = Mgs_util.Tableprint
-
-(* --- priority queue ------------------------------------------------- *)
-
-let test_pqueue_basic () =
-  let q = Pq.create () in
-  Alcotest.(check bool) "fresh empty" true (Pq.is_empty q);
-  Pq.push q ~prio:5 ~seq:0 "e";
-  Pq.push q ~prio:1 ~seq:1 "a";
-  Pq.push q ~prio:3 ~seq:2 "c";
-  Alcotest.(check int) "length" 3 (Pq.length q);
-  Alcotest.(check (option int)) "min prio" (Some 1) (Pq.min_prio q);
-  let pop () = match Pq.pop q with Some (_, _, v) -> v | None -> "?" in
-  Alcotest.(check string) "first" "a" (pop ());
-  Alcotest.(check string) "second" "c" (pop ());
-  Alcotest.(check string) "third" "e" (pop ());
-  Alcotest.(check bool) "drained" true (Pq.pop q = None)
-
-let test_pqueue_fifo_ties () =
-  let q = Pq.create () in
-  List.iteri (fun i v -> Pq.push q ~prio:7 ~seq:i v) [ "x"; "y"; "z" ];
-  let order = List.init 3 (fun _ -> match Pq.pop q with Some (_, _, v) -> v | None -> "?") in
-  Alcotest.(check (list string)) "ties pop in insertion order" [ "x"; "y"; "z" ] order
-
-let test_pqueue_clear () =
-  let q = Pq.create () in
-  for i = 0 to 9 do
-    Pq.push q ~prio:i ~seq:i i
-  done;
-  Pq.clear q;
-  Alcotest.(check bool) "cleared" true (Pq.is_empty q && Pq.pop q = None)
-
-let prop_pqueue_sorted =
-  QCheck2.Test.make ~name:"pqueue pops sorted by (prio, seq)" ~count:300
-    QCheck2.Gen.(list (int_bound 1000))
-    (fun prios ->
-      let q = Pq.create () in
-      List.iteri (fun i p -> Pq.push q ~prio:p ~seq:i p) prios;
-      let rec drain acc =
-        match Pq.pop q with Some (p, s, _) -> drain ((p, s) :: acc) | None -> List.rev acc
-      in
-      let popped = drain [] in
-      List.length popped = List.length prios
-      && popped = List.sort compare popped)
-
-(* pop order matches a sorted reference over 10k random (prio, seq)
-   pushes — the iterative merge_pairs must preserve the heap order *)
-let prop_pqueue_10k =
-  QCheck2.Test.make ~name:"10k random (prio, seq) pushes pop sorted" ~count:10
-    QCheck2.Gen.(list_size (return 10_000) (pair (int_bound 500) (int_bound 1_000_000)))
-    (fun pairs ->
-      let q = Pq.create () in
-      List.iter (fun (p, s) -> Pq.push q ~prio:p ~seq:s ()) pairs;
-      let rec drain acc =
-        match Pq.pop q with Some (p, s, _) -> drain ((p, s) :: acc) | None -> List.rev acc
-      in
-      drain [] = List.sort compare pairs)
-
-let test_pqueue_deep_merge () =
-  (* n same-priority pushes build a root with n-1 children; the first
-     pop then merges the whole child list in one merge_pairs call, which
-     must not be stack-bound *)
-  let q = Pq.create () in
-  let n = 200_000 in
-  for i = 0 to n - 1 do
-    Pq.push q ~prio:0 ~seq:i i
-  done;
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    match Pq.pop q with Some (_, s, _) when s = i -> () | _ -> ok := false
-  done;
-  Alcotest.(check bool) "200k ties drain in seq order" true !ok;
-  Alcotest.(check bool) "drained" true (Pq.is_empty q)
 
 (* --- domain pool ------------------------------------------------------ *)
 
@@ -290,19 +217,11 @@ let test_stacked_bars () =
     (List.length (String.split_on_char '\n' out) >= 4)
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
-  [ prop_pqueue_sorted; prop_pqueue_10k; prop_bitset_model; prop_rng_int_range;
-    prop_rng_float_range; prop_accum_merge ]
+  [ prop_bitset_model; prop_rng_int_range; prop_rng_float_range; prop_accum_merge ]
 
 let () =
   Alcotest.run "util"
     [
-      ( "pqueue",
-        [
-          Alcotest.test_case "basic order" `Quick test_pqueue_basic;
-          Alcotest.test_case "fifo on ties" `Quick test_pqueue_fifo_ties;
-          Alcotest.test_case "clear" `Quick test_pqueue_clear;
-          Alcotest.test_case "deep merge_pairs" `Quick test_pqueue_deep_merge;
-        ] );
       ( "dpool",
         [
           Alcotest.test_case "matches List.map" `Quick test_dpool_matches_map;
