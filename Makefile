@@ -86,7 +86,9 @@ kv-smoke: build
 # files (strict JSON, schemas, balanced spans, monotone sample times,
 # merged-stream execution order, and — via --latency, matching the
 # run's 1000-cycle LAN — cross-SSMP handler starts that respect the
-# wire).  The tracked perf baseline is schema-checked along the way.
+# wire).  The chaos-smoke configuration adds retransmission events,
+# net.retry spans and the net.* metric columns.  The tracked perf
+# baseline is schema-checked along the way.
 trace-lint: build
 	$(DUNE) exec bin/mgs_run.exe -- --app jacobi --procs 8 --cluster 2 \
 	  --size 32 --iters 2 --check --trace _build/lint-trace.json \
@@ -102,6 +104,15 @@ trace-lint: build
 	$(DUNE) exec bin/trace_lint.exe -- --latency 1000 \
 	  --chrome _build/lint-adapt-trace.json \
 	  --metrics _build/lint-adapt-metrics.json
+	$(DUNE) exec bin/mgs_run.exe -- --app jacobi --procs 8 --cluster 2 \
+	  --size 32 --iters 2 --check --seed 42 \
+	  --faults drop=0.05,dup=0.05,delay=0.1:2000,reorder=0.05 \
+	  --trace _build/lint-chaos-trace.json --spans _build/lint-chaos-spans.json \
+	  --metrics _build/lint-chaos-metrics.json
+	$(DUNE) exec bin/trace_lint.exe -- --latency 1000 \
+	  --chrome _build/lint-chaos-trace.json \
+	  --spans _build/lint-chaos-spans.json \
+	  --metrics _build/lint-chaos-metrics.json
 
 # Perf baseline: full matrix -> BENCH_sim.json (slow; run by hand when
 # chasing a regression), and a seconds-long smoke slice for CI that

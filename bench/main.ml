@@ -172,10 +172,6 @@ let lock_smoke () =
    here), a determinism double-run of every adaptive cell, and a
    confirmation that the classifier actually engaged. *)
 let adapt_smoke () =
-  let ident (r : Mgs.Report.t) =
-    Format.asprintf "%d/%d/%d/%d/%a" r.Mgs.Report.runtime r.Mgs.Report.sim_events
-      r.Mgs.Report.lan_messages r.Mgs.Report.lan_words Mgs.Pstats.pp r.Mgs.Report.pstats
-  in
   let cells =
     [
       ("jacobi", tiny "jacobi", "mgs");
@@ -192,7 +188,7 @@ let adapt_smoke () =
       in
       ignore (run false);
       let a1 = run true and a2 = run true in
-      if ident a1 <> ident a2 then
+      if Mgs.Report.ident a1 <> Mgs.Report.ident a2 then
         failwith (Printf.sprintf "adapt-smoke: %s/%s adaptive rerun diverges" name protocol);
       let p = a1.Mgs.Report.pstats in
       if
@@ -214,18 +210,13 @@ let adapt_smoke () =
    one striped page must reach the invalidate-on-read regime, and a
    contended skewed cell that must migrate at least one home. *)
 let kv_smoke () =
-  let ident (r : Mgs.Report.t) =
-    Format.asprintf "%d/%d/%d/%d/%d/%a" r.Mgs.Report.runtime r.Mgs.Report.sim_events
-      r.Mgs.Report.lan_messages r.Mgs.Report.lan_words r.Mgs.Report.lock_acquires
-      Mgs.Pstats.pp r.Mgs.Report.pstats
-  in
   let w = Mgs_serve.Kv.workload Mgs_serve.Kv.tiny in
   let run par = (Sweep.run_point ~check:true ~par ~nprocs:8 ~cluster:2 w).Sweep.report in
-  let oracle = ident (run 1) in
-  if ident (run 1) <> oracle then failwith "kv-smoke: rerun diverges";
+  let oracle = Mgs.Report.ident (run 1) in
+  if Mgs.Report.ident (run 1) <> oracle then failwith "kv-smoke: rerun diverges";
   List.iter
     (fun par ->
-      if ident (run par) <> oracle then
+      if Mgs.Report.ident (run par) <> oracle then
         failwith (Printf.sprintf "kv-smoke: diverges from par=1 at par=%d" par))
     [ 2; 4 ];
   let herd =
@@ -278,13 +269,8 @@ let kv_smoke () =
 (* Job-count identity gate for `make check`: small machines run on one
    domain and windowed on several must produce identical reports.
    Wall-clock and peak queue depth are host/engine artifacts and are
-   not part of the contract, so the identity string below omits them. *)
+   not part of the contract, so [Report.ident] omits them. *)
 let par_smoke () =
-  let ident (r : Mgs.Report.t) =
-    Format.asprintf "%d/%d/%d/%d/%d/%d/%a" r.Mgs.Report.runtime r.Mgs.Report.sim_events
-      r.Mgs.Report.lan_messages r.Mgs.Report.lan_words r.Mgs.Report.lock_acquires
-      r.Mgs.Report.barrier_episodes Mgs.Pstats.pp r.Mgs.Report.pstats
-  in
   let cells =
     [
       ("jacobi", tiny "jacobi", "mgs");
@@ -297,7 +283,7 @@ let par_smoke () =
     (fun (name, w, protocol) ->
       let run par =
         (Sweep.run_point ~check:false ~protocol ~par ~nprocs:8 ~cluster:2 w).Sweep.report
-        |> ident
+        |> Mgs.Report.ident
       in
       let oracle = run 1 in
       List.iter

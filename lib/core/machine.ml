@@ -93,12 +93,7 @@ let create cfg =
       duqs;
       servers = Hashtbl.create 1024;
       tlbs = Array.init cfg.nprocs (fun _ -> Tlb.create ?capacity:cfg.tlb_entries ());
-      pstats = Pstats.create ();
-      pstats_extra = Array.init topo.Topology.nssmps (fun _ -> Pstats.create ());
-      sync_counters = { lock_acquires = 0; lock_hits = 0; barrier_episodes = 0 };
-      sync_extra =
-        Array.init topo.Topology.nssmps (fun _ ->
-            { lock_acquires = 0; lock_hits = 0; barrier_episodes = 0 });
+      counters = Array.init topo.Topology.nssmps (fun _ -> Array.make Pstats.ncols 0);
       sync_hooks = [];
       rel_resume = Array.make cfg.nprocs None;
       fibers = [];
@@ -134,6 +129,18 @@ let enable_trace ?capacity (m : t) =
     tr
 
 let trace (m : t) = m.obs
+
+(* Transport gauges, registered by whichever of {!set_faults} and
+   {!enable_metrics} runs second.  Each cell reads only its own SSMP's
+   transport state: its LAN counter cell (retransmits are bumped by the
+   sender, dup drops by the receiver) and the sender-side unacked
+   tables of its outgoing channels. *)
+let net_probes (m : t) mt =
+  let fi = float_of_int in
+  Mgs_obs.Metrics.probe_cell mt "net.retransmits" (fun c ->
+      fi (Lan.cell m.lan c).Lan.retransmits);
+  Mgs_obs.Metrics.probe_cell mt "net.dup_drops" (fun c -> fi (Lan.cell m.lan c).Lan.dup_drops);
+  Mgs_obs.Metrics.probe_cell mt "net.unacked" (fun c -> fi (Lan.unacked_cell m.lan c))
 
 (* The sampler rides the engine's per-event hook: before each event
    runs, {!Mgs_obs.Metrics.on_event} snapshots the executing shard's
@@ -172,12 +179,10 @@ let enable_metrics ?interval ?max_samples (m : t) =
         fi (fold_procs_of c (fun p -> Hashtbl.length m.duqs.(p).duq_set)));
     Mgs_obs.Metrics.probe_cell mt "duq.psync" (fun c ->
         fi (fold_procs_of c (fun p -> Hashtbl.length m.duqs.(p).psync)));
-    let sync_cell c = if c = 0 then m.sync_counters else m.sync_extra.(c) in
-    Mgs_obs.Metrics.probe_cell mt "sync.lock_acquires" (fun c ->
-        fi (sync_cell c).lock_acquires);
-    Mgs_obs.Metrics.probe_cell mt "sync.lock_hits" (fun c -> fi (sync_cell c).lock_hits);
-    Mgs_obs.Metrics.probe_cell mt "sync.barrier_episodes" (fun c ->
-        fi (sync_cell c).barrier_episodes);
+    let column name k = Mgs_obs.Metrics.probe_cell mt name (fun c -> fi m.counters.(c).(k)) in
+    column "sync.lock_acquires" Pstats.lock_acquires;
+    column "sync.lock_hits" Pstats.lock_hits;
+    column "sync.barrier_episodes" Pstats.barrier_episodes;
     (* waiters parked in registered synchronization objects, attributed
        to the waiting processor's SSMP; the hook list grows as locks
        are created, so the probe re-reads it *)
@@ -207,20 +212,17 @@ let enable_metrics ?interval ?max_samples (m : t) =
         fi (Mgs_obs.Span.open_count_cell (Mgs_obs.Trace.spans tr) c));
     (* adaptive-coherence gauges, registered only under --adapt so a
        static run's metrics CSV keeps its exact pre-adapt column set.
-       Each reads the sampling shard's own pstats cell — per-shard
+       Each reads the sampling shard's own counter row — per-shard
        commutative sums, so the merged series is byte-identical across
        job counts (no probe walks sentries: after a cross-shard home
        migration their policy fields belong to another shard). *)
-    (match m.adapt with
-    | None -> ()
-    | Some _ ->
-      let pcell c = if c = 0 then m.pstats else m.pstats_extra.(c) in
-      Mgs_obs.Metrics.probe_cell mt "adapt.reclass" (fun c ->
-          fi (pcell c).Pstats.adapt_reclass);
-      Mgs_obs.Metrics.probe_cell mt "adapt.migs" (fun c -> fi (pcell c).Pstats.adapt_migs);
-      Mgs_obs.Metrics.probe_cell mt "adapt.fwds" (fun c -> fi (pcell c).Pstats.adapt_fwds);
-      Mgs_obs.Metrics.probe_cell mt "adapt.yields" (fun c ->
-          fi (pcell c).Pstats.adapt_yields));
+    if Option.is_some m.adapt then begin
+      column "adapt.reclass" Pstats.adapt_reclass;
+      column "adapt.migs" Pstats.adapt_migs;
+      column "adapt.fwds" Pstats.adapt_fwds;
+      column "adapt.yields" Pstats.adapt_yields
+    end;
+    if Option.is_some (Lan.fault_plan m.lan) then net_probes m mt;
     Sim.set_on_event m.sim
       (Some (fun ~shard ~now -> Mgs_obs.Metrics.on_event mt ~cell:shard ~now));
     m.metrics <- Some mt;
@@ -248,14 +250,7 @@ let set_faults (m : t) ?(seed = 42) spec =
   else begin
     let plan = Mgs_net.Fault.make spec ~seed ~nssmps:m.topo.Topology.nssmps in
     Lan.set_fault_plan m.lan (Some plan);
-    (* transport gauges, registered once faults exist and metrics are on *)
-    match m.metrics with
-    | Some mt ->
-      let fi = float_of_int in
-      Mgs_obs.Metrics.probe mt "net.retransmits" (fun () -> fi (Lan.stats m.lan).Lan.retransmits);
-      Mgs_obs.Metrics.probe mt "net.dup_drops" (fun () -> fi (Lan.stats m.lan).Lan.dup_drops);
-      Mgs_obs.Metrics.probe mt "net.unacked" (fun () -> fi (Lan.unacked m.lan))
-    | None -> ()
+    match m.metrics with Some mt -> net_probes m mt | None -> ()
   end
 
 let clear_faults (m : t) = Lan.set_fault_plan m.lan None
@@ -266,20 +261,10 @@ let enable_checker ?capacity (m : t) = Invariant.attach m (enable_trace ?capacit
 
 let reset_stats (m : t) =
   bump_gen m;
-  Pstats.reset m.pstats;
-  Array.iter Pstats.reset m.pstats_extra;
+  Array.iter (fun row -> Array.fill row 0 Pstats.ncols 0) m.counters;
   Lan.reset m.lan;
   Array.iter Coherence.reset_stats m.caches;
   Am.reset_counts m.am;
-  m.sync_counters.lock_acquires <- 0;
-  m.sync_counters.lock_hits <- 0;
-  m.sync_counters.barrier_episodes <- 0;
-  Array.iter
-    (fun s ->
-      s.lock_acquires <- 0;
-      s.lock_hits <- 0;
-      s.barrier_episodes <- 0)
-    m.sync_extra;
   (* registered synchronization objects (registry locks, condvars):
      their per-instance stats and any dead queued waiters go too, so a
      measured phase cannot inherit the warmup's handoff history or a
@@ -407,33 +392,10 @@ let run (m : t) body =
           retries = p.Lan.part_retries;
         }
   in
-  (* capture the final partial sampling interval (per-cell probes must
-     read the still-sharded counters, so this precedes the collapse) *)
+  (* capture the final partial sampling interval *)
   (match m.metrics with
   | Some mt -> Mgs_obs.Metrics.sample mt ~now:(Sim.now m.sim)
   | None -> ());
-  (* collapse the per-shard counter cells into the base cell: protocol
-     counters are commutative sums, and post-run readers (tests, REPL
-     poking at [m.pstats]) expect totals whatever the job count *)
-  Array.iteri
-    (fun i p ->
-      if i > 0 then begin
-        Pstats.add_into m.pstats p;
-        Pstats.reset p
-      end)
-    m.pstats_extra;
-  Array.iteri
-    (fun i s ->
-      if i > 0 then begin
-        m.sync_counters.lock_acquires <- m.sync_counters.lock_acquires + s.lock_acquires;
-        m.sync_counters.lock_hits <- m.sync_counters.lock_hits + s.lock_hits;
-        m.sync_counters.barrier_episodes <-
-          m.sync_counters.barrier_episodes + s.barrier_episodes;
-        s.lock_acquires <- 0;
-        s.lock_hits <- 0;
-        s.barrier_episodes <- 0
-      end)
-    m.sync_extra;
   Report.of_machine ~wall_seconds:(Unix.gettimeofday () -. t0) ~outcome m
 
 let trace_messages (m : t) sink =

@@ -108,9 +108,9 @@ val set_faults : t -> ?seed:int -> Mgs_net.Fault.spec -> unit
     spec, but protocol handlers still see exactly-once in-order
     delivery.  A spec with all rates zero uninstalls instead, so
     sweeping intensity through 0 degrades to the byte-identical
-    faults-free machine.  If metrics are enabled (before this call),
-    transport gauges ([net.retransmits], [net.dup_drops],
-    [net.unacked]) are registered.  Call before [run]. *)
+    faults-free machine.  With metrics enabled too, in either order,
+    the per-SSMP transport gauges [net.retransmits], [net.dup_drops]
+    and [net.unacked] are registered.  Call before [run]. *)
 
 val clear_faults : t -> unit
 (** Remove the fault plan; subsequent traffic uses the perfect wire. *)

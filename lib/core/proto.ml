@@ -41,7 +41,7 @@ let forward m ~self ~vpn ~tag ~cost k =
     match Hashtbl.find_opt a.Adapt.fwd.(ssmp) vpn with
     | None -> false
     | Some next ->
-      (stats m).adapt_fwds <- (stats m).adapt_fwds + 1;
+      count m Pstats.adapt_fwds 1;
       Am.post m.am ~tag ~src:self ~dst:next ~words:0 ~cost (fun _t -> k next);
       true)
 
@@ -49,7 +49,7 @@ let forward m ~self ~vpn ~tag ~cost k =
    [cost]/[words] carry the old/new regime codes (trace_lint checks the
    transition walks the lattice and never lands mid-epoch). *)
 let adapt_switch m se ~old ~nxt =
-  (stats m).adapt_reclass <- (stats m).adapt_reclass + 1;
+  count m Pstats.adapt_reclass 1;
   if tracing then
     trace m se.s_vpn "adapt: regime %s -> %s" (Adapt.regime_name old)
       (Adapt.regime_name nxt);
@@ -81,7 +81,7 @@ let adapt_move_home m a (p : Adapt.page) se =
   let dom = p.Adapt.dom in
   let nhome = global_proc m dom (local_idx m cur) in
   let vpn = se.s_vpn in
-  (stats m).adapt_migs <- (stats m).adapt_migs + 1;
+  count m Pstats.adapt_migs 1;
   if tracing then trace m vpn "adapt: home %d -> %d (dominant ssmp %d)" cur nhome dom;
   obs_emit m ~engine:Mgs_obs.Event.Server ~tag:"ADAPT.MIG" ~vpn ~src:cur ~dst:nhome
     ~words:m.geom.Geom.page_words ~cost:0 ~dur:0;
@@ -258,11 +258,12 @@ let rec server_wnotify m ~self ~vpn ~ssmp =
    boundary, regime transitions are never mid-epoch and migration never
    races reply collection. *)
 let adapt_decide m a se (p : Adapt.page) =
-  let st = stats m in
-  (match p.Adapt.regime with
-  | Adapt.Rmw -> st.adapt_res_mw <- st.adapt_res_mw + 1
-  | Adapt.Rsw -> st.adapt_res_sw <- st.adapt_res_sw + 1
-  | Adapt.Rinv -> st.adapt_res_inv <- st.adapt_res_inv + 1);
+  count m
+    (match p.Adapt.regime with
+    | Adapt.Rmw -> Pstats.adapt_res_mw
+    | Adapt.Rsw -> Pstats.adapt_res_sw
+    | Adapt.Rinv -> Pstats.adapt_res_inv)
+    1;
   (match Adapt.decide p with
   | Some (old, nxt) -> adapt_switch m se ~old ~nxt
   | None -> ());
@@ -315,7 +316,7 @@ let rec complete_release m se =
     if se.s_retained_notwin then se.s_ext_diffs <- applied;
     se.s_retained_notwin <- false;
     se.s_count <- 1;
-    (stats m).invals <- (stats m).invals + 1;
+    count m Pstats.invals 1;
     obs_emit m ~engine:Mgs_obs.Event.Server ~tag:"sv.epoch_extend" ~vpn:se.s_vpn
       ~src:cur ~dst:(-1) ~words:0 ~cost:0 ~dur:0;
     let dst = Hashtbl.find se.s_frame_procs ssmp in
@@ -414,8 +415,7 @@ and start_epoch m se ~releasers =
     List.iter
       (fun ssmp ->
         let sw = single && Bitset.mem se.s_write_dir ssmp in
-        if sw then (stats m).one_winvals <- (stats m).one_winvals + 1
-        else (stats m).invals <- (stats m).invals + 1;
+        count m (if sw then Pstats.one_winvals else Pstats.invals) 1;
         let dst = Hashtbl.find se.s_frame_procs ssmp in
         Am.post m.am
           ~tag:(if sw then "1WINV" else "INV")
@@ -439,7 +439,7 @@ and server_collect m ~vpn ~ssmp ~payload =
   assert (se.s_state = S_rel);
   (match payload with
   | `Ack ->
-    (stats m).acks <- (stats m).acks + 1;
+    count m Pstats.acks 1;
     (* under invalidate-on-read, a write grant recalled clean is the
        evidence that the eager grant was wasted (classifier input) *)
     (match se.s_ad with
@@ -507,7 +507,7 @@ and finish_inv m ~ssmp ~vpn ~reply_to =
   | 3 when not was_dirty ->
     (* Retained copy already in sync with the home: a cheap 1WCLEAN
        keeps the retention without resending the page. *)
-    (stats m).one_wclean <- (stats m).one_wclean + 1;
+    count m Pstats.one_wclean 1;
     Mlock.release m.sim ce.mlock;
     let nw = ce.c_notwin in
     Am.post m.am ~tag:"1WCLEAN" ~src:rc ~dst:home ~words:0 ~cost:0 (fun _t ->
@@ -542,7 +542,7 @@ and finish_inv m ~ssmp ~vpn ~reply_to =
        the twin — paid only when the single-writer call was wrong. *)
     let data = Option.get ce.cdata in
     let snapshot = Pagedata.copy data in
-    (stats m).adapt_yields <- (stats m).adapt_yields + 1;
+    count m Pstats.adapt_yields 1;
     ce.cdata <- None;
     retire_twin ce;
     ce.pstate <- P_inv;
@@ -556,8 +556,8 @@ and finish_inv m ~ssmp ~vpn ~reply_to =
     let data = Option.get ce.cdata and twin = Option.get ce.ctwin in
     let d = Pagedata.diff data ~twin in
     let nd = Pagedata.diff_size d in
-    (stats m).diffs <- (stats m).diffs + 1;
-    (stats m).diff_words <- (stats m).diff_words + nd;
+    count m Pstats.diffs 1;
+    count m Pstats.diff_words nd;
     let diff_cost =
       (m.geom.Geom.page_words * c.proto.diff_per_word) + (nd * c.proto.diff_word_out)
     in
@@ -574,7 +574,7 @@ and finish_inv m ~ssmp ~vpn ~reply_to =
        ship the page home and keep the copy, skipping the retwin. *)
     let data = Option.get ce.cdata in
     let snapshot = Pagedata.copy data in
-    (stats m).one_wdata <- (stats m).one_wdata + 1;
+    count m Pstats.one_wdata 1;
     Mlock.release m.sim ce.mlock;
     Am.post m.am ~tag:"1WDATA" ~src:rc ~dst:home ~words:m.geom.Geom.page_words
       ~cost:(m.geom.Geom.page_words * c.proto.copy_per_word) (fun _t ->
@@ -587,7 +587,7 @@ and finish_inv m ~ssmp ~vpn ~reply_to =
     (match ce.ctwin with
     | Some t -> Pagedata.retwin t ~from:data
     | None -> assert false);
-    (stats m).one_wdata <- (stats m).one_wdata + 1;
+    count m Pstats.one_wdata 1;
     let retwin_cost = m.geom.Geom.page_words * c.proto.twin_per_word in
     Am.run_on m.am ~tag:"rc.retwin" ~proc:rc ~at:(Sim.now m.sim) ~cost:retwin_cost (fun _t ->
         Mlock.release m.sim ce.mlock;
@@ -651,7 +651,7 @@ and client_inv m ~ssmp ~vpn ~single ~reply_to =
               List.iter
                 (fun lidx ->
                   let p = global_proc m ssmp lidx in
-                  (stats m).pinvs <- (stats m).pinvs + 1;
+                  count m Pstats.pinvs 1;
                   Am.post m.am ~tag:"PINV" ~src:rc ~dst:p ~words:0 ~cost:c.proto.tlb_inv
                     (fun _t ->
                       Tlb.invalidate m.tlbs.(p) ~vpn;
@@ -766,17 +766,17 @@ let fault m ~proc ~vpn ~write =
   match (ce.pstate, write) with
   | P_read, false ->
     (* Arc 1: fill from the existing local read copy. *)
-    (stats m).tlb_local_fills <- (stats m).tlb_local_fills + 1;
+    count m Pstats.tlb_local_fills 1;
     fill ~rw:false ~to_duq:false;
     finish ()
   | P_write, _ ->
     (* Arcs 1, 3, 4: local copy has write privilege. *)
-    (stats m).tlb_local_fills <- (stats m).tlb_local_fills + 1;
+    count m Pstats.tlb_local_fills 1;
     fill ~rw:write ~to_duq:write;
     finish ()
   | P_read, true ->
     (* Arc 2: upgrade through the Remote Client (arc 13), then arc 7. *)
-    (stats m).upgrades <- (stats m).upgrades + 1;
+    count m Pstats.upgrades 1;
     Bitset.add ce.tlb_dir lidx;
     Tlb.fill m.tlbs.(proc) ~vpn ~mode:Tlb.Rw;
     Cpu.advance cpu Mgs (c.svm.tlb_write + c.proto.msg_send);
@@ -801,7 +801,7 @@ let fault m ~proc ~vpn ~write =
     Mgs_engine.Fiber.suspend (fun resume -> ce.fetch_resume <- Some resume);
     Cpu.resume_charge cpu Mgs (Sim.now m.sim);
     span_set m root;
-    (stats m).upgrade_wait <- (stats m).upgrade_wait + (cpu.Cpu.clock - t0);
+    count m Pstats.upgrade_wait (cpu.Cpu.clock - t0);
     Cpu.advance cpu Mgs c.proto.duq_op;
     duq_add duq vpn;
     ce.c_dirty <- true;
@@ -809,8 +809,7 @@ let fault m ~proc ~vpn ~write =
     finish ()
   | P_inv, _ ->
     (* Arc 5: fetch from the home server; BUSY with the lock held. *)
-    if write then (stats m).write_fetches <- (stats m).write_fetches + 1
-    else (stats m).read_fetches <- (stats m).read_fetches + 1;
+    count m (if write then Pstats.write_fetches else Pstats.read_fetches) 1;
     ce.pstate <- P_busy;
     Cpu.advance cpu Mgs c.proto.msg_send;
     let home = home_for m ~ssmp vpn in
@@ -822,7 +821,7 @@ let fault m ~proc ~vpn ~write =
     Mgs_engine.Fiber.suspend (fun resume -> ce.fetch_resume <- Some resume);
     Cpu.resume_charge cpu Mgs (Sim.now m.sim);
     span_set m root;
-    (stats m).fetch_wait <- (stats m).fetch_wait + (cpu.Cpu.clock - t0);
+    count m Pstats.fetch_wait (cpu.Cpu.clock - t0);
     (* Arc 6/7: the install handler set the page state; finish locally. *)
     fill ~rw:write ~to_duq:write;
     finish ()
@@ -844,7 +843,7 @@ let release_all m ~proc =
     let duq = m.duqs.(proc) in
     Cpu.sync_busy cpu;
     if not (duq_is_empty duq && Hashtbl.length duq.psync = 0) then begin
-      (stats m).release_ops <- (stats m).release_ops + 1;
+      count m Pstats.release_ops 1;
       obs_emit m ~engine:Mgs_obs.Event.Local_client ~tag:"lc.release" ~src:proc
         ~cost:(Hashtbl.length duq.duq_set) ~vpn:(-1) ~dst:(-1) ~words:0 ~dur:0;
       (* Transaction root for the whole DUQ drain; reinstalled after
@@ -868,7 +867,7 @@ let release_all m ~proc =
           (match take_sync () with
           | None -> ()
           | Some vpn ->
-            (stats m).syncs <- (stats m).syncs + 1;
+            count m Pstats.syncs 1;
             Cpu.advance cpu Mgs (c.proto.duq_op + c.proto.msg_send);
             let home = home_for m ~ssmp vpn in
             Am.post m.am ~tag:"SYNC" ~src:proc ~dst:home ~words:0 ~cost:c.proto.duq_op
@@ -879,12 +878,12 @@ let release_all m ~proc =
                 m.rel_resume.(proc) <- Some resume);
             Cpu.resume_charge cpu Mgs (Sim.now m.sim);
             span_set m root;
-            (stats m).sync_wait <- (stats m).sync_wait + (cpu.Cpu.clock - t0));
+            count m Pstats.sync_wait (cpu.Cpu.clock - t0));
           sync ()
         end
       in
       let send_rel vpn =
-        (stats m).releases <- (stats m).releases + 1;
+        count m Pstats.releases 1;
         Cpu.advance cpu Mgs (c.proto.duq_op + c.proto.msg_send);
         let home = home_for m ~ssmp vpn in
         Am.post m.am ~tag:"REL" ~src:proc ~dst:home ~words:0 ~cost:c.proto.server_op
@@ -913,7 +912,7 @@ let release_all m ~proc =
         done;
         Cpu.resume_charge cpu Mgs (Sim.now m.sim);
         span_set m root;
-        (stats m).rel_wait <- (stats m).rel_wait + (cpu.Cpu.clock - t0);
+        count m Pstats.rel_wait (cpu.Cpu.clock - t0);
         sync ()
       end
       else begin
@@ -927,7 +926,7 @@ let release_all m ~proc =
             await_rack ();
             Cpu.resume_charge cpu Mgs (Sim.now m.sim);
             span_set m root;
-            (stats m).rel_wait <- (stats m).rel_wait + (cpu.Cpu.clock - t0);
+            count m Pstats.rel_wait (cpu.Cpu.clock - t0);
             flush ()
         in
         flush ()

@@ -19,11 +19,11 @@ let home_merge m ~vpn ~flusher ~diff =
   Pagedata.apply_diff se.s_master diff;
   let prev = se.s_version in
   se.s_version <- se.s_version + 1;
-  (stats m).diffs <- (stats m).diffs + 1;
-  (stats m).diff_words <- (stats m).diff_words + Pagedata.diff_size diff;
+  count m Pstats.diffs 1;
+  count m Pstats.diff_words (Pagedata.diff_size diff);
   (match (m.adapt, se.s_ad) with
   | Some a, Some p ->
-    (stats m).adapt_res_mw <- (stats m).adapt_res_mw + 1;
+    count m Pstats.adapt_res_mw 1;
     let fs = Topology.ssmp_of_proc m.topo flusher in
     p.Adapt.w_wreq <- p.Adapt.w_wreq + 1;
     Bitset.add p.Adapt.w_writers fs;
@@ -72,7 +72,7 @@ let flush_locked m ~proc ~vpn k =
       + (nd * c.proto.diff_word_out)
       + (c.proto.tlb_inv * max 1 (List.length mappers))
       + c.proto.msg_send);
-    (stats m).releases <- (stats m).releases + 1;
+    count m Pstats.releases 1;
     let home = Proto.home_for m ~ssmp vpn in
     if tracing then trace m vpn "flush by proc %d: %d words" proc nd;
     let rec handle self =
@@ -145,7 +145,7 @@ let release_all m ~proc =
     let cpu = m.cpus.(proc) in
     Cpu.sync_busy cpu;
     if not (duq_is_empty duq) then begin
-      (stats m).release_ops <- (stats m).release_ops + 1;
+      count m Pstats.release_ops 1;
       (* transaction root for the whole DUQ flush *)
       let root =
         span_open m ~parent:Span.none ~label:"release"
@@ -159,7 +159,7 @@ let release_all m ~proc =
           Cpu.advance cpu Mgs m.costs.proto.duq_op;
           let t0 = cpu.Cpu.clock in
           flush_page_fiber m ~proc ~vpn;
-          (stats m).rel_wait <- (stats m).rel_wait + (cpu.Cpu.clock - t0);
+          count m Pstats.rel_wait (cpu.Cpu.clock - t0);
           drain ()
       in
       drain ();
@@ -236,7 +236,7 @@ let apply_notices m ~proc map =
           ce.c_dirty <- false;
           ce.pstate <- P_inv;
           if tracing then trace m vpn "lazy invalidate at ssmp %d (proc %d, known %d)" ssmp proc known;
-          (stats m).invals <- (stats m).invals + 1
+          count m Pstats.invals 1
         end;
         Mlock.release m.sim ce.mlock)
       stale
@@ -275,14 +275,14 @@ let fault m ~proc ~vpn ~write =
   in
   match (ce.pstate, write) with
   | P_read, false ->
-    (stats m).tlb_local_fills <- (stats m).tlb_local_fills + 1;
+    count m Pstats.tlb_local_fills 1;
     fill ~rw:false ~to_duq:false
   | P_write, _ ->
-    (stats m).tlb_local_fills <- (stats m).tlb_local_fills + 1;
+    count m Pstats.tlb_local_fills 1;
     fill ~rw:write ~to_duq:write
   | P_read, true ->
     (* multiple writers are allowed: twin locally, no server contact *)
-    (stats m).upgrades <- (stats m).upgrades + 1;
+    count m Pstats.upgrades 1;
     if tracing then trace m vpn "upgrade in place by proc %d (c_version=%d)" proc ce.c_version;
     bump_gen m;
     ce.ctwin <- Some (take_twin ce ~from:(Option.get ce.cdata));
@@ -290,8 +290,7 @@ let fault m ~proc ~vpn ~write =
     Cpu.advance cpu Mgs (c.proto.twin_alloc + (m.geom.Geom.page_words * c.proto.twin_per_word));
     fill ~rw:true ~to_duq:true
   | P_inv, _ ->
-    if write then (stats m).write_fetches <- (stats m).write_fetches + 1
-    else (stats m).read_fetches <- (stats m).read_fetches + 1;
+    count m (if write then Pstats.write_fetches else Pstats.read_fetches) 1;
     ce.pstate <- P_busy;
     Cpu.advance cpu Mgs c.proto.msg_send;
     let home = Proto.home_for m ~ssmp vpn in
@@ -346,6 +345,6 @@ let fault m ~proc ~vpn ~write =
     Mgs_engine.Fiber.suspend (fun resume -> ce.fetch_resume <- Some resume);
     Cpu.resume_charge cpu Mgs (Sim.now m.sim);
     span_set m root;
-    (stats m).fetch_wait <- (stats m).fetch_wait + (cpu.Cpu.clock - t0);
+    count m Pstats.fetch_wait (cpu.Cpu.clock - t0);
     fill ~rw:write ~to_duq:write
   | P_busy, _ -> assert false

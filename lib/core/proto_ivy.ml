@@ -24,7 +24,7 @@ let shoot_tlbs m ~ssmp ~vpn ~rc k =
     List.iter
       (fun lidx ->
         let p = global_proc m ssmp lidx in
-        (stats m).pinvs <- (stats m).pinvs + 1;
+        count m Pstats.pinvs 1;
         Am.post m.am ~tag:"PINV" ~src:rc ~dst:p ~words:0 ~cost:m.costs.proto.tlb_inv
           (fun _t ->
             Tlb.invalidate m.tlbs.(p) ~vpn;
@@ -158,7 +158,7 @@ and server_req m ~vpn ~requester ~write =
     se.s_ivy_grantee <- requester;
     se.s_ivy_grant_write <- write;
     if write then begin
-      (stats m).write_fetches <- (stats m).write_fetches + 1;
+      count m Pstats.write_fetches 1;
       (* invalidate every other copy, then grant exclusivity *)
       let targets =
         let u = Bitset.copy se.s_read_dir in
@@ -174,7 +174,7 @@ and server_req m ~vpn ~requester ~write =
         se.s_count <- List.length targets;
         List.iter
           (fun ssmp ->
-            (stats m).invals <- (stats m).invals + 1;
+            count m Pstats.invals 1;
             let dst = Hashtbl.find se.s_frame_procs ssmp in
             Am.post m.am ~tag:"IVY_INV" ~src:se.s_home_proc ~dst ~words:0 ~cost:0
               (fun _t ->
@@ -204,13 +204,13 @@ and server_req m ~vpn ~requester ~write =
       end
     end
     else begin
-      (stats m).read_fetches <- (stats m).read_fetches + 1;
+      count m Pstats.read_fetches 1;
       match Bitset.choose se.s_write_dir with
       | Some owner when owner <> src_ssmp ->
         (* downgrade the owner first so the master is current *)
         se.s_count <- 1;
         let dst = Hashtbl.find se.s_frame_procs owner in
-        (stats m).one_winvals <- (stats m).one_winvals + 1;
+        count m Pstats.one_winvals 1;
         Am.post m.am ~tag:"IVY_RECALL" ~src:se.s_home_proc ~dst ~words:0 ~cost:0 (fun _t ->
             let rc = Hashtbl.find se.s_frame_procs owner in
             client_recall m ~ssmp:owner ~vpn ~reply:(fun payload ->
@@ -265,20 +265,20 @@ let fault m ~proc ~vpn ~write =
     Mgs_engine.Fiber.suspend (fun resume -> ce.fetch_resume <- Some resume);
     Cpu.resume_charge cpu Mgs (Sim.now m.sim);
     span_set m root;
-    (stats m).fetch_wait <- (stats m).fetch_wait + (cpu.Cpu.clock - t0);
+    count m Pstats.fetch_wait (cpu.Cpu.clock - t0);
     fill ~rw:write
   in
   match (ce.pstate, write) with
   | P_read, false ->
-    (stats m).tlb_local_fills <- (stats m).tlb_local_fills + 1;
+    count m Pstats.tlb_local_fills 1;
     fill ~rw:false
   | P_write, _ ->
-    (stats m).tlb_local_fills <- (stats m).tlb_local_fills + 1;
+    count m Pstats.tlb_local_fills 1;
     fill ~rw:write
   | P_read, true ->
     (* write to a read-shared page: drop the local copy (shooting down
        the local TLB mappings), then fetch exclusive ownership *)
-    (stats m).upgrades <- (stats m).upgrades + 1;
+    count m Pstats.upgrades 1;
     let mappers = Bitset.elements ce.tlb_dir in
     List.iter (fun l -> Tlb.invalidate m.tlbs.(global_proc m ssmp l) ~vpn) mappers;
     Cpu.advance cpu Mgs (c.proto.tlb_inv * max 1 (List.length mappers));

@@ -1,152 +1,112 @@
+(* Counter columns: indices into the per-SSMP [int array] rows that
+   protocol and synchronization code bump through [State.count]. *)
+let tlb_local_fills = 0
+let read_fetches = 1
+let write_fetches = 2
+let upgrades = 3
+let releases = 4
+let release_ops = 5
+let invals = 6
+let one_winvals = 7
+let pinvs = 8
+let diffs = 9
+let diff_words = 10
+let one_wdata = 11
+let one_wclean = 12
+let acks = 13
+let syncs = 14
+let sync_wait = 15
+let rel_wait = 16
+let fetch_wait = 17
+let upgrade_wait = 18
+let lock_msgs = 19
+let lock_handoffs = 20
+let lock_wait = 21
+let adapt_reclass = 22
+let adapt_migs = 23
+let adapt_fwds = 24
+let adapt_yields = 25
+let adapt_res_mw = 26
+let adapt_res_sw = 27
+let adapt_res_inv = 28
+let lock_acquires = 29
+let lock_hits = 30
+let barrier_episodes = 31
+let ncols = 32
+
 type t = {
-  mutable tlb_local_fills : int;
-  mutable read_fetches : int;
-  mutable write_fetches : int;
-  mutable upgrades : int;
-  mutable releases : int;
-  mutable release_ops : int;
-  mutable invals : int;
-  mutable one_winvals : int;
-  mutable pinvs : int;
-  mutable diffs : int;
-  mutable diff_words : int;
-  mutable one_wdata : int;
-  mutable one_wclean : int; (* 1WCLEAN replies: retained page already in sync *)
-  mutable acks : int;
-  mutable syncs : int; (* SYNC messages (arc-12 deferred completions) *)
-  mutable sync_wait : int; (* cycles spent awaiting SYNC acknowledgements *)
-  mutable rel_wait : int; (* cycles releasers spent awaiting RACKs *)
-  mutable fetch_wait : int; (* cycles faulting fibers spent awaiting page data *)
-  mutable upgrade_wait : int; (* cycles spent awaiting UP_ACK *)
+  tlb_local_fills : int;
+  read_fetches : int;
+  write_fetches : int;
+  upgrades : int;
+  releases : int;
+  release_ops : int;
+  invals : int;
+  one_winvals : int;
+  pinvs : int;
+  diffs : int;
+  diff_words : int;
+  one_wdata : int;
+  one_wclean : int; (* 1WCLEAN replies: retained page already in sync *)
+  acks : int;
+  syncs : int; (* SYNC messages (arc-12 deferred completions) *)
+  sync_wait : int; (* cycles spent awaiting SYNC acknowledgements *)
+  rel_wait : int; (* cycles releasers spent awaiting RACKs *)
+  fetch_wait : int; (* cycles faulting fibers spent awaiting page data *)
+  upgrade_wait : int; (* cycles spent awaiting UP_ACK *)
   (* reliable-transport counters, nonzero only under a fault plan *)
-  mutable net_retries : int; (* LAN retransmission attempts *)
-  mutable net_dups : int; (* received copies discarded by dedup *)
-  mutable net_timeouts : int; (* retransmission timer expiries *)
+  net_retries : int; (* LAN retransmission attempts *)
+  net_dups : int; (* received copies discarded by dedup *)
+  net_timeouts : int; (* retransmission timer expiries *)
   (* synchronization counters, nonzero only when registry locks run *)
-  mutable lock_msgs : int; (* lock-protocol messages (LK_*, MCS_*, ...) *)
-  mutable lock_handoffs : int; (* ownership transfers between holders *)
-  mutable lock_wait : int; (* cycles fibers spent blocked in acquire *)
+  lock_msgs : int; (* lock-protocol messages (LK_*, MCS_*, ...) *)
+  lock_handoffs : int; (* ownership transfers between holders *)
+  lock_wait : int; (* cycles fibers spent blocked in acquire *)
   (* adaptive-coherence counters, nonzero only under --adapt *)
-  mutable adapt_reclass : int; (* regime switches (lattice steps) *)
-  mutable adapt_migs : int; (* home migrations *)
-  mutable adapt_fwds : int; (* requests forwarded from a former home *)
-  mutable adapt_yields : int; (* twinless write copies shipped whole on recall *)
-  mutable adapt_res_mw : int; (* decision windows resident in each regime *)
-  mutable adapt_res_sw : int;
-  mutable adapt_res_inv : int;
+  adapt_reclass : int; (* regime switches (lattice steps) *)
+  adapt_migs : int; (* home migrations *)
+  adapt_fwds : int; (* requests forwarded from a former home *)
+  adapt_yields : int; (* twinless write copies shipped whole on recall *)
+  adapt_res_mw : int; (* decision windows resident in each regime *)
+  adapt_res_sw : int;
+  adapt_res_inv : int;
 }
 
-let create () =
+let snapshot total ~net_retries ~net_dups ~net_timeouts =
   {
-    tlb_local_fills = 0;
-    read_fetches = 0;
-    write_fetches = 0;
-    upgrades = 0;
-    releases = 0;
-    release_ops = 0;
-    invals = 0;
-    one_winvals = 0;
-    pinvs = 0;
-    diffs = 0;
-    diff_words = 0;
-    one_wdata = 0;
-    one_wclean = 0;
-    acks = 0;
-    syncs = 0;
-    sync_wait = 0;
-    rel_wait = 0;
-    fetch_wait = 0;
-    upgrade_wait = 0;
-    net_retries = 0;
-    net_dups = 0;
-    net_timeouts = 0;
-    lock_msgs = 0;
-    lock_handoffs = 0;
-    lock_wait = 0;
-    adapt_reclass = 0;
-    adapt_migs = 0;
-    adapt_fwds = 0;
-    adapt_yields = 0;
-    adapt_res_mw = 0;
-    adapt_res_sw = 0;
-    adapt_res_inv = 0;
+    tlb_local_fills = total tlb_local_fills;
+    read_fetches = total read_fetches;
+    write_fetches = total write_fetches;
+    upgrades = total upgrades;
+    releases = total releases;
+    release_ops = total release_ops;
+    invals = total invals;
+    one_winvals = total one_winvals;
+    pinvs = total pinvs;
+    diffs = total diffs;
+    diff_words = total diff_words;
+    one_wdata = total one_wdata;
+    one_wclean = total one_wclean;
+    acks = total acks;
+    syncs = total syncs;
+    sync_wait = total sync_wait;
+    rel_wait = total rel_wait;
+    fetch_wait = total fetch_wait;
+    upgrade_wait = total upgrade_wait;
+    net_retries;
+    net_dups;
+    net_timeouts;
+    lock_msgs = total lock_msgs;
+    lock_handoffs = total lock_handoffs;
+    lock_wait = total lock_wait;
+    adapt_reclass = total adapt_reclass;
+    adapt_migs = total adapt_migs;
+    adapt_fwds = total adapt_fwds;
+    adapt_yields = total adapt_yields;
+    adapt_res_mw = total adapt_res_mw;
+    adapt_res_sw = total adapt_res_sw;
+    adapt_res_inv = total adapt_res_inv;
   }
-
-let reset t =
-  t.tlb_local_fills <- 0;
-  t.read_fetches <- 0;
-  t.write_fetches <- 0;
-  t.upgrades <- 0;
-  t.releases <- 0;
-  t.release_ops <- 0;
-  t.invals <- 0;
-  t.one_winvals <- 0;
-  t.pinvs <- 0;
-  t.diffs <- 0;
-  t.diff_words <- 0;
-  t.one_wdata <- 0;
-  t.one_wclean <- 0;
-  t.acks <- 0;
-  t.syncs <- 0;
-  t.sync_wait <- 0;
-  t.rel_wait <- 0;
-  t.fetch_wait <- 0;
-  t.upgrade_wait <- 0;
-  t.net_retries <- 0;
-  t.net_dups <- 0;
-  t.net_timeouts <- 0;
-  t.lock_msgs <- 0;
-  t.lock_handoffs <- 0;
-  t.lock_wait <- 0;
-  t.adapt_reclass <- 0;
-  t.adapt_migs <- 0;
-  t.adapt_fwds <- 0;
-  t.adapt_yields <- 0;
-  t.adapt_res_mw <- 0;
-  t.adapt_res_sw <- 0;
-  t.adapt_res_inv <- 0
-
-(* Accumulate [src] into [t] — every field is a commutative sum, which
-   is what lets the sharded engine keep one cell per shard and merge at
-   read time. *)
-let add_into t src =
-  t.tlb_local_fills <- t.tlb_local_fills + src.tlb_local_fills;
-  t.read_fetches <- t.read_fetches + src.read_fetches;
-  t.write_fetches <- t.write_fetches + src.write_fetches;
-  t.upgrades <- t.upgrades + src.upgrades;
-  t.releases <- t.releases + src.releases;
-  t.release_ops <- t.release_ops + src.release_ops;
-  t.invals <- t.invals + src.invals;
-  t.one_winvals <- t.one_winvals + src.one_winvals;
-  t.pinvs <- t.pinvs + src.pinvs;
-  t.diffs <- t.diffs + src.diffs;
-  t.diff_words <- t.diff_words + src.diff_words;
-  t.one_wdata <- t.one_wdata + src.one_wdata;
-  t.one_wclean <- t.one_wclean + src.one_wclean;
-  t.acks <- t.acks + src.acks;
-  t.syncs <- t.syncs + src.syncs;
-  t.sync_wait <- t.sync_wait + src.sync_wait;
-  t.rel_wait <- t.rel_wait + src.rel_wait;
-  t.fetch_wait <- t.fetch_wait + src.fetch_wait;
-  t.upgrade_wait <- t.upgrade_wait + src.upgrade_wait;
-  t.net_retries <- t.net_retries + src.net_retries;
-  t.net_dups <- t.net_dups + src.net_dups;
-  t.net_timeouts <- t.net_timeouts + src.net_timeouts;
-  t.lock_msgs <- t.lock_msgs + src.lock_msgs;
-  t.lock_handoffs <- t.lock_handoffs + src.lock_handoffs;
-  t.lock_wait <- t.lock_wait + src.lock_wait;
-  t.adapt_reclass <- t.adapt_reclass + src.adapt_reclass;
-  t.adapt_migs <- t.adapt_migs + src.adapt_migs;
-  t.adapt_fwds <- t.adapt_fwds + src.adapt_fwds;
-  t.adapt_yields <- t.adapt_yields + src.adapt_yields;
-  t.adapt_res_mw <- t.adapt_res_mw + src.adapt_res_mw;
-  t.adapt_res_sw <- t.adapt_res_sw + src.adapt_res_sw;
-  t.adapt_res_inv <- t.adapt_res_inv + src.adapt_res_inv
-
-let copy t =
-  let c = create () in
-  add_into c t;
-  c
 
 let pp ppf t =
   Format.fprintf ppf

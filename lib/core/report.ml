@@ -61,14 +61,7 @@ let of_machine ?(wall_seconds = 0.) ?(outcome = Completed) m =
     float_of_int sum /. float_of_int n
   in
   let lan_stats = Lan.stats m.lan in
-  (* transport counters live with the protocol counters: they are part
-     of the same "what did the coherence traffic cost" story.  The sum
-     merges the engine's per-shard cells. *)
-  let pstats = pstats_sum m in
-  let sc = sync_sum m in
-  pstats.Pstats.net_retries <- lan_stats.Lan.retransmits;
-  pstats.Pstats.net_dups <- lan_stats.Lan.dup_drops;
-  pstats.Pstats.net_timeouts <- lan_stats.Lan.timeouts;
+  let total = State.total m in
   {
     outcome;
     nprocs = n;
@@ -77,14 +70,18 @@ let of_machine ?(wall_seconds = 0.) ?(outcome = Completed) m =
     breakdown =
       { user = mean Cpu.User; lock = mean Cpu.Lock; barrier = mean Cpu.Barrier; mgs = mean Cpu.Mgs };
     per_proc_total = Array.map Cpu.total_cycles m.cpus;
-    pstats;
+    (* transport counters live with the protocol counters: they are
+       part of the same "what did the coherence traffic cost" story *)
+    pstats =
+      Pstats.snapshot total ~net_retries:lan_stats.Lan.retransmits
+        ~net_dups:lan_stats.Lan.dup_drops ~net_timeouts:lan_stats.Lan.timeouts;
     cache = aggregate_cache m;
     lan_messages = lan_stats.Lan.messages;
     lan_words = lan_stats.Lan.data_words;
     messages_by_tag = Am.counts m.am;
-    lock_acquires = sc.lock_acquires;
-    lock_hits = sc.lock_hits;
-    barrier_episodes = sc.barrier_episodes;
+    lock_acquires = total Pstats.lock_acquires;
+    lock_hits = total Pstats.lock_hits;
+    barrier_episodes = total Pstats.barrier_episodes;
     sim_events = Sim.events_executed m.sim;
     peak_queue = Sim.peak_pending m.sim;
     wall_seconds;
@@ -124,3 +121,16 @@ let pp ppf r =
   match r.outcome with
   | Completed -> ()
   | Partitioned _ as o -> Format.fprintf ppf " | %a" pp_outcome o
+
+let ident r =
+  let b = r.breakdown and c = r.cache in
+  let list f l = String.concat "," (List.map f l) in
+  Format.asprintf
+    "out=%a P=%d C=%d rt=%d ev=%d | user=%.3f lock=%.3f barrier=%.3f mgs=%.3f | lan=%d/%d \
+     | sync=%d/%d/%d | cache=%d,%d,%d,%d,%d,%d | tags=%s | procs=%s | %a"
+    pp_outcome r.outcome r.nprocs r.cluster r.runtime r.sim_events b.user b.lock b.barrier
+    b.mgs r.lan_messages r.lan_words r.lock_acquires r.lock_hits r.barrier_episodes c.hits
+    c.local_misses c.remote_misses c.misses_2party c.misses_3party c.software_extensions
+    (list (fun (t, n) -> Printf.sprintf "%s:%d" t n) r.messages_by_tag)
+    (list string_of_int (Array.to_list r.per_proc_total))
+    Pstats.pp r.pstats

@@ -64,3 +64,8 @@ val pp_throughput : Format.formatter -> t -> unit
 
 val pp : Format.formatter -> t -> unit
 (** One-paragraph human-readable summary (includes throughput). *)
+
+val ident : t -> string
+(** Every field except [wall_seconds] and [peak_queue], the host and
+    engine artifacts: runs of one configuration with one seed give the
+    same string at every engine job count. *)

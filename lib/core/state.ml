@@ -119,13 +119,6 @@ type sentry = {
          single-writer regime) *)
 }
 
-(* Counters shared with the synchronization library (Figure 11). *)
-type sync_counters = {
-  mutable lock_acquires : int;
-  mutable lock_hits : int; (* acquires satisfied without inter-SSMP messages *)
-  mutable barrier_episodes : int;
-}
-
 (* Hooks registered by synchronization objects (the [Mgs_sync] lock
    registry) so the machine can reset and inspect them without a
    reverse library dependency: [Machine.reset_stats] runs every
@@ -183,16 +176,10 @@ type t = {
   duqs : duq array; (* indexed by processor *)
   servers : (int, sentry) Hashtbl.t; (* vpn -> home-side entry *)
   tlbs : Tlb.t array;
-  pstats : Pstats.t;
-      (* shard 0's (and host code's) counter cell; shards 1.. write
-         [pstats_extra] instead — see {!stats} *)
-  pstats_extra : Pstats.t array;
-      (* per-shard counter cells, indexed by SSMP; slot 0 is unused
-         (shard 0 writes [pstats]).  Protocol counters are commutative
-         sums, so per-shard cells merged at read time ({!pstats_sum})
-         give the same totals at every job count. *)
-  sync_counters : sync_counters;
-  sync_extra : sync_counters array; (* same scheme as [pstats_extra] *)
+  counters : int array array;
+      (* one row of {!Pstats} columns per SSMP: a shard bumps only its
+         own row ({!count}), and every column is a commutative sum, so
+         the column totals ({!total}) match at every job count *)
   mutable sync_hooks : sync_hook list;
   rel_resume : (unit -> unit) option array; (* per proc: fiber awaiting RACK *)
   mutable fibers : Mgs_engine.Fiber.t list;
@@ -229,40 +216,15 @@ type t = {
    next access its slow path. *)
 let bump_gen m = Atomic.incr m.gen
 
-(* The counter cell protocol code must bump: the executing shard's.
-   Shard 0 and host code share [m.pstats]. *)
-let stats m =
-  let c = Mgs_engine.Sim.cur () in
-  if c <= 0 then m.pstats else m.pstats_extra.(c)
+(* Bump counter column [k] by [n] in the executing shard's row; host
+   code, which runs on no shard, writes row 0. *)
+let count m k n =
+  let c = Sim.cur () in
+  let row = m.counters.(if c < 0 then 0 else c) in
+  row.(k) <- row.(k) + n
 
-let syncs m =
-  let c = Mgs_engine.Sim.cur () in
-  if c <= 0 then m.sync_counters else m.sync_extra.(c)
-
-(* Merged protocol counters: [m.pstats] plus every extra shard cell.
-   This — not [m.pstats] — is what reports read. *)
-let pstats_sum m =
-  let t = Pstats.copy m.pstats in
-  Array.iteri (fun i p -> if i > 0 then Pstats.add_into t p) m.pstats_extra;
-  t
-
-let sync_sum m =
-  let t =
-    {
-      lock_acquires = m.sync_counters.lock_acquires;
-      lock_hits = m.sync_counters.lock_hits;
-      barrier_episodes = m.sync_counters.barrier_episodes;
-    }
-  in
-  Array.iteri
-    (fun i s ->
-      if i > 0 then begin
-        t.lock_acquires <- t.lock_acquires + s.lock_acquires;
-        t.lock_hits <- t.lock_hits + s.lock_hits;
-        t.barrier_episodes <- t.barrier_episodes + s.barrier_episodes
-      end)
-    m.sync_extra;
-  t
+(* Column [k] summed over every SSMP's row. *)
+let total m k = Array.fold_left (fun acc row -> acc + row.(k)) 0 m.counters
 
 let local_idx m proc = proc mod m.topo.Topology.cluster
 

@@ -72,15 +72,7 @@ let chaos ?(intensities = [ 0.0; 0.25; 0.5; 1.0 ]) ?(spec = Mgs_net.Fault.defaul
       in
       let p1 = go () in
       let p2 = go () in
-      let r1 = p1.report and r2 = p2.report in
-      if
-        r1.Mgs.Report.runtime <> r2.Mgs.Report.runtime
-        || r1.Mgs.Report.sim_events <> r2.Mgs.Report.sim_events
-        || r1.Mgs.Report.outcome <> r2.Mgs.Report.outcome
-        || r1.Mgs.Report.pstats.Mgs.Pstats.net_retries
-           <> r2.Mgs.Report.pstats.Mgs.Pstats.net_retries
-        || r1.Mgs.Report.pstats.Mgs.Pstats.net_dups <> r2.Mgs.Report.pstats.Mgs.Pstats.net_dups
-      then
+      if Mgs.Report.ident p1.report <> Mgs.Report.ident p2.report then
         failwith
           (Printf.sprintf "%s: chaos point intensity=%g seed=%d is not deterministic" w.name
              intensity fault_seed);

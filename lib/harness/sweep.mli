@@ -103,8 +103,9 @@ val chaos :
 (** Run the workload once per intensity (default [0, 0.25, 0.5, 1.0])
     under [spec] (default {!Mgs_net.Fault.default_chaos}) scaled by that
     intensity; intensity 0 runs the plain faults-free machine.  Each
-    point is executed {e twice} and the simulated results compared — the
-    fixed-seed determinism contract — and completed runs are verified
+    point is executed {e twice} and the two reports compared by
+    {!Mgs.Report.ident} — the fixed-seed determinism contract — and
+    completed runs are verified
     like ordinary sweep points (partitions skip verification and are
     reported in the point's [report.outcome]).  [check] defaults to
     false: a partitioned run legitimately abandons protocol state

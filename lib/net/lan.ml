@@ -345,6 +345,8 @@ let stats lan =
     lan.cells;
   t
 
+let cell lan c = lan.cells.(c)
+
 let set_obs lan tr = lan.obs <- tr
 
 let set_fault_plan lan plan =
@@ -370,6 +372,18 @@ let fault_plan lan =
 let unacked lan =
   match lan.rel with
   | Some rel -> Array.fold_left (fun acc tbl -> acc + Hashtbl.length tbl) 0 rel.unacked
+  | None -> 0
+
+(* Channel [src * nssmps + dst]: SSMP [c]'s outgoing channels are one
+   contiguous stripe. *)
+let unacked_cell lan c =
+  match lan.rel with
+  | Some rel ->
+    let n = ref 0 in
+    for chan = c * lan.nssmps to ((c + 1) * lan.nssmps) - 1 do
+      n := !n + Hashtbl.length rel.unacked.(chan)
+    done;
+    !n
   | None -> 0
 
 let reset_stats lan =

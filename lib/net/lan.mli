@@ -62,6 +62,11 @@ val send : t -> Envelope.t -> at:Mgs_engine.Sim.time -> (Mgs_engine.Sim.time -> 
 
 val stats : t -> stats
 
+val cell : t -> int -> stats
+(** [cell lan c] is SSMP [c]'s live counter cell, which only [c]'s
+    engine shard writes: its sends, retransmissions and timeouts, and
+    the acks it sent and duplicates it dropped as a receiver. *)
+
 val set_obs : t -> Mgs_obs.Trace.t option -> unit
 (** Install (or remove) an event trace: every inter-SSMP delivery emits
     a ["LAN"] event carrying the endpoints, payload size, and queueing +
@@ -78,6 +83,10 @@ val fault_plan : t -> Fault.plan option
 val unacked : t -> int
 (** Messages posted but not yet acknowledged; [0] at quiescence and
     always [0] without a fault plan. *)
+
+val unacked_cell : t -> int -> int
+(** The part of {!unacked} that SSMP [c] sent: sender-side state that
+    only [c]'s engine shard touches. *)
 
 val reset_stats : t -> unit
 (** Zero the counters only.  The sender-occupancy horizons and

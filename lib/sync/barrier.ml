@@ -56,7 +56,7 @@ let on_combine b =
     b.global_arrived <- 0;
     merge_staged b;
     b.episodes <- b.episodes + 1;
-    (syncs b.m).barrier_episodes <- (syncs b.m).barrier_episodes + 1;
+    count b.m Mgs.Pstats.barrier_episodes 1;
     obs_emit b.m ~engine:Mgs_obs.Event.Sync ~tag:"sync.barrier_episode"
       ~src:(master_proc b) ~cost:b.episodes ~vpn:(-1) ~dst:(-1) ~words:0 ~dur:0;
     for s = 0 to b.m.topo.Topology.nssmps - 1 do
@@ -83,7 +83,7 @@ let wait ctx b =
     loc.arrived <- loc.arrived + 1;
     if loc.arrived = m.topo.Topology.nprocs then begin
       b.episodes <- b.episodes + 1;
-      (syncs m).barrier_episodes <- (syncs m).barrier_episodes + 1;
+      count m Mgs.Pstats.barrier_episodes 1;
       obs_emit m ~engine:Mgs_obs.Event.Sync ~tag:"sync.barrier_episode" ~src:proc
         ~cost:b.episodes ~vpn:(-1) ~dst:(-1) ~words:0 ~dur:0;
       release_ssmp b 0

@@ -145,7 +145,7 @@ let acquire ctx l =
   let flat = Topology.single_ssmp m.topo in
   Cpu.advance cpu Lock (if flat then m.costs.sync.flat_lock else m.costs.sync.lock_local_acquire);
   loc.l_acquires <- loc.l_acquires + 1;
-  (syncs m).lock_acquires <- (syncs m).lock_acquires + 1;
+  count m Mgs.Pstats.lock_acquires 1;
   (* Transaction root: one lock-acquire episode.  The LK_* messages it
      triggers (request, recall, token transfer) all inherit this ID. *)
   let root =
@@ -158,7 +158,7 @@ let acquire ctx l =
     ~cost:(if loc.has_token then 1 else 0) ~vpn:(-1) ~words:0 ~dur:0;
   if loc.has_token then begin
     loc.l_hits <- loc.l_hits + 1;
-    (syncs m).lock_hits <- (syncs m).lock_hits + 1;
+    count m Mgs.Pstats.lock_hits 1;
     if not loc.held then loc.held <- true
     else begin
       (* Parked fibers are woken only by ownership transfer. *)

@@ -31,7 +31,7 @@ type raw = {
 
 (* --- shared fiber-side plumbing ------------------------------------ *)
 
-let msg m = (stats m).Mgs.Pstats.lock_msgs <- (stats m).Mgs.Pstats.lock_msgs + 1
+let msg m = count m Mgs.Pstats.lock_msgs 1
 
 (* One-shot parking lot: hand [wake] to a message handler, then [park]
    the calling fiber until it fires. *)
@@ -40,14 +40,29 @@ let parker m =
   let wake () = ignore (Mgs_engine.Waitq.wake_one m.sim q) in
   (q, wake)
 
+(* Per-SSMP episode counters: fiber-side code bumps the cell of the
+   calling processor's SSMP — the shard it executes on — so concurrent
+   shards of the parallel engine never write the same slot.  Accessors
+   sum; sums are commutative, so they match at every job count. *)
+type cells = { acquires : int array; hits : int array; blocked : int array }
+
+let cells (m : Mgs.Machine.t) =
+  let n = m.topo.Topology.nssmps in
+  { acquires = Array.make n 0; hits = Array.make n 0; blocked = Array.make n 0 }
+
+let cell_add m a proc n =
+  let c = Topology.ssmp_of_proc m.topo proc in
+  a.(c) <- a.(c) + n
+
 (* Acquire-side entry shared by every algorithm: charge the local
    acquire cost, count the episode, and open the transaction root that
    the algorithm's messages will inherit. *)
-let enter_acquire m (ctx : Mgs.Api.ctx) ~home_proc =
+let enter_acquire m st (ctx : Mgs.Api.ctx) ~home_proc =
   let cpu = ctx.cpu in
   Cpu.sync_busy cpu;
   Cpu.advance cpu Lock m.costs.sync.lock_local_acquire;
-  (syncs m).lock_acquires <- (syncs m).lock_acquires + 1;
+  count m Mgs.Pstats.lock_acquires 1;
+  cell_add m st.acquires ctx.Mgs.Api.proc 1;
   let root =
     span_open m ~parent:Span.none ~label:"sync.lock" ~engine:Mgs_obs.Event.Sync
       ~src:ctx.Mgs.Api.proc ~dst:home_proc ()
@@ -57,8 +72,11 @@ let enter_acquire m (ctx : Mgs.Api.ctx) ~home_proc =
     ~dst:home_proc ~cost:0 ~vpn:(-1) ~words:0 ~dur:0;
   root
 
-let exit_acquire m root ~hit ~notices ~proc =
-  if hit then (syncs m).lock_hits <- (syncs m).lock_hits + 1;
+let exit_acquire m st root ~hit ~notices ~proc =
+  if hit then begin
+    count m Mgs.Pstats.lock_hits 1;
+    cell_add m st.hits proc 1
+  end;
   Mgs.Consistency.at_acquire m ~proc ~notices;
   span_close m root;
   span_set m Span.none
@@ -87,11 +105,35 @@ let exit_release m root =
 let home_local m ~home_proc proc =
   Topology.ssmp_of_proc m.topo proc = Topology.ssmp_of_proc m.topo home_proc
 
-(* Per-SSMP episode counters: fiber-side code bumps the cell of the
-   calling processor's SSMP — the shard it executes on — so concurrent
-   shards of the parallel engine never write the same slot.  Accessors
-   sum; sums are commutative, so they match at every job count. *)
-let asum = Array.fold_left ( + ) 0
+(* Block the calling fiber in [wait], counted as one of its SSMP's
+   waiters meanwhile, then charge the blocked time to the Lock bucket
+   and restore the acquire's span. *)
+let blocked_wait m st (ctx : Mgs.Api.ctx) root wait =
+  cell_add m st.blocked ctx.Mgs.Api.proc 1;
+  wait ();
+  cell_add m st.blocked ctx.Mgs.Api.proc (-1);
+  Cpu.resume_charge ctx.cpu Lock (Sim.now m.sim);
+  span_set m root
+
+(* The algorithm face over one instance: the counters read its cells,
+   and a reset zeroes them along with the algorithm's own state. *)
+let raw_of st ~acquire ~release ~reset =
+  let sum = Array.fold_left ( + ) 0 in
+  let zero a = Array.fill a 0 (Array.length a) 0 in
+  {
+    r_acquire = acquire;
+    r_release = release;
+    r_acquires = (fun () -> sum st.acquires);
+    r_hits = (fun () -> sum st.hits);
+    r_waiters = (fun () -> sum st.blocked);
+    r_waiters_cell = (fun c -> st.blocked.(c));
+    r_reset =
+      (fun () ->
+        zero st.acquires;
+        zero st.hits;
+        zero st.blocked;
+        reset ());
+  }
 
 (* --- test-and-set with exponential backoff ------------------------- *)
 
@@ -105,21 +147,16 @@ module Tas = struct
     home : int;
     mutable held : bool;
     notices : (int, int) Hashtbl.t;
-    acquires : int array; (* per caller SSMP *)
-    hits : int array;
-    blocked : int array;
+    st : cells;
   }
 
   let create (m : Mgs.Machine.t) ~home =
-    let n = m.topo.Topology.nssmps in
     {
       m;
       home = Topology.first_proc_of_ssmp m.topo home;
       held = false;
       notices = Hashtbl.create 16;
-      acquires = Array.make n 0;
-      hits = Array.make n 0;
-      blocked = Array.make n 0;
+      st = cells m;
     }
 
   (* Backoff base ~ one LAN round trip; capped so a long wait never
@@ -132,9 +169,7 @@ module Tas = struct
     let m = l.m in
     let cpu = ctx.cpu in
     let proc = ctx.Mgs.Api.proc in
-    let root = enter_acquire m ctx ~home_proc:l.home in
-    let cell = Topology.ssmp_of_proc m.topo proc in
-    l.acquires.(cell) <- l.acquires.(cell) + 1;
+    let root = enter_acquire m l.st ctx ~home_proc:l.home in
     let attempt = ref 0 in
     let won = ref false in
     while not !won do
@@ -152,24 +187,15 @@ module Tas = struct
           msg m;
           Am.post m.am ~tag:"TAS_ACK" ~src:l.home ~dst:proc ~words:0
             ~cost:m.costs.sync.lock_local_acquire (fun _t -> wake ()));
-      l.blocked.(cell) <- l.blocked.(cell) + 1;
-      Mgs_engine.Waitq.park q;
-      l.blocked.(cell) <- l.blocked.(cell) - 1;
-      Cpu.resume_charge cpu Lock (Sim.now m.sim);
-      span_set m root;
+      blocked_wait m l.st ctx root (fun () -> Mgs_engine.Waitq.park q);
       if !granted then won := true
-      else begin
+      else
         (* back off in simulated time, charged to the Lock bucket *)
-        l.blocked.(cell) <- l.blocked.(cell) + 1;
-        Mgs_engine.Fiber.sleep_until m.sim (Sim.now m.sim + backoff m !attempt);
-        l.blocked.(cell) <- l.blocked.(cell) - 1;
-        Cpu.resume_charge cpu Lock (Sim.now m.sim);
-        span_set m root
-      end
+        blocked_wait m l.st ctx root (fun () ->
+            Mgs_engine.Fiber.sleep_until m.sim (Sim.now m.sim + backoff m !attempt))
     done;
     let hit = !attempt = 1 && home_local m ~home_proc:l.home proc in
-    if hit then l.hits.(cell) <- l.hits.(cell) + 1;
-    exit_acquire m root ~hit ~notices:l.notices ~proc
+    exit_acquire m l.st root ~hit ~notices:l.notices ~proc
 
   let release (ctx : Mgs.Api.ctx) l =
     let m = l.m in
@@ -183,22 +209,14 @@ module Tas = struct
 
   let reset l =
     l.held <- false;
-    Array.fill l.blocked 0 (Array.length l.blocked) 0;
-    Hashtbl.reset l.notices;
-    Array.fill l.acquires 0 (Array.length l.acquires) 0;
-    Array.fill l.hits 0 (Array.length l.hits) 0
+    Hashtbl.reset l.notices
 
   let impl m ~home =
     let l = create m ~home in
-    {
-      r_acquire = (fun ctx -> acquire ctx l);
-      r_release = (fun ctx -> release ctx l);
-      r_acquires = (fun () -> asum l.acquires);
-      r_hits = (fun () -> asum l.hits);
-      r_waiters = (fun () -> asum l.blocked);
-      r_waiters_cell = (fun c -> l.blocked.(c));
-      r_reset = (fun () -> reset l);
-    }
+    raw_of l.st
+      ~acquire:(fun ctx -> acquire ctx l)
+      ~release:(fun ctx -> release ctx l)
+      ~reset:(fun () -> reset l)
 end
 
 (* --- ticket lock ---------------------------------------------------- *)
@@ -215,13 +233,10 @@ module Ticket = struct
     waiting : (int, unit -> unit) Hashtbl.t; (* ticket -> grant *)
     mutable held : bool;
     notices : (int, int) Hashtbl.t;
-    acquires : int array; (* per caller SSMP *)
-    hits : int array;
-    blocked : int array;
+    st : cells;
   }
 
   let create (m : Mgs.Machine.t) ~home =
-    let n = m.topo.Topology.nssmps in
     {
       m;
       home = Topology.first_proc_of_ssmp m.topo home;
@@ -230,18 +245,14 @@ module Ticket = struct
       waiting = Hashtbl.create 64;
       held = false;
       notices = Hashtbl.create 16;
-      acquires = Array.make n 0;
-      hits = Array.make n 0;
-      blocked = Array.make n 0;
+      st = cells m;
     }
 
   let acquire (ctx : Mgs.Api.ctx) l =
     let m = l.m in
     let cpu = ctx.cpu in
     let proc = ctx.Mgs.Api.proc in
-    let root = enter_acquire m ctx ~home_proc:l.home in
-    let cell = Topology.ssmp_of_proc m.topo proc in
-    l.acquires.(cell) <- l.acquires.(cell) + 1;
+    let root = enter_acquire m l.st ctx ~home_proc:l.home in
     Cpu.advance cpu Lock m.costs.proto.msg_send;
     msg m;
     let q, wake = parker m in
@@ -262,14 +273,9 @@ module Ticket = struct
           grant ()
         end
         else Hashtbl.replace l.waiting ticket grant);
-    l.blocked.(cell) <- l.blocked.(cell) + 1;
-    Mgs_engine.Waitq.park q;
-    l.blocked.(cell) <- l.blocked.(cell) - 1;
-    Cpu.resume_charge cpu Lock (Sim.now m.sim);
-    span_set m root;
+    blocked_wait m l.st ctx root (fun () -> Mgs_engine.Waitq.park q);
     let hit = !immediate && home_local m ~home_proc:l.home proc in
-    if hit then l.hits.(cell) <- l.hits.(cell) + 1;
-    exit_acquire m root ~hit ~notices:l.notices ~proc
+    exit_acquire m l.st root ~hit ~notices:l.notices ~proc
 
   let release (ctx : Mgs.Api.ctx) l =
     let m = l.m in
@@ -293,22 +299,14 @@ module Ticket = struct
     l.now_serving <- 0;
     Hashtbl.reset l.waiting;
     l.held <- false;
-    Array.fill l.blocked 0 (Array.length l.blocked) 0;
-    Hashtbl.reset l.notices;
-    Array.fill l.acquires 0 (Array.length l.acquires) 0;
-    Array.fill l.hits 0 (Array.length l.hits) 0
+    Hashtbl.reset l.notices
 
   let impl m ~home =
     let l = create m ~home in
-    {
-      r_acquire = (fun ctx -> acquire ctx l);
-      r_release = (fun ctx -> release ctx l);
-      r_acquires = (fun () -> asum l.acquires);
-      r_hits = (fun () -> asum l.hits);
-      r_waiters = (fun () -> asum l.blocked);
-      r_waiters_cell = (fun c -> l.blocked.(c));
-      r_reset = (fun () -> reset l);
-    }
+    raw_of l.st
+      ~acquire:(fun ctx -> acquire ctx l)
+      ~release:(fun ctx -> release ctx l)
+      ~reset:(fun () -> reset l)
 end
 
 (* --- MCS queue lock ------------------------------------------------- *)
@@ -341,13 +339,10 @@ module Mcs = struct
     mint : int array; (* per-proc node-id counters; ids = proc + nprocs*k *)
     mutable holder : int; (* node id of the current holder, -1 if free *)
     notices : (int, int) Hashtbl.t;
-    acquires : int array; (* per caller SSMP *)
-    hits : int array;
-    blocked : int array;
+    st : cells;
   }
 
   let create (m : Mgs.Machine.t) ~home =
-    let n = m.topo.Topology.nssmps in
     {
       m;
       home = Topology.first_proc_of_ssmp m.topo home;
@@ -357,9 +352,7 @@ module Mcs = struct
       mint = Array.make m.topo.Topology.nprocs 0;
       holder = -1;
       notices = Hashtbl.create 16;
-      acquires = Array.make n 0;
-      hits = Array.make n 0;
-      blocked = Array.make n 0;
+      st = cells m;
     }
 
   let with_nodes l f =
@@ -384,9 +377,7 @@ module Mcs = struct
     let m = l.m in
     let cpu = ctx.cpu in
     let proc = ctx.Mgs.Api.proc in
-    let root = enter_acquire m ctx ~home_proc:l.home in
-    let cell = Topology.ssmp_of_proc m.topo proc in
-    l.acquires.(cell) <- l.acquires.(cell) + 1;
+    let root = enter_acquire m l.st ctx ~home_proc:l.home in
     let me = mint_id l proc in
     let q, wake = parker m in
     let node = { owner = proc; next = None; wake; rel_parked = None } in
@@ -415,15 +406,10 @@ module Mcs = struct
                 pred.rel_parked <- None;
                 k ()
               | None -> ()));
-    l.blocked.(cell) <- l.blocked.(cell) + 1;
-    Mgs_engine.Waitq.park q;
-    l.blocked.(cell) <- l.blocked.(cell) - 1;
-    Cpu.resume_charge cpu Lock (Sim.now m.sim);
-    span_set m root;
+    blocked_wait m l.st ctx root (fun () -> Mgs_engine.Waitq.park q);
     l.holder <- me;
     let hit = !free && home_local m ~home_proc:l.home proc in
-    if hit then l.hits.(cell) <- l.hits.(cell) + 1;
-    exit_acquire m root ~hit ~notices:l.notices ~proc
+    exit_acquire m l.st root ~hit ~notices:l.notices ~proc
 
   let release (ctx : Mgs.Api.ctx) l =
     let m = l.m in
@@ -478,12 +464,7 @@ module Mcs = struct
                         | None -> assert false);
                         wake ()))
           end);
-      let cell = Topology.ssmp_of_proc m.topo proc in
-      l.blocked.(cell) <- l.blocked.(cell) + 1;
-      Mgs_engine.Waitq.park q;
-      l.blocked.(cell) <- l.blocked.(cell) - 1;
-      Cpu.resume_charge cpu Lock (Sim.now m.sim);
-      span_set m root);
+      blocked_wait m l.st ctx root (fun () -> Mgs_engine.Waitq.park q));
     exit_release m root
 
   let reset l =
@@ -491,22 +472,14 @@ module Mcs = struct
     l.tail <- None;
     Array.fill l.mint 0 (Array.length l.mint) 0;
     l.holder <- -1;
-    Array.fill l.blocked 0 (Array.length l.blocked) 0;
-    Hashtbl.reset l.notices;
-    Array.fill l.acquires 0 (Array.length l.acquires) 0;
-    Array.fill l.hits 0 (Array.length l.hits) 0
+    Hashtbl.reset l.notices
 
   let impl m ~home =
     let l = create m ~home in
-    {
-      r_acquire = (fun ctx -> acquire ctx l);
-      r_release = (fun ctx -> release ctx l);
-      r_acquires = (fun () -> asum l.acquires);
-      r_hits = (fun () -> asum l.hits);
-      r_waiters = (fun () -> asum l.blocked);
-      r_waiters_cell = (fun c -> l.blocked.(c));
-      r_reset = (fun () -> reset l);
-    }
+    raw_of l.st
+      ~acquire:(fun ctx -> acquire ctx l)
+      ~release:(fun ctx -> release ctx l)
+      ~reset:(fun () -> reset l)
 end
 
 (* --- CLH queue lock ------------------------------------------------- *)
@@ -534,9 +507,7 @@ module Clh = struct
     mint : int array; (* per-proc counters; ids = 1 + proc + nprocs*k *)
     mutable holder : int; (* node id of the current holder, -1 if free *)
     notices : (int, int) Hashtbl.t;
-    acquires : int array; (* per caller SSMP *)
-    hits : int array;
-    blocked : int array;
+    st : cells;
   }
 
   let with_nodes l f =
@@ -560,7 +531,6 @@ module Clh = struct
 
   let create (m : Mgs.Machine.t) ~home =
     let home_proc = Topology.first_proc_of_ssmp m.topo home in
-    let n = m.topo.Topology.nssmps in
     let l =
       {
         m;
@@ -571,9 +541,7 @@ module Clh = struct
         mint = Array.make m.topo.Topology.nprocs 0;
         holder = -1;
         notices = Hashtbl.create 16;
-        acquires = Array.make n 0;
-        hits = Array.make n 0;
-        blocked = Array.make n 0;
+        st = cells m;
       }
     in
     init l home_proc;
@@ -589,9 +557,7 @@ module Clh = struct
     let m = l.m in
     let cpu = ctx.cpu in
     let proc = ctx.Mgs.Api.proc in
-    let root = enter_acquire m ctx ~home_proc:l.home in
-    let cell = Topology.ssmp_of_proc m.topo proc in
-    l.acquires.(cell) <- l.acquires.(cell) + 1;
+    let root = enter_acquire m l.st ctx ~home_proc:l.home in
     let me = mint_id l proc in
     with_nodes l (fun () ->
         Hashtbl.replace l.nodes me { owner = proc; released = false; watcher = None });
@@ -619,15 +585,10 @@ module Clh = struct
               grant ()
             end
             else pred.watcher <- Some grant));
-    l.blocked.(cell) <- l.blocked.(cell) + 1;
-    Mgs_engine.Waitq.park q;
-    l.blocked.(cell) <- l.blocked.(cell) - 1;
-    Cpu.resume_charge cpu Lock (Sim.now m.sim);
-    span_set m root;
+    blocked_wait m l.st ctx root (fun () -> Mgs_engine.Waitq.park q);
     l.holder <- me;
     let hit = !free && home_local m ~home_proc:l.home proc in
-    if hit then l.hits.(cell) <- l.hits.(cell) + 1;
-    exit_acquire m root ~hit ~notices:l.notices ~proc
+    exit_acquire m l.st root ~hit ~notices:l.notices ~proc
 
   let release (ctx : Mgs.Api.ctx) l =
     let m = l.m in
@@ -646,22 +607,14 @@ module Clh = struct
 
   let reset l =
     init l l.home;
-    Array.fill l.blocked 0 (Array.length l.blocked) 0;
-    Hashtbl.reset l.notices;
-    Array.fill l.acquires 0 (Array.length l.acquires) 0;
-    Array.fill l.hits 0 (Array.length l.hits) 0
+    Hashtbl.reset l.notices
 
   let impl m ~home =
     let l = create m ~home in
-    {
-      r_acquire = (fun ctx -> acquire ctx l);
-      r_release = (fun ctx -> release ctx l);
-      r_acquires = (fun () -> asum l.acquires);
-      r_hits = (fun () -> asum l.hits);
-      r_waiters = (fun () -> asum l.blocked);
-      r_waiters_cell = (fun c -> l.blocked.(c));
-      r_reset = (fun () -> reset l);
-    }
+    raw_of l.st
+      ~acquire:(fun ctx -> acquire ctx l)
+      ~release:(fun ctx -> release ctx l)
+      ~reset:(fun () -> reset l)
 end
 
 (* --- the paper's token lock, unchanged ----------------------------- *)
@@ -761,11 +714,11 @@ let acquire (ctx : Mgs.Api.ctx) t =
   (* Host-side accounting only below this line: nothing here may post a
      message, charge a cpu, or schedule an event. *)
   if not t.is_baseline then
-    (stats m).Mgs.Pstats.lock_wait <- (stats m).Mgs.Pstats.lock_wait + (t1 - t0);
+    count m Mgs.Pstats.lock_wait (t1 - t0);
   if t.last_holder >= 0 && t.last_holder <> proc then begin
     t.handoffs <- t.handoffs + 1;
     if not t.is_baseline then
-      (stats m).Mgs.Pstats.lock_handoffs <- (stats m).Mgs.Pstats.lock_handoffs + 1;
+      count m Mgs.Pstats.lock_handoffs 1;
     if t.last_release >= 0 && t1 >= t.last_release then begin
       t.gaps <- (t1 - t.last_release) :: t.gaps;
       (* Retroactive handoff span: the lock was in flight from the

@@ -237,30 +237,6 @@ let test_page_resets () =
 (* Machine level.                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything in a report except wall_seconds and peak_queue (the
-   test_par identity, including pstats — so the adaptive counters
-   themselves must also be byte-identical across job counts). *)
-let ident (r : Mgs.Report.t) =
-  let b = r.Mgs.Report.breakdown in
-  let c = r.Mgs.Report.cache in
-  Format.asprintf
-    "out=%a rt=%d ev=%d | user=%.3f lock=%.3f barrier=%.3f mgs=%.3f | lan=%d/%d | \
-     sync=%d/%d/%d | cache=%d,%d,%d,%d,%d,%d | tags=%s | procs=%s | %a"
-    Mgs.Report.pp_outcome r.Mgs.Report.outcome r.Mgs.Report.runtime r.Mgs.Report.sim_events
-    b.Mgs.Report.user b.Mgs.Report.lock b.Mgs.Report.barrier b.Mgs.Report.mgs
-    r.Mgs.Report.lan_messages r.Mgs.Report.lan_words r.Mgs.Report.lock_acquires
-    r.Mgs.Report.lock_hits r.Mgs.Report.barrier_episodes c.Mgs_cache.Coherence.hits
-    c.Mgs_cache.Coherence.local_misses c.Mgs_cache.Coherence.remote_misses
-    c.Mgs_cache.Coherence.misses_2party c.Mgs_cache.Coherence.misses_3party
-    c.Mgs_cache.Coherence.software_extensions
-    (String.concat ","
-       (List.map
-          (fun (t, n) -> Printf.sprintf "%s:%d" t n)
-          r.Mgs.Report.messages_by_tag))
-    (String.concat ","
-       (List.map string_of_int (Array.to_list r.Mgs.Report.per_proc_total)))
-    Mgs.Pstats.pp r.Mgs.Report.pstats
-
 let adapt_total (p : Mgs.Pstats.t) =
   p.Mgs.Pstats.adapt_reclass + p.Mgs.Pstats.adapt_migs + p.Mgs.Pstats.adapt_fwds
   + p.Mgs.Pstats.adapt_yields + p.Mgs.Pstats.adapt_res_mw + p.Mgs.Pstats.adapt_res_sw
@@ -271,7 +247,7 @@ let test_adapt_off_identity () =
   let plain = Sweep.run_point ~protocol:"mgs" ~nprocs:8 ~cluster:2 w in
   let off = Sweep.run_point ~adapt:false ~protocol:"mgs" ~nprocs:8 ~cluster:2 w in
   Alcotest.(check string) "adapt:false is the plain machine"
-    (ident plain.Sweep.report) (ident off.Sweep.report);
+    (Mgs.Report.ident plain.Sweep.report) (Mgs.Report.ident off.Sweep.report);
   Alcotest.(check int) "no adaptive counter moves when off" 0
     (adapt_total plain.Sweep.report.Mgs.Report.pstats)
 
@@ -294,8 +270,8 @@ let test_adapt_par_identity () =
             (fun par ->
               Alcotest.(check string)
                 (Printf.sprintf "%s/%s: par=%d matches par=1" protocol aname par)
-                (ident oracle)
-                (ident (run par)))
+                (Mgs.Report.ident oracle)
+                (Mgs.Report.ident (run par)))
             [ 2; 4 ])
         [
           ("jacobi", Mgs_apps.Jacobi.workload Mgs_apps.Jacobi.tiny);
@@ -307,7 +283,7 @@ let test_adapt_faulty_identity () =
   let w = Mgs_apps.Water.workload Mgs_apps.Water.tiny in
   let faults = Mgs_net.Fault.scale Mgs_net.Fault.default_chaos ~intensity:0.25 in
   let run par =
-    ident
+    Mgs.Report.ident
       (Sweep.run_point ~adapt:true ~check:false ~faults ~protocol:"mgs" ~par ~nprocs:8
          ~cluster:2 w)
         .Sweep.report
@@ -352,11 +328,12 @@ let test_reset_parity () =
   phase ();
   let open Mgs.State in
   Alcotest.(check bool) "warmup ran decision windows" true
-    (m.pstats.Mgs.Pstats.adapt_res_mw + m.pstats.Mgs.Pstats.adapt_res_sw
-     + m.pstats.Mgs.Pstats.adapt_res_inv
+    (total m Mgs.Pstats.adapt_res_mw + total m Mgs.Pstats.adapt_res_sw
+     + total m Mgs.Pstats.adapt_res_inv
     > 0);
   Mgs.Machine.reset_stats m;
-  Alcotest.(check int) "every adaptive counter reset" 0 (adapt_total m.pstats);
+  Alcotest.(check int) "every adaptive counter reset" 0
+    (adapt_total (Mgs.Report.of_machine m).Mgs.Report.pstats);
   phase ();
   Alcotest.(check (float 0.)) "second phase counter" (float_of_int (2 * 8 * 6))
     (Mgs.Machine.peek m cell)

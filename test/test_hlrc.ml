@@ -44,8 +44,8 @@ let test_lock_carries_notices () =
   Mgs.Machine.assert_quiescent m;
   Alcotest.(check (float 0.)) "acquirer sees the release" 2.0 !seen;
   Alcotest.(check int) "no shadow divergence" 0 (Mgs.Machine.shadow_mismatches m);
-  Alcotest.(check bool) "diffs flushed home" true (m.pstats.diffs >= 1);
-  Alcotest.(check bool) "lazy invalidation happened" true (m.pstats.invals >= 1)
+  Alcotest.(check bool) "diffs flushed home" true (total m Mgs.Pstats.diffs >= 1);
+  Alcotest.(check bool) "lazy invalidation happened" true (total m Mgs.Pstats.invals >= 1)
 
 (* Releases involve no invalidation fan-out: without synchronization
    between them, readers legitimately keep their copies. *)
@@ -64,8 +64,8 @@ let test_release_has_no_fanout () =
          | _ -> ()));
   (* master updated, but nobody was interrupted *)
   Alcotest.(check (float 0.)) "master merged" 2.0 (Mgs.Machine.peek m page);
-  Alcotest.(check int) "no PINV interrupts" 0 m.pstats.pinvs;
-  Alcotest.(check int) "no lazy invalidations yet" 0 m.pstats.invals
+  Alcotest.(check int) "no PINV interrupts" 0 (total m Mgs.Pstats.pinvs);
+  Alcotest.(check int) "no lazy invalidations yet" 0 (total m Mgs.Pstats.invals)
 
 let test_multiple_writers_merge () =
   let m = make ~nprocs:4 ~cluster:2 () in

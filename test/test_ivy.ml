@@ -52,7 +52,7 @@ let test_write_invalidates_readers () =
   Array.iteri
     (fun p v -> Alcotest.(check (float 0.)) (Printf.sprintf "proc %d" p) 2.0 v)
     seen;
-  Alcotest.(check bool) "invalidations were sent" true (m.pstats.invals > 0);
+  Alcotest.(check bool) "invalidations were sent" true (total m Mgs.Pstats.invals > 0);
   Alcotest.(check int) "no shadow divergence" 0 (Mgs.Machine.shadow_mismatches m)
 
 let test_read_downgrades_owner () =
@@ -69,7 +69,7 @@ let test_read_downgrades_owner () =
            got := Mgs.Api.read ctx page
          | _ -> ()));
   Alcotest.(check (float 0.)) "recalled value" 5.0 !got;
-  Alcotest.(check bool) "a recall happened" true (m.pstats.one_winvals > 0);
+  Alcotest.(check bool) "a recall happened" true (total m Mgs.Pstats.one_winvals > 0);
   (* the former owner keeps a read copy *)
   let se = get_sentry m (Geom.vpn_of_addr m.geom page) in
   Alcotest.(check bool) "owner downgraded" true (Bitset.is_empty se.s_write_dir);
@@ -85,8 +85,8 @@ let test_no_release_machinery () =
            (* release is a no-op under sequential consistency *)
            Mgs.Api.release ctx
          end));
-  Alcotest.(check int) "no RELs" 0 m.pstats.releases;
-  Alcotest.(check int) "no diffs" 0 m.pstats.diffs;
+  Alcotest.(check int) "no RELs" 0 (total m Mgs.Pstats.releases);
+  Alcotest.(check int) "no diffs" 0 (total m Mgs.Pstats.diffs);
   (* ... and quiescence holds without any flush *)
   Mgs.Machine.assert_quiescent m
 

@@ -192,7 +192,7 @@ let test_deferred_rel_1wclean () =
   Alcotest.(check (float 0.)) "second write released" 2.0 (Mgs.Machine.peek m (page + 1));
   Alcotest.(check int) "first epoch writes back the page" 1 (Am.count m.am "1WDATA");
   Alcotest.(check int) "follow-up epoch finds the copy clean" 1 (Am.count m.am "1WCLEAN");
-  Alcotest.(check int) "pstats counts the clean reply" 1 m.pstats.Mgs.Pstats.one_wclean;
+  Alcotest.(check int) "pstats counts the clean reply" 1 (total m Mgs.Pstats.one_wclean);
   Alcotest.(check int) "no shadow divergence" 0 (Mgs.Machine.shadow_mismatches m)
 
 (* An upgrade's WNOTIFY racing a REL: the notification loses the race,

@@ -1,6 +1,7 @@
 (* Tests for the machine model: topology arithmetic, CPU accounting
    (the bucket/clock contract that the runtime breakdowns rely on), and
-   cost parameters. *)
+   cost parameters; and the protocol counter table as a run reports
+   it. *)
 
 module Topo = Mgs_machine.Topology
 module Cpu = Mgs_machine.Cpu
@@ -138,6 +139,82 @@ let test_costs_tlb_fill_sum () =
   Alcotest.(check int) "fault path sums to 1037" 1037
     (s.fault_entry + s.map_lock + s.table_lookup + s.tlb_write)
 
+(* --- counters ----------------------------------------------------------- *)
+
+(* [Pstats.pp] is the one hand-written format over the counter snapshot.
+   Each run switches on one of its omit-when-zero groups (none, the
+   transport's, the registry lock's, the adaptive layer's); the lines
+   were captured from the record-per-counter implementation that the
+   counter table replaced. *)
+let test_pstats_line () =
+  let line ?faults ?adapt w =
+    let r =
+      (Mgs_harness.Sweep.run_point ?faults ?adapt ~nprocs:8 ~cluster:2 w)
+        .Mgs_harness.Sweep.report
+    in
+    Format.asprintf "%a" Mgs.Pstats.pp r.Mgs.Report.pstats
+  in
+  let jacobi = Mgs_apps.Jacobi.workload Mgs_apps.Jacobi.tiny in
+  let water lock = Mgs_apps.Water.workload { Mgs_apps.Water.tiny with Mgs_apps.Water.lock } in
+  List.iter
+    (fun (name, expected, got) -> Alcotest.(check string) name expected got)
+    [
+      ( "plain",
+        "tlb_fills=27 rreq=10 wreq=13 upgrades=7 rel=21 rel_ops=21 inv=19 \
+         1winv=5 pinv=36 diffs=17 diff_words=182 1wdata=4 1wclean=1 acks=2 \
+         syncs=10 sync_wait=76748 rel_wait=568549 fetch_wait=387038 \
+         upgrade_wait=58437",
+        line jacobi );
+      ( "faults",
+        "tlb_fills=27 rreq=10 wreq=15 upgrades=7 rel=21 rel_ops=21 inv=21 \
+         1winv=6 pinv=38 diffs=18 diff_words=193 1wdata=5 1wclean=1 acks=3 \
+         syncs=11 sync_wait=79749 rel_wait=614175 fetch_wait=460307 \
+         upgrade_wait=58437 net_retries=6 net_dups=12 net_timeouts=6",
+        line ~faults:(Mgs_net.Fault.scale Mgs_net.Fault.default_chaos ~intensity:0.5) jacobi
+      );
+      ( "mcs",
+        "tlb_fills=285 rreq=173 wreq=3 upgrades=171 rel=296 rel_ops=292 inv=172 \
+         1winv=60 pinv=316 diffs=116 diff_words=684 1wdata=60 1wclean=0 acks=56 \
+         syncs=20 sync_wait=34640 rel_wait=6700932 fetch_wait=830934 \
+         upgrade_wait=1093021 lock_msgs=1096 lock_handoffs=200 \
+         lock_wait=3456042",
+        line (water "mcs") );
+      ( "adapt",
+        "tlb_fills=277 rreq=178 wreq=5 upgrades=174 rel=296 rel_ops=292 inv=179 \
+         1winv=55 pinv=319 diffs=127 diff_words=715 1wdata=55 1wclean=0 acks=52 \
+         syncs=21 sync_wait=44310 rel_wait=6977318 fetch_wait=1010202 \
+         upgrade_wait=1192254 adapt_reclass=2 adapt_migs=2 adapt_fwds=4 \
+         adapt_yields=0 adapt_res=73/0/0",
+        line ~adapt:true (water "token") );
+    ]
+
+(* A phase reset zeroes the whole counter table: every column of every
+   SSMP's row, after a run whose registry lock, adaptive layer and lossy
+   LAN move each counter group on several shards at once. *)
+let test_reset_zeroes_table () =
+  let cfg = Mgs.Machine.config ~adapt:true ~par_jobs:2 ~nprocs:8 ~cluster:2 () in
+  let m = Mgs.Machine.create cfg in
+  Mgs.Machine.set_faults m (Mgs_net.Fault.scale Mgs_net.Fault.default_chaos ~intensity:0.5);
+  let w = Mgs_apps.Water.workload { Mgs_apps.Water.tiny with Mgs_apps.Water.lock = "mcs" } in
+  let body, check = w.Mgs_harness.Sweep.prepare m in
+  ignore (Mgs.Machine.run m body);
+  check m;
+  let rows = m.Mgs.State.counters in
+  let moved = List.filter (Array.exists (fun v -> v <> 0)) (Array.to_list rows) in
+  Alcotest.(check int) "every row counted" (Array.length rows) (List.length moved);
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) "lock, adaptive and sync columns moved" true
+        (Mgs.State.total m k > 0))
+    Mgs.Pstats.[ lock_msgs; adapt_res_mw; lock_acquires; barrier_episodes ];
+  Mgs.Machine.reset_stats m;
+  Array.iteri
+    (fun s row ->
+      Array.iteri
+        (fun k v -> if v <> 0 then Alcotest.failf "row %d column %d is %d after reset" s k v)
+        row)
+    rows
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest [ prop_topology_partition; prop_cpu_buckets_sum_to_clock ]
 
@@ -161,6 +238,11 @@ let () =
         [
           Alcotest.test_case "lan override" `Quick test_costs_lan_override;
           Alcotest.test_case "tlb fill decomposition" `Quick test_costs_tlb_fill_sum;
+        ] );
+      ( "counters",
+        [
+          Alcotest.test_case "pstats line pinned" `Quick test_pstats_line;
+          Alcotest.test_case "reset zeroes every row" `Quick test_reset_zeroes_table;
         ] );
       ("properties", qsuite);
     ]

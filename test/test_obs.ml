@@ -471,18 +471,33 @@ let test_checker_ignores_other_protocols () =
   Alcotest.(check int) "ivy machines are not judged by MGS invariants" 0
     (Mgs.Invariant.count checker)
 
+(* The transport gauges need both a fault plan and a sampler; they are
+   registered by whichever call comes second. *)
+let test_net_gauges_either_order () =
+  let spec = Mgs_net.Fault.of_string "drop=0.1" in
+  let columns faults_first =
+    let m = small_machine () in
+    if faults_first then Mgs.Machine.set_faults m spec;
+    let mt = Mgs.Machine.enable_metrics m in
+    if not faults_first then Mgs.Machine.set_faults m spec;
+    List.filter (fun c -> String.length c > 4 && String.sub c 0 4 = "net.") (Metrics.columns mt)
+  in
+  let net = [ "net.retransmits"; "net.dup_drops"; "net.unacked" ] in
+  Alcotest.(check (list string)) "metrics, then faults" net (columns false);
+  Alcotest.(check (list string)) "faults, then metrics" net (columns true)
+
 let test_reset_stats () =
   let m = small_machine () in
   ignore (run_mp m);
   let open Mgs.State in
   Alcotest.(check bool) "messages counted" true (Am.total_posted m.am > 0);
   Alcotest.(check bool) "lan traffic counted" true ((Lan.stats m.lan).Lan.messages > 0);
-  Alcotest.(check bool) "fetches counted" true (m.pstats.Mgs.Pstats.write_fetches > 0);
+  Alcotest.(check bool) "fetches counted" true (total m Mgs.Pstats.write_fetches > 0);
   Mgs.Machine.reset_stats m;
   Alcotest.(check int) "message counters zeroed" 0 (Am.total_posted m.am);
   Alcotest.(check int) "lan counters zeroed" 0 (Lan.stats m.lan).Lan.messages;
-  Alcotest.(check int) "protocol counters zeroed" 0 m.pstats.Mgs.Pstats.write_fetches;
-  Alcotest.(check int) "sync counters zeroed" 0 m.sync_counters.barrier_episodes
+  Alcotest.(check int) "protocol counters zeroed" 0 (total m Mgs.Pstats.write_fetches);
+  Alcotest.(check int) "sync counters zeroed" 0 (total m Mgs.Pstats.barrier_episodes)
 
 let () =
   Alcotest.run "obs"
@@ -531,6 +546,8 @@ let () =
             test_checker_flags_corruption;
           Alcotest.test_case "checker is MGS-only" `Quick
             test_checker_ignores_other_protocols;
+          Alcotest.test_case "net gauges in either order" `Quick
+            test_net_gauges_either_order;
           Alcotest.test_case "reset_stats" `Quick test_reset_stats;
         ] );
     ]

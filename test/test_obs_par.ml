@@ -4,7 +4,7 @@
 
    - full machines: chrome JSON, span dump, metrics CSV, and the
      histogram summary at par 2 and 4 against par 1, for every
-     protocol x app cell;
+     protocol x app cell and for faulty cells on a lossy LAN;
    - registry locks and condition variables under the parallel engine
      (the paper's workloads barely contend, so a dedicated contended
      run covers the lock/CV protocols);
@@ -20,7 +20,7 @@ module Condvar = Mgs_sync.Condvar
 
 (* --- export identity on full machines ------------------------------ *)
 
-let exports ~protocol ~par w =
+let exports ?faults ~protocol ~par w =
   let cfg =
     Mgs.Machine.config ~lan_latency:1000 ~par_jobs:par
       ~protocol:(Mgs.Protocol.proto_of_name protocol) ~nprocs:8 ~cluster:2 ()
@@ -28,6 +28,7 @@ let exports ~protocol ~par w =
   let m = Mgs.Machine.create cfg in
   let tr = Mgs.Machine.enable_trace m in
   let mt = Mgs.Machine.enable_metrics m in
+  (match faults with Some spec -> Mgs.Machine.set_faults m spec | None -> ());
   let body, check = w.Mgs_harness.Sweep.prepare m in
   ignore (Mgs.Machine.run m body);
   Mgs.Machine.assert_quiescent m;
@@ -47,25 +48,33 @@ let apps =
 
 let protocols = [ "mgs"; "hlrc"; "ivy" ]
 
-let test_export_identity () =
+let check_identity ?faults ~protocol (aname, w) =
+  let c0, s0, m0, h0 = exports ?faults ~protocol ~par:1 w in
   List.iter
-    (fun protocol ->
-      List.iter
-        (fun (aname, w) ->
-          let c0, s0, m0, h0 = exports ~protocol ~par:1 w in
-          List.iter
-            (fun par ->
-              let c, s, mm, h = exports ~protocol ~par w in
-              let lbl what =
-                Printf.sprintf "%s/%s par=%d: %s identical" protocol aname par what
-              in
-              Alcotest.(check string) (lbl "chrome") c0 c;
-              Alcotest.(check string) (lbl "spans") s0 s;
-              Alcotest.(check string) (lbl "metrics csv") m0 mm;
-              Alcotest.(check string) (lbl "summary") h0 h)
-            [ 2; 4 ])
-        apps)
-    protocols
+    (fun par ->
+      let c, s, mm, h = exports ?faults ~protocol ~par w in
+      let lbl what =
+        Printf.sprintf "%s/%s%s par=%d: %s identical" protocol aname
+          (if faults = None then "" else "/faults")
+          par what
+      in
+      Alcotest.(check string) (lbl "chrome") c0 c;
+      Alcotest.(check string) (lbl "spans") s0 s;
+      Alcotest.(check string) (lbl "metrics csv") m0 mm;
+      Alcotest.(check string) (lbl "summary") h0 h)
+    [ 2; 4 ]
+
+let test_export_identity () =
+  List.iter (fun protocol -> List.iter (check_identity ~protocol) apps) protocols
+
+(* A lossy LAN adds retransmissions to the trace and spans and the
+   net.* columns to the metrics; each SSMP's cell samples only its own
+   transport state, so these exports are par-identical too. *)
+let test_faulty_export_identity () =
+  let faults = Mgs_net.Fault.of_string "drop=0.05,dup=0.05,delay=0.1:2000,reorder=0.05" in
+  List.iter
+    (fun (protocol, aname) -> check_identity ~faults ~protocol (aname, List.assoc aname apps))
+    [ ("mgs", "jacobi"); ("hlrc", "water"); ("hlrc", "tsp") ]
 
 (* --- registry locks and condvars under the parallel engine --------- *)
 
@@ -207,6 +216,7 @@ let () =
       ( "identity",
         [
           Alcotest.test_case "protocol x app export matrix" `Quick test_export_identity;
+          Alcotest.test_case "export matrix under faults" `Quick test_faulty_export_identity;
           Alcotest.test_case "mcs lock + condvar under par" `Quick test_lock_cv_par;
         ] );
       ("emit-order", qsuite);

@@ -17,30 +17,6 @@
 
 module Sim = Mgs_engine.Sim
 
-(* --- report identity ------------------------------------------------- *)
-
-(* Everything in a report except wall_seconds and peak_queue. *)
-let ident (r : Mgs.Report.t) =
-  let b = r.Mgs.Report.breakdown in
-  let c = r.Mgs.Report.cache in
-  Format.asprintf
-    "out=%a rt=%d ev=%d | user=%.3f lock=%.3f barrier=%.3f mgs=%.3f | lan=%d/%d | \
-     sync=%d/%d/%d | cache=%d,%d,%d,%d,%d,%d | tags=%s | procs=%s | %a"
-    Mgs.Report.pp_outcome r.Mgs.Report.outcome r.Mgs.Report.runtime r.Mgs.Report.sim_events
-    b.Mgs.Report.user b.Mgs.Report.lock b.Mgs.Report.barrier b.Mgs.Report.mgs
-    r.Mgs.Report.lan_messages r.Mgs.Report.lan_words r.Mgs.Report.lock_acquires
-    r.Mgs.Report.lock_hits r.Mgs.Report.barrier_episodes c.Mgs_cache.Coherence.hits
-    c.Mgs_cache.Coherence.local_misses c.Mgs_cache.Coherence.remote_misses
-    c.Mgs_cache.Coherence.misses_2party c.Mgs_cache.Coherence.misses_3party
-    c.Mgs_cache.Coherence.software_extensions
-    (String.concat ","
-       (List.map
-          (fun (t, n) -> Printf.sprintf "%s:%d" t n)
-          r.Mgs.Report.messages_by_tag))
-    (String.concat ","
-       (List.map string_of_int (Array.to_list r.Mgs.Report.per_proc_total)))
-    Mgs.Pstats.pp r.Mgs.Report.pstats
-
 let apps =
   [
     ("jacobi", Mgs_apps.Jacobi.workload Mgs_apps.Jacobi.tiny);
@@ -61,7 +37,7 @@ let test_machine_equivalence () =
           List.iter
             (fun (fname, faults) ->
               let run par =
-                ident
+                Mgs.Report.ident
                   (Mgs_harness.Sweep.run_point ~check:false ?faults ~protocol ~par
                      ~nprocs:8 ~cluster:2 w)
                     .Mgs_harness.Sweep.report
@@ -85,7 +61,7 @@ let test_machine_equivalence () =
 let test_job_ladder () =
   let w = Mgs_apps.Jacobi.workload Mgs_apps.Jacobi.tiny in
   let run par =
-    ident
+    Mgs.Report.ident
       (Mgs_harness.Sweep.run_point ~check:false ~par ~nprocs:16 ~cluster:4 w)
         .Mgs_harness.Sweep.report
   in
@@ -116,7 +92,7 @@ let trace_dump par =
     (fun (e : Mgs_obs.Event.t) ->
       Buffer.add_string buf (Format.asprintf "%a\n" Mgs_obs.Event.pp e))
     (Mgs_obs.Trace.events tr);
-  (ident report, Buffer.contents buf)
+  (Mgs.Report.ident report, Buffer.contents buf)
 
 let test_trace_parity () =
   let i1, d1 = trace_dump 1 in

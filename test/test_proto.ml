@@ -24,9 +24,9 @@ let test_single_writer_optimization () =
            Mgs.Api.release ctx
          end));
   Mgs.Machine.assert_quiescent m;
-  Alcotest.(check int) "1WINV used" 1 m.pstats.one_winvals;
-  Alcotest.(check int) "full page shipped" 1 m.pstats.one_wdata;
-  Alcotest.(check int) "no plain INV" 0 m.pstats.invals;
+  Alcotest.(check int) "1WINV used" 1 (total m Mgs.Pstats.one_winvals);
+  Alcotest.(check int) "full page shipped" 1 (total m Mgs.Pstats.one_wdata);
+  Alcotest.(check int) "no plain INV" 0 (total m Mgs.Pstats.invals);
   Alcotest.(check (float 0.)) "master merged" 7.0 (Mgs.Machine.peek m page);
   (* the writer's SSMP retains its copy with write privilege *)
   let ce = get_centry m 0 (Geom.vpn_of_addr m.geom page) in
@@ -48,8 +48,8 @@ let test_retained_copy_refills_cheaply () =
            Mgs.Api.write ctx page 2.0;
            Mgs.Api.release ctx
          end));
-  Alcotest.(check int) "only one WREQ ever" 1 m.pstats.write_fetches;
-  Alcotest.(check bool) "local refill happened" true (m.pstats.tlb_local_fills >= 1);
+  Alcotest.(check int) "only one WREQ ever" 1 (total m Mgs.Pstats.write_fetches);
+  Alcotest.(check bool) "local refill happened" true (total m Mgs.Pstats.tlb_local_fills >= 1);
   Alcotest.(check (float 0.)) "second value merged" 2.0 (Mgs.Machine.peek m page)
 
 let test_clean_retained_release_is_light () =
@@ -67,7 +67,7 @@ let test_clean_retained_release_is_light () =
            Mgs.Api.release ctx;
            Mgs.Api.release ctx
          end));
-  Alcotest.(check int) "two full page write-backs" 2 m.pstats.one_wdata;
+  Alcotest.(check int) "two full page write-backs" 2 (total m Mgs.Pstats.one_wdata);
   Alcotest.(check (float 0.)) "value" 1.5 (Mgs.Machine.peek m page)
 
 let test_two_writers_merge_by_diff () =
@@ -88,7 +88,7 @@ let test_two_writers_merge_by_diff () =
   Mgs.Machine.assert_quiescent m;
   Alcotest.(check (float 0.)) "word 0" 10.0 (Mgs.Machine.peek m (base + 0));
   Alcotest.(check (float 0.)) "word 1" 20.0 (Mgs.Machine.peek m (base + 1));
-  Alcotest.(check bool) "diffs flowed" true (m.pstats.diffs >= 1);
+  Alcotest.(check bool) "diffs flowed" true (total m Mgs.Pstats.diffs >= 1);
   Alcotest.(check int) "no shadow divergence" 0 (Mgs.Machine.shadow_mismatches m)
 
 let test_upgrade_path () =
@@ -103,9 +103,9 @@ let test_upgrade_path () =
            Mgs.Api.write ctx page (v +. 1.0);
            Mgs.Api.release ctx
          end));
-  Alcotest.(check int) "upgrade executed" 1 m.pstats.upgrades;
-  Alcotest.(check int) "read fetch only" 1 m.pstats.read_fetches;
-  Alcotest.(check int) "no write fetch" 0 m.pstats.write_fetches;
+  Alcotest.(check int) "upgrade executed" 1 (total m Mgs.Pstats.upgrades);
+  Alcotest.(check int) "read fetch only" 1 (total m Mgs.Pstats.read_fetches);
+  Alcotest.(check int) "no write fetch" 0 (total m Mgs.Pstats.write_fetches);
   Alcotest.(check (float 0.)) "merged" 6.0 (Mgs.Machine.peek m page)
 
 let test_eager_invalidation_of_readers () =
@@ -168,9 +168,9 @@ let test_single_writer_opt_disabled () =
            Mgs.Api.write ctx page 7.0;
            Mgs.Api.release ctx
          end));
-  Alcotest.(check int) "no 1WINV" 0 m.pstats.one_winvals;
-  Alcotest.(check int) "plain INV instead" 1 m.pstats.invals;
-  Alcotest.(check int) "diff returned" 1 m.pstats.diffs;
+  Alcotest.(check int) "no 1WINV" 0 (total m Mgs.Pstats.one_winvals);
+  Alcotest.(check int) "plain INV instead" 1 (total m Mgs.Pstats.invals);
+  Alcotest.(check int) "diff returned" 1 (total m Mgs.Pstats.diffs);
   Alcotest.(check (float 0.)) "merged via diff" 7.0 (Mgs.Machine.peek m page);
   (* without the optimization the copy is dropped, not retained *)
   let ce = get_centry m 0 (Geom.vpn_of_addr m.geom page) in
@@ -197,7 +197,7 @@ let test_early_read_ack_still_correct () =
          Mgs_sync.Barrier.wait ctx bar));
   Mgs.Machine.assert_quiescent m;
   Alcotest.(check int) "no shadow divergence" 0 (Mgs.Machine.shadow_mismatches m);
-  Alcotest.(check bool) "read invalidations happened" true (m.pstats.acks > 0)
+  Alcotest.(check bool) "read invalidations happened" true (total m Mgs.Pstats.acks > 0)
 
 let test_early_read_ack_is_faster () =
   (* The optimization targets pages whose read copies are expensive to
@@ -316,9 +316,9 @@ let test_wnotify_race_regression () =
   Alcotest.(check int) "no shadow divergence" 0 (Mgs.Machine.shadow_mismatches m);
   (* pin the interleaving: the epoch used the single-writer path AND
      collected a diff from the racing upgrader *)
-  Alcotest.(check bool) "single-writer path taken" true (m.pstats.one_winvals >= 1);
-  Alcotest.(check bool) "upgrader answered with a diff" true (m.pstats.diffs >= 1);
-  Alcotest.(check bool) "upgrade really raced" true (m.pstats.upgrades >= 1)
+  Alcotest.(check bool) "single-writer path taken" true (total m Mgs.Pstats.one_winvals >= 1);
+  Alcotest.(check bool) "upgrader answered with a diff" true (total m Mgs.Pstats.diffs >= 1);
+  Alcotest.(check bool) "upgrade really raced" true (total m Mgs.Pstats.upgrades >= 1)
 
 let test_quiescence_detects_dirty_duq () =
   let m = make () in
@@ -380,7 +380,7 @@ let test_page_size_parameter () =
              done;
              Mgs.Api.release ctx
            end));
-    m.pstats.releases
+    (total m Mgs.Pstats.releases)
   in
   Alcotest.(check int) "256-word pages: 1 REL" 1 (releases 256);
   Alcotest.(check int) "64-word pages: 4 RELs" 4 (releases 64)

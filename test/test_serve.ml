@@ -261,10 +261,7 @@ let test_registry_bad_param () =
     if not (contains msg "bogus" && contains msg "theta") then
       Alcotest.failf "error %S does not name the bad knob and the accepted ones" msg
 
-let report_ident w =
-  let r = (Sweep.run_point ~nprocs:8 ~cluster:2 w).Sweep.report in
-  Format.asprintf "%d/%d/%d/%d/%a" r.Mgs.Report.runtime r.Mgs.Report.sim_events
-    r.Mgs.Report.lan_messages r.Mgs.Report.lan_words Mgs.Pstats.pp r.Mgs.Report.pstats
+let report_ident w = Mgs.Report.ident (Sweep.run_point ~nprocs:8 ~cluster:2 w).Sweep.report
 
 let test_registry_equals_direct () =
   List.iter

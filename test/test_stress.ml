@@ -95,10 +95,11 @@ let run_program ~nprocs ~cluster ~page_words ~lan ~steps ~seed =
 (* Conservation law of the MGS server: every invalidation sent must be
    answered by exactly one ACK, DIFF, 1WDATA, or 1WCLEAN. *)
 let check_conservation (m : Mgs.Machine.t) =
-  let p = m.Mgs.State.pstats in
-  let sent = p.Mgs.Pstats.invals + p.Mgs.Pstats.one_winvals in
+  let total = Mgs.State.total m in
+  let sent = total Mgs.Pstats.invals + total Mgs.Pstats.one_winvals in
   let answered =
-    p.Mgs.Pstats.acks + p.Mgs.Pstats.diffs + p.Mgs.Pstats.one_wdata + p.Mgs.Pstats.one_wclean
+    total Mgs.Pstats.acks + total Mgs.Pstats.diffs + total Mgs.Pstats.one_wdata
+    + total Mgs.Pstats.one_wclean
   in
   if sent <> answered then
     failwith (Printf.sprintf "conservation violated: %d INVs, %d replies" sent answered)
