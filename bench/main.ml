@@ -494,25 +494,9 @@ let extra_fft () =
    adopted the TreadMarks-lineage techniques its related work cites *)
 let hlrc_figs () =
   print_endline "=== Extra: Figures 6-10 under HLRC (lazy release consistency) ===";
-  let sweep_hlrc w =
-    let clusters = Sweep.clusters_of nprocs in
-    Mgs_util.Dpool.map ~jobs:!jobs
-      (fun cluster ->
-        let cfg =
-          Mgs.Machine.config ~lan_latency:1000
-            ~protocol:(Mgs.Protocol.proto_of_name "hlrc") ~nprocs ~cluster ()
-        in
-        let m = Mgs.Machine.create cfg in
-        let body, check = w.Sweep.prepare m in
-        let report = Mgs.Machine.run m body in
-        Mgs.Machine.assert_quiescent m;
-        check m;
-        { Sweep.cluster; report; lock_hit_ratio = Mgs.Report.lock_hit_ratio report })
-      clusters
-  in
   List.iter
     (fun (name, w) ->
-      let points = sweep_hlrc w in
+      let points = Sweep.sweep ~protocol:"hlrc" ~check:false ~jobs:!jobs ~nprocs w in
       print_string (Figures.breakdown_figure ~title:(name ^ " under HLRC") points);
       print_newline ())
     [ ("Jacobi", wl "jacobi"); ("TSP", wl "tsp"); ("Water", wl "water"); ("Barnes-Hut", wl "barnes") ]

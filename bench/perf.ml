@@ -32,45 +32,37 @@ let allocated_bytes () =
   (s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words)
   *. float_of_int (Sys.word_size / 8)
 
-let measure ?(par = 1) ?(check = true) ?(adapt = false) ~nprocs ~cluster (name, w) =
+(* One measured row: wall-clock and every domain's allocation across
+   [run], which returns the run's simulated events and cycles. *)
+let timed ~app ~nprocs ~cluster run =
   let a0 = allocated_bytes () in
   let t0 = Unix.gettimeofday () in
-  let pt = Sweep.run_point ~check ~par ~adapt ~nprocs ~cluster w in
+  let sim_events, sim_cycles = run () in
   let wall = Unix.gettimeofday () -. t0 in
   let allocated = allocated_bytes () -. a0 in
-  let r = pt.Sweep.report in
   {
-    app = name;
+    app;
     nprocs;
     cluster;
     wall_s = wall;
     allocated_mb = allocated /. 1048576.;
-    sim_events = r.Mgs.Report.sim_events;
-    sim_cycles = r.Mgs.Report.runtime;
-    events_per_s =
-      (if wall > 0. then float_of_int r.Mgs.Report.sim_events /. wall else 0.);
+    sim_events;
+    sim_cycles;
+    events_per_s = (if wall > 0. then float_of_int sim_events /. wall else 0.);
   }
+
+let measure ?(par = 1) ?(check = true) ?(adapt = false) ~nprocs ~cluster (name, w) =
+  timed ~app:name ~nprocs ~cluster (fun () ->
+      let r = (Sweep.run_point ~check ~par ~adapt ~nprocs ~cluster w).Sweep.report in
+      (r.Mgs.Report.sim_events, r.Mgs.Report.runtime))
 
 (* Contended-lock microbenchmark rows: one per registered lock, under
    the same byte-identity gate as the app rows — a sim_events/sim_cycles
    drift here means a lock algorithm's message flow changed. *)
 let measure_lock ~cluster ~fibers lock =
-  let a0 = allocated_bytes () in
-  let t0 = Unix.gettimeofday () in
-  let pt = Mgs_harness.Micro.lock_point ~lock ~protocol:"mgs" ~cluster ~fibers () in
-  let wall = Unix.gettimeofday () -. t0 in
-  let allocated = allocated_bytes () -. a0 in
-  {
-    app = "lock-" ^ lock;
-    nprocs = max fibers cluster;
-    cluster;
-    wall_s = wall;
-    allocated_mb = allocated /. 1048576.;
-    sim_events = pt.Mgs_harness.Micro.lk_sim_events;
-    sim_cycles = pt.Mgs_harness.Micro.lk_runtime;
-    events_per_s =
-      (if wall > 0. then float_of_int pt.Mgs_harness.Micro.lk_sim_events /. wall else 0.);
-  }
+  timed ~app:("lock-" ^ lock) ~nprocs:(max fibers cluster) ~cluster (fun () ->
+      let pt = Mgs_harness.Micro.lock_point ~lock ~protocol:"mgs" ~cluster ~fibers () in
+      (pt.Mgs_harness.Micro.lk_sim_events, pt.Mgs_harness.Micro.lk_runtime))
 
 (* Large-P rows on the windowed engine: P = 64..1024 processors at
    C = 16 and 64, jacobi sized so every processor owns one grid row and
@@ -121,32 +113,20 @@ let traced_rows () =
     (fun cluster ->
       List.map
         (fun (name, w) ->
-          let a0 = allocated_bytes () in
-          let t0 = Unix.gettimeofday () in
-          let cfg = Mgs.Machine.config ~lan_latency:1000 ~par_jobs:4 ~nprocs ~cluster () in
-          let m = Mgs.Machine.create cfg in
-          let tr = Mgs.Machine.enable_trace m in
-          let mt = Mgs.Machine.enable_metrics m in
-          let body, check = w.Sweep.prepare m in
-          let report = Mgs.Machine.run m body in
-          Mgs.Machine.assert_quiescent m;
-          check m;
-          ignore (String.length (Mgs_obs.Trace.chrome_json tr));
-          ignore (String.length (Mgs_obs.Metrics.csv mt));
-          let wall = Unix.gettimeofday () -. t0 in
-          let allocated = allocated_bytes () -. a0 in
-          {
-            app = name;
-            nprocs;
-            cluster;
-            wall_s = wall;
-            allocated_mb = allocated /. 1048576.;
-            sim_events = report.Mgs.Report.sim_events;
-            sim_cycles = report.Mgs.Report.runtime;
-            events_per_s =
-              (if wall > 0. then float_of_int report.Mgs.Report.sim_events /. wall
-               else 0.);
-          })
+          timed ~app:name ~nprocs ~cluster (fun () ->
+              let cfg =
+                Mgs.Machine.config ~lan_latency:1000 ~par_jobs:4 ~nprocs ~cluster ()
+              in
+              let m = Mgs.Machine.create cfg in
+              let tr = Mgs.Machine.enable_trace m in
+              let mt = Mgs.Machine.enable_metrics m in
+              let body, check = w.Sweep.prepare m in
+              let report = Mgs.Machine.run m body in
+              Mgs.Machine.assert_quiescent m;
+              check m;
+              ignore (String.length (Mgs_obs.Trace.chrome_json tr));
+              ignore (String.length (Mgs_obs.Metrics.csv mt));
+              (report.Mgs.Report.sim_events, report.Mgs.Report.runtime)))
         apps)
     [ 16; 64 ]
 
@@ -202,76 +182,36 @@ let json_of_rows ~quick rows =
   Buffer.add_string buf "  ]\n}\n";
   Buffer.contents buf
 
-(* Parse a baseline file in our own output format (one row object per
-   line).  Deliberately line-oriented rather than a JSON library: the
-   writer above is the only producer, and keeping bench dependency-free
-   matters more than tolerating reformatted input. *)
+(* Read a baseline with the strict JSON parser [trace_lint --bench]
+   checks the same file with. *)
 let rows_of_file path =
-  let field_int line key =
-    let pat = Printf.sprintf "\"%s\": " key in
-    match
-      let rec find i =
-        if i + String.length pat > String.length line then None
-        else if String.sub line i (String.length pat) = pat then
-          Some (i + String.length pat)
-        else find (i + 1)
-      in
-      find 0
-    with
-    | None -> failwith (Printf.sprintf "perf: %s: missing field %S" path key)
-    | Some start ->
-      let stop = ref start in
-      while
-        !stop < String.length line
-        && (match line.[!stop] with
-           | '0' .. '9' | '-' | '.' -> true
-           | _ -> false)
-      do
-        incr stop
-      done;
-      String.sub line start (!stop - start)
+  let module Json = Mgs_obs.Json in
+  let fail fmt = Printf.ksprintf (fun msg -> failwith ("perf: " ^ path ^ ": " ^ msg)) fmt in
+  let json =
+    match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+    | Ok v -> v
+    | Error e -> fail "invalid JSON: %s" e
   in
-  let field_string line key =
-    let raw = Printf.sprintf "\"%s\": \"" key in
-    let rec find i =
-      if i + String.length raw > String.length line then
-        failwith (Printf.sprintf "perf: %s: missing field %S" path key)
-      else if String.sub line i (String.length raw) = raw then i + String.length raw
-      else find (i + 1)
-    in
-    let start = find 0 in
-    let stop = String.index_from line start '"' in
-    String.sub line start (stop - start)
+  let get conv what r key =
+    match Option.bind (Json.member key r) conv with
+    | Some v -> v
+    | None -> fail "missing %s field %S" what key
   in
-  let contains line sub =
-    let n = String.length sub in
-    let rec go i =
-      i + n <= String.length line && (String.sub line i n = sub || go (i + 1))
-    in
-    go 0
-  in
-  let ic = open_in path in
-  let rows = ref [] in
-  (try
-     while true do
-       let line = input_line ic in
-       if contains line "\"app\":" then
-         rows :=
-           {
-             app = field_string line "app";
-             nprocs = int_of_string (field_int line "nprocs");
-             cluster = int_of_string (field_int line "cluster");
-             wall_s = float_of_string (field_int line "wall_s");
-             allocated_mb = float_of_string (field_int line "allocated_mb");
-             sim_events = int_of_string (field_int line "sim_events");
-             sim_cycles = int_of_string (field_int line "sim_cycles");
-             events_per_s = float_of_string (field_int line "events_per_s");
-           }
-           :: !rows
-     done
-   with End_of_file -> ());
-  close_in ic;
-  List.rev !rows
+  let num r key = get Json.to_number "number" r key in
+  let int r key = int_of_float (num r key) in
+  List.map
+    (fun r ->
+      {
+        app = get Json.to_string "string" r "app";
+        nprocs = int r "nprocs";
+        cluster = int r "cluster";
+        wall_s = num r "wall_s";
+        allocated_mb = num r "allocated_mb";
+        sim_events = int r "sim_events";
+        sim_cycles = int r "sim_cycles";
+        events_per_s = num r "events_per_s";
+      })
+    (get Json.to_list "array" json "rows")
 
 (* Compare a fresh run against the committed baseline.  sim_events and
    sim_cycles are simulation-deterministic: any change there is semantic

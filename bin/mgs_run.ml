@@ -355,8 +355,8 @@ let par_t =
            lookahead window.  Results are byte-identical for every $(docv), including \
            every observability export (--trace, --spans, --metrics record per shard \
            and merge deterministically).  A zero --delay leaves no lookahead window \
-           and runs on one domain.  The shadow heap (MGS_SHADOW=1), message \
-           recording, and --check still reduce a parallel run to one domain, loudly.")
+           and runs on one domain.  The shadow heap (MGS_SHADOW=1) and --check \
+           still reduce a parallel run to one domain, loudly.")
 
 let adapt_t =
   Arg.(

@@ -1,5 +1,3 @@
-type recorder = Mgs_engine.Sim.time -> Mgs_net.Envelope.t -> unit
-
 module Span = Mgs_obs.Span
 
 (* Message counters live in per-SSMP cells so concurrent shards of the
@@ -19,7 +17,6 @@ type t = {
          happens in [deliver], which runs on the receiver's shard) *)
   total : int array; (* per sender SSMP *)
   in_flight : int array; (* per SSMP: posted here minus delivered here *)
-  mutable recorder : recorder option;
   mutable obs : Mgs_obs.Trace.t option;
 }
 
@@ -37,7 +34,6 @@ let create sim costs topo ~lan ~cpus =
     hlabels = Array.init nssmps (fun _ -> Hashtbl.create 32);
     total = Array.make nssmps 0;
     in_flight = Array.make nssmps 0;
-    recorder = None;
     obs = None;
   }
 
@@ -80,7 +76,6 @@ let post am ~tag ~src ~dst ~words ~cost k =
   let env = { Mgs_net.Envelope.tag; src; dst; src_ssmp; dst_ssmp; words; cost } in
   let deliver arrive =
     am.in_flight.(dst_ssmp) <- am.in_flight.(dst_ssmp) - 1;
-    (match am.recorder with Some r -> r arrive env | None -> ());
     let fin =
       Mgs_machine.Cpu.occupy am.cpus.(dst) ~at:arrive ~cost:(p.handler_dispatch + cost)
     in
@@ -178,10 +173,6 @@ let run_on am ?tag ~proc ~at ~cost k =
         Span.set_current sp hctx;
         k fin;
         Span.set_current sp saved)
-
-let set_recorder am r = am.recorder <- r
-
-let recording am = am.recorder <> None
 
 let set_obs am tr = am.obs <- tr
 

@@ -51,16 +51,6 @@ val run_on :
     a lock handoff).  When [tag] is given and an event trace is
     installed, the occupancy slice is recorded under that tag. *)
 
-val set_recorder : t -> (Mgs_engine.Sim.time -> Mgs_net.Envelope.t -> unit) option -> unit
-(** Install (or remove) a callback invoked at every message delivery
-    with the delivered {!Mgs_net.Envelope.t} — the hook behind trace
-    dumps.  The callback must not post messages. *)
-
-val recording : t -> bool
-(** Whether a delivery recorder is installed.  Recorders observe every
-    shard's deliveries through one callback, so {!Machine.run} forces a
-    sharded run down to one domain while one is installed. *)
-
 val set_obs : t -> Mgs_obs.Trace.t option -> unit
 (** Install (or remove) an event trace: every delivered message emits a
     structured {!Mgs_obs.Event.t} (tag, endpoints, payload size, handler

@@ -82,9 +82,7 @@ let idle_until ctx t =
   Mgs_engine.Fiber.sleep_until ctx.m.sim t;
   Cpu.catch_up_to ctx.cpu User (Sim.now ctx.m.sim)
 
-let release ctx =
-  let (module P : Protocol.PROTOCOL) = Protocol.impl_of ctx.m.protocol in
-  P.release_all ctx.m ~proc:ctx.proc
+let release ctx = Protocol.release ctx.m ~proc:ctx.proc
 
 (* Refresh the last-page cache after the slow path resolved [vpn].
    Called with no intervening suspension point before the caller uses
@@ -122,9 +120,7 @@ let access_single ctx ~write ~vpn ~addr =
 let access_multi ctx ~write ~vpn ~addr =
   let m = ctx.m in
   let s = Topology.ssmp_of_proc m.topo ctx.proc in
-  (if not (Tlb.grants ctx.tlb ~vpn ~write) then
-     let (module P : Protocol.PROTOCOL) = Protocol.impl_of m.protocol in
-     P.fault m ~proc:ctx.proc ~vpn ~write);
+  if not (Tlb.grants ctx.tlb ~vpn ~write) then Protocol.fault m ~proc:ctx.proc ~vpn ~write;
   let ce = get_centry m s vpn in
   let data = match ce.cdata with Some d -> d | None -> assert false in
   (* Maintain the twin's dirty-word bitmap on every store, so the diff

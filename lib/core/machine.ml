@@ -334,11 +334,11 @@ let run (m : t) body =
   let t0 = Unix.gettimeofday () in
   (* trace, spans, and metrics are per-shard (each domain writes only
      its own cell) and do not constrain the engine.  What still forces a
-     single domain: the shadow heap, the AM recorder, and trace
-     subscribers (the online invariant checker) — each is one shared
-     mutable structure written from every shard.  Results are identical
-     either way — only wall time changes — but the reduction is loud so
-     a slow "parallel" run is explicable. *)
+     single domain: the shadow heap and trace subscribers (the online
+     invariant checker) — each is one shared mutable structure written
+     from every shard.  Results are identical either way — only wall
+     time changes — but the reduction is loud so a slow "parallel" run
+     is explicable. *)
   let force what =
     Printf.eprintf
       "mgs: %s is a single-domain subsystem; parallel engine reduced from %d \
@@ -349,10 +349,6 @@ let run (m : t) body =
   let eff =
     if m.par_jobs >= 2 && m.shadow <> None then begin
       force "shadow heap checking";
-      1
-    end
-    else if m.par_jobs >= 2 && Am.recording m.am then begin
-      force "message recording (trace_messages)";
       1
     end
     else if
@@ -397,12 +393,6 @@ let run (m : t) body =
   | Some mt -> Mgs_obs.Metrics.sample mt ~now:(Sim.now m.sim)
   | None -> ());
   Report.of_machine ~wall_seconds:(Unix.gettimeofday () -. t0) ~outcome m
-
-let trace_messages (m : t) sink =
-  Am.set_recorder m.am
-    (Some
-       (fun time (env : Mgs_net.Envelope.t) ->
-         sink (Printf.sprintf "%d %s %d %d %d" time env.tag env.src env.dst env.words)))
 
 let assert_quiescent (m : t) =
   Array.iteri

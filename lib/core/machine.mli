@@ -157,11 +157,6 @@ val run : t -> (Api.ctx -> unit) -> Report.t
     [outcome = Partitioned _] in the report instead of hanging.
     @raise Failure if any fiber deadlocks or the event limit trips. *)
 
-val trace_messages : t -> (string -> unit) -> unit
-(** Stream one line per delivered protocol message ("time tag src dst
-    words") into the sink, for offline analysis of the message flow.
-    Pass-through to {!Mgs_am.Am.set_recorder}; call before [run]. *)
-
 val assert_quiescent : t -> unit
 (** Check end-of-run protocol invariants: every delayed update queue is
     empty, no mapping lock is held, and every server entry is out of

@@ -50,9 +50,6 @@ let forward m ~self ~vpn ~tag ~cost k =
    transition walks the lattice and never lands mid-epoch). *)
 let adapt_switch m se ~old ~nxt =
   count m Pstats.adapt_reclass 1;
-  if tracing then
-    trace m se.s_vpn "adapt: regime %s -> %s" (Adapt.regime_name old)
-      (Adapt.regime_name nxt);
   obs_emit m ~engine:Mgs_obs.Event.Server ~tag:"ADAPT" ~vpn:se.s_vpn
     ~src:se.s_cur_home ~dst:(-1) ~words:(Adapt.code nxt) ~cost:(Adapt.code old) ~dur:0
 
@@ -82,7 +79,6 @@ let adapt_move_home m a (p : Adapt.page) se =
   let nhome = global_proc m dom (local_idx m cur) in
   let vpn = se.s_vpn in
   count m Pstats.adapt_migs 1;
-  if tracing then trace m vpn "adapt: home %d -> %d (dominant ssmp %d)" cur nhome dom;
   obs_emit m ~engine:Mgs_obs.Event.Server ~tag:"ADAPT.MIG" ~vpn ~src:cur ~dst:nhome
     ~words:m.geom.Geom.page_words ~cost:0 ~dur:0;
   se.s_cur_home <- nhome;
@@ -134,9 +130,6 @@ let send_data m se ~requester ~write =
   end
   else Bitset.add se.s_read_dir ssmp;
   if not (Hashtbl.mem se.s_frame_procs ssmp) then Hashtbl.replace se.s_frame_procs ssmp requester;
-  if tracing then trace m se.s_vpn "send_data -> proc %d (ssmp %d) write=%b rd=%s wr=%s" requester ssmp eff_write
-    (Format.asprintf "%a" Bitset.pp se.s_read_dir)
-    (Format.asprintf "%a" Bitset.pp se.s_write_dir);
   obs_emit m ~engine:Mgs_obs.Event.Server ~tag:"sv.send_data" ~vpn:se.s_vpn
     ~src:cur ~dst:requester ~words:m.geom.Geom.page_words ~cost:0 ~dur:0;
   let payload = Pagedata.copy se.s_master in
@@ -151,23 +144,10 @@ let send_data m se ~requester ~write =
   Am.post m.am ~tag ~src:cur ~dst:requester ~words:m.geom.Geom.page_words
     ~cost:install_cost (fun _t ->
       let ce = get_centry m ssmp vpn in
-      assert (ce.pstate = P_busy);
-      assert (Mlock.held ce.mlock);
-      bump_gen m;
-      ce.cdata <- Some payload;
-      ce.ctwin <-
-        (if eff_write && not notwin then Some (take_twin ce ~from:payload) else None);
+      install m ce ~proc:requester ~write:eff_write ~twin:(eff_write && not notwin) payload;
       ce.c_notwin <- notwin;
-      ce.frame_owner <- local_idx m requester;
-      ce.pstate <- (if eff_write then P_write else P_read);
-      ce.c_dirty <- false;
-      Bitset.clear ce.tlb_dir;
       view_note m ~ssmp ~vpn cur;
-      match ce.fetch_resume with
-      | Some resume ->
-        ce.fetch_resume <- None;
-        resume ()
-      | None -> assert false)
+      wake_fetch ce)
 
 (* RREQ / WREQ arrival at the home (arcs 17-19; queued by arc 22 during
    a release).  [self] is the processor the message was addressed to —
@@ -223,7 +203,6 @@ let rec server_wnotify m ~self ~vpn ~ssmp =
   then ()
   else begin
     let se = get_sentry m vpn in
-    if tracing then trace m vpn "WNOTIFY from ssmp %d (state rel=%b)" ssmp (se.s_state = S_rel);
     obs_emit m ~engine:Mgs_obs.Event.Server ~tag:"sv.wnotify" ~vpn ~src:(-1) ~dst:(-1) ~words:0 ~cost:0 ~dur:0;
     match se.s_state with
     | S_rel -> ()
@@ -285,8 +264,6 @@ let adapt_decide m a se (p : Adapt.page) =
   end
 
 let rec complete_release m se =
-  if tracing then trace m se.s_vpn "complete_release: retained=%d pending_diffs=%d page=%b"
-    se.s_retained (List.length se.s_pending_diffs) (se.s_pending_page <> None);
   (* Merge buffered write-backs: the retained writer's full page first,
      then every diff (diffs carry exactly the words their writers
      modified this epoch, so they must win over the full page).  A
@@ -382,11 +359,7 @@ and send_rack m se proc =
   let cur = se.s_cur_home and vpn = se.s_vpn in
   Am.post m.am ~tag:"RACK" ~src:cur ~dst:proc ~words:0 ~cost:0 (fun _t ->
       view_note m ~ssmp:(Topology.ssmp_of_proc m.topo proc) ~vpn cur;
-      match m.rel_resume.(proc) with
-      | Some resume ->
-        m.rel_resume.(proc) <- None;
-        resume ()
-      | None -> assert false)
+      wake_ack m proc)
 
 (* Begin an invalidation epoch on behalf of [releasers] (arcs 20-21). *)
 and start_epoch m se ~releasers =
@@ -426,14 +399,6 @@ and start_epoch m se ~releasers =
 (* ACK / DIFF / 1WDATA / YIELD arrival at the home (arcs 22-23). *)
 and server_collect m ~vpn ~ssmp ~payload =
   let se = get_sentry m vpn in
-  if tracing then trace m vpn "collect from ssmp %d: %s (count %d -> %d)" ssmp
-    (match payload with
-    | `Ack -> "ACK"
-    | `Diff d -> Printf.sprintf "DIFF(%d)" (Pagedata.diff_size d)
-    | `Page _ -> "PAGE"
-    | `Clean _ -> "1WCLEAN"
-    | `Yield _ -> "YIELD")
-    se.s_count (se.s_count - 1);
   obs_emit m ~engine:Mgs_obs.Event.Server ~tag:"sv.collect" ~vpn ~dst:se.s_cur_home
     ~cost:se.s_count ~src:(-1) ~words:0 ~dur:0;
   assert (se.s_state = S_rel);
@@ -602,7 +567,6 @@ and finish_inv m ~ssmp ~vpn ~reply_to =
 and client_inv m ~ssmp ~vpn ~single ~reply_to =
   let c = m.costs in
   let ce = get_centry m ssmp vpn in
-  if tracing then trace m vpn "client_inv ssmp %d single=%b (lock held=%b)" ssmp single (Mlock.held ce.mlock);
   obs_emit m ~engine:Mgs_obs.Event.Remote_client ~tag:"rc.inv" ~vpn
     ~dst:(global_proc m ssmp 0) ~cost:(if single then 1 else 0) ~src:(-1) ~words:0 ~dur:0;
   (* The continuation may run much later (mapping lock busy); capture
@@ -611,8 +575,6 @@ and client_inv m ~ssmp ~vpn ~single ~reply_to =
   let ictx = span_current m in
   Mlock.acquire_k m.sim ce.mlock (fun () ->
       span_with m ictx @@ fun () ->
-      if tracing then trace m vpn "client_inv ssmp %d RUNNING pstate=%s" ssmp
-        (match ce.pstate with P_inv -> "inv" | P_read -> "read" | P_write -> "write" | P_busy -> "busy");
       match ce.pstate with
       | P_inv ->
         (* The copy is already gone (stale INV); just acknowledge. *)
@@ -696,10 +658,6 @@ and server_rel m ~self ~vpn ~releaser =
   then ()
   else begin
     let se = get_sentry m vpn in
-    if tracing then trace m vpn "REL from proc %d: state=%s rd=%s wr=%s" releaser
-      (match se.s_state with S_rel -> "REL_IN_PROG" | S_read -> "READ" | S_write -> "WRITE")
-      (Format.asprintf "%a" Bitset.pp se.s_read_dir)
-      (Format.asprintf "%a" Bitset.pp se.s_write_dir);
     obs_emit m ~engine:Mgs_obs.Event.Server ~tag:"sv.rel" ~vpn ~src:releaser
       ~dst:se.s_cur_home ~words:0 ~cost:0 ~dur:0;
     match se.s_state with
@@ -722,121 +680,48 @@ and server_rel m ~self ~vpn ~releaser =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Local Client engine: the fiber-side fault path (arcs 1-7).          *)
+(* Local Client steps (arcs 2, 5); {!Protocol.fault} runs the rest.    *)
 (* ------------------------------------------------------------------ *)
 
-let fault m ~proc ~vpn ~write =
-  let c = m.costs in
-  let cpu = m.cpus.(proc) in
+(* Arc 5: ask the home for the page (RREQ / WREQ). *)
+let request m ~proc ~vpn ~write =
   let ssmp = Topology.ssmp_of_proc m.topo proc in
-  let duq = m.duqs.(proc) in
-  let ce = get_centry m ssmp vpn in
-  let lidx = local_idx m proc in
-  Cpu.advance cpu Mgs c.svm.fault_entry;
-  if Mlock.acquire_fiber m.sim ce.mlock then Cpu.resume_charge cpu Mgs (Sim.now m.sim);
-  Cpu.advance cpu Mgs (c.svm.map_lock + c.svm.table_lookup);
-  (* Transaction root: one fault episode, in simulated time.  Opened
-     after the mapping lock is granted so the fiber's run-ahead CPU
-     clock cannot skew the interval; the fiber reinstalls [root] after
-     every suspension and clears it when the fault completes. *)
-  let root =
-    span_open m ~parent:Span.none ~label:"fault" ~engine:Mgs_obs.Event.Local_client ~vpn
-      ~src:proc ()
-  in
-  span_set m root;
-  let finish () =
-    span_close m root;
-    span_set m Span.none
-  in
-  let fill ~rw ~to_duq =
-    Bitset.add ce.tlb_dir lidx;
-    Tlb.fill m.tlbs.(proc) ~vpn ~mode:(if rw then Tlb.Rw else Tlb.Ro);
-    Cpu.advance cpu Mgs c.svm.tlb_write;
-    if to_duq then begin
-      Cpu.advance cpu Mgs c.proto.duq_op;
-      duq_add duq vpn;
-      ce.c_dirty <- true
-    end;
-    Mlock.release m.sim ce.mlock
-  in
-  if tracing then trace m vpn "fault proc %d write=%b pstate=%s" proc write
-    (match ce.pstate with P_inv -> "inv" | P_read -> "read" | P_write -> "write" | P_busy -> "busy");
-  obs_emit m ~engine:Mgs_obs.Event.Local_client ~tag:"lc.fault" ~vpn ~src:proc
-    ~cost:(if write then 1 else 0) ~dst:(-1) ~words:0 ~dur:0;
-  match (ce.pstate, write) with
-  | P_read, false ->
-    (* Arc 1: fill from the existing local read copy. *)
-    count m Pstats.tlb_local_fills 1;
-    fill ~rw:false ~to_duq:false;
-    finish ()
-  | P_write, _ ->
-    (* Arcs 1, 3, 4: local copy has write privilege. *)
-    count m Pstats.tlb_local_fills 1;
-    fill ~rw:write ~to_duq:write;
-    finish ()
-  | P_read, true ->
-    (* Arc 2: upgrade through the Remote Client (arc 13), then arc 7. *)
-    count m Pstats.upgrades 1;
-    Bitset.add ce.tlb_dir lidx;
-    Tlb.fill m.tlbs.(proc) ~vpn ~mode:Tlb.Rw;
-    Cpu.advance cpu Mgs (c.svm.tlb_write + c.proto.msg_send);
-    let rc = global_proc m ssmp ce.frame_owner in
-    let twin_cost = c.proto.twin_alloc + (m.geom.Geom.page_words * c.proto.twin_per_word) in
-    Am.post m.am ~tag:"UPGRADE" ~src:proc ~dst:rc ~words:0 ~cost:twin_cost (fun _t ->
-        bump_gen m;
-        (match ce.cdata with
-        | Some d -> ce.ctwin <- Some (take_twin ce ~from:d)
-        | None -> assert false);
-        ce.pstate <- P_write;
-        let home = home_for m ~ssmp vpn in
-        Am.post m.am ~tag:"WNOTIFY" ~src:rc ~dst:home ~words:0 ~cost:c.proto.server_op
-          (fun _t -> server_wnotify m ~self:home ~vpn ~ssmp);
-        Am.post m.am ~tag:"UP_ACK" ~src:rc ~dst:proc ~words:0 ~cost:0 (fun _t ->
-            match ce.fetch_resume with
-            | Some resume ->
-              ce.fetch_resume <- None;
-              resume ()
-            | None -> assert false));
-    let t0 = cpu.Cpu.clock in
-    Mgs_engine.Fiber.suspend (fun resume -> ce.fetch_resume <- Some resume);
-    Cpu.resume_charge cpu Mgs (Sim.now m.sim);
-    span_set m root;
-    count m Pstats.upgrade_wait (cpu.Cpu.clock - t0);
-    Cpu.advance cpu Mgs c.proto.duq_op;
-    duq_add duq vpn;
-    ce.c_dirty <- true;
-    Mlock.release m.sim ce.mlock;
-    finish ()
-  | P_inv, _ ->
-    (* Arc 5: fetch from the home server; BUSY with the lock held. *)
-    count m (if write then Pstats.write_fetches else Pstats.read_fetches) 1;
-    ce.pstate <- P_busy;
-    Cpu.advance cpu Mgs c.proto.msg_send;
-    let home = home_for m ~ssmp vpn in
-    Am.post m.am
-      ~tag:(if write then "WREQ" else "RREQ")
-      ~src:proc ~dst:home ~words:0 ~cost:c.proto.server_op
-      (fun _t -> server_req m ~self:home ~vpn ~requester:proc ~write);
-    let t0 = cpu.Cpu.clock in
-    Mgs_engine.Fiber.suspend (fun resume -> ce.fetch_resume <- Some resume);
-    Cpu.resume_charge cpu Mgs (Sim.now m.sim);
-    span_set m root;
-    count m Pstats.fetch_wait (cpu.Cpu.clock - t0);
-    (* Arc 6/7: the install handler set the page state; finish locally. *)
-    fill ~rw:write ~to_duq:write;
-    finish ()
-  | P_busy, _ ->
-    (* The mapping lock is held throughout BUSY, so no second fiber can
-       observe it. *)
-    assert false
+  count m (if write then Pstats.write_fetches else Pstats.read_fetches) 1;
+  let home = home_for m ~ssmp vpn in
+  Am.post m.am
+    ~tag:(if write then "WREQ" else "RREQ")
+    ~src:proc ~dst:home ~words:0 ~cost:m.costs.proto.server_op
+    (fun _t -> server_req m ~self:home ~vpn ~requester:proc ~write)
+
+(* Arc 2: upgrade the read copy in place through the Remote Client
+   (arc 13), which twins the page and tells the home (WNOTIFY); the
+   fiber waits for UP_ACK.  Its TLB already maps the page writable. *)
+let upgrade m ~proc ce ~ctx =
+  let c = m.costs in
+  let ssmp = Topology.ssmp_of_proc m.topo proc in
+  let vpn = ce.c_vpn in
+  Cpu.advance m.cpus.(proc) Mgs c.proto.msg_send;
+  let rc = global_proc m ssmp ce.frame_owner in
+  let twin_cost = c.proto.twin_alloc + (m.geom.Geom.page_words * c.proto.twin_per_word) in
+  Am.post m.am ~tag:"UPGRADE" ~src:proc ~dst:rc ~words:0 ~cost:twin_cost (fun _t ->
+      bump_gen m;
+      (match ce.cdata with
+      | Some d -> ce.ctwin <- Some (take_twin ce ~from:d)
+      | None -> assert false);
+      ce.pstate <- P_write;
+      let home = home_for m ~ssmp vpn in
+      Am.post m.am ~tag:"WNOTIFY" ~src:rc ~dst:home ~words:0 ~cost:c.proto.server_op
+        (fun _t -> server_wnotify m ~self:home ~vpn ~ssmp);
+      Am.post m.am ~tag:"UP_ACK" ~src:rc ~dst:proc ~words:0 ~cost:0 (fun _t ->
+          wake_fetch ce));
+  count m Pstats.upgrade_wait (await_fetch m ~proc ce ~ctx)
 
 (* ------------------------------------------------------------------ *)
 (* Release operation, client side (arcs 8-10).                         *)
 (* ------------------------------------------------------------------ *)
 
 let release_all m ~proc =
-  (* a no-op under sequential consistency: there is nothing delayed *)
-  if m.protocol = Protocol_mgs && not (Topology.single_ssmp m.topo) then begin
+  if not (Topology.single_ssmp m.topo) then begin
     let c = m.costs in
     let cpu = m.cpus.(proc) in
     let ssmp = Topology.ssmp_of_proc m.topo proc in
@@ -872,13 +757,7 @@ let release_all m ~proc =
             let home = home_for m ~ssmp vpn in
             Am.post m.am ~tag:"SYNC" ~src:proc ~dst:home ~words:0 ~cost:c.proto.duq_op
               (fun _t -> server_sync m ~self:home ~vpn ~releaser:proc);
-            let t0 = cpu.Cpu.clock in
-            Mgs_engine.Fiber.suspend (fun resume ->
-                assert (m.rel_resume.(proc) = None);
-                m.rel_resume.(proc) <- Some resume);
-            Cpu.resume_charge cpu Mgs (Sim.now m.sim);
-            span_set m root;
-            count m Pstats.sync_wait (cpu.Cpu.clock - t0));
+            count m Pstats.sync_wait (await_acks m ~proc ~ctx:root 1));
           sync ()
         end
       in
@@ -888,11 +767,6 @@ let release_all m ~proc =
         let home = home_for m ~ssmp vpn in
         Am.post m.am ~tag:"REL" ~src:proc ~dst:home ~words:0 ~cost:c.proto.server_op
           (fun _t -> server_rel m ~self:home ~vpn ~releaser:proc)
-      in
-      let await_rack () =
-        Mgs_engine.Fiber.suspend (fun resume ->
-            assert (m.rel_resume.(proc) = None);
-            m.rel_resume.(proc) <- Some resume)
       in
       if m.features.pipelined_release then begin
         (* optimization over Table 1 arcs 8-10: every REL is sent before
@@ -905,14 +779,7 @@ let release_all m ~proc =
             send_rel vpn;
             send_all (acc + 1)
         in
-        let outstanding = send_all 0 in
-        let t0 = cpu.Cpu.clock in
-        for _ = 1 to outstanding do
-          await_rack ()
-        done;
-        Cpu.resume_charge cpu Mgs (Sim.now m.sim);
-        span_set m root;
-        count m Pstats.rel_wait (cpu.Cpu.clock - t0);
+        count m Pstats.rel_wait (await_acks m ~proc ~ctx:root (send_all 0));
         sync ()
       end
       else begin
@@ -922,11 +789,7 @@ let release_all m ~proc =
           | None -> sync ()
           | Some vpn ->
             send_rel vpn;
-            let t0 = cpu.Cpu.clock in
-            await_rack ();
-            Cpu.resume_charge cpu Mgs (Sim.now m.sim);
-            span_set m root;
-            count m Pstats.rel_wait (cpu.Cpu.clock - t0);
+            count m Pstats.rel_wait (await_acks m ~proc ~ctx:root 1);
             flush ()
         in
         flush ()

@@ -3,11 +3,11 @@
 
     Three engines cooperate:
 
-    - the {b Local Client} handles TLB faults on the faulting processor:
-      it fills mappings from an existing local copy (charging the TLB
-      fill cost), upgrades read pages to write privilege through the
-      Remote Client, or fetches pages from the home Server (RREQ/WREQ,
-      entering the BUSY state with the per-mapping lock held);
+    - the {b Local Client} handles TLB faults on the faulting processor.
+      Its shared steps (local fill, BUSY fetch, DUQ logging) are
+      {!Protocol.fault}; this module supplies the two MGS-specific ones,
+      {!request} (RREQ/WREQ to the home) and {!upgrade} (write privilege
+      for a read copy through the Remote Client);
     - the {b Remote Client} runs on the processor owning an SSMP's copy:
       it performs page upgrades (twinning) and page invalidations —
       cleaning the page out of the SSMP's caches, interrupting every
@@ -20,14 +20,18 @@
       diff merging -> RACK), queueing requests that arrive while a
       release is in progress.
 
-    [fault] and [release_all] are fiber-side entry points; everything
-    else runs inside active-message handlers. *)
+    [request], [upgrade] and [release_all] are fiber-side entry points;
+    everything else runs inside active-message handlers. *)
 
-val fault : State.t -> proc:int -> vpn:int -> write:bool -> unit
-(** Handle a TLB fault by processor [proc] on page [vpn].  Must be
-    called from fiber context; returns once the processor holds a TLB
-    mapping of the required mode and the SSMP holds a suitable copy.
-    All time is charged to the MGS bucket of [proc]. *)
+val request : State.t -> proc:int -> vpn:int -> write:bool -> unit
+(** Arc 5: send [proc]'s RREQ / WREQ for [vpn] to the home.  The grant
+    handler installs the copy and resumes the fiber parked in BUSY. *)
+
+val upgrade : State.t -> proc:int -> State.centry -> ctx:Mgs_obs.Span.ctx -> unit
+(** Arc 2: upgrade the SSMP's read copy in place through the Remote
+    Client (UPGRADE, WNOTIFY to the home) and wait for UP_ACK, charging
+    [upgrade_wait] and reinstalling [ctx].  Fiber context, mapping lock
+    held. *)
 
 val release_all : State.t -> proc:int -> unit
 (** Perform a release operation for processor [proc]: flush the SSMP's

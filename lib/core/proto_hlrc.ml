@@ -42,17 +42,18 @@ let home_merge m ~vpn ~flusher ~diff =
 (* --- diff flushing ----------------------------------------------------- *)
 
 (* Flush one page's accumulated writes to its home and wait for the
-   version acknowledgement.  The mapping lock is held across the whole
-   round trip: a sibling releasing the same page parks here and
-   completes only once these writes are globally visible, preserving
-   release ordering without any invalidation epoch. *)
-let flush_locked m ~proc ~vpn k =
+   version acknowledgement; a clean page returns at once.  Fiber
+   context.  The caller holds the mapping lock across the whole round
+   trip: a sibling releasing the same page parks on it and completes
+   only once these writes are globally visible, preserving release
+   ordering without any invalidation epoch. *)
+let flush_and_wait m ~proc ~vpn =
   let c = m.costs in
   let ssmp = Topology.ssmp_of_proc m.topo proc in
   let cl = client m ssmp in
   let ce = get_centry m ssmp vpn in
-  if ce.pstate <> P_write || not ce.c_dirty then k ()
-  else begin
+  if ce.pstate = P_write && ce.c_dirty then begin
+    let ctx = span_current m in
     let data = Option.get ce.cdata and twin = Option.get ce.ctwin in
     let d = Pagedata.diff data ~twin in
     bump_gen m;
@@ -62,19 +63,14 @@ let flush_locked m ~proc ~vpn k =
        the local TLB mappings so any further sibling write refaults and
        re-logs the page — otherwise writes through surviving Rw entries
        would never be flushed again *)
-    let mappers = Bitset.elements ce.tlb_dir in
-    List.iter (fun l -> Tlb.invalidate m.tlbs.(global_proc m ssmp l) ~vpn) mappers;
-    Bitset.clear ce.tlb_dir;
+    let shoot = shoot_local_tlbs m ~ssmp ce in
     let nd = Pagedata.diff_size d in
-    let cpu = m.cpus.(proc) in
-    Cpu.advance cpu Mgs
+    Cpu.advance m.cpus.(proc) Mgs
       ((m.geom.Geom.page_words * c.proto.diff_per_word)
       + (nd * c.proto.diff_word_out)
-      + (c.proto.tlb_inv * max 1 (List.length mappers))
-      + c.proto.msg_send);
+      + shoot + c.proto.msg_send);
     count m Pstats.releases 1;
     let home = Proto.home_for m ~ssmp vpn in
-    if tracing then trace m vpn "flush by proc %d: %d words" proc nd;
     let rec handle self =
       if
         Proto.forward m ~self ~vpn ~tag:"HLRC_DIFF"
@@ -91,38 +87,17 @@ let flush_locked m ~proc ~vpn k =
             (* our copy now reflects version [v] only if it already
                reflected [prev] — a foreign merge in between means our
                copy misses those words and must stay marked stale *)
-            if tracing then trace m vpn "vack proc %d: prev=%d v=%d c_version=%d" proc prev v ce.c_version;
             Proto.view_note m ~ssmp ~vpn newhome;
             if ce.c_version = prev then ce.c_version <- v;
             let known = Option.value ~default:0 (Hashtbl.find_opt cl.k_map vpn) in
             if v > known then Hashtbl.replace cl.k_map vpn v;
-            k ())
+            wake_ack m proc)
       end
     in
     Am.post m.am ~tag:"HLRC_DIFF" ~src:proc ~dst:home ~words:(2 * nd)
       ~cost:(c.proto.server_op + (nd * c.proto.merge_per_word))
-      (fun _t -> handle home)
-  end
-
-(* Run [flush_locked] from fiber context, suspending until the home's
-   acknowledgement if the flush went remote. *)
-let flush_and_wait m ~proc ~vpn =
-  let cpu = m.cpus.(proc) in
-  let finished = ref false in
-  let ctx = span_current m in
-  flush_locked m ~proc ~vpn (fun () ->
-      finished := true;
-      match m.rel_resume.(proc) with
-      | Some resume ->
-        m.rel_resume.(proc) <- None;
-        resume ()
-      | None -> () (* completed synchronously: nothing was dirty *));
-  if not !finished then begin
-    Mgs_engine.Fiber.suspend (fun resume ->
-        assert (m.rel_resume.(proc) = None);
-        m.rel_resume.(proc) <- Some resume);
-    Cpu.resume_charge cpu Mgs (Sim.now m.sim);
-    span_set m ctx
+      (fun _t -> handle home);
+    ignore (await_acks m ~proc ~ctx 1)
   end
 
 let flush_page_fiber m ~proc ~vpn =
@@ -136,8 +111,6 @@ let flush_page_fiber m ~proc ~vpn =
   end;
   flush_and_wait m ~proc ~vpn;
   Mlock.release m.sim ce.mlock
-
-let flush_page_if_dirty = flush_page_fiber
 
 let release_all m ~proc =
   if not (Topology.single_ssmp m.topo) then begin
@@ -225,126 +198,72 @@ let apply_notices m ~proc map =
           let dirty = ref 0 in
           bump_gen m;
           ignore (Coherence.flush_page m.caches.(ssmp) ~vpn ~dirty);
-          let mappers = Bitset.elements ce.tlb_dir in
-          List.iter (fun l -> Tlb.invalidate m.tlbs.(global_proc m ssmp l) ~vpn) mappers;
           Cpu.advance cpu Mgs
-            ((m.costs.proto.tlb_inv * max 1 (List.length mappers))
+            (shoot_local_tlbs m ~ssmp ce
             + (Geom.lines_per_page m.geom * m.costs.proto.clean_per_line));
-          Bitset.clear ce.tlb_dir;
           ce.cdata <- None;
           retire_twin ce;
           ce.c_dirty <- false;
           ce.pstate <- P_inv;
-          if tracing then trace m vpn "lazy invalidate at ssmp %d (proc %d, known %d)" ssmp proc known;
           count m Pstats.invals 1
         end;
         Mlock.release m.sim ce.mlock)
       stale
   end
 
-(* --- fault path ----------------------------------------------------------- *)
+(* --- Local Client steps; {!Protocol.fault} runs the rest ------------------ *)
 
-let fault m ~proc ~vpn ~write =
+(* Ask the home for the page and its version.  The home answers from its
+   master, which is current with respect to every release that
+   happens-before this fault's acquire. *)
+let request m ~proc ~vpn ~write =
   let c = m.costs in
-  let cpu = m.cpus.(proc) in
   let ssmp = Topology.ssmp_of_proc m.topo proc in
-  let duq = m.duqs.(proc) in
   let ce = get_centry m ssmp vpn in
-  let lidx = local_idx m proc in
-  Cpu.advance cpu Mgs c.svm.fault_entry;
-  if Mlock.acquire_fiber m.sim ce.mlock then Cpu.resume_charge cpu Mgs (Sim.now m.sim);
-  Cpu.advance cpu Mgs (c.svm.map_lock + c.svm.table_lookup);
-  (* Transaction root for this fault episode (see {!Proto.fault}). *)
-  let root =
-    span_open m ~parent:Span.none ~label:"fault" ~engine:Mgs_obs.Event.Local_client ~vpn
-      ~src:proc ()
+  count m (if write then Pstats.write_fetches else Pstats.read_fetches) 1;
+  let home = Proto.home_for m ~ssmp vpn in
+  let rec handle self =
+    if
+      Proto.forward m ~self ~vpn
+        ~tag:(if write then "HLRC_WREQ" else "HLRC_RREQ")
+        ~cost:c.proto.server_op
+        (fun next -> handle next)
+    then ()
+    else begin
+      let se = get_sentry m vpn in
+      (match se.s_ad with
+      | Some p when not write ->
+        p.Adapt.w_rreq <- p.Adapt.w_rreq + 1;
+        Bitset.add p.Adapt.w_readers ssmp
+      | _ -> ());
+      let payload = Pagedata.copy se.s_master in
+      let version = se.s_version in
+      let install_cost =
+        c.proto.frame_alloc
+        +
+        if write then c.proto.twin_alloc + (m.geom.Geom.page_words * c.proto.twin_per_word)
+        else 0
+      in
+      Am.post m.am
+        ~tag:(if write then "HLRC_WDAT" else "HLRC_RDAT")
+        ~src:self ~dst:proc ~words:m.geom.Geom.page_words ~cost:install_cost (fun _t ->
+          install m ce ~proc ~write ~twin:write payload;
+          ce.c_version <- version;
+          Proto.view_note m ~ssmp ~vpn self;
+          wake_fetch ce)
+    end
   in
-  span_set m root;
-  let fill ~rw ~to_duq =
-    Bitset.add ce.tlb_dir lidx;
-    Tlb.fill m.tlbs.(proc) ~vpn ~mode:(if rw then Tlb.Rw else Tlb.Ro);
-    Cpu.advance cpu Mgs c.svm.tlb_write;
-    if to_duq then begin
-      Cpu.advance cpu Mgs c.proto.duq_op;
-      duq_add duq vpn;
-      ce.c_dirty <- true
-    end;
-    Mlock.release m.sim ce.mlock;
-    span_close m root;
-    span_set m Span.none
-  in
-  match (ce.pstate, write) with
-  | P_read, false ->
-    count m Pstats.tlb_local_fills 1;
-    fill ~rw:false ~to_duq:false
-  | P_write, _ ->
-    count m Pstats.tlb_local_fills 1;
-    fill ~rw:write ~to_duq:write
-  | P_read, true ->
-    (* multiple writers are allowed: twin locally, no server contact *)
-    count m Pstats.upgrades 1;
-    if tracing then trace m vpn "upgrade in place by proc %d (c_version=%d)" proc ce.c_version;
-    bump_gen m;
-    ce.ctwin <- Some (take_twin ce ~from:(Option.get ce.cdata));
-    ce.pstate <- P_write;
-    Cpu.advance cpu Mgs (c.proto.twin_alloc + (m.geom.Geom.page_words * c.proto.twin_per_word));
-    fill ~rw:true ~to_duq:true
-  | P_inv, _ ->
-    count m (if write then Pstats.write_fetches else Pstats.read_fetches) 1;
-    ce.pstate <- P_busy;
-    Cpu.advance cpu Mgs c.proto.msg_send;
-    let home = Proto.home_for m ~ssmp vpn in
-    let rec handle self =
-      if
-        Proto.forward m ~self ~vpn
-          ~tag:(if write then "HLRC_WREQ" else "HLRC_RREQ")
-          ~cost:c.proto.server_op
-          (fun next -> handle next)
-      then ()
-      else begin
-        let se = get_sentry m vpn in
-        (match se.s_ad with
-        | Some p when not write ->
-          p.Adapt.w_rreq <- p.Adapt.w_rreq + 1;
-          Bitset.add p.Adapt.w_readers ssmp
-        | _ -> ());
-        let payload = Pagedata.copy se.s_master in
-        let version = se.s_version in
-        if tracing then trace m vpn "fetch by proc %d write=%b version=%d" proc write version;
-        let install_cost =
-          c.proto.frame_alloc
-          +
-          if write then c.proto.twin_alloc + (m.geom.Geom.page_words * c.proto.twin_per_word)
-          else 0
-        in
-        Am.post m.am
-          ~tag:(if write then "HLRC_WDAT" else "HLRC_RDAT")
-          ~src:self ~dst:proc ~words:m.geom.Geom.page_words ~cost:install_cost (fun _t ->
-            assert (ce.pstate = P_busy);
-            bump_gen m;
-            ce.cdata <- Some payload;
-            ce.ctwin <- (if write then Some (take_twin ce ~from:payload) else None);
-            ce.frame_owner <- local_idx m proc;
-            ce.pstate <- (if write then P_write else P_read);
-            ce.c_dirty <- false;
-            ce.c_version <- version;
-            Bitset.clear ce.tlb_dir;
-            Proto.view_note m ~ssmp ~vpn self;
-            match ce.fetch_resume with
-            | Some resume ->
-              ce.fetch_resume <- None;
-              resume ()
-            | None -> assert false)
-      end
-    in
-    Am.post m.am
-      ~tag:(if write then "HLRC_WREQ" else "HLRC_RREQ")
-      ~src:proc ~dst:home ~words:0 ~cost:c.proto.server_op
-      (fun _t -> handle home);
-    let t0 = cpu.Cpu.clock in
-    Mgs_engine.Fiber.suspend (fun resume -> ce.fetch_resume <- Some resume);
-    Cpu.resume_charge cpu Mgs (Sim.now m.sim);
-    span_set m root;
-    count m Pstats.fetch_wait (cpu.Cpu.clock - t0);
-    fill ~rw:write ~to_duq:write
-  | P_busy, _ -> assert false
+  Am.post m.am
+    ~tag:(if write then "HLRC_WREQ" else "HLRC_RREQ")
+    ~src:proc ~dst:home ~words:0 ~cost:c.proto.server_op
+    (fun _t -> handle home)
+
+(* Multiple writers are allowed: twin the read copy locally, no server
+   contact. *)
+let upgrade m ~proc ce =
+  let c = m.costs in
+  bump_gen m;
+  ce.ctwin <- Some (take_twin ce ~from:(Option.get ce.cdata));
+  ce.pstate <- P_write;
+  Cpu.advance m.cpus.(proc) Mgs
+    (c.proto.twin_alloc + (m.geom.Geom.page_words * c.proto.twin_per_word))

@@ -16,13 +16,19 @@
     lost).  Faults always fetch from the home, whose master is current
     with respect to every release that happens-before the acquire.
 
-    Selected with [Machine.config ~protocol:Protocol_hlrc].  The
-    synchronization library calls [release_all]/[publish] at release
-    points and [apply_notices] at acquire points. *)
+    Selected with [Machine.config ~protocol:Protocol_hlrc].
+    {!Protocol.fault} runs the shared fault steps and calls {!upgrade}
+    and {!request} for the HLRC ones; {!Protocol.at_release} and
+    {!Protocol.at_acquire} call [release_all]/[publish] and
+    [apply_notices]. *)
 
-val fault : State.t -> proc:int -> vpn:int -> write:bool -> unit
-(** Handle a TLB fault: local fill, or fetch the page (and its version)
-    from the home.  Fiber context. *)
+val request : State.t -> proc:int -> vpn:int -> write:bool -> unit
+(** Ask the home for [vpn] and its version; the grant handler installs
+    the copy and resumes the fiber parked in BUSY. *)
+
+val upgrade : State.t -> proc:int -> State.centry -> unit
+(** Twin the SSMP's read copy in place (multiple writers are allowed,
+    so the home is not told).  Fiber context, mapping lock held. *)
 
 val release_all : State.t -> proc:int -> unit
 (** Flush every page in [proc]'s delayed update queue: compute diffs
@@ -40,5 +46,7 @@ val apply_notices : State.t -> proc:int -> (int, int) Hashtbl.t -> unit
     dirty} copies flush their diff home before being dropped.  Fiber
     context. *)
 
-val flush_page_if_dirty : State.t -> proc:int -> vpn:int -> unit
-(** Internal helper exposed for tests: single-page diff flush. *)
+val flush_page_fiber : State.t -> proc:int -> vpn:int -> unit
+(** Flush one page's diff home under its mapping lock and wait for the
+    acknowledgement; a clean page costs only the lock.  Fiber
+    context. *)

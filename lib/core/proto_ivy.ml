@@ -91,21 +91,6 @@ let client_recall m ~ssmp ~vpn ~(reply : Pagedata.page -> unit) =
 
 (* --- server side ------------------------------------------------------ *)
 
-let install m ~requester ~vpn ~write ~payload =
-  let ssmp = Topology.ssmp_of_proc m.topo requester in
-  let ce = get_centry m ssmp vpn in
-  assert (ce.pstate = P_busy);
-  bump_gen m;
-  ce.cdata <- Some payload;
-  ce.frame_owner <- local_idx m requester;
-  ce.pstate <- (if write then P_write else P_read);
-  Bitset.clear ce.tlb_dir;
-  match ce.fetch_resume with
-  | Some resume ->
-    ce.fetch_resume <- None;
-    resume ()
-  | None -> assert false
-
 (* Ship the page; the transition stays open until the grantee's ack. *)
 let rec do_grant m se ~requester ~write =
   let ssmp = Topology.ssmp_of_proc m.topo requester in
@@ -124,7 +109,9 @@ let rec do_grant m se ~requester ~write =
     ~src:se.s_home_proc ~dst:requester ~words:m.geom.Geom.page_words
     ~cost:(m.costs.proto.frame_alloc + m.costs.proto.server_op)
     (fun _t ->
-      install m ~requester ~vpn ~write ~payload;
+      let ce = get_centry m ssmp vpn in
+      install m ce ~proc:requester ~write ~twin:false payload;
+      wake_fetch ce;
       Am.post m.am ~tag:"IVY_GACK" ~src:requester ~dst:se.s_home_proc ~words:0 ~cost:0
         (fun _t ->
           se.s_state <- (if Bitset.is_empty se.s_write_dir then S_read else S_write);
@@ -225,68 +212,21 @@ and server_req m ~vpn ~requester ~write =
       | _ -> do_grant m se ~requester ~write:false
     end
 
-(* --- fiber-side fault path --------------------------------------------- *)
+(* --- Local Client steps; {!Protocol.fault} runs the rest ---------------- *)
 
-let fault m ~proc ~vpn ~write =
-  let c = m.costs in
-  let cpu = m.cpus.(proc) in
+let request m ~proc ~vpn ~write =
+  let home = home_proc_of_vpn m vpn in
+  Am.post m.am
+    ~tag:(if write then "IVY_WREQ" else "IVY_RREQ")
+    ~src:proc ~dst:home ~words:0 ~cost:m.costs.proto.server_op
+    (fun _t -> server_req m ~vpn ~requester:proc ~write)
+
+(* A write to a read-shared page: drop the local copy, shooting down
+   the local TLB mappings, before fetching exclusive ownership. *)
+let drop_copy m ~proc ce =
   let ssmp = Topology.ssmp_of_proc m.topo proc in
-  let ce = get_centry m ssmp vpn in
-  let lidx = local_idx m proc in
-  Cpu.advance cpu Mgs c.svm.fault_entry;
-  if Mlock.acquire_fiber m.sim ce.mlock then Cpu.resume_charge cpu Mgs (Sim.now m.sim);
-  Cpu.advance cpu Mgs (c.svm.map_lock + c.svm.table_lookup);
-  (* Transaction root for this fault episode (see {!Proto.fault}). *)
-  let root =
-    span_open m ~parent:Span.none ~label:"fault" ~engine:Mgs_obs.Event.Local_client ~vpn
-      ~src:proc ()
-  in
-  span_set m root;
-  let finish () =
-    span_close m root;
-    span_set m Span.none
-  in
-  let fill ~rw =
-    Bitset.add ce.tlb_dir lidx;
-    Tlb.fill m.tlbs.(proc) ~vpn ~mode:(if rw then Tlb.Rw else Tlb.Ro);
-    Cpu.advance cpu Mgs c.svm.tlb_write;
-    Mlock.release m.sim ce.mlock;
-    finish ()
-  in
-  let fetch () =
-    ce.pstate <- P_busy;
-    Cpu.advance cpu Mgs c.proto.msg_send;
-    let home = home_proc_of_vpn m vpn in
-    Am.post m.am
-      ~tag:(if write then "IVY_WREQ" else "IVY_RREQ")
-      ~src:proc ~dst:home ~words:0 ~cost:c.proto.server_op
-      (fun _t -> server_req m ~vpn ~requester:proc ~write);
-    let t0 = cpu.Cpu.clock in
-    Mgs_engine.Fiber.suspend (fun resume -> ce.fetch_resume <- Some resume);
-    Cpu.resume_charge cpu Mgs (Sim.now m.sim);
-    span_set m root;
-    count m Pstats.fetch_wait (cpu.Cpu.clock - t0);
-    fill ~rw:write
-  in
-  match (ce.pstate, write) with
-  | P_read, false ->
-    count m Pstats.tlb_local_fills 1;
-    fill ~rw:false
-  | P_write, _ ->
-    count m Pstats.tlb_local_fills 1;
-    fill ~rw:write
-  | P_read, true ->
-    (* write to a read-shared page: drop the local copy (shooting down
-       the local TLB mappings), then fetch exclusive ownership *)
-    count m Pstats.upgrades 1;
-    let mappers = Bitset.elements ce.tlb_dir in
-    List.iter (fun l -> Tlb.invalidate m.tlbs.(global_proc m ssmp l) ~vpn) mappers;
-    Cpu.advance cpu Mgs (c.proto.tlb_inv * max 1 (List.length mappers));
-    Bitset.clear ce.tlb_dir;
-    let dirty = ref 0 in
-    bump_gen m;
-    ignore (Coherence.flush_page m.caches.(ssmp) ~vpn ~dirty);
-    ce.cdata <- None;
-    fetch ()
-  | P_inv, _ -> fetch ()
-  | P_busy, _ -> assert false
+  Cpu.advance m.cpus.(proc) Mgs (shoot_local_tlbs m ~ssmp ce);
+  let dirty = ref 0 in
+  bump_gen m;
+  ignore (Coherence.flush_page m.caches.(ssmp) ~vpn:ce.c_vpn ~dirty);
+  ce.cdata <- None

@@ -9,10 +9,18 @@
     twins, diffs, or delayed update queues — and therefore no release
     operations: synchronization objects need no memory flushes.
 
-    Selected with [Machine.config ~protocol:Ivy]; the ablation benches
-    compare it against MGS on the paper's workloads, where false sharing
-    makes pages ping-pong. *)
+    Selected with [Machine.config ~protocol:Protocol_ivy]; the ablation
+    benches compare it against MGS on the paper's workloads, where
+    false sharing makes pages ping-pong.  {!Protocol.fault} runs the
+    shared fault steps and calls {!drop_copy} and {!request} for the
+    Ivy ones. *)
 
-val fault : State.t -> proc:int -> vpn:int -> write:bool -> unit
-(** Handle a TLB fault under the Ivy protocol.  Fiber context; returns
-    with the mapping installed at the required privilege. *)
+val request : State.t -> proc:int -> vpn:int -> write:bool -> unit
+(** Ask the home for [vpn]: shared for a read, exclusive for a write.
+    The grant handler installs the copy and resumes the fiber parked in
+    BUSY. *)
+
+val drop_copy : State.t -> proc:int -> State.centry -> unit
+(** A write to a read-shared page: drop the SSMP's copy (local TLB
+    shoot-down and cache scrub) before the exclusive fetch.  Fiber
+    context, mapping lock held. *)

@@ -1,113 +1,114 @@
-(* One face for the three coherence engines.
+(* The Local Client (paper Figure 4, Table 1 arcs 1-7) and the one
+   dispatch point over the three coherence engines.
 
-   The engines (MGS, HLRC, Ivy) export different hook sets — Ivy has no
-   release-time work, only HLRC publishes and applies write notices.
-   Packaging each behind the same module type with explicit no-ops lets
-   every dispatch site ([Api], [Consistency], the harness, the CLIs)
-   treat protocols uniformly and lets the harness select them by name,
-   so adding a fourth engine means one [register] call, not a variant
-   case in a dozen matches. *)
+   A fault runs the same steps under every engine: the entry charges,
+   the mapping lock, the transaction root span, then a local fill, an
+   upgrade of the SSMP's read copy, or a fetch from the home that parks
+   the fiber in BUSY until the copy is installed; writes are logged in
+   the delayed update queue (Ivy has none).  The engines differ only in
+   the upgrade step and the home request, so those are the two places
+   the fault path matches on [State.protocol], as do the release and
+   acquire hooks the synchronization library calls. *)
 
-module type PROTOCOL = sig
-  val name : string
-  (** Registry key; what [--protocol] and sweep specs say. *)
+open State
 
-  val proto : State.protocol
-  (** The [State] tag a machine running this engine carries. *)
+(* in name order, so [names ()] comes out sorted *)
+let all = [ Protocol_hlrc; Protocol_ivy; Protocol_mgs ]
 
-  val fault : State.t -> proc:int -> vpn:int -> write:bool -> unit
-  (** Resolve an access fault on [vpn]; fiber context. *)
+let name_of = function
+  | Protocol_mgs -> "mgs"
+  | Protocol_hlrc -> "hlrc"
+  | Protocol_ivy -> "ivy"
 
-  val release_all : State.t -> proc:int -> unit
-  (** Release-side flush (delayed updates / diffs); fiber context. *)
+let names () = List.map name_of all
 
-  val publish : State.t -> proc:int -> into:(int, int) Hashtbl.t -> unit
-  (** Deposit write notices into a synchronization object at release. *)
-
-  val apply_notices : State.t -> proc:int -> (int, int) Hashtbl.t -> unit
-  (** Consume write notices at acquire (lazy invalidation). *)
-end
-
-let nop_publish _ ~proc:_ ~into:_ = ()
-
-let nop_apply _ ~proc:_ _ = ()
-
-module Mgs_protocol : PROTOCOL = struct
-  let name = "mgs"
-
-  let proto = State.Protocol_mgs
-
-  let fault = Proto.fault
-
-  let release_all = Proto.release_all
-
-  let publish = nop_publish
-
-  let apply_notices = nop_apply
-end
-
-module Hlrc_protocol : PROTOCOL = struct
-  let name = "hlrc"
-
-  let proto = State.Protocol_hlrc
-
-  let fault = Proto_hlrc.fault
-
-  let release_all = Proto_hlrc.release_all
-
-  let publish = Proto_hlrc.publish
-
-  let apply_notices = Proto_hlrc.apply_notices
-end
-
-module Ivy_protocol : PROTOCOL = struct
-  let name = "ivy"
-
-  let proto = State.Protocol_ivy
-
-  let fault = Proto_ivy.fault
-
-  let release_all _ ~proc:_ = ()
-
-  let publish = nop_publish
-
-  let apply_notices = nop_apply
-end
-
-let registry : (string, (module PROTOCOL)) Hashtbl.t = Hashtbl.create 8
-
-let register ((module P : PROTOCOL) as impl) =
-  if Hashtbl.mem registry P.name then
-    invalid_arg (Printf.sprintf "Protocol.register: %S already registered" P.name);
-  Hashtbl.add registry P.name impl
-
-let () = List.iter register [ (module Mgs_protocol); (module Hlrc_protocol); (module Ivy_protocol) ]
-
-let find name = Hashtbl.find_opt registry name
-
-let names () = List.sort compare (Hashtbl.fold (fun name _ acc -> name :: acc) registry [])
-
-let of_name name =
-  match find name with
-  | Some impl -> impl
+let proto_of_name name =
+  match List.find_opt (fun p -> name_of p = name) all with
+  | Some p -> p
   | None ->
     invalid_arg
       (Printf.sprintf "unknown protocol %S (known: %s)" name
          (String.concat ", " (names ())))
 
-let proto_of_name name =
-  let (module P) = of_name name in
-  P.proto
+let fault m ~proc ~vpn ~write =
+  let c = m.costs in
+  let cpu = m.cpus.(proc) in
+  let ssmp = Topology.ssmp_of_proc m.topo proc in
+  let ce = get_centry m ssmp vpn in
+  Cpu.advance cpu Mgs c.svm.fault_entry;
+  if Mlock.acquire_fiber m.sim ce.mlock then Cpu.resume_charge cpu Mgs (Sim.now m.sim);
+  Cpu.advance cpu Mgs (c.svm.map_lock + c.svm.table_lookup);
+  (* Transaction root: one fault episode, in simulated time.  Opened
+     after the mapping lock is granted so the fiber's run-ahead CPU
+     clock cannot skew the interval; the fiber reinstalls [root] after
+     every suspension and clears it when the fault completes. *)
+  let root =
+    span_open m ~parent:Span.none ~label:"fault" ~engine:Mgs_obs.Event.Local_client ~vpn
+      ~src:proc ()
+  in
+  span_set m root;
+  obs_emit m ~engine:Mgs_obs.Event.Local_client ~tag:"lc.fault" ~vpn ~src:proc
+    ~cost:(if write then 1 else 0) ~dst:(-1) ~words:0 ~dur:0;
+  (* Arcs 1, 7: map the page in this processor's TLB. *)
+  let map () =
+    Bitset.add ce.tlb_dir (local_idx m proc);
+    Tlb.fill m.tlbs.(proc) ~vpn ~mode:(if write then Tlb.Rw else Tlb.Ro);
+    Cpu.advance cpu Mgs c.svm.tlb_write
+  in
+  (* Arc 5: fetch from the home, BUSY with the mapping lock held; the
+     grant handler installs the copy and resumes the fiber. *)
+  let fetch () =
+    ce.pstate <- P_busy;
+    Cpu.advance cpu Mgs c.proto.msg_send;
+    (match m.protocol with
+    | Protocol_mgs -> Proto.request m ~proc ~vpn ~write
+    | Protocol_hlrc -> Proto_hlrc.request m ~proc ~vpn ~write
+    | Protocol_ivy -> Proto_ivy.request m ~proc ~vpn ~write);
+    count m Pstats.fetch_wait (await_fetch m ~proc ce ~ctx:root);
+    map ()
+  in
+  (match (ce.pstate, write) with
+  | P_read, false | P_write, _ ->
+    count m Pstats.tlb_local_fills 1;
+    map ()
+  | P_read, true -> (
+    (* Arc 2: write to the SSMP's read copy. *)
+    count m Pstats.upgrades 1;
+    match m.protocol with
+    | Protocol_mgs ->
+      (* the TLB write precedes UPGRADE, so [upgrade_wait] excludes it *)
+      map ();
+      Proto.upgrade m ~proc ce ~ctx:root
+    | Protocol_hlrc ->
+      Proto_hlrc.upgrade m ~proc ce;
+      map ()
+    | Protocol_ivy ->
+      Proto_ivy.drop_copy m ~proc ce;
+      fetch ())
+  | P_inv, _ -> fetch ()
+  | P_busy, _ ->
+    (* The mapping lock is held throughout BUSY, so no second fiber can
+       observe it. *)
+    assert false);
+  (* Arcs 3, 4: log the write for the next release. *)
+  if write && m.protocol <> Protocol_ivy then begin
+    Cpu.advance cpu Mgs c.proto.duq_op;
+    duq_add m.duqs.(proc) vpn;
+    ce.c_dirty <- true
+  end;
+  Mlock.release m.sim ce.mlock;
+  span_close m root;
+  span_set m Span.none
 
-(* Dispatch for machines built directly with a [State.protocol] tag:
-   a direct match, so the fault path pays no table lookup.  Only the
-   three built-ins carry tags; dynamically registered engines are
-   reached by name. *)
-let impl_of = function
-  | State.Protocol_mgs -> (module Mgs_protocol : PROTOCOL)
-  | State.Protocol_hlrc -> (module Hlrc_protocol : PROTOCOL)
-  | State.Protocol_ivy -> (module Ivy_protocol : PROTOCOL)
+let release m ~proc =
+  match m.protocol with
+  | Protocol_mgs -> Proto.release_all m ~proc
+  | Protocol_hlrc -> Proto_hlrc.release_all m ~proc
+  | Protocol_ivy -> ()
 
-let name_of proto =
-  let (module P) = impl_of proto in
-  P.name
+let at_release m ~proc ~notices =
+  release m ~proc;
+  if m.protocol = Protocol_hlrc then Proto_hlrc.publish m ~proc ~into:notices
+
+let at_acquire m ~proc ~notices =
+  if m.protocol = Protocol_hlrc then Proto_hlrc.apply_notices m ~proc notices

@@ -1,49 +1,42 @@
-(** One face for the three coherence engines.
+(** The Local Client (paper Figure 4, Table 1 arcs 1-7) and the one
+    dispatch point over the three coherence engines.
 
-    Each engine is packaged behind {!PROTOCOL} (with explicit no-ops
-    where an engine lacks a hook) and registered by name, so dispatch
-    sites treat protocols uniformly and harnesses select them with a
-    string — adding an engine is one {!register} call, not a variant
-    case in a dozen matches. *)
-
-module type PROTOCOL = sig
-  val name : string
-  (** Registry key; what [--protocol] and sweep specs say. *)
-
-  val proto : State.protocol
-  (** The [State] tag a machine running this engine carries. *)
-
-  val fault : State.t -> proc:int -> vpn:int -> write:bool -> unit
-  (** Resolve an access fault on [vpn]; fiber context. *)
-
-  val release_all : State.t -> proc:int -> unit
-  (** Release-side flush (delayed updates / diffs); fiber context. *)
-
-  val publish : State.t -> proc:int -> into:(int, int) Hashtbl.t -> unit
-  (** Deposit write notices into a synchronization object at release. *)
-
-  val apply_notices : State.t -> proc:int -> (int, int) Hashtbl.t -> unit
-  (** Consume write notices at acquire (lazy invalidation). *)
-end
-
-val register : (module PROTOCOL) -> unit
-(** @raise Invalid_argument if the name is taken. *)
-
-val find : string -> (module PROTOCOL) option
-
-val of_name : string -> (module PROTOCOL)
-(** @raise Invalid_argument on an unknown name, listing the known ones. *)
-
-val proto_of_name : string -> State.protocol
-(** The [State] tag for a registered name.
-    @raise Invalid_argument on an unknown name. *)
-
-val name_of : State.protocol -> string
-(** Inverse of {!proto_of_name} for the built-in engines. *)
+    {!fault} is the one fault path for MGS, HLRC and Ivy: it owns the
+    entry charges, the mapping lock, the [fault] root span and
+    [lc.fault] event, the local TLB fill, the BUSY fetch with its
+    [fetch_wait], and delayed-update-queue logging (skipped under Ivy,
+    which has no queue).  It matches on [State.protocol] only for the
+    two steps the engines do differently: the write to a read copy
+    ({!Proto.upgrade}, {!Proto_hlrc.upgrade}, {!Proto_ivy.drop_copy})
+    and the home request.  The release and acquire hooks dispatch the
+    same way. *)
 
 val names : unit -> string list
-(** Registered protocol names, sorted. *)
+(** The protocol names, sorted: what [--protocol] and sweep specs say. *)
 
-val impl_of : State.protocol -> (module PROTOCOL)
-(** The engine behind a [State] tag — a direct match, no table lookup,
-    so fault-path dispatch stays cheap. *)
+val proto_of_name : string -> State.protocol
+(** @raise Invalid_argument on an unknown name, listing the known ones. *)
+
+val name_of : State.protocol -> string
+(** Inverse of {!proto_of_name}. *)
+
+val fault : State.t -> proc:int -> vpn:int -> write:bool -> unit
+(** Handle a TLB fault by processor [proc] on page [vpn].  Fiber
+    context; returns once the processor holds a TLB mapping of the
+    required mode and the SSMP a suitable copy.  All time is charged to
+    the MGS bucket of [proc]. *)
+
+val release : State.t -> proc:int -> unit
+(** Release-side flush of [proc]'s delayed updates (MGS: RELs and
+    RACKs; HLRC: diffs and version acks; Ivy: nothing).  Fiber
+    context. *)
+
+val at_release : State.t -> proc:int -> notices:(int, int) Hashtbl.t -> unit
+(** Called before a lock is handed over or a barrier combine is sent:
+    {!release}, then under HLRC publish the SSMP's write notices into
+    the synchronization object's [notices].  Fiber context. *)
+
+val at_acquire : State.t -> proc:int -> notices:(int, int) Hashtbl.t -> unit
+(** Called after a lock is obtained or a barrier releases: under HLRC,
+    apply the incoming write notices (lazy invalidation); MGS and Ivy
+    need nothing.  Fiber context. *)

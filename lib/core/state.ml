@@ -329,22 +329,6 @@ let rec duq_pop d =
 
 let duq_is_empty d = Hashtbl.length d.duq_set = 0
 
-(* Lightweight protocol tracing for debugging: set MGS_TRACE_VPN to a
-   page number to stream that page's protocol events to stderr. *)
-let trace_vpn =
-  match Sys.getenv_opt "MGS_TRACE_VPN" with Some s -> int_of_string s | None -> -1
-
-(* Call sites must guard with [if tracing then trace ...]: a bare call
-   evaluates its arguments (often [Format.asprintf]) and spins up the
-   printf machinery even when the output is discarded, which on the
-   protocol's per-operation paths is a real allocation cost. *)
-let tracing = trace_vpn >= 0
-
-let trace m vpn fmt =
-  if vpn = trace_vpn then
-    Printf.eprintf ("[t=%d vpn=%d] " ^^ fmt ^^ "\n%!") (Sim.now m.sim) vpn
-  else Printf.ifprintf stderr fmt
-
 (* --- causal spans ----------------------------------------------------
 
    Thin wrappers over {!Mgs_obs.Span} that collapse to a single branch
@@ -427,3 +411,77 @@ let obs_emit m ~engine ~tag ~vpn ~src ~dst ~words ~cost ~dur =
         dur;
         txn = (Span.current (Mgs_obs.Trace.spans tr)).Span.txn;
       }
+
+(* --- the fiber side of a protocol transaction -------------------------
+
+   The idioms every engine repeats around the Local Client: park the
+   faulting fiber until its copy is granted, install that copy, park a
+   releaser until its home acknowledges, and shoot down this SSMP's own
+   TLB mappings of a page. *)
+
+(* Park [proc]'s fiber, which holds [ce]'s mapping lock, until a handler
+   calls {!wake_fetch}; then charge the wait to its MGS bucket,
+   reinstall [ctx] (the fault's root span) and return the cycles
+   waited. *)
+let await_fetch m ~proc ce ~ctx =
+  let cpu = m.cpus.(proc) in
+  let t0 = cpu.Cpu.clock in
+  Mgs_engine.Fiber.suspend (fun resume -> ce.fetch_resume <- Some resume);
+  Cpu.resume_charge cpu Mgs (Sim.now m.sim);
+  span_set m ctx;
+  cpu.Cpu.clock - t0
+
+let wake_fetch ce =
+  match ce.fetch_resume with
+  | Some resume ->
+    ce.fetch_resume <- None;
+    resume ()
+  | None -> assert false
+
+(* Install a copy granted by the home into [ce], which is BUSY with the
+   requesting fiber of [proc] holding the mapping lock; [twin] twins it
+   now.  The caller records its engine's extras and then resumes the
+   fiber with {!wake_fetch}. *)
+let install m ce ~proc ~write ~twin payload =
+  assert (ce.pstate = P_busy);
+  assert (Mlock.held ce.mlock);
+  bump_gen m;
+  ce.cdata <- Some payload;
+  ce.ctwin <- (if twin then Some (take_twin ce ~from:payload) else None);
+  ce.frame_owner <- local_idx m proc;
+  ce.pstate <- (if write then P_write else P_read);
+  ce.c_dirty <- false;
+  Bitset.clear ce.tlb_dir
+
+(* Park [proc]'s fiber until [n] RACK / VACK handlers have called
+   {!wake_ack}, then charge the wait to its MGS bucket, reinstall [ctx]
+   and return the cycles waited. *)
+let await_acks m ~proc ~ctx n =
+  let cpu = m.cpus.(proc) in
+  let t0 = cpu.Cpu.clock in
+  for _ = 1 to n do
+    Mgs_engine.Fiber.suspend (fun resume ->
+        assert (m.rel_resume.(proc) = None);
+        m.rel_resume.(proc) <- Some resume)
+  done;
+  Cpu.resume_charge cpu Mgs (Sim.now m.sim);
+  span_set m ctx;
+  cpu.Cpu.clock - t0
+
+let wake_ack m proc =
+  match m.rel_resume.(proc) with
+  | Some resume ->
+    m.rel_resume.(proc) <- None;
+    resume ()
+  | None -> assert false
+
+(* Drop every mapping this SSMP's processors hold of [ce]'s page
+   directly, without a PINV round trip, and return the cycles to charge
+   for it: [tlb_inv] per mapping, at least one. *)
+let shoot_local_tlbs m ~ssmp ce =
+  let n = Bitset.cardinal ce.tlb_dir in
+  Bitset.iter
+    (fun l -> Tlb.invalidate m.tlbs.(global_proc m ssmp l) ~vpn:ce.c_vpn)
+    ce.tlb_dir;
+  Bitset.clear ce.tlb_dir;
+  m.costs.proto.tlb_inv * max 1 n

@@ -3,7 +3,7 @@ type variant = {
   page_words : int;
   lan_latency : int;
   features : Mgs.State.features;
-  protocol : string;  (* a Mgs.Protocol registry name *)
+  protocol : string;  (* a Mgs.Protocol name *)
   tlb_entries : int option;
   adapt : bool;
 }

@@ -11,7 +11,7 @@ type variant = {
   page_words : int;
   lan_latency : int;
   features : Mgs.State.features;
-  protocol : string;  (** a {!Mgs.Protocol} registry name, e.g. ["mgs"] *)
+  protocol : string;  (** a {!Mgs.Protocol} name, e.g. ["mgs"] *)
   tlb_entries : int option;
   adapt : bool;  (** adaptive per-page coherence ({!Mgs_cache.Adapt}) *)
 }

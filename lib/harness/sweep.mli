@@ -36,7 +36,7 @@ val run_point :
   point
 (** One configuration.  Default LAN latency 1000 cycles (section 5.2.1),
     1 KB pages; [protocol] (default ["mgs"]) selects a coherence engine
-    from the {!Mgs.Protocol} registry by name; [faults] installs a
+    by name ({!Mgs.Protocol.names}); [faults] installs a
     deterministic fault plan (seeded by [fault_seed], default 42) on the
     LAN; [verify] (default true) runs the workload's checker and
     {!Mgs.Machine.assert_quiescent} — skipped when the run ended in a

@@ -50,9 +50,8 @@ let iters_param ~default ~doc = param ~name:"iters" ~default ~doc
 let lock_param = param ~name:"lock" ~default:"token" ~doc:"lock algorithm"
 
 (* Reject any knob the workload did not declare — generic (size, iters,
-   lock) and [extra] alike — naming the knobs that exist: the
-   registry-level analogue of the protocol registry's unknown-name
-   error. *)
+   lock) and [extra] alike — naming the knobs that exist, as an unknown
+   protocol or lock name does. *)
 let check_args ~name ~params (a : args) =
   let known = List.map (fun p -> p.p_name) params in
   let accepted = match known with [] -> "none" | _ -> String.concat ", " known in

@@ -1,5 +1,5 @@
-(** First-class workload registry (the [Mgs.Protocol] / [Mgs_sync.Locks]
-    idiom applied to applications).
+(** First-class workload registry (the [Mgs_sync.Locks] idiom applied to
+    applications).
 
     Every application packages itself as a {!WORKLOAD} module — a name,
     a one-line description, a published parameter spec, and constructors

@@ -1,10 +1,10 @@
 (* The one message record both transport layers speak.
 
    [Am.post] fills every field; [Lan.send] reads the SSMP endpoints and
-   payload size; the fault layer, the delivery recorder, and the trace
-   hooks all consume the same value instead of parallel labelled-argument
-   signatures.  Processor endpoints are [-1] for transport-internal
-   traffic (raw LAN sends in tests, acks). *)
+   payload size; the fault layer and the trace hook both consume the
+   same value instead of parallel labelled-argument signatures.
+   Processor endpoints are [-1] for transport-internal traffic (raw LAN
+   sends in tests, acks). *)
 
 type t = {
   tag : string;  (* protocol message type: RREQ, REL, ... *)

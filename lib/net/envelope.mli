@@ -1,9 +1,9 @@
 (** The one message record both transport layers speak.
 
     {!Mgs_am.Am.post} fills every field; {!Lan.send} reads the SSMP
-    endpoints and payload size; the fault layer, delivery recorders, and
-    trace hooks all consume this value instead of parallel labelled
-    callback signatures. *)
+    endpoints and payload size; the fault layer and the trace hook both
+    consume this value instead of parallel labelled callback
+    signatures. *)
 
 type t = {
   tag : string;  (** protocol message type: RREQ, REL, ... *)

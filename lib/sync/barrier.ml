@@ -97,7 +97,7 @@ let wait ctx b =
     (* Release point: make this SSMP's writes visible first (HLRC also
        publishes its write notices into the barrier, staged per SSMP). *)
     let s = Topology.ssmp_of_proc m.topo proc in
-    Mgs.Consistency.at_release m ~proc ~notices:b.locals.(s).staged;
+    Mgs.Protocol.at_release m ~proc ~notices:b.locals.(s).staged;
     (* Transaction root: this processor's barrier episode, from arrival
        (post-release) to departure. *)
     let root =
@@ -117,7 +117,7 @@ let wait ctx b =
     Cpu.resume_charge cpu Barrier (Sim.now m.sim);
     span_set m root;
     (* everyone's notices are now in the barrier's map: apply them *)
-    Mgs.Consistency.at_acquire m ~proc ~notices:b.notices;
+    Mgs.Protocol.at_acquire m ~proc ~notices:b.notices;
     span_close m root;
     span_set m Span.none
   end

@@ -180,7 +180,7 @@ let acquire ctx l =
   end;
   (* acquire-side consistency action (lazy protocols apply the write
      notices carried by the lock) *)
-  Mgs.Consistency.at_acquire m ~proc:ctx.Mgs.Api.proc ~notices:l.notices;
+  Mgs.Protocol.at_acquire m ~proc:ctx.Mgs.Api.proc ~notices:l.notices;
   span_close m root;
   span_set m Span.none
 
@@ -201,7 +201,7 @@ let release ctx l =
      else can acquire (this is what dilates critical sections).  Under
      HLRC this flushes diffs home and attaches write notices to the
      lock instead of invalidating anyone. *)
-  Mgs.Consistency.at_release m ~proc:ctx.Mgs.Api.proc ~notices:l.notices;
+  Mgs.Protocol.at_release m ~proc:ctx.Mgs.Api.proc ~notices:l.notices;
   (* the DUQ drain mints (and clears) its own transaction *)
   span_set m root;
   let flat = Topology.single_ssmp m.topo in

@@ -77,7 +77,7 @@ let exit_acquire m st root ~hit ~notices ~proc =
     count m Mgs.Pstats.lock_hits 1;
     cell_add m st.hits proc 1
   end;
-  Mgs.Consistency.at_acquire m ~proc ~notices;
+  Mgs.Protocol.at_acquire m ~proc ~notices;
   span_close m root;
   span_set m Span.none
 
@@ -93,7 +93,7 @@ let enter_release m (ctx : Mgs.Api.ctx) ~home_proc ~notices =
   span_set m root;
   obs_emit m ~engine:Mgs_obs.Event.Sync ~tag:"sync.lock_release" ~src:ctx.Mgs.Api.proc
     ~dst:home_proc ~vpn:(-1) ~words:0 ~cost:0 ~dur:0;
-  Mgs.Consistency.at_release m ~proc:ctx.Mgs.Api.proc ~notices;
+  Mgs.Protocol.at_release m ~proc:ctx.Mgs.Api.proc ~notices;
   span_set m root;
   Cpu.advance cpu Lock m.costs.sync.lock_local_release;
   root

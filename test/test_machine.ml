@@ -188,6 +188,47 @@ let test_pstats_line () =
         line ~adapt:true (water "token") );
     ]
 
+(* The same pin under the other two engines, which share MGS's fault
+   path: tiny jacobi and tiny water (token lock) at P=8 C=2, runtime
+   plus the counter line, captured before the engines shared it. *)
+let test_hlrc_ivy_pinned () =
+  let cell protocol w =
+    let r =
+      (Mgs_harness.Sweep.run_point ~protocol ~nprocs:8 ~cluster:2 w)
+        .Mgs_harness.Sweep.report
+    in
+    Format.asprintf "runtime=%d %a" r.Mgs.Report.runtime Mgs.Pstats.pp r.Mgs.Report.pstats
+  in
+  let jacobi = Mgs_apps.Jacobi.workload Mgs_apps.Jacobi.tiny in
+  let water =
+    Mgs_apps.Water.workload { Mgs_apps.Water.tiny with Mgs_apps.Water.lock = "token" }
+  in
+  List.iter
+    (fun (name, expected, got) -> Alcotest.(check string) name expected got)
+    [
+      ( "hlrc jacobi",
+        "runtime=129670 tlb_fills=27 rreq=12 wreq=4 upgrades=8 rel=21 rel_ops=21 \
+         inv=12 1winv=0 pinv=0 diffs=21 diff_words=224 1wdata=0 1wclean=0 acks=0 \
+         syncs=0 sync_wait=0 rel_wait=267700 fetch_wait=162511 upgrade_wait=0",
+        cell "hlrc" jacobi );
+      ( "hlrc water",
+        "runtime=1781378 tlb_fills=445 rreq=115 wreq=8 upgrades=113 rel=275 \
+         rel_ops=292 inv=119 1winv=0 pinv=0 diffs=275 diff_words=984 1wdata=0 \
+         1wclean=0 acks=0 syncs=0 sync_wait=0 rel_wait=3280288 fetch_wait=321505 \
+         upgrade_wait=0",
+        cell "hlrc" water );
+      ( "ivy jacobi",
+        "runtime=366772 tlb_fills=26 rreq=10 wreq=21 upgrades=2 rel=0 rel_ops=0 \
+         inv=24 1winv=2 pinv=45 diffs=0 diff_words=0 1wdata=0 1wclean=0 acks=0 \
+         syncs=0 sync_wait=0 rel_wait=0 fetch_wait=921454 upgrade_wait=0",
+        cell "ivy" jacobi );
+      ( "ivy water",
+        "runtime=3044302 tlb_fills=328 rreq=96 wreq=150 upgrades=145 rel=0 rel_ops=0 \
+         inv=185 1winv=70 pinv=289 diffs=0 diff_words=0 1wdata=0 1wclean=0 acks=0 \
+         syncs=0 sync_wait=0 rel_wait=0 fetch_wait=5964862 upgrade_wait=0",
+        cell "ivy" water );
+    ]
+
 (* A phase reset zeroes the whole counter table: every column of every
    SSMP's row, after a run whose registry lock, adaptive layer and lossy
    LAN move each counter group on several shards at once. *)
@@ -242,6 +283,7 @@ let () =
       ( "counters",
         [
           Alcotest.test_case "pstats line pinned" `Quick test_pstats_line;
+          Alcotest.test_case "hlrc and ivy lines pinned" `Quick test_hlrc_ivy_pinned;
           Alcotest.test_case "reset zeroes every row" `Quick test_reset_zeroes_table;
         ] );
       ("properties", qsuite);

@@ -98,12 +98,25 @@ let test_hlrc_flush_helper () =
          if Mgs.Api.proc ctx = 0 then begin
            Mgs.Api.write ctx a 9.0;
            Alcotest.(check (float 0.)) "master stale before flush" 0.0 (Mgs.Machine.peek m a);
-           Mgs.Proto_hlrc.flush_page_if_dirty m ~proc:0
+           Mgs.Proto_hlrc.flush_page_fiber m ~proc:0
              ~vpn:(Geom.vpn_of_addr (Mgs.Machine.geom m) a);
            Alcotest.(check (float 0.)) "master current after" 9.0 (Mgs.Machine.peek m a);
            Mgs.Api.release ctx
          end));
   Mgs.Machine.assert_quiescent m
+
+(* the protocol-name contract the CLI, sweeps and benches rely on *)
+let test_protocol_names () =
+  Alcotest.(check (list string))
+    "sorted names" [ "hlrc"; "ivy"; "mgs" ] (Mgs.Protocol.names ());
+  List.iter
+    (fun n ->
+      Alcotest.(check string) ("round trip " ^ n) n
+        (Mgs.Protocol.name_of (Mgs.Protocol.proto_of_name n)))
+    (Mgs.Protocol.names ());
+  Alcotest.check_raises "unknown name lists the known ones"
+    (Invalid_argument "unknown protocol \"tmk\" (known: hlrc, ivy, mgs)") (fun () ->
+      ignore (Mgs.Protocol.proto_of_name "tmk"))
 
 (* radix sort parameters and sequential reference *)
 let test_radix_params () =
@@ -178,22 +191,24 @@ let test_allocator_accounting () =
   Alcotest.(check int) "geom passthrough" 32 (Mgs_mem.Allocator.geom h).Geom.page_words
 
 (* deterministic protocol: two identical machines produce identical
-   message traces, not just runtimes *)
+   event traces, not just runtimes *)
 let test_trace_deterministic () =
   let run () =
     let cfg = Mgs.Machine.config ~nprocs:4 ~cluster:2 ~lan_latency:500 () in
     let m = Mgs.Machine.create cfg in
     let a = Mgs.Machine.alloc m ~words:8 ~home:(Mgs_mem.Allocator.On_proc 3) in
-    let log = Buffer.create 256 in
-    Mgs.Machine.trace_messages m (fun l -> Buffer.add_string log (l ^ "\n"));
+    let tr = Mgs.Machine.enable_trace m in
     let bar = Mgs_sync.Barrier.create m in
     ignore
       (Mgs.Machine.run m (fun ctx ->
            Mgs.Api.write ctx (a + Mgs.Api.proc ctx) 1.0;
            Mgs_sync.Barrier.wait ctx bar));
-    Buffer.contents log
+    String.concat "\n"
+      (List.map (Format.asprintf "%a" Mgs_obs.Event.pp) (Mgs_obs.Trace.events tr))
   in
-  Alcotest.(check string) "identical traces" (run ()) (run ())
+  let first = run () in
+  Alcotest.(check bool) "messages traced" true (String.length first > 0);
+  Alcotest.(check string) "identical traces" first (run ())
 
 let () =
   Alcotest.run "more"
@@ -215,6 +230,7 @@ let () =
           Alcotest.test_case "duq_pending" `Quick test_duq_pending;
           Alcotest.test_case "peek through retention" `Quick test_peek_retained;
           Alcotest.test_case "hlrc flush helper" `Quick test_hlrc_flush_helper;
+          Alcotest.test_case "protocol names" `Quick test_protocol_names;
           Alcotest.test_case "deterministic traces" `Quick test_trace_deterministic;
         ] );
     ]

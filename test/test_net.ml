@@ -290,20 +290,20 @@ let test_am_counters () =
   Alcotest.(check int) "absent tag" 0 (Am.count am "INV");
   Alcotest.(check int) "total" 3 (Am.total_posted am)
 
-let test_am_recorder_envelope () =
+let test_am_trace_envelope () =
   let sim, am, _ = make_am () in
-  let seen = ref [] in
-  Am.set_recorder am
-    (Some (fun t (e : Envelope.t) -> seen := (t, e.tag, e.src, e.dst, e.words) :: !seen));
+  let tr = Mgs_obs.Trace.create () in
+  Am.set_obs am (Some tr);
   Am.post am ~tag:"RREQ" ~src:1 ~dst:5 ~words:8 ~cost:0 (fun _ -> ());
   ignore (Sim.run sim ());
-  match !seen with
-  | [ (_, tag, src, dst, words) ] ->
-    Alcotest.(check string) "tag" "RREQ" tag;
-    Alcotest.(check int) "src" 1 src;
-    Alcotest.(check int) "dst" 5 dst;
-    Alcotest.(check int) "words" 8 words
-  | l -> Alcotest.failf "expected one recorded delivery, got %d" (List.length l)
+  match Mgs_obs.Trace.events tr with
+  | [ e ] ->
+    Alcotest.(check bool) "network event" true (e.engine = Mgs_obs.Event.Network);
+    Alcotest.(check string) "tag" "RREQ" e.tag;
+    Alcotest.(check int) "src" 1 e.src;
+    Alcotest.(check int) "dst" 5 e.dst;
+    Alcotest.(check int) "words" 8 e.words
+  | l -> Alcotest.failf "expected one traced delivery, got %d" (List.length l)
 
 let test_am_run_on () =
   let sim, am, cpus = make_am () in
@@ -459,7 +459,7 @@ let () =
           Alcotest.test_case "handlers serialize" `Quick test_am_handlers_serialize;
           Alcotest.test_case "intra vs inter" `Quick test_am_intra_vs_inter;
           Alcotest.test_case "per-tag counters" `Quick test_am_counters;
-          Alcotest.test_case "recorder sees the envelope" `Quick test_am_recorder_envelope;
+          Alcotest.test_case "trace sees the envelope" `Quick test_am_trace_envelope;
           Alcotest.test_case "run_on" `Quick test_am_run_on;
         ] );
       ("properties", qsuite);

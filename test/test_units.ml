@@ -170,37 +170,35 @@ let test_fft_parallel_exact () =
            (Mgs_apps.Fft.workload Mgs_apps.Fft.tiny)))
     [ (4, 1); (4, 2); (4, 4); (8, 2) ]
 
+(* The trace's Network events are the message log: one per delivered
+   message, with its arrival time, tag, endpoints and payload size. *)
 let test_message_trace () =
   let cfg = Mgs.Machine.config ~nprocs:4 ~cluster:2 ~lan_latency:300 () in
   let m = Mgs.Machine.create cfg in
   let page = Mgs.Machine.alloc m ~words:1 ~home:(Mgs_mem.Allocator.On_proc 3) in
-  let log = ref [] in
-  Mgs.Machine.trace_messages m (fun line -> log := line :: !log);
+  let tr = Mgs.Machine.enable_trace m in
   ignore
     (Mgs.Machine.run m (fun ctx ->
          if Mgs.Api.proc ctx = 0 then begin
            Mgs.Api.write ctx page 1.0;
            Mgs.Api.release ctx
          end));
-  let lines = List.rev !log in
-  Alcotest.(check bool) "messages recorded" true (List.length lines > 3);
-  (* a WREQ to the home and a RACK back must appear, well-formed *)
-  let has_tag tag =
-    List.exists
-      (fun l -> match String.split_on_char ' ' l with _ :: t :: _ -> t = tag | _ -> false)
-      lines
+  let msgs =
+    List.filter
+      (fun (e : Mgs_obs.Event.t) -> e.engine = Mgs_obs.Event.Network)
+      (Mgs_obs.Trace.events tr)
   in
+  Alcotest.(check bool) "messages recorded" true (List.length msgs > 3);
+  (* a WREQ to the home and a RACK back must appear, well-formed *)
+  let has_tag tag = List.exists (fun (e : Mgs_obs.Event.t) -> e.tag = tag) msgs in
   Alcotest.(check bool) "WREQ seen" true (has_tag "WREQ");
   Alcotest.(check bool) "RACK seen" true (has_tag "RACK");
   List.iter
-    (fun l ->
-      match String.split_on_char ' ' l with
-      | [ t; _; s; d; w ] ->
-        Alcotest.(check bool) "fields numeric" true
-          (int_of_string_opt t <> None && int_of_string_opt s <> None
-          && int_of_string_opt d <> None && int_of_string_opt w <> None)
-      | _ -> Alcotest.failf "malformed trace line %S" l)
-    lines
+    (fun (e : Mgs_obs.Event.t) ->
+      Alcotest.(check bool) "fields in range" true
+        (e.time >= 0 && e.src >= 0 && e.src < 4 && e.dst >= 0 && e.dst < 4 && e.words >= 0
+        && e.dur >= 0))
+    msgs
 
 let () =
   Alcotest.run "units"
