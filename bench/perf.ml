@@ -6,9 +6,9 @@
      dune exec bench/perf.exe -- --quick -o f.json  # seconds, for `make perf-smoke`
 
    The numbers to watch release-over-release are events_per_s (up is
-   good) and allocated_mb (down is good); sim_events and sim_cycles are
-   simulation-deterministic, so a change there means the simulated
-   machine itself changed, not the host. *)
+   good), allocated_mb and promoted_mb (down is good); sim_events and
+   sim_cycles are simulation-deterministic, so a change there means the
+   simulated machine itself changed, not the host. *)
 
 module Sweep = Mgs_harness.Sweep
 
@@ -16,43 +16,55 @@ type row = {
   app : string;
   nprocs : int;
   cluster : int;
+  par : int; (* engine domains; 0 in a baseline row, whose job count is not read *)
   wall_s : float;
   allocated_mb : float;
+  promoted_mb : float option; (* None when a baseline predates the field *)
   sim_events : int;
   sim_cycles : int;
   events_per_s : float;
 }
 
+(* A measured row always carries its promotion. *)
+let promoted r = Option.value r.promoted_mb ~default:0.
+
 (* Bytes allocated by every domain so far: minor + major - promoted
    words from [Gc.quick_stat], as perfbench/rep.ml counts them.
    [Gc.allocated_bytes] sees only the calling domain and under-counts
    the windowed rows. *)
-let allocated_bytes () =
-  let s = Gc.quick_stat () in
+let allocated_bytes (s : Gc.stat) =
   (s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words)
   *. float_of_int (Sys.word_size / 8)
 
-(* One measured row: wall-clock and every domain's allocation across
-   [run], which returns the run's simulated events and cycles. *)
-let timed ~app ~nprocs ~cluster run =
-  let a0 = allocated_bytes () in
+(* Bytes that survived a minor collection: what the run retains, which
+   allocation alone does not show. *)
+let promoted_bytes (s : Gc.stat) = s.Gc.promoted_words *. float_of_int (Sys.word_size / 8)
+
+(* One measured row: wall-clock, and every domain's allocation and
+   promotion across [run], which returns the run's simulated events and
+   cycles. *)
+let timed ?(par = 1) ~app ~nprocs ~cluster run =
+  let s0 = Gc.quick_stat () in
   let t0 = Unix.gettimeofday () in
   let sim_events, sim_cycles = run () in
   let wall = Unix.gettimeofday () -. t0 in
-  let allocated = allocated_bytes () -. a0 in
+  let s1 = Gc.quick_stat () in
+  let mb x = x /. 1048576. in
   {
     app;
     nprocs;
     cluster;
+    par;
     wall_s = wall;
-    allocated_mb = allocated /. 1048576.;
+    allocated_mb = mb (allocated_bytes s1 -. allocated_bytes s0);
+    promoted_mb = Some (mb (promoted_bytes s1 -. promoted_bytes s0));
     sim_events;
     sim_cycles;
     events_per_s = (if wall > 0. then float_of_int sim_events /. wall else 0.);
   }
 
 let measure ?(par = 1) ?(check = true) ?(adapt = false) ~nprocs ~cluster (name, w) =
-  timed ~app:name ~nprocs ~cluster (fun () ->
+  timed ~par ~app:name ~nprocs ~cluster (fun () ->
       let r = (Sweep.run_point ~check ~par ~adapt ~nprocs ~cluster w).Sweep.report in
       (r.Mgs.Report.sim_events, r.Mgs.Report.runtime))
 
@@ -113,7 +125,7 @@ let traced_rows () =
     (fun cluster ->
       List.map
         (fun (name, w) ->
-          timed ~app:name ~nprocs ~cluster (fun () ->
+          timed ~par:4 ~app:name ~nprocs ~cluster (fun () ->
               let cfg =
                 Mgs.Machine.config ~lan_latency:1000 ~par_jobs:4 ~nprocs ~cluster ()
               in
@@ -162,6 +174,17 @@ let adapt_rows ~nprocs ~clusters apps =
         clusters)
     apps
 
+(* Checker-off rows at C=1, where the engine runs the most events on one
+   domain.  The app rows above run the invariant checker, whose trace
+   stamps keep nearly every event's genealogy key alive anyway, so
+   their promoted_mb cannot show what the engine itself retains; these
+   rows can (tsp P=16 C=1 promotes ~55 MB more when executed keys keep
+   their parent links). *)
+let unchecked_rows ~nprocs apps =
+  List.map
+    (fun (name, w) -> measure ~check:false ~nprocs ~cluster:1 (name ^ "-nocheck", w))
+    apps
+
 let json_of_rows ~quick rows =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
@@ -173,10 +196,10 @@ let json_of_rows ~quick rows =
       Buffer.add_string buf
         (Printf.sprintf
            "    { \"app\": %S, \"nprocs\": %d, \"cluster\": %d, \"wall_s\": %.6f, \
-            \"allocated_mb\": %.3f, \"sim_events\": %d, \"sim_cycles\": %d, \
-            \"events_per_s\": %.1f }%s\n"
-           r.app r.nprocs r.cluster r.wall_s r.allocated_mb r.sim_events r.sim_cycles
-           r.events_per_s
+            \"allocated_mb\": %.3f, \"promoted_mb\": %.3f, \"sim_events\": %d, \
+            \"sim_cycles\": %d, \"events_per_s\": %.1f }%s\n"
+           r.app r.nprocs r.cluster r.wall_s r.allocated_mb (promoted r) r.sim_events
+           r.sim_cycles r.events_per_s
            (if i = List.length rows - 1 then "" else ",")))
     rows;
   Buffer.add_string buf "  ]\n}\n";
@@ -199,14 +222,17 @@ let rows_of_file path =
   in
   let num r key = get Json.to_number "number" r key in
   let int r key = int_of_float (num r key) in
+  let opt_num r key = Option.bind (Json.member key r) Json.to_number in
   List.map
     (fun r ->
       {
         app = get Json.to_string "string" r "app";
         nprocs = int r "nprocs";
         cluster = int r "cluster";
+        par = 0;
         wall_s = num r "wall_s";
         allocated_mb = num r "allocated_mb";
+        promoted_mb = opt_num r "promoted_mb";
         sim_events = int r "sim_events";
         sim_cycles = int r "sim_cycles";
         events_per_s = num r "events_per_s";
@@ -217,11 +243,20 @@ let rows_of_file path =
    sim_cycles are simulation-deterministic: any change there is semantic
    drift, not host noise, and fails the gate outright.  Allocation is
    host-deterministic too (all domains, from Gc.quick_stat); >10% growth
-   fails.
+   fails.  Promotion gates the same way on one-domain rows, where it
+   repeats to within a few percent: it catches a change that keeps
+   more alive (a pending event holding its causal history, say)
+   without allocating more.  A baseline row that predates promoted_mb
+   is not gated on it.
    Wall-clock and events/s are reported but never gate — they depend on
    the host's load. *)
 let diff_against ~base rows =
   let pct a b = if b = 0.0 then 0.0 else (a -. b) /. b *. 100.0 in
+  (* Allocation is almost deterministic, but the OCaml 5 runtime's
+     fiber-stack reuse adds ~2 MB of jitter to rows that only allocate
+     a few MB (the lock micros), so the gates need both a relative and
+     an absolute trigger. *)
+  let grew ~base x = x > base *. 1.1 && x -. base > 3.0 in
   let failures = ref [] in
   let matched = ref 0 in
   let fresh = ref 0 in
@@ -241,6 +276,7 @@ let diff_against ~base rows =
             string_of_int r.cluster;
             "-";
             Printf.sprintf "%.1f" r.allocated_mb;
+            Printf.sprintf "%.1f" (promoted r);
             "new";
             "-";
           ]
@@ -257,24 +293,28 @@ let diff_against ~base rows =
               Printf.sprintf "%s: sim_cycles %d -> %d (semantic drift)" id b.sim_cycles
                 r.sim_cycles
               :: !failures;
-          (* Allocation is almost deterministic, but the OCaml 5
-             runtime's fiber-stack reuse adds ~2 MB of jitter to rows
-             that only allocate a few MB (the lock micros), so the gate
-             needs both a relative and an absolute trigger. *)
-          if
-            r.allocated_mb > b.allocated_mb *. 1.1
-            && r.allocated_mb -. b.allocated_mb > 3.0
-          then
+          if grew ~base:b.allocated_mb r.allocated_mb then
             failures :=
               Printf.sprintf "%s: allocated_mb %.1f -> %.1f (> +10%% and > +3 MB)" id
                 b.allocated_mb r.allocated_mb
               :: !failures;
+          (match b.promoted_mb with
+          | Some bp when r.par = 1 && grew ~base:bp (promoted r) ->
+            failures :=
+              Printf.sprintf "%s: promoted_mb %.1f -> %.1f (> +10%% and > +3 MB)" id bp
+                (promoted r)
+              :: !failures
+          | _ -> ());
           [
             r.app;
             string_of_int r.cluster;
             Printf.sprintf "%+.1f%%" (pct r.wall_s b.wall_s);
             Printf.sprintf "%.1f -> %.1f (%+.1f%%)" b.allocated_mb r.allocated_mb
               (pct r.allocated_mb b.allocated_mb);
+            (match b.promoted_mb with
+            | Some bp ->
+              Printf.sprintf "%.1f -> %.1f (%+.1f%%)" bp (promoted r) (pct (promoted r) bp)
+            | None -> Printf.sprintf "%.1f" (promoted r));
             (if r.sim_events = b.sim_events && r.sim_cycles = b.sim_cycles then "same"
              else "CHANGED");
             Printf.sprintf "%+.1f%%" (pct r.events_per_s b.events_per_s);
@@ -282,7 +322,7 @@ let diff_against ~base rows =
       rows
   in
   Mgs_util.Tableprint.print
-    ~header:[ "app"; "C"; "wall"; "alloc (MB)"; "sim"; "events/s" ]
+    ~header:[ "app"; "C"; "wall"; "alloc (MB)"; "promoted (MB)"; "sim"; "events/s" ]
     ~rows:table;
   if !matched = 0 then begin
     prerr_endline "perf: --diff: no baseline rows match this run's matrix";
@@ -355,10 +395,12 @@ let () =
   let rows =
     rows @ lock_rows
     @ adapt_rows ~nprocs ~clusters apps
+    @ unchecked_rows ~nprocs apps
     @ (if !quick then [] else large_rows () @ traced_rows () @ kv_rows ())
   in
   Mgs_util.Tableprint.print
-    ~header:[ "app"; "C"; "wall (s)"; "alloc (MB)"; "sim events"; "events/s" ]
+    ~header:
+      [ "app"; "C"; "wall (s)"; "alloc (MB)"; "promoted (MB)"; "sim events"; "events/s" ]
     ~rows:
       (List.map
          (fun r ->
@@ -367,6 +409,7 @@ let () =
              string_of_int r.cluster;
              Printf.sprintf "%.3f" r.wall_s;
              Printf.sprintf "%.1f" r.allocated_mb;
+             Printf.sprintf "%.1f" (promoted r);
              string_of_int r.sim_events;
              Printf.sprintf "%.0f" r.events_per_s;
            ])

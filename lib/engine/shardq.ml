@@ -21,25 +21,40 @@
      sort before execution-created peers (pre-run insertions come
      first).
 
-   Keys are immutable records sharing parent tails, so a fiber's event
-   chain costs one small record per event and dies with its pending
-   descendants. *)
+   A creator's position in that order is all the recursion asks of
+   it, so once a key has executed it can carry the position instead of
+   its ancestry: [rank k r] overwrites [seq] with [r] and points
+   [parent] at the [ranked] sentinel.  Two ranked keys compare by rank
+   alone, a pending key's parent tie is one integer comparison, and the
+   executed key no longer keeps its creator — nor anything older —
+   reachable.  The canonical-global drain ranks every key it pops, so
+   a fiber's pending event costs two small records whatever its
+   history.  Windowed drains rank nothing: their executed keys keep
+   their parents and compare by recursion, which ends at a ranked key
+   or a root. *)
 
 type key = {
   k_fire : int;
   k_sched : int;
   k_src : int;
-  k_seq : int;
-  k_parent : key; (* physically [no_parent] for roots *)
+  mutable k_seq : int; (* the rank once ranked *)
+  mutable k_parent : key; (* physically [no_parent] for roots, [ranked] once ranked *)
 }
 
 let rec no_parent =
   { k_fire = min_int; k_sched = min_int; k_src = -1; k_seq = -1; k_parent = no_parent }
 
+let rec ranked =
+  { k_fire = min_int; k_sched = min_int; k_src = -1; k_seq = -1; k_parent = ranked }
+
 let key ~fire ~sched ~src ~seq ~parent =
   { k_fire = fire; k_sched = sched; k_src = src; k_seq = seq; k_parent = parent }
 
 let refire k ~fire = { k with k_fire = fire }
+
+let rank k r =
+  k.k_seq <- r;
+  k.k_parent <- ranked
 
 let rec cmp_key a b =
   if a == b then 0
@@ -49,6 +64,14 @@ let rec cmp_key a b =
     else
       let c = compare a.k_sched b.k_sched in
       if c <> 0 then c
+      else if a.k_parent == ranked then
+        (* ranks are execution order.  Keys are only ever compared
+           pending with pending (the heap) or executed with executed
+           (parents, observability stamps), and an unranked executed
+           key ran in or after the first windowed drain, so after
+           every ranked one. *)
+        if b.k_parent == ranked then compare a.k_seq b.k_seq else -1
+      else if b.k_parent == ranked then 1
       else if a.k_src = b.k_src then compare a.k_seq b.k_seq
       else if a.k_parent == no_parent then
         if b.k_parent == no_parent then compare a.k_src b.k_src else -1

@@ -10,6 +10,17 @@
     global clock in every case — including two shards scheduling onto
     a common destination at the same clock.
 
+    Once an event has run, its key may be {e ranked} ({!rank}): its
+    position in the canonical execution order replaces its ancestry.
+    The canonical-global drain ({!Sim.run} at one job) ranks each key
+    as it pops it, before the event runs, so a pending event's parent
+    is ranked (a root's is {!no_parent}) and the tie above costs one
+    integer comparison; the parent's own ancestors are no longer
+    reachable through it.
+    Windowed drains do not rank — ranks there would need a serial
+    merge of the per-shard execution logs at every barrier — so their
+    executed keys keep their parent links.
+
     [own] names the shard that will execute the event — it is carried,
     not part of the order. *)
 
@@ -17,8 +28,10 @@ type key = private {
   k_fire : int;  (** absolute fire time *)
   k_sched : int;  (** scheduling shard's clock at creation *)
   k_src : int;  (** scheduling shard's id *)
-  k_seq : int;  (** scheduling shard's private counter *)
-  k_parent : key;  (** key of the creating event; {!no_parent} for roots *)
+  mutable k_seq : int;  (** scheduling shard's private counter; the rank once ranked *)
+  mutable k_parent : key;
+      (** key of the creating event; {!no_parent} for roots; a
+          self-referential sentinel once ranked *)
 }
 
 val no_parent : key
@@ -32,8 +45,17 @@ val refire : key -> fire:int -> key
 (** The same key moved to a later fire time (lookahead-violation
     clamping at outbox flush). *)
 
+val rank : key -> int -> unit
+(** [rank k r] records that the event of [k] is the [r]-th to execute
+    in canonical order: [r] replaces [k]'s [seq] and [k]'s parent
+    becomes the ranked sentinel, dropping [k]'s ancestry.  Ranks must
+    be assigned in execution order, and only while every key already
+    executed is ranked too, since {!cmp_key} puts a ranked key before
+    an unranked one that ties on [(fire, sched)]. *)
+
 val cmp_key : key -> key -> int
-(** The canonical total order described above. *)
+(** The canonical total order described above.  Two ranked keys that
+    tie on [(fire, sched)] compare by rank. *)
 
 type t
 

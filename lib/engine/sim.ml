@@ -11,7 +11,9 @@
      order over all shards and is the order the parallel mode must
      reproduce per shard: fire time, then scheduling order — the key's
      recursive parent component resolves even cross-shard ties the way
-     a global insertion counter would.
+     a global insertion counter would.  Each popped key is ranked with
+     its position in that order before its event runs, so the keys its
+     event creates point at a parent that holds no ancestry.
 
    - {b windowed} (jobs >= 2): per-shard heaps drained concurrently on
      [jobs] domains between barriers.  Each window executes every event
@@ -66,6 +68,10 @@ type t = {
          after the shard clock and counters have advanced.  Used by the
          metrics sampler; the callback must only touch state owned by
          [shard] or the determinism contract breaks. *)
+  mutable rank : int;
+      (* the next canonical-global rank; -1 from the first windowed
+         run on, whose executed keys stay unranked and so must sort
+         after every ranked one *)
 }
 
 exception Late_delivery of { dst : int; fire : int; clock : int }
@@ -117,6 +123,7 @@ let create () =
     windows = 0;
     barrier_wall = 0.;
     on_event = None;
+    rank = 0;
   }
 
 let set_strict sim v = sim.strict <- v
@@ -282,6 +289,10 @@ let run_global sim ~limit =
       if t > s.clock then s.clock <- t;
       s.executed <- s.executed + 1;
       s.running <- Shardq.popped_key sim.g;
+      if sim.rank >= 0 then begin
+        Shardq.rank s.running sim.rank;
+        sim.rank <- sim.rank + 1
+      end;
       set_cur s.id;
       Domain.DLS.set run_key s.running;
       (match sim.on_event with Some h -> h ~shard:s.id ~now:t | None -> ());
@@ -383,6 +394,7 @@ let window_min sim =
     None sim.shards
 
 let run_windowed sim ~jobs ~limit =
+  sim.rank <- -1;
   let nsh = Array.length sim.shards in
   Array.iter (fun s -> s.failure <- None) sim.shards;
   let n0 = events_executed sim in

@@ -13,7 +13,15 @@
     lookahead barriers, merging cross-shard sends at window boundaries.
     Both produce identical results; the contract relies on every
     cross-shard event firing at least [lookahead] after its creation,
-    which the LAN's fixed inter-SSMP latency guarantees. *)
+    which the LAN's fixed inter-SSMP latency guarantees.
+
+    The single-heap drain knows each event's position in the canonical
+    order as it pops it, and ranks the event's key with it
+    ({!Shardq.rank}) before the event runs: pending events then keep
+    one ranked parent alive instead of their whole causal history.
+    Windowed drains do not know the global position and rank nothing,
+    and a simulator that has run windowed once stops ranking, so every
+    ranked key precedes every unranked executed one. *)
 
 type time = int
 (** Simulated time in processor cycles. *)
@@ -61,8 +69,9 @@ val cur : unit -> int
 val running_key : unit -> Shardq.key
 (** Genealogy key of the event this domain is currently executing; the
     observability layer stamps emissions with it so per-shard cells
-    merge back into the canonical execution order.  Meaningful only
-    while {!cur} is [>= 0]. *)
+    merge back into the canonical execution order.  Under the
+    single-heap drain it is already ranked.  Meaningful only while
+    {!cur} is [>= 0]. *)
 
 val now : t -> time
 (** The executing shard's clock inside an event; from host code, the

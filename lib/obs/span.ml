@@ -349,6 +349,20 @@ let view_iter t v f =
 
 let iter t f = view_iter t (view t) f
 
+(* No view: cells in turn, each in emission order, raw fields. *)
+let fold_unordered t ~init f =
+  Array.fold_left
+    (fun acc cl ->
+      let acc = ref acc in
+      for l = 0 to cl.cn - 1 do
+        let b = l * stride in
+        acc :=
+          f !acc ~label:cl.labels.(l) ~parent:cl.ints.(b + f_parent) ~t0:cl.ints.(b + f_t0)
+            ~t1:cl.ints.(b + f_t1)
+      done;
+      !acc)
+    init t.cells
+
 let open_labels t =
   let acc = ref [] in
   Array.iter

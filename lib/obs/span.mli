@@ -126,6 +126,14 @@ val iter : t -> (span -> unit) -> unit
     renumbered IDs (identical across job counts; for a single-cell
     store this is the raw emission order and raw IDs). *)
 
+val fold_unordered :
+  t -> init:'a -> ('a -> label:string -> parent:int -> t0:int -> t1:int -> 'a) -> 'a
+(** Fold over every recorded span's label, parent, start and end in no
+    particular order, without building the canonical view {!iter}
+    sorts and renumbers.  [parent] is a raw store ID: only its sign is
+    portable ([-1] for a transaction root).  For order-free aggregates
+    — sums, counts, sorted samples. *)
+
 val txn_mapper : t -> int -> int
 (** Map a raw transaction ID (as stamped on trace events) to its dense
     export ID.  [-1] maps to itself; a transaction none of whose spans

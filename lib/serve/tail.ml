@@ -30,11 +30,10 @@ let percentile_of_sorted sorted q =
 let durations_by_op sp =
   let tbl = Hashtbl.create 4 in
   List.iter (fun l -> Hashtbl.replace tbl l (ref [])) op_labels;
-  Mgs_obs.Span.iter sp (fun s ->
-      if s.Mgs_obs.Span.parent = -1 && s.Mgs_obs.Span.t1 >= 0 && is_op s.Mgs_obs.Span.label
-      then
-        let acc = Hashtbl.find tbl s.Mgs_obs.Span.label in
-        acc := (s.Mgs_obs.Span.t1 - s.Mgs_obs.Span.t0) :: !acc);
+  Mgs_obs.Span.fold_unordered sp ~init:() (fun () ~label ~parent ~t0 ~t1 ->
+      if parent = -1 && t1 >= 0 && is_op label then
+        let acc = Hashtbl.find tbl label in
+        acc := (t1 - t0) :: !acc);
   List.filter_map
     (fun l ->
       let durs = Array.of_list !(Hashtbl.find tbl l) in
@@ -65,15 +64,15 @@ let rows sp =
    phases partition each root interval by construction, so anything
    below 1.0 measures spans lost to the bounded store. *)
 let coverage sp =
-  let root_time = ref 0 and phase_time = ref 0 in
-  Mgs_obs.Span.iter sp (fun s ->
-      if s.Mgs_obs.Span.t1 >= 0 then begin
-        let d = s.Mgs_obs.Span.t1 - s.Mgs_obs.Span.t0 in
-        if s.Mgs_obs.Span.parent = -1 && is_op s.Mgs_obs.Span.label then
-          root_time := !root_time + d
-        else if is_phase s.Mgs_obs.Span.label then phase_time := !phase_time + d
-      end);
-  if !root_time = 0 then 1.0 else float_of_int !phase_time /. float_of_int !root_time
+  let root_time, phase_time =
+    Mgs_obs.Span.fold_unordered sp ~init:(0, 0)
+      (fun ((root, phase) as acc) ~label ~parent ~t0 ~t1 ->
+        if t1 < 0 then acc
+        else if parent = -1 && is_op label then (root + t1 - t0, phase)
+        else if is_phase label then (root, phase + t1 - t0)
+        else acc)
+  in
+  if root_time = 0 then 1.0 else float_of_int phase_time /. float_of_int root_time
 
 let p999_of sp =
   match List.assoc_opt "kv.put" (durations_by_op sp) with

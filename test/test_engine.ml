@@ -163,6 +163,42 @@ let test_lookahead_zero () =
     (Invalid_argument "Sim.make_sharded: events already scheduled") (fun () ->
       Sim.make_sharded sim ~nshards:2 ~lookahead:0)
 
+(* One job ranks each key as it pops it, so the key of a running event
+   reaches a self-referential sentinel in one hop however long the
+   fiber's history is; unranked, each sleep would add a hop. *)
+let test_chains_bounded () =
+  let sim = Sim.create () in
+  let rec hops k n = if k.Q.k_parent == k then n else hops k.Q.k_parent (n + 1) in
+  let deepest = ref 0 in
+  ignore
+    (Fiber.spawn sim ~at:0 ~name:"sleeper" (fun () ->
+         let walk () = deepest := max !deepest (hops (Sim.running_key ()) 0) in
+         for t = 1 to 100_000 do
+           walk ();
+           Fiber.sleep_until sim t
+         done;
+         walk ()));
+  ignore (Sim.run sim ());
+  Alcotest.(check int) "longest walk to a sentinel" 1 !deepest
+
+(* Keys executed windowed stay unranked, and a rank given after them
+   would sort first on a (fire, sched) tie, so a simulator that has run
+   windowed ranks nothing more: a root run at one job keeps its
+   [no_parent] link. *)
+let test_no_ranks_after_windowed () =
+  let sim = Sim.create () in
+  Sim.make_sharded sim ~nshards:2 ~lookahead:100;
+  let root_parent () = (Sim.running_key ()).Q.k_parent == Q.no_parent in
+  let ranked_at jobs =
+    Sim.set_jobs sim jobs;
+    let unranked = ref false in
+    Sim.at_shard sim ~shard:1 (Sim.now sim) (fun () -> unranked := root_parent ());
+    ignore (Sim.run sim ());
+    not !unranked
+  in
+  Alcotest.(check (list bool)) "ranked at one job, then never" [ true; false; false ]
+    (List.map ranked_at [ 1; 2; 1 ])
+
 let test_fiber_completes () =
   let sim = Sim.create () in
   let steps = ref [] in
@@ -289,6 +325,9 @@ let () =
           Alcotest.test_case "strict mode raises on late merge" `Quick
             test_sharded_strict_raises;
           Alcotest.test_case "lookahead 0 runs on one domain" `Quick test_lookahead_zero;
+          Alcotest.test_case "key chains stay bounded" `Quick test_chains_bounded;
+          Alcotest.test_case "no ranks after a windowed run" `Quick
+            test_no_ranks_after_windowed;
         ] );
       ( "fiber",
         [

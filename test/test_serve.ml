@@ -190,6 +190,19 @@ let test_hist_percentile_edges () =
 
 (* --- end-to-end KV -------------------------------------------------- *)
 
+(* Phase coverage summed over the canonical view, where parents are
+   renumbered: the oracle of [Tail.coverage], which folds over the raw
+   cells in no order. *)
+let view_coverage sp =
+  let root = ref 0 and phase = ref 0 in
+  Mgs_obs.Span.iter sp (fun { Mgs_obs.Span.label; parent; t0; t1; _ } ->
+      if t1 >= 0 then
+        if parent = -1 && List.mem label [ "kv.get"; "kv.put"; "kv.scan" ] then
+          root := !root + t1 - t0
+        else if List.mem label [ "kv.queue"; "kv.lock"; "kv.access" ] then
+          phase := !phase + t1 - t0);
+  float_of_int !phase /. float_of_int !root
+
 (* One verified run (store checked against the schedules) with the
    trace on: >= 95% of request latency must be attributed to phase
    children, nothing dropped, and the rendered table must be identical
@@ -204,11 +217,12 @@ let kv_exports par =
   Mgs.Machine.assert_quiescent m;
   check m;
   let sp = Mgs_obs.Trace.spans tr in
-  (Tail.table sp, Tail.coverage sp, Mgs_obs.Span.dropped sp)
+  (Tail.table sp, Tail.coverage sp, view_coverage sp, Mgs_obs.Span.dropped sp)
 
 let test_kv_run () =
-  let table, coverage, dropped = kv_exports 1 in
+  let table, coverage, in_view, dropped = kv_exports 1 in
   Alcotest.(check int) "no spans dropped" 0 dropped;
+  Alcotest.(check (float 0.)) "coverage as over the canonical view" in_view coverage;
   if coverage < 0.95 then Alcotest.failf "phase coverage %.3f < 0.95" coverage;
   List.iter
     (fun op ->
