@@ -146,9 +146,14 @@ let traced_rows () =
    (C=1) and clustered (C=16), static and adaptive.  Sharded across 4
    domains with the invariant checker off, like the other large-P rows;
    sim_events/sim_cycles still gate the diff because the offered load
-   is a pure function of the seed. *)
+   is a pure function of the seed.  One more row runs the repository
+   benchmark's shape (P=64 C=16, 100 requests per client) on one
+   domain, where promoted_mb gates: kv always records its spans, so
+   that row sees what the trace and span stores keep alive. *)
 let kv_rows () =
-  List.concat_map
+  measure ~check:false ~nprocs:64 ~cluster:16
+    ("kv-par1", Mgs_serve.Kv.workload { Mgs_serve.Kv.default with Mgs_serve.Kv.ops = 100 })
+  :: List.concat_map
     (fun nprocs ->
       let w = Mgs_serve.Kv.workload Mgs_serve.Kv.default in
       List.concat_map

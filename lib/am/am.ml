@@ -1,5 +1,13 @@
 module Span = Mgs_obs.Span
 
+(* A tag's span labels and their engine classes: ["h." ^ tag] for a
+   delivered message's handler, the bare tag for [run_on] work. *)
+type hlabel = {
+  h_label : string;
+  h_engine : Mgs_obs.Event.engine;
+  tag_engine : Mgs_obs.Event.engine;
+}
+
 (* Message counters live in per-SSMP cells so concurrent shards of the
    sharded engine never write the same slot: posting bumps the sender's
    cell, delivery decrements the receiver's in-flight cell, and the
@@ -12,9 +20,9 @@ type t = {
   lan : Mgs_net.Lan.t;
   cpus : Mgs_machine.Cpu.t array;
   counts : (string, int) Hashtbl.t array; (* per sender SSMP *)
-  hlabels : (string, string) Hashtbl.t array;
-      (* tag -> "h." ^ tag, interned per receiving SSMP (the intern
-         happens in [deliver], which runs on the receiver's shard) *)
+  hlabels : (string, hlabel) Hashtbl.t array;
+      (* per tag, interned per handling SSMP (the intern happens on the
+         handler's shard) *)
   total : int array; (* per sender SSMP *)
   in_flight : int array; (* per SSMP: posted here minus delivered here *)
   mutable obs : Mgs_obs.Trace.t option;
@@ -44,16 +52,24 @@ let bump am ssmp tag =
   | prev -> Hashtbl.replace counts tag (prev + 1)
   | exception Not_found -> Hashtbl.add counts tag 1
 
-(* The handler-span label for [tag], computed once per distinct tag and
-   receiving SSMP: the tag set is small and fixed, and a fresh
-   ["h." ^ tag] on every post is a per-message allocation. *)
+(* The span labels for [tag], computed and classified once per distinct
+   tag and handling SSMP: the tag set is small and fixed, and a fresh
+   ["h." ^ tag] or a label classification per message is wasted work. *)
 let hlabel am ssmp tag =
   let hlabels = am.hlabels.(ssmp) in
-  try Hashtbl.find hlabels tag
-  with Not_found ->
-    let l = "h." ^ tag in
-    Hashtbl.add hlabels tag l;
-    l
+  match Hashtbl.find hlabels tag with
+  | hl -> hl
+  | exception Not_found ->
+    let h_label = "h." ^ tag in
+    let hl =
+      {
+        h_label;
+        h_engine = Span.engine_of_label h_label;
+        tag_engine = Span.engine_of_label tag;
+      }
+    in
+    Hashtbl.add hlabels tag hl;
+    hl
 
 (* The ambient span context is captured when the message is posted and
    re-installed around the handler's continuation, so any message the
@@ -82,24 +98,12 @@ let post am ~tag ~src ~dst ~words ~cost k =
     match am.obs with
     | None -> Mgs_engine.Sim.at am.sim fin (fun () -> k fin)
     | Some tr ->
-      Mgs_obs.Trace.emit tr
-        {
-          Mgs_obs.Event.time = arrive;
-          engine = Mgs_obs.Event.Network;
-          tag;
-          vpn = -1;
-          src;
-          dst;
-          src_ssmp;
-          dst_ssmp;
-          words;
-          cost;
-          dur = arrive - at;
-          txn = pctx.Span.txn;
-        };
+      let txn = Span.txn_of pctx in
+      Mgs_obs.Trace.emit tr ~time:arrive ~engine:Mgs_obs.Event.Network ~tag ~vpn:(-1) ~src
+        ~dst ~src_ssmp ~dst_ssmp ~words ~cost ~dur:(arrive - at) ~txn;
       let sp = Mgs_obs.Trace.spans tr in
       let hctx =
-        if pctx.Span.txn < 0 then pctx
+        if txn < 0 then pctx
         else begin
           (* transit decomposes into wire time and, for bulk payloads,
              the trailing DMA burst *)
@@ -118,15 +122,14 @@ let post am ~tag ~src ~dst ~words ~cost k =
             in
             Span.close sp d ~time:arrive
           end;
-          let label = hlabel am dst_ssmp tag in
-          Span.open_span_x sp ~parent:pctx ~time:arrive ~label
-            ~engine:(Span.engine_of_label label) ~vpn:(-1) ~src ~dst ~src_ssmp ~dst_ssmp
-            ~words
+          let hl = hlabel am dst_ssmp tag in
+          Span.open_span_x sp ~parent:pctx ~time:arrive ~label:hl.h_label
+            ~engine:hl.h_engine ~vpn:(-1) ~src ~dst ~src_ssmp ~dst_ssmp ~words
         end
       in
       Mgs_engine.Sim.at am.sim fin (fun () ->
           (* close only the span opened above, never an aliased parent *)
-          if hctx.Span.sid <> pctx.Span.sid then Span.close sp hctx ~time:fin;
+          if hctx <> pctx then Span.close sp hctx ~time:fin;
           let saved = Span.current sp in
           Span.set_current sp hctx;
           k fin;
@@ -146,29 +149,18 @@ let run_on am ?tag ~proc ~at ~cost k =
       | None -> pctx
       | Some tag ->
         let ssmp = Mgs_machine.Topology.ssmp_of_proc am.topo proc in
-        Mgs_obs.Trace.emit tr
-          {
-            Mgs_obs.Event.time = fin;
-            engine = Mgs_obs.Event.Remote_client;
-            tag;
-            vpn = -1;
-            src = proc;
-            dst = proc;
-            src_ssmp = ssmp;
-            dst_ssmp = ssmp;
-            words = 0;
-            cost;
-            dur = fin - at;
-            txn = pctx.Span.txn;
-          };
-        if pctx.Span.txn < 0 then pctx
+        let txn = Span.txn_of pctx in
+        Mgs_obs.Trace.emit tr ~time:fin ~engine:Mgs_obs.Event.Remote_client ~tag ~vpn:(-1)
+          ~src:proc ~dst:proc ~src_ssmp:ssmp ~dst_ssmp:ssmp ~words:0 ~cost ~dur:(fin - at)
+          ~txn;
+        if txn < 0 then pctx
         else
           Span.open_span_x sp ~parent:pctx ~time:at ~label:tag
-            ~engine:(Span.engine_of_label tag) ~vpn:(-1) ~src:proc ~dst:proc
+            ~engine:(hlabel am ssmp tag).tag_engine ~vpn:(-1) ~src:proc ~dst:proc
             ~src_ssmp:ssmp ~dst_ssmp:ssmp ~words:0
     in
     Mgs_engine.Sim.at am.sim fin (fun () ->
-        if hctx.Span.sid <> pctx.Span.sid then Span.close sp hctx ~time:fin;
+        if hctx <> pctx then Span.close sp hctx ~time:fin;
         let saved = Span.current sp in
         Span.set_current sp hctx;
         k fin;

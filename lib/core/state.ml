@@ -380,37 +380,21 @@ let span_with m ctx f =
     Span.set_current sp saved
 
 (* Structured event emission: one cheap branch when observability is
-   off, a full {!Mgs_obs.Event.t} into the trace when it is on.  The
-   protocol engines call this at every state transition; the online
-   invariant checker rides the trace's subscriber list.  Every event is
-   stamped with the ambient transaction ID so traces correlate with
-   spans. *)
-(* All arguments are required: optional arguments would box a [Some]
-   per supplied value at every call site, and this runs at every
-   protocol transition.  Absent fields are passed as [-1] / [0]
-   explicitly. *)
+   off, one trace row when it is on.  The protocol engines call this at
+   every state transition; the online invariant checker rides the
+   trace's subscriber list.  Every event is stamped with the ambient
+   transaction ID so traces correlate with spans.  All arguments are
+   required: an optional argument boxes a [Some] per supplied value at
+   every call site.  Absent fields are passed as [-1] / [0]. *)
 let obs_emit m ~engine ~tag ~vpn ~src ~dst ~words ~cost ~dur =
   match m.obs with
   | None -> ()
   | Some tr ->
-    (* Build the record literally: routing every field through
-       [Event.make]'s optional arguments boxes each one in a [Some] at
-       the call — ~10 heap blocks per traced event. *)
-    Mgs_obs.Trace.emit tr
-      {
-        Mgs_obs.Event.time = Sim.now m.sim;
-        engine;
-        tag;
-        vpn;
-        src;
-        dst;
-        src_ssmp = (if src < 0 then -1 else Topology.ssmp_of_proc m.topo src);
-        dst_ssmp = (if dst < 0 then -1 else Topology.ssmp_of_proc m.topo dst);
-        words;
-        cost;
-        dur;
-        txn = (Span.current (Mgs_obs.Trace.spans tr)).Span.txn;
-      }
+    Mgs_obs.Trace.emit tr ~time:(Sim.now m.sim) ~engine ~tag ~vpn ~src ~dst
+      ~src_ssmp:(if src < 0 then -1 else Topology.ssmp_of_proc m.topo src)
+      ~dst_ssmp:(if dst < 0 then -1 else Topology.ssmp_of_proc m.topo dst)
+      ~words ~cost ~dur
+      ~txn:(Span.txn_of (Span.current (Mgs_obs.Trace.spans tr)))
 
 (* --- the fiber side of a protocol transaction -------------------------
 

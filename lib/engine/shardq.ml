@@ -111,7 +111,7 @@ let length q = q.n
 
 let is_empty q = q.n = 0
 
-let min_fire q = if q.n = 0 then None else Some q.keys.(0).k_fire
+let min_fire q = if q.n = 0 then max_int else q.keys.(0).k_fire
 
 (* strict key order: element [i] fires before element [j] *)
 let less q i j = cmp_key q.keys.(i) q.keys.(j) < 0

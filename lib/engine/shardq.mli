@@ -63,8 +63,9 @@ val create : unit -> t
 val length : t -> int
 val is_empty : t -> bool
 
-val min_fire : t -> int option
-(** Fire time of the earliest event, if any. *)
+val min_fire : t -> int
+(** Fire time of the earliest event, [max_int] when empty.  An int, not
+    an option: the windowed drain reads it before every event. *)
 
 val push : t -> key:key -> own:int -> (unit -> unit) -> unit
 

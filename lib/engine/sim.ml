@@ -323,8 +323,7 @@ let drain sim s ~wend ~allow =
   (try
      let continue_ = ref true in
      while !continue_ do
-       match Shardq.min_fire s.q with
-       | Some f when f < wend ->
+       if Shardq.min_fire s.q < wend then begin
          if !n >= allow then
            failwith
              (limit_msg ~limit:allow ~executed:(s.executed) ~clock:s.clock
@@ -343,7 +342,8 @@ let drain sim s ~wend ~allow =
            s.running <- Shardq.no_parent;
            set_cur (-1)
          end
-       | _ -> continue_ := false
+       end
+       else continue_ := false
      done
    with e ->
      s.running <- Shardq.no_parent;
@@ -385,13 +385,14 @@ let flush_outboxes sim =
         msgs)
     sim.shards
 
+(* The earliest pending fire time over every shard; [max_int] when
+   nothing is pending. *)
 let window_min sim =
   Array.fold_left
     (fun acc s ->
-      match Shardq.min_fire s.q with
-      | None -> acc
-      | Some f -> ( match acc with None -> Some f | Some a -> Some (min a f)))
-    None sim.shards
+      let f = Shardq.min_fire s.q in
+      if f < acc then f else acc)
+    max_int sim.shards
 
 let run_windowed sim ~jobs ~limit =
   sim.rank <- -1;
@@ -454,8 +455,8 @@ let run_windowed sim ~jobs ~limit =
       while !running do
         flush_outboxes sim;
         match window_min sim with
-        | None -> running := false
-        | Some t ->
+        | t when t = max_int -> running := false
+        | t ->
           let total = events_executed sim - n0 in
           if total >= limit then
             failwith

@@ -87,23 +87,10 @@ let fifo_arrival lan ~src ~dst raw =
 let emit_delivery lan (env : Envelope.t) ~post_at ~arrive =
   match lan.obs with
   | Some tr ->
-    (* record literal rather than Event.make: each supplied optional
-       argument would box a Some per message *)
-    Mgs_obs.Trace.emit tr
-      {
-        Mgs_obs.Event.time = arrive;
-        engine = Mgs_obs.Event.Network;
-        tag = "LAN";
-        vpn = -1;
-        src = env.src;
-        dst = env.dst;
-        src_ssmp = env.src_ssmp;
-        dst_ssmp = env.dst_ssmp;
-        words = env.words;
-        cost = 0;
-        dur = arrive - post_at;
-        txn = (Mgs_obs.Span.current (Mgs_obs.Trace.spans tr)).Mgs_obs.Span.txn;
-      }
+    Mgs_obs.Trace.emit tr ~time:arrive ~engine:Mgs_obs.Event.Network ~tag:"LAN" ~vpn:(-1)
+      ~src:env.src ~dst:env.dst ~src_ssmp:env.src_ssmp ~dst_ssmp:env.dst_ssmp
+      ~words:env.words ~cost:0 ~dur:(arrive - post_at)
+      ~txn:(Mgs_obs.Span.txn_of (Mgs_obs.Span.current (Mgs_obs.Trace.spans tr)))
   | None -> ()
 
 (* --- reliable transport (fault plan installed) ---------------------- *)
@@ -203,21 +190,9 @@ let emit_retry lan pend now =
   match lan.obs with
   | Some tr ->
     let env = pend.penv in
-    Mgs_obs.Trace.emit tr
-      {
-        Mgs_obs.Event.time = now;
-        engine = Mgs_obs.Event.Network;
-        tag = "NET.RETRY";
-        vpn = -1;
-        src = env.src;
-        dst = env.dst;
-        src_ssmp = env.src_ssmp;
-        dst_ssmp = env.dst_ssmp;
-        words = env.words;
-        cost = 0;
-        dur = 0;
-        txn = pend.pctx.Mgs_obs.Span.txn;
-      };
+    Mgs_obs.Trace.emit tr ~time:now ~engine:Mgs_obs.Event.Network ~tag:"NET.RETRY" ~vpn:(-1)
+      ~src:env.src ~dst:env.dst ~src_ssmp:env.src_ssmp ~dst_ssmp:env.dst_ssmp
+      ~words:env.words ~cost:0 ~dur:0 ~txn:(Mgs_obs.Span.txn_of pend.pctx);
     let sp = Mgs_obs.Trace.spans tr in
     let ctx =
       Mgs_obs.Span.open_span_x sp ~parent:pend.pctx ~time:now ~label:"net.retry"

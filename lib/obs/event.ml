@@ -22,9 +22,16 @@ let engine_name = function
   | Network -> "network"
   | Sync -> "sync"
 
-let make ~time ~engine ~tag ?(vpn = -1) ?(src = -1) ?(dst = -1) ?(src_ssmp = -1)
-    ?(dst_ssmp = -1) ?(words = 0) ?(cost = 0) ?(dur = 0) ?(txn = -1) () =
-  { time; engine; tag; vpn; src; dst; src_ssmp; dst_ssmp; words; cost; dur; txn }
+let engines = [| Local_client; Remote_client; Server; Network; Sync |]
+
+let engine_index = function
+  | Local_client -> 0
+  | Remote_client -> 1
+  | Server -> 2
+  | Network -> 3
+  | Sync -> 4
+
+let engine_of_index i = engines.(i)
 
 let pp ppf e =
   Format.fprintf ppf "[t=%d %s] %s vpn=%d %d(%d)->%d(%d) words=%d cost=%d dur=%d txn=%d"

@@ -29,20 +29,10 @@ type t = {
 
 val engine_name : engine -> string
 
-val make :
-  time:int ->
-  engine:engine ->
-  tag:string ->
-  ?vpn:int ->
-  ?src:int ->
-  ?dst:int ->
-  ?src_ssmp:int ->
-  ?dst_ssmp:int ->
-  ?words:int ->
-  ?cost:int ->
-  ?dur:int ->
-  ?txn:int ->
-  unit ->
-  t
+val engine_index : engine -> int
+(** The engine as a small int, for row stores; {!engine_of_index}
+    inverts it. *)
+
+val engine_of_index : int -> engine
 
 val pp : Format.formatter -> t -> unit

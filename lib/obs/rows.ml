@@ -1,0 +1,85 @@
+(* One cell of the chunked row store behind {!Trace} and {!Span}; see
+   the interface for the contract. *)
+
+module Shardq = Mgs_engine.Shardq
+
+let chunk_rows = 1024
+
+let width = 12
+
+type t = {
+  cap : int;
+  ring : bool; (* full: overwrite the oldest row (true) or drop new ones *)
+  ints : int array array; (* chunk directory; [||] until first use *)
+  keys : Shardq.key array array; (* same layout; [||] when unstamped *)
+  mutable n : int; (* rows ever added, dropped ones included *)
+  ids : (string, int) Hashtbl.t;
+  mutable names : string array; (* label id -> label *)
+}
+
+let cur_cell ncells =
+  let c = Mgs_engine.Sim.cur () in
+  if c < 0 || c >= ncells then 0 else c
+
+let create ~capacity ~cells ~ring =
+  let cap = max (min capacity 64) ((capacity + cells - 1) / cells) in
+  let nchunks = (cap + chunk_rows - 1) / chunk_rows in
+  {
+    cap;
+    ring;
+    ints = Array.make nchunks [||];
+    keys = Array.make (if cells > 1 then nchunks else 0) [||];
+    n = 0;
+    ids = Hashtbl.create 32;
+    names = Array.make 32 "";
+  }
+
+let add r =
+  let n = r.n in
+  r.n <- n + 1;
+  if n < r.cap then begin
+    let ci = n / chunk_rows in
+    if Array.length r.ints.(ci) = 0 then begin
+      let rows = min chunk_rows (r.cap - (ci * chunk_rows)) in
+      r.ints.(ci) <- Array.make (rows * width) 0;
+      if Array.length r.keys > 0 then r.keys.(ci) <- Array.make rows Shardq.no_parent
+    end;
+    n
+  end
+  else if r.ring then n mod r.cap
+  else -1
+
+let chunk r slot = r.ints.(slot / chunk_rows)
+
+let base slot = slot mod chunk_rows * width
+
+let get r slot f = (chunk r slot).(base slot + f)
+
+let set_key r slot k = r.keys.(slot / chunk_rows).(slot mod chunk_rows) <- k
+
+let key r slot = r.keys.(slot / chunk_rows).(slot mod chunk_rows)
+
+let added r = r.n
+
+let kept r = min r.n r.cap
+
+let dropped r = r.n - kept r
+
+let iter r f =
+  let start = if r.ring && r.n > r.cap then r.n mod r.cap else 0 in
+  for i = 0 to kept r - 1 do
+    f i ((start + i) mod r.cap)
+  done
+
+let intern r s =
+  match Hashtbl.find r.ids s with
+  | id -> id
+  | exception Not_found ->
+    let id = Hashtbl.length r.ids in
+    Hashtbl.add r.ids s id;
+    if id = Array.length r.names then
+      r.names <- Array.init (2 * id) (fun i -> if i < id then r.names.(i) else "");
+    r.names.(id) <- s;
+    id
+
+let name r id = r.names.(id)

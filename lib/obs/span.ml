@@ -24,9 +24,22 @@
    counted as dropped and return a sentinel context whose close is a
    no-op, so a run of any length cannot grow memory without bound. *)
 
-type ctx = { txn : int; sid : int }
+(* A context packs its transaction and span IDs into one immediate int,
+   [(txn + 1) lsl 31 lor (sid + 2)]: any [txn >= -1] with a recorded
+   span ([sid >= 0]), no span ([-1]) or a dropped span ([-2]).  So
+   opening and closing a span allocates nothing.  Span IDs stay below
+   2^31 (see [create]); transaction IDs must too. *)
+type ctx = int
 
-let none = { txn = -1; sid = -1 }
+let sid_bits = 31
+
+let pack ~txn ~sid = ((txn + 1) lsl sid_bits) lor (sid + 2)
+
+let txn_of ctx = (ctx lsr sid_bits) - 1
+
+let sid_of ctx = (ctx land ((1 lsl sid_bits) - 1)) - 2
+
+let none = pack ~txn:(-1) ~sid:(-1)
 
 type span = {
   sid : int;
@@ -44,54 +57,25 @@ type span = {
   words : int;
 }
 
-(* Storage is struct-of-arrays: the integer fields of local span [l]
-   live at [ints.(l * stride) ..], the label and engine in parallel
-   arrays.  Opening a span writes array slots and allocates only the
-   returned 2-field [ctx] — a per-message record-plus-[Some] here was
-   one of the largest allocation sources in a traced run.  The [span]
-   record above survives as the read-side view: [iter] materializes
-   snapshots for the (cold) analysis and export paths.
+(* One {!Rows} row per span; the [span] record above is the read-side
+   view that [iter] materializes for the cold analysis and export paths.
+   A span's public ID encodes its cell: [sid = slot * ncells + cell], so
+   [close] routes back to the owning cell without a lookup.  With one
+   cell the encoding is the identity. *)
+let f_parent = 0 and f_txn = 1 and f_t0 = 2 and f_t1 = 3 and f_vpn = 4 and f_src = 5
 
-   A span's public ID encodes its cell: [sid = local * ncells + cell],
-   so a [ctx] stays a flat pair of ints and [close] can route back to
-   the owning cell without a lookup.  With one cell the encoding is the
-   identity. *)
-let stride = 10
+let f_dst = 6 and f_src_ssmp = 7 and f_dst_ssmp = 8 and f_words = 9 and f_label = 10
 
-let f_parent = 0
-
-let f_txn = 1
-
-let f_t0 = 2
-
-let f_t1 = 3
-
-let f_vpn = 4
-
-let f_src = 5
-
-let f_dst = 6
-
-let f_src_ssmp = 7
-
-let f_dst_ssmp = 8
-
-let f_words = 9
+let f_engine = 11
 
 type cell = {
-  mutable ints : int array; (* stride slots per span *)
-  mutable labels : string array;
-  mutable engines : Event.engine array;
-  mutable keys : Mgs_engine.Shardq.key array; (* order stamps; ncells > 1 only *)
-  mutable cn : int;
+  rows : Rows.t; (* fills, then drops *)
   mutable c_txns : int; (* local transaction mint counter *)
   mutable c_open : int;
-  mutable c_dropped : int;
   mutable c_current : ctx;
 }
 
 type t = {
-  capacity : int; (* per cell *)
   ncells : int;
   cells : cell array;
   mutable host_seq : int; (* order stamp for host-side (non-event) opens *)
@@ -100,35 +84,22 @@ type t = {
 let default_capacity = 1 lsl 17
 
 let create ?(capacity = default_capacity) ?(cells = 1) () =
-  if capacity <= 0 then invalid_arg "Span.create: capacity";
+  if capacity <= 0 || capacity >= 1 lsl (sid_bits - 1) then
+    invalid_arg "Span.create: capacity";
   if cells < 1 then invalid_arg "Span.create: cells";
   (* [capacity] is the TOTAL budget, divided among the cells: a
-     16-SSMP machine must not retain (and allocate) 16x the memory of
-     the single-cell store it replaced *)
-  let capacity = max (min capacity 64) ((capacity + cells - 1) / cells) in
+     16-SSMP machine must not retain 16x the memory of one cell *)
   let mk_cell () =
-    let room = min capacity 1024 in
     {
-      ints = Array.make (room * stride) 0;
-      labels = Array.make room "";
-      engines = Array.make room Event.Local_client;
-      keys = (if cells > 1 then Array.make room Mgs_engine.Shardq.no_parent else [||]);
-      cn = 0;
+      rows = Rows.create ~capacity ~cells ~ring:false;
       c_txns = 0;
       c_open = 0;
-      c_dropped = 0;
       c_current = none;
     }
   in
-  { capacity; ncells = cells; cells = Array.init cells (fun _ -> mk_cell ()); host_seq = 0 }
+  { ncells = cells; cells = Array.init cells (fun _ -> mk_cell ()); host_seq = 0 }
 
 let cells t = t.ncells
-
-(* The cell the running domain writes to: the executing shard's, or
-   cell 0 for host code (and for shards beyond the declared count). *)
-let cur_cell t =
-  let c = Mgs_engine.Sim.cur () in
-  if c < 0 || c >= t.ncells then 0 else c
 
 (* The order stamp for an emission happening now: the executing event's
    genealogy key, or a synthetic host key ordered by emission time then
@@ -150,120 +121,97 @@ let mint_in t cl c =
   (id * t.ncells) + c
 
 let mint_txn t =
-  let c = cur_cell t in
+  let c = Rows.cur_cell t.ncells in
   mint_in t t.cells.(c) c
-
-let ensure_room t cl =
-  if cl.cn >= Array.length cl.labels && cl.cn < t.capacity then begin
-    let cap = min t.capacity (2 * Array.length cl.labels) in
-    let ints = Array.make (cap * stride) 0 in
-    Array.blit cl.ints 0 ints 0 (cl.cn * stride);
-    cl.ints <- ints;
-    let labels = Array.make cap "" in
-    Array.blit cl.labels 0 labels 0 cl.cn;
-    cl.labels <- labels;
-    let engines = Array.make cap Event.Local_client in
-    Array.blit cl.engines 0 engines 0 cl.cn;
-    cl.engines <- engines;
-    if t.ncells > 1 then begin
-      let keys = Array.make cap Mgs_engine.Shardq.no_parent in
-      Array.blit cl.keys 0 keys 0 cl.cn;
-      cl.keys <- keys
-    end
-  end
 
 (* Open a span.  [parent = none] starts a fresh transaction (a new ID is
    minted); otherwise the parent's transaction is inherited.  When the
    store is full the span is dropped (counted) and the returned context
-   carries a negative [sid], which [close] ignores — the transaction ID
-   still threads through so child spans that do fit stay attributed. *)
+   carries sid [-2], which [close] ignores — the transaction ID still
+   threads through so child spans that do fit stay attributed. *)
 let open_span_x t ~(parent : ctx) ~time ~label ~engine ~vpn ~src ~dst ~src_ssmp ~dst_ssmp
     ~words =
-  let c = cur_cell t in
+  let c = Rows.cur_cell t.ncells in
   let cl = t.cells.(c) in
-  let txn = if parent.txn >= 0 then parent.txn else mint_in t cl c in
-  if cl.cn >= t.capacity then begin
-    cl.c_dropped <- cl.c_dropped + 1;
-    { txn; sid = -2 }
-  end
+  let ptxn = txn_of parent in
+  let txn = if ptxn >= 0 then ptxn else mint_in t cl c in
+  let r = cl.rows in
+  let slot = Rows.add r in
+  if slot < 0 then pack ~txn ~sid:(-2)
   else begin
-    ensure_room t cl;
-    let l = cl.cn in
-    let b = l * stride in
-    cl.ints.(b + f_parent) <- (if parent.sid >= 0 then parent.sid else -1);
-    cl.ints.(b + f_txn) <- txn;
-    cl.ints.(b + f_t0) <- time;
-    cl.ints.(b + f_t1) <- -1;
-    cl.ints.(b + f_vpn) <- vpn;
-    cl.ints.(b + f_src) <- src;
-    cl.ints.(b + f_dst) <- dst;
-    cl.ints.(b + f_src_ssmp) <- src_ssmp;
-    cl.ints.(b + f_dst_ssmp) <- dst_ssmp;
-    cl.ints.(b + f_words) <- words;
-    cl.labels.(l) <- label;
-    cl.engines.(l) <- engine;
-    if t.ncells > 1 then cl.keys.(l) <- stamp t ~time;
-    cl.cn <- l + 1;
+    let a = Rows.chunk r slot and b = Rows.base slot in
+    a.(b + f_parent) <- max (sid_of parent) (-1);
+    a.(b + f_txn) <- txn;
+    a.(b + f_t0) <- time;
+    a.(b + f_t1) <- -1;
+    a.(b + f_vpn) <- vpn;
+    a.(b + f_src) <- src;
+    a.(b + f_dst) <- dst;
+    a.(b + f_src_ssmp) <- src_ssmp;
+    a.(b + f_dst_ssmp) <- dst_ssmp;
+    a.(b + f_words) <- words;
+    a.(b + f_label) <- Rows.intern r label;
+    a.(b + f_engine) <- Event.engine_index engine;
+    if t.ncells > 1 then Rows.set_key r slot (stamp t ~time);
     cl.c_open <- cl.c_open + 1;
-    { txn; sid = (l * t.ncells) + c }
+    pack ~txn ~sid:((slot * t.ncells) + c)
   end
 
 (* Optional-argument convenience wrapper.  Hot paths call [open_span_x]
    directly: supplying an optional argument boxes it in a [Some] at
-   every call site, which the per-message span opens can't afford. *)
+   every call site. *)
 let open_span t ~(parent : ctx) ~time ~label ~engine ?(vpn = -1) ?(src = -1) ?(dst = -1)
     ?(src_ssmp = -1) ?(dst_ssmp = -1) ?(words = 0) () =
   open_span_x t ~parent ~time ~label ~engine ~vpn ~src ~dst ~src_ssmp ~dst_ssmp ~words
 
 let close t (ctx : ctx) ~time =
-  if ctx.sid >= 0 then begin
-    let c = ctx.sid mod t.ncells in
-    let l = ctx.sid / t.ncells in
-    let cl = t.cells.(c) in
-    if l < cl.cn then begin
-      let b = l * stride in
-      if cl.ints.(b + f_t1) < 0 then begin
-        cl.ints.(b + f_t1) <- max time cl.ints.(b + f_t0);
+  let sid = sid_of ctx in
+  if sid >= 0 then begin
+    let cl = t.cells.(sid mod t.ncells) in
+    let l = sid / t.ncells in
+    if l < Rows.kept cl.rows then begin
+      let a = Rows.chunk cl.rows l and b = Rows.base l in
+      if a.(b + f_t1) < 0 then begin
+        a.(b + f_t1) <- max time a.(b + f_t0);
         cl.c_open <- cl.c_open - 1
       end
     end
   end
 
-let current t = t.cells.(cur_cell t).c_current
+let current t = t.cells.(Rows.cur_cell t.ncells).c_current
 
-let set_current t ctx = t.cells.(cur_cell t).c_current <- ctx
+let set_current t ctx = t.cells.(Rows.cur_cell t.ncells).c_current <- ctx
 
-let count t = Array.fold_left (fun acc cl -> acc + cl.cn) 0 t.cells
+let count t = Array.fold_left (fun acc cl -> acc + Rows.kept cl.rows) 0 t.cells
 
 let open_count t = Array.fold_left (fun acc cl -> acc + cl.c_open) 0 t.cells
 
 let open_count_cell t c = t.cells.(c).c_open
 
-let dropped t = Array.fold_left (fun acc cl -> acc + cl.c_dropped) 0 t.cells
+let dropped t = Array.fold_left (fun acc cl -> acc + Rows.dropped cl.rows) 0 t.cells
 
 let txns t = Array.fold_left (fun acc cl -> acc + cl.c_txns) 0 t.cells
 
 (* Span [enc] (encoded public ID) materialized with raw encoded
    sid/parent/txn fields. *)
 let enc_get t enc =
-  let c = enc mod t.ncells in
+  let r = t.cells.(enc mod t.ncells).rows in
   let l = enc / t.ncells in
-  let cl = t.cells.(c) in
-  let b = l * stride in
+  let a = Rows.chunk r l and b = Rows.base l in
   {
     sid = enc;
-    parent = cl.ints.(b + f_parent);
-    txn = cl.ints.(b + f_txn);
-    label = cl.labels.(l);
-    engine = cl.engines.(l);
-    t0 = cl.ints.(b + f_t0);
-    t1 = cl.ints.(b + f_t1);
-    vpn = cl.ints.(b + f_vpn);
-    src = cl.ints.(b + f_src);
-    dst = cl.ints.(b + f_dst);
-    src_ssmp = cl.ints.(b + f_src_ssmp);
-    dst_ssmp = cl.ints.(b + f_dst_ssmp);
-    words = cl.ints.(b + f_words);
+    parent = a.(b + f_parent);
+    txn = a.(b + f_txn);
+    label = Rows.name r a.(b + f_label);
+    engine = Event.engine_of_index a.(b + f_engine);
+    t0 = a.(b + f_t0);
+    t1 = a.(b + f_t1);
+    vpn = a.(b + f_vpn);
+    src = a.(b + f_src);
+    dst = a.(b + f_dst);
+    src_ssmp = a.(b + f_src_ssmp);
+    dst_ssmp = a.(b + f_dst_ssmp);
+    words = a.(b + f_words);
   }
 
 (* --- canonical merged view ------------------------------------------ *)
@@ -291,12 +239,12 @@ let view t =
     let idx = ref 0 in
     Array.iteri
       (fun c cl ->
-        for l = 0 to cl.cn - 1 do
+        for l = 0 to Rows.kept cl.rows - 1 do
           order.(!idx) <- (l * t.ncells) + c;
           incr idx
         done)
       t.cells;
-    let key_of enc = (t.cells.(enc mod t.ncells)).keys.(enc / t.ncells) in
+    let key_of enc = Rows.key t.cells.(enc mod t.ncells).rows (enc / t.ncells) in
     (* equal stamps only happen within one cell (one simulator event
        executes on exactly one shard), where the local index breaks the
        tie in emission order — so this comparison is total. *)
@@ -305,13 +253,13 @@ let view t =
         let k = Mgs_engine.Shardq.cmp_key (key_of a) (key_of b) in
         if k <> 0 then k else compare a b)
       order;
-    let maxcn = Array.fold_left (fun acc cl -> max acc cl.cn) 0 t.cells in
+    let maxcn = Array.fold_left (fun acc cl -> max acc (Rows.kept cl.rows)) 0 t.cells in
     let v_sid = Array.make (max 1 (maxcn * t.ncells)) (-1) in
     let v_txn = Hashtbl.create 256 in
     Array.iteri
       (fun dense enc ->
         v_sid.(enc) <- dense;
-        let tx = (t.cells.(enc mod t.ncells)).ints.((enc / t.ncells * stride) + f_txn) in
+        let tx = Rows.get t.cells.(enc mod t.ncells).rows (enc / t.ncells) f_txn in
         if not (Hashtbl.mem v_txn tx) then Hashtbl.add v_txn tx (Hashtbl.length v_txn))
       order;
     { v_ident = false; v_order = order; v_sid; v_txn }
@@ -342,7 +290,7 @@ let view_iter t v f =
       }
   in
   if v.v_ident then
-    for l = 0 to t.cells.(0).cn - 1 do
+    for l = 0 to Rows.kept t.cells.(0).rows - 1 do
       emit l
     done
   else Array.iter emit v.v_order
@@ -353,25 +301,20 @@ let iter t f = view_iter t (view t) f
 let fold_unordered t ~init f =
   Array.fold_left
     (fun acc cl ->
+      let r = cl.rows in
       let acc = ref acc in
-      for l = 0 to cl.cn - 1 do
-        let b = l * stride in
-        acc :=
-          f !acc ~label:cl.labels.(l) ~parent:cl.ints.(b + f_parent) ~t0:cl.ints.(b + f_t0)
-            ~t1:cl.ints.(b + f_t1)
-      done;
+      Rows.iter r (fun _ l ->
+          let a = Rows.chunk r l and b = Rows.base l in
+          acc :=
+            f !acc ~label:(Rows.name r a.(b + f_label)) ~parent:a.(b + f_parent)
+              ~t0:a.(b + f_t0) ~t1:a.(b + f_t1));
       !acc)
     init t.cells
 
 let open_labels t =
-  let acc = ref [] in
-  Array.iter
-    (fun cl ->
-      for l = 0 to cl.cn - 1 do
-        if cl.ints.((l * stride) + f_t1) < 0 then acc := cl.labels.(l) :: !acc
-      done)
-    t.cells;
-  List.rev !acc
+  List.rev
+    (fold_unordered t ~init:[] (fun acc ~label ~parent:_ ~t0:_ ~t1 ->
+         if t1 < 0 then label :: acc else acc))
 
 (* --- critical-path analysis ---------------------------------------- *)
 
@@ -427,8 +370,8 @@ let component_of label =
   if label = "net.dma" then Some (5, `Dma)
   else if label = "net.wire" then Some (4, `Wire)
   else if List.mem label server_tags then Some (3, `Server)
-  else if List.mem label remote_tags || (String.length label >= 3 && String.sub label 0 3 = "rc.")
-  then Some (2, `Remote)
+  else if List.mem label remote_tags || String.starts_with ~prefix:"rc." label then
+    Some (2, `Remote)
   else if label = "sv.queue" then Some (1, `Queue)
   else Some (0, `Local)
 

@@ -7,9 +7,11 @@
     the same transaction.  The simulator is deterministic, so the IDs,
     the spans, and every export are byte-identical run-to-run.
 
-    Storage is bounded by [capacity]; spans opened past it are counted
-    as dropped and their close is a no-op, while the transaction ID
-    keeps threading so surviving child spans stay attributed.
+    Each span is one int row in a chunked {!Rows} cell, so memory is
+    proportional to the spans kept and opening or closing one allocates
+    nothing.  Storage is bounded by [capacity]; spans opened past it
+    are counted as dropped and their close is a no-op, while the
+    transaction ID keeps threading so surviving children stay attributed.
 
     A store created with [cells > 1] keeps one span store per shard
     (SSMP): each simulator domain writes only its own cell — nothing on
@@ -19,11 +21,17 @@
     read/export time, so exports are byte-identical across job counts.
     Single-cell stores behave exactly as before. *)
 
-type ctx = { txn : int; sid : int }
+type ctx = private int
 (** A position in the span tree: transaction ID plus the enclosing
-    span.  Negative fields mean "no transaction" / "no span". *)
+    span, packed into one immediate int. *)
 
 val none : ctx
+
+val txn_of : ctx -> int
+(** The transaction, [-1] for none. *)
+
+val sid_of : ctx -> int
+(** The enclosing span's raw ID: [-1] for none, [-2] for a dropped one. *)
 
 type span = {
   sid : int;  (** dense span ID, canonical execution order *)
@@ -44,11 +52,11 @@ type span = {
 type t
 
 val create : ?capacity:int -> ?cells:int -> unit -> t
-(** Capacity defaults to 131072 spans total — divided among the cells
-    (floor 64 per cell, never above the total), so memory does not
-    scale with the shard count.  [cells] (default 1) is the shard
-    count: pass the machine's SSMP count so each simulator domain
-    writes its own cell. *)
+(** Capacity defaults to 131072 spans total, below 2{^30} — divided
+    among the cells (floor 64 per cell, never above the total), so
+    memory does not scale with the shard count.  [cells] (default 1)
+    is the shard count: pass the machine's SSMP count so each
+    simulator domain writes its own cell. *)
 
 val cells : t -> int
 
@@ -93,7 +101,7 @@ val open_span_x :
   ctx
 (** [open_span] with every field spelled out.  Supplying an optional
     argument allocates a [Some] box at the call site, so per-message
-    paths use this allocation-free variant ([-1] / [0] mark n/a). *)
+    paths use this variant ([-1] / [0] mark n/a). *)
 
 val close : t -> ctx -> time:int -> unit
 (** End the span.  Idempotent; a no-op on [none] or dropped contexts. *)

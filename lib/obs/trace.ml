@@ -1,27 +1,18 @@
 (* Bounded event trace, sharded per SSMP.
 
-   Each shard ("cell") owns a private event ring and per-tag histogram
-   table: under the parallel engine every domain emits only into its
-   own cell, so the hot path shares nothing.  Reads merge the cells —
-   events by their genealogy stamp (the key of the simulator event that
-   emitted them), histograms exactly — reconstructing the canonical
-   execution order, so every export is byte-identical across job
-   counts.  A single-cell trace skips stamping and behaves exactly as
-   the historical single-domain implementation.
-
-   Subscribers remain global and run synchronously at every emit: the
-   online invariant checker builds cross-shard state, which is exactly
-   why an installed subscriber still forces the engine onto one
-   domain. *)
+   Each shard ("cell") owns a {!Rows} cell of event rows, used as a
+   ring, and histograms indexed by the cell's interned tag ids: under
+   the parallel engine every domain emits only into its own cell, so
+   the hot path shares nothing and allocates nothing.  Reads merge the
+   cells — events by their genealogy stamp (the key of the simulator
+   event that emitted them), histograms exactly — reconstructing the
+   canonical execution order, so every export is byte-identical across
+   job counts.  Subscribers are global, which is why an installed one
+   still forces the engine onto one domain. *)
 
 type cell = {
-  ring : Event.t Ring.t;
-  (* Order stamps for the ring's slots, same rotation: the event in slot
-     [i] was emitted under the genealogy key [skey.(i)].  Allocated on
-     first use; single-cell traces skip stamping entirely. *)
-  cell_cap : int;
-  mutable skey : Mgs_engine.Shardq.key array;
-  hists : (string, Hist.t) Hashtbl.t;
+  rows : Rows.t;
+  mutable hists : Hist.t array; (* by interned tag id *)
 }
 
 type t = {
@@ -31,6 +22,14 @@ type t = {
   spans : Span.t;
 }
 
+(* Row fields, in {!Event.t} order; the tag is the cell's interned id
+   and the engine its index. *)
+let f_time = 0 and f_engine = 1 and f_tag = 2 and f_vpn = 3 and f_src = 4 and f_dst = 5
+
+let f_src_ssmp = 6 and f_dst_ssmp = 7 and f_words = 8 and f_cost = 9 and f_dur = 10
+
+let f_txn = 11
+
 let default_capacity = 65536
 
 let create ?(capacity = default_capacity) ?span_capacity ?(cells = 1) () =
@@ -38,17 +37,11 @@ let create ?(capacity = default_capacity) ?span_capacity ?(cells = 1) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity";
   (* [capacity] is the TOTAL event budget, divided among the cells, so
      a multi-cell trace costs what the single-cell one did *)
-  let cell_cap = max (min capacity 64) ((capacity + cells - 1) / cells) in
   {
     ncells = cells;
     cells =
       Array.init cells (fun _ ->
-          {
-            ring = Ring.create ~capacity:cell_cap;
-            cell_cap;
-            skey = [||];
-            hists = Hashtbl.create 32;
-          });
+          { rows = Rows.create ~capacity ~cells ~ring:true; hists = [||] });
     subscribers = [];
     spans = Span.create ?capacity:span_capacity ~cells ();
   }
@@ -61,69 +54,84 @@ let spans t = t.spans
 
 let cells t = t.ncells
 
-let cur_cell t =
-  let c = Mgs_engine.Sim.cur () in
-  if c < 0 || c >= t.ncells then 0 else c
+let hist_of cl id =
+  if id >= Array.length cl.hists then
+    cl.hists <-
+      Array.init (max 32 (2 * id)) (fun i ->
+          if i < Array.length cl.hists then cl.hists.(i) else Hist.create ());
+  cl.hists.(id)
 
-let hist_for cl tag =
-  try Hashtbl.find cl.hists tag
-  with Not_found ->
-    let h = Hist.create () in
-    Hashtbl.add cl.hists tag h;
-    h
+let event_of r slot : Event.t =
+  let a = Rows.chunk r slot and b = Rows.base slot in
+  {
+    time = a.(b + f_time);
+    engine = Event.engine_of_index a.(b + f_engine);
+    tag = Rows.name r a.(b + f_tag);
+    vpn = a.(b + f_vpn);
+    src = a.(b + f_src);
+    dst = a.(b + f_dst);
+    src_ssmp = a.(b + f_src_ssmp);
+    dst_ssmp = a.(b + f_dst_ssmp);
+    words = a.(b + f_words);
+    cost = a.(b + f_cost);
+    dur = a.(b + f_dur);
+    txn = a.(b + f_txn);
+  }
 
-(* A single-cell trace skips the stamp (the ring order is already the
-   execution order).  Multi-cell emissions record {!Span.stamp}: the
-   executing event's genealogy key, or a synthetic host key.  The slot
-   index mirrors [Ring.push]'s write position, so the stamp array
-   rotates with the ring. *)
-let emit t (e : Event.t) =
-  let cl = t.cells.(cur_cell t) in
-  if t.ncells > 1 then begin
-    if Array.length cl.skey = 0 then
-      cl.skey <- Array.make cl.cell_cap Mgs_engine.Shardq.no_parent;
-    cl.skey.(Ring.pushed cl.ring mod cl.cell_cap) <- Span.stamp t.spans ~time:e.time
-  end;
-  Ring.push cl.ring e;
-  Hist.add (hist_for cl e.tag) e.dur;
-  List.iter (fun f -> f e) t.subscribers
+(* One row into the emitting shard's cell.  A multi-cell trace also
+   records {!Span.stamp}: the executing event's genealogy key, or a
+   synthetic host key.  An {!Event.t} is built only for subscribers. *)
+let emit t ~time ~engine ~tag ~vpn ~src ~dst ~src_ssmp ~dst_ssmp ~words ~cost ~dur ~txn =
+  let cl = t.cells.(Rows.cur_cell t.ncells) in
+  let r = cl.rows in
+  let slot = Rows.add r in
+  let a = Rows.chunk r slot and b = Rows.base slot in
+  let id = Rows.intern r tag in
+  a.(b + f_time) <- time;
+  a.(b + f_engine) <- Event.engine_index engine;
+  a.(b + f_tag) <- id;
+  a.(b + f_vpn) <- vpn;
+  a.(b + f_src) <- src;
+  a.(b + f_dst) <- dst;
+  a.(b + f_src_ssmp) <- src_ssmp;
+  a.(b + f_dst_ssmp) <- dst_ssmp;
+  a.(b + f_words) <- words;
+  a.(b + f_cost) <- cost;
+  a.(b + f_dur) <- dur;
+  a.(b + f_txn) <- txn;
+  if t.ncells > 1 then Rows.set_key r slot (Span.stamp t.spans ~time);
+  Hist.add (hist_of cl id) dur;
+  match t.subscribers with
+  | [] -> ()
+  | subs ->
+    let e = event_of r slot in
+    List.iter (fun f -> f e) subs
 
-let emitted t = Array.fold_left (fun acc cl -> acc + Ring.pushed cl.ring) 0 t.cells
+let emitted t = Array.fold_left (fun acc cl -> acc + Rows.added cl.rows) 0 t.cells
 
-let retained t = Array.fold_left (fun acc cl -> acc + Ring.length cl.ring) 0 t.cells
+let retained t = Array.fold_left (fun acc cl -> acc + Rows.kept cl.rows) 0 t.cells
 
-let dropped t = Array.fold_left (fun acc cl -> acc + Ring.dropped cl.ring) 0 t.cells
+let dropped t = Array.fold_left (fun acc cl -> acc + Rows.dropped cl.rows) 0 t.cells
 
 (* Merge the retained events of every cell into canonical execution
    order: sort by genealogy stamp, ties (same event emitting several
    events — necessarily one cell) by position in that cell's ring.
    Single-cell: the ring order, no sort. *)
 let merged t =
-  if t.ncells = 1 then Array.of_list (Ring.to_list t.cells.(0).ring)
-  else begin
-    let total = retained t in
-    let nil = Event.make ~time:0 ~engine:Event.Network ~tag:"" () in
-    let entries = Array.make total (Mgs_engine.Shardq.no_parent, 0, nil) in
-    let idx = ref 0 in
-    Array.iter
-      (fun cl ->
-        let cap = Ring.capacity cl.ring in
-        let start = (Ring.pushed cl.ring - Ring.length cl.ring) mod cap in
-        let pos = ref 0 in
-        Ring.iter
-          (fun ev ->
-            entries.(!idx) <- (cl.skey.((start + !pos) mod cap), !pos, ev);
-            incr idx;
-            incr pos)
-          cl.ring)
-      t.cells;
+  let entries = ref [] in
+  Array.iter
+    (fun cl ->
+      let r = cl.rows in
+      Rows.iter r (fun pos slot -> entries := (r, pos, slot) :: !entries))
+    t.cells;
+  let entries = Array.of_list (List.rev !entries) in
+  if t.ncells > 1 then
     Array.sort
-      (fun (k1, p1, _) (k2, p2, _) ->
-        let c = Mgs_engine.Shardq.cmp_key k1 k2 in
+      (fun (r1, p1, s1) (r2, p2, s2) ->
+        let c = Mgs_engine.Shardq.cmp_key (Rows.key r1 s1) (Rows.key r2 s2) in
         if c <> 0 then c else compare p1 p2)
       entries;
-    Array.map (fun (_, _, e) -> e) entries
-  end
+  Array.map (fun (r, _, slot) -> event_of r slot) entries
 
 (* Events with transaction IDs translated to their dense export values
    (identity for a single-cell trace). *)
@@ -137,32 +145,27 @@ let merged_mapped t =
 
 let events t = Array.to_list (merged_mapped t)
 
-let hist t tag =
-  let found = ref None in
+(* Per-tag histograms merged across cells, sorted by tag. *)
+let histograms t =
+  let merged = Hashtbl.create 32 in
   Array.iter
     (fun cl ->
-      match Hashtbl.find_opt cl.hists tag with
-      | None -> ()
-      | Some h ->
-        let acc =
-          match !found with
-          | Some acc -> acc
-          | None ->
-            let acc = Hist.create () in
-            found := Some acc;
-            acc
-        in
-        Hist.merge ~into:acc h)
+      Array.iteri
+        (fun id h ->
+          if Hist.count h > 0 then begin
+            let tag = Rows.name cl.rows id in
+            match Hashtbl.find_opt merged tag with
+            | Some acc -> Hist.merge ~into:acc h
+            | None ->
+              let acc = Hist.create () in
+              Hist.merge ~into:acc h;
+              Hashtbl.add merged tag acc
+          end)
+        cl.hists)
     t.cells;
-  !found
+  List.sort compare (Hashtbl.fold (fun k h acc -> (k, h) :: acc) merged [])
 
-let histograms t =
-  let tags = Hashtbl.create 32 in
-  Array.iter
-    (fun cl -> Hashtbl.iter (fun tag _ -> Hashtbl.replace tags tag ()) cl.hists)
-    t.cells;
-  let tag_list = List.sort compare (Hashtbl.fold (fun tag () acc -> tag :: acc) tags []) in
-  List.map (fun tag -> (tag, Option.get (hist t tag))) tag_list
+let hist t tag = List.assoc_opt tag (histograms t)
 
 (* --- Chrome trace_event export ------------------------------------- *)
 
@@ -216,12 +219,12 @@ let chrome_json t =
              "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"args\":{\"name\":\"ssmp%d (shard %d)\"}}"
              c c c);
         let last = ref 0 in
-        Ring.iter (fun (ev : Event.t) -> last := ev.time) cl.ring;
+        Rows.iter cl.rows (fun _ slot -> last := Rows.get cl.rows slot f_time);
         sep ();
         Buffer.add_string buf
           (Printf.sprintf
              "{\"name\":\"engine.events\",\"ph\":\"C\",\"ts\":%d,\"pid\":%d,\"args\":{\"emitted\":%d}}"
-             !last c (Ring.pushed cl.ring)))
+             !last c (Rows.added cl.rows)))
       t.cells;
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf
@@ -238,11 +241,11 @@ let pp_overflow_warning ppf t =
     if t.ncells > 1 then
       Array.iteri
         (fun c cl ->
-          if Ring.dropped cl.ring > 0 then
+          if Rows.dropped cl.rows > 0 then
             Format.fprintf ppf
               "         shard %d dropped %d of %d (a quiet shard's intact ring does \
                not recover another shard's history)@."
-              c (Ring.dropped cl.ring) (Ring.pushed cl.ring))
+              c (Rows.dropped cl.rows) (Rows.added cl.rows))
         t.cells
   end
 

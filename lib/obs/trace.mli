@@ -1,10 +1,13 @@
 (** Deterministic, bounded-memory event trace.
 
-    Every emitted {!Event.t} is (1) pushed into a fixed-size ring
-    buffer, (2) folded into a per-tag latency histogram, and (3) handed
-    to each subscriber — the hook the online invariant checker uses.
-    Memory is bounded by the ring capacity plus one histogram per
-    distinct tag; a run of any length cannot grow it further.
+    Every emitted event is (1) written as one row of ints into a
+    chunked {!Rows} cell used as a ring, with its tag interned per
+    cell, (2) folded into a per-tag latency histogram, and (3) handed
+    to each subscriber as an {!Event.t} — the hook the online invariant
+    checker uses.  Memory is proportional to the events kept (at most
+    the ring capacity) plus one histogram per distinct tag; with no
+    subscriber an emit allocates nothing.  {!Event.t} records are built
+    only for subscribers and at export.
 
     A trace created with [cells > 1] keeps one ring and histogram table
     per shard (SSMP): each simulator domain writes only its own cell —
@@ -12,7 +15,7 @@
     each event's genealogy stamp (the key of the simulator event that
     emitted it), reconstructing the canonical execution order.  Every
     export is therefore byte-identical across engine job counts.
-    Single-cell traces skip stamping and behave exactly as before. *)
+    Single-cell traces skip stamping. *)
 
 type t
 
@@ -37,7 +40,10 @@ val has_subscribers : t -> bool
 val spans : t -> Span.t
 (** The causal span collector that travels with this trace. *)
 
-val emit : t -> Event.t -> unit
+val emit :
+  t -> time:int -> engine:Event.engine -> tag:string -> vpn:int -> src:int -> dst:int ->
+  src_ssmp:int -> dst_ssmp:int -> words:int -> cost:int -> dur:int -> txn:int -> unit
+(** Record one event, given by the fields of {!Event.t}. *)
 
 val events : t -> Event.t list
 (** Retained events in canonical execution order (oldest first), with

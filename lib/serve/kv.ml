@@ -1,4 +1,4 @@
-(* Request-serving key-value tier on the DSM (ROADMAP item 2).
+(* Request-serving key-value tier on the DSM.
 
    The store is a set of open-addressed hash shards living in shared
    pages: shard [s] is one contiguous allocation of 2-word slots
@@ -327,6 +327,12 @@ let prepare p (m : Mgs.Machine.t) =
       Api.compute ctx p.think;
       Api.idle_until ctx (Api.cycles ctx)
     in
+    (* one request span, opened without optional arguments: each would
+       box a [Some] per request *)
+    let phase ~parent ~time label =
+      Mgs_obs.Span.open_span_x sp ~parent ~time ~label ~engine:Mgs_obs.Event.Local_client
+        ~vpn:(-1) ~src:proc ~dst:(-1) ~src_ssmp:my_ssmp ~dst_ssmp:(-1) ~words:0
+    in
     for i = 0 to p.ops - 1 do
       let t_arr = sched.arrival.(i) in
       if Api.cycles ctx < t_arr then Api.idle_until ctx t_arr;
@@ -367,29 +373,12 @@ let prepare p (m : Mgs.Machine.t) =
       (* retroactive request spans: root [arrival, done], children
          partitioning it — all stamped inside this fiber's event, so
          the store merges them deterministically under --par *)
-      let root =
-        Mgs_obs.Span.open_span sp ~parent:Mgs_obs.Span.none ~time:t_arr ~label
-          ~engine:Mgs_obs.Event.Local_client ~src:proc ~src_ssmp:my_ssmp ()
-      in
-      if t_start > t_arr then begin
-        let c =
-          Mgs_obs.Span.open_span sp ~parent:root ~time:t_arr ~label:"kv.queue"
-            ~engine:Mgs_obs.Event.Local_client ~src:proc ~src_ssmp:my_ssmp ()
-        in
-        Mgs_obs.Span.close sp c ~time:t_start
-      end;
-      if t_svc > t_start then begin
-        let c =
-          Mgs_obs.Span.open_span sp ~parent:root ~time:t_start ~label:"kv.lock"
-            ~engine:Mgs_obs.Event.Local_client ~src:proc ~src_ssmp:my_ssmp ()
-        in
-        Mgs_obs.Span.close sp c ~time:t_svc
-      end;
-      let c =
-        Mgs_obs.Span.open_span sp ~parent:root ~time:t_svc ~label:"kv.access"
-          ~engine:Mgs_obs.Event.Local_client ~src:proc ~src_ssmp:my_ssmp ()
-      in
-      Mgs_obs.Span.close sp c ~time:t_done;
+      let root = phase ~parent:Mgs_obs.Span.none ~time:t_arr label in
+      if t_start > t_arr then
+        Mgs_obs.Span.close sp (phase ~parent:root ~time:t_arr "kv.queue") ~time:t_start;
+      if t_svc > t_start then
+        Mgs_obs.Span.close sp (phase ~parent:root ~time:t_start "kv.lock") ~time:t_svc;
+      Mgs_obs.Span.close sp (phase ~parent:root ~time:t_svc "kv.access") ~time:t_done;
       Mgs_obs.Span.close sp root ~time:t_done;
       (match obs_metrics with
       | None -> ()

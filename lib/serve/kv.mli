@@ -1,4 +1,4 @@
-(** Request-serving key-value tier on the DSM (ROADMAP item 2).
+(** Request-serving key-value tier on the DSM.
 
     Open-addressed hash shards living in shared pages (one per SSMP by
     default, homes round robin), pre-populated so every lookup hits;

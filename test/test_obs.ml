@@ -69,14 +69,15 @@ let test_hist_empty () =
 
 (* --- trace ------------------------------------------------------------ *)
 
-let ev ?(tag = "t") ?(dur = 0) time =
-  Event.make ~time ~engine:Event.Network ~tag ~dur ()
+let emit ?(tag = "t") ?(dur = 0) tr time =
+  Trace.emit tr ~time ~engine:Event.Network ~tag ~vpn:(-1) ~src:(-1) ~dst:(-1)
+    ~src_ssmp:(-1) ~dst_ssmp:(-1) ~words:0 ~cost:0 ~dur ~txn:(-1)
 
 let test_trace_bounded () =
   let tr = Trace.create ~capacity:2 () in
-  Trace.emit tr (ev 1);
-  Trace.emit tr (ev 2);
-  Trace.emit tr (ev 3);
+  emit tr 1;
+  emit tr 2;
+  emit tr 3;
   Alcotest.(check int) "emitted" 3 (Trace.emitted tr);
   Alcotest.(check int) "retained" 2 (Trace.retained tr);
   Alcotest.(check int) "dropped" 1 (Trace.dropped tr);
@@ -87,9 +88,9 @@ let test_trace_subscribers_and_hist () =
   let tr = Trace.create () in
   let seen = ref 0 in
   Trace.subscribe tr (fun _ -> incr seen);
-  Trace.emit tr (ev ~tag:"a" ~dur:10 1);
-  Trace.emit tr (ev ~tag:"a" ~dur:20 2);
-  Trace.emit tr (ev ~tag:"b" ~dur:5 3);
+  emit ~tag:"a" ~dur:10 tr 1;
+  emit ~tag:"a" ~dur:20 tr 2;
+  emit ~tag:"b" ~dur:5 tr 3;
   Alcotest.(check int) "subscriber saw every emit" 3 !seen;
   (match Trace.hist tr "a" with
   | None -> Alcotest.fail "histogram for tag a missing"
@@ -100,9 +101,8 @@ let test_trace_subscribers_and_hist () =
 
 let test_trace_chrome_json () =
   let tr = Trace.create () in
-  Trace.emit tr
-    (Event.make ~time:150 ~engine:Event.Server ~tag:"RREQ \"x\"" ~vpn:7 ~src:1 ~dst:2
-       ~src_ssmp:0 ~dst_ssmp:1 ~words:256 ~cost:40 ~dur:50 ());
+  Trace.emit tr ~time:150 ~engine:Event.Server ~tag:"RREQ \"x\"" ~vpn:7 ~src:1 ~dst:2
+    ~src_ssmp:0 ~dst_ssmp:1 ~words:256 ~cost:40 ~dur:50 ~txn:(-1);
   let json = Trace.chrome_json tr in
   let contains needle =
     let n = String.length needle and l = String.length json in
@@ -122,7 +122,7 @@ let test_trace_chrome_json () =
 let test_trace_overflow_warning () =
   let tr = Trace.create ~capacity:4 () in
   for i = 1 to 10 do
-    Trace.emit tr (ev i)
+    emit tr i
   done;
   Alcotest.(check int) "dropped" 6 (Trace.dropped tr);
   let warning = Format.asprintf "%a" Trace.pp_overflow_warning tr in
@@ -132,7 +132,7 @@ let test_trace_overflow_warning () =
   Alcotest.(check bool) "summary leads with the warning" true (contains summary "WARNING");
   (* and a clean trace stays quiet *)
   let quiet = Trace.create ~capacity:64 () in
-  Trace.emit quiet (ev 1);
+  emit quiet 1;
   Alcotest.(check string) "no warning without drops" ""
     (Format.asprintf "%a" Trace.pp_overflow_warning quiet)
 
@@ -143,7 +143,7 @@ let test_chrome_json_escaping_strict () =
   let nasty =
     [ "quote\"tag"; "back\\slash"; "new\nline"; "tab\ttag"; "ctl\x01"; "del\x7f"; "hi\xff" ]
   in
-  List.iteri (fun i tag -> Trace.emit tr (ev ~tag (10 * (i + 1)))) nasty;
+  List.iteri (fun i tag -> emit ~tag tr (10 * (i + 1))) nasty;
   (* spans with the same hostile labels ride in the chrome export too *)
   let sp = Trace.spans tr in
   List.iter
@@ -180,11 +180,11 @@ let test_span_basic () =
     Span.open_span sp ~parent:Span.none ~time:100 ~label:"fault" ~engine:Event.Local_client
       ~vpn:3 ()
   in
-  Alcotest.(check int) "root mints txn 0" 0 root.Span.txn;
+  Alcotest.(check int) "root mints txn 0" 0 (Span.txn_of root);
   let child =
     Span.open_span sp ~parent:root ~time:110 ~label:"h.RREQ" ~engine:Event.Server ()
   in
-  Alcotest.(check int) "child inherits txn" 0 child.Span.txn;
+  Alcotest.(check int) "child inherits txn" 0 (Span.txn_of child);
   Alcotest.(check int) "two open" 2 (Span.open_count sp);
   Alcotest.(check (list string)) "open labels" [ "fault"; "h.RREQ" ] (Span.open_labels sp);
   Span.close sp child ~time:150;
@@ -200,7 +200,7 @@ let test_span_basic () =
     Span.open_span sp ~parent:Span.none ~time:300 ~label:"release"
       ~engine:Event.Local_client ()
   in
-  Alcotest.(check int) "fresh root mints the next txn" 1 second.Span.txn;
+  Alcotest.(check int) "fresh root mints the next txn" 1 (Span.txn_of second);
   Span.close sp second ~time:310;
   Alcotest.(check int) "txns minted" 2 (Span.txns sp)
 
@@ -213,18 +213,22 @@ let test_span_overflow_sentinel () =
   let c = Span.open_span sp ~parent:a ~time:2 ~label:"net.wire" ~engine:Event.Network () in
   Alcotest.(check int) "store capped" 2 (Span.count sp);
   Alcotest.(check int) "overflow counted" 1 (Span.dropped sp);
-  Alcotest.(check bool) "sentinel sid is negative" true (c.Span.sid < 0);
-  Alcotest.(check int) "sentinel keeps threading the txn" a.Span.txn c.Span.txn;
+  Alcotest.(check bool) "sentinel sid is negative" true (Span.sid_of c < 0);
+  Alcotest.(check int) "sentinel keeps threading the txn" (Span.txn_of a) (Span.txn_of c);
   Span.close sp c ~time:9;
   Alcotest.(check int) "sentinel close is a no-op" 2 (Span.open_count sp);
   (* a child opened under the sentinel stays in the transaction, with
      the unrecorded parent sanitized to "root" *)
   let sp2 = Span.create ~capacity:8 () in
-  let d =
-    Span.open_span sp2 ~parent:{ Span.txn = 7; sid = -2 } ~time:0 ~label:"net.dma"
-      ~engine:Event.Network ()
+  for _ = 1 to 7 do
+    ignore (Span.mint_txn sp)
+  done;
+  let e =
+    Span.open_span sp ~parent:Span.none ~time:0 ~label:"fault" ~engine:Event.Local_client ()
   in
-  Alcotest.(check int) "txn inherited through sentinel" 7 d.Span.txn;
+  Alcotest.(check int) "a dropped root still mints" 8 (Span.txn_of e);
+  let d = Span.open_span sp2 ~parent:e ~time:0 ~label:"net.dma" ~engine:Event.Network () in
+  Alcotest.(check int) "txn inherited through sentinel" 8 (Span.txn_of d);
   Span.iter sp2 (fun s -> Alcotest.(check int) "parent sanitized" (-1) s.Span.parent);
   Span.close sp b ~time:3;
   Span.close sp a ~time:4
@@ -270,6 +274,266 @@ let test_span_breakdown_attribution () =
     (b.Span.local + b.Span.wire + b.Span.dma + b.Span.server + b.Span.remote + b.Span.queue
    + b.Span.residual);
   Alcotest.(check (float 1e-9)) "coverage" 0.7 (Span.coverage b)
+
+(* --- the row store ------------------------------------------------------ *)
+
+(* Minor words and direct major words (major minus promoted) that [f]
+   allocates, less what an empty call costs. *)
+let alloc_of f =
+  let measure f =
+    let _, p0, j0 = Gc.counters () in
+    let m0 = Gc.minor_words () in
+    f ();
+    let m1 = Gc.minor_words () in
+    let _, p1, j1 = Gc.counters () in
+    (m1 -. m0, j1 -. p1 -. (j0 -. p0))
+  in
+  let m0, j0 = measure ignore in
+  let m, j = measure f in
+  (int_of_float (m -. m0), int_of_float (j -. j0))
+
+let rounds = 10_000
+
+let record tr ~from () =
+  let sp = Trace.spans tr in
+  for i = from to from + rounds - 1 do
+    Trace.emit tr ~time:i ~engine:Event.Network ~tag:"t" ~vpn:i ~src:0 ~dst:1 ~src_ssmp:0
+      ~dst_ssmp:1 ~words:2 ~cost:3 ~dur:(i land 15) ~txn:(-1);
+    let c =
+      Span.open_span_x sp ~parent:Span.none ~time:i ~label:"s" ~engine:Event.Network
+        ~vpn:(-1) ~src:0 ~dst:1 ~src_ssmp:0 ~dst_ssmp:1 ~words:0
+    in
+    Span.close sp c ~time:(i + 1)
+  done
+
+(* Words of the chunks that rows [lo, hi) of one store open, given
+   [stamped] key chunks: the only allocation recording may do. *)
+let chunk_words ~lo ~hi ~stamped =
+  let rows = Mgs_obs.Rows.chunk_rows in
+  let n = ((hi - 1) / rows) - ((lo - 1) / rows) in
+  n * ((rows * Mgs_obs.Rows.width) + 1 + if stamped then rows + 1 else 0)
+
+(* Emitting and opening/closing spans allocate nothing once a row's
+   chunk exists; a two-cell store stamps with the running event's key. *)
+let test_recording_allocates_nothing () =
+  let one = Trace.create ~capacity:(4 * rounds) ~span_capacity:(4 * rounds) () in
+  record one ~from:0 ();
+  let minor, major = alloc_of (record one ~from:rounds) in
+  Alcotest.(check int) "one cell: no minor words" 0 minor;
+  Alcotest.(check int) "one cell: major words are the chunks filled"
+    (2 * chunk_words ~lo:rounds ~hi:(2 * rounds) ~stamped:false)
+    major;
+  let two = Trace.create ~cells:2 ~capacity:(8 * rounds) ~span_capacity:(8 * rounds) () in
+  let sim = Mgs_engine.Sim.create () in
+  Mgs_engine.Sim.make_sharded sim ~nshards:2 ~lookahead:10;
+  let got = ref (-1, -1) in
+  Mgs_engine.Sim.at_shard sim ~shard:1 5 (fun () ->
+      record two ~from:0 ();
+      got := alloc_of (record two ~from:rounds));
+  ignore (Mgs_engine.Sim.run sim ());
+  Alcotest.(check int) "two cells: no minor words" 0 (fst !got);
+  Alcotest.(check int) "two cells: major words are the chunks filled"
+    (2 * chunk_words ~lo:rounds ~hi:(2 * rounds) ~stamped:true)
+    (snd !got);
+  Alcotest.(check int) "all rows kept" (2 * rounds) (Trace.retained two)
+
+(* Both stores against a naive list model, across chunk boundaries.  A
+   plan is a list of events, each on one cell, recording one to three
+   rows; event [e] fires at time [e], so execution order is plan order.
+   Row [i] emits a trace event and opens a span whose parent is the row
+   [back] before it ([back = 0]: a root); three rows in four close
+   their span.  The trace keeps each cell's newest rows, the span store
+   each cell's first ones. *)
+type plan = { cap : int; ncells : int; evs : (int * int list) list }
+
+let gen_plan =
+  let open QCheck2.Gen in
+  let* cap = oneofl [ 1; 63; 64; 1023; 1024; 1025; 2500 ] in
+  let* ncells = int_range 1 4 in
+  let* nrows = int_bound (3 * cap) in
+  let* evs =
+    list_size
+      (pure ((nrows + 1) / 2))
+      (pair (int_bound (ncells - 1)) (list_size (int_range 1 3) (int_bound 4)))
+  in
+  pure { cap; ncells; evs }
+
+let print_plan p =
+  Printf.sprintf "cap=%d cells=%d events=%d" p.cap p.ncells (List.length p.evs)
+
+(* A model row: index, cell, event, parent row (-1: none), and position
+   among its cell's rows. *)
+type mrow = { i : int; cell : int; ev : int; par : int; local : int }
+
+let model_rows { ncells; evs; _ } =
+  let per_cell = Array.make ncells 0 and rows = ref [] and i = ref 0 in
+  List.iteri
+    (fun ev (cell, backs) ->
+      List.iter
+        (fun back ->
+          let par = if back = 0 || back > !i then -1 else !i - back in
+          rows := { i = !i; cell; ev; par; local = per_cell.(cell) } :: !rows;
+          per_cell.(cell) <- per_cell.(cell) + 1;
+          incr i)
+        backs)
+    evs;
+  (Array.of_list (List.rev !rows), per_cell)
+
+let prop_rows_model =
+  QCheck2.Test.make ~name:"trace and span stores match a list model" ~count:40
+    ~print:print_plan gen_plan (fun plan ->
+      let { cap; ncells; evs } = plan in
+      let rows, per_cell = model_rows plan in
+      let n = Array.length rows in
+      let tag r = string_of_int (r.i mod 5) and label r = string_of_int (r.i mod 3) in
+      let t1 r = if r.i mod 4 = 3 then -1 else r.ev + (r.i mod 5) in
+      (* the run: each event records its rows on its cell's shard *)
+      let tr = Trace.create ~capacity:cap ~span_capacity:cap ~cells:ncells () in
+      let sp = Trace.spans tr in
+      let ctxs = Array.make n Span.none in
+      let record r =
+        Trace.emit tr ~time:r.ev ~engine:Event.Server ~tag:(tag r) ~vpn:r.i ~src:r.cell
+          ~dst:(r.i mod 3) ~src_ssmp:r.cell ~dst_ssmp:(-1) ~words:(r.i mod 7) ~cost:1
+          ~dur:(r.i mod 11) ~txn:(-1);
+        let parent = if r.par < 0 then Span.none else ctxs.(r.par) in
+        let c =
+          Span.open_span sp ~parent ~time:r.ev ~label:(label r) ~engine:Event.Sync
+            ~vpn:r.i ()
+        in
+        ctxs.(r.i) <- c;
+        if t1 r >= 0 then Span.close sp c ~time:(t1 r)
+      in
+      let by_ev = Array.make (List.length evs) [] in
+      Array.iter (fun r -> by_ev.(r.ev) <- by_ev.(r.ev) @ [ r ]) rows;
+      let sim = Mgs_engine.Sim.create () in
+      if ncells > 1 then Mgs_engine.Sim.make_sharded sim ~nshards:ncells ~lookahead:1000;
+      Array.iteri
+        (fun e rs ->
+          Mgs_engine.Sim.at_shard sim ~shard:(List.hd rs).cell e (fun () ->
+              List.iter record rs))
+        by_ev;
+      ignore (Mgs_engine.Sim.run sim ());
+      (* the model *)
+      let ccap = max (min cap 64) ((cap + ncells - 1) / ncells) in
+      let in_trace r = r.local >= per_cell.(r.cell) - ccap in
+      let in_spans r = r.local < ccap in
+      let kept = Array.fold_left (fun a k -> a + min k ccap) 0 per_cell in
+      let all = Array.to_list rows in
+      let events =
+        List.map
+          (fun r -> (r.ev, tag r, r.i, r.cell, r.i mod 3, r.i mod 7, r.i mod 11))
+          (List.filter in_trace all)
+      in
+      (* a root mints its cell's next transaction; a child inherits *)
+      let mints = Array.make ncells 0 and txn = Array.make n 0 in
+      Array.iter
+        (fun r ->
+          if r.par >= 0 then txn.(r.i) <- txn.(r.par)
+          else begin
+            txn.(r.i) <- (mints.(r.cell) * ncells) + r.cell;
+            mints.(r.cell) <- mints.(r.cell) + 1
+          end)
+        rows;
+      (* one cell exports raw IDs; several renumber the kept spans densely *)
+      let kept_rows = List.filter in_spans all in
+      let dense = Array.make n (-1) and dense_txn = Hashtbl.create 16 in
+      List.iteri
+        (fun d r ->
+          dense.(r.i) <- d;
+          if not (Hashtbl.mem dense_txn txn.(r.i)) then
+            Hashtbl.add dense_txn txn.(r.i) (Hashtbl.length dense_txn))
+        kept_rows;
+      let spans =
+        List.map
+          (fun r ->
+            let has_parent = r.par >= 0 && in_spans rows.(r.par) in
+            let sid, parent, tx =
+              if ncells = 1 then
+                (r.local, (if has_parent then rows.(r.par).local else -1), txn.(r.i))
+              else
+                ( dense.(r.i),
+                  (if has_parent then dense.(r.par) else -1),
+                  Hashtbl.find dense_txn txn.(r.i) )
+            in
+            (sid, parent, tx, label r, r.ev, t1 r, r.i))
+          kept_rows
+      in
+      let got_spans = ref [] in
+      Span.iter sp (fun s ->
+          got_spans := (s.sid, s.parent, s.txn, s.label, s.t0, s.t1, s.vpn) :: !got_spans);
+      let folded =
+        Span.fold_unordered sp ~init:[] (fun acc ~label ~parent ~t0 ~t1 ->
+            (label, parent >= 0, t0, t1) :: acc)
+      in
+      let expect_fold =
+        List.map (fun (_, p, _, l, t0, t1, _) -> (l, p >= 0, t0, t1)) spans
+      in
+      let ctx_ok r =
+        Span.txn_of ctxs.(r.i) = txn.(r.i)
+        && Span.sid_of ctxs.(r.i) = if in_spans r then (r.local * ncells) + r.cell else -2
+      in
+      Trace.emitted tr = n
+      && Trace.retained tr = kept
+      && Trace.dropped tr = n - kept
+      && List.map
+           (fun (e : Event.t) -> (e.time, e.tag, e.vpn, e.src, e.dst, e.words, e.dur))
+           (Trace.events tr)
+         = events
+      && Span.count sp = kept
+      && Span.dropped sp = n - kept
+      && Span.txns sp = Array.fold_left ( + ) 0 mints
+      && Span.open_count sp = List.length (List.filter (fun r -> t1 r < 0) kept_rows)
+      && List.rev !got_spans = spans
+      && List.sort compare folded = List.sort compare expect_fold
+      && Array.for_all ctx_ok rows)
+
+(* --- exports pinned to the pre-row-store implementation ------------------ *)
+
+let run_exports ~protocol w =
+  let cfg =
+    Mgs.Machine.config ~lan_latency:1000 ~par_jobs:1
+      ~protocol:(Mgs.Protocol.proto_of_name protocol) ~nprocs:8 ~cluster:2 ()
+  in
+  let m = Mgs.Machine.create cfg in
+  let tr = Mgs.Machine.enable_trace m in
+  let mt = Mgs.Machine.enable_metrics m in
+  let body, check = w.Mgs_harness.Sweep.prepare m in
+  ignore (Mgs.Machine.run m body);
+  Mgs.Machine.assert_quiescent m;
+  check m;
+  (tr, mt)
+
+(* MD5s of each export from the implementation that kept [Event.t]
+   records in a ring and spans in doubling arrays.  [test_obs_par] only
+   compares exports across job counts; these catch a change that alters
+   every job count's export the same way. *)
+let test_exports_pinned () =
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let check_run name ~protocol w sums =
+    let tr, mt = run_exports ~protocol w in
+    List.iter2
+      (fun (what, out) sum -> Alcotest.(check string) (name ^ " " ^ what) sum (md5 out))
+      [
+        ("chrome", Trace.chrome_json tr);
+        ("spans", Span.json (Trace.spans tr));
+        ("summary", Format.asprintf "%a" Trace.pp_summary tr);
+        ("metrics", Metrics.csv mt);
+      ]
+      sums
+  in
+  check_run "jacobi/mgs" ~protocol:"mgs" (Mgs_apps.Jacobi.workload Mgs_apps.Jacobi.tiny)
+    [
+      "63be9c63605b07e521aa57f43df59ae9"; "49f126518ed7ea084b3efa06bd072dc5";
+      "798372c237eeb1f4bf060b4ec10ebd20"; "6845a2e387ceb6f1d0f7a30e71e7ca27";
+    ];
+  check_run "water/hlrc" ~protocol:"hlrc" (Mgs_apps.Water.workload Mgs_apps.Water.tiny)
+    [
+      "f5cf5631d2aac41aea1c0fbe5725c8d5"; "9e05aadb60fd612aa600cfe5dac37dcc";
+      "df6ec1d91628416c792a4a06184dd54e"; "7d865a5872594b4972b4089af4ef17b9";
+    ];
+  let tr, _ = run_exports ~protocol:"mgs" (Mgs_serve.Kv.workload Mgs_serve.Kv.tiny) in
+  Alcotest.(check string) "kv tail table" "86b4037081116b3ac70dde08eea33f93"
+    (md5 (Mgs_serve.Tail.table (Trace.spans tr)))
 
 (* --- metrics ----------------------------------------------------------- *)
 
@@ -522,6 +786,13 @@ let () =
           Alcotest.test_case "overflow warns loudly" `Quick test_trace_overflow_warning;
           Alcotest.test_case "hostile tags escape cleanly" `Quick
             test_chrome_json_escaping_strict;
+        ] );
+      ( "rows",
+        [
+          Alcotest.test_case "recording allocates nothing" `Quick
+            test_recording_allocates_nothing;
+          Alcotest.test_case "exports pinned" `Quick test_exports_pinned;
+          QCheck_alcotest.to_alcotest prop_rows_model;
         ] );
       ( "span",
         [

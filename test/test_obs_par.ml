@@ -175,9 +175,9 @@ let run_traced ~engine plan =
       ( (fun () -> Sim.now sim),
         Sim.at_shard sim,
         fun id ->
-          Trace.emit tr
-            (Mgs_obs.Event.make ~time:(Sim.now sim) ~engine:Mgs_obs.Event.Network
-               ~tag:(string_of_int id) ()) )
+          Trace.emit tr ~time:(Sim.now sim) ~engine:Mgs_obs.Event.Network
+            ~tag:(string_of_int id) ~vpn:(-1) ~src:(-1) ~dst:(-1) ~src_ssmp:(-1) ~dst_ssmp:(-1)
+            ~words:0 ~cost:0 ~dur:0 ~txn:(-1) )
   in
   let rec exec id ~shard node () =
     emit id;
