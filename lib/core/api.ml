@@ -178,11 +178,14 @@ let read ctx ?(kind = Mgs_svm.Translate.Array) addr =
   (match ctx.m.shadow with
   | Some h ->
     let expect = match Hashtbl.find h addr with v -> v | exception Not_found -> 0.0 in
-    if Int64.bits_of_float v <> Int64.bits_of_float expect then
+    if Int64.bits_of_float v <> Int64.bits_of_float expect then begin
+      (* the shadow heap forces one domain, so a plain increment is safe *)
+      ctx.m.shadow_errors <- ctx.m.shadow_errors + 1;
       Printf.eprintf "SHADOW t=%d proc=%d addr=%d vpn=%d read=%.17g expect=%.17g\n%!"
         (Sim.now ctx.m.sim) ctx.proc addr
         (Geom.vpn_of_addr ctx.m.geom addr)
         v expect
+    end
   | None -> ());
   v
 

@@ -215,14 +215,23 @@ let apply_notices m ~proc map =
 
 (* Ask the home for the page and its version.  The home answers from its
    master, which is current with respect to every release that
-   happens-before this fault's acquire. *)
+   happens-before this fault's acquire.  A sibling's acquire may learn
+   of a newer version while the fetch is in flight: [apply_notices]
+   skips the busy page, so a reply older than the SSMP's [k_map] entry
+   is not installed but re-requested. *)
 let request m ~proc ~vpn ~write =
   let c = m.costs in
   let ssmp = Topology.ssmp_of_proc m.topo proc in
   let ce = get_centry m ssmp vpn in
+  let cl = client m ssmp in
   count m (if write then Pstats.write_fetches else Pstats.read_fetches) 1;
-  let home = Proto.home_for m ~ssmp vpn in
-  let rec handle self =
+  let rec send () =
+    let home = Proto.home_for m ~ssmp vpn in
+    Am.post m.am
+      ~tag:(if write then "HLRC_WREQ" else "HLRC_RREQ")
+      ~src:proc ~dst:home ~words:0 ~cost:c.proto.server_op
+      (fun _t -> handle home)
+  and handle self =
     if
       Proto.forward m ~self ~vpn
         ~tag:(if write then "HLRC_WREQ" else "HLRC_RREQ")
@@ -247,16 +256,19 @@ let request m ~proc ~vpn ~write =
       Am.post m.am
         ~tag:(if write then "HLRC_WDAT" else "HLRC_RDAT")
         ~src:self ~dst:proc ~words:m.geom.Geom.page_words ~cost:install_cost (fun _t ->
-          install m ce ~proc ~write ~twin:write payload;
-          ce.c_version <- version;
-          Proto.view_note m ~ssmp ~vpn self;
-          wake_fetch ce)
+          if version < Option.value ~default:0 (Hashtbl.find_opt cl.k_map vpn) then begin
+            Proto.view_note m ~ssmp ~vpn self;
+            send ()
+          end
+          else begin
+            install m ce ~proc ~write ~twin:write payload;
+            ce.c_version <- version;
+            Proto.view_note m ~ssmp ~vpn self;
+            wake_fetch ce
+          end)
     end
   in
-  Am.post m.am
-    ~tag:(if write then "HLRC_WREQ" else "HLRC_RREQ")
-    ~src:proc ~dst:home ~words:0 ~cost:c.proto.server_op
-    (fun _t -> handle home)
+  send ()
 
 (* Multiple writers are allowed: twin the read copy locally, no server
    contact. *)

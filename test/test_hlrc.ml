@@ -104,6 +104,21 @@ let test_apps_run_under_hlrc () =
   check (Mgs_apps.Barnes.workload Mgs_apps.Barnes.tiny);
   check (Mgs_apps.Lu.workload Mgs_apps.Lu.tiny)
 
+(* A fetch in flight when a sibling's acquire learns of a newer version
+   must not install the older reply: the acquirer would read stale data
+   inside its critical section.  Water-kernel's per-molecule locks hit
+   that window. *)
+let test_stale_fetch_rerequested () =
+  let m = make ~nprocs:4 ~cluster:2 ~lan:1000 () in
+  let w =
+    Mgs_apps.Water_kernel.workload { Mgs_apps.Water_kernel.tiny with Mgs_apps.Water_kernel.nmol = 8 }
+  in
+  let body, verify = w.Mgs_harness.Sweep.prepare m in
+  ignore (Mgs.Machine.run m body);
+  Mgs.Machine.assert_quiescent m;
+  verify m;
+  Alcotest.(check int) "no shadow divergence" 0 (Mgs.Machine.shadow_mismatches m)
+
 (* The motivating claim: on a lock-migratory workload, lazy releases
    beat MGS's eager epochs. *)
 let test_lazy_release_cheaper () =
@@ -189,6 +204,8 @@ let () =
           Alcotest.test_case "apps verify under HLRC" `Quick test_apps_run_under_hlrc;
           Alcotest.test_case "lazy beats eager on migratory locks" `Quick
             test_lazy_release_cheaper;
+          Alcotest.test_case "stale fetch reply re-requested" `Quick
+            test_stale_fetch_rerequested;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest [ prop_hlrc_random_drf ]);
     ]
