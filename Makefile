@@ -35,9 +35,10 @@ chaos-smoke: build
 	@grep -q "net: retries=" _build/chaos-smoke.out
 	@grep -q "verification: OK" _build/chaos-smoke.out
 
-# Every registered lock under every coherence protocol, tiny: each
-# point verifies its lock-protected counter and machine quiescence, so
-# a pass means every algorithm still provides mutual exclusion.
+# Every lock kind under every coherence protocol, tiny: each point
+# verifies its lock-protected counter and machine quiescence, so a pass
+# means every algorithm still provides mutual exclusion.  The points
+# rerun at --par 2, whose lock table must match par 1's.
 lock-smoke: build
 	$(DUNE) exec bench/main.exe -- lock-smoke > _build/lock-smoke.out
 	@cat _build/lock-smoke.out

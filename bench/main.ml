@@ -154,15 +154,20 @@ let locktable () =
 
 (* tiny sweep of every lock under every protocol — the CI smoke test
    (make lock-smoke); each point verifies its protected counter and
-   machine quiescence, so a pass means every algorithm still excludes *)
+   machine quiescence, so a pass means every algorithm still excludes.
+   The sweep reruns on the windowed engine (par 2), whose lock table
+   must match par 1's byte for byte. *)
 let lock_smoke () =
   let specs =
     List.concat_map
       (fun lock ->
         List.map (fun protocol -> (lock, protocol, 2, 4)) [ "mgs"; "hlrc"; "ivy" ])
-      (Mgs_sync.Locks.names ())
+      Mgs_sync.Locks.all
   in
   let points = Mgs_harness.Micro.lock_family ~iters:2 ~jobs:!jobs specs in
+  let windowed = Mgs_harness.Micro.lock_family ~iters:2 ~par:2 ~jobs:!jobs specs in
+  if Figures.pp_lock_table windowed <> Figures.pp_lock_table points then
+    failwith "lock-smoke: the par-2 lock table differs from par 1's";
   Printf.printf "lock-smoke: OK (%d points: %s)\n" (List.length points)
     (String.concat ", " (Mgs_sync.Locks.names ()))
 

@@ -68,11 +68,12 @@ let measure ?(par = 1) ?(check = true) ?(adapt = false) ~nprocs ~cluster (name, 
       let r = (Sweep.run_point ~check ~par ~adapt ~nprocs ~cluster w).Sweep.report in
       (r.Mgs.Report.sim_events, r.Mgs.Report.runtime))
 
-(* Contended-lock microbenchmark rows: one per registered lock, under
+(* Contended-lock microbenchmark rows: one per lock, under
    the same byte-identity gate as the app rows — a sim_events/sim_cycles
    drift here means a lock algorithm's message flow changed. *)
 let measure_lock ~cluster ~fibers lock =
-  timed ~app:("lock-" ^ lock) ~nprocs:(max fibers cluster) ~cluster (fun () ->
+  let app = "lock-" ^ Mgs_sync.Locks.name_of lock in
+  timed ~app ~nprocs:(max fibers cluster) ~cluster (fun () ->
       let pt = Mgs_harness.Micro.lock_point ~lock ~protocol:"mgs" ~cluster ~fibers () in
       (pt.Mgs_harness.Micro.lk_sim_events, pt.Mgs_harness.Micro.lk_runtime))
 
@@ -395,7 +396,7 @@ let () =
     let fibers = if !quick then 8 else 16 in
     List.concat_map
       (fun lock -> List.map (fun cluster -> measure_lock ~cluster ~fibers lock) clusters)
-      (Mgs_sync.Locks.names ())
+      Mgs_sync.Locks.all
   in
   let rows =
     rows @ lock_rows

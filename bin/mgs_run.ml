@@ -30,17 +30,11 @@ let workload ~app ~size ~iters ~lock ~params =
         try Mgs_harness.Workload.parse_kv s with Invalid_argument msg -> cli_err msg)
       params
   in
-  (* --lock defaults to "token" for every app; only an explicit
-     non-default selection is pushed through the registry, so apps
-     without a lock knob keep accepting the default silently. *)
-  let args =
-    {
-      Mgs_harness.Workload.size;
-      iters;
-      lock = (if lock = "token" then None else Some lock);
-      extra;
-    }
-  in
+  (* --lock defaults to the token lock for every app; only an explicit
+     non-default selection is pushed through [args], so apps without a
+     lock knob keep accepting the default silently. *)
+  let lock = match lock with Mgs_sync.Locks.Token -> None | kind -> Some kind in
+  let args = { Mgs_harness.Workload.size; iters; lock; extra } in
   match (W.instantiate args, W.problem_size args) with
   | w, desc -> (w, desc, W.epilogue)
   | exception Invalid_argument msg -> cli_err msg
@@ -88,7 +82,9 @@ let run app size iters params procs cluster delay page_bytes protocol lock fault
   Printf.printf "app=%s (%s)  P=%d  delay=%d cycles  page=%dB  protocol=%s%s%s\n%!" app
     size_desc procs delay page_bytes protocol
     (if adapt then "  adapt=on" else "")
-    (if lock = "token" then "" else Printf.sprintf "  lock=%s" lock);
+    (match lock with
+    | Mgs_sync.Locks.Token -> ""
+    | kind -> "  lock=" ^ Mgs_sync.Locks.name_of kind);
   (match fault_spec with
   | Some spec ->
     Printf.printf "faults: %s  seed=%d\n%!" (Mgs_net.Fault.to_string spec) seed
@@ -293,16 +289,16 @@ let protocol_t =
         ~doc:(Printf.sprintf "Inter-SSMP protocol: %s." (String.concat ", " names)))
 
 let lock_t =
-  let names = Mgs_sync.Locks.names () in
+  let open Mgs_sync.Locks in
   Arg.(
     value
-    & opt (enum (List.map (fun n -> (n, n)) names)) "token"
+    & opt (enum (List.map (fun k -> (name_of k, k)) all)) Token
     & info [ "lock" ] ~docv:"LOCK"
         ~doc:
           (Printf.sprintf
              "Lock algorithm for the workloads with a lock knob (tsp, water, barnes, \
               kv): %s."
-             (String.concat ", " names)))
+             (String.concat ", " (names ()))))
 
 let faults_t =
   let spec_conv =

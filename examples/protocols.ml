@@ -20,14 +20,14 @@ let () =
     in
     let m = Mgs.Machine.create cfg in
     let cell = Mgs.Machine.alloc m ~words:4 ~home:(Mgs_mem.Allocator.On_proc 0) in
-    let lock = Mgs_sync.Lock.create m () in
+    let lock = Mgs_sync.Locks.(make m Token) in
     let bar = Mgs_sync.Barrier.create m in
     let report =
       Mgs.Machine.run m (fun ctx ->
           for _ = 1 to rounds do
-            Mgs_sync.Lock.acquire ctx lock;
+            Mgs_sync.Locks.acquire ctx lock;
             Mgs.Api.write ctx cell (Mgs.Api.read ctx cell +. 1.0);
-            Mgs_sync.Lock.release ctx lock
+            Mgs_sync.Locks.release ctx lock
           done;
           Mgs_sync.Barrier.wait ctx bar)
     in

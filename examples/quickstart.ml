@@ -16,18 +16,18 @@ let () =
     Mgs.Machine.poke m (vec + i) 0.0
   done;
 
-  let lock = Mgs_sync.Lock.create m () in
+  let lock = Mgs_sync.Locks.(make m Token) in
   let barrier = Mgs_sync.Barrier.create m in
 
   (* the SPMD body: every processor runs this in its own fiber *)
   let report =
     Mgs.Machine.run m (fun ctx ->
-        Mgs_sync.Lock.acquire ctx lock;
+        Mgs_sync.Locks.acquire ctx lock;
         for i = 0 to 63 do
           let v = Mgs.Api.read ctx (vec + i) in
           Mgs.Api.write ctx (vec + i) (v +. 1.0)
         done;
-        Mgs_sync.Lock.release ctx lock;
+        Mgs_sync.Locks.release ctx lock;
         Mgs_sync.Barrier.wait ctx barrier)
   in
 

@@ -18,17 +18,17 @@ let () =
     let m = Mgs.Machine.create cfg in
     (* [0] = next task index; [1] = accumulated integral *)
     let ctl = Mgs.Machine.alloc m ~words:2 ~home:(Mgs_mem.Allocator.On_proc 0) in
-    let qlock = Mgs_sync.Lock.create m () in
+    let qlock = Mgs_sync.Locks.(make m Token) in
     let bar = Mgs_sync.Barrier.create m in
     let report =
       Mgs.Machine.run m (fun ctx ->
           let running = ref true in
           let local = ref 0.0 in
           while !running do
-            Mgs_sync.Lock.acquire ctx qlock;
+            Mgs_sync.Locks.acquire ctx qlock;
             let t = Mgs.Api.read_int ctx ctl in
             if t < tasks then Mgs.Api.write_int ctx ctl (t + 1);
-            Mgs_sync.Lock.release ctx qlock;
+            Mgs_sync.Locks.release ctx qlock;
             if t >= tasks then running := false
             else begin
               (* integrate 1/(1+x^2) over the slice: builds toward pi *)
@@ -42,9 +42,9 @@ let () =
             end
           done;
           (* publish the partial sum *)
-          Mgs_sync.Lock.acquire ctx qlock;
+          Mgs_sync.Locks.acquire ctx qlock;
           Mgs.Api.write ctx (ctl + 1) (Mgs.Api.read ctx (ctl + 1) +. !local);
-          Mgs_sync.Lock.release ctx qlock;
+          Mgs_sync.Locks.release ctx qlock;
           Mgs_sync.Barrier.wait ctx bar)
     in
     let integral = Mgs.Machine.peek m (ctl + 1) in

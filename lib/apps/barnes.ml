@@ -4,18 +4,23 @@ type params = {
   theta : float;
   force_cycles : int;
   seed : int;
-  lock : string;
+  lock : Mgs_sync.Locks.kind;
 }
 
 let default =
-  { nbodies = 128; iters = 2; theta = 0.6; force_cycles = 400; seed = 17; lock = "token" }
+  {
+    nbodies = 128;
+    iters = 2;
+    theta = 0.6;
+    force_cycles = 400;
+    seed = 17;
+    lock = Mgs_sync.Locks.Token;
+  }
 
-let tiny =
-  { nbodies = 24; iters = 2; theta = 0.6; force_cycles = 400; seed = 5; lock = "token" }
+let tiny = { default with nbodies = 24; seed = 5 }
 
 (* the paper's full problem size *)
-let paper =
-  { nbodies = 2048; iters = 3; theta = 0.6; force_cycles = 400; seed = 17; lock = "token" }
+let paper = { default with nbodies = 2048; iters = 3 }
 
 let problem_size p = Printf.sprintf "%d bodies, %d iterations" p.nbodies p.iters
 

@@ -17,7 +17,7 @@ type params = {
   theta : float;  (** opening criterion *)
   force_cycles : int;  (** modelled cost per body-body/body-cell interaction *)
   seed : int;
-  lock : string;  (** cell lock algorithm, a [Mgs_sync.Locks] name *)
+  lock : Mgs_sync.Locks.kind;  (** cell lock algorithm *)
 }
 
 val default : params

@@ -1,8 +1,8 @@
-type params = { ncities : int; seed : int; eval_cycles : int; lock : string }
+type params = { ncities : int; seed : int; eval_cycles : int; lock : Mgs_sync.Locks.kind }
 
-let default = { ncities = 10; seed = 42; eval_cycles = 2000; lock = "token" }
+let default = { ncities = 10; seed = 42; eval_cycles = 2000; lock = Mgs_sync.Locks.Token }
 
-let tiny = { ncities = 6; seed = 7; eval_cycles = 200; lock = "token" }
+let tiny = { ncities = 6; seed = 7; eval_cycles = 200; lock = Mgs_sync.Locks.Token }
 
 (* the paper's problem size is already the default (10 cities) *)
 let paper = default

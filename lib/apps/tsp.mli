@@ -12,7 +12,7 @@ type params = {
   ncities : int;
   seed : int;  (** distance matrix generator seed *)
   eval_cycles : int;  (** modelled cost of evaluating one tour extension *)
-  lock : string;  (** work-queue lock algorithm, a [Mgs_sync.Locks] name *)
+  lock : Mgs_sync.Locks.kind;  (** work-queue lock algorithm *)
 }
 
 val default : params

@@ -3,15 +3,16 @@ type params = {
   iters : int;
   force_cycles : int;
   seed : int;
-  lock : string;
+  lock : Mgs_sync.Locks.kind;
 }
 
-let default = { nmol = 128; iters = 2; force_cycles = 15000; seed = 11; lock = "token" }
+let default =
+  { nmol = 128; iters = 2; force_cycles = 15000; seed = 11; lock = Mgs_sync.Locks.Token }
 
-let tiny = { nmol = 12; iters = 2; force_cycles = 15000; seed = 3; lock = "token" }
+let tiny = { default with nmol = 12; seed = 3 }
 
 (* closest even count to the paper's 343 molecules *)
-let paper = { nmol = 344; iters = 2; force_cycles = 15000; seed = 11; lock = "token" }
+let paper = { default with nmol = 344 }
 
 let problem_size p = Printf.sprintf "%d molecules, %d iterations" p.nmol p.iters
 

@@ -15,7 +15,7 @@ type params = {
   iters : int;
   force_cycles : int;  (** modelled cost of one pair interaction *)
   seed : int;
-  lock : string;  (** molecule/statistics lock algorithm, a [Mgs_sync.Locks] name *)
+  lock : Mgs_sync.Locks.kind;  (** molecule/statistics lock algorithm *)
 }
 
 val default : params

@@ -70,9 +70,9 @@ let workload p =
     let owner i = min (nprocs - 1) (i / per) in
     let mol_lock =
       Array.init n (fun i ->
-          Mgs_sync.Lock.create m
+          Mgs_sync.Locks.make m
             ~home:(Mgs_machine.Topology.ssmp_of_proc topo (owner i))
-            ())
+            Mgs_sync.Locks.Token)
     in
     let bar = Mgs_sync.Barrier.create m in
     let body ctx =
@@ -90,16 +90,16 @@ let workload p =
             let zj = read ctx (pos + (3 * j) + 2) in
             compute ctx p.force_cycles;
             let fx, fy, fz = pair_force xi yi zi xj yj zj in
-            Mgs_sync.Lock.acquire ctx mol_lock.(i);
+            Mgs_sync.Locks.acquire ctx mol_lock.(i);
             write ctx (force + (3 * i)) (read ctx (force + (3 * i)) +. fx);
             write ctx (force + (3 * i) + 1) (read ctx (force + (3 * i) + 1) +. fy);
             write ctx (force + (3 * i) + 2) (read ctx (force + (3 * i) + 2) +. fz);
-            Mgs_sync.Lock.release ctx mol_lock.(i);
-            Mgs_sync.Lock.acquire ctx mol_lock.(j);
+            Mgs_sync.Locks.release ctx mol_lock.(i);
+            Mgs_sync.Locks.acquire ctx mol_lock.(j);
             write ctx (force + (3 * j)) (read ctx (force + (3 * j)) -. fx);
             write ctx (force + (3 * j) + 1) (read ctx (force + (3 * j) + 1) -. fy);
             write ctx (force + (3 * j) + 2) (read ctx (force + (3 * j) + 2) -. fz);
-            Mgs_sync.Lock.release ctx mol_lock.(j))
+            Mgs_sync.Locks.release ctx mol_lock.(j))
           (Water.pairs_of wp i)
       done;
       Mgs_sync.Barrier.wait ctx bar

@@ -71,7 +71,7 @@ let pp_lock_table points =
       (fun (p : Micro.lock_point) ->
         let g = p.Micro.lk_gap in
         [
-          p.Micro.lk_lock;
+          Mgs_sync.Locks.name_of p.Micro.lk_lock;
           p.Micro.lk_protocol;
           string_of_int p.Micro.lk_cluster;
           string_of_int p.Micro.lk_fibers;

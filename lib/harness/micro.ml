@@ -189,7 +189,7 @@ let run_all ?(costs = Mgs_machine.Costs.default) () =
    algorithm and coherence protocol ran. *)
 
 type lock_point = {
-  lk_lock : string;
+  lk_lock : Mgs_sync.Locks.kind;
   lk_protocol : string;
   lk_cluster : int;
   lk_fibers : int;  (** contending fibers (one per processor) *)
@@ -239,8 +239,8 @@ let lock_point ?(iters = 16) ?(crit = 200) ?(think = 1500) ?(par = 1) ?(adapt = 
   let got = Mgs.Machine.peek m counter in
   if got <> expect then
     failwith
-      (Printf.sprintf "lock bench %s/%s C=%d n=%d: counter %.0f, expected %.0f" lock
-         protocol cluster fibers got expect);
+      (Printf.sprintf "lock bench %s/%s C=%d n=%d: counter %.0f, expected %.0f"
+         (Mgs_sync.Locks.name_of lock) protocol cluster fibers got expect);
   {
     lk_lock = lock;
     lk_protocol = protocol;
@@ -263,7 +263,7 @@ let lock_family ?iters ?crit ?think ?par ?adapt ?(jobs = 1) specs =
       lock_point ?iters ?crit ?think ?par ?adapt ~lock ~protocol ~cluster ~fibers ())
     specs
 
-(* lock scalability: every registered lock at C in {1,4,16} under every
+(* lock scalability: every lock at C in {1,4,16} under every
    protocol, at a fixed contention level *)
 let lock_cluster_specs ?(fibers = 16) () =
   List.concat_map
@@ -272,13 +272,13 @@ let lock_cluster_specs ?(fibers = 16) () =
         (fun protocol ->
           List.map (fun cluster -> (lock, protocol, cluster, fibers)) [ 1; 4; 16 ])
         [ "mgs"; "hlrc"; "ivy" ])
-    (Mgs_sync.Locks.names ())
+    Mgs_sync.Locks.all
 
 (* contention scaling: 1..64 contending fibers at a fixed cluster *)
 let lock_contention_specs ?(cluster = 4) ?(protocol = "mgs") () =
   List.concat_map
     (fun lock -> List.map (fun fibers -> (lock, protocol, cluster, fibers)) [ 1; 4; 16; 64 ])
-    (Mgs_sync.Locks.names ())
+    Mgs_sync.Locks.all
 
 let print_table ms =
   let rows =

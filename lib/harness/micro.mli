@@ -18,7 +18,7 @@ val print_table : measurement list -> unit
 
 (** {1 Contended-lock microbenchmarks}
 
-    The Figure 11 companion for the {!Mgs_sync.Locks} registry: a
+    The Figure 11 companion for {!Mgs_sync.Locks}: a
     family of single-lock contention runs measuring handoff latency,
     hit ratio, and fairness per lock algorithm, cluster size, and
     coherence protocol.  Every critical section increments a
@@ -26,7 +26,7 @@ val print_table : measurement list -> unit
     mutual exclusion and coherence are checked, not assumed. *)
 
 type lock_point = {
-  lk_lock : string;
+  lk_lock : Mgs_sync.Locks.kind;
   lk_protocol : string;
   lk_cluster : int;
   lk_fibers : int;  (** contending fibers (one per processor) *)
@@ -44,7 +44,7 @@ val lock_point :
   ?think:int ->
   ?par:int ->
   ?adapt:bool ->
-  lock:string ->
+  lock:Mgs_sync.Locks.kind ->
   protocol:string ->
   cluster:int ->
   fibers:int ->
@@ -67,16 +67,16 @@ val lock_family :
   ?par:int ->
   ?adapt:bool ->
   ?jobs:int ->
-  (string * string * int * int) list ->
+  (Mgs_sync.Locks.kind * string * int * int) list ->
   lock_point list
 (** Run (lock, protocol, cluster, fibers) specs in order; [jobs]
     (default 1) fans points over domains with byte-identical results. *)
 
-val lock_cluster_specs : ?fibers:int -> unit -> (string * string * int * int) list
-(** Every registered lock at C in [{1,4,16}] under every protocol, at a
+val lock_cluster_specs : ?fibers:int -> unit -> (Mgs_sync.Locks.kind * string * int * int) list
+(** Every lock at C in [{1,4,16}] under every protocol, at a
     fixed contention level (default 16 fibers). *)
 
 val lock_contention_specs :
-  ?cluster:int -> ?protocol:string -> unit -> (string * string * int * int) list
-(** Every registered lock at 1, 4, 16, and 64 contending fibers, at a
+  ?cluster:int -> ?protocol:string -> unit -> (Mgs_sync.Locks.kind * string * int * int) list
+(** Every lock at 1, 4, 16, and 64 contending fibers, at a
     fixed cluster size (default 4) and protocol (default mgs). *)

@@ -1,8 +1,7 @@
-(* First-class workloads behind one face, mirroring the [Mgs.Protocol]
-   and [Mgs_sync.Locks] registries: the CLIs, the benchmark driver, and
-   the perf harness select an application by name, and adding a workload
-   means one [register] call — not a variant case in three hand-kept
-   dispatch tables.
+(* First-class workloads behind one face: the CLIs, the benchmark
+   driver, and the perf harness select an application by name, and
+   adding a workload means one [register] call — not a variant case in
+   three hand-kept dispatch tables.
 
    The generic knobs every driver already exposes (--size, --iters,
    --lock) flow through [args]; anything application-specific rides the
@@ -13,7 +12,7 @@
 type args = {
   size : int option;  (** generic problem-size knob (--size) *)
   iters : int option;  (** generic iteration knob (--iters) *)
-  lock : string option;  (** lock algorithm ({!Mgs_sync.Locks} name, --lock) *)
+  lock : Mgs_sync.Locks.kind option;  (** lock algorithm (--lock) *)
   extra : (string * string) list;  (** workload-specific key=value params *)
 }
 
@@ -47,7 +46,8 @@ let size_param ~default ~doc = param ~name:"size" ~default ~doc
 
 let iters_param ~default ~doc = param ~name:"iters" ~default ~doc
 
-let lock_param = param ~name:"lock" ~default:"token" ~doc:"lock algorithm"
+let lock_param =
+  param ~name:"lock" ~default:Mgs_sync.Locks.(name_of Token) ~doc:"lock algorithm"
 
 (* Reject any knob the workload did not declare — generic (size, iters,
    lock) and [extra] alike — naming the knobs that exist, as an unknown

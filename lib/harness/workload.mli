@@ -1,5 +1,4 @@
-(** First-class workload registry (the [Mgs_sync.Locks] idiom applied to
-    applications).
+(** First-class workload registry.
 
     Every application packages itself as a {!WORKLOAD} module — a name,
     a one-line description, a published parameter spec, and constructors
@@ -11,7 +10,8 @@
 type args = {
   size : int option;  (** generic problem-size knob (--size) *)
   iters : int option;  (** generic iteration knob (--iters) *)
-  lock : string option;  (** lock algorithm, an {!Mgs_sync.Locks} name (--lock) *)
+  lock : Mgs_sync.Locks.kind option;
+      (** lock algorithm (--lock); [None] keeps the workload's default *)
   extra : (string * string) list;  (** workload-specific key=value params *)
 }
 

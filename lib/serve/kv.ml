@@ -62,7 +62,7 @@ type params = {
           into thundering-herd waves *)
   think : int;  (** modelled per-request computation, cycles *)
   seed : int;
-  lock : string;  (** shard lock algorithm, a [Mgs_sync.Locks] name *)
+  lock : Mgs_sync.Locks.kind;  (** shard lock algorithm *)
   stripes : int;  (** locks per shard, keys interleaved; 1 = per-shard lock *)
   local_pct : int;  (** % of requests with session affinity to the client's SSMP's shard *)
   home : string;  (** shard placement: "spread" (round robin) or "packed" (all on SSMP 0) *)
@@ -83,7 +83,7 @@ let default =
     burst = 0;
     think = 200;
     seed = 7;
-    lock = "token";
+    lock = Mgs_sync.Locks.Token;
     stripes = 1;
     local_pct = 0;
     home = "spread";

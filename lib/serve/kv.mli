@@ -34,7 +34,7 @@ type params = {
           thundering-herd waves *)
   think : int;  (** modelled per-request computation, cycles *)
   seed : int;
-  lock : string;  (** shard lock algorithm, a [Mgs_sync.Locks] name *)
+  lock : Mgs_sync.Locks.kind;  (** shard lock algorithm *)
   stripes : int;
       (** locks per shard, keys interleaved over them; 1 (the default)
           is the classic per-shard big lock, larger values let puts to

@@ -1,6 +1,6 @@
 open Mgs.State
 
-(* Mesa-style condition variables over any registered lock.
+(* Mesa-style condition variables over any lock kind.
 
    The wait queue is distributed state: it lives at a home processor and
    is touched only inside active-message handlers running there, so

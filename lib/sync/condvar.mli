@@ -1,4 +1,4 @@
-(** Mesa-style condition variables layered on any registered lock.
+(** Mesa-style condition variables layered on any lock kind.
 
     [wait] atomically-enough releases the associated lock and parks the
     calling fiber; [signal]/[broadcast] wake parked fibers, which then

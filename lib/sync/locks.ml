@@ -1,35 +1,71 @@
 open Mgs.State
 
-(* Pluggable lock algorithms behind one face, mirroring the
-   [Mgs.Protocol] registry: the harness and the CLIs select a lock by
-   name, and adding an algorithm means one [register] call.
+(* Every lock algorithm behind one closed tag: [make] builds an instance
+   of a [kind], and [acquire], [release], [reset] and the counters
+   dispatch with one [match] on it.
 
-   Every algorithm is home-based: a designated home processor holds the
-   arbitration state (the test-and-set word, the ticket counters, the
-   queue tail) and fibers talk to it with active messages, paying the
-   same occupancy and LAN costs as the coherence protocols.  The
-   paper's token lock is the baseline entry, delegating to {!Lock}
-   unchanged so that existing runs stay byte-identical.
+   Every algorithm is home-based: a designated home holds the
+   arbitration state (the token's global lock, the test-and-set word,
+   the ticket counters, the queue tail) and fibers talk to it with
+   active messages, paying the same occupancy and LAN costs as the
+   coherence protocols.  The paper's token lock is the baseline.
 
    Host-side instrumentation (handoff gaps, wait cycles, the
-   [lock.handoff] spans) lives in the wrapper below, outside the
-   simulated machine: it never schedules events, charges cycles, or
+   [lock.handoff] spans) lives in [acquire]/[release] below, outside
+   the simulated machine: it never schedules events, charges cycles, or
    posts messages, so enabling it cannot move a single simulated
    cycle. *)
 
-(* --- the algorithm face -------------------------------------------- *)
+type kind = Token | Tas | Ticket | Mcs | Clh
 
-type raw = {
-  r_acquire : Mgs.Api.ctx -> unit;
-  r_release : Mgs.Api.ctx -> unit;
-  r_acquires : unit -> int;
-  r_hits : unit -> int;
-  r_waiters : unit -> int;
-  r_waiters_cell : int -> int; (* one SSMP's parked fibers, shard-local *)
-  r_reset : unit -> unit;
+(* in name order, so [names ()] comes out sorted *)
+let all = [ Clh; Mcs; Tas; Ticket; Token ]
+
+let name_of = function
+  | Token -> "token"
+  | Tas -> "tas"
+  | Ticket -> "ticket"
+  | Mcs -> "mcs"
+  | Clh -> "clh"
+
+let names () = List.map name_of all
+
+let of_name name =
+  match List.find_opt (fun k -> name_of k = name) all with
+  | Some k -> k
+  | None ->
+    invalid_arg
+      (Printf.sprintf "unknown lock %S (known: %s)" name (String.concat ", " (names ())))
+
+(* --- what every kind shares ---------------------------------------- *)
+
+(* Per-SSMP episode counters: fiber-side code bumps the cell of the
+   calling processor's SSMP — the shard it executes on — so concurrent
+   shards of the parallel engine never write the same slot.  Accessors
+   sum; sums are commutative, so they match at every job count. *)
+type cells = { acquires : int array; hits : int array; blocked : int array }
+
+(* Running handoff-gap moments.  An all-float record is stored unboxed,
+   so an update allocates nothing. *)
+type welford = { mutable w_mean : float; mutable w_m2 : float }
+
+(* One instance: the fields every kind has, the host-side handoff
+   instrumentation, and ['st], the kind's own state. *)
+type 'st lock = {
+  kind : kind;
+  m : Mgs.State.t;
+  home : int; (* processor holding the arbitration state *)
+  notices : (int, int) Hashtbl.t; (* HLRC: write notices riding the lock *)
+  cells : cells;
+  st : 'st;
+  mutable last_release : int; (* sim time of the last release, -1 *)
+  mutable last_holder : int; (* proc of the last holder, -1 *)
+  mutable handoffs : int;
+  mutable gap_n : int; (* cross-holder handoff gaps: count, sum, max *)
+  mutable gap_sum : int;
+  mutable gap_max : int;
+  gap_w : welford;
 }
-
-(* --- shared fiber-side plumbing ------------------------------------ *)
 
 let msg m = count m Mgs.Pstats.lock_msgs 1
 
@@ -40,100 +76,279 @@ let parker m =
   let wake () = ignore (Mgs_engine.Waitq.wake_one m.sim q) in
   (q, wake)
 
-(* Per-SSMP episode counters: fiber-side code bumps the cell of the
-   calling processor's SSMP — the shard it executes on — so concurrent
-   shards of the parallel engine never write the same slot.  Accessors
-   sum; sums are commutative, so they match at every job count. *)
-type cells = { acquires : int array; hits : int array; blocked : int array }
-
-let cells (m : Mgs.Machine.t) =
-  let n = m.topo.Topology.nssmps in
-  { acquires = Array.make n 0; hits = Array.make n 0; blocked = Array.make n 0 }
-
 let cell_add m a proc n =
   let c = Topology.ssmp_of_proc m.topo proc in
   a.(c) <- a.(c) + n
 
-(* Acquire-side entry shared by every algorithm: charge the local
-   acquire cost, count the episode, and open the transaction root that
-   the algorithm's messages will inherit. *)
-let enter_acquire m st (ctx : Mgs.Api.ctx) ~home_proc =
-  let cpu = ctx.cpu in
-  Cpu.sync_busy cpu;
-  Cpu.advance cpu Lock m.costs.sync.lock_local_acquire;
-  count m Mgs.Pstats.lock_acquires 1;
-  cell_add m st.acquires ctx.Mgs.Api.proc 1;
+(* Open an episode's transaction root, which the messages it triggers
+   inherit, and emit its event. *)
+let open_root t (ctx : Mgs.Api.ctx) ~label ~tag ~cost =
+  let m = t.m in
   let root =
-    span_open m ~parent:Span.none ~label:"sync.lock" ~engine:Mgs_obs.Event.Sync
-      ~src:ctx.Mgs.Api.proc ~dst:home_proc ()
+    span_open m ~parent:Span.none ~label ~engine:Mgs_obs.Event.Sync ~src:ctx.Mgs.Api.proc
+      ~dst:t.home ()
   in
   span_set m root;
-  obs_emit m ~engine:Mgs_obs.Event.Sync ~tag:"sync.lock_acquire" ~src:ctx.Mgs.Api.proc
-    ~dst:home_proc ~cost:0 ~vpn:(-1) ~words:0 ~dur:0;
+  obs_emit m ~engine:Mgs_obs.Event.Sync ~tag ~src:ctx.Mgs.Api.proc ~dst:t.home ~cost ~vpn:(-1)
+    ~words:0 ~dur:0;
   root
 
-let exit_acquire m st root ~hit ~notices ~proc =
-  if hit then begin
-    count m Mgs.Pstats.lock_hits 1;
-    cell_add m st.hits proc 1
-  end;
-  Mgs.Protocol.at_acquire m ~proc ~notices;
+let close_root m root =
   span_close m root;
   span_set m Span.none
+
+(* Acquire-side entry shared by every algorithm: charge the acquire
+   cost, count the episode, and open its root. *)
+let enter_acquire t (ctx : Mgs.Api.ctx) ~charge ~cost =
+  let m = t.m in
+  Cpu.sync_busy ctx.cpu;
+  Cpu.advance ctx.cpu Lock charge;
+  count m Mgs.Pstats.lock_acquires 1;
+  cell_add m t.cells.acquires ctx.Mgs.Api.proc 1;
+  open_root t ctx ~label:"sync.lock" ~tag:"sync.lock_acquire" ~cost
+
+let count_hit t proc =
+  count t.m Mgs.Pstats.lock_hits 1;
+  cell_add t.m t.cells.hits proc 1
+
+(* Acquire-side consistency action: lazy protocols apply the write
+   notices carried by the lock. *)
+let exit_acquire t root ~proc =
+  Mgs.Protocol.at_acquire t.m ~proc ~notices:t.notices;
+  close_root t.m root
 
 (* Release-side entry: flush per release consistency (this is what
-   dilates critical sections), then charge the local release cost. *)
-let enter_release m (ctx : Mgs.Api.ctx) ~home_proc ~notices =
-  let cpu = ctx.cpu in
-  Cpu.sync_busy cpu;
-  let root =
-    span_open m ~parent:Span.none ~label:"sync.unlock" ~engine:Mgs_obs.Event.Sync
-      ~src:ctx.Mgs.Api.proc ~dst:home_proc ()
-  in
+   dilates critical sections; under HLRC it flushes diffs home and
+   attaches write notices to the lock), then charge the release cost.
+   The DUQ drain mints (and clears) its own transaction. *)
+let enter_release t (ctx : Mgs.Api.ctx) ~charge =
+  let m = t.m in
+  let root = open_root t ctx ~label:"sync.unlock" ~tag:"sync.lock_release" ~cost:0 in
+  Mgs.Protocol.at_release m ~proc:ctx.Mgs.Api.proc ~notices:t.notices;
   span_set m root;
-  obs_emit m ~engine:Mgs_obs.Event.Sync ~tag:"sync.lock_release" ~src:ctx.Mgs.Api.proc
-    ~dst:home_proc ~vpn:(-1) ~words:0 ~cost:0 ~dur:0;
-  Mgs.Protocol.at_release m ~proc:ctx.Mgs.Api.proc ~notices;
-  span_set m root;
-  Cpu.advance cpu Lock m.costs.sync.lock_local_release;
+  Cpu.advance ctx.cpu Lock charge;
   root
 
-let exit_release m root =
-  span_close m root;
-  span_set m Span.none
-
-let home_local m ~home_proc proc =
-  Topology.ssmp_of_proc m.topo proc = Topology.ssmp_of_proc m.topo home_proc
+let home_local t proc =
+  Topology.ssmp_of_proc t.m.topo proc = Topology.ssmp_of_proc t.m.topo t.home
 
 (* Block the calling fiber in [wait], counted as one of its SSMP's
    waiters meanwhile, then charge the blocked time to the Lock bucket
    and restore the acquire's span. *)
-let blocked_wait m st (ctx : Mgs.Api.ctx) root wait =
-  cell_add m st.blocked ctx.Mgs.Api.proc 1;
+let blocked_wait t (ctx : Mgs.Api.ctx) root wait =
+  let m = t.m in
+  cell_add m t.cells.blocked ctx.Mgs.Api.proc 1;
   wait ();
-  cell_add m st.blocked ctx.Mgs.Api.proc (-1);
+  cell_add m t.cells.blocked ctx.Mgs.Api.proc (-1);
   Cpu.resume_charge ctx.cpu Lock (Sim.now m.sim);
   span_set m root
 
-(* The algorithm face over one instance: the counters read its cells,
-   and a reset zeroes them along with the algorithm's own state. *)
-let raw_of st ~acquire ~release ~reset =
-  let sum = Array.fold_left ( + ) 0 in
-  let zero a = Array.fill a 0 (Array.length a) 0 in
-  {
-    r_acquire = acquire;
-    r_release = release;
-    r_acquires = (fun () -> sum st.acquires);
-    r_hits = (fun () -> sum st.hits);
-    r_waiters = (fun () -> sum st.blocked);
-    r_waiters_cell = (fun c -> st.blocked.(c));
-    r_reset =
-      (fun () ->
-        zero st.acquires;
-        zero st.hits;
-        zero st.blocked;
-        reset ());
+(* The queue locks' entries: local costs on every machine shape, and a
+   release folds handler occupancy before it opens its root (the token
+   lock's release never did, and keeps its cycle counts). *)
+let enter_acquire_q t ctx = enter_acquire t ctx ~charge:t.m.costs.sync.lock_local_acquire ~cost:0
+
+let enter_release_q t (ctx : Mgs.Api.ctx) =
+  Cpu.sync_busy ctx.cpu;
+  enter_release t ctx ~charge:t.m.costs.sync.lock_local_release
+
+(* --- the paper's token lock (section 3.2, Figure 11) ---------------- *)
+
+(* A local lock per SSMP plus a global lock at the home SSMP; the token
+   circulates among the local locks.  When a remote SSMP has requested
+   the token, at most [grant_bound] further local handoffs are allowed
+   before the token is surrendered. *)
+module Token = struct
+  type local = {
+    mutable has_token : bool;
+    mutable held : bool;
+    waiters : Mgs_engine.Waitq.t;
+    mutable requested : bool; (* LOCKREQ outstanding at the home *)
+    mutable recall : bool; (* home asked this SSMP to surrender the token *)
+    mutable grants_left : int; (* local handoffs allowed while recall pending *)
   }
+
+  type state = {
+    grant_bound : int;
+    locals : local array;
+    mutable token_at : int; (* home's view of the token owner *)
+    mutable transfer : bool; (* a recall/grant cycle is in flight *)
+    pending : int Queue.t; (* requester SSMPs queued at the home *)
+  }
+
+  (* The handoff budget per recall scales with the cluster size: larger
+     SSMPs have proportionally more local work to satisfy. *)
+  let local_grant_bound cluster = max 1 (cluster / 2)
+
+  let home_ssmp t = Topology.ssmp_of_proc t.m.topo t.home
+
+  let ssmp_proc t s = Topology.first_proc_of_ssmp t.m.topo s
+
+  let create (m : Mgs.Machine.t) ~home ~grant_bound =
+    let nssmps = m.topo.Topology.nssmps in
+    let bound =
+      match grant_bound with
+      | Some b ->
+        if b < 0 then invalid_arg "Locks.make: grant_bound";
+        b
+      | None -> local_grant_bound (m.topo.Topology.nprocs / nssmps)
+    in
+    let locals =
+      Array.init nssmps (fun s ->
+          {
+            has_token = s = home;
+            held = false;
+            waiters = Mgs_engine.Waitq.create ();
+            requested = false;
+            recall = false;
+            grants_left = bound;
+          })
+    in
+    { grant_bound = bound; locals; token_at = home; transfer = false; pending = Queue.create () }
+
+  (* --- home-side global lock --- *)
+
+  let rec try_recall t l =
+    if (not l.transfer) && not (Queue.is_empty l.pending) then begin
+      l.transfer <- true;
+      let owner = l.token_at in
+      Am.post t.m.am ~tag:"LK_RECALL" ~src:t.home ~dst:(ssmp_proc t owner) ~words:0
+        ~cost:t.m.costs.sync.lock_local_acquire (fun _t -> on_recall t l owner)
+    end
+
+  and on_recall t l s =
+    let loc = l.locals.(s) in
+    loc.recall <- true;
+    loc.grants_left <- l.grant_bound;
+    if not loc.held then surrender t l s
+
+  (* Give the token back to the home so it can be granted onward.  Any
+     fibers still parked locally are covered by a fresh LOCKREQ. *)
+  and surrender t l s =
+    let loc = l.locals.(s) in
+    assert (loc.has_token && not loc.held);
+    loc.has_token <- false;
+    loc.recall <- false;
+    if not (Mgs_engine.Waitq.is_empty loc.waiters) && not loc.requested then begin
+      loc.requested <- true;
+      Am.post t.m.am ~tag:"LK_REQ" ~src:(ssmp_proc t s) ~dst:t.home ~words:0
+        ~cost:t.m.costs.sync.lock_local_acquire (fun _t -> on_lockreq t l s)
+    end;
+    Am.post t.m.am ~tag:"LK_TOKREL" ~src:(ssmp_proc t s) ~dst:t.home ~words:0
+      ~cost:t.m.costs.sync.lock_local_acquire (fun _t -> on_token_returned t l)
+
+  and on_token_returned t l =
+    match Queue.take_opt l.pending with
+    | None ->
+      (* Nobody wants it anymore: park the token at the home SSMP. *)
+      let h = home_ssmp t in
+      l.token_at <- h;
+      l.transfer <- false;
+      l.locals.(h).has_token <- true;
+      grant_local t l h
+    | Some next ->
+      l.token_at <- next;
+      l.transfer <- false;
+      Am.post t.m.am ~tag:"LK_TOKEN" ~src:t.home ~dst:(ssmp_proc t next) ~words:0
+        ~cost:t.m.costs.sync.lock_local_acquire (fun _t ->
+          let loc = l.locals.(next) in
+          loc.has_token <- true;
+          loc.requested <- false;
+          loc.recall <- false;
+          loc.grants_left <- l.grant_bound;
+          grant_local t l next);
+      try_recall t l
+
+  and on_lockreq t l s =
+    if l.token_at = s && (not l.transfer) && Queue.is_empty l.pending then
+      (* Crossed a grant already in flight to [s]; the local grant path
+         serves the requester. *)
+      ()
+    else begin
+      Queue.add s l.pending;
+      try_recall t l
+    end
+
+  (* Hand the (free) local lock to the oldest parked fiber, if any. *)
+  and grant_local t l s =
+    let loc = l.locals.(s) in
+    if (not loc.held) && not (Mgs_engine.Waitq.is_empty loc.waiters) then begin
+      loc.held <- true;
+      ignore (Mgs_engine.Waitq.wake_one t.m.sim loc.waiters)
+    end
+
+  (* --- fiber-side local lock --- *)
+
+  (* On a single-SSMP machine (C = P) the lock degenerates to a flat
+     shared-memory lock standing in for the paper's P4 library. *)
+  let charge m ~local = if Topology.single_ssmp m.topo then m.costs.sync.flat_lock else local
+
+  let acquire (ctx : Mgs.Api.ctx) t l =
+    let m = t.m in
+    let proc = ctx.Mgs.Api.proc in
+    let s = Topology.ssmp_of_proc m.topo proc in
+    let loc = l.locals.(s) in
+    let root =
+      enter_acquire t ctx
+        ~charge:(charge m ~local:m.costs.sync.lock_local_acquire)
+        ~cost:(if loc.has_token then 1 else 0)
+    in
+    if loc.has_token then begin
+      (* a lock hit: no inter-SSMP communication *)
+      count_hit t proc;
+      if not loc.held then loc.held <- true
+      else
+        (* Parked fibers are woken only by ownership transfer. *)
+        blocked_wait t ctx root (fun () -> Mgs_engine.Waitq.park loc.waiters)
+    end
+    else begin
+      if not loc.requested then begin
+        loc.requested <- true;
+        Cpu.advance ctx.cpu Lock m.costs.proto.msg_send;
+        Am.post m.am ~tag:"LK_REQ" ~src:proc ~dst:t.home ~words:0
+          ~cost:m.costs.sync.lock_local_acquire (fun _t -> on_lockreq t l s)
+      end;
+      blocked_wait t ctx root (fun () -> Mgs_engine.Waitq.park loc.waiters)
+    end;
+    exit_acquire t root ~proc
+
+  let release (ctx : Mgs.Api.ctx) t l =
+    let m = t.m in
+    let s = Topology.ssmp_of_proc m.topo ctx.Mgs.Api.proc in
+    let loc = l.locals.(s) in
+    if not loc.held then failwith "Locks(token): release while not held by this SSMP";
+    let root = enter_release t ctx ~charge:(charge m ~local:m.costs.sync.lock_local_release) in
+    if Mgs_engine.Waitq.is_empty loc.waiters then begin
+      loc.held <- false;
+      if loc.recall then surrender t l s
+    end
+    else if loc.recall && loc.grants_left <= 0 then begin
+      (* Fairness bound: stop handing off locally, let the token go. *)
+      loc.held <- false;
+      surrender t l s
+    end
+    else begin
+      if loc.recall then loc.grants_left <- loc.grants_left - 1;
+      (* Direct handoff: [held] stays true, the woken fiber owns it. *)
+      ignore (Mgs_engine.Waitq.wake_one m.sim loc.waiters)
+    end;
+    close_root m root
+
+  let reset t l =
+    let h = home_ssmp t in
+    Array.iteri
+      (fun s loc ->
+        ignore (Mgs_engine.Waitq.clear loc.waiters);
+        loc.has_token <- s = h;
+        loc.held <- false;
+        loc.requested <- false;
+        loc.recall <- false;
+        loc.grants_left <- l.grant_bound)
+      l.locals;
+    l.token_at <- h;
+    l.transfer <- false;
+    Queue.clear l.pending
+end
 
 (* --- test-and-set with exponential backoff ------------------------- *)
 
@@ -142,22 +357,7 @@ let raw_of st ~acquire ~release ~reset =
    trying again.  No queue, no fairness — the point of comparison for
    the queue locks below. *)
 module Tas = struct
-  type t = {
-    m : Mgs.State.t;
-    home : int;
-    mutable held : bool;
-    notices : (int, int) Hashtbl.t;
-    st : cells;
-  }
-
-  let create (m : Mgs.Machine.t) ~home =
-    {
-      m;
-      home = Topology.first_proc_of_ssmp m.topo home;
-      held = false;
-      notices = Hashtbl.create 16;
-      st = cells m;
-    }
+  type state = { mutable held : bool }
 
   (* Backoff base ~ one LAN round trip; capped so a long wait never
      over-sleeps past a free lock by more than the cap. *)
@@ -165,11 +365,11 @@ module Tas = struct
     let base = max 1 (2 * m.costs.lan.latency) in
     base lsl min (attempt - 1) 5
 
-  let acquire (ctx : Mgs.Api.ctx) l =
-    let m = l.m in
+  let acquire (ctx : Mgs.Api.ctx) t l =
+    let m = t.m in
     let cpu = ctx.cpu in
     let proc = ctx.Mgs.Api.proc in
-    let root = enter_acquire m l.st ctx ~home_proc:l.home in
+    let root = enter_acquire_q t ctx in
     let attempt = ref 0 in
     let won = ref false in
     while not !won do
@@ -178,45 +378,36 @@ module Tas = struct
       msg m;
       let q, wake = parker m in
       let granted = ref false in
-      Am.post m.am ~tag:"TAS" ~src:proc ~dst:l.home ~words:0
+      Am.post m.am ~tag:"TAS" ~src:proc ~dst:t.home ~words:0
         ~cost:m.costs.sync.lock_local_acquire (fun _t ->
           if not l.held then begin
             l.held <- true;
             granted := true
           end;
           msg m;
-          Am.post m.am ~tag:"TAS_ACK" ~src:l.home ~dst:proc ~words:0
+          Am.post m.am ~tag:"TAS_ACK" ~src:t.home ~dst:proc ~words:0
             ~cost:m.costs.sync.lock_local_acquire (fun _t -> wake ()));
-      blocked_wait m l.st ctx root (fun () -> Mgs_engine.Waitq.park q);
+      blocked_wait t ctx root (fun () -> Mgs_engine.Waitq.park q);
       if !granted then won := true
       else
         (* back off in simulated time, charged to the Lock bucket *)
-        blocked_wait m l.st ctx root (fun () ->
+        blocked_wait t ctx root (fun () ->
             Mgs_engine.Fiber.sleep_until m.sim (Sim.now m.sim + backoff m !attempt))
     done;
-    let hit = !attempt = 1 && home_local m ~home_proc:l.home proc in
-    exit_acquire m l.st root ~hit ~notices:l.notices ~proc
+    if !attempt = 1 && home_local t proc then count_hit t proc;
+    exit_acquire t root ~proc
 
-  let release (ctx : Mgs.Api.ctx) l =
-    let m = l.m in
+  let release (ctx : Mgs.Api.ctx) t l =
+    let m = t.m in
     if not l.held then failwith "Locks(tas): release of a free lock";
-    let root = enter_release m ctx ~home_proc:l.home ~notices:l.notices in
+    let root = enter_release_q t ctx in
     Cpu.advance ctx.cpu Lock m.costs.proto.msg_send;
     msg m;
-    Am.post m.am ~tag:"TAS_REL" ~src:ctx.Mgs.Api.proc ~dst:l.home ~words:0
+    Am.post m.am ~tag:"TAS_REL" ~src:ctx.Mgs.Api.proc ~dst:t.home ~words:0
       ~cost:m.costs.sync.lock_local_release (fun _t -> l.held <- false);
-    exit_release m root
+    close_root m root
 
-  let reset l =
-    l.held <- false;
-    Hashtbl.reset l.notices
-
-  let impl m ~home =
-    let l = create m ~home in
-    raw_of l.st
-      ~acquire:(fun ctx -> acquire ctx l)
-      ~release:(fun ctx -> release ctx l)
-      ~reset:(fun () -> reset l)
+  let reset l = l.held <- false
 end
 
 (* --- ticket lock ---------------------------------------------------- *)
@@ -225,46 +416,29 @@ end
    ticket holder on every release.  Two message hops per handoff
    (holder -> home -> next), perfectly fair. *)
 module Ticket = struct
-  type t = {
-    m : Mgs.State.t;
-    home : int;
+  type state = {
     mutable next_ticket : int;
     mutable now_serving : int;
     waiting : (int, unit -> unit) Hashtbl.t; (* ticket -> grant *)
     mutable held : bool;
-    notices : (int, int) Hashtbl.t;
-    st : cells;
   }
 
-  let create (m : Mgs.Machine.t) ~home =
-    {
-      m;
-      home = Topology.first_proc_of_ssmp m.topo home;
-      next_ticket = 0;
-      now_serving = 0;
-      waiting = Hashtbl.create 64;
-      held = false;
-      notices = Hashtbl.create 16;
-      st = cells m;
-    }
-
-  let acquire (ctx : Mgs.Api.ctx) l =
-    let m = l.m in
-    let cpu = ctx.cpu in
+  let acquire (ctx : Mgs.Api.ctx) t l =
+    let m = t.m in
     let proc = ctx.Mgs.Api.proc in
-    let root = enter_acquire m l.st ctx ~home_proc:l.home in
-    Cpu.advance cpu Lock m.costs.proto.msg_send;
+    let root = enter_acquire_q t ctx in
+    Cpu.advance ctx.cpu Lock m.costs.proto.msg_send;
     msg m;
     let q, wake = parker m in
     let immediate = ref false in
     let grant () =
       msg m;
-      Am.post m.am ~tag:"TKT_GRANT" ~src:l.home ~dst:proc ~words:0
+      Am.post m.am ~tag:"TKT_GRANT" ~src:t.home ~dst:proc ~words:0
         ~cost:m.costs.sync.lock_local_acquire (fun _t ->
           l.held <- true;
           wake ())
     in
-    Am.post m.am ~tag:"TKT_REQ" ~src:proc ~dst:l.home ~words:0
+    Am.post m.am ~tag:"TKT_REQ" ~src:proc ~dst:t.home ~words:0
       ~cost:m.costs.sync.lock_local_acquire (fun _t ->
         let ticket = l.next_ticket in
         l.next_ticket <- ticket + 1;
@@ -273,18 +447,18 @@ module Ticket = struct
           grant ()
         end
         else Hashtbl.replace l.waiting ticket grant);
-    blocked_wait m l.st ctx root (fun () -> Mgs_engine.Waitq.park q);
-    let hit = !immediate && home_local m ~home_proc:l.home proc in
-    exit_acquire m l.st root ~hit ~notices:l.notices ~proc
+    blocked_wait t ctx root (fun () -> Mgs_engine.Waitq.park q);
+    if !immediate && home_local t proc then count_hit t proc;
+    exit_acquire t root ~proc
 
-  let release (ctx : Mgs.Api.ctx) l =
-    let m = l.m in
+  let release (ctx : Mgs.Api.ctx) t l =
+    let m = t.m in
     if not l.held then failwith "Locks(ticket): release of a free lock";
     l.held <- false;
-    let root = enter_release m ctx ~home_proc:l.home ~notices:l.notices in
+    let root = enter_release_q t ctx in
     Cpu.advance ctx.cpu Lock m.costs.proto.msg_send;
     msg m;
-    Am.post m.am ~tag:"TKT_REL" ~src:ctx.Mgs.Api.proc ~dst:l.home ~words:0
+    Am.post m.am ~tag:"TKT_REL" ~src:ctx.Mgs.Api.proc ~dst:t.home ~words:0
       ~cost:m.costs.sync.lock_local_release (fun _t ->
         l.now_serving <- l.now_serving + 1;
         match Hashtbl.find_opt l.waiting l.now_serving with
@@ -292,22 +466,28 @@ module Ticket = struct
           Hashtbl.remove l.waiting l.now_serving;
           grant ()
         | None -> ());
-    exit_release m root
+    close_root m root
 
   let reset l =
     l.next_ticket <- 0;
     l.now_serving <- 0;
     Hashtbl.reset l.waiting;
-    l.held <- false;
-    Hashtbl.reset l.notices
-
-  let impl m ~home =
-    let l = create m ~home in
-    raw_of l.st
-      ~acquire:(fun ctx -> acquire ctx l)
-      ~release:(fun ctx -> release ctx l)
-      ~reset:(fun () -> reset l)
+    l.held <- false
 end
+
+(* The MCS and CLH node tables are touched from the requester's, the
+   home's, and the successor's shards, so [Mutex.protect] guards the
+   table structure; individual node fields stay unguarded — they are
+   only accessed from the owning processor's shard or with
+   message-enforced ordering. *)
+
+(* Deterministic node IDs without a shared counter: each processor
+   mints from its own stripe, so concurrent acquires on different
+   shards allocate the same IDs at every job count. *)
+let mint_id mint proc =
+  let k = mint.(proc) in
+  mint.(proc) <- k + 1;
+  proc + (Array.length mint * k)
 
 (* --- MCS queue lock ------------------------------------------------- *)
 
@@ -326,66 +506,26 @@ module Mcs = struct
     mutable rel_parked : (unit -> unit) option; (* release awaiting link *)
   }
 
-  type t = {
-    m : Mgs.State.t;
-    home : int;
+  type state = {
     nodes : (int, node) Hashtbl.t;
     nodes_mu : Mutex.t;
-        (* the table structure is touched from the requester's, the
-           home's, and the successor's shards; individual node fields
-           stay unguarded — they are only accessed from the owning
-           processor's shard or with message-enforced ordering *)
     mutable tail : int option; (* home's view of the queue tail *)
     mint : int array; (* per-proc node-id counters; ids = proc + nprocs*k *)
     mutable holder : int; (* node id of the current holder, -1 if free *)
-    notices : (int, int) Hashtbl.t;
-    st : cells;
   }
 
-  let create (m : Mgs.Machine.t) ~home =
-    {
-      m;
-      home = Topology.first_proc_of_ssmp m.topo home;
-      nodes = Hashtbl.create 64;
-      nodes_mu = Mutex.create ();
-      tail = None;
-      mint = Array.make m.topo.Topology.nprocs 0;
-      holder = -1;
-      notices = Hashtbl.create 16;
-      st = cells m;
-    }
-
-  let with_nodes l f =
-    Mutex.lock l.nodes_mu;
-    match f () with
-    | r ->
-      Mutex.unlock l.nodes_mu;
-      r
-    | exception e ->
-      Mutex.unlock l.nodes_mu;
-      raise e
-
-  (* Deterministic node IDs without a shared counter: each processor
-     mints from its own stripe, so concurrent acquires on different
-     shards allocate the same IDs at every job count. *)
-  let mint_id l proc =
-    let k = l.mint.(proc) in
-    l.mint.(proc) <- k + 1;
-    proc + (Array.length l.mint * k)
-
-  let acquire (ctx : Mgs.Api.ctx) l =
-    let m = l.m in
-    let cpu = ctx.cpu in
+  let acquire (ctx : Mgs.Api.ctx) t l =
+    let m = t.m in
     let proc = ctx.Mgs.Api.proc in
-    let root = enter_acquire m l.st ctx ~home_proc:l.home in
-    let me = mint_id l proc in
+    let root = enter_acquire_q t ctx in
+    let me = mint_id l.mint proc in
     let q, wake = parker m in
     let node = { owner = proc; next = None; wake; rel_parked = None } in
-    with_nodes l (fun () -> Hashtbl.replace l.nodes me node);
-    Cpu.advance cpu Lock m.costs.proto.msg_send;
+    Mutex.protect l.nodes_mu (fun () -> Hashtbl.replace l.nodes me node);
+    Cpu.advance ctx.cpu Lock m.costs.proto.msg_send;
     msg m;
     let free = ref false in
-    Am.post m.am ~tag:"MCS_SWAP" ~src:proc ~dst:l.home ~words:0
+    Am.post m.am ~tag:"MCS_SWAP" ~src:proc ~dst:t.home ~words:0
       ~cost:m.costs.sync.lock_local_acquire (fun _t ->
         let prev = l.tail in
         l.tail <- Some me;
@@ -393,12 +533,12 @@ module Mcs = struct
         | None ->
           free := true;
           msg m;
-          Am.post m.am ~tag:"MCS_GRANT" ~src:l.home ~dst:proc ~words:0
+          Am.post m.am ~tag:"MCS_GRANT" ~src:t.home ~dst:proc ~words:0
             ~cost:m.costs.sync.lock_local_acquire (fun _t -> wake ())
         | Some pred_id ->
-          let pred = with_nodes l (fun () -> Hashtbl.find l.nodes pred_id) in
+          let pred = Mutex.protect l.nodes_mu (fun () -> Hashtbl.find l.nodes pred_id) in
           msg m;
-          Am.post m.am ~tag:"MCS_LINK" ~src:l.home ~dst:pred.owner ~words:0
+          Am.post m.am ~tag:"MCS_LINK" ~src:t.home ~dst:pred.owner ~words:0
             ~cost:m.costs.sync.lock_local_acquire (fun _t ->
               pred.next <- Some me;
               match pred.rel_parked with
@@ -406,50 +546,49 @@ module Mcs = struct
                 pred.rel_parked <- None;
                 k ()
               | None -> ()));
-    blocked_wait m l.st ctx root (fun () -> Mgs_engine.Waitq.park q);
+    blocked_wait t ctx root (fun () -> Mgs_engine.Waitq.park q);
     l.holder <- me;
-    let hit = !free && home_local m ~home_proc:l.home proc in
-    exit_acquire m l.st root ~hit ~notices:l.notices ~proc
+    if !free && home_local t proc then count_hit t proc;
+    exit_acquire t root ~proc
 
-  let release (ctx : Mgs.Api.ctx) l =
-    let m = l.m in
-    let cpu = ctx.cpu in
+  let release (ctx : Mgs.Api.ctx) t l =
+    let m = t.m in
     let proc = ctx.Mgs.Api.proc in
     if l.holder < 0 then failwith "Locks(mcs): release of a free lock";
     let me = l.holder in
     l.holder <- -1;
-    let node = with_nodes l (fun () -> Hashtbl.find l.nodes me) in
-    let root = enter_release m ctx ~home_proc:l.home ~notices:l.notices in
+    let node = Mutex.protect l.nodes_mu (fun () -> Hashtbl.find l.nodes me) in
+    let root = enter_release_q t ctx in
     (* Direct handoff: one message from the old holder to the new. *)
     let handoff succ_id =
-      let succ = with_nodes l (fun () -> Hashtbl.find l.nodes succ_id) in
+      let succ = Mutex.protect l.nodes_mu (fun () -> Hashtbl.find l.nodes succ_id) in
       msg m;
       Am.post m.am ~tag:"MCS_HANDOFF" ~src:proc ~dst:succ.owner ~words:0
         ~cost:m.costs.sync.lock_local_acquire (fun _t ->
-          with_nodes l (fun () -> Hashtbl.remove l.nodes me);
+          Mutex.protect l.nodes_mu (fun () -> Hashtbl.remove l.nodes me);
           succ.wake ())
     in
-    Cpu.advance cpu Lock m.costs.proto.msg_send;
+    Cpu.advance ctx.cpu Lock m.costs.proto.msg_send;
     (match node.next with
     | Some succ_id -> handoff succ_id
     | None ->
       (* No known successor: swap the tail back at the home. *)
       msg m;
       let q, wake = parker m in
-      Am.post m.am ~tag:"MCS_SWAPREL" ~src:proc ~dst:l.home ~words:0
+      Am.post m.am ~tag:"MCS_SWAPREL" ~src:proc ~dst:t.home ~words:0
         ~cost:m.costs.sync.lock_local_release (fun _t ->
           if l.tail = Some me then begin
             l.tail <- None;
             msg m;
-            Am.post m.am ~tag:"MCS_RELOK" ~src:l.home ~dst:proc ~words:0
+            Am.post m.am ~tag:"MCS_RELOK" ~src:t.home ~dst:proc ~words:0
               ~cost:m.costs.sync.lock_local_release (fun _t ->
-                with_nodes l (fun () -> Hashtbl.remove l.nodes me);
+                Mutex.protect l.nodes_mu (fun () -> Hashtbl.remove l.nodes me);
                 wake ())
           end
           else begin
             (* Someone swapped in behind us; wait for their LINK. *)
             msg m;
-            Am.post m.am ~tag:"MCS_RELWAIT" ~src:l.home ~dst:proc ~words:0
+            Am.post m.am ~tag:"MCS_RELWAIT" ~src:t.home ~dst:proc ~words:0
               ~cost:m.costs.sync.lock_local_release (fun _t ->
                 match node.next with
                 | Some succ_id ->
@@ -464,22 +603,14 @@ module Mcs = struct
                         | None -> assert false);
                         wake ()))
           end);
-      blocked_wait m l.st ctx root (fun () -> Mgs_engine.Waitq.park q));
-    exit_release m root
+      blocked_wait t ctx root (fun () -> Mgs_engine.Waitq.park q));
+    close_root m root
 
   let reset l =
-    with_nodes l (fun () -> Hashtbl.reset l.nodes);
+    Mutex.protect l.nodes_mu (fun () -> Hashtbl.reset l.nodes);
     l.tail <- None;
     Array.fill l.mint 0 (Array.length l.mint) 0;
-    l.holder <- -1;
-    Hashtbl.reset l.notices
-
-  let impl m ~home =
-    let l = create m ~home in
-    raw_of l.st
-      ~acquire:(fun ctx -> acquire ctx l)
-      ~release:(fun ctx -> release ctx l)
-      ~reset:(fun () -> reset l)
+    l.holder <- -1
 end
 
 (* --- CLH queue lock ------------------------------------------------- *)
@@ -498,229 +629,202 @@ module Clh = struct
     mutable watcher : (unit -> unit) option; (* successor's grant *)
   }
 
-  type t = {
-    m : Mgs.State.t;
-    home : int;
+  type state = {
     nodes : (int, node) Hashtbl.t;
-    nodes_mu : Mutex.t; (* same discipline as MCS: guard the table, not fields *)
+    nodes_mu : Mutex.t;
     mutable tail : int; (* node id *)
     mint : int array; (* per-proc counters; ids = 1 + proc + nprocs*k *)
     mutable holder : int; (* node id of the current holder, -1 if free *)
-    notices : (int, int) Hashtbl.t;
-    st : cells;
   }
 
-  let with_nodes l f =
-    Mutex.lock l.nodes_mu;
-    match f () with
-    | r ->
-      Mutex.unlock l.nodes_mu;
-      r
-    | exception e ->
-      Mutex.unlock l.nodes_mu;
-      raise e
-
-  let init l home_proc =
-    with_nodes l (fun () ->
+  let reset l ~home =
+    Mutex.protect l.nodes_mu (fun () ->
         Hashtbl.reset l.nodes;
         (* sentinel: an already-released node owned by the home *)
-        Hashtbl.replace l.nodes 0 { owner = home_proc; released = true; watcher = None });
+        Hashtbl.replace l.nodes 0 { owner = home; released = true; watcher = None });
     l.tail <- 0;
     Array.fill l.mint 0 (Array.length l.mint) 0;
     l.holder <- -1
 
-  let create (m : Mgs.Machine.t) ~home =
-    let home_proc = Topology.first_proc_of_ssmp m.topo home in
-    let l =
-      {
-        m;
-        home = home_proc;
-        nodes = Hashtbl.create 64;
-        nodes_mu = Mutex.create ();
-        tail = 0;
-        mint = Array.make m.topo.Topology.nprocs 0;
-        holder = -1;
-        notices = Hashtbl.create 16;
-        st = cells m;
-      }
-    in
-    init l home_proc;
-    l
-
-  (* per-proc minting, offset past the sentinel's id 0 *)
-  let mint_id l proc =
-    let k = l.mint.(proc) in
-    l.mint.(proc) <- k + 1;
-    1 + proc + (Array.length l.mint * k)
-
-  let acquire (ctx : Mgs.Api.ctx) l =
-    let m = l.m in
-    let cpu = ctx.cpu in
+  let acquire (ctx : Mgs.Api.ctx) t l =
+    let m = t.m in
     let proc = ctx.Mgs.Api.proc in
-    let root = enter_acquire m l.st ctx ~home_proc:l.home in
-    let me = mint_id l proc in
-    with_nodes l (fun () ->
+    let root = enter_acquire_q t ctx in
+    (* offset past the sentinel's id 0 *)
+    let me = 1 + mint_id l.mint proc in
+    Mutex.protect l.nodes_mu (fun () ->
         Hashtbl.replace l.nodes me { owner = proc; released = false; watcher = None });
     let q, wake = parker m in
-    Cpu.advance cpu Lock m.costs.proto.msg_send;
+    Cpu.advance ctx.cpu Lock m.costs.proto.msg_send;
     msg m;
     let free = ref false in
-    Am.post m.am ~tag:"CLH_SWAP" ~src:proc ~dst:l.home ~words:0
+    Am.post m.am ~tag:"CLH_SWAP" ~src:proc ~dst:t.home ~words:0
       ~cost:m.costs.sync.lock_local_acquire (fun _t ->
         let prev = l.tail in
         l.tail <- me;
-        let pred = with_nodes l (fun () -> Hashtbl.find l.nodes prev) in
+        let pred = Mutex.protect l.nodes_mu (fun () -> Hashtbl.find l.nodes prev) in
         let grant () =
-          with_nodes l (fun () -> Hashtbl.remove l.nodes prev);
+          Mutex.protect l.nodes_mu (fun () -> Hashtbl.remove l.nodes prev);
           msg m;
           Am.post m.am ~tag:"CLH_GRANT" ~src:pred.owner ~dst:proc ~words:0
             ~cost:m.costs.sync.lock_local_acquire (fun _t -> wake ())
         in
         (* watch the predecessor's node where it lives *)
         msg m;
-        Am.post m.am ~tag:"CLH_WATCH" ~src:l.home ~dst:pred.owner ~words:0
+        Am.post m.am ~tag:"CLH_WATCH" ~src:t.home ~dst:pred.owner ~words:0
           ~cost:m.costs.sync.lock_local_acquire (fun _t ->
             if pred.released then begin
               free := true;
               grant ()
             end
             else pred.watcher <- Some grant));
-    blocked_wait m l.st ctx root (fun () -> Mgs_engine.Waitq.park q);
+    blocked_wait t ctx root (fun () -> Mgs_engine.Waitq.park q);
     l.holder <- me;
-    let hit = !free && home_local m ~home_proc:l.home proc in
-    exit_acquire m l.st root ~hit ~notices:l.notices ~proc
+    if !free && home_local t proc then count_hit t proc;
+    exit_acquire t root ~proc
 
-  let release (ctx : Mgs.Api.ctx) l =
-    let m = l.m in
+  let release (ctx : Mgs.Api.ctx) t l =
     if l.holder < 0 then failwith "Locks(clh): release of a free lock";
     let me = l.holder in
     l.holder <- -1;
-    let node = with_nodes l (fun () -> Hashtbl.find l.nodes me) in
-    let root = enter_release m ctx ~home_proc:l.home ~notices:l.notices in
+    let node = Mutex.protect l.nodes_mu (fun () -> Hashtbl.find l.nodes me) in
+    let root = enter_release_q t ctx in
     node.released <- true;
     (match node.watcher with
     | Some grant ->
       node.watcher <- None;
       grant ()
     | None -> ());
-    exit_release m root
-
-  let reset l =
-    init l l.home;
-    Hashtbl.reset l.notices
-
-  let impl m ~home =
-    let l = create m ~home in
-    raw_of l.st
-      ~acquire:(fun ctx -> acquire ctx l)
-      ~release:(fun ctx -> release ctx l)
-      ~reset:(fun () -> reset l)
+    close_root t.m root
 end
 
-(* --- the paper's token lock, unchanged ----------------------------- *)
+(* --- one instance, one dispatch ------------------------------------- *)
 
-let token_impl m ~home =
-  let l = Lock.create m ~home () in
-  {
-    r_acquire = (fun ctx -> Lock.acquire ctx l);
-    r_release = (fun ctx -> Lock.release ctx l);
-    r_acquires = (fun () -> Lock.acquires l);
-    r_hits = (fun () -> Lock.hits l);
-    r_waiters = (fun () -> Lock.waiters l);
-    r_waiters_cell = (fun c -> Lock.waiters_cell l c);
-    r_reset = (fun () -> Lock.reset l);
-  }
+type state =
+  | Token_st of Token.state
+  | Tas_st of Tas.state
+  | Ticket_st of Ticket.state
+  | Mcs_st of Mcs.state
+  | Clh_st of Clh.state
 
-(* --- registry ------------------------------------------------------- *)
+type t = state lock
 
-type maker = Mgs.Machine.t -> home:int -> raw
+let zero a = Array.fill a 0 (Array.length a) 0
 
-let registry : (string, maker) Hashtbl.t = Hashtbl.create 8
-
-let register name maker =
-  if Hashtbl.mem registry name then
-    invalid_arg (Printf.sprintf "Locks.register: %S already registered" name);
-  Hashtbl.add registry name maker
-
-let () =
-  register "token" token_impl;
-  register "tas" Tas.impl;
-  register "ticket" Ticket.impl;
-  register "mcs" Mcs.impl;
-  register "clh" Clh.impl
-
-let names () = List.sort compare (Hashtbl.fold (fun name _ acc -> name :: acc) registry [])
-
-let mem name = Hashtbl.mem registry name
-
-(* --- instrumented wrapper ------------------------------------------ *)
-
-type t = {
-  name : string;
-  wm : Mgs.State.t;
-  raw : raw;
-  is_baseline : bool; (* token: keep legacy counters byte-identical *)
-  mutable last_release : int; (* sim time of the last release, -1 *)
-  mutable last_holder : int; (* proc of the last holder, -1 *)
-  mutable handoffs : int;
-  mutable gaps : int list; (* cross-holder handoff gaps, newest first *)
-}
-
-let wrapper_reset t =
-  t.raw.r_reset ();
+let reset t =
+  zero t.cells.acquires;
+  zero t.cells.hits;
+  zero t.cells.blocked;
+  Hashtbl.reset t.notices;
+  (match t.st with
+  | Token_st l -> Token.reset t l
+  | Tas_st l -> Tas.reset l
+  | Ticket_st l -> Ticket.reset l
+  | Mcs_st l -> Mcs.reset l
+  | Clh_st l -> Clh.reset l ~home:t.home);
   t.last_release <- -1;
   t.last_holder <- -1;
   t.handoffs <- 0;
-  t.gaps <- []
+  t.gap_n <- 0;
+  t.gap_sum <- 0;
+  t.gap_max <- 0;
+  t.gap_w.w_mean <- 0.;
+  t.gap_w.w_m2 <- 0.
 
-let make (m : Mgs.Machine.t) ?(home = 0) name =
-  match Hashtbl.find_opt registry name with
-  | None ->
+let sum = Array.fold_left ( + ) 0
+
+let waiters t = sum t.cells.blocked
+
+let make (m : Mgs.Machine.t) ?(home = 0) ?grant_bound kind =
+  let nssmps = m.topo.Topology.nssmps in
+  if home < 0 || home >= nssmps then invalid_arg "Locks.make: home";
+  (match (kind, grant_bound) with
+  | Token, _ | _, None -> ()
+  | (Tas | Ticket | Mcs | Clh), Some _ ->
     invalid_arg
-      (Printf.sprintf "unknown lock %S (known: %s)" name (String.concat ", " (names ())))
-  | Some maker ->
-    let raw = maker m ~home in
-    let t =
-      {
-        name;
-        wm = m;
-        raw;
-        is_baseline = name = "token";
-        last_release = -1;
-        last_holder = -1;
-        handoffs = 0;
-        gaps = [];
-      }
-    in
-    (* Phase resets ([Machine.reset_stats]) restore the lock through
-       this hook; [assert_quiescent] and the [sync.lock_waiters] gauge
-       read the waiter count. *)
-    m.sync_hooks <-
-      {
-        sh_name = Printf.sprintf "lock:%s" name;
-        sh_reset = (fun () -> wrapper_reset t);
-        sh_waiters = raw.r_waiters;
-        sh_waiters_cell = raw.r_waiters_cell;
-      }
-      :: m.sync_hooks;
-    t
+      (Printf.sprintf "Locks.make: grant_bound applies to the token lock, not %s"
+         (name_of kind)));
+  let home_proc = Topology.first_proc_of_ssmp m.topo home in
+  let nprocs = m.topo.Topology.nprocs in
+  let node_table () = (Hashtbl.create 64, Mutex.create ()) in
+  let zeros () = Array.make nssmps 0 in
+  let st =
+    match kind with
+    | Token -> Token_st (Token.create m ~home ~grant_bound)
+    | Tas -> Tas_st { held = false }
+    | Ticket ->
+      Ticket_st { next_ticket = 0; now_serving = 0; waiting = Hashtbl.create 64; held = false }
+    | Mcs ->
+      let nodes, nodes_mu = node_table () in
+      Mcs_st { nodes; nodes_mu; tail = None; mint = Array.make nprocs 0; holder = -1 }
+    | Clh ->
+      let nodes, nodes_mu = node_table () in
+      let l = { Clh.nodes; nodes_mu; tail = 0; mint = Array.make nprocs 0; holder = -1 } in
+      Clh.reset l ~home:home_proc;
+      Clh_st l
+  in
+  let t =
+    {
+      kind;
+      m;
+      home = home_proc;
+      notices = Hashtbl.create 64;
+      cells = { acquires = zeros (); hits = zeros (); blocked = zeros () };
+      st;
+      last_release = -1;
+      last_holder = -1;
+      handoffs = 0;
+      gap_n = 0;
+      gap_sum = 0;
+      gap_max = 0;
+      gap_w = { w_mean = 0.; w_m2 = 0. };
+    }
+  in
+  (* Phase resets ([Machine.reset_stats]) restore the lock through this
+     hook; [assert_quiescent] and the [sync.lock_waiters] gauge read the
+     waiter count. *)
+  m.sync_hooks <-
+    {
+      sh_name = "lock:" ^ name_of kind;
+      sh_reset = (fun () -> reset t);
+      sh_waiters = (fun () -> waiters t);
+      sh_waiters_cell = (fun c -> t.cells.blocked.(c));
+    }
+    :: m.sync_hooks;
+  t
+
+let add_gap t g =
+  t.gap_n <- t.gap_n + 1;
+  t.gap_sum <- t.gap_sum + g;
+  if g > t.gap_max then t.gap_max <- g;
+  let w = t.gap_w in
+  let x = float_of_int g in
+  let d = x -. w.w_mean in
+  w.w_mean <- w.w_mean +. (d /. float_of_int t.gap_n);
+  w.w_m2 <- w.w_m2 +. (d *. (x -. w.w_mean))
 
 let acquire (ctx : Mgs.Api.ctx) t =
-  let m = t.wm in
+  let m = t.m in
   let t0 = Sim.now m.sim in
-  t.raw.r_acquire ctx;
+  (match t.st with
+  | Token_st l -> Token.acquire ctx t l
+  | Tas_st l -> Tas.acquire ctx t l
+  | Ticket_st l -> Ticket.acquire ctx t l
+  | Mcs_st l -> Mcs.acquire ctx t l
+  | Clh_st l -> Clh.acquire ctx t l);
   let t1 = Sim.now m.sim in
   let proc = ctx.Mgs.Api.proc in
   (* Host-side accounting only below this line: nothing here may post a
-     message, charge a cpu, or schedule an event. *)
-  if not t.is_baseline then
-    count m Mgs.Pstats.lock_wait (t1 - t0);
+     message, charge a cpu, or schedule an event.  The token lock keeps
+     out of the [lock_wait]/[lock_handoffs] counters, so its reports
+     stay byte-identical with the revisions before them. *)
+  let counted = match t.kind with Token -> false | Tas | Ticket | Mcs | Clh -> true in
+  if counted then count m Mgs.Pstats.lock_wait (t1 - t0);
   if t.last_holder >= 0 && t.last_holder <> proc then begin
     t.handoffs <- t.handoffs + 1;
-    if not t.is_baseline then
-      count m Mgs.Pstats.lock_handoffs 1;
+    if counted then count m Mgs.Pstats.lock_handoffs 1;
     if t.last_release >= 0 && t1 >= t.last_release then begin
-      t.gaps <- (t1 - t.last_release) :: t.gaps;
+      add_gap t (t1 - t.last_release);
       (* Retroactive handoff span: the lock was in flight from the
          previous holder's release until this acquire completed. *)
       match m.obs with
@@ -739,47 +843,35 @@ let acquire (ctx : Mgs.Api.ctx) t =
   t.last_holder <- proc
 
 let release (ctx : Mgs.Api.ctx) t =
-  t.raw.r_release ctx;
-  t.last_release <- Sim.now t.wm.sim
+  (match t.st with
+  | Token_st l -> Token.release ctx t l
+  | Tas_st l -> Tas.release ctx t l
+  | Ticket_st l -> Ticket.release ctx t l
+  | Mcs_st l -> Mcs.release ctx t l
+  | Clh_st l -> Clh.release ctx t l);
+  t.last_release <- Sim.now t.m.sim
 
-let name t = t.name
+let name t = name_of t.kind
 
-let acquires t = t.raw.r_acquires ()
+let acquires t = sum t.cells.acquires
 
-let hits t = t.raw.r_hits ()
+let hits t = sum t.cells.hits
 
 let hit_ratio t =
   let a = acquires t in
   if a = 0 then 1.0 else float_of_int (hits t) /. float_of_int a
 
-let waiters t = t.raw.r_waiters ()
-
-let reset t = wrapper_reset t
-
 let handoffs t = t.handoffs
-
-let gaps t = Array.of_list (List.rev t.gaps)
 
 (* --- handoff-gap statistics ---------------------------------------- *)
 
 type gap_stats = { n : int; mean : float; max : int; cv : float }
 
 let gap_stats t =
-  match t.gaps with
-  | [] -> { n = 0; mean = 0.; max = 0; cv = 0. }
-  | gs ->
-    let n = List.length gs in
-    let fn = float_of_int n in
-    let sum = List.fold_left ( + ) 0 gs in
-    let mean = float_of_int sum /. fn in
-    let max_g = List.fold_left max 0 gs in
-    let var =
-      List.fold_left
-        (fun acc g ->
-          let d = float_of_int g -. mean in
-          acc +. (d *. d))
-        0. gs
-      /. fn
-    in
-    let cv = if mean > 0. then sqrt var /. mean else 0. in
-    { n; mean; max = max_g; cv }
+  if t.gap_n = 0 then { n = 0; mean = 0.; max = 0; cv = 0. }
+  else begin
+    let fn = float_of_int t.gap_n in
+    let mean = float_of_int t.gap_sum /. fn in
+    let cv = if mean > 0. then sqrt (t.gap_w.w_m2 /. fn) /. mean else 0. in
+    { n = t.gap_n; mean; max = t.gap_max; cv }
+  end

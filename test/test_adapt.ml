@@ -313,7 +313,7 @@ let test_reset_parity () =
   let cfg = Mgs.Machine.config ~adapt:true ~nprocs:8 ~cluster:2 () in
   let m = Mgs.Machine.create cfg in
   let cell = Mgs.Machine.alloc m ~words:1 ~home:(Mgs_mem.Allocator.On_proc 0) in
-  let lock = Locks.make m "ticket" in
+  let lock = Locks.make m Ticket in
   let phase () =
     ignore
       (Mgs.Machine.run m (fun ctx ->

@@ -22,7 +22,7 @@ let test_lock_carries_notices () =
   let m = make ~nprocs:4 ~cluster:2 () in
   let page = alloc_page m in
   Mgs.Machine.poke m page 1.0;
-  let lock = Mgs_sync.Lock.create m () in
+  let lock = Mgs_sync.Locks.(make m Token) in
   let seen = ref 0.0 in
   ignore
     (Mgs.Machine.run m (fun ctx ->
@@ -30,16 +30,16 @@ let test_lock_carries_notices () =
          | 0 ->
            (* warm a read copy in SSMP 0 so laziness actually matters *)
            ignore (Mgs.Api.read ctx page);
-           Mgs_sync.Lock.acquire ctx lock;
+           Mgs_sync.Locks.acquire ctx lock;
            Mgs.Api.write ctx page 2.0;
-           Mgs_sync.Lock.release ctx lock
+           Mgs_sync.Locks.release ctx lock
          | 2 ->
            ignore (Mgs.Api.read ctx page);
            Mgs.Api.idle_until ctx 200_000;
-           Mgs_sync.Lock.acquire ctx lock;
+           Mgs_sync.Locks.acquire ctx lock;
            (* the acquire must invalidate our stale copy *)
            seen := Mgs.Api.read ctx page;
-           Mgs_sync.Lock.release ctx lock
+           Mgs_sync.Locks.release ctx lock
          | _ -> ()));
   Mgs.Machine.assert_quiescent m;
   Alcotest.(check (float 0.)) "acquirer sees the release" 2.0 !seen;
@@ -104,6 +104,27 @@ let test_apps_run_under_hlrc () =
   check (Mgs_apps.Barnes.workload Mgs_apps.Barnes.tiny);
   check (Mgs_apps.Lu.workload Mgs_apps.Lu.tiny)
 
+(* The shadow oracle counts what it sees: a racy read of a copy that no
+   acquire has invalidated returns the old value, and that is one
+   mismatch.  (Every "no shadow divergence" check relies on the count.) *)
+let test_shadow_counts_stale_read () =
+  let m = make ~nprocs:4 ~cluster:2 () in
+  let page = alloc_page m in
+  let seen = ref (-1.0) in
+  ignore
+    (Mgs.Machine.run m (fun ctx ->
+         match Mgs.Api.proc ctx with
+         | 0 ->
+           ignore (Mgs.Api.read ctx page);
+           Mgs.Api.idle_until ctx 200_000;
+           seen := Mgs.Api.read ctx page
+         | 2 ->
+           Mgs.Api.idle_until ctx 100_000;
+           Mgs.Api.write ctx page 1.0
+         | _ -> ()));
+  Alcotest.(check (float 0.)) "the racy read saw the old value" 0.0 !seen;
+  Alcotest.(check int) "one shadow mismatch" 1 (Mgs.Machine.shadow_mismatches m)
+
 (* A fetch in flight when a sibling's acquire learns of a newer version
    must not install the older reply: the acquirer would read stale data
    inside its critical section.  Water-kernel's per-molecule locks hit
@@ -126,14 +147,14 @@ let test_lazy_release_cheaper () =
     let cfg = Mgs.Machine.config ~nprocs:8 ~cluster:2 ~lan_latency:1000 ~protocol () in
     let m = Mgs.Machine.create cfg in
     let cell = Mgs.Machine.alloc m ~words:4 ~home:(Mgs_mem.Allocator.On_proc 0) in
-    let lock = Mgs_sync.Lock.create m () in
+    let lock = Mgs_sync.Locks.(make m Token) in
     let bar = Mgs_sync.Barrier.create m in
     let report =
       Mgs.Machine.run m (fun ctx ->
           for _ = 1 to 20 do
-            Mgs_sync.Lock.acquire ctx lock;
+            Mgs_sync.Locks.acquire ctx lock;
             Mgs.Api.write ctx cell (Mgs.Api.read ctx cell +. 1.0);
-            Mgs_sync.Lock.release ctx lock
+            Mgs_sync.Locks.release ctx lock
           done;
           Mgs_sync.Barrier.wait ctx bar)
     in
@@ -155,7 +176,7 @@ let run_random_drf seed =
   in
   let m = Mgs.Machine.create cfg in
   let region = Mgs.Machine.alloc m ~words:24 ~home:Mgs_mem.Allocator.Interleaved in
-  let lock = Mgs_sync.Lock.create m () in
+  let lock = Mgs_sync.Locks.(make m Token) in
   let bar = Mgs_sync.Barrier.create m in
   let expected = Array.make 24 0.0 in
   let plan =
@@ -169,9 +190,9 @@ let run_random_drf seed =
          let p = Mgs.Api.proc ctx in
          Array.iteri
            (fun step w ->
-             Mgs_sync.Lock.acquire ctx lock;
+             Mgs_sync.Locks.acquire ctx lock;
              Mgs.Api.write ctx (region + w) (Mgs.Api.read ctx (region + w) +. 1.0);
-             Mgs_sync.Lock.release ctx lock;
+             Mgs_sync.Locks.release ctx lock;
              if step mod 4 = 3 then Mgs_sync.Barrier.wait ctx bar)
            plan.(p);
          Mgs_sync.Barrier.wait ctx bar));
@@ -198,6 +219,8 @@ let () =
           Alcotest.test_case "lock carries notices" `Quick test_lock_carries_notices;
           Alcotest.test_case "release has no fan-out" `Quick test_release_has_no_fanout;
           Alcotest.test_case "multiple writers merge" `Quick test_multiple_writers_merge;
+          Alcotest.test_case "shadow oracle counts a stale read" `Quick
+            test_shadow_counts_stale_read;
         ] );
       ( "applications",
         [

@@ -156,7 +156,7 @@ let run_random_drf protocol seed =
   in
   let m = Mgs.Machine.create cfg in
   let region = Mgs.Machine.alloc m ~words:24 ~home:Mgs_mem.Allocator.Interleaved in
-  let lock = Mgs_sync.Lock.create m () in
+  let lock = Mgs_sync.Locks.(make m Token) in
   let bar = Mgs_sync.Barrier.create m in
   let expected = Array.make 24 0.0 in
   let plan =
@@ -170,9 +170,9 @@ let run_random_drf protocol seed =
          let p = Mgs.Api.proc ctx in
          Array.iteri
            (fun step w ->
-             Mgs_sync.Lock.acquire ctx lock;
+             Mgs_sync.Locks.acquire ctx lock;
              Mgs.Api.write ctx (region + w) (Mgs.Api.read ctx (region + w) +. 1.0);
-             Mgs_sync.Lock.release ctx lock;
+             Mgs_sync.Locks.release ctx lock;
              if step mod 4 = 3 then Mgs_sync.Barrier.wait ctx bar)
            plan.(p);
          Mgs_sync.Barrier.wait ctx bar));

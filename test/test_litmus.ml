@@ -1,4 +1,5 @@
-(* Memory-model litmus tests, run under all three protocols.
+(* Memory-model litmus tests, run under all three protocols (the
+   lock-based ones under every lock kind too).
 
    Each pattern encodes a happens-before claim of the memory model:
    - properly synchronized message passing MUST observe the data;
@@ -31,20 +32,20 @@ let assert_invariants m =
       Alcotest.fail (Format.asprintf "%a" Mgs.Invariant.pp c)
 
 (* MP (message passing) through a lock: w(data); unlock || lock; r(data). *)
-let test_mp_lock ?faults protocol () =
+let test_mp_lock ?faults ?(lock = Mgs_sync.Locks.Token) protocol () =
   let m = machine ?faults protocol in
   let data = Mgs.Machine.alloc m ~words:1 ~home:(Mgs_mem.Allocator.On_proc 3) in
-  let lock = Mgs_sync.Lock.create m () in
+  let lock = Mgs_sync.Locks.make m lock in
   let turn = ref 0 in
   let seen = ref (-1.0) in
   ignore
     (Mgs.Machine.run m (fun ctx ->
          match Mgs.Api.proc ctx with
          | 0 ->
-           Mgs_sync.Lock.acquire ctx lock;
+           Mgs_sync.Locks.acquire ctx lock;
            Mgs.Api.write ctx data 42.0;
            turn := 1;
-           Mgs_sync.Lock.release ctx lock
+           Mgs_sync.Locks.release ctx lock
          | 2 ->
            (* spin on host state until the writer's critical section is
               done, then acquire: the read must see the write *)
@@ -56,9 +57,9 @@ let test_mp_lock ?faults protocol () =
              end
            in
            wait ();
-           Mgs_sync.Lock.acquire ctx lock;
+           Mgs_sync.Locks.acquire ctx lock;
            seen := Mgs.Api.read ctx data;
-           Mgs_sync.Lock.release ctx lock
+           Mgs_sync.Locks.release ctx lock
          | _ -> ()));
   Mgs.Machine.assert_quiescent m;
   assert_invariants m;
@@ -85,11 +86,11 @@ let test_mp_barrier ?faults protocol () =
 
 (* Transitivity: A writes x, hands lock to B; B writes y, hands lock to
    C; C must see BOTH writes (causal chains compose). *)
-let test_transitive ?faults protocol () =
+let test_transitive ?faults ?(lock = Mgs_sync.Locks.Token) protocol () =
   let m = machine ?faults protocol in
   let x = Mgs.Machine.alloc m ~words:1 ~home:(Mgs_mem.Allocator.On_proc 0) in
   let y = Mgs.Machine.alloc m ~words:1 ~home:(Mgs_mem.Allocator.On_proc 3) in
-  let lock = Mgs_sync.Lock.create m () in
+  let lock = Mgs_sync.Locks.make m lock in
   let stage = ref 0 in
   let got = ref (0.0, 0.0) in
   ignore
@@ -106,23 +107,23 @@ let test_transitive ?faults protocol () =
          in
          match Mgs.Api.proc ctx with
          | 0 ->
-           Mgs_sync.Lock.acquire ctx lock;
+           Mgs_sync.Locks.acquire ctx lock;
            Mgs.Api.write ctx x 1.0;
            stage := 1;
-           Mgs_sync.Lock.release ctx lock
+           Mgs_sync.Locks.release ctx lock
          | 1 ->
            wait_for 1;
-           Mgs_sync.Lock.acquire ctx lock;
+           Mgs_sync.Locks.acquire ctx lock;
            (* B reads x (must see it) and writes y *)
            Alcotest.(check (float 0.)) "B sees x" 1.0 (Mgs.Api.read ctx x);
            Mgs.Api.write ctx y 2.0;
            stage := 2;
-           Mgs_sync.Lock.release ctx lock
+           Mgs_sync.Locks.release ctx lock
          | 2 ->
            wait_for 2;
-           Mgs_sync.Lock.acquire ctx lock;
+           Mgs_sync.Locks.acquire ctx lock;
            got := (Mgs.Api.read ctx x, Mgs.Api.read ctx y);
-           Mgs_sync.Lock.release ctx lock
+           Mgs_sync.Locks.release ctx lock
          | _ -> ()));
   assert_invariants m;
   let gx, gy = !got in
@@ -131,22 +132,22 @@ let test_transitive ?faults protocol () =
 
 (* Independent locks do not order each other: two disjoint lock-protected
    counters end exactly right even under heavy interleaving. *)
-let test_independent_locks ?faults protocol () =
+let test_independent_locks ?faults ?(lock = Mgs_sync.Locks.Token) protocol () =
   let m = machine ?faults protocol in
   let a = Mgs.Machine.alloc m ~words:1 ~home:(Mgs_mem.Allocator.On_proc 0) in
   let b = Mgs.Machine.alloc m ~words:1 ~home:(Mgs_mem.Allocator.On_proc 2) in
-  let la = Mgs_sync.Lock.create m ~home:0 () in
-  let lb = Mgs_sync.Lock.create m ~home:1 () in
+  let la = Mgs_sync.Locks.make m ~home:0 lock in
+  let lb = Mgs_sync.Locks.make m ~home:1 lock in
   let bar = Mgs_sync.Barrier.create m in
   ignore
     (Mgs.Machine.run m (fun ctx ->
          for _ = 1 to 10 do
-           Mgs_sync.Lock.acquire ctx la;
+           Mgs_sync.Locks.acquire ctx la;
            Mgs.Api.write ctx a (Mgs.Api.read ctx a +. 1.0);
-           Mgs_sync.Lock.release ctx la;
-           Mgs_sync.Lock.acquire ctx lb;
+           Mgs_sync.Locks.release ctx la;
+           Mgs_sync.Locks.acquire ctx lb;
            Mgs.Api.write ctx b (Mgs.Api.read ctx b +. 1.0);
-           Mgs_sync.Lock.release ctx lb
+           Mgs_sync.Locks.release ctx lb
          done;
          Mgs_sync.Barrier.wait ctx bar));
   Mgs.Machine.assert_quiescent m;
@@ -165,26 +166,26 @@ let test_independent_locks ?faults protocol () =
 let test_deferred_rel_1wclean () =
   let m = machine Protocol_mgs in
   let page = Mgs.Machine.alloc m ~words:256 ~home:(Mgs_mem.Allocator.On_proc 2) in
-  let la = Mgs_sync.Lock.create m ~home:1 () in
-  let lb = Mgs_sync.Lock.create m ~home:1 () in
+  let la = Mgs_sync.Locks.(make m ~home:1 Token) in
+  let lb = Mgs_sync.Locks.(make m ~home:1 Token) in
   let step = 200_000 in
   ignore
     (Mgs.Machine.run m (fun ctx ->
          match Mgs.Api.proc ctx with
          | 0 ->
-           Mgs_sync.Lock.acquire ctx la;
+           Mgs_sync.Locks.acquire ctx la;
            Mgs.Api.write ctx page 1.0;
            (* both releasers fire at the same instant so the second REL
               lands inside the first REL's invalidation epoch *)
            Mgs.Api.idle_until ctx (2 * step);
-           Mgs_sync.Lock.release ctx la
+           Mgs_sync.Locks.release ctx la
          | 1 ->
-           Mgs_sync.Lock.acquire ctx lb;
+           Mgs_sync.Locks.acquire ctx lb;
            Mgs.Api.idle_until ctx step;
            (* same SSMP as proc 0: a local fill, no second fetch *)
            Mgs.Api.write ctx (page + 1) 2.0;
            Mgs.Api.idle_until ctx (2 * step);
-           Mgs_sync.Lock.release ctx lb
+           Mgs_sync.Locks.release ctx lb
          | _ -> ()));
   Mgs.Machine.assert_quiescent m;
   assert_invariants m;
@@ -204,8 +205,8 @@ let test_deferred_rel_1wclean () =
 let test_wnotify_races_rel () =
   let m = machine ~nprocs:6 Protocol_mgs in
   let page = Mgs.Machine.alloc m ~words:256 ~home:(Mgs_mem.Allocator.On_proc 4) in
-  let la = Mgs_sync.Lock.create m ~home:2 () in
-  let lb = Mgs_sync.Lock.create m ~home:2 () in
+  let la = Mgs_sync.Locks.(make m ~home:2 Token) in
+  let lb = Mgs_sync.Locks.(make m ~home:2 Token) in
   let bar = Mgs_sync.Barrier.create m in
   let step = 200_000 in
   let reread = ref (-1.0) in
@@ -216,20 +217,20 @@ let test_wnotify_races_rel () =
            (* the single writer: its REL beats the upgrader's WNOTIFY to
               the home, so the epoch starts with the upgrader still in
               the read directory *)
-           Mgs_sync.Lock.acquire ctx la;
+           Mgs_sync.Locks.acquire ctx la;
            Mgs.Api.write ctx page 1.0;
            Mgs.Api.idle_until ctx ((3 * step) + 2_000);
-           Mgs_sync.Lock.release ctx la
+           Mgs_sync.Locks.release ctx la
          | 2 ->
            (* the upgrader: read copy first, then a write that upgrades
               in place; twinning holds the mapping lock long enough for
               the epoch's INV to queue behind it *)
-           Mgs_sync.Lock.acquire ctx lb;
+           Mgs_sync.Locks.acquire ctx lb;
            ignore (Mgs.Api.read ctx (page + 1));
            Mgs.Api.idle_until ctx (3 * step);
            Mgs.Api.write ctx (page + 1) 2.0;
            Mgs.Api.idle_until ctx (4 * step);
-           Mgs_sync.Lock.release ctx lb
+           Mgs_sync.Locks.release ctx lb
          | _ -> ());
          Mgs_sync.Barrier.wait ctx bar;
          if Mgs.Api.proc ctx = 0 then reread := Mgs.Api.read ctx (page + 1)));
@@ -271,6 +272,26 @@ let for_all_protocols_lossy name (f : ?faults:Mgs_net.Fault.spec -> protocol -> 
       Alcotest.test_case (Printf.sprintf "%s [%s, lossy]" name pname) `Quick (f ~faults:lossy p))
     protocols
 
+(* The lock-based claims belong to the lock, not to one algorithm: they
+   also run under every other lock kind, clean and lossy. *)
+let for_every_lock ?faults name
+    (f : ?faults:Mgs_net.Fault.spec -> ?lock:Mgs_sync.Locks.kind -> protocol -> unit -> unit) =
+  List.concat_map
+    (fun lock ->
+      List.map
+        (fun (pname, p) ->
+          Alcotest.test_case
+            (Printf.sprintf "%s [%s, %s%s]" name pname (Mgs_sync.Locks.name_of lock)
+               (if faults = None then "" else ", lossy"))
+            `Quick (f ?faults ~lock p))
+        protocols)
+    (List.filter (fun k -> k <> Mgs_sync.Locks.Token) Mgs_sync.Locks.all)
+
+let every_lock ?faults () =
+  for_every_lock ?faults "MP lock" test_mp_lock
+  @ for_every_lock ?faults "A->B->C" test_transitive
+  @ for_every_lock ?faults "disjoint locks" test_independent_locks
+
 let () =
   Alcotest.run "litmus"
     [
@@ -279,10 +300,13 @@ let () =
       ("transitivity", for_all_protocols "A->B->C" test_transitive);
       ("independence", for_all_protocols "disjoint locks" test_independent_locks);
       ( "lossy LAN",
-        for_all_protocols_lossy "MP lock" test_mp_lock
+        for_all_protocols_lossy "MP lock" (fun ?faults p -> test_mp_lock ?faults p)
         @ for_all_protocols_lossy "MP barrier" test_mp_barrier
-        @ for_all_protocols_lossy "A->B->C" test_transitive
-        @ for_all_protocols_lossy "disjoint locks" test_independent_locks );
+        @ for_all_protocols_lossy "A->B->C" (fun ?faults p -> test_transitive ?faults p)
+        @ for_all_protocols_lossy "disjoint locks" (fun ?faults p ->
+              test_independent_locks ?faults p) );
+      ("every lock", every_lock ());
+      ("every lock, lossy LAN", every_lock ~faults:lossy ());
       ( "protocol regressions",
         [
           Alcotest.test_case "deferred REL yields 1WCLEAN" `Quick test_deferred_rel_1wclean;

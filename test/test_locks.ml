@@ -1,10 +1,10 @@
-(* Tests for the pluggable lock registry: every registered algorithm
-   must provide mutual exclusion and eventual acquisition (under clean
-   and faulty networks), the queue locks must grant in FIFO order, the
-   condition variables must not lose wakeups, phase resets must restore
-   every per-lock counter and queue, and a partitioned acquire must not
-   poison the next phase.  The microbenchmark family must be
-   byte-identical under -j N. *)
+(* Tests for the lock kinds: every algorithm must provide mutual
+   exclusion and eventual acquisition (under clean and faulty networks),
+   the queue locks must grant in FIFO order, the condition variables
+   must not lose wakeups, phase resets must restore every per-lock
+   counter and queue, and a partitioned acquire must not poison the next
+   phase.  The microbenchmark family must be byte-identical under -j N,
+   and its output and the lock-using apps' reports are pinned. *)
 
 module Locks = Mgs_sync.Locks
 module Condvar = Mgs_sync.Condvar
@@ -25,13 +25,14 @@ let make ?(nprocs = 8) ?(cluster = 2) ?(lan = 500) () =
    second holder would be observed.  Completion of [Machine.run] itself
    is the eventual-acquisition check — a lost wakeup leaves a fiber
    parked and [run] fails on incomplete fibers. *)
-let run_mutex ?faults ?(seed = 42) ?(iters = 6) ?(nprocs = 8) ?(cluster = 2) name =
+let run_mutex ?faults ?(seed = 42) ?(iters = 6) ?(nprocs = 8) ?(cluster = 2) kind =
+  let name = Locks.name_of kind in
   let m = make ~nprocs ~cluster () in
   (match faults with
   | Some spec -> Mgs.Machine.set_faults m ~seed spec
   | None -> ());
   let cell = Mgs.Machine.alloc m ~words:1 ~home:(Mgs_mem.Allocator.On_proc 0) in
-  let lock = Locks.make m name in
+  let lock = Locks.make m kind in
   let inside = ref 0 in
   let violations = ref 0 in
   let rng = Mgs_util.Rng.create ~seed in
@@ -66,14 +67,14 @@ let chaos = "drop=0.05,dup=0.05,delay=0.1:2000,reorder=0.05,retries=25"
 
 let prop_mutex =
   QCheck.Test.make ~count:6 ~name:"every lock: mutual exclusion, random think times"
-    QCheck.(pair small_nat (oneofl (Locks.names ())))
-    (fun (seed, name) -> run_mutex ~seed ~nprocs:8 ~cluster:4 name)
+    QCheck.(pair small_nat (oneofl Locks.all))
+    (fun (seed, kind) -> run_mutex ~seed ~nprocs:8 ~cluster:4 kind)
 
 let prop_mutex_faulty =
   QCheck.Test.make ~count:6 ~name:"every lock: mutual exclusion under a lossy LAN"
-    QCheck.(pair small_nat (oneofl (Locks.names ())))
-    (fun (seed, name) ->
-      run_mutex ~faults:(Mgs_net.Fault.of_string chaos) ~seed ~nprocs:8 ~cluster:4 name)
+    QCheck.(pair small_nat (oneofl Locks.all))
+    (fun (seed, kind) ->
+      run_mutex ~faults:(Mgs_net.Fault.of_string chaos) ~seed ~nprocs:8 ~cluster:4 kind)
 
 (* ------------------------------------------------------------------ *)
 (* FIFO grant order for the queue locks.                               *)
@@ -85,13 +86,14 @@ let prop_mutex_faulty =
    queue locks must grant in exact arrival order.  The token lock
    batches grants per SSMP and tas is a backoff race, so only
    mcs/clh/ticket promise this. *)
-let run_fifo ?faults ?(seed = 42) name =
+let run_fifo ?faults ?(seed = 42) kind =
+  let name = Locks.name_of kind in
   let nprocs = 8 in
   let m = make ~nprocs ~cluster:2 ~lan:1000 () in
   (match faults with
   | Some spec -> Mgs.Machine.set_faults m ~seed spec
   | None -> ());
-  let lock = Locks.make m name in
+  let lock = Locks.make m kind in
   let order = ref [] in
   ignore
     (Mgs.Machine.run m (fun ctx ->
@@ -117,17 +119,17 @@ let run_fifo ?faults ?(seed = 42) name =
       (String.concat "," (List.map string_of_int want));
   true
 
-let fifo_locks = [ "mcs"; "clh"; "ticket" ]
+let fifo_locks = Locks.[ Mcs; Clh; Ticket ]
 
 let prop_fifo =
   QCheck.Test.make ~count:3 ~name:"queue locks grant in FIFO order"
     QCheck.(oneofl fifo_locks)
-    (fun name -> run_fifo name)
+    (fun kind -> run_fifo kind)
 
 let prop_fifo_faulty =
   QCheck.Test.make ~count:6 ~name:"queue locks stay FIFO under a lossy LAN"
     QCheck.(pair small_nat (oneofl fifo_locks))
-    (fun (seed, name) -> run_fifo ~faults:(Mgs_net.Fault.of_string chaos) ~seed name)
+    (fun (seed, kind) -> run_fifo ~faults:(Mgs_net.Fault.of_string chaos) ~seed kind)
 
 (* ------------------------------------------------------------------ *)
 (* Condition variables.                                                *)
@@ -138,7 +140,7 @@ let prop_fifo_faulty =
    can only complete if no wakeup is lost. *)
 let test_condvar_signal () =
   let m = make ~nprocs:8 ~cluster:2 () in
-  let lock = Locks.make m "mcs" in
+  let lock = Locks.make m Mcs in
   let cv = Condvar.create m lock in
   let ready = ref 0 in
   ignore
@@ -165,7 +167,7 @@ let test_condvar_signal () =
 
 let test_condvar_broadcast () =
   let m = make ~nprocs:8 ~cluster:2 () in
-  let lock = Locks.make m "ticket" in
+  let lock = Locks.make m Ticket in
   let cv = Condvar.create m lock in
   let go = ref false in
   let woken = ref 0 in
@@ -197,13 +199,13 @@ let test_condvar_broadcast () =
   Alcotest.(check int) "no parked waiters" 0 (Condvar.waiters cv)
 
 (* ------------------------------------------------------------------ *)
-(* Phase-reset parity for registry locks.                              *)
+(* Phase-reset parity.                                                *)
 (* ------------------------------------------------------------------ *)
 
 let test_reset_parity () =
   let m = make ~nprocs:8 ~cluster:2 () in
   let cell = Mgs.Machine.alloc m ~words:1 ~home:(Mgs_mem.Allocator.On_proc 0) in
-  let lock = Locks.make m "clh" in
+  let lock = Locks.make m Clh in
   let phase () =
     ignore
       (Mgs.Machine.run m (fun ctx ->
@@ -245,7 +247,7 @@ let test_reset_parity () =
 let test_partition_recovery () =
   let m = make ~nprocs:4 ~cluster:2 () in
   let cell = Mgs.Machine.alloc m ~words:1 ~home:(Mgs_mem.Allocator.On_proc 0) in
-  let lock = Locks.make m ~home:0 "token" in
+  let lock = Locks.make m ~home:0 Token in
   (* total loss: the cross-SSMP token request exhausts its retries *)
   Mgs.Machine.set_faults m ~seed:7 (Mgs_net.Fault.of_string "drop=1.0,retries=3");
   let r1 =
@@ -282,12 +284,66 @@ let test_lock_family_jobs_identical () =
   let specs =
     List.concat_map
       (fun lock -> List.map (fun fibers -> (lock, "mgs", 4, fibers)) [ 4; 8 ])
-      (Locks.names ())
+      Locks.all
   in
   let seq = Micro.lock_family ~iters:4 ~jobs:1 specs in
   let par = Micro.lock_family ~iters:4 ~jobs:3 specs in
   Alcotest.(check string) "-j 3 output identical to -j 1"
     (Figures.pp_lock_table seq) (Figures.pp_lock_table par)
+
+(* ------------------------------------------------------------------ *)
+(* Pinned outputs.                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* MD5s recorded before the token lock joined [Locks]: the lock table
+   of lock-smoke's fifteen points, and the report identity of tiny
+   lock-using apps.  The -j case above compares two runs of one build,
+   so a change that moved every run the same way would pass it; this
+   one would not. *)
+let md5 s = Digest.to_hex (Digest.string s)
+
+let test_pinned_lock_table () =
+  let specs =
+    List.concat_map
+      (fun lock -> List.map (fun protocol -> (lock, protocol, 2, 4)) [ "mgs"; "hlrc"; "ivy" ])
+      Locks.all
+  in
+  Alcotest.(check string) "lock-smoke table" "178343c4ffe7c40ad29468dbbcd39da9"
+    (md5 (Figures.pp_lock_table (Micro.lock_family ~iters:2 specs)))
+
+let test_pinned_app_reports () =
+  let ident w =
+    md5
+      (Mgs.Report.ident
+         (Mgs_harness.Sweep.run_point ~protocol:"mgs" ~nprocs:8 ~cluster:2 w)
+           .Mgs_harness.Sweep.report)
+  in
+  let water lock = Mgs_apps.Water.workload { Mgs_apps.Water.tiny with lock } in
+  let tsp lock = Mgs_apps.Tsp.workload { Mgs_apps.Tsp.tiny with lock } in
+  List.iter
+    (fun (what, w, want) -> Alcotest.(check string) what want (ident w))
+    [
+      ("water token", water Token, "2d45459b680a1f94276dcba853d4438b");
+      ("tsp token", tsp Token, "68bc60cc5315f990c4a2a505010ef402");
+      ("water mcs", water Mcs, "638a42557f8422051c5004ddf922b318");
+      ("tsp mcs", tsp Mcs, "68711b34a4359634dd9fb1fe48dab5de");
+      ( "water-kernel",
+        Mgs_apps.Water_kernel.workload Mgs_apps.Water_kernel.tiny,
+        "2d839b1bdaeaac0ba1b80d0582b2c74d" );
+    ]
+
+(* Water-kernel's molecule locks are visible to the machine: each
+   registers a sync hook, so phase resets and [assert_quiescent] reach
+   them. *)
+let test_water_kernel_hooks () =
+  let p = Mgs_apps.Water_kernel.tiny in
+  let m = make () in
+  ignore ((Mgs_apps.Water_kernel.workload p).Mgs_harness.Sweep.prepare m);
+  let locks =
+    List.filter (fun h -> h.Mgs.State.sh_name = "lock:token") m.Mgs.State.sync_hooks
+  in
+  Alcotest.(check int) "one hook per molecule lock" p.Mgs_apps.Water_kernel.nmol
+    (List.length locks)
 
 (* ------------------------------------------------------------------ *)
 
@@ -302,14 +358,24 @@ let () =
         [
           Alcotest.test_case "all five algorithms registered" `Quick (fun () ->
               List.iter
-                (fun n ->
-                  Alcotest.(check bool) n true (Locks.mem n))
+                (fun n -> Alcotest.(check string) n n Locks.(name_of (of_name n)))
                 [ "token"; "tas"; "ticket"; "mcs"; "clh" ];
+              Alcotest.(check (list string)) "names sorted"
+                [ "clh"; "mcs"; "tas"; "ticket"; "token" ] (Locks.names ());
               Alcotest.(check bool) "unknown name rejected" true
                 (try
-                   ignore (Locks.make (make ()) "bogus");
+                   ignore (Locks.of_name "bogus");
                    false
                  with Invalid_argument _ -> true));
+          Alcotest.test_case "grant bound is the token's alone" `Quick (fun () ->
+              List.iter
+                (fun kind ->
+                  Alcotest.(check bool) (Locks.name_of kind) true
+                    (try
+                       ignore (Locks.make (make ()) ~grant_bound:1 kind);
+                       kind = Token
+                     with Invalid_argument _ -> kind <> Token))
+                Locks.all);
         ] );
       ( "condvar",
         [
@@ -324,6 +390,10 @@ let () =
       ( "determinism",
         [
           Alcotest.test_case "-j N byte identity" `Quick test_lock_family_jobs_identical;
+          Alcotest.test_case "pinned lock table" `Quick test_pinned_lock_table;
+          Alcotest.test_case "pinned app reports" `Quick test_pinned_app_reports;
         ] );
+      ( "machine",
+        [ Alcotest.test_case "water-kernel lock hooks" `Quick test_water_kernel_hooks ] );
       ("properties", qsuite);
     ]

@@ -143,7 +143,7 @@ let test_costs_tlb_fill_sum () =
 
 (* [Pstats.pp] is the one hand-written format over the counter snapshot.
    Each run switches on one of its omit-when-zero groups (none, the
-   transport's, the registry lock's, the adaptive layer's); the lines
+   transport's, the MCS lock's, the adaptive layer's); the lines
    were captured from the record-per-counter implementation that the
    counter table replaced. *)
 let test_pstats_line () =
@@ -178,14 +178,14 @@ let test_pstats_line () =
          syncs=20 sync_wait=34640 rel_wait=6700932 fetch_wait=830934 \
          upgrade_wait=1093021 lock_msgs=1096 lock_handoffs=200 \
          lock_wait=3456042",
-        line (water "mcs") );
+        line (water Mgs_sync.Locks.Mcs) );
       ( "adapt",
         "tlb_fills=277 rreq=178 wreq=5 upgrades=174 rel=296 rel_ops=292 inv=179 \
          1winv=55 pinv=319 diffs=127 diff_words=715 1wdata=55 1wclean=0 acks=52 \
          syncs=21 sync_wait=44310 rel_wait=6977318 fetch_wait=1010202 \
          upgrade_wait=1192254 adapt_reclass=2 adapt_migs=2 adapt_fwds=4 \
          adapt_yields=0 adapt_res=73/0/0",
-        line ~adapt:true (water "token") );
+        line ~adapt:true (water Mgs_sync.Locks.Token) );
     ]
 
 (* The same pin under the other two engines, which share MGS's fault
@@ -201,7 +201,7 @@ let test_hlrc_ivy_pinned () =
   in
   let jacobi = Mgs_apps.Jacobi.workload Mgs_apps.Jacobi.tiny in
   let water =
-    Mgs_apps.Water.workload { Mgs_apps.Water.tiny with Mgs_apps.Water.lock = "token" }
+    Mgs_apps.Water.workload { Mgs_apps.Water.tiny with lock = Mgs_sync.Locks.Token }
   in
   List.iter
     (fun (name, expected, got) -> Alcotest.(check string) name expected got)
@@ -230,13 +230,13 @@ let test_hlrc_ivy_pinned () =
     ]
 
 (* A phase reset zeroes the whole counter table: every column of every
-   SSMP's row, after a run whose registry lock, adaptive layer and lossy
+   SSMP's row, after a run whose MCS lock, adaptive layer and lossy
    LAN move each counter group on several shards at once. *)
 let test_reset_zeroes_table () =
   let cfg = Mgs.Machine.config ~adapt:true ~par_jobs:2 ~nprocs:8 ~cluster:2 () in
   let m = Mgs.Machine.create cfg in
   Mgs.Machine.set_faults m (Mgs_net.Fault.scale Mgs_net.Fault.default_chaos ~intensity:0.5);
-  let w = Mgs_apps.Water.workload { Mgs_apps.Water.tiny with Mgs_apps.Water.lock = "mcs" } in
+  let w = Mgs_apps.Water.workload { Mgs_apps.Water.tiny with lock = Mgs_sync.Locks.Mcs } in
   let body, check = w.Mgs_harness.Sweep.prepare m in
   ignore (Mgs.Machine.run m body);
   check m;

@@ -5,7 +5,7 @@
    - full machines: chrome JSON, span dump, metrics CSV, and the
      histogram summary at par 2 and 4 against par 1, for every
      protocol x app cell and for faulty cells on a lossy LAN;
-   - registry locks and condition variables under the parallel engine
+   - every lock kind and condition variables under the parallel engine
      (the paper's workloads barely contend, so a dedicated contended
      run covers the lock/CV protocols);
    - raw engine: a qcheck micro-DAG emitting into a per-shard trace,
@@ -76,19 +76,19 @@ let test_faulty_export_identity () =
     (fun (protocol, aname) -> check_identity ~faults ~protocol (aname, List.assoc aname apps))
     [ ("mgs", "jacobi"); ("hlrc", "water"); ("hlrc", "tsp") ]
 
-(* --- registry locks and condvars under the parallel engine --------- *)
+(* --- locks and condvars under the parallel engine -------------------- *)
 
-(* Eight fibers on four shards hammer an MCS lock and pass items
+(* Eight fibers on four shards hammer a lock and pass items
    through a condition variable; the traced, metered run must be
    byte-identical for any job count.  The shared host counter is safe:
    every access happens inside the lock's critical section, which the
    handoff messages causally order across shards. *)
-let contended ~par name =
+let contended ~par kind =
   let cfg = Mgs.Machine.config ~lan_latency:1000 ~par_jobs:par ~nprocs:8 ~cluster:2 () in
   let m = Mgs.Machine.create cfg in
   let tr = Mgs.Machine.enable_trace m in
   let mt = Mgs.Machine.enable_metrics m in
-  let lock = Locks.make m name in
+  let lock = Locks.make m kind in
   let cv = Condvar.create m lock in
   let items = ref 0 in
   let hits = ref 0 in
@@ -118,16 +118,21 @@ let contended ~par name =
     Trace.chrome_json tr,
     Mgs_obs.Metrics.csv mt )
 
-let test_lock_cv_par () =
-  let i0, c0, m0 = contended ~par:1 "mcs" in
-  Alcotest.(check string) "all items consumed" "consumed=4" (String.sub i0 0 10);
+let check_lock_cv_par kind =
+  let name = Locks.name_of kind in
+  let i0, c0, m0 = contended ~par:1 kind in
+  Alcotest.(check string) (name ^ ": all items consumed") "consumed=4" (String.sub i0 0 10);
   List.iter
     (fun par ->
-      let i, c, mm = contended ~par "mcs" in
-      Alcotest.(check string) (Printf.sprintf "mcs par=%d: counters" par) i0 i;
-      Alcotest.(check string) (Printf.sprintf "mcs par=%d: chrome" par) c0 c;
-      Alcotest.(check string) (Printf.sprintf "mcs par=%d: metrics" par) m0 mm)
+      let i, c, mm = contended ~par kind in
+      Alcotest.(check string) (Printf.sprintf "%s par=%d: counters" name par) i0 i;
+      Alcotest.(check string) (Printf.sprintf "%s par=%d: chrome" name par) c0 c;
+      Alcotest.(check string) (Printf.sprintf "%s par=%d: metrics" name par) m0 mm)
     [ 2; 4 ]
+
+let test_lock_cv_par () = check_lock_cv_par Locks.Mcs
+
+let test_every_lock_cv_par () = List.iter check_lock_cv_par Locks.all
 
 (* --- raw engine: same-cycle cross-shard emit ordering -------------- *)
 
@@ -218,6 +223,7 @@ let () =
           Alcotest.test_case "protocol x app export matrix" `Quick test_export_identity;
           Alcotest.test_case "export matrix under faults" `Quick test_faulty_export_identity;
           Alcotest.test_case "mcs lock + condvar under par" `Quick test_lock_cv_par;
+          Alcotest.test_case "every lock + condvar under par" `Quick test_every_lock_cv_par;
         ] );
       ("emit-order", qsuite);
     ]

@@ -18,16 +18,16 @@ let test_lock_counter ~nprocs ~cluster () =
     (fun m ->
       let words = 300 in
       let base = Mgs.Machine.alloc m ~words ~home:Mgs_mem.Allocator.Interleaved in
-      let lock = Mgs_sync.Lock.create m () in
+      let lock = Mgs_sync.Locks.(make m Token) in
       let bar = Mgs_sync.Barrier.create m in
       let report =
         Mgs.Machine.run m (fun ctx ->
-            Mgs_sync.Lock.acquire ctx lock;
+            Mgs_sync.Locks.acquire ctx lock;
             for i = 0 to words - 1 do
               let v = Mgs.Api.read ctx (base + i) in
               Mgs.Api.write ctx (base + i) (v +. 1.0)
             done;
-            Mgs_sync.Lock.release ctx lock;
+            Mgs_sync.Locks.release ctx lock;
             Mgs_sync.Barrier.wait ctx bar)
       in
       (m, base, words, report))
@@ -93,17 +93,17 @@ let test_deterministic () =
     let cfg = Mgs.Machine.config ~nprocs:8 ~cluster:2 ~lan_latency:500 () in
     let m = Mgs.Machine.create cfg in
     let base = Mgs.Machine.alloc m ~words:512 ~home:Mgs_mem.Allocator.Interleaved in
-    let lock = Mgs_sync.Lock.create m () in
+    let lock = Mgs_sync.Locks.(make m Token) in
     let bar = Mgs_sync.Barrier.create m in
     let report =
       Mgs.Machine.run m (fun ctx ->
           let p = Mgs.Api.proc ctx in
           for i = 0 to 127 do
             let a = base + ((p + i) mod 512) in
-            Mgs_sync.Lock.acquire ctx lock;
+            Mgs_sync.Locks.acquire ctx lock;
             let v = Mgs.Api.read ctx a in
             Mgs.Api.write ctx a (v +. 1.0);
-            Mgs_sync.Lock.release ctx lock
+            Mgs_sync.Locks.release ctx lock
           done;
           Mgs_sync.Barrier.wait ctx bar)
     in

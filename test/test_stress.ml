@@ -31,7 +31,9 @@ let run_program ~nprocs ~cluster ~page_words ~lan ~steps ~seed =
   let private_base =
     Mgs.Machine.alloc m ~words:(8 * nprocs) ~home:Mgs_mem.Allocator.Blocked
   in
-  let locks = Array.init regions (fun i -> Mgs_sync.Lock.create m ~home:(i mod (nprocs / cluster)) ()) in
+  let locks =
+    Array.init regions (fun i -> Mgs_sync.Locks.(make m ~home:(i mod (nprocs / cluster)) Token))
+  in
   let bar = Mgs_sync.Barrier.create m in
   (* expected increments per region word, accumulated host-side *)
   let expected = Array.make_matrix regions region_words 0.0 in
@@ -68,12 +70,12 @@ let run_program ~nprocs ~cluster ~page_words ~lan ~steps ~seed =
                Mgs.Api.write ctx a (Mgs.Api.read ctx a +. 1.0)
              end
              else begin
-               Mgs_sync.Lock.acquire ctx locks.(r);
+               Mgs_sync.Locks.acquire ctx locks.(r);
                for k = 0 to count - 1 do
                  let a = region.(r) + ((w + k) mod region_words) in
                  Mgs.Api.write ctx a (Mgs.Api.read ctx a +. 1.0)
                done;
-               Mgs_sync.Lock.release ctx locks.(r)
+               Mgs_sync.Locks.release ctx locks.(r)
              end;
              if step mod 5 = 4 then Mgs_sync.Barrier.wait ctx bar)
            plan.(p);
@@ -114,7 +116,7 @@ let prop_conservation =
       in
       let m = Mgs.Machine.create cfg in
       let region = Mgs.Machine.alloc m ~words:24 ~home:Mgs_mem.Allocator.Interleaved in
-      let lock = Mgs_sync.Lock.create m () in
+      let lock = Mgs_sync.Locks.(make m Token) in
       let bar = Mgs_sync.Barrier.create m in
       ignore
         (Mgs.Machine.run m (fun ctx ->
@@ -122,9 +124,9 @@ let prop_conservation =
              let rng = Mgs_util.Rng.create ~seed:(seed + (p * 53)) in
              for step = 1 to 10 do
                let w = Mgs_util.Rng.int rng 24 in
-               Mgs_sync.Lock.acquire ctx lock;
+               Mgs_sync.Locks.acquire ctx lock;
                Mgs.Api.write ctx (region + w) (Mgs.Api.read ctx (region + w) +. 1.0);
-               Mgs_sync.Lock.release ctx lock;
+               Mgs_sync.Locks.release ctx lock;
                if step mod 5 = 0 then Mgs_sync.Barrier.wait ctx bar
              done;
              Mgs_sync.Barrier.wait ctx bar));
@@ -143,8 +145,8 @@ let prop_random_drf_programs =
       true)
 
 (* the same generator under the lazy and SC protocols, plus feature
-   variations of the MGS protocol *)
-let run_program_variant ~protocol ~features ~seed =
+   variations of the MGS protocol, under any lock kind *)
+let run_program_variant ?(lock = Mgs_sync.Locks.Token) ~protocol ~features ~seed () =
   let nprocs = 8 and cluster = 2 in
   let cfg =
     Mgs.Machine.config ~page_words:16 ~nprocs ~cluster ~lan_latency:900 ~protocol ~features
@@ -152,7 +154,7 @@ let run_program_variant ~protocol ~features ~seed =
   in
   let m = Mgs.Machine.create cfg in
   let region = Mgs.Machine.alloc m ~words:24 ~home:Mgs_mem.Allocator.Blocked in
-  let lock = Mgs_sync.Lock.create m () in
+  let lock = Mgs_sync.Locks.make m lock in
   let bar = Mgs_sync.Barrier.create m in
   let expected = Array.make 24 0.0 in
   let plan =
@@ -166,9 +168,9 @@ let run_program_variant ~protocol ~features ~seed =
          let p = Mgs.Api.proc ctx in
          Array.iteri
            (fun step w ->
-             Mgs_sync.Lock.acquire ctx lock;
+             Mgs_sync.Locks.acquire ctx lock;
              Mgs.Api.write ctx (region + w) (Mgs.Api.read ctx (region + w) +. 1.0);
-             Mgs_sync.Lock.release ctx lock;
+             Mgs_sync.Locks.release ctx lock;
              if step mod 6 = 5 then Mgs_sync.Barrier.wait ctx bar)
            plan.(p);
          Mgs_sync.Barrier.wait ctx bar));
@@ -195,7 +197,20 @@ let prop_all_variants =
   QCheck2.Test.make ~name:"random DRF programs, all protocol variants" ~count:90
     QCheck2.Gen.(pair variants (int_range 1 2000))
     (fun ((protocol, features), seed) ->
-      run_program_variant ~protocol ~features ~seed;
+      run_program_variant ~protocol ~features ~seed ();
+      true)
+
+let prop_every_lock =
+  QCheck2.Test.make ~name:"random DRF programs, every lock" ~count:60
+    QCheck2.Gen.(
+      triple (oneofl Mgs_sync.Locks.all)
+        (oneofl Mgs.State.[ Protocol_mgs; Protocol_hlrc; Protocol_ivy ])
+        (int_range 1 2000))
+    ~print:(fun (lock, protocol, seed) ->
+      Printf.sprintf "lock=%s protocol=%s seed=%d" (Mgs_sync.Locks.name_of lock)
+        (Mgs.Protocol.name_of protocol) seed)
+    (fun (lock, protocol, seed) ->
+      run_program_variant ~lock ~protocol ~features:Mgs.State.default_features ~seed ();
       true)
 
 let prop_random_drf_bigger_pages =
@@ -217,6 +232,7 @@ let qsuite =
       prop_random_drf_bigger_pages;
       prop_conservation;
       prop_all_variants;
+      prop_every_lock;
     ]
 
 let () =

@@ -8,46 +8,46 @@ let make ?(nprocs = 8) ?(cluster = 2) ?(lan = 500) () =
 
 let test_lock_hit_at_home () =
   let m = make () in
-  let lock = Mgs_sync.Lock.create m ~home:1 () in
+  let lock = Mgs_sync.Locks.(make m ~home:1 Token) in
   ignore
     (Mgs.Machine.run m (fun ctx ->
          (* procs 2 and 3 are SSMP 1, where the token starts *)
          if Mgs.Api.proc ctx = 2 then begin
-           Mgs_sync.Lock.acquire ctx lock;
-           Mgs_sync.Lock.release ctx lock
+           Mgs_sync.Locks.acquire ctx lock;
+           Mgs_sync.Locks.release ctx lock
          end));
-  Alcotest.(check int) "one acquire" 1 (Mgs_sync.Lock.acquires lock);
-  Alcotest.(check int) "it hit" 1 (Mgs_sync.Lock.hits lock);
-  Alcotest.(check (float 0.)) "ratio" 1.0 (Mgs_sync.Lock.hit_ratio lock)
+  Alcotest.(check int) "one acquire" 1 (Mgs_sync.Locks.acquires lock);
+  Alcotest.(check int) "it hit" 1 (Mgs_sync.Locks.hits lock);
+  Alcotest.(check (float 0.)) "ratio" 1.0 (Mgs_sync.Locks.hit_ratio lock)
 
 let test_lock_miss_transfers_token () =
   let m = make () in
-  let lock = Mgs_sync.Lock.create m ~home:0 () in
+  let lock = Mgs_sync.Locks.(make m ~home:0 Token) in
   ignore
     (Mgs.Machine.run m (fun ctx ->
          (* proc 4 is SSMP 2: the token must travel *)
          if Mgs.Api.proc ctx = 4 then begin
-           Mgs_sync.Lock.acquire ctx lock;
-           Mgs_sync.Lock.release ctx lock;
+           Mgs_sync.Locks.acquire ctx lock;
+           Mgs_sync.Locks.release ctx lock;
            (* second acquire from the same SSMP is then a hit *)
-           Mgs_sync.Lock.acquire ctx lock;
-           Mgs_sync.Lock.release ctx lock
+           Mgs_sync.Locks.acquire ctx lock;
+           Mgs_sync.Locks.release ctx lock
          end));
-  Alcotest.(check int) "two acquires" 2 (Mgs_sync.Lock.acquires lock);
-  Alcotest.(check int) "first missed, second hit" 1 (Mgs_sync.Lock.hits lock)
+  Alcotest.(check int) "two acquires" 2 (Mgs_sync.Locks.acquires lock);
+  Alcotest.(check int) "first missed, second hit" 1 (Mgs_sync.Locks.hits lock)
 
 let test_lock_mutual_exclusion_stress () =
   let m = make ~nprocs:8 ~cluster:4 () in
   let cell = Mgs.Machine.alloc m ~words:1 ~home:(Mgs_mem.Allocator.On_proc 0) in
-  let lock = Mgs_sync.Lock.create m () in
+  let lock = Mgs_sync.Locks.(make m Token) in
   let bar = Mgs_sync.Barrier.create m in
   let per = 25 in
   ignore
     (Mgs.Machine.run m (fun ctx ->
          for _ = 1 to per do
-           Mgs_sync.Lock.acquire ctx lock;
+           Mgs_sync.Locks.acquire ctx lock;
            Mgs.Api.write ctx cell (Mgs.Api.read ctx cell +. 1.0);
-           Mgs_sync.Lock.release ctx lock
+           Mgs_sync.Locks.release ctx lock
          done;
          Mgs_sync.Barrier.wait ctx bar));
   Mgs.Machine.assert_quiescent m;
@@ -56,12 +56,12 @@ let test_lock_mutual_exclusion_stress () =
 
 let test_lock_release_without_hold () =
   let m = make () in
-  let lock = Mgs_sync.Lock.create m () in
+  let lock = Mgs_sync.Locks.(make m Token) in
   ignore
     (Mgs.Machine.run m (fun ctx ->
          if Mgs.Api.proc ctx = 0 then begin
            try
-             Mgs_sync.Lock.release ctx lock;
+             Mgs_sync.Locks.release ctx lock;
              Alcotest.fail "expected failure"
            with Failure _ -> ()
          end))
@@ -107,35 +107,35 @@ let test_barrier_reuse_phases () =
 
 let test_flat_sync_at_single_ssmp () =
   let m = make ~nprocs:4 ~cluster:4 () in
-  let lock = Mgs_sync.Lock.create m () in
+  let lock = Mgs_sync.Locks.(make m Token) in
   let bar = Mgs_sync.Barrier.create m in
   let report =
     Mgs.Machine.run m (fun ctx ->
-        Mgs_sync.Lock.acquire ctx lock;
-        Mgs_sync.Lock.release ctx lock;
+        Mgs_sync.Locks.acquire ctx lock;
+        Mgs_sync.Locks.release ctx lock;
         Mgs_sync.Barrier.wait ctx bar)
   in
   Alcotest.(check int) "no LAN traffic" 0 report.Mgs.Report.lan_messages;
-  Alcotest.(check (float 0.)) "all lock hits" 1.0 (Mgs_sync.Lock.hit_ratio lock)
+  Alcotest.(check (float 0.)) "all lock hits" 1.0 (Mgs_sync.Locks.hit_ratio lock)
 
 let test_fairness_bound_prevents_starvation () =
   (* one SSMP hammers the lock; a remote acquirer must still get it *)
   let m = make ~nprocs:4 ~cluster:2 ~lan:200 () in
-  let lock = Mgs_sync.Lock.create m ~home:0 () in
+  let lock = Mgs_sync.Locks.(make m ~home:0 Token) in
   let got_it = ref false in
   ignore
     (Mgs.Machine.run m (fun ctx ->
          match Mgs.Api.proc ctx with
          | 0 | 1 ->
            for _ = 1 to 200 do
-             Mgs_sync.Lock.acquire ctx lock;
+             Mgs_sync.Locks.acquire ctx lock;
              Mgs.Api.compute ctx 50;
-             Mgs_sync.Lock.release ctx lock
+             Mgs_sync.Locks.release ctx lock
            done
          | 2 ->
-           Mgs_sync.Lock.acquire ctx lock;
+           Mgs_sync.Locks.acquire ctx lock;
            got_it := true;
-           Mgs_sync.Lock.release ctx lock
+           Mgs_sync.Locks.release ctx lock
          | _ -> ()));
   Alcotest.(check bool) "remote acquirer served" true !got_it
 
@@ -143,23 +143,23 @@ let test_grant_bound_zero_is_fair () =
   (* bound 0: the token departs at the first recalled release, so a
      hammering SSMP cannot raise its hit ratio much *)
   let m = make ~nprocs:4 ~cluster:2 ~lan:300 () in
-  let fair = Mgs_sync.Lock.create m ~grant_bound:0 () in
+  let fair = Mgs_sync.Locks.(make m ~grant_bound:0 Token) in
   ignore
     (Mgs.Machine.run m (fun ctx ->
          for _ = 1 to 30 do
-           Mgs_sync.Lock.acquire ctx fair;
+           Mgs_sync.Locks.acquire ctx fair;
            Mgs.Api.compute ctx 100;
-           Mgs_sync.Lock.release ctx fair;
+           Mgs_sync.Locks.release ctx fair;
            (* yield so the processors genuinely interleave (real
               programs yield on every shared-memory access) *)
            Mgs.Api.idle_until ctx (Mgs.Api.cycles ctx)
          done));
   Alcotest.(check bool)
-    (Printf.sprintf "fair lock hit ratio low (%.2f)" (Mgs_sync.Lock.hit_ratio fair))
+    (Printf.sprintf "fair lock hit ratio low (%.2f)" (Mgs_sync.Locks.hit_ratio fair))
     true
-    (Mgs_sync.Lock.hit_ratio fair < 0.6);
-  Alcotest.check_raises "negative bound" (Invalid_argument "Lock.create: grant_bound")
-    (fun () -> ignore (Mgs_sync.Lock.create m ~grant_bound:(-1) ()))
+    (Mgs_sync.Locks.hit_ratio fair < 0.6);
+  Alcotest.check_raises "negative bound" (Invalid_argument "Locks.make: grant_bound")
+    (fun () -> ignore (Mgs_sync.Locks.(make m ~grant_bound:(-1) Token)))
 
 let prop_lock_counter_across_shapes =
   QCheck2.Test.make ~name:"locked counter is exact on random shapes" ~count:25
@@ -169,14 +169,14 @@ let prop_lock_counter_across_shapes =
       let nprocs = cluster * (1 lsl log_extra) in
       let m = make ~nprocs ~cluster () in
       let cell = Mgs.Machine.alloc m ~words:1 ~home:(Mgs_mem.Allocator.On_proc 0) in
-      let lock = Mgs_sync.Lock.create m () in
+      let lock = Mgs_sync.Locks.(make m Token) in
       let bar = Mgs_sync.Barrier.create m in
       ignore
         (Mgs.Machine.run m (fun ctx ->
              for _ = 1 to per do
-               Mgs_sync.Lock.acquire ctx lock;
+               Mgs_sync.Locks.acquire ctx lock;
                Mgs.Api.write ctx cell (Mgs.Api.read ctx cell +. 1.0);
-               Mgs_sync.Lock.release ctx lock
+               Mgs_sync.Locks.release ctx lock
              done;
              Mgs_sync.Barrier.wait ctx bar));
       Mgs.Machine.peek m cell = float_of_int (nprocs * per))
