@@ -209,7 +209,8 @@ let adapt_smoke () =
 
 (* Request-serving gate for `make kv-smoke` / `make check`: a tiny KV
    cell with the application verifier and the protocol invariant
-   checker both on, a determinism double-run, job-count identity,
+   checker both on, a determinism double-run, job-count identity (the
+   checker keeps every domain, so par 2 and 4 really run windowed),
    and two adaptive cells proving the classifier engages on serving
    traffic — a thundering-herd cell whose synchronized put waves over
    one striped page must reach the invalidate-on-read regime, and a
@@ -272,9 +273,10 @@ let kv_smoke () =
     c.Mgs.Pstats.adapt_fwds
 
 (* Job-count identity gate for `make check`: small machines run on one
-   domain and windowed on several must produce identical reports.
-   Wall-clock and peak queue depth are host/engine artifacts and are
-   not part of the contract, so [Report.ident] omits them. *)
+   domain and windowed on several, with the invariant checker on, must
+   produce identical reports.  Wall-clock and peak queue depth are
+   host/engine artifacts and are not part of the contract, so
+   [Report.ident] omits them. *)
 let par_smoke () =
   let cells =
     [
@@ -287,7 +289,7 @@ let par_smoke () =
   List.iter
     (fun (name, w, protocol) ->
       let run par =
-        (Sweep.run_point ~check:false ~protocol ~par ~nprocs:8 ~cluster:2 w).Sweep.report
+        (Sweep.run_point ~check:true ~protocol ~par ~nprocs:8 ~cluster:2 w).Sweep.report
         |> Mgs.Report.ident
       in
       let oracle = run 1 in
@@ -300,13 +302,13 @@ let par_smoke () =
                  par))
         [ 2; 4 ])
     cells;
-  Printf.printf "par-smoke: OK (%d windowed runs identical to par=1)\n" !checked
+  Printf.printf "par-smoke: OK (%d checked windowed runs identical to par=1)\n" !checked
 
 (* Observability under the parallel engine, for `make obs-par-smoke`:
-   with the trace and metrics subscribers installed the engine must
-   keep its par_jobs domains (no single-domain forcing), and the
-   merged chrome JSON, span dump, metrics CSV, and histogram summary
-   must each be byte-identical to the single-domain run's. *)
+   with the trace and metrics sampler installed the engine keeps its
+   par_jobs domains, and the merged chrome JSON, span dump, metrics
+   CSV, and histogram summary must each be byte-identical to the
+   single-domain run's. *)
 let obs_par_smoke () =
   let cells = [ ("jacobi", tiny "jacobi", "mgs"); ("water", tiny "water", "hlrc") ] in
   let exports par (_, w, protocol) =

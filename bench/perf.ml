@@ -80,8 +80,8 @@ let measure_lock ~cluster ~fibers lock =
 (* Large-P rows on the windowed engine: P = 64..1024 processors at
    C = 16 and 64, jacobi sized so every processor owns one grid row and
    water capped at 256 molecules (beyond that the pairwise force phase,
-   not the engine, dominates).  The invariant checker is off so the runs
-   really spread across domains; sim_events/sim_cycles still gate the
+   not the engine, dominates).  The invariant checker is off, so the
+   rows time the simulation alone; sim_events/sim_cycles still gate the
    diff because results are byte-identical at every job count. *)
 let large_rows () =
   List.concat_map
@@ -106,7 +106,7 @@ let large_rows () =
     [ (64, 16); (64, 64); (256, 16); (256, 64); (1024, 16); (1024, 64) ]
 
 (* Observability-on rows at P = 256: the same large-P shapes with the
-   per-shard trace and metrics subscribers installed, still sharded
+   per-shard trace and metrics sampler installed, still sharded
    across 4 domains, and the merged exports forced so their cost is in
    the row.  Tracks the overhead of cell recording + genealogy merge;
    rows newer than a baseline diff as "new" and never gate. *)
@@ -178,17 +178,6 @@ let adapt_rows ~nprocs ~clusters apps =
       List.map
         (fun cluster -> measure ~adapt:true ~nprocs ~cluster ("adapt-" ^ name, w))
         clusters)
-    apps
-
-(* Checker-off rows at C=1, where the engine runs the most events on one
-   domain.  The app rows above run the invariant checker, whose trace
-   stamps keep nearly every event's genealogy key alive anyway, so
-   their promoted_mb cannot show what the engine itself retains; these
-   rows can (tsp P=16 C=1 promotes ~55 MB more when executed keys keep
-   their parent links). *)
-let unchecked_rows ~nprocs apps =
-  List.map
-    (fun (name, w) -> measure ~check:false ~nprocs ~cluster:1 (name ^ "-nocheck", w))
     apps
 
 let json_of_rows ~quick rows =
@@ -401,7 +390,6 @@ let () =
   let rows =
     rows @ lock_rows
     @ adapt_rows ~nprocs ~clusters apps
-    @ unchecked_rows ~nprocs apps
     @ (if !quick then [] else large_rows () @ traced_rows () @ kv_rows ())
   in
   Mgs_util.Tableprint.print

@@ -350,9 +350,11 @@ let par_t =
            on up to $(docv) domains with the inter-SSMP latency as the conservative \
            lookahead window.  Results are byte-identical for every $(docv), including \
            every observability export (--trace, --spans, --metrics record per shard \
-           and merge deterministically).  A zero --delay leaves no lookahead window \
-           and runs on one domain.  The shadow heap (MGS_SHADOW=1) and --check \
-           still reduce a parallel run to one domain, loudly.")
+           and merge deterministically) and the --check listing.  The shadow heap \
+           (MGS_SHADOW=1) runs on N domains too; a data-race-free program prints the \
+           same SHADOW lines at every $(docv), but a racy one (kv's lockless gets) may \
+           print a different number.  A zero --delay leaves no lookahead window and \
+           runs on one domain.")
 
 let adapt_t =
   Arg.(
@@ -410,8 +412,11 @@ let check_t =
     value & flag
     & info [ "check" ]
         ~doc:
-          "Run the online protocol invariant checker; exit with status 3 if any \
-           invariant is violated.")
+          "Run the online protocol invariant checker, which the protocol engines call \
+           at every transition; it records no trace and keeps every --par domain.  \
+           Exit with status 3 if any invariant is violated.  The invariants are MGS's: \
+           under hlrc and ivy only span balance is checked, and only when spans are \
+           recorded, and the run prints $(b,invariants: none for) PROTOCOL.")
 
 let csv_t =
   Arg.(value & flag & info [ "csv" ] ~doc:"With --sweep: print CSV instead of the figure.")

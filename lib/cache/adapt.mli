@@ -1,7 +1,7 @@
 (** Online per-page sharing-pattern classifier and regime policy.
 
-    The adaptive coherence layer (ROADMAP item 3) watches the counters
-    the directory fast path already maintains — readers and writers per
+    The adaptive coherence layer watches the counters the directory
+    fast path already maintains — readers and writers per
     invalidation epoch, upgrade and clean-reply rates, dominant-writer
     streaks — and classifies each page's sharing pattern at epoch
     boundaries.  The policy maps patterns onto one of three coherence

@@ -174,25 +174,24 @@ let locate ctx ~write ~kind addr =
 
 let read ctx ?(kind = Mgs_svm.Translate.Array) addr =
   let page = locate ctx ~write:false ~kind addr in
-  let v = page.(Geom.offset_of_addr ctx.m.geom addr) in
-  (match ctx.m.shadow with
-  | Some h ->
-    let expect = match Hashtbl.find h addr with v -> v | exception Not_found -> 0.0 in
-    if Int64.bits_of_float v <> Int64.bits_of_float expect then begin
-      (* the shadow heap forces one domain, so a plain increment is safe *)
-      ctx.m.shadow_errors <- ctx.m.shadow_errors + 1;
-      Printf.eprintf "SHADOW t=%d proc=%d addr=%d vpn=%d read=%.17g expect=%.17g\n%!"
-        (Sim.now ctx.m.sim) ctx.proc addr
-        (Geom.vpn_of_addr ctx.m.geom addr)
-        v expect
-    end
-  | None -> ());
+  let m = ctx.m and off = Geom.offset_of_addr ctx.m.geom addr in
+  let v = page.(off) in
+  (if m.shadow then
+     let vpn = Geom.vpn_of_addr m.geom addr in
+     let expect = (get_sentry m vpn).s_shadow.(off) in
+     if Int64.bits_of_float v <> Int64.bits_of_float expect then begin
+       let s = cur_slot () in
+       m.shadow_errors.(s) <- m.shadow_errors.(s) + 1;
+       Printf.eprintf "SHADOW t=%d proc=%d addr=%d vpn=%d read=%.17g expect=%.17g\n%!"
+         (Sim.now m.sim) ctx.proc addr vpn v expect
+     end);
   v
 
 let write ctx ?(kind = Mgs_svm.Translate.Array) addr v =
   let page = locate ctx ~write:true ~kind addr in
-  (match ctx.m.shadow with Some h -> Hashtbl.replace h addr v | None -> ());
-  page.(Geom.offset_of_addr ctx.m.geom addr) <- v
+  let m = ctx.m and off = Geom.offset_of_addr ctx.m.geom addr in
+  if m.shadow then (get_sentry m (Geom.vpn_of_addr m.geom addr)).s_shadow.(off) <- v;
+  page.(off) <- v
 
 let read_int ctx ?kind addr = int_of_float (read ctx ?kind addr)
 

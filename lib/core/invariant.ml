@@ -1,28 +1,17 @@
 (* Online protocol invariant checker.
 
-   Subscribes to the structured event trace ({!State.obs_emit}) and
-   validates server/client state after every protocol transition.  The
-   checker is strictly read-only: it never creates client or server
-   entries (only [Hashtbl.find_opt]) and never mutates protocol state,
-   so enabling it cannot perturb an execution.
+   {!State.obs_emit} calls it through the machine's [check] hook at
+   every protocol transition, before anything is recorded, so it needs
+   no trace.  It is read-only: it never creates client or server entries
+   and never mutates protocol state, so it cannot perturb an execution.
 
-   Checked invariants (MGS protocol only):
-
-   - [s_count] is never negative, and within an invalidation epoch the
-     outstanding-reply count steps down by exactly one per collected
-     reply (no lost or duplicated ACK/DIFF/1WDATA).
-   - No SSMP appears in both the read and the write directory.
-   - Outside REL_IN_PROG, every directory member has a remote-client
-     processor registered in [s_frame_procs].  (During an epoch the
-     replies retire [s_frame_procs] entries before the directories are
-     rebuilt, so the containment only holds between epochs.)
-   - A page in [P_busy] holds its mapping lock: BUSY is only entered
-     and left under the per-mapping mutex (Table 1 column L).
-   - Release visibility: when an epoch completes with no surviving
-     write copy, the merged master page must agree with the
-     sequentially-consistent shadow image of all logical writes.  (A
-     retained single-writer copy may legitimately run ahead of the
-     master, so the oracle is skipped while one survives.) *)
+   Its state is one slot per SSMP, indexed like {!State.count}, and each
+   fact is checked on the shard that owns it: server facts on [Server]
+   transitions, which run on the page's current home; BUSY-implies-
+   mapping-lock on client transitions, for the executing SSMP's own
+   entry.  A page's reply-accounting entry is created and removed within
+   one epoch, and homes migrate only between epochs, so it never changes
+   slot.  {!finish} checks span balance, only when spans were recorded. *)
 
 open State
 
@@ -33,125 +22,126 @@ type violation = {
   v_msg : string;
 }
 
-type t = {
-  machine : State.t;
+type slot = {
   mutable total : int;
   mutable stored : violation list; (* newest first, capped *)
   expected : (int, int) Hashtbl.t; (* vpn -> expected s_count at next collect *)
 }
 
+type t = { machine : State.t; slots : slot array }
+
 let stored_limit = 64
 
 let report c ~vpn ~tag msg =
-  c.total <- c.total + 1;
-  if List.length c.stored < stored_limit then
-    c.stored <-
+  let sl = c.slots.(cur_slot ()) in
+  sl.total <- sl.total + 1;
+  if List.length sl.stored < stored_limit then
+    sl.stored <-
       { v_time = Sim.now c.machine.sim; v_vpn = vpn; v_tag = tag; v_msg = msg }
-      :: c.stored
+      :: sl.stored
 
 let reportf c ~vpn ~tag fmt = Printf.ksprintf (report c ~vpn ~tag) fmt
 
-(* Directory and lock discipline, valid after any transition.  This
-   runs on every traced event, so the scan uses plain loops and
-   [Bitset.mem]/[Hashtbl.find] — no iterator closures or option boxes —
+(* Non-negative [s_count] and directory discipline.  This runs on every
+   server transition, so the scan uses plain loops and
+   [Bitset.mem]/[Hashtbl.mem] — no iterator closures or option boxes —
    to keep the checker's own allocation at zero. *)
-let check_page c vpn tag =
-  let m = c.machine in
-  match Hashtbl.find m.servers vpn with
-  | exception Not_found -> ()
-  | se ->
-    if se.s_count < 0 then reportf c ~vpn ~tag "s_count negative (%d)" se.s_count;
-    let nssmps = m.topo.Topology.nssmps in
+let check_server c se ~vpn ~tag =
+  if se.s_count < 0 then reportf c ~vpn ~tag "s_count negative (%d)" se.s_count;
+  let nssmps = c.machine.topo.Topology.nssmps in
+  for ssmp = 0 to nssmps - 1 do
+    if Bitset.mem se.s_read_dir ssmp && Bitset.mem se.s_write_dir ssmp then
+      reportf c ~vpn ~tag "SSMP %d in both read and write directories" ssmp
+  done;
+  if se.s_state <> S_rel then begin
+    (* every directory member has a frame processor — not during an
+       epoch, whose replies retire [s_frame_procs] entries before the
+       directories are rebuilt.  Two passes, read directory then write
+       directory, preserving the order and multiplicity of reports. *)
     for ssmp = 0 to nssmps - 1 do
-      if Bitset.mem se.s_read_dir ssmp && Bitset.mem se.s_write_dir ssmp then
-        reportf c ~vpn ~tag "SSMP %d in both read and write directories" ssmp
+      if Bitset.mem se.s_read_dir ssmp && not (Hashtbl.mem se.s_frame_procs ssmp) then
+        reportf c ~vpn ~tag "directory member SSMP %d has no frame processor" ssmp
     done;
-    if se.s_state <> S_rel then begin
-      (* two passes, read directory then write directory, preserving the
-         order (and multiplicity) of the reported violations *)
-      for ssmp = 0 to nssmps - 1 do
-        if Bitset.mem se.s_read_dir ssmp && not (Hashtbl.mem se.s_frame_procs ssmp) then
-          reportf c ~vpn ~tag "directory member SSMP %d has no frame processor" ssmp
-      done;
-      for ssmp = 0 to nssmps - 1 do
-        if Bitset.mem se.s_write_dir ssmp && not (Hashtbl.mem se.s_frame_procs ssmp) then
-          reportf c ~vpn ~tag "directory member SSMP %d has no frame processor" ssmp
-      done
-    end;
-    for s = 0 to Array.length m.clients - 1 do
-      match Hashtbl.find m.clients.(s).cl_pages vpn with
-      | ce ->
-        if ce.pstate = P_busy && not (Mlock.held ce.mlock) then
-          reportf c ~vpn ~tag "SSMP %d BUSY without holding the mapping lock" s
-      | exception Not_found -> ()
+    for ssmp = 0 to nssmps - 1 do
+      if Bitset.mem se.s_write_dir ssmp && not (Hashtbl.mem se.s_frame_procs ssmp) then
+        reportf c ~vpn ~tag "directory member SSMP %d has no frame processor" ssmp
     done
+  end
 
 (* Outstanding-reply accounting across one epoch.  [sv.collect] fires
    before the decrement, so the observed count must equal the expected
    value exactly and be positive. *)
-let check_epoch c vpn tag =
-  (* cheap tag test first: most events are not epoch transitions, and
-     the server lookup should not run (or allocate) for them *)
+let check_epoch c se ~vpn ~tag =
+  let expected = c.slots.(cur_slot ()).expected in
   match tag with
-  | "sv.epoch_start" | "sv.epoch_extend" | "sv.collect" | "sv.epoch_end" -> (
-    let m = c.machine in
-    match Hashtbl.find m.servers vpn with
-    | exception Not_found -> ()
-    | se -> (
-      match tag with
-      | "sv.epoch_start" | "sv.epoch_extend" -> Hashtbl.replace c.expected vpn se.s_count
-      | "sv.collect" -> (
-        if se.s_count <= 0 then
-          reportf c ~vpn ~tag "reply collected with s_count=%d" se.s_count;
-        match Hashtbl.find c.expected vpn with
-        | e ->
-          if se.s_count <> e then
-            reportf c ~vpn ~tag "s_count %d, expected %d (lost or duplicated reply)"
-              se.s_count e;
-          Hashtbl.replace c.expected vpn (se.s_count - 1)
-        | exception Not_found ->
-          (* trace enabled mid-epoch: adopt the observed count *)
-          Hashtbl.replace c.expected vpn (se.s_count - 1))
-      | _ ->
-        if se.s_count <> 0 then
-          reportf c ~vpn ~tag "epoch completed with s_count=%d" se.s_count;
-        Hashtbl.remove c.expected vpn))
+  | "sv.epoch_start" | "sv.epoch_extend" -> Hashtbl.replace expected vpn se.s_count
+  | "sv.collect" -> (
+    if se.s_count <= 0 then reportf c ~vpn ~tag "reply collected with s_count=%d" se.s_count;
+    match Hashtbl.find expected vpn with
+    | e ->
+      if se.s_count <> e then
+        reportf c ~vpn ~tag "s_count %d, expected %d (lost or duplicated reply)" se.s_count e;
+      Hashtbl.replace expected vpn (se.s_count - 1)
+    | exception Not_found ->
+      (* checker attached mid-epoch: adopt the observed count *)
+      Hashtbl.replace expected vpn (se.s_count - 1))
+  | "sv.epoch_end" ->
+    if se.s_count <> 0 then reportf c ~vpn ~tag "epoch completed with s_count=%d" se.s_count;
+    Hashtbl.remove expected vpn
   | _ -> ()
 
-(* Release-visibility oracle: every logical write whose page has no
-   surviving write copy must be visible in the merged master. *)
-let check_oracle c vpn =
+(* Release-visibility oracle: every logical write to a page with no
+   surviving write copy must be visible in the merged master.  (A
+   retained single-writer copy may legitimately run ahead of it.) *)
+let check_oracle c se ~vpn =
   let m = c.machine in
-  match (m.shadow, Hashtbl.find_opt m.servers vpn) with
-  | Some shadow, Some se when Bitset.is_empty se.s_write_dir ->
-    Hashtbl.iter
-      (fun addr v ->
-        if Geom.vpn_of_addr m.geom addr = vpn then begin
-          let got = se.s_master.(Geom.offset_of_addr m.geom addr) in
-          if Int64.bits_of_float got <> Int64.bits_of_float v then
-            reportf c ~vpn ~tag:"sv.epoch_end"
-              "release not visible: addr %d master=%h shadow=%h" addr got v
-        end)
-      shadow
-  | _ -> ()
+  if m.shadow && Bitset.is_empty se.s_write_dir then
+    for off = 0 to Array.length se.s_master - 1 do
+      let got = se.s_master.(off) and want = se.s_shadow.(off) in
+      if Int64.bits_of_float got <> Int64.bits_of_float want then
+        reportf c ~vpn ~tag:"sv.epoch_end" "release not visible: addr %d master=%h shadow=%h"
+          (Geom.addr_of_vpn m.geom vpn + off)
+          got want
+    done
 
-let on_event c (e : Mgs_obs.Event.t) =
-  if c.machine.protocol = Protocol_mgs && e.vpn >= 0 then begin
-    check_epoch c e.vpn e.tag;
-    check_page c e.vpn e.tag;
-    if e.tag = "sv.epoch_end" then check_oracle c e.vpn
-  end
+let on_event c ~engine ~tag ~vpn =
+  if vpn >= 0 then
+    let m = c.machine in
+    match (engine : Mgs_obs.Event.engine) with
+    | Server -> (
+      match Hashtbl.find m.servers vpn with
+      | exception Not_found -> ()
+      | se ->
+        check_epoch c se ~vpn ~tag;
+        check_server c se ~vpn ~tag;
+        if tag = "sv.epoch_end" then check_oracle c se ~vpn)
+    | Local_client | Remote_client -> (
+      let s = cur_slot () in
+      match Hashtbl.find m.clients.(s).cl_pages vpn with
+      | ce ->
+        if ce.pstate = P_busy && not (Mlock.held ce.mlock) then
+          reportf c ~vpn ~tag "SSMP %d BUSY without holding the mapping lock" s
+      | exception Not_found -> ())
+    | Network | Sync -> ()
 
-let attach m trace =
-  let c = { machine = m; total = 0; stored = []; expected = Hashtbl.create 64 } in
-  Mgs_obs.Trace.subscribe trace (on_event c);
+let attach m =
+  let c =
+    {
+      machine = m;
+      slots =
+        Array.init m.topo.Topology.nssmps (fun _ ->
+            { total = 0; stored = []; expected = Hashtbl.create 64 });
+    }
+  in
+  (* the invariants are MGS's; the other engines are judged only by
+     span balance at {!finish} *)
+  if m.protocol = Protocol_mgs then m.check <- Some (on_event c);
   c
 
 (* End-of-run check, valid once the machine is quiescent: every span
    must be closed.  A still-open span is an orphaned transaction — a
    fault, release, or sync episode whose completion never came — which
-   no per-event check can see (the absence of an event is invisible to
-   a subscriber). *)
+   no per-event check can see. *)
 let finish c =
   match c.machine.obs with
   | None -> ()
@@ -169,19 +159,30 @@ let finish c =
         suffix
     end
 
-let count c = c.total
+let count c = Array.fold_left (fun acc sl -> acc + sl.total) 0 c.slots
 
-let violations c = List.rev c.stored
+(* The slots merged by (time, SSMP, record order), first 64: each slot
+   keeps its own first 64, so the listing is the same at every job
+   count. *)
+let violations c =
+  List.concat_map (fun sl -> List.rev sl.stored) (Array.to_list c.slots)
+  |> List.stable_sort (fun a b -> compare a.v_time b.v_time)
+  |> List.filteri (fun i _ -> i < stored_limit)
 
 let pp ppf c =
-  if c.total = 0 then Format.fprintf ppf "invariants: ok@."
+  let total = count c in
+  let m = c.machine in
+  if total = 0 then
+    if m.protocol = Protocol_mgs then Format.fprintf ppf "invariants: ok@."
+    else
+      Format.fprintf ppf "invariants: none for %s%s@." (Protocol.name_of m.protocol)
+        (if Option.is_some m.obs then " (span balance ok)" else "")
   else begin
-    Format.fprintf ppf "invariants: %d violation%s@." c.total
-      (if c.total = 1 then "" else "s");
+    Format.fprintf ppf "invariants: %d violation%s@." total (if total = 1 then "" else "s");
     List.iter
       (fun v ->
         Format.fprintf ppf "  [t=%d vpn=%d %s] %s@." v.v_time v.v_vpn v.v_tag v.v_msg)
       (violations c);
-    if c.total > stored_limit then
-      Format.fprintf ppf "  ... %d more suppressed@." (c.total - stored_limit)
+    if total > stored_limit then
+      Format.fprintf ppf "  ... %d more suppressed@." (total - stored_limit)
   end

@@ -1,17 +1,20 @@
 (** Online protocol invariant checker.
 
-    Rides the structured event trace: every protocol transition emitted
-    through the trace triggers a read-only validation of the server and
-    client state it touched.  Checked invariants: non-negative and
-    exactly-decrementing outstanding-reply counts within an epoch,
-    disjoint read/write directories, directory membership backed by
-    [s_frame_procs] outside REL_IN_PROG, the mapping lock held whenever
-    a page is BUSY, and — when the shadow image is enabled — release
-    visibility (the merged master equals the shadow once no write copy
-    survives an epoch).
+    Called by {!State.obs_emit} at every protocol transition; it needs
+    no event trace, and with no checker attached the call costs one
+    branch.  Its state is one slot per SSMP and each fact is checked on
+    the shard that owns it, so a checked run keeps every engine domain.
+    On server transitions (run by the page's current home): the
+    outstanding-reply count is never negative and steps down by exactly
+    one per collected reply within an epoch, the read and write
+    directories are disjoint, every directory member has a frame
+    processor outside REL_IN_PROG, and — with the shadow on — the
+    merged master equals the page's shadow once an epoch ends with no
+    surviving write copy.  On client transitions, for the executing
+    SSMP's own entry: a BUSY page holds its mapping lock.
 
-    Only MGS-protocol machines are checked; attaching to an Ivy or HLRC
-    machine records nothing. *)
+    These invariants are MGS's: attaching to an Ivy or HLRC machine
+    installs no hook, and such a machine is judged only by {!finish}. *)
 
 type violation = {
   v_time : int;  (** simulated time of the triggering event *)
@@ -22,20 +25,25 @@ type violation = {
 
 type t
 
-val attach : State.t -> Mgs_obs.Trace.t -> t
-(** Subscribe a fresh checker to [trace].  The checker never creates or
-    mutates protocol state, so it cannot perturb the execution. *)
+val attach : State.t -> t
+(** Attach a fresh checker to the machine.  The checker never creates
+    or mutates protocol state, so it cannot perturb the execution. *)
 
 val finish : t -> unit
-(** End-of-run check (call once the run completes): records a violation
-    if any transaction span is still open — an orphaned fault, release,
-    or synchronization episode whose completion never arrived.  Only
-    the span layer can detect these; no individual event is missing. *)
+(** End-of-run check (call once the run completes): when spans were
+    recorded, records a violation if any transaction span is still
+    open — an orphaned fault, release, or synchronization episode.
+    Without spans, such a transaction still fails the run as a
+    deadlocked fiber or a machine that is not quiescent. *)
 
 val count : t -> int
 (** Total violations detected, including ones beyond the storage cap. *)
 
 val violations : t -> violation list
-(** Detected violations, oldest first (at most the first 64). *)
+(** Detected violations ordered by (simulated time, SSMP, record
+    order), at most the first 64 — the same list at every job count. *)
 
 val pp : Format.formatter -> t -> unit
+(** [invariants: ok] (under Ivy and HLRC, [invariants: none for ivy],
+    plus [(span balance ok)] when spans were recorded), or the
+    violation count and listing. *)

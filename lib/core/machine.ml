@@ -99,8 +99,9 @@ let create cfg =
       fibers = [];
       event_limit = cfg.event_limit;
       par_jobs = cfg.par_jobs;
-      shadow = (if cfg.shadow then Some (Hashtbl.create 4096) else None);
-      shadow_errors = 0;
+      shadow = cfg.shadow;
+      shadow_errors = Array.make topo.Topology.nssmps 0;
+      check = None;
       obs = None;
       metrics = None;
       adapt =
@@ -257,7 +258,7 @@ let clear_faults (m : t) = Lan.set_fault_plan m.lan None
 
 let fault_plan (m : t) = Lan.fault_plan m.lan
 
-let enable_checker ?capacity (m : t) = Invariant.attach m (enable_trace ?capacity m)
+let enable_checker (m : t) = Invariant.attach m
 
 let reset_stats (m : t) =
   bump_gen m;
@@ -284,9 +285,9 @@ let reset_stats (m : t) =
         | None -> ())
       m.servers
   | None -> ());
-  m.shadow_errors <- 0
+  Array.fill m.shadow_errors 0 (Array.length m.shadow_errors) 0
 
-let shadow_mismatches (m : t) = m.shadow_errors
+let shadow_mismatches (m : t) = Array.fold_left ( + ) 0 m.shadow_errors
 let topo (m : t) = m.topo
 let costs (m : t) = m.costs
 let geom (m : t) = m.geom
@@ -312,9 +313,10 @@ let check_addr (m : t) addr =
 
 let poke (m : t) addr v =
   check_addr m addr;
-  (match m.shadow with Some h -> Hashtbl.replace h addr v | None -> ());
   let se = get_sentry m (Geom.vpn_of_addr m.geom addr) in
-  se.s_master.(Geom.offset_of_addr m.geom addr) <- v
+  let off = Geom.offset_of_addr m.geom addr in
+  if m.shadow then se.s_shadow.(off) <- v;
+  se.s_master.(off) <- v
 
 let peek (m : t) addr =
   check_addr m addr;
@@ -332,35 +334,7 @@ let peek (m : t) addr =
 let run (m : t) body =
   let limit = m.event_limit in
   let t0 = Unix.gettimeofday () in
-  (* trace, spans, and metrics are per-shard (each domain writes only
-     its own cell) and do not constrain the engine.  What still forces a
-     single domain: the shadow heap and trace subscribers (the online
-     invariant checker) — each is one shared mutable structure written
-     from every shard.  Results are identical either way — only wall
-     time changes — but the reduction is loud so a slow "parallel" run
-     is explicable. *)
-  let force what =
-    Printf.eprintf
-      "mgs: %s is a single-domain subsystem; parallel engine reduced from %d \
-       domains to 1 (results are unchanged)\n\
-       %!"
-      what m.par_jobs
-  in
-  let eff =
-    if m.par_jobs >= 2 && m.shadow <> None then begin
-      force "shadow heap checking";
-      1
-    end
-    else if
-      m.par_jobs >= 2
-      && (match m.obs with Some tr -> Mgs_obs.Trace.has_subscribers tr | None -> false)
-    then begin
-      force "the online invariant checker (trace subscribers)";
-      1
-    end
-    else m.par_jobs
-  in
-  Sim.set_jobs m.sim eff;
+  Sim.set_jobs m.sim m.par_jobs;
   let fibers =
     List.init m.topo.Topology.nprocs (fun p ->
         (* each fiber starts on its processor's SSMP shard *)

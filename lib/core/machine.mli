@@ -117,10 +117,12 @@ val clear_faults : t -> unit
 
 val fault_plan : t -> Mgs_net.Fault.plan option
 
-val enable_checker : ?capacity:int -> t -> Invariant.t
-(** Install the event trace (if not already on) and attach the online
-    invariant checker to it.  Inspect the returned checker after [run]
-    with {!Invariant.count} / {!Invariant.pp}. *)
+val enable_checker : t -> Invariant.t
+(** Attach the online invariant checker, which the protocol engines
+    call directly at every transition.  It records nothing: the trace
+    stays off unless {!enable_trace} turns it on, and the run keeps its
+    [par_jobs] domains.  Inspect the returned checker after [run] with
+    {!Invariant.count} / {!Invariant.pp}. *)
 
 val reset_stats : t -> unit
 (** Zero every statistics surface — protocol counters, message counts,

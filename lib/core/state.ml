@@ -117,6 +117,15 @@ type sentry = {
   mutable s_retained_notwin : bool;
       (* the copy in [s_retained] has no twin (granted under the
          single-writer regime) *)
+  s_shadow : Pagedata.page;
+      (* the page's shadow image: every logical write, applied in
+         program order (empty when the shadow is off).  Allocated with
+         the page, host-side, before the run.  Written by whichever
+         shard performs the write; read by the reader's shard and by the
+         home at epoch end.  In a data-race-free program a write and a
+         conflicting access on another SSMP are ordered by
+         synchronization that crosses the LAN, which takes at least the
+         lookahead, so the two never run in the same window. *)
 }
 
 (* Hooks registered by synchronization objects (the [Mgs_sync] lock
@@ -186,10 +195,15 @@ type t = {
   mutable event_limit : int; (* livelock guard for Machine.run *)
   mutable par_jobs : int;
       (* requested engine domains, >= 1 *)
-  shadow : (int, float) Hashtbl.t option;
-      (* sequentially-consistent mirror used to detect protocol data
-         loss in data-race-free programs (config flag or MGS_SHADOW=1) *)
-  mutable shadow_errors : int;
+  shadow : bool;
+      (* keep a sequentially-consistent mirror of every write, one
+         [s_shadow] per page, to detect protocol data loss in
+         data-race-free programs (config flag or MGS_SHADOW=1) *)
+  shadow_errors : int array;
+      (* reads that disagreed with the shadow, per SSMP, indexed like
+         {!count} *)
+  mutable check : (engine:Mgs_obs.Event.engine -> tag:string -> vpn:int -> unit) option;
+      (* the online invariant checker, called by {!obs_emit} *)
   mutable obs : Mgs_obs.Trace.t option;
       (* structured event trace; None = observability fully disabled *)
   mutable metrics : Mgs_obs.Metrics.t option;
@@ -216,11 +230,15 @@ type t = {
    next access its slow path. *)
 let bump_gen m = Atomic.incr m.gen
 
-(* Bump counter column [k] by [n] in the executing shard's row; host
-   code, which runs on no shard, writes row 0. *)
-let count m k n =
+(* The executing shard's slot in a per-SSMP table; host code, which
+   runs on no shard, uses slot 0. *)
+let cur_slot () =
   let c = Sim.cur () in
-  let row = m.counters.(if c < 0 then 0 else c) in
+  if c < 0 then 0 else c
+
+(* Bump counter column [k] by [n] in the executing shard's row. *)
+let count m k n =
+  let row = m.counters.(cur_slot ()) in
   row.(k) <- row.(k) + n
 
 (* Column [k] summed over every SSMP's row. *)
@@ -305,6 +323,7 @@ let get_sentry m vpn =
           | None -> None);
         s_ext_diffs = [];
         s_retained_notwin = false;
+        s_shadow = (if m.shadow then Pagedata.create m.geom else [||]);
       }
     in
     Hashtbl.add m.servers vpn e;
@@ -379,14 +398,16 @@ let span_with m ctx f =
     f ();
     Span.set_current sp saved
 
-(* Structured event emission: one cheap branch when observability is
-   off, one trace row when it is on.  The protocol engines call this at
-   every state transition; the online invariant checker rides the
-   trace's subscriber list.  Every event is stamped with the ambient
-   transaction ID so traces correlate with spans.  All arguments are
-   required: an optional argument boxes a [Some] per supplied value at
-   every call site.  Absent fields are passed as [-1] / [0]. *)
+(* Structured event emission.  The protocol engines call this at every
+   state transition.  The online invariant checker, when attached, is
+   called first; then, when observability is on, the event becomes one
+   trace row, stamped with the ambient transaction ID so traces
+   correlate with spans.  With both off this costs two branches.  All
+   arguments are required: an optional argument boxes a [Some] per
+   supplied value at every call site.  Absent fields are passed as
+   [-1] / [0]. *)
 let obs_emit m ~engine ~tag ~vpn ~src ~dst ~words ~cost ~dur =
+  (match m.check with Some f -> f ~engine ~tag ~vpn | None -> ());
   match m.obs with
   | None -> ()
   | Some tr ->

@@ -44,10 +44,7 @@ val run_point :
     (default true) runs the online protocol invariant checker
     ({!Mgs.Invariant}) and fails on any violation; [par] (default 1)
     runs the event engine on that many domains — byte-identical
-    results.  Trace, span, and metrics
-    subscribers are per-shard and do not limit parallelism; only the
-    online invariant checker's global state still forces one domain,
-    so pass [~check:false] to actually run parallel.  [adapt] (default
+    results, with or without the checker.  [adapt] (default
     false) turns on the adaptive per-page coherence layer
     ({!Mgs_cache.Adapt}): online sharing-pattern classification, regime
     switching, and home migration.

@@ -7,8 +7,7 @@
    cells — events by their genealogy stamp (the key of the simulator
    event that emitted them), histograms exactly — reconstructing the
    canonical execution order, so every export is byte-identical across
-   job counts.  Subscribers are global, which is why an installed one
-   still forces the engine onto one domain. *)
+   job counts.  An {!Event.t} is built only at export. *)
 
 type cell = {
   rows : Rows.t;
@@ -18,7 +17,6 @@ type cell = {
 type t = {
   ncells : int;
   cells : cell array;
-  mutable subscribers : (Event.t -> unit) list;
   spans : Span.t;
 }
 
@@ -42,13 +40,8 @@ let create ?(capacity = default_capacity) ?span_capacity ?(cells = 1) () =
     cells =
       Array.init cells (fun _ ->
           { rows = Rows.create ~capacity ~cells ~ring:true; hists = [||] });
-    subscribers = [];
     spans = Span.create ?capacity:span_capacity ~cells ();
   }
-
-let subscribe t f = t.subscribers <- f :: t.subscribers
-
-let has_subscribers t = t.subscribers <> []
 
 let spans t = t.spans
 
@@ -80,7 +73,7 @@ let event_of r slot : Event.t =
 
 (* One row into the emitting shard's cell.  A multi-cell trace also
    records {!Span.stamp}: the executing event's genealogy key, or a
-   synthetic host key.  An {!Event.t} is built only for subscribers. *)
+   synthetic host key. *)
 let emit t ~time ~engine ~tag ~vpn ~src ~dst ~src_ssmp ~dst_ssmp ~words ~cost ~dur ~txn =
   let cl = t.cells.(Rows.cur_cell t.ncells) in
   let r = cl.rows in
@@ -100,12 +93,7 @@ let emit t ~time ~engine ~tag ~vpn ~src ~dst ~src_ssmp ~dst_ssmp ~words ~cost ~d
   a.(b + f_dur) <- dur;
   a.(b + f_txn) <- txn;
   if t.ncells > 1 then Rows.set_key r slot (Span.stamp t.spans ~time);
-  Hist.add (hist_of cl id) dur;
-  match t.subscribers with
-  | [] -> ()
-  | subs ->
-    let e = event_of r slot in
-    List.iter (fun f -> f e) subs
+  Hist.add (hist_of cl id) dur
 
 let emitted t = Array.fold_left (fun acc cl -> acc + Rows.added cl.rows) 0 t.cells
 

@@ -2,12 +2,10 @@
 
     Every emitted event is (1) written as one row of ints into a
     chunked {!Rows} cell used as a ring, with its tag interned per
-    cell, (2) folded into a per-tag latency histogram, and (3) handed
-    to each subscriber as an {!Event.t} — the hook the online invariant
-    checker uses.  Memory is proportional to the events kept (at most
-    the ring capacity) plus one histogram per distinct tag; with no
-    subscriber an emit allocates nothing.  {!Event.t} records are built
-    only for subscribers and at export.
+    cell, and (2) folded into a per-tag latency histogram.  Memory is
+    proportional to the events kept (at most the ring capacity) plus
+    one histogram per distinct tag; once a chunk exists an emit
+    allocates nothing.  {!Event.t} records are built only at export.
 
     A trace created with [cells > 1] keeps one ring and histogram table
     per shard (SSMP): each simulator domain writes only its own cell —
@@ -28,14 +26,6 @@ val create : ?capacity:int -> ?span_capacity:int -> ?cells:int -> unit -> t
     each simulator domain writes its own cell. *)
 
 val cells : t -> int
-
-val subscribe : t -> (Event.t -> unit) -> unit
-(** Subscribers run synchronously at every emit, in reverse order of
-    subscription.  They must not mutate simulated state.  Subscribers
-    are global (not per-cell), so an installed subscriber forces the
-    engine onto a single domain. *)
-
-val has_subscribers : t -> bool
 
 val spans : t -> Span.t
 (** The causal span collector that travels with this trace. *)

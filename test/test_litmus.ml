@@ -12,12 +12,14 @@ let protocols = [ ("mgs", Protocol_mgs); ("hlrc", Protocol_hlrc); ("ivy", Protoc
 
 (* Every litmus machine runs with the shadow oracle AND the online
    invariant checker: a pattern that passes its visibility assertion but
-   corrupts protocol state still fails. *)
+   corrupts protocol state still fails.  The trace is on too: one case
+   counts its events, and the end-of-run check balances its spans. *)
 let checkers : (Mgs.Machine.t * Mgs.Invariant.t) list ref = ref []
 
 let machine ?(nprocs = 4) ?(lan_latency = 600) ?faults protocol =
   let cfg = Mgs.Machine.config ~nprocs ~cluster:2 ~lan_latency ~protocol ~shadow:true () in
   let m = Mgs.Machine.create cfg in
+  ignore (Mgs.Machine.enable_trace m);
   checkers := (m, Mgs.Machine.enable_checker m) :: !checkers;
   (match faults with Some spec -> Mgs.Machine.set_faults m ~seed:1234 spec | None -> ());
   m

@@ -256,6 +256,22 @@ let test_reset_zeroes_table () =
         row)
     rows
 
+(* Checking leaves the engine alone: with the shadow oracle and the
+   invariant checker both on, a par-2 run still opens lookahead windows
+   on two domains, records no trace, and stays clean. *)
+let test_checked_shadow_windowed () =
+  let cfg = Mgs.Machine.config ~shadow:true ~par_jobs:2 ~nprocs:8 ~cluster:2 () in
+  let m = Mgs.Machine.create cfg in
+  let checker = Mgs.Machine.enable_checker m in
+  let body, verify = (Mgs_apps.Water.workload Mgs_apps.Water.tiny).Mgs_harness.Sweep.prepare m in
+  ignore (Mgs.Machine.run m body);
+  Mgs.Machine.assert_quiescent m;
+  verify m;
+  Alcotest.(check bool) "windows opened" true (Mgs_engine.Sim.windows (Mgs.Machine.sim m) > 0);
+  Alcotest.(check bool) "no trace recorded" true (Option.is_none (Mgs.Machine.trace m));
+  Alcotest.(check int) "no invariant violations" 0 (Mgs.Invariant.count checker);
+  Alcotest.(check int) "no shadow mismatches" 0 (Mgs.Machine.shadow_mismatches m)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest [ prop_topology_partition; prop_cpu_buckets_sum_to_clock ]
 
@@ -285,6 +301,11 @@ let () =
           Alcotest.test_case "pstats line pinned" `Quick test_pstats_line;
           Alcotest.test_case "hlrc and ivy lines pinned" `Quick test_hlrc_ivy_pinned;
           Alcotest.test_case "reset zeroes every row" `Quick test_reset_zeroes_table;
+        ] );
+      ( "checking",
+        [
+          Alcotest.test_case "checked shadow run stays windowed" `Quick
+            test_checked_shadow_windowed;
         ] );
       ("properties", qsuite);
     ]

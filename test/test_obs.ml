@@ -84,14 +84,11 @@ let test_trace_bounded () =
   Alcotest.(check (list int)) "newest retained" [ 2; 3 ]
     (List.map (fun (e : Event.t) -> e.Event.time) (Trace.events tr))
 
-let test_trace_subscribers_and_hist () =
+let test_trace_hist () =
   let tr = Trace.create () in
-  let seen = ref 0 in
-  Trace.subscribe tr (fun _ -> incr seen);
   emit ~tag:"a" ~dur:10 tr 1;
   emit ~tag:"a" ~dur:20 tr 2;
   emit ~tag:"b" ~dur:5 tr 3;
-  Alcotest.(check int) "subscriber saw every emit" 3 !seen;
   (match Trace.hist tr "a" with
   | None -> Alcotest.fail "histogram for tag a missing"
   | Some h ->
@@ -587,12 +584,11 @@ let test_metrics_ring_bound () =
 
 (* --- machine integration ---------------------------------------------- *)
 
-let small_machine () =
-  let cfg =
-    Mgs.Machine.config ~nprocs:4 ~cluster:2 ~lan_latency:600 ~shadow:true
-      ~protocol:Mgs.State.Protocol_mgs ()
-  in
+let small_machine_of protocol =
+  let cfg = Mgs.Machine.config ~nprocs:4 ~cluster:2 ~lan_latency:600 ~shadow:true ~protocol () in
   Mgs.Machine.create cfg
+
+let small_machine () = small_machine_of Mgs.State.Protocol_mgs
 
 let run_mp m =
   let data = Mgs.Machine.alloc m ~words:1 ~home:(Mgs_mem.Allocator.On_proc 3) in
@@ -677,14 +673,14 @@ let test_orphan_span_detected () =
 
 let test_checker_flags_corruption () =
   let open Mgs.State in
-  let violation_count corrupt =
+  let violation_count ?(engine = Mgs_obs.Event.Server) corrupt =
     let m = small_machine () in
     let checker = Mgs.Machine.enable_checker m in
     let addr = Mgs.Machine.alloc m ~words:256 ~home:(Mgs_mem.Allocator.On_proc 0) in
     Mgs.Machine.poke m addr 1.0;
     let vpn = Mgs_mem.Geom.vpn_of_addr (Mgs.Machine.geom m) addr in
     let tag = corrupt m vpn in
-    obs_emit m ~engine:Mgs_obs.Event.Server ~tag ~vpn ~src:(-1) ~dst:(-1) ~words:0 ~cost:0 ~dur:0;
+    obs_emit m ~engine ~tag ~vpn ~src:(-1) ~dst:(-1) ~words:0 ~cost:0 ~dur:0;
     Mgs.Invariant.count checker
   in
   let n =
@@ -702,10 +698,11 @@ let test_checker_flags_corruption () =
         "test.corrupt")
   in
   Alcotest.(check bool) "read/write directory overlap flagged" true (n > 0);
+  (* a client fact is checked on client transitions, for the executing
+     SSMP's own entry (host code counts as SSMP 0) *)
   let n =
-    violation_count (fun m vpn ->
-        ignore (get_sentry m vpn);
-        (get_centry m 1 vpn).pstate <- P_busy;
+    violation_count ~engine:Mgs_obs.Event.Local_client (fun m vpn ->
+        (get_centry m 0 vpn).pstate <- P_busy;
         "test.corrupt")
   in
   Alcotest.(check bool) "BUSY without mapping lock flagged" true (n > 0);
@@ -733,7 +730,51 @@ let test_checker_ignores_other_protocols () =
   (get_sentry m vpn).s_count <- -1;
   obs_emit m ~engine:Mgs_obs.Event.Server ~tag:"test.corrupt" ~vpn ~src:(-1) ~dst:(-1) ~words:0 ~cost:0 ~dur:0;
   Alcotest.(check int) "ivy machines are not judged by MGS invariants" 0
-    (Mgs.Invariant.count checker)
+    (Mgs.Invariant.count checker);
+  Mgs.Invariant.finish checker;
+  Alcotest.(check string) "the report says nothing was checked" "invariants: none for ivy\n"
+    (Format.asprintf "%a" Mgs.Invariant.pp checker);
+  (* with spans recorded, the end-of-run span balance is what was checked *)
+  let m = small_machine_of Mgs.State.Protocol_hlrc in
+  ignore (Mgs.Machine.enable_trace m);
+  let checker = Mgs.Machine.enable_checker m in
+  ignore (run_mp m);
+  Mgs.Invariant.finish checker;
+  Alcotest.(check string) "span balance is reported"
+    "invariants: none for hlrc (span balance ok)\n"
+    (Format.asprintf "%a" Mgs.Invariant.pp checker)
+
+(* Violations list in (time, SSMP) order whatever the job count: two
+   SSMPs' fibers each corrupt their own client entry at the same
+   simulated time, emit a client transition, and restore it. *)
+let test_violation_listing_par_identical () =
+  let open Mgs.State in
+  let listing par =
+    let cfg = Mgs.Machine.config ~nprocs:8 ~cluster:2 ~lan_latency:600 ~par_jobs:par () in
+    let m = Mgs.Machine.create cfg in
+    let checker = Mgs.Machine.enable_checker m in
+    let addr = Mgs.Machine.alloc m ~words:256 ~home:(Mgs_mem.Allocator.On_proc 0) in
+    let vpn = Mgs_mem.Geom.vpn_of_addr (Mgs.Machine.geom m) addr in
+    ignore
+      (Mgs.Machine.run m (fun ctx ->
+           let p = Mgs.Api.proc ctx in
+           if p = 2 || p = 6 then begin
+             let ce = get_centry m (Mgs.Api.ssmp ctx) vpn in
+             ce.pstate <- P_busy;
+             obs_emit m ~engine:Mgs_obs.Event.Local_client ~tag:"test.corrupt" ~vpn ~src:p
+               ~dst:(-1) ~words:0 ~cost:0 ~dur:0;
+             ce.pstate <- P_inv
+           end));
+    Format.asprintf "%a" Mgs.Invariant.pp checker
+  in
+  let oracle = listing 1 in
+  Alcotest.(check bool) "both SSMPs flagged" true
+    (contains oracle "2 violations" && contains oracle "SSMP 1 BUSY"
+   && contains oracle "SSMP 3 BUSY");
+  List.iter
+    (fun par ->
+      Alcotest.(check string) (Printf.sprintf "par %d listing" par) oracle (listing par))
+    [ 2; 4 ]
 
 (* The transport gauges need both a fault plan and a sampler; they are
    registered by whichever call comes second. *)
@@ -780,8 +821,7 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "bounded memory" `Quick test_trace_bounded;
-          Alcotest.test_case "subscribers and histograms" `Quick
-            test_trace_subscribers_and_hist;
+          Alcotest.test_case "per-tag histograms" `Quick test_trace_hist;
           Alcotest.test_case "chrome trace_event export" `Quick test_trace_chrome_json;
           Alcotest.test_case "overflow warns loudly" `Quick test_trace_overflow_warning;
           Alcotest.test_case "hostile tags escape cleanly" `Quick
@@ -817,6 +857,8 @@ let () =
             test_checker_flags_corruption;
           Alcotest.test_case "checker is MGS-only" `Quick
             test_checker_ignores_other_protocols;
+          Alcotest.test_case "violation listing is par-identical" `Quick
+            test_violation_listing_par_identical;
           Alcotest.test_case "net gauges in either order" `Quick
             test_net_gauges_either_order;
           Alcotest.test_case "reset_stats" `Quick test_reset_stats;

@@ -145,14 +145,17 @@ let prop_random_drf_programs =
       true)
 
 (* the same generator under the lazy and SC protocols, plus feature
-   variations of the MGS protocol, under any lock kind *)
-let run_program_variant ?(lock = Mgs_sync.Locks.Token) ~protocol ~features ~seed () =
+   variations of the MGS protocol, under any lock kind and job count,
+   with the invariant checker on; returns the run's report identity *)
+let run_program_variant ?(lock = Mgs_sync.Locks.Token) ?(par = 1) ~protocol ~features ~seed
+    () =
   let nprocs = 8 and cluster = 2 in
   let cfg =
     Mgs.Machine.config ~page_words:16 ~nprocs ~cluster ~lan_latency:900 ~protocol ~features
-      ~shadow:true ()
+      ~shadow:true ~par_jobs:par ()
   in
   let m = Mgs.Machine.create cfg in
+  let checker = Mgs.Machine.enable_checker m in
   let region = Mgs.Machine.alloc m ~words:24 ~home:Mgs_mem.Allocator.Blocked in
   let lock = Mgs_sync.Locks.make m lock in
   let bar = Mgs_sync.Barrier.create m in
@@ -163,24 +166,28 @@ let run_program_variant ?(lock = Mgs_sync.Locks.Token) ~protocol ~features ~seed
         Array.init 14 (fun _ -> Mgs_util.Rng.int rng 24))
   in
   Array.iter (Array.iter (fun w -> expected.(w) <- expected.(w) +. 1.0)) plan;
-  ignore
-    (Mgs.Machine.run m (fun ctx ->
-         let p = Mgs.Api.proc ctx in
-         Array.iteri
-           (fun step w ->
-             Mgs_sync.Locks.acquire ctx lock;
-             Mgs.Api.write ctx (region + w) (Mgs.Api.read ctx (region + w) +. 1.0);
-             Mgs_sync.Locks.release ctx lock;
-             if step mod 6 = 5 then Mgs_sync.Barrier.wait ctx bar)
-           plan.(p);
-         Mgs_sync.Barrier.wait ctx bar));
+  let report =
+    Mgs.Machine.run m (fun ctx ->
+        let p = Mgs.Api.proc ctx in
+        Array.iteri
+          (fun step w ->
+            Mgs_sync.Locks.acquire ctx lock;
+            Mgs.Api.write ctx (region + w) (Mgs.Api.read ctx (region + w) +. 1.0);
+            Mgs_sync.Locks.release ctx lock;
+            if step mod 6 = 5 then Mgs_sync.Barrier.wait ctx bar)
+          plan.(p);
+        Mgs_sync.Barrier.wait ctx bar)
+  in
   Mgs.Machine.assert_quiescent m;
   if Mgs.Machine.shadow_mismatches m <> 0 then failwith "shadow divergence";
+  if Mgs.Invariant.count checker <> 0 then
+    failwith (Format.asprintf "%a" Mgs.Invariant.pp checker);
   Array.iteri
     (fun w want ->
       if Mgs.Machine.peek m (region + w) <> want then
         failwith (Printf.sprintf "word %d wrong" w))
-    expected
+    expected;
+  Mgs.Report.ident report
 
 let prop_all_variants =
   let variants =
@@ -197,7 +204,7 @@ let prop_all_variants =
   QCheck2.Test.make ~name:"random DRF programs, all protocol variants" ~count:90
     QCheck2.Gen.(pair variants (int_range 1 2000))
     (fun ((protocol, features), seed) ->
-      run_program_variant ~protocol ~features ~seed ();
+      ignore (run_program_variant ~protocol ~features ~seed ());
       true)
 
 let prop_every_lock =
@@ -210,8 +217,24 @@ let prop_every_lock =
       Printf.sprintf "lock=%s protocol=%s seed=%d" (Mgs_sync.Locks.name_of lock)
         (Mgs.Protocol.name_of protocol) seed)
     (fun (lock, protocol, seed) ->
-      run_program_variant ~lock ~protocol ~features:Mgs.State.default_features ~seed ();
+      ignore (run_program_variant ~lock ~protocol ~features:Mgs.State.default_features ~seed ());
       true)
+
+(* Checking leaves the engine alone: with the checker and the shadow on,
+   runs at 2 and 4 domains report exactly what the one-domain run does
+   (and [run_program_variant] fails on any violation or mismatch). *)
+let prop_checked_par_identical =
+  QCheck2.Test.make ~name:"random DRF programs, checker + shadow, par 1/2/4" ~count:60
+    QCheck2.Gen.(
+      pair (oneofl Mgs.State.[ Protocol_mgs; Protocol_hlrc; Protocol_ivy ]) (int_range 1 2000))
+    ~print:(fun (protocol, seed) ->
+      Printf.sprintf "protocol=%s seed=%d" (Mgs.Protocol.name_of protocol) seed)
+    (fun (protocol, seed) ->
+      let run par =
+        run_program_variant ~par ~protocol ~features:Mgs.State.default_features ~seed ()
+      in
+      let oracle = run 1 in
+      run 2 = oracle && run 4 = oracle)
 
 let prop_random_drf_bigger_pages =
   QCheck2.Test.make ~name:"random DRF programs, 64-word pages" ~count:60
@@ -233,6 +256,7 @@ let qsuite =
       prop_conservation;
       prop_all_variants;
       prop_every_lock;
+      prop_checked_par_identical;
     ]
 
 let () =

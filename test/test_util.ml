@@ -1,9 +1,8 @@
 (* Unit and property tests for mgs_util: domain pool, bitsets, RNG,
-   accumulators, and table rendering. *)
+   and table rendering. *)
 
 module Bs = Mgs_util.Bitset
 module Rng = Mgs_util.Rng
-module Accum = Mgs_util.Accum
 module Tp = Mgs_util.Tableprint
 
 (* --- domain pool ------------------------------------------------------ *)
@@ -151,38 +150,6 @@ let test_rng_split_key () =
     true
     (frac > 0.45 && frac < 0.55)
 
-(* --- accumulator ------------------------------------------------------ *)
-
-let test_accum_stats () =
-  let a = Accum.create () in
-  List.iter (Accum.add a) [ 1.0; 2.0; 3.0; 4.0 ];
-  Alcotest.(check int) "count" 4 (Accum.count a);
-  Alcotest.(check (float 1e-9)) "mean" 2.5 (Accum.mean a);
-  Alcotest.(check (float 1e-9)) "sum" 10.0 (Accum.sum a);
-  Alcotest.(check (float 1e-9)) "variance" 1.25 (Accum.variance a);
-  Alcotest.(check (float 1e-9)) "min" 1.0 (Accum.min_value a);
-  Alcotest.(check (float 1e-9)) "max" 4.0 (Accum.max_value a)
-
-let test_accum_empty () =
-  let a = Accum.create () in
-  Alcotest.(check (float 0.)) "mean of empty" 0.0 (Accum.mean a);
-  Alcotest.check_raises "min of empty" (Invalid_argument "Accum.min_value: empty") (fun () ->
-      ignore (Accum.min_value a))
-
-let prop_accum_merge =
-  QCheck2.Test.make ~name:"merge equals folding both streams" ~count:200
-    QCheck2.Gen.(pair (list (float_bound_exclusive 100.)) (list (float_bound_exclusive 100.)))
-    (fun (xs, ys) ->
-      let a = Accum.create () and b = Accum.create () and whole = Accum.create () in
-      List.iter (Accum.add a) xs;
-      List.iter (Accum.add b) ys;
-      List.iter (Accum.add whole) (xs @ ys);
-      let m = Accum.merge a b in
-      let close u v = Float.abs (u -. v) <= 1e-6 *. Float.max 1.0 (Float.abs v) in
-      Accum.count m = Accum.count whole
-      && close (Accum.mean m) (Accum.mean whole)
-      && close (Accum.variance m) (Accum.variance whole))
-
 (* --- table printing ---------------------------------------------------- *)
 
 let test_render_alignment () =
@@ -217,7 +184,7 @@ let test_stacked_bars () =
     (List.length (String.split_on_char '\n' out) >= 4)
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
-  [ prop_bitset_model; prop_rng_int_range; prop_rng_float_range; prop_accum_merge ]
+  [ prop_bitset_model; prop_rng_int_range; prop_rng_float_range ]
 
 let () =
   Alcotest.run "util"
@@ -238,11 +205,6 @@ let () =
           Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "split" `Quick test_rng_split;
           Alcotest.test_case "split_key" `Quick test_rng_split_key;
-        ] );
-      ( "accum",
-        [
-          Alcotest.test_case "stats" `Quick test_accum_stats;
-          Alcotest.test_case "empty" `Quick test_accum_empty;
         ] );
       ( "tableprint",
         [
