@@ -72,7 +72,8 @@ adapt-smoke: build
 # protocol invariant checker on, double-run determinism, par 1/2/4
 # identity, and the adaptive layer provably engaging on serving traffic
 # (thundering-herd cell reaches invalidate-on-read, contended cell
-# migrates a home), plus a CLI run whose tail-latency table must render.
+# migrates a home), plus a CLI run whose tail-latency table must render
+# and one at kv's default size whose span store must keep every request.
 kv-smoke: build
 	$(DUNE) exec bench/main.exe -- kv-smoke > _build/kv-smoke.out
 	@cat _build/kv-smoke.out
@@ -81,6 +82,9 @@ kv-smoke: build
 	  --iters 40 --size 64 --check > _build/kv-cli.out
 	@grep -q "kv.put" _build/kv-cli.out
 	@grep -q "verification: OK" _build/kv-cli.out
+	$(DUNE) exec bin/mgs_run.exe -- --app kv --procs 64 --cluster 16 > _build/kv-default.out
+	@grep -q "verification: OK" _build/kv-default.out
+	@! grep -q "span store full" _build/kv-default.out
 
 # Validate every observability export against its own contract: run the
 # CLI with the trace, span, and metrics exporters on, then lint the

@@ -149,8 +149,8 @@ let traced_rows () =
    sim_events/sim_cycles still gate the diff because the offered load
    is a pure function of the seed.  One more row runs the repository
    benchmark's shape (P=64 C=16, 100 requests per client) on one
-   domain, where promoted_mb gates: kv always records its spans, so
-   that row sees what the trace and span stores keep alive. *)
+   domain, where promoted_mb gates: kv always records its request
+   spans, so that row sees what its span store keeps alive. *)
 let kv_rows () =
   measure ~check:false ~nprocs:64 ~cluster:16
     ("kv-par1", Mgs_serve.Kv.workload { Mgs_serve.Kv.default with Mgs_serve.Kv.ops = 100 })

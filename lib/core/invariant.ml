@@ -11,7 +11,8 @@
    mapping-lock on client transitions, for the executing SSMP's own
    entry.  A page's reply-accounting entry is created and removed within
    one epoch, and homes migrate only between epochs, so it never changes
-   slot.  {!finish} checks span balance, only when spans were recorded. *)
+   slot.  {!finish} checks span balance on the machine's span store,
+   when one exists: the trace, or an application's own spans. *)
 
 open State
 
@@ -143,7 +144,7 @@ let attach m =
    fault, release, or sync episode whose completion never came — which
    no per-event check can see. *)
 let finish c =
-  match c.machine.obs with
+  match c.machine.store with
   | None -> ()
   | Some tr ->
     let sp = Mgs_obs.Trace.spans tr in
@@ -176,7 +177,7 @@ let pp ppf c =
     if m.protocol = Protocol_mgs then Format.fprintf ppf "invariants: ok@."
     else
       Format.fprintf ppf "invariants: none for %s%s@." (Protocol.name_of m.protocol)
-        (if Option.is_some m.obs then " (span balance ok)" else "")
+        (if Option.is_some m.store then " (span balance ok)" else "")
   else begin
     Format.fprintf ppf "invariants: %d violation%s@." total (if total = 1 then "" else "s");
     List.iter

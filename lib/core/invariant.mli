@@ -30,9 +30,10 @@ val attach : State.t -> t
     or mutates protocol state, so it cannot perturb the execution. *)
 
 val finish : t -> unit
-(** End-of-run check (call once the run completes): when spans were
-    recorded, records a violation if any transaction span is still
-    open — an orphaned fault, release, or synchronization episode.
+(** End-of-run check (call once the run completes): when the machine
+    has a span store ({!Machine.trace}: the trace, or an application's
+    own spans), records a violation if any span in it is still open —
+    an orphaned fault, release, synchronization or request episode.
     Without spans, such a transaction still fails the run as a
     deadlocked fiber or a machine that is not quiescent. *)
 

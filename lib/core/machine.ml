@@ -103,6 +103,7 @@ let create cfg =
       shadow_errors = Array.make topo.Topology.nssmps 0;
       check = None;
       obs = None;
+      store = None;
       metrics = None;
       adapt =
         (if cfg.adapt then
@@ -115,21 +116,28 @@ let create cfg =
 
 let sim (m : t) = m.sim
 
-let enable_trace ?capacity (m : t) =
+(* One cell per SSMP: each engine shard writes into its own cell and
+   exports merge on genealogy stamps, so the store does not force the
+   engine onto one domain. *)
+let enable_spans (m : t) =
+  match m.store with
+  | Some tr -> tr
+  | None ->
+    let tr = Mgs_obs.Trace.create ~cells:m.topo.Topology.nssmps () in
+    m.store <- Some tr;
+    tr
+
+let enable_trace (m : t) =
   match m.obs with
   | Some tr -> tr
   | None ->
-    (* one trace cell per SSMP: each engine shard emits into its own
-       ring/span store and exports merge on genealogy stamps, so the
-       trace does not force the engine onto one domain *)
-    let cells = m.topo.Topology.nssmps in
-    let tr = Mgs_obs.Trace.create ?capacity ~cells () in
+    let tr = enable_spans m in
     m.obs <- Some tr;
     Am.set_obs m.am (Some tr);
     Lan.set_obs m.lan (Some tr);
     tr
 
-let trace (m : t) = m.obs
+let trace (m : t) = m.store
 
 (* Transport gauges, registered by whichever of {!set_faults} and
    {!enable_metrics} runs second.  Each cell reads only its own SSMP's

@@ -69,15 +69,28 @@ val create : config -> t
 
 val sim : t -> Mgs_engine.Sim.t
 
-val enable_trace : ?capacity:int -> t -> Mgs_obs.Trace.t
-(** Install the structured event trace (bounded ring, default 65536
-    events) and wire it into the message layer, the LAN, and every
-    protocol engine.  Idempotent: a second call returns the existing
-    trace.  Call before [run]; with no trace installed the emission
-    sites cost one branch each. *)
+val enable_trace : t -> Mgs_obs.Trace.t
+(** Record the machine: install the structured event trace (bounded
+    ring of 65536 events, per-tag latency histograms, and a span store)
+    and wire it into the message layer, the LAN, the locks and every
+    protocol engine, which then record their event rows and spans into
+    it.  Adopts the store {!enable_spans} created, if any, so the
+    caller's spans and the machine's share one store.  Idempotent: a
+    second call returns the existing trace.  Call before [run]; with no
+    trace installed the emission sites cost one branch each. *)
+
+val enable_spans : t -> Mgs_obs.Trace.t
+(** A store for the caller's own spans (read them with
+    {!Mgs_obs.Trace.spans}), without recording the machine: the
+    protocol engines, active messages, LAN and locks write nothing into
+    it, exactly as when no trace exists, so it holds only what the
+    caller records.  Returns the trace when {!enable_trace} ran first;
+    a later {!enable_trace} adopts this store.  Idempotent.  Call
+    before [run]. *)
 
 val trace : t -> Mgs_obs.Trace.t option
-(** The installed event trace, if any. *)
+(** The machine's store: the trace once {!enable_trace} ran, else the
+    {!enable_spans} store, if any. *)
 
 val enable_metrics : ?interval:int -> ?max_samples:int -> t -> Mgs_obs.Metrics.t
 (** Install the simulated-clock metrics sampler (implies

@@ -205,7 +205,11 @@ type t = {
   mutable check : (engine:Mgs_obs.Event.engine -> tag:string -> vpn:int -> unit) option;
       (* the online invariant checker, called by {!obs_emit} *)
   mutable obs : Mgs_obs.Trace.t option;
-      (* structured event trace; None = observability fully disabled *)
+      (* structured event trace; None = the machine records nothing *)
+  mutable store : Mgs_obs.Trace.t option;
+      (* the store {!Machine.trace} returns: [obs] once the machine
+         records, or else an application's own span store, which
+         nothing in the machine writes *)
   mutable metrics : Mgs_obs.Metrics.t option;
       (* simulated-clock metrics sampler, piggybacking on [obs] *)
   adapt : Mgs_cache.Adapt.t option;

@@ -49,7 +49,6 @@ type shard = {
   mutable xsends : int; (* cross-shard sends originated by this shard *)
   mutable merges : int; (* outbox messages merged INTO this shard *)
   mutable stalls : int; (* windows in which this shard drained 0 events *)
-  mutable wall : float; (* host seconds spent draining this shard *)
 }
 
 and outmsg = { o_dst : int; o_key : Shardq.key; o_fn : unit -> unit }
@@ -62,7 +61,8 @@ type t = {
   mutable strict : bool;
   mutable gpeak : int;
   mutable windows : int; (* lookahead windows opened (windowed mode) *)
-  mutable barrier_wall : float; (* coordinator seconds waiting at barriers *)
+  mutable wall : float array;
+      (* host seconds draining each shard, then waiting at barriers; unboxed *)
   mutable on_event : (shard:int -> now:int -> unit) option;
       (* called on the executing domain immediately before each event,
          after the shard clock and counters have advanced.  Used by the
@@ -109,7 +109,6 @@ let new_shard id =
     xsends = 0;
     merges = 0;
     stalls = 0;
-    wall = 0.;
   }
 
 let create () =
@@ -121,7 +120,7 @@ let create () =
     strict = false;
     gpeak = 0;
     windows = 0;
-    barrier_wall = 0.;
+    wall = [| 0.; 0. |];
     on_event = None;
     rank = 0;
   }
@@ -187,13 +186,13 @@ let shard_stats sim =
         st_peak = s.peak;
         st_merges = s.merges;
         st_stalls = s.stalls;
-        st_wall = s.wall;
+        st_wall = sim.wall.(s.id);
       })
     sim.shards
 
 let windows sim = sim.windows
 
-let barrier_wall sim = sim.barrier_wall
+let barrier_wall sim = sim.wall.(Array.length sim.shards)
 
 let shard_executed sim i = sim.shards.(i).executed
 
@@ -207,6 +206,7 @@ let make_sharded sim ~nshards ~lookahead =
     if events_executed sim > 0 || pending sim > 0 then
       invalid_arg "Sim.make_sharded: events already scheduled";
     sim.shards <- Array.init nshards new_shard;
+    sim.wall <- Array.make (nshards + 1) 0.;
     sim.lookahead <- lookahead;
     sim.jobs <- 1
   end
@@ -350,7 +350,7 @@ let drain sim s ~wend ~allow =
      set_cur (-1);
      s.failure <- Some e);
   if !n = 0 then s.stalls <- s.stalls + 1;
-  s.wall <- s.wall +. (Unix.gettimeofday () -. t0);
+  sim.wall.(s.id) <- sim.wall.(s.id) +. (Unix.gettimeofday () -. t0);
   !n
 
 (* Merge every outbox message into its destination heap.  Runs on the
@@ -359,31 +359,30 @@ let drain sim s ~wend ~allow =
    argument was violated (an engine or cost-model bug, not a program
    bug): it is counted as a clamp on the destination and, under strict
    mode, raised. *)
+let rec merge_outbox sim = function
+  | [] -> ()
+  | o :: rest ->
+    let d = sim.shards.(o.o_dst) and fire = o.o_key.Shardq.k_fire in
+    let key =
+      if fire >= d.clock then o.o_key
+      else begin
+        d.clamped <- d.clamped + 1;
+        if sim.strict then raise (Late_delivery { dst = d.id; fire; clock = d.clock });
+        Shardq.refire o.o_key ~fire:d.clock
+      end
+    in
+    Shardq.push d.q ~key ~own:o.o_dst o.o_fn;
+    d.merges <- d.merges + 1;
+    let len = Shardq.length d.q in
+    if len > d.peak then d.peak <- len;
+    merge_outbox sim rest
+
 let flush_outboxes sim =
-  Array.iter
-    (fun s ->
-      let msgs = s.outbox in
-      s.outbox <- [];
-      List.iter
-        (fun o ->
-          let d = sim.shards.(o.o_dst) in
-          let key =
-            if o.o_key.Shardq.k_fire < d.clock then begin
-              d.clamped <- d.clamped + 1;
-              if sim.strict then
-                raise
-                  (Late_delivery
-                     { dst = d.id; fire = o.o_key.Shardq.k_fire; clock = d.clock });
-              Shardq.refire o.o_key ~fire:d.clock
-            end
-            else o.o_key
-          in
-          Shardq.push d.q ~key ~own:o.o_dst o.o_fn;
-          d.merges <- d.merges + 1;
-          let len = Shardq.length d.q in
-          if len > d.peak then d.peak <- len)
-        msgs)
-    sim.shards
+  for i = 0 to Array.length sim.shards - 1 do
+    let msgs = sim.shards.(i).outbox in
+    sim.shards.(i).outbox <- [];
+    merge_outbox sim msgs
+  done
 
 (* The earliest pending fire time over every shard; [max_int] when
    nothing is pending. *)
@@ -479,7 +478,7 @@ let run_windowed sim ~jobs ~limit =
             Condition.wait cv mu
           done;
           Mutex.unlock mu;
-          sim.barrier_wall <- sim.barrier_wall +. (Unix.gettimeofday () -. b0);
+          sim.wall.(nsh) <- sim.wall.(nsh) +. (Unix.gettimeofday () -. b0);
           (* deterministic failure propagation: every worker has
              stopped; report the lowest-numbered failing shard *)
           Array.iter

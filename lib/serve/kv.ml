@@ -40,7 +40,10 @@
    Each completed request retroactively opens a [kv.get]/[kv.put]/
    [kv.scan] root span over [arrival, completion] with [kv.queue]/
    [kv.lock]/[kv.access] children partitioning it; {!Tail} renders the
-   p50/p99/p999 table from those spans. *)
+   p50/p99/p999 table from those spans.  They go into the machine's
+   span store ({!Mgs.Machine.enable_spans}), which does not turn on
+   machine recording: unless the caller enabled the trace, the store
+   holds these request spans and nothing else. *)
 
 module Api = Mgs.Api
 module Rng = Mgs_util.Rng
@@ -227,7 +230,7 @@ let prepare p (m : Mgs.Machine.t) =
   let nprocs = topo.Mgs_machine.Topology.nprocs in
   let nssmps = topo.Mgs_machine.Topology.nssmps in
   let nshards = if p.nshards = 0 then nssmps else p.nshards in
-  let tr = Mgs.Machine.enable_trace ~capacity:(1 lsl 18) m in
+  let tr = Mgs.Machine.enable_spans m in
   let sp = Mgs_obs.Trace.spans tr in
   (* one open-addressed table per shard; keys round robin over shards *)
   let keys_per_shard = ((p.nkeys + nshards - 1) / nshards) + 1 in

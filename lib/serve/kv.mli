@@ -12,7 +12,9 @@
     Every completed request is recorded as a [kv.get]/[kv.put]/
     [kv.scan] root span over [scheduled arrival, completion] (queueing
     included) with [kv.queue]/[kv.lock]/[kv.access] children
-    partitioning it; {!Tail} renders p50/p99/p999 from those spans.
+    partitioning it, in the machine's span store
+    ({!Mgs.Machine.enable_spans}: only these spans, unless the caller
+    enabled the trace); {!Tail} renders p50/p99/p999 from those spans.
     Values encode [key * 2{^20} + puts-applied], checked by every
     client read and by a post-run sweep of every slot against the put
     counts implied by the schedules. *)
@@ -73,8 +75,8 @@ val workload : params -> Mgs_harness.Sweep.workload
     schedules, and slot-table integrity. *)
 
 val epilogue : Mgs.Machine.t -> string
-(** The {!Tail} p50/p99/p999 table rendered from the machine's spans
-    (empty without a trace), plus a warning when spans were dropped. *)
+(** The {!Tail} p50/p99/p999 table rendered from the machine's span
+    store (empty without one), plus a warning when spans were dropped. *)
 
 val workload_module : (module Mgs_harness.Workload.WORKLOAD)
 (** The registry packaging: name ["kv"], size -> keys, iters -> ops,

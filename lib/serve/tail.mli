@@ -4,9 +4,10 @@
     completed request, covering scheduled arrival to completion
     (open-loop latency: queueing behind a backlogged client counts),
     partitioned by [kv.queue]/[kv.lock]/[kv.access] phase children.
-    Everything here is a pure function of the recorded spans, so the
-    rendered table is byte-identical across [-j], [--par], and
-    reruns. *)
+    Those are the only spans in its store unless a trace was enabled
+    too; every other label is skipped.  Everything here is a pure
+    function of the recorded spans, so the rendered table is
+    byte-identical across [-j], [--par], and reruns. *)
 
 val percentile_of_sorted : int array -> float -> int
 (** Exact nearest-rank percentile of an ascending-sorted array: the

@@ -199,6 +199,30 @@ let test_no_ranks_after_windowed () =
   Alcotest.(check (list bool)) "ranked at one job, then never" [ true; false; false ]
     (List.map ranked_at [ 1; 2; 1 ])
 
+(* Opening, draining and closing a window allocates nothing on the
+   coordinating domain: two windowed runs of the same events, one
+   spaced to open ten times the windows of the other, allocate the
+   same there (the events allocate alike in both). *)
+let test_windows_allocate_nothing () =
+  let run ~gap =
+    let sim = Sim.create () in
+    Sim.make_sharded sim ~nshards:2 ~lookahead:100;
+    Sim.set_jobs sim 2;
+    let rec tick n () = if n > 0 then Sim.after sim gap (tick (n - 1)) in
+    for shard = 0 to 1 do
+      Sim.at_shard sim ~shard 0 (tick 20_000)
+    done;
+    let w0 = Gc.minor_words () in
+    ignore (Sim.run sim ());
+    (Gc.minor_words () -. w0, Sim.windows sim)
+  in
+  let words_few, few = run ~gap:10 in
+  let words_many, many = run ~gap:100 in
+  Alcotest.(check (pair int int)) "windows opened" (2_001, 20_001) (few, many);
+  let per_window = (words_many -. words_few) /. float_of_int (many - few) in
+  if Float.abs per_window >= 0.5 then
+    Alcotest.failf "%.2f words allocated per window" per_window
+
 let test_fiber_completes () =
   let sim = Sim.create () in
   let steps = ref [] in
@@ -328,6 +352,8 @@ let () =
           Alcotest.test_case "key chains stay bounded" `Quick test_chains_bounded;
           Alcotest.test_case "no ranks after a windowed run" `Quick
             test_no_ranks_after_windowed;
+          Alcotest.test_case "windows allocate nothing" `Quick
+            test_windows_allocate_nothing;
         ] );
       ( "fiber",
         [

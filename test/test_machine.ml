@@ -272,6 +272,34 @@ let test_checked_shadow_windowed () =
   Alcotest.(check int) "no invariant violations" 0 (Mgs.Invariant.count checker);
   Alcotest.(check int) "no shadow mismatches" 0 (Mgs.Machine.shadow_mismatches m)
 
+(* An application's span store and the machine trace are one store
+   whichever comes first; the store alone records nothing of the
+   machine, and a trace installed over it records everything. *)
+let test_spans_compose_with_trace () =
+  let machine () = Mgs.Machine.create (Mgs.Machine.config ~nprocs:8 ~cluster:2 ()) in
+  let run_water m =
+    let body, verify =
+      (Mgs_apps.Water.workload Mgs_apps.Water.tiny).Mgs_harness.Sweep.prepare m
+    in
+    ignore (Mgs.Machine.run m body);
+    verify m
+  in
+  let m = machine () in
+  let sp = Mgs.Machine.enable_spans m in
+  Alcotest.(check bool) "trace is the span store" true
+    (match Mgs.Machine.trace m with Some tr -> tr == sp | None -> false);
+  Alcotest.(check bool) "enable_trace adopts it" true (Mgs.Machine.enable_trace m == sp);
+  run_water m;
+  if Mgs_obs.Trace.emitted sp = 0 then Alcotest.fail "adopted store recorded no trace row";
+  let m = machine () in
+  let tr = Mgs.Machine.enable_trace m in
+  Alcotest.(check bool) "enable_spans returns the trace" true (Mgs.Machine.enable_spans m == tr);
+  let m = machine () in
+  let sp = Mgs.Machine.enable_spans m in
+  run_water m;
+  Alcotest.(check int) "no trace row" 0 (Mgs_obs.Trace.emitted sp);
+  Alcotest.(check int) "no span" 0 (Mgs_obs.Span.count (Mgs_obs.Trace.spans sp))
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest [ prop_topology_partition; prop_cpu_buckets_sum_to_clock ]
 
@@ -306,6 +334,11 @@ let () =
         [
           Alcotest.test_case "checked shadow run stays windowed" `Quick
             test_checked_shadow_windowed;
+        ] );
+      ( "recording",
+        [
+          Alcotest.test_case "enable_spans composes with enable_trace" `Quick
+            test_spans_compose_with_trace;
         ] );
       ("properties", qsuite);
     ]

@@ -245,6 +245,50 @@ let test_kv_check_catches () =
   let p = Sweep.run_point ~check:true ~nprocs:8 ~cluster:2 (Kv.workload Kv.tiny) in
   if p.Sweep.report.Mgs.Report.runtime <= 0 then Alcotest.fail "empty run"
 
+(* kv needs only its request spans, so without [enable_trace] its
+   store holds nothing else: no trace row, no protocol span.  The tail
+   table and the report equal those of the same run recorded in full,
+   at one job and windowed. *)
+let kv_store ~full par =
+  let cfg = Mgs.Machine.config ~lan_latency:1000 ~par_jobs:par ~nprocs:8 ~cluster:2 () in
+  let m = Mgs.Machine.create cfg in
+  if full then ignore (Mgs.Machine.enable_trace m);
+  let body, check = (Kv.workload Kv.tiny).Sweep.prepare m in
+  let report = Mgs.Machine.run m body in
+  Mgs.Machine.assert_quiescent m;
+  check m;
+  match Mgs.Machine.trace m with
+  | None -> Alcotest.fail "kv recorded no spans"
+  | Some tr -> (tr, Tail.table (Mgs_obs.Trace.spans tr), Mgs.Report.ident report)
+
+let test_kv_request_spans_only () =
+  let kv_labels = [ "kv.get"; "kv.put"; "kv.scan"; "kv.queue"; "kv.lock"; "kv.access" ] in
+  List.iter
+    (fun par ->
+      let tr, table, ident = kv_store ~full:false par in
+      let sp = Mgs_obs.Trace.spans tr in
+      Alcotest.(check int) "no trace row" 0 (Mgs_obs.Trace.emitted tr);
+      Alcotest.(check int) "no span dropped" 0 (Mgs_obs.Span.dropped sp);
+      Mgs_obs.Span.iter sp (fun { Mgs_obs.Span.label; _ } ->
+          if not (List.mem label kv_labels) then Alcotest.failf "recorded a %s span" label);
+      let _, full_table, full_ident = kv_store ~full:true par in
+      Alcotest.(check string) "tail table as recorded in full" full_table table;
+      Alcotest.(check string) "report as recorded in full" full_ident ident)
+    [ 1; 2 ]
+
+(* At its default size (P=64, C=16: 64 clients x 200 requests) the
+   store keeps every request. *)
+let test_kv_default_no_drop () =
+  let cfg = Mgs.Machine.config ~lan_latency:1000 ~nprocs:64 ~cluster:16 () in
+  let m = Mgs.Machine.create cfg in
+  let body, check = (Kv.workload Kv.default).Sweep.prepare m in
+  ignore (Mgs.Machine.run m body);
+  check m;
+  let sp = Mgs_obs.Trace.spans (Option.get (Mgs.Machine.trace m)) in
+  Alcotest.(check int) "no span dropped" 0 (Mgs_obs.Span.dropped sp);
+  Alcotest.(check int) "every request counted" (64 * Kv.default.Kv.ops)
+    (List.fold_left (fun n r -> n + r.Mgs_harness.Figures.lr_count) 0 (Tail.rows sp))
+
 (* --- the workload registry ------------------------------------------ *)
 
 let test_registry_names () =
@@ -341,6 +385,9 @@ let () =
           Alcotest.test_case "verified run + coverage" `Quick test_kv_run;
           Alcotest.test_case "par identity" `Quick test_kv_par_identity;
           Alcotest.test_case "checker run" `Quick test_kv_check_catches;
+          Alcotest.test_case "kv records only its request spans" `Quick
+            test_kv_request_spans_only;
+          Alcotest.test_case "default-size kv drops no span" `Quick test_kv_default_no_drop;
         ] );
       ( "registry",
         [
