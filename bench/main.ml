@@ -1,6 +1,6 @@
 (* Reproduction harness: regenerates every table and figure of the
    paper's evaluation (section 5) on the simulated DSSMP, plus the
-   smoke gates `make check` runs.
+   ablations and extra workloads built on the same framework.
 
      dune exec bench/main.exe            # everything (default)
      dune exec bench/main.exe -- table3 table4 fig6 ... fig12
@@ -38,8 +38,6 @@ let () = Mgs_apps.Workloads.ensure ()
 let wargs ?size ?iters () = { Workload.default_args with Workload.size; iters }
 
 let wl ?size ?iters name = Workload.instantiate ~args:(wargs ?size ?iters ()) name
-
-let tiny = Workload.tiny
 
 (* Each application's sweep is computed once and shared by every target
    that needs it. *)
@@ -151,200 +149,6 @@ let locktable () =
        (Mgs_harness.Micro.lock_family ~jobs:!jobs
           (Mgs_harness.Micro.lock_contention_specs ())));
   print_newline ()
-
-(* tiny sweep of every lock under every protocol — the CI smoke test
-   (make lock-smoke); each point verifies its protected counter and
-   machine quiescence, so a pass means every algorithm still excludes.
-   The sweep reruns on the windowed engine (par 2), whose lock table
-   must match par 1's byte for byte. *)
-let lock_smoke () =
-  let specs =
-    List.concat_map
-      (fun lock ->
-        List.map (fun protocol -> (lock, protocol, 2, 4)) [ "mgs"; "hlrc"; "ivy" ])
-      Mgs_sync.Locks.all
-  in
-  let points = Mgs_harness.Micro.lock_family ~iters:2 ~jobs:!jobs specs in
-  let windowed = Mgs_harness.Micro.lock_family ~iters:2 ~par:2 ~jobs:!jobs specs in
-  if Figures.pp_lock_table windowed <> Figures.pp_lock_table points then
-    failwith "lock-smoke: the par-2 lock table differs from par 1's";
-  Printf.printf "lock-smoke: OK (%d points: %s)\n" (List.length points)
-    (String.concat ", " (Mgs_sync.Locks.names ()))
-
-(* Adaptive-coherence gate for `make check`: tiny static-vs-adaptive
-   cells with app verification and the protocol invariant checker both
-   on (a regime switch that corrupts a page or leaks a twin fails
-   here), a determinism double-run of every adaptive cell, and a
-   confirmation that the classifier actually engaged. *)
-let adapt_smoke () =
-  let cells =
-    [
-      ("jacobi", tiny "jacobi", "mgs");
-      ("water", tiny "water", "mgs");
-      ("water", tiny "water", "hlrc");
-    ]
-  in
-  let engaged = ref 0 in
-  List.iter
-    (fun (name, w, protocol) ->
-      let run adapt =
-        (Sweep.run_point ~adapt ~check:true ~protocol ~nprocs:8 ~cluster:2 w)
-          .Sweep.report
-      in
-      ignore (run false);
-      let a1 = run true and a2 = run true in
-      if Mgs.Report.ident a1 <> Mgs.Report.ident a2 then
-        failwith (Printf.sprintf "adapt-smoke: %s/%s adaptive rerun diverges" name protocol);
-      let p = a1.Mgs.Report.pstats in
-      if
-        p.Mgs.Pstats.adapt_res_mw + p.Mgs.Pstats.adapt_res_sw
-        + p.Mgs.Pstats.adapt_res_inv
-        > 0
-      then incr engaged)
-    cells;
-  if !engaged = 0 then failwith "adapt-smoke: the adaptive layer never engaged";
-  Printf.printf
-    "adapt-smoke: OK (%d cells static+adaptive, checker on, reruns identical, %d engaged)\n"
-    (List.length cells) !engaged
-
-(* Request-serving gate for `make kv-smoke` / `make check`: a tiny KV
-   cell with the application verifier and the protocol invariant
-   checker both on, a determinism double-run, job-count identity (the
-   checker keeps every domain, so par 2 and 4 really run windowed),
-   and two adaptive cells proving the classifier engages on serving
-   traffic — a thundering-herd cell whose synchronized put waves over
-   one striped page must reach the invalidate-on-read regime, and a
-   contended skewed cell that must migrate at least one home. *)
-let kv_smoke () =
-  let w = Mgs_serve.Kv.workload Mgs_serve.Kv.tiny in
-  let run par = (Sweep.run_point ~check:true ~par ~nprocs:8 ~cluster:2 w).Sweep.report in
-  let oracle = Mgs.Report.ident (run 1) in
-  if Mgs.Report.ident (run 1) <> oracle then failwith "kv-smoke: rerun diverges";
-  List.iter
-    (fun par ->
-      if Mgs.Report.ident (run par) <> oracle then
-        failwith (Printf.sprintf "kv-smoke: diverges from par=1 at par=%d" par))
-    [ 2; 4 ];
-  let herd =
-    {
-      Mgs_serve.Kv.default with
-      Mgs_serve.Kv.nkeys = 8;
-      nshards = 1;
-      stripes = 8;
-      ops = 200;
-      get_pct = 0;
-      put_pct = 100;
-      theta = 0.;
-      churn = 0;
-      period = 200_000;
-      burst = 200_000;
-      think = 10_000;
-    }
-  in
-  let contended =
-    {
-      Mgs_serve.Kv.default with
-      Mgs_serve.Kv.nkeys = 16;
-      nshards = 1;
-      stripes = 16;
-      ops = 300;
-      get_pct = 5;
-      put_pct = 95;
-      theta = 1.1;
-      churn = 0;
-      period = 2_000;
-    }
-  in
-  let pstats p =
-    (Sweep.run_point ~adapt:true ~check:true ~nprocs:8 ~cluster:2
-       (Mgs_serve.Kv.workload p))
-      .Sweep.report.Mgs.Report.pstats
-  in
-  let h = pstats herd in
-  if h.Mgs.Pstats.adapt_reclass = 0 || h.Mgs.Pstats.adapt_res_inv = 0 then
-    failwith "kv-smoke: the herd cell never reached the invalidate-on-read regime";
-  let c = pstats contended in
-  if c.Mgs.Pstats.adapt_migs = 0 || c.Mgs.Pstats.adapt_fwds = 0 then
-    failwith "kv-smoke: the contended cell never migrated a home";
-  Printf.printf
-    "kv-smoke: OK (checker on, rerun + par 1/2/4 identical; herd reclass=%d res_inv=%d, \
-     contended migs=%d fwds=%d)\n"
-    h.Mgs.Pstats.adapt_reclass h.Mgs.Pstats.adapt_res_inv c.Mgs.Pstats.adapt_migs
-    c.Mgs.Pstats.adapt_fwds
-
-(* Job-count identity gate for `make check`: small machines run on one
-   domain and windowed on several, with the invariant checker on, must
-   produce identical reports.  Wall-clock and peak queue depth are
-   host/engine artifacts and are not part of the contract, so
-   [Report.ident] omits them. *)
-let par_smoke () =
-  let cells =
-    [
-      ("jacobi", tiny "jacobi", "mgs");
-      ("water", tiny "water", "hlrc");
-      ("tsp", tiny "tsp", "ivy");
-    ]
-  in
-  let checked = ref 0 in
-  List.iter
-    (fun (name, w, protocol) ->
-      let run par =
-        (Sweep.run_point ~check:true ~protocol ~par ~nprocs:8 ~cluster:2 w).Sweep.report
-        |> Mgs.Report.ident
-      in
-      let oracle = run 1 in
-      List.iter
-        (fun par ->
-          incr checked;
-          if run par <> oracle then
-            failwith
-              (Printf.sprintf "par-smoke: %s/%s diverges from par=1 at par=%d" name protocol
-                 par))
-        [ 2; 4 ])
-    cells;
-  Printf.printf "par-smoke: OK (%d checked windowed runs identical to par=1)\n" !checked
-
-(* Observability under the parallel engine, for `make obs-par-smoke`:
-   with the trace and metrics sampler installed the engine keeps its
-   par_jobs domains, and the merged chrome JSON, span dump, metrics
-   CSV, and histogram summary must each be byte-identical to the
-   single-domain run's. *)
-let obs_par_smoke () =
-  let cells = [ ("jacobi", tiny "jacobi", "mgs"); ("water", tiny "water", "hlrc") ] in
-  let exports par (_, w, protocol) =
-    let cfg =
-      Mgs.Machine.config ~lan_latency:1000 ~par_jobs:par
-        ~protocol:(Mgs.Protocol.proto_of_name protocol) ~nprocs:8 ~cluster:2 ()
-    in
-    let m = Mgs.Machine.create cfg in
-    let tr = Mgs.Machine.enable_trace m in
-    let mt = Mgs.Machine.enable_metrics m in
-    let body, check = w.Sweep.prepare m in
-    ignore (Mgs.Machine.run m body);
-    Mgs.Machine.assert_quiescent m;
-    check m;
-    [
-      Mgs_obs.Trace.chrome_json tr;
-      Mgs_obs.Span.json (Mgs_obs.Trace.spans tr);
-      Mgs_obs.Metrics.csv mt;
-      Format.asprintf "%a" Mgs_obs.Trace.pp_summary tr;
-    ]
-  in
-  let checked = ref 0 in
-  List.iter
-    (fun ((name, _, protocol) as cell) ->
-      let oracle = exports 1 cell in
-      List.iter
-        (fun par ->
-          incr checked;
-          if exports par cell <> oracle then
-            failwith
-              (Printf.sprintf "obs-par-smoke: %s/%s exports diverge from par=1 at par=%d"
-                 name protocol par))
-        [ 2; 4 ])
-    cells;
-  Printf.printf "obs-par-smoke: OK (%d traced+metered windowed runs export-identical to par=1)\n"
-    !checked
 
 let summary () =
   print_endline "=== Framework metrics summary (paper section 2.4) ===";
@@ -569,9 +373,6 @@ let targets : (string * (unit -> unit)) list =
     ("fig12", fig12);
     ("summary", summary);
     ("locktable", locktable);
-    ("lock-smoke", lock_smoke);
-    ("par-smoke", par_smoke);
-    ("obs-par-smoke", obs_par_smoke);
     ("ablation-singlewriter", ablation_single_writer);
     ("ablation-earlyack", ablation_early_ack);
     ("ablation-pagesize", ablation_page_size);
@@ -580,8 +381,6 @@ let targets : (string * (unit -> unit)) list =
     ("ablation-pipeline", ablation_pipeline);
     ("ablation-tlb", ablation_tlb);
     ("ablation-adapt", adapt_ablation);
-    ("adapt-smoke", adapt_smoke);
-    ("kv-smoke", kv_smoke);
     ("extra-lu", extra_lu);
     ("extra-fft", extra_fft);
     ("extra-radix", extra_radix);

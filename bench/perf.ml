@@ -2,8 +2,8 @@
    allocation, and simulator throughput (events/s) over a fixed workload
    matrix, written as machine-readable JSON for regression tracking.
 
-     dune exec bench/perf.exe                     # full matrix -> BENCH_sim.json
-     dune exec bench/perf.exe -- --quick -o f.json  # seconds, for `make perf-smoke`
+     dune exec bench/perf.exe                           # full matrix -> BENCH_sim.json
+     dune exec bench/perf.exe -- -o f.json --diff BENCH_sim.json  # `make perf-diff`
 
    The numbers to watch release-over-release are events_per_s (up is
    good), allocated_mb and promoted_mb (down is good); sim_events and
@@ -180,11 +180,10 @@ let adapt_rows ~nprocs ~clusters apps =
         clusters)
     apps
 
-let json_of_rows ~quick rows =
+let json_of_rows rows =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf "  \"schema\": \"mgs-perf-1\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"quick\": %b,\n" quick);
   Buffer.add_string buf "  \"rows\": [\n";
   List.iteri
     (fun i r ->
@@ -334,14 +333,10 @@ let diff_against ~base rows =
     exit 1
 
 let () =
-  let quick = ref false in
   let out = ref "BENCH_sim.json" in
   let diff = ref None in
   let rec parse = function
     | [] -> ()
-    | "--quick" :: rest ->
-      quick := true;
-      parse rest
     | ("-o" | "--out") :: f :: rest ->
       out := f;
       parse rest
@@ -355,42 +350,34 @@ let () =
       prerr_endline "perf: --diff expects a baseline JSON file";
       exit 2
     | arg :: _ ->
-      Printf.eprintf "perf: unknown argument %S (known: --quick, -o FILE, --diff FILE)\n"
-        arg;
+      Printf.eprintf "perf: unknown argument %S (known: -o FILE, --diff FILE)\n" arg;
       exit 2
   in
   parse (List.tl (Array.to_list Sys.argv));
   let apps =
-    if !quick then
-      [
-        ("jacobi", Mgs_apps.Jacobi.workload Mgs_apps.Jacobi.tiny);
-        ("water", Mgs_apps.Water.workload Mgs_apps.Water.tiny);
-        ("tsp", Mgs_apps.Tsp.workload Mgs_apps.Tsp.tiny);
-      ]
-    else
-      [
-        ("jacobi", Mgs_apps.Jacobi.workload Mgs_apps.Jacobi.default);
-        ("water", Mgs_apps.Water.workload Mgs_apps.Water.default);
-        ("tsp", Mgs_apps.Tsp.workload Mgs_apps.Tsp.default);
-      ]
+    [
+      ("jacobi", Mgs_apps.Jacobi.workload Mgs_apps.Jacobi.default);
+      ("water", Mgs_apps.Water.workload Mgs_apps.Water.default);
+      ("tsp", Mgs_apps.Tsp.workload Mgs_apps.Tsp.default);
+    ]
   in
-  let nprocs = if !quick then 8 else 16 in
-  let clusters = if !quick then [ 1; 4 ] else [ 1; 4; 16 ] in
+  let nprocs = 16 in
+  let clusters = [ 1; 4; 16 ] in
   let rows =
     List.concat_map
       (fun appw -> List.map (fun cluster -> measure ~nprocs ~cluster appw) clusters)
       apps
   in
   let lock_rows =
-    let fibers = if !quick then 8 else 16 in
     List.concat_map
-      (fun lock -> List.map (fun cluster -> measure_lock ~cluster ~fibers lock) clusters)
+      (fun lock ->
+        List.map (fun cluster -> measure_lock ~cluster ~fibers:16 lock) clusters)
       Mgs_sync.Locks.all
   in
   let rows =
     rows @ lock_rows
     @ adapt_rows ~nprocs ~clusters apps
-    @ (if !quick then [] else large_rows () @ traced_rows () @ kv_rows ())
+    @ large_rows () @ traced_rows () @ kv_rows ()
   in
   Mgs_util.Tableprint.print
     ~header:
@@ -409,7 +396,7 @@ let () =
            ])
          rows);
   let oc = open_out !out in
-  output_string oc (json_of_rows ~quick:!quick rows);
+  output_string oc (json_of_rows rows);
   close_out oc;
   Printf.printf "wrote %s (%d measurements)\n" !out (List.length rows);
   match !diff with None -> () | Some base -> diff_against ~base:(rows_of_file base) rows

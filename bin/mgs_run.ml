@@ -128,10 +128,12 @@ let run app size iters params procs cluster delay page_bytes protocol lock fault
         (Mgs_obs.Trace.dropped tr) file
     | _ -> ());
     (* A lossy ring makes any downstream decomposition suspect: warn
-       loudly on every traced run, not just under --hist. *)
+       loudly on every traced run.  Under --hist the summary below
+       carries the warning. *)
     (match Mgs.Machine.trace m with
-    | Some tr -> Format.fprintf ppf "%a" Mgs_obs.Trace.pp_overflow_warning tr
-    | None -> ());
+    | Some tr when not hist ->
+      Format.fprintf ppf "%a" Mgs_obs.Trace.pp_overflow_warning tr
+    | _ -> ());
     let breakdown =
       match (spans, Mgs.Machine.trace m) with
       | Some base, Some tr ->

@@ -72,14 +72,6 @@ let latency_study () =
     (fun d -> { baseline with label = Printf.sprintf "latency %d" d; lan_latency = d })
     [ 0; 1000; 4000; 16000 ]
 
-let adapt_study () =
-  [
-    { baseline with label = "static mgs" };
-    { baseline with label = "adaptive mgs"; adapt = true };
-    { baseline with label = "static hlrc"; protocol = "hlrc" };
-    { baseline with label = "adaptive hlrc"; protocol = "hlrc"; adapt = true };
-  ]
-
 let run ?clusters ?(jobs = 1) ?(par = 1) ~nprocs ~variants w =
   (* feature toggles are not part of Sweep.run_point's interface, so
      drive the machines directly *)

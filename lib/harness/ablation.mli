@@ -58,8 +58,3 @@ val latency_study : unit -> variant list
 val tlb_study : unit -> variant list
 (** Unbounded vs finite software TLBs (capacity misses refill from the
     local page table at the Table 3 fill cost). *)
-
-val adapt_study : unit -> variant list
-(** Static vs adaptive coherence, under both the MGS and HLRC
-    protocols: online sharing-pattern classification, regime switching
-    (MGS only), and home migration. *)

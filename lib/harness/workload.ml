@@ -118,22 +118,6 @@ let problem_size ?(args = default_args) name =
   let (module W) = of_name name in
   W.problem_size args
 
-(* One-line-per-workload listing for CLI help and error paths. *)
-let describe_all () =
-  List.map
-    (fun name ->
-      let (module W) = of_name name in
-      let knobs =
-        match W.params with
-        | [] -> ""
-        | ps ->
-          Printf.sprintf " [%s]"
-            (String.concat ", "
-               (List.map (fun p -> Printf.sprintf "%s=%s" p.p_name p.p_default) ps))
-      in
-      Printf.sprintf "%-20s %s%s" name W.doc knobs)
-    (names ())
-
 (* Parse one "key=value" command-line fragment into an [extra] pair. *)
 let parse_kv s =
   match String.index_opt s '=' with

@@ -91,9 +91,6 @@ val tiny : string -> Sweep.workload
 
 val problem_size : ?args:args -> string -> string
 
-val describe_all : unit -> string list
-(** One line per registered workload: name, doc, parameter spec. *)
-
 val parse_kv : string -> string * string
 (** Split ["key=value"].
     @raise Invalid_argument otherwise. *)

@@ -1,13 +1,5 @@
 type bucket = User | Lock | Barrier | Mgs
 
-let bucket_name = function
-  | User -> "User"
-  | Lock -> "Lock"
-  | Barrier -> "Barrier"
-  | Mgs -> "MGS"
-
-let all_buckets = [ User; Lock; Barrier; Mgs ]
-
 let bucket_index = function User -> 0 | Lock -> 1 | Barrier -> 2 | Mgs -> 3
 
 type t = {

@@ -13,9 +13,6 @@
 
 type bucket = User | Lock | Barrier | Mgs
 
-val bucket_name : bucket -> string
-val all_buckets : bucket list
-
 type t = private {
   id : int;
   mutable clock : Mgs_engine.Sim.time;  (** fiber-local virtual time *)

@@ -169,8 +169,6 @@ let make spec ~seed ~nssmps =
 
 let spec_of p = p.spec
 
-let seed_of p = p.seed
-
 (* Re-derive every channel stream from the seed: after a reset the fault
    schedule restarts exactly as at creation, so a measured phase is
    unaffected by how much randomness warmup traffic consumed. *)

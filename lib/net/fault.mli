@@ -48,8 +48,6 @@ val make : spec -> seed:int -> nssmps:int -> plan
 
 val spec_of : plan -> spec
 
-val seed_of : plan -> int
-
 val reset : plan -> unit
 (** Re-derive every channel stream from the seed, restarting the fault
     schedule exactly as at {!make} time. *)

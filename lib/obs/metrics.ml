@@ -1,10 +1,10 @@
 (* Typed metrics registry + simulated-clock sampler, sharded per SSMP.
 
-   Counters, gauges, and histograms register under a name plus optional
-   labels (SSMP, engine, ...).  Scalar storage is per-cell (one cell per
-   engine shard): a counter increment or gauge set lands in the writing
-   shard's cell, so under the parallel engine nothing on the hot path is
-   shared.  Exports merge the cells pointwise.
+   Counters, probes, and histograms register under a name plus optional
+   labels (SSMP, engine, ...).  Counter storage is per-cell (one cell per
+   engine shard): an increment lands in the writing shard's cell, so
+   under the parallel engine nothing on the hot path is shared.  Exports
+   merge the cells pointwise.
 
    Sampling runs on a fixed boundary grid: row k is taken at simulated
    time k*interval, snapshotted by the first event in each cell whose
@@ -22,11 +22,8 @@
 
 type counter = { ca : int array }
 
-type gauge = { ga : float array }
-
 type kind =
   | Kcounter of int array
-  | Kgauge of float array
   | Kprobe of (unit -> float) (* polled in cell 0 only *)
   | Kprobe_cell of (int -> float) (* polled per cell, shard-local read *)
 
@@ -45,7 +42,6 @@ type t = {
   mutable sealed : bool; (* set at first row: columns are frozen *)
   by_name : (string, unit) Hashtbl.t;
   counters : (string, counter) Hashtbl.t;
-  gauges : (string, gauge) Hashtbl.t;
   hists : (string, Hist.t) Hashtbl.t;
   mcells : mcell array;
 }
@@ -62,7 +58,6 @@ let create ?(interval = default_interval) ?(max_samples = 4096) ?(cells = 1) () 
     sealed = false;
     by_name = Hashtbl.create 32;
     counters = Hashtbl.create 32;
-    gauges = Hashtbl.create 32;
     hists = Hashtbl.create 32;
     mcells =
       Array.init cells (fun _ ->
@@ -107,23 +102,6 @@ let incr ?(by = 1) c =
 
 let counter_value c = Array.fold_left ( + ) 0 c.ca
 
-let gauge t ?(labels = []) name =
-  let key = full_name name labels in
-  match Hashtbl.find_opt t.gauges key with
-  | Some g -> g
-  | None ->
-    let g = { ga = Array.make t.ncells 0. } in
-    add_series t key (Kgauge g.ga);
-    Hashtbl.replace t.gauges key g;
-    g
-
-let set g v =
-  let cell = Mgs_engine.Sim.cur () in
-  let cell = if cell < 0 || cell >= Array.length g.ga then 0 else cell in
-  g.ga.(cell) <- v
-
-let gauge_value g = Array.fold_left ( +. ) 0. g.ga
-
 let histogram t ?(labels = []) name =
   let key = full_name name labels in
   match Hashtbl.find_opt t.hists key with
@@ -145,7 +123,6 @@ let columns t = List.rev_map (fun s -> s.s_name) t.series
 let read_series s ~cell =
   match s.s_kind with
   | Kcounter ca -> float_of_int ca.(cell)
-  | Kgauge ga -> ga.(cell)
   | Kprobe f -> if cell = 0 then f () else 0.
   | Kprobe_cell f -> f cell
 

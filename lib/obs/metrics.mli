@@ -1,8 +1,8 @@
 (** Typed metrics registry + simulated-clock sampler, sharded per SSMP.
 
-    Counters, gauges, and histograms register under a name plus
-    optional labels (e.g. SSMP, engine).  Scalar storage is per-cell
-    (one cell per engine shard): writes land in the writing shard's
+    Counters, probes, and histograms register under a name plus
+    optional labels (e.g. SSMP, engine).  Counter storage is per-cell
+    (one cell per engine shard): increments land in the writing shard's
     cell, so nothing on the hot path is shared under the parallel
     engine, and exports merge the cells pointwise.
 
@@ -20,8 +20,6 @@
 type t
 
 type counter
-
-type gauge
 
 val create : ?interval:int -> ?max_samples:int -> ?cells:int -> unit -> t
 (** Defaults: sample every 10000 cycles, keep 4096 samples (per cell),
@@ -42,13 +40,6 @@ val incr : ?by:int -> counter -> unit
 
 val counter_value : counter -> int
 (** Sum over cells. *)
-
-val gauge : t -> ?labels:(string * string) list -> string -> gauge
-
-val set : gauge -> float -> unit
-(** Set the calling shard's cell; the exported value sums the cells. *)
-
-val gauge_value : gauge -> float
 
 val histogram : t -> ?labels:(string * string) list -> string -> Hist.t
 

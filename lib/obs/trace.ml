@@ -224,7 +224,7 @@ let pp_overflow_warning ppf t =
     Format.fprintf ppf
       "WARNING: event ring overflowed: %d of %d events dropped — histograms are \
        complete, but the retained event window (and any decomposition derived from \
-       it) covers only the last %d events; rerun with a larger trace capacity@."
+       it) covers only the last %d events@."
       (dropped t) (emitted t) (retained t);
     if t.ncells > 1 then
       Array.iteri

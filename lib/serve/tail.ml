@@ -74,9 +74,4 @@ let coverage sp =
   in
   if root_time = 0 then 1.0 else float_of_int phase_time /. float_of_int root_time
 
-let p999_of sp =
-  match List.assoc_opt "kv.put" (durations_by_op sp) with
-  | Some durs -> percentile_of_sorted durs 0.999
-  | None -> 0
-
 let table sp = Mgs_harness.Figures.pp_latency_table ~coverage:(coverage sp) (rows sp)

@@ -23,10 +23,6 @@ val coverage : Mgs_obs.Span.t -> float
     1.0 when every request's phases were recorded (the phases partition
     each request interval by construction). *)
 
-val p999_of : Mgs_obs.Span.t -> int
-(** The put-path p999, the headline number of the EXPERIMENTS sweeps.
-    0 when no puts were recorded. *)
-
 val table : Mgs_obs.Span.t -> string
 (** {!Mgs_harness.Figures.pp_latency_table} over {!rows} with
     {!coverage}. *)

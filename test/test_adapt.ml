@@ -1,8 +1,9 @@
 (* Tests for the adaptive per-page coherence layer: classifier ground
    truth, switch hysteresis and the one-step regime lattice, event-
    driven demotion, home-migration gating, machine-level determinism of
-   adaptive runs across engine job counts, byte-identity of the default
-   (adapt-off) configuration, phase-reset parity, and the ivy guard. *)
+   adaptive runs across engine job counts (invariant checker on),
+   byte-identity of the default (adapt-off) configuration, engagement
+   on serving traffic, phase-reset parity, and the ivy guard. *)
 
 module Adapt = Mgs_cache.Adapt
 module Bitset = Mgs_util.Bitset
@@ -257,7 +258,7 @@ let test_adapt_par_identity () =
       List.iter
         (fun (aname, w) ->
           let run par =
-            (Sweep.run_point ~adapt:true ~check:false ~protocol ~par ~nprocs:8
+            (Sweep.run_point ~adapt:true ~check:true ~protocol ~par ~nprocs:8
                ~cluster:2 w)
               .Sweep.report
           in
@@ -284,12 +285,63 @@ let test_adapt_faulty_identity () =
   let faults = Mgs_net.Fault.scale Mgs_net.Fault.default_chaos ~intensity:0.25 in
   let run par =
     Mgs.Report.ident
-      (Sweep.run_point ~adapt:true ~check:false ~faults ~protocol:"mgs" ~par ~nprocs:8
+      (Sweep.run_point ~adapt:true ~check:true ~faults ~protocol:"mgs" ~par ~nprocs:8
          ~cluster:2 w)
         .Sweep.report
   in
   Alcotest.(check string) "adaptive run under faults: par=2 matches par=1" (run 1)
     (run 2)
+
+(* Serving traffic engages both adaptive mechanisms.  In the
+   thundering-herd cell, synchronized put waves over one striped page
+   must drive it to the invalidate-on-read regime.  In the contended
+   skewed cell, at least one home must migrate and requests must follow
+   it. *)
+let test_adapt_serving () =
+  let module Kv = Mgs_serve.Kv in
+  let pstats p =
+    (Sweep.run_point ~adapt:true ~check:true ~nprocs:8 ~cluster:2 (Kv.workload p))
+      .Sweep.report.Mgs.Report.pstats
+  in
+  let herd =
+    pstats
+      {
+        Kv.default with
+        Kv.nkeys = 8;
+        nshards = 1;
+        stripes = 8;
+        ops = 200;
+        get_pct = 0;
+        put_pct = 100;
+        theta = 0.;
+        churn = 0;
+        period = 200_000;
+        burst = 200_000;
+        think = 10_000;
+      }
+  in
+  Alcotest.(check bool) "herd: pages reclassified" true (herd.Mgs.Pstats.adapt_reclass > 0);
+  Alcotest.(check bool) "herd: invalidate-on-read reached" true
+    (herd.Mgs.Pstats.adapt_res_inv > 0);
+  let contended =
+    pstats
+      {
+        Kv.default with
+        Kv.nkeys = 16;
+        nshards = 1;
+        stripes = 16;
+        ops = 300;
+        get_pct = 5;
+        put_pct = 95;
+        theta = 1.1;
+        churn = 0;
+        period = 2_000;
+      }
+  in
+  Alcotest.(check bool) "contended: a home migrated" true
+    (contended.Mgs.Pstats.adapt_migs > 0);
+  Alcotest.(check bool) "contended: requests forwarded" true
+    (contended.Mgs.Pstats.adapt_fwds > 0)
 
 let test_ivy_rejected () =
   Alcotest.(check bool) "ivy + adapt is a configuration error" true
@@ -368,6 +420,7 @@ let () =
           Alcotest.test_case "adaptive runs match across job counts" `Quick
             test_adapt_par_identity;
           Alcotest.test_case "and under faults" `Quick test_adapt_faulty_identity;
+          Alcotest.test_case "engages on serving traffic" `Quick test_adapt_serving;
           Alcotest.test_case "ivy rejected" `Quick test_ivy_rejected;
           Alcotest.test_case "reset parity" `Quick test_reset_parity;
         ] );

@@ -538,15 +538,15 @@ let test_metrics_registry_and_sampler () =
   let mt = Metrics.create ~interval:10 () in
   Alcotest.(check int) "interval" 10 (Metrics.interval mt);
   let c = Metrics.counter mt "msgs" ~labels:[ ("engine", "server") ] in
-  let g = Metrics.gauge mt "depth" in
+  let depth = ref 0.0 in
+  Metrics.probe_cell mt "depth" (fun _cell -> !depth);
   let live = ref 0.0 in
   Metrics.probe mt "live" (fun () -> !live);
   Metrics.incr c;
   Metrics.incr ~by:4 c;
-  Metrics.set g 2.5;
+  depth := 2.5;
   live := 7.0;
   Alcotest.(check int) "counter value" 5 (Metrics.counter_value c);
-  Alcotest.(check (float 0.)) "gauge value" 2.5 (Metrics.gauge_value g);
   Metrics.sample mt ~now:0;
   Metrics.tick mt ~now:5;
   (* inside boundary 0's interval: no new row *)
@@ -557,6 +557,8 @@ let test_metrics_registry_and_sampler () =
     [ "msgs{engine=server}"; "depth"; "live" ] (Metrics.columns mt);
   (match Metrics.samples mt with
   | [ (0, row0); (10, _) ] ->
+    Alcotest.(check (float 0.)) "counter sampled" 5.0 row0.(0);
+    Alcotest.(check (float 0.)) "cell probe polled" 2.5 row0.(1);
     Alcotest.(check (float 0.)) "probe polled" 7.0 row0.(2)
   | _ -> Alcotest.fail "expected samples at t=0 and t=10");
   Alcotest.check_raises "registration is frozen after first sample"
@@ -572,7 +574,7 @@ let test_metrics_registry_and_sampler () =
 
 let test_metrics_ring_bound () =
   let mt = Metrics.create ~interval:1 ~max_samples:2 () in
-  ignore (Metrics.gauge mt "g");
+  ignore (Metrics.counter mt "c");
   for t = 1 to 5 do
     Metrics.sample mt ~now:t
   done;

@@ -4,8 +4,8 @@
    peak-queue figure are explicitly excluded).
 
    Three layers of evidence:
-   - full machines: every protocol x app x faults cell, par=1 vs par=2
-     vs par=4;
+   - full machines: every protocol x app x faults cell with the
+     invariant checker on, par=1 vs par=2 vs par=4;
    - observability: the span/trace dump of an instrumented run matches
      (the trace is per-shard-celled and merged at export, so par >= 2
      really runs multi-domain; test_obs_par covers the full export
@@ -26,9 +26,10 @@ let apps =
 
 let protocols = [ "mgs"; "hlrc"; "ivy" ]
 
-(* The full protocol x app x faults matrix at P=8, C=2 (4 shards).
-   [check] is off so par >= 2 really runs multi-domain; app verifiers
-   and assert_quiescent still run on completed runs. *)
+(* The full protocol x app x faults matrix at P=8, C=2 (4 shards), with
+   the invariant checker on: it keeps every domain, so par >= 2 really
+   runs multi-domain.  App verifiers and assert_quiescent run on
+   completed runs. *)
 let test_machine_equivalence () =
   List.iter
     (fun protocol ->
@@ -38,7 +39,7 @@ let test_machine_equivalence () =
             (fun (fname, faults) ->
               let run par =
                 Mgs.Report.ident
-                  (Mgs_harness.Sweep.run_point ~check:false ?faults ~protocol ~par
+                  (Mgs_harness.Sweep.run_point ~check:true ?faults ~protocol ~par
                      ~nprocs:8 ~cluster:2 w)
                     .Mgs_harness.Sweep.report
               in

@@ -2,9 +2,9 @@
    registry it rides on: the zipfian sampler's distribution and
    determinism, schedule purity, exact-percentile oracles for both
    Tail and the bounded-memory Hist, an end-to-end verified KV run
-   with tail-latency reporting identical across engines, and the
-   registry's contracts (lookup, unknown-name errors, equivalence to
-   direct construction). *)
+   with tail-latency reporting identical across engines, a checked run
+   identical across job counts, and the registry's contracts (lookup,
+   unknown-name errors, equivalence to direct construction). *)
 
 module Sweep = Mgs_harness.Sweep
 module Workload = Mgs_harness.Workload
@@ -238,12 +238,20 @@ let test_kv_par_identity () =
         Alcotest.failf "kv exports diverge from par=1 at par=%d" par)
     [ 2; 4 ]
 
-let test_kv_check_catches () =
-  (* the verifier really checks: a run whose final state it inspects
-     passes, and the slot sweep is exercised by the verified run above;
-     here just confirm run_point with check on completes. *)
-  let p = Sweep.run_point ~check:true ~nprocs:8 ~cluster:2 (Kv.workload Kv.tiny) in
-  if p.Sweep.report.Mgs.Report.runtime <= 0 then Alcotest.fail "empty run"
+(* With the invariant checker on (it keeps every domain, so par 2 and 4
+   really run windowed), a verified tiny run repeats byte for byte and
+   matches at every job count. *)
+let test_kv_checked_identity () =
+  let run par =
+    Mgs.Report.ident
+      (Sweep.run_point ~check:true ~par ~nprocs:8 ~cluster:2 (Kv.workload Kv.tiny))
+        .Sweep.report
+  in
+  let oracle = run 1 in
+  Alcotest.(check string) "par=1 rerun" oracle (run 1);
+  List.iter
+    (fun par -> Alcotest.(check string) (Printf.sprintf "par=%d" par) oracle (run par))
+    [ 2; 4 ]
 
 (* kv needs only its request spans, so without [enable_trace] its
    store holds nothing else: no trace row, no protocol span.  The tail
@@ -277,17 +285,23 @@ let test_kv_request_spans_only () =
     [ 1; 2 ]
 
 (* At its default size (P=64, C=16: 64 clients x 200 requests) the
-   store keeps every request. *)
+   run verifies, the store keeps every request, and the epilogue the
+   CLI prints carries a row per operation class. *)
 let test_kv_default_no_drop () =
   let cfg = Mgs.Machine.config ~lan_latency:1000 ~nprocs:64 ~cluster:16 () in
   let m = Mgs.Machine.create cfg in
   let body, check = (Kv.workload Kv.default).Sweep.prepare m in
   ignore (Mgs.Machine.run m body);
+  Mgs.Machine.assert_quiescent m;
   check m;
   let sp = Mgs_obs.Trace.spans (Option.get (Mgs.Machine.trace m)) in
   Alcotest.(check int) "no span dropped" 0 (Mgs_obs.Span.dropped sp);
   Alcotest.(check int) "every request counted" (64 * Kv.default.Kv.ops)
-    (List.fold_left (fun n r -> n + r.Mgs_harness.Figures.lr_count) 0 (Tail.rows sp))
+    (List.fold_left (fun n r -> n + r.Mgs_harness.Figures.lr_count) 0 (Tail.rows sp));
+  let epilogue = Kv.epilogue m in
+  List.iter
+    (fun op -> if not (contains epilogue op) then Alcotest.failf "epilogue lacks %s row" op)
+    [ "kv.get"; "kv.put"; "kv.scan" ]
 
 (* --- the workload registry ------------------------------------------ *)
 
@@ -384,7 +398,7 @@ let () =
         [
           Alcotest.test_case "verified run + coverage" `Quick test_kv_run;
           Alcotest.test_case "par identity" `Quick test_kv_par_identity;
-          Alcotest.test_case "checker run" `Quick test_kv_check_catches;
+          Alcotest.test_case "checker run" `Quick test_kv_checked_identity;
           Alcotest.test_case "kv records only its request spans" `Quick
             test_kv_request_spans_only;
           Alcotest.test_case "default-size kv drops no span" `Quick test_kv_default_no_drop;
