@@ -71,76 +71,81 @@ let hlabel am ssmp tag =
     Hashtbl.add hlabels tag hl;
     hl
 
-(* The ambient span context is captured when the message is posted and
-   re-installed around the handler's continuation, so any message the
-   handler posts in turn inherits the originating transaction.  The
-   install/restore happens whenever observability is on — even for a
-   context-free message — so a stale context left by a suspending fiber
-   can never leak into an unrelated handler. *)
-let post am ~tag ~src ~dst ~words ~cost k =
+(* A message's arrival at [dst]: its handler occupies [dst] for
+   dispatch plus [cost]; returns the finish time. *)
+let handle am ~dst ~cost arrive =
+  let ssmp = Mgs_machine.Topology.ssmp_of_proc am.topo dst in
+  am.in_flight.(ssmp) <- am.in_flight.(ssmp) - 1;
+  Mgs_machine.Cpu.occupy am.cpus.(dst) ~at:arrive
+    ~cost:(am.costs.Mgs_machine.Costs.proto.handler_dispatch + cost)
+
+(* Traced, the ambient span context is captured when the message is
+   posted and re-installed around the handler's continuation, so any
+   message the handler posts in turn inherits the originating
+   transaction.  The install/restore happens for every message — even a
+   context-free one — so a stale context left by a suspending fiber can
+   never leak into an unrelated handler. *)
+let deliver_traced am tr ~tag ~src ~dst ~src_ssmp ~dst_ssmp ~words ~cost ~at k =
   let p = am.costs.Mgs_machine.Costs.proto in
+  let pctx = Span.current (Mgs_obs.Trace.spans tr) in
+  fun arrive ->
+    let fin = handle am ~dst ~cost arrive in
+    let txn = Span.txn_of pctx in
+    Mgs_obs.Trace.emit tr ~time:arrive ~engine:Mgs_obs.Event.Network ~tag ~vpn:(-1) ~src
+      ~dst ~src_ssmp ~dst_ssmp ~words ~cost ~dur:(arrive - at) ~txn;
+    let sp = Mgs_obs.Trace.spans tr in
+    let hctx =
+      if txn < 0 then pctx
+      else begin
+        (* transit decomposes into wire time and, for bulk payloads,
+           the trailing DMA burst *)
+        let dma = words * p.dma_per_word in
+        let wire_end = arrive - dma in
+        let w =
+          Span.open_span_x sp ~parent:pctx ~time:at ~label:"net.wire"
+            ~engine:Mgs_obs.Event.Network ~vpn:(-1) ~src ~dst ~src_ssmp ~dst_ssmp ~words
+        in
+        Span.close sp w ~time:wire_end;
+        if dma > 0 then begin
+          let d =
+            Span.open_span_x sp ~parent:pctx ~time:wire_end ~label:"net.dma"
+              ~engine:Mgs_obs.Event.Network ~vpn:(-1) ~src ~dst ~src_ssmp ~dst_ssmp
+              ~words
+          in
+          Span.close sp d ~time:arrive
+        end;
+        let hl = hlabel am dst_ssmp tag in
+        Span.open_span_x sp ~parent:pctx ~time:arrive ~label:hl.h_label
+          ~engine:hl.h_engine ~vpn:(-1) ~src ~dst ~src_ssmp ~dst_ssmp ~words
+      end
+    in
+    Mgs_engine.Sim.at am.sim fin (fun () ->
+        (* close only the span opened above, never an aliased parent *)
+        if hctx <> pctx then Span.close sp hctx ~time:fin;
+        let saved = Span.current sp in
+        Span.set_current sp hctx;
+        k fin;
+        Span.set_current sp saved)
+
+let post am ~tag ~src ~dst ~words ~cost k =
   let src_ssmp = Mgs_machine.Topology.ssmp_of_proc am.topo src in
   let dst_ssmp = Mgs_machine.Topology.ssmp_of_proc am.topo dst in
   bump am src_ssmp tag;
   am.in_flight.(src_ssmp) <- am.in_flight.(src_ssmp) + 1;
   let at = Mgs_engine.Sim.now am.sim in
-  let pctx =
+  (* untraced, a message is this one closure, and [k] runs straight from
+     the event at the handler's finish *)
+  let arrive =
     match am.obs with
-    | None -> Span.none
-    | Some tr -> Span.current (Mgs_obs.Trace.spans tr)
+    | None -> fun arrive -> Mgs_engine.Sim.at_k am.sim (handle am ~dst ~cost arrive) k
+    | Some tr -> deliver_traced am tr ~tag ~src ~dst ~src_ssmp ~dst_ssmp ~words ~cost ~at k
   in
-  let env = { Mgs_net.Envelope.tag; src; dst; src_ssmp; dst_ssmp; words; cost } in
-  let deliver arrive =
-    am.in_flight.(dst_ssmp) <- am.in_flight.(dst_ssmp) - 1;
-    let fin =
-      Mgs_machine.Cpu.occupy am.cpus.(dst) ~at:arrive ~cost:(p.handler_dispatch + cost)
-    in
-    match am.obs with
-    | None -> Mgs_engine.Sim.at am.sim fin (fun () -> k fin)
-    | Some tr ->
-      let txn = Span.txn_of pctx in
-      Mgs_obs.Trace.emit tr ~time:arrive ~engine:Mgs_obs.Event.Network ~tag ~vpn:(-1) ~src
-        ~dst ~src_ssmp ~dst_ssmp ~words ~cost ~dur:(arrive - at) ~txn;
-      let sp = Mgs_obs.Trace.spans tr in
-      let hctx =
-        if txn < 0 then pctx
-        else begin
-          (* transit decomposes into wire time and, for bulk payloads,
-             the trailing DMA burst *)
-          let dma = words * p.dma_per_word in
-          let wire_end = arrive - dma in
-          let w =
-            Span.open_span_x sp ~parent:pctx ~time:at ~label:"net.wire"
-              ~engine:Mgs_obs.Event.Network ~vpn:(-1) ~src ~dst ~src_ssmp ~dst_ssmp ~words
-          in
-          Span.close sp w ~time:wire_end;
-          if dma > 0 then begin
-            let d =
-              Span.open_span_x sp ~parent:pctx ~time:wire_end ~label:"net.dma"
-                ~engine:Mgs_obs.Event.Network ~vpn:(-1) ~src ~dst ~src_ssmp ~dst_ssmp
-                ~words
-            in
-            Span.close sp d ~time:arrive
-          end;
-          let hl = hlabel am dst_ssmp tag in
-          Span.open_span_x sp ~parent:pctx ~time:arrive ~label:hl.h_label
-            ~engine:hl.h_engine ~vpn:(-1) ~src ~dst ~src_ssmp ~dst_ssmp ~words
-        end
-      in
-      Mgs_engine.Sim.at am.sim fin (fun () ->
-          (* close only the span opened above, never an aliased parent *)
-          if hctx <> pctx then Span.close sp hctx ~time:fin;
-          let saved = Span.current sp in
-          Span.set_current sp hctx;
-          k fin;
-          Span.set_current sp saved)
-  in
-  Mgs_net.Lan.send am.lan env ~at deliver
+  Mgs_net.Lan.post am.lan ~tag ~src ~dst ~src_ssmp ~dst_ssmp ~words ~at arrive
 
 let run_on am ?tag ~proc ~at ~cost k =
   let fin = Mgs_machine.Cpu.occupy am.cpus.(proc) ~at ~cost in
   match am.obs with
-  | None -> Mgs_engine.Sim.at am.sim fin (fun () -> k fin)
+  | None -> Mgs_engine.Sim.at_k am.sim fin k
   | Some tr ->
     let sp = Mgs_obs.Trace.spans tr in
     let pctx = Span.current sp in

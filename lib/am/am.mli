@@ -35,7 +35,9 @@ val post :
     [src] to processor [dst], carrying [words] bulk words, whose handler
     consumes [handler_dispatch + cost] cycles of [dst]'s time.  [k] runs
     when the handler completes, at the completion time.  [tag] labels
-    the message for the per-type counters. *)
+    the message for the per-type counters.  Untraced, a message
+    allocates one closure over [dst], [cost] and [k] and its two events'
+    keys; [k] runs straight from the completion event. *)
 
 val run_on :
   t ->
@@ -46,10 +48,10 @@ val run_on :
   (Mgs_engine.Sim.time -> unit) ->
   unit
 (** [run_on am ~proc ~at ~cost k] charges [cost] cycles of occupancy on
-    [proc] starting no earlier than [at] and runs [k] at completion —
-    protocol work not triggered by a message (e.g. a continuation after
-    a lock handoff).  When [tag] is given and an event trace is
-    installed, the occupancy slice is recorded under that tag. *)
+    [proc] starting no earlier than [at] (never in the past) and runs [k]
+    at completion — protocol work not triggered by a message (e.g. a
+    continuation after a lock handoff).  When [tag] is given and an event
+    trace is installed, the occupancy slice is recorded under that tag. *)
 
 val set_obs : t -> Mgs_obs.Trace.t option -> unit
 (** Install (or remove) an event trace: every delivered message emits a

@@ -154,7 +154,8 @@ let send_data m se ~requester ~write =
    a former home forwards instead of touching the (migrated) sentry. *)
 let rec server_req m ~self ~vpn ~requester ~write =
   if
-    forward m ~self ~vpn
+    Option.is_some m.adapt
+    && forward m ~self ~vpn
       ~tag:(if write then "WREQ" else "RREQ")
       ~cost:m.costs.proto.server_op
       (fun self -> server_req m ~self ~vpn ~requester ~write)
@@ -198,7 +199,8 @@ let rec server_req m ~self ~vpn ~requester ~write =
    dropped. *)
 let rec server_wnotify m ~self ~vpn ~ssmp =
   if
-    forward m ~self ~vpn ~tag:"WNOTIFY" ~cost:m.costs.proto.server_op (fun self ->
+    Option.is_some m.adapt
+    && forward m ~self ~vpn ~tag:"WNOTIFY" ~cost:m.costs.proto.server_op (fun self ->
         server_wnotify m ~self ~vpn ~ssmp)
   then ()
   else begin
@@ -638,7 +640,8 @@ and client_inv m ~ssmp ~vpn ~single ~reply_to =
    everything is already merged. *)
 and server_sync m ~self ~vpn ~releaser =
   if
-    forward m ~self ~vpn ~tag:"SYNC" ~cost:m.costs.proto.duq_op (fun self ->
+    Option.is_some m.adapt
+    && forward m ~self ~vpn ~tag:"SYNC" ~cost:m.costs.proto.duq_op (fun self ->
         server_sync m ~self ~vpn ~releaser)
   then ()
   else begin
@@ -653,7 +656,8 @@ and server_sync m ~self ~vpn ~releaser =
 (* REL arrival at the home (arcs 20-22). *)
 and server_rel m ~self ~vpn ~releaser =
   if
-    forward m ~self ~vpn ~tag:"REL" ~cost:m.costs.proto.server_op (fun self ->
+    Option.is_some m.adapt
+    && forward m ~self ~vpn ~tag:"REL" ~cost:m.costs.proto.server_op (fun self ->
         server_rel m ~self ~vpn ~releaser)
   then ()
   else begin

@@ -61,7 +61,8 @@ val view_note : State.t -> ssmp:int -> vpn:int -> int -> unit
 val forward : State.t -> self:int -> vpn:int -> tag:string -> cost:int -> (int -> unit) -> bool
 (** If [self]'s SSMP has a forwarding entry for [vpn] (the home moved
     away), repost the message toward the current home and return true;
-    the caller must then leave the sentry alone. *)
+    the caller must then leave the sentry alone.  Callers test [m.adapt]
+    first, so the re-dispatch closure is built only under [--adapt]. *)
 
 val adapt_move_home :
   State.t -> Mgs_cache.Adapt.t -> Mgs_cache.Adapt.page -> State.sentry -> unit

@@ -73,7 +73,8 @@ let flush_and_wait m ~proc ~vpn =
     let home = Proto.home_for m ~ssmp vpn in
     let rec handle self =
       if
-        Proto.forward m ~self ~vpn ~tag:"HLRC_DIFF"
+        Option.is_some m.adapt
+        && Proto.forward m ~self ~vpn ~tag:"HLRC_DIFF"
           ~cost:(c.proto.server_op + (nd * c.proto.merge_per_word))
           (fun next -> handle next)
       then ()
@@ -233,7 +234,8 @@ let request m ~proc ~vpn ~write =
       (fun _t -> handle home)
   and handle self =
     if
-      Proto.forward m ~self ~vpn
+      Option.is_some m.adapt
+      && Proto.forward m ~self ~vpn
         ~tag:(if write then "HLRC_WREQ" else "HLRC_RREQ")
         ~cost:c.proto.server_op
         (fun next -> handle next)

@@ -2,30 +2,44 @@ type status = Running | Completed | Failed of exn
 
 type t = { mutable status : status; name : string }
 
-type _ Effect.t += Suspend : ((unit -> unit) -> unit) -> unit Effect.t
+type _ Effect.t +=
+  | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
+  | Sleep : Sim.time -> unit Effect.t
 
 let status fb = fb.status
 
 let name fb = fb.name
 
-let suspend register =
-  try Effect.perform (Suspend register)
+let perform eff =
+  try Effect.perform eff
   with Effect.Unhandled _ -> failwith "Fiber.suspend: called outside a fiber"
+
+let suspend register = perform (Suspend register)
+
+let sleep_until (_ : Sim.t) t = perform (Sleep t)
 
 let spawn sim ?shard ~at ~name body =
   let fb = { status = Running; name } in
   let handled () =
     let open Effect.Deep in
+    (* the handler's answers are built once; each effect leaves its
+       argument in a ref for them *)
+    let wake = ref 0 and register = ref ignore in
+    let sleep = Some (fun k -> Sim.at sim !wake (fun () -> continue k ())) in
+    let suspend = Some (fun k -> !register (fun () -> continue k ())) in
     match_with body ()
       {
         retc = (fun () -> fb.status <- Completed);
         exnc = (fun e -> fb.status <- Failed e);
         effc =
-          (fun (type a) (eff : a Effect.t) ->
+          (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
             match eff with
-            | Suspend register ->
-              Some
-                (fun (k : (a, unit) continuation) -> register (fun () -> continue k ()))
+            | Sleep t ->
+              wake := t;
+              sleep
+            | Suspend r ->
+              register := r;
+              suspend
             | _ -> None);
       }
   in
@@ -33,8 +47,6 @@ let spawn sim ?shard ~at ~name body =
   | None -> Sim.at sim at handled
   | Some s -> Sim.at_shard sim ~shard:s at handled);
   fb
-
-let sleep_until sim t = suspend (fun resume -> Sim.at sim t resume)
 
 let check_all_completed fibers =
   (* surface real failures before reporting deadlocks: a crashed fiber

@@ -28,12 +28,18 @@ val suspend : ((unit -> unit) -> unit) -> unit
 (** [suspend register] suspends the calling fiber.  [register] receives
     the resume thunk and must arrange for it to be invoked exactly once
     (typically by scheduling it with {!Sim.at} or parking it on a wait
-    list).  Must be called from fiber context.
+    list).  Each suspension gets its own thunk, so a second call raises
+    [Effect.Continuation_already_resumed] out of {!Sim.run}.  Must be
+    called from fiber context.
     @raise Failure when called outside a fiber. *)
 
 val sleep_until : Sim.t -> Sim.time -> unit
 (** [sleep_until sim t] suspends the calling fiber and resumes it at
-    simulated time [t] (clamped to now). *)
+    simulated time [t] (clamped to now) on [sim], the simulator it was
+    spawned on.  It performs a [Sleep t] effect whose handler was built
+    at spawn, so a round trip allocates the effect, the continuation,
+    one resume thunk and its event's key.
+    @raise Failure when called outside a fiber. *)
 
 val check_all_completed : t list -> unit
 (** @raise Failure naming the first fiber that is not [Completed]

@@ -39,16 +39,29 @@ type key = {
   k_src : int;
   mutable k_seq : int; (* the rank once ranked *)
   mutable k_parent : key; (* physically [no_parent] for roots, [ranked] once ranked *)
+  (* the event's payload, which [pop_min] clears: a thunk or a timed
+     callback, the other a no-op *)
+  mutable k_fn : unit -> unit;
+  mutable k_timed : int -> unit;
 }
 
+let nop () = ()
+
+let nop_timed (_ : int) = ()
+
 let rec no_parent =
-  { k_fire = min_int; k_sched = min_int; k_src = -1; k_seq = -1; k_parent = no_parent }
+  { k_fire = min_int; k_sched = min_int; k_src = -1; k_seq = -1; k_parent = no_parent;
+    k_fn = nop; k_timed = nop_timed }
 
 let rec ranked =
-  { k_fire = min_int; k_sched = min_int; k_src = -1; k_seq = -1; k_parent = ranked }
+  { k_fire = min_int; k_sched = min_int; k_src = -1; k_seq = -1; k_parent = ranked;
+    k_fn = nop; k_timed = nop_timed }
 
-let key ~fire ~sched ~src ~seq ~parent =
-  { k_fire = fire; k_sched = sched; k_src = src; k_seq = seq; k_parent = parent }
+let event ~fire ~sched ~src ~seq ~parent fn timed =
+  { k_fire = fire; k_sched = sched; k_src = src; k_seq = seq; k_parent = parent;
+    k_fn = fn; k_timed = timed }
+
+let key ~fire ~sched ~src ~seq ~parent = event ~fire ~sched ~src ~seq ~parent nop nop_timed
 
 let refire k ~fire = { k with k_fire = fire }
 
@@ -88,23 +101,21 @@ let rec cmp_key a b =
 type t = {
   mutable keys : key array;
   mutable own : int array; (* shard that will execute the event *)
-  mutable fn : (unit -> unit) array;
   mutable n : int;
   mutable popped_key : key;
   mutable popped_own : int;
+  mutable popped_timed : int -> unit;
 }
-
-let nop () = ()
 
 let create () =
   let cap = 64 in
   {
     keys = Array.make cap no_parent;
     own = Array.make cap 0;
-    fn = Array.make cap nop;
     n = 0;
     popped_key = no_parent;
     popped_own = -1;
+    popped_timed = nop_timed;
   }
 
 let length q = q.n
@@ -122,10 +133,7 @@ let swap q i j =
   q.keys.(j) <- t;
   let t = q.own.(i) in
   q.own.(i) <- q.own.(j);
-  q.own.(j) <- t;
-  let t = q.fn.(i) in
-  q.fn.(i) <- q.fn.(j);
-  q.fn.(j) <- t
+  q.own.(j) <- t
 
 let grow q =
   let cap = Array.length q.keys in
@@ -135,10 +143,7 @@ let grow q =
   q.keys <- keys;
   let own = Array.make ncap 0 in
   Array.blit q.own 0 own 0 cap;
-  q.own <- own;
-  let fn = Array.make ncap nop in
-  Array.blit q.fn 0 fn 0 cap;
-  q.fn <- fn
+  q.own <- own
 
 let rec sift_up q i =
   if i > 0 then begin
@@ -160,36 +165,50 @@ let rec sift_down q i =
     end
   end
 
-let push q ~key ~own fn =
+let insert q ~key ~own =
   if q.n = Array.length q.keys then grow q;
   let i = q.n in
   q.keys.(i) <- key;
   q.own.(i) <- own;
-  q.fn.(i) <- fn;
   q.n <- i + 1;
   sift_up q i
+
+let push q ~key ~own fn =
+  key.k_fn <- fn;
+  insert q ~key ~own
 
 exception Empty_queue
 
 let pop_min q =
   if q.n = 0 then raise Empty_queue;
-  let f = q.fn.(0) in
-  q.popped_key <- q.keys.(0);
+  let k = q.keys.(0) in
+  let f = k.k_fn in
+  q.popped_key <- k;
   q.popped_own <- q.own.(0);
+  q.popped_timed <- k.k_timed;
+  k.k_fn <- nop;
+  k.k_timed <- nop_timed;
   let last = q.n - 1 in
   if last > 0 then begin
     q.keys.(0) <- q.keys.(last);
-    q.own.(0) <- q.own.(last);
-    q.fn.(0) <- q.fn.(last)
+    q.own.(0) <- q.own.(last)
   end;
   q.keys.(last) <- no_parent;
-  q.fn.(last) <- nop;
   q.n <- last;
   if last > 0 then sift_down q 0;
   f
+
+let take_all q f =
+  for i = 0 to q.n - 1 do
+    f q.keys.(i) q.own.(i);
+    q.keys.(i) <- no_parent
+  done;
+  q.n <- 0
 
 let popped_key q = q.popped_key
 
 let popped_fire q = q.popped_key.k_fire
 
 let popped_own q = q.popped_own
+
+let popped_timed q = q.popped_timed

@@ -22,7 +22,13 @@
     executed keys keep their parent links.
 
     [own] names the shard that will execute the event — it is carried,
-    not part of the order. *)
+    not part of the order.
+
+    A pending key carries its event's payload, a thunk or a timed
+    callback that receives the fire time, so the heap keeps two arrays
+    (keys and [own] shards) and an event whose callback exists costs one
+    key.  {!pop_min} clears the payload: an executed key kept as a
+    parent or an observability stamp holds no closure. *)
 
 type key = private {
   k_fire : int;  (** absolute fire time *)
@@ -32,6 +38,8 @@ type key = private {
   mutable k_parent : key;
       (** key of the creating event; {!no_parent} for roots; a
           self-referential sentinel once ranked *)
+  mutable k_fn : unit -> unit;  (** the thunk; {!nop} for a timed event *)
+  mutable k_timed : int -> unit;  (** the timed callback; {!nop_timed} for a thunk *)
 }
 
 val no_parent : key
@@ -40,6 +48,14 @@ val no_parent : key
     global insertion counter does. *)
 
 val key : fire:int -> sched:int -> src:int -> seq:int -> parent:key -> key
+
+val nop : unit -> unit
+val nop_timed : int -> unit
+
+val event :
+  fire:int -> sched:int -> src:int -> seq:int -> parent:key -> (unit -> unit) -> (int -> unit) ->
+  key
+(** A key carrying its thunk and timed callback, one of them a no-op. *)
 
 val refire : key -> fire:int -> key
 (** The same key moved to a later fire time (lookahead-violation
@@ -68,14 +84,23 @@ val min_fire : t -> int
     an option: the windowed drain reads it before every event. *)
 
 val push : t -> key:key -> own:int -> (unit -> unit) -> unit
+(** Loads the thunk into [key] and {!insert}s it. *)
+
+val insert : t -> key:key -> own:int -> unit
 
 exception Empty_queue
 
 val pop_min : t -> unit -> unit
-(** Removes and returns the minimum element's thunk.  Its key is
-    readable via {!popped_key} / {!popped_own} until the next pop.
+(** Removes the minimum element, clears its key's payload and returns
+    its thunk; {!popped_key}, {!popped_own} and {!popped_timed} read
+    the rest until the next pop.
     @raise Empty_queue when empty. *)
+
+val take_all : t -> (key -> int -> unit) -> unit
+(** [take_all q f] empties [q], calling [f key own] on each element in
+    no particular order; the keys keep their payloads. *)
 
 val popped_key : t -> key
 val popped_fire : t -> int
 val popped_own : t -> int
+val popped_timed : t -> int -> unit

@@ -18,7 +18,7 @@
    - {b windowed} (jobs >= 2): per-shard heaps drained concurrently on
      [jobs] domains between barriers.  Each window executes every event
      with [fire < T + lookahead] where [T] is the globally earliest
-     pending fire time.  Cross-shard events are appended to the
+     pending fire time.  Cross-shard events' keys are appended to the
      scheduling shard's outbox and merged into the destination heap at
      the barrier; because the LAN delivers cross-SSMP work no earlier
      than [send + lookahead], a message created inside a window always
@@ -43,15 +43,15 @@ type shard = {
   mutable executed : int;
   mutable clamped : int; (* past-due schedules clamped to the clock *)
   mutable peak : int;
-  mutable outbox : outmsg list; (* cross-shard sends, merged at barriers *)
+  mutable out_keys : Shardq.key array; (* cross-shard sends, merged at barriers *)
+  mutable out_dst : int array; (* their destination shards *)
+  mutable out_n : int;
   mutable failure : exn option; (* first exception raised while draining *)
   (* engine self-profiling; only the owning domain writes these *)
   mutable xsends : int; (* cross-shard sends originated by this shard *)
   mutable merges : int; (* outbox messages merged INTO this shard *)
   mutable stalls : int; (* windows in which this shard drained 0 events *)
 }
-
-and outmsg = { o_dst : int; o_key : Shardq.key; o_fn : unit -> unit }
 
 type t = {
   mutable shards : shard array;
@@ -104,7 +104,9 @@ let new_shard id =
     executed = 0;
     clamped = 0;
     peak = 0;
-    outbox = [];
+    out_keys = [||];
+    out_dst = [||];
+    out_n = 0;
     failure = None;
     xsends = 0;
     merges = 0;
@@ -145,7 +147,7 @@ let events_executed sim = Array.fold_left (fun acc s -> acc + s.executed) 0 sim.
 let pending sim =
   Shardq.length sim.g
   + Array.fold_left
-      (fun acc s -> acc + Shardq.length s.q + List.length s.outbox)
+      (fun acc s -> acc + Shardq.length s.q + s.out_n)
       0 sim.shards
 
 let peak_pending sim =
@@ -215,25 +217,36 @@ let make_sharded sim ~nshards ~lookahead =
 (* Scheduling                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let push_local sim ~key ~own fn =
+let push_local sim ~key ~own =
   if sim.jobs > 1 then begin
     let d = sim.shards.(own) in
-    Shardq.push d.q ~key ~own fn;
+    Shardq.insert d.q ~key ~own;
     let len = Shardq.length d.q in
     if len > d.peak then d.peak <- len
   end
   else begin
-    Shardq.push sim.g ~key ~own fn;
+    Shardq.insert sim.g ~key ~own;
     let len = Shardq.length sim.g in
     if len > sim.gpeak then sim.gpeak <- len
   end
 
-(* Schedule [fn] to run on shard [dst] at absolute time [t].  The key is
-   minted from the scheduling context: inside an event, the executing
-   shard and the executing event's key as parent; host-side, the
-   destination shard itself with the root sentinel.  Past-due times are
-   clamped to the scheduler's clock and counted. *)
-let at_shard sim ~shard:dst t fn =
+(* Park a cross-shard key until the barrier; the arrays only grow. *)
+let outbox_add s key dst =
+  let n = s.out_n in
+  if n = Array.length s.out_keys then begin
+    s.out_keys <- Array.append s.out_keys (Array.make (n + 16) Shardq.no_parent);
+    s.out_dst <- Array.append s.out_dst (Array.make (n + 16) 0)
+  end;
+  s.out_keys.(n) <- key;
+  s.out_dst.(n) <- dst;
+  s.out_n <- n + 1
+
+(* Schedule [fn] or [timed] (the other a no-op) on shard [dst] at time
+   [t].  The key is minted from the scheduling context: inside an event,
+   the executing shard and the executing event's key as parent;
+   host-side, the destination shard itself with the root sentinel.
+   Past-due times are clamped to the scheduler's clock and counted. *)
+let schedule sim dst t fn timed =
   if dst < 0 || dst >= Array.length sim.shards then invalid_arg "Sim.at_shard: bad shard";
   let c = cur () in
   let s = if c >= 0 then sim.shards.(c) else sim.shards.(dst) in
@@ -247,20 +260,24 @@ let at_shard sim ~shard:dst t fn =
   let seq = s.ctr in
   s.ctr <- seq + 1;
   let parent = if c >= 0 then s.running else Shardq.no_parent in
-  let key = Shardq.key ~fire ~sched:s.clock ~src:s.id ~seq ~parent in
+  let key = Shardq.event ~fire ~sched:s.clock ~src:s.id ~seq ~parent fn timed in
   if c >= 0 && c <> dst then s.xsends <- s.xsends + 1;
   if sim.jobs > 1 && c >= 0 && c <> dst then
     (* cross-shard send from inside an event: park in the outbox; the
        barrier merges it into [dst]'s heap before the next window *)
-    s.outbox <- { o_dst = dst; o_key = key; o_fn = fn } :: s.outbox
-  else push_local sim ~key ~own:dst fn
+    outbox_add s key dst
+  else push_local sim ~key ~own:dst
+
+let at_shard sim ~shard t fn = schedule sim shard t fn Shardq.nop_timed
+
+let at_shard_k sim ~shard t k = schedule sim shard t Shardq.nop k
 
 (* [at] without an explicit target: stay on the executing shard (the
    common case — timers, fiber resumptions, local protocol work).
    Host-side calls without a target land on shard 0. *)
-let at sim t fn =
-  let c = cur () in
-  at_shard sim ~shard:(if c >= 0 then c else 0) t fn
+let at sim t fn = schedule sim (Int.max 0 (cur ())) t fn Shardq.nop_timed
+
+let at_k sim t k = schedule sim (Int.max 0 (cur ())) t Shardq.nop k
 
 let after sim d f =
   if d < 0 then invalid_arg "Sim.after: negative delay";
@@ -284,6 +301,7 @@ let run_global sim ~limit =
     else if Shardq.is_empty sim.g then n - n0
     else begin
       let fn = Shardq.pop_min sim.g in
+      let timed = Shardq.popped_timed sim.g in
       let s = sim.shards.(Shardq.popped_own sim.g) in
       let t = Shardq.popped_fire sim.g in
       if t > s.clock then s.clock <- t;
@@ -296,7 +314,7 @@ let run_global sim ~limit =
       set_cur s.id;
       Domain.DLS.set run_key s.running;
       (match sim.on_event with Some h -> h ~shard:s.id ~now:t | None -> ());
-      (match fn () with
+      (match if timed == Shardq.nop_timed then fn () else timed t with
       | () ->
         s.running <- Shardq.no_parent;
         set_cur (-1)
@@ -330,6 +348,7 @@ let drain sim s ~wend ~allow =
                 ~pending:(Shardq.length s.q))
          else begin
            let fn = Shardq.pop_min s.q in
+           let timed = Shardq.popped_timed s.q in
            let t = Shardq.popped_fire s.q in
            if t > s.clock then s.clock <- t;
            s.executed <- s.executed + 1;
@@ -338,7 +357,7 @@ let drain sim s ~wend ~allow =
            set_cur s.id;
            Domain.DLS.set run_key s.running;
            (match sim.on_event with Some h -> h ~shard:s.id ~now:t | None -> ());
-           fn ();
+           if timed == Shardq.nop_timed then fn () else timed t;
            s.running <- Shardq.no_parent;
            set_cur (-1)
          end
@@ -353,35 +372,38 @@ let drain sim s ~wend ~allow =
   sim.wall.(s.id) <- sim.wall.(s.id) +. (Unix.gettimeofday () -. t0);
   !n
 
-(* Merge every outbox message into its destination heap.  Runs on the
-   coordinating domain while the workers are parked at the barrier.  A
+(* Merge every outbox key into its destination heap.  Runs on the
+   coordinating domain while the workers are parked at the barrier.
+   Heap order comes from the keys, so merge order does not matter.  A
    message firing before its destination's clock means the lookahead
    argument was violated (an engine or cost-model bug, not a program
    bug): it is counted as a clamp on the destination and, under strict
    mode, raised. *)
-let rec merge_outbox sim = function
-  | [] -> ()
-  | o :: rest ->
-    let d = sim.shards.(o.o_dst) and fire = o.o_key.Shardq.k_fire in
-    let key =
-      if fire >= d.clock then o.o_key
-      else begin
-        d.clamped <- d.clamped + 1;
-        if sim.strict then raise (Late_delivery { dst = d.id; fire; clock = d.clock });
-        Shardq.refire o.o_key ~fire:d.clock
-      end
-    in
-    Shardq.push d.q ~key ~own:o.o_dst o.o_fn;
-    d.merges <- d.merges + 1;
-    let len = Shardq.length d.q in
-    if len > d.peak then d.peak <- len;
-    merge_outbox sim rest
+let merge sim key dst =
+  let d = sim.shards.(dst) and fire = key.Shardq.k_fire in
+  let key =
+    if fire >= d.clock then key
+    else begin
+      d.clamped <- d.clamped + 1;
+      if sim.strict then raise (Late_delivery { dst; fire; clock = d.clock });
+      Shardq.refire key ~fire:d.clock
+    end
+  in
+  Shardq.insert d.q ~key ~own:dst;
+  d.merges <- d.merges + 1;
+  let len = Shardq.length d.q in
+  if len > d.peak then d.peak <- len
 
 let flush_outboxes sim =
   for i = 0 to Array.length sim.shards - 1 do
-    let msgs = sim.shards.(i).outbox in
-    sim.shards.(i).outbox <- [];
-    merge_outbox sim msgs
+    let s = sim.shards.(i) in
+    let n = s.out_n in
+    s.out_n <- 0;
+    for j = 0 to n - 1 do
+      let key = s.out_keys.(j) in
+      s.out_keys.(j) <- Shardq.no_parent;
+      merge sim key s.out_dst.(j)
+    done
   done
 
 (* The earliest pending fire time over every shard; [max_int] when
@@ -499,12 +521,7 @@ let set_jobs sim jobs =
     let was_windowed = sim.jobs > 1 and now_windowed = jobs > 1 in
     sim.jobs <- jobs;
     let move src_q dst_q_of =
-      while not (Shardq.is_empty src_q) do
-        let fn = Shardq.pop_min src_q in
-        Shardq.push
-          (dst_q_of (Shardq.popped_own src_q))
-          ~key:(Shardq.popped_key src_q) ~own:(Shardq.popped_own src_q) fn
-      done
+      Shardq.take_all src_q (fun key own -> Shardq.insert (dst_q_of own) ~key ~own)
     in
     if was_windowed && not now_windowed then begin
       flush_outboxes sim;

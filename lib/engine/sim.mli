@@ -1,6 +1,6 @@
 (** Discrete-event simulation core.
 
-    A simulator owns timestamped events (thunks), partitioned into one
+    A simulator owns timestamped events (callbacks), partitioned into one
     shard per SSMP cluster.  [run] executes events in nondecreasing
     time order; ties are broken by scheduling order through each
     event's genealogy key ({!Shardq}), so a run is fully deterministic.
@@ -91,6 +91,15 @@ val at_shard : t -> shard:int -> time -> (unit -> unit) -> unit
     execution a cross-shard call parks the event in the scheduling
     shard's outbox until the next window barrier.
     @raise Invalid_argument if [shard] is out of range. *)
+
+val at_k : t -> time -> (time -> unit) -> unit
+(** [at_k sim t k] is the timed form of {!at}: [k] runs with the
+    event's fire time, and the event allocates only its key.  The fire
+    time is [t] unless a clamp moved it — past due at scheduling, or a
+    lookahead violation at a window barrier — and then the clamped time. *)
+
+val at_shard_k : t -> shard:int -> time -> (time -> unit) -> unit
+(** The timed form of {!at_shard}; see {!at_k}. *)
 
 val after : t -> time -> (unit -> unit) -> unit
 (** [after sim d f] is [at sim (now sim + d) f].  [d] must be [>= 0]. *)

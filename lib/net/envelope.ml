@@ -1,10 +1,6 @@
-(* The one message record both transport layers speak.
-
-   [Am.post] fills every field; [Lan.send] reads the SSMP endpoints and
-   payload size; the fault layer and the trace hook both consume the
-   same value instead of parallel labelled-argument signatures.
-   Processor endpoints are [-1] for transport-internal traffic (raw LAN
-   sends in tests, acks). *)
+(* A message's header as the fault path retains it: [Lan.post] builds
+   one for each [pending] record under a fault plan, and tests build
+   them for [Lan.send].  Processor endpoints are [-1] for raw LAN sends. *)
 
 type t = {
   tag : string;  (* protocol message type: RREQ, REL, ... *)

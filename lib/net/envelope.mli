@@ -1,9 +1,9 @@
-(** The one message record both transport layers speak.
+(** A message's header as the fault path retains it.
 
-    {!Mgs_am.Am.post} fills every field; {!Lan.send} reads the SSMP
-    endpoints and payload size; the fault layer and the trace hook both
-    consume this value instead of parallel labelled callback
-    signatures. *)
+    The reliable transport keeps one in each message's [pending]
+    record; tests and benchmarks build one with {!make} for
+    {!Lan.send}.  {!Lan.post}, which {!Mgs_am.Am.post} calls, takes the
+    fields instead and builds one only under a fault plan. *)
 
 type t = {
   tag : string;  (** protocol message type: RREQ, REL, ... *)
@@ -25,5 +25,5 @@ val make :
   words:int ->
   unit ->
   t
-(** Convenience constructor for tests and transport-internal messages;
-    the per-message hot path builds the record literally instead. *)
+(** Constructor for tests and benchmarks; [cost] is carried, never read
+    by the transport. *)

@@ -84,12 +84,11 @@ let fifo_arrival lan ~src ~dst raw =
   lan.last_arrival.(key) <- arrive;
   arrive
 
-let emit_delivery lan (env : Envelope.t) ~post_at ~arrive =
+let emit_delivery lan ~src ~dst ~src_ssmp ~dst_ssmp ~words ~post_at ~arrive =
   match lan.obs with
   | Some tr ->
-    Mgs_obs.Trace.emit tr ~time:arrive ~engine:Mgs_obs.Event.Network ~tag:"LAN" ~vpn:(-1)
-      ~src:env.src ~dst:env.dst ~src_ssmp:env.src_ssmp ~dst_ssmp:env.dst_ssmp
-      ~words:env.words ~cost:0 ~dur:(arrive - post_at)
+    Mgs_obs.Trace.emit tr ~time:arrive ~engine:Mgs_obs.Event.Network ~tag:"LAN" ~vpn:(-1) ~src
+      ~dst ~src_ssmp ~dst_ssmp ~words ~cost:0 ~dur:(arrive - post_at)
       ~txn:(Mgs_obs.Span.txn_of (Mgs_obs.Span.current (Mgs_obs.Trace.spans tr)))
   | None -> ()
 
@@ -130,7 +129,9 @@ let auto_rto lan rel (env : Envelope.t) =
 let deliver lan rel pend now =
   let chan = pend.pchan in
   rel.next_deliver.(chan) <- pend.pseq + 1;
-  emit_delivery lan pend.penv ~post_at:pend.post_at ~arrive:now;
+  let env = pend.penv in
+  emit_delivery lan ~src:env.src ~dst:env.dst ~src_ssmp:env.src_ssmp ~dst_ssmp:env.dst_ssmp
+    ~words:env.words ~post_at:pend.post_at ~arrive:now;
   pend.pk now
 
 let ack_arrived rel ~chan ~seq =
@@ -284,28 +285,38 @@ let send_reliable lan rel (env : Envelope.t) ~at k =
 
 (* --- the one entry point ------------------------------------------- *)
 
-let send lan (env : Envelope.t) ~at k =
+(* On the perfect wire the arrival event runs [k] itself; an
+   [Envelope.t] is built only for the fault path's [pending] record. *)
+let post lan ~tag ~src ~dst ~src_ssmp ~dst_ssmp ~words ~at k =
   let p = lan.costs.Mgs_machine.Costs.proto in
   let l = lan.costs.Mgs_machine.Costs.lan in
-  let src = env.Envelope.src_ssmp and dst = env.Envelope.dst_ssmp in
-  if src = dst then begin
+  if src_ssmp = dst_ssmp then begin
     (* Intra-SSMP protocol message: fast Alewife messaging, no LAN —
        and no faults; the shared bus does not lose messages. *)
-    let arrive = fifo_arrival lan ~src ~dst (at + p.intra_msg + (env.words * p.dma_per_word)) in
-    Mgs_engine.Sim.at lan.sim arrive (fun () -> k arrive)
+    let arrive =
+      fifo_arrival lan ~src:src_ssmp ~dst:dst_ssmp (at + p.intra_msg + (words * p.dma_per_word))
+    in
+    Mgs_engine.Sim.at_k lan.sim arrive k
   end
   else
     match lan.rel with
-    | Some rel -> send_reliable lan rel env ~at k
+    | Some rel ->
+      send_reliable lan rel { Envelope.tag; src; dst; src_ssmp; dst_ssmp; words; cost = 0 } ~at k
     | None ->
-      let depart = max at lan.sender_free.(src) in
-      lan.sender_free.(src) <- depart + l.send_occupancy;
-      let arrive = fifo_arrival lan ~src ~dst (depart + l.latency + (env.words * p.dma_per_word)) in
-      let c = lan.cells.(src) in
+      let depart = max at lan.sender_free.(src_ssmp) in
+      lan.sender_free.(src_ssmp) <- depart + l.send_occupancy;
+      let arrive =
+        fifo_arrival lan ~src:src_ssmp ~dst:dst_ssmp (depart + l.latency + (words * p.dma_per_word))
+      in
+      let c = lan.cells.(src_ssmp) in
       c.messages <- c.messages + 1;
-      c.data_words <- c.data_words + env.words;
-      emit_delivery lan env ~post_at:at ~arrive;
-      Mgs_engine.Sim.at_shard lan.sim ~shard:dst arrive (fun () -> k arrive)
+      c.data_words <- c.data_words + words;
+      emit_delivery lan ~src ~dst ~src_ssmp ~dst_ssmp ~words ~post_at:at ~arrive;
+      Mgs_engine.Sim.at_shard_k lan.sim ~shard:dst_ssmp arrive k
+
+let send lan (env : Envelope.t) ~at k =
+  post lan ~tag:env.tag ~src:env.src ~dst:env.dst ~src_ssmp:env.src_ssmp ~dst_ssmp:env.dst_ssmp
+    ~words:env.words ~at k
 
 let stats lan =
   let t = fresh_stats () in

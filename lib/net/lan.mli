@@ -51,14 +51,23 @@ val next_rto : int -> int
 (** [next_rto cur] is the backed-off timeout after another expiry:
     [cur * 2], saturating at {!rto_cap}. *)
 
+val post :
+  t -> tag:string -> src:int -> dst:int -> src_ssmp:int -> dst_ssmp:int -> words:int ->
+  at:Mgs_engine.Sim.time -> (Mgs_engine.Sim.time -> unit) -> unit
+(** [post lan ~tag ~src ~dst ~src_ssmp ~dst_ssmp ~words ~at k] sends
+    [words] bulk words from SSMP [src_ssmp], leaving no earlier than
+    [at] (the sender's present), to [dst_ssmp]; [k] runs at the delivery
+    time.  [tag] and the processor endpoints [src] and [dst] only label
+    trace events and a {!Net_partition}.  [src_ssmp = dst_ssmp] models a
+    local protocol message: it bypasses the LAN (and any fault plan) and
+    costs only the intra-SSMP message latency.  Under a fault plan, [k]
+    still runs exactly once, in channel order, however the wire
+    misbehaves — or {!Net_partition} ends the run.  Without one, the
+    delivery event carries [k] as a timed callback
+    ({!Mgs_engine.Sim.at_k}) and allocates only its key. *)
+
 val send : t -> Envelope.t -> at:Mgs_engine.Sim.time -> (Mgs_engine.Sim.time -> unit) -> unit
-(** [send lan env ~at k] transmits [env] from its source SSMP (leaving
-    no earlier than [at]) to its destination; [k] runs at the delivery
-    time.  [src_ssmp = dst_ssmp] is permitted and models a local
-    protocol message: it bypasses the LAN (and any fault plan) and
-    costs only the intra-SSMP message latency.  Under a fault plan,
-    [k] still runs exactly once, in channel order, however the wire
-    misbehaves — or {!Net_partition} ends the run. *)
+(** [send lan env ~at k] is {!post} with [env]'s fields. *)
 
 val stats : t -> stats
 

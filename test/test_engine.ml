@@ -223,6 +223,76 @@ let test_windows_allocate_nothing () =
   if Float.abs per_window >= 0.5 then
     Alcotest.failf "%.2f words allocated per window" per_window
 
+(* A cross-shard send inside a window allocates nothing beyond its
+   event.  The same events run twice, once with every send local and
+   once with every send crossing to the other shard; on the calling
+   domain, which runs shard 0's sends, both runs allocate alike. *)
+let test_cross_sends_allocate_nothing () =
+  let sends = 20_000 in
+  let run ~cross =
+    let sim = Sim.create () in
+    Sim.make_sharded sim ~nshards:2 ~lookahead:100;
+    Sim.set_jobs sim 2;
+    let rec tick n () =
+      if n > 0 then begin
+        let dst = if cross then 1 - Sim.cur () else Sim.cur () in
+        Sim.at_shard sim ~shard:dst (Sim.now sim + 100) (tick (n - 1))
+      end
+    in
+    for shard = 0 to 1 do
+      Sim.at_shard sim ~shard 0 (tick sends)
+    done;
+    let w0 = Gc.minor_words () in
+    ignore (Sim.run sim ());
+    (Gc.minor_words () -. w0, Sim.windows sim)
+  in
+  let words_local, wl = run ~cross:false in
+  let words_cross, wc = run ~cross:true in
+  Alcotest.(check (pair int int)) "windows opened" (sends + 1, sends + 1) (wl, wc);
+  let per_send = (words_cross -. words_local) /. float_of_int sends in
+  if Float.abs per_send >= 0.5 then
+    Alcotest.failf "%.2f words allocated per cross-shard send" per_send
+
+(* Minor-heap words per operation when [run] performs [n] of them;
+   setup inside [run] must cost under half a word per operation. *)
+let words_per ~n run =
+  let w0 = Gc.minor_words () in
+  run ();
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let within_budget what ~words per =
+  if per >= float_of_int words +. 0.5 then
+    Alcotest.failf "%s: %.2f words, budget %d" what per words
+
+(* A timed event allocates only its key: a callback that reschedules
+   itself with the fire time it receives builds no closure. *)
+let test_timed_event_words () =
+  let sim = Sim.create () in
+  let n = 100_000 in
+  let left = ref n in
+  let rec tick t =
+    if !left > 0 then begin
+      decr left;
+      Sim.at_k sim (t + 1) tick
+    end
+  in
+  Sim.at_k sim 0 tick;
+  within_budget "timed event" ~words:8 (words_per ~n (fun () -> ignore (Sim.run sim ())));
+  Alcotest.(check int) "each event fired at its requested time" n (Sim.now sim)
+
+(* A [sleep_until] round trip allocates its effect, its continuation,
+   its resume thunk and the resume event's key. *)
+let test_sleep_words () =
+  let sim = Sim.create () in
+  let n = 100_000 in
+  ignore
+    (Fiber.spawn sim ~at:0 ~name:"sleeper" (fun () ->
+         for t = 1 to n do
+           Fiber.sleep_until sim t
+         done));
+  within_budget "sleep_until round trip" ~words:17
+    (words_per ~n (fun () -> ignore (Sim.run sim ())))
+
 let test_fiber_completes () =
   let sim = Sim.create () in
   let steps = ref [] in
@@ -261,6 +331,28 @@ let test_suspend_outside_fiber () =
   Alcotest.check_raises "suspend outside fiber"
     (Failure "Fiber.suspend: called outside a fiber") (fun () ->
       Fiber.suspend (fun _resume -> ()))
+
+(* A resume thunk resumes its own suspension once.  Called again, here
+   after the fiber has gone on to sleep, it raises out of the run
+   instead of cutting the later sleep short. *)
+let test_resume_twice () =
+  let sim = Sim.create () in
+  let woke = ref (-1) in
+  ignore
+    (Fiber.spawn sim ~at:0 ~name:"twice" (fun () ->
+         Fiber.suspend (fun resume ->
+             Sim.at sim 10 resume;
+             Sim.at sim 20 resume);
+         Fiber.sleep_until sim 30;
+         woke := Sim.now sim));
+  Alcotest.check_raises "second resume raises" Effect.Continuation_already_resumed (fun () ->
+      ignore (Sim.run sim ()));
+  Alcotest.(check int) "the sleep was not cut short" (-1) !woke
+
+let test_sleep_outside_fiber () =
+  Alcotest.check_raises "sleep_until outside fiber"
+    (Failure "Fiber.suspend: called outside a fiber") (fun () ->
+      Fiber.sleep_until (Sim.create ()) 10)
 
 let test_waitq_fifo () =
   let sim = Sim.create () in
@@ -354,6 +446,10 @@ let () =
             test_no_ranks_after_windowed;
           Alcotest.test_case "windows allocate nothing" `Quick
             test_windows_allocate_nothing;
+          Alcotest.test_case "cross-shard sends allocate only their key" `Quick
+            test_cross_sends_allocate_nothing;
+          Alcotest.test_case "a timed event allocates only its key" `Quick
+            test_timed_event_words;
         ] );
       ( "fiber",
         [
@@ -362,6 +458,9 @@ let () =
           Alcotest.test_case "failure propagates" `Quick test_fiber_failure_propagates;
           Alcotest.test_case "suspend outside fiber" `Quick test_suspend_outside_fiber;
           Alcotest.test_case "interleaves with events" `Quick test_fiber_event_interleaving;
+          Alcotest.test_case "a second resume raises" `Quick test_resume_twice;
+          Alcotest.test_case "sleep outside fiber" `Quick test_sleep_outside_fiber;
+          Alcotest.test_case "a sleep allocates 17 words" `Quick test_sleep_words;
         ] );
       ( "waitq",
         [

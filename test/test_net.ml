@@ -313,6 +313,33 @@ let test_am_run_on () =
   Alcotest.(check int) "occupied from at" 75 !fin;
   Alcotest.(check int) "busy_until" 75 cpus.(3).Cpu.busy_until
 
+(* An untraced message allocates one closure and its two events' keys:
+   a chain of cross-SSMP hops, each posted from the handler of the last,
+   as the benchmark's [am_post] loop runs them. *)
+let test_am_post_words () =
+  let nprocs = 16 and cluster = 4 in
+  let sim = sim_for 4 in
+  let topo = Topo.create ~nprocs ~cluster in
+  let lan = Lan.create sim costs ~nssmps:4 in
+  let am = Am.create sim costs topo ~lan ~cpus:(Array.init nprocs Cpu.create) in
+  let hops = 10_000 in
+  let left = ref hops and cur = ref 0 in
+  let rec hop (_ : int) =
+    if !left > 0 then begin
+      decr left;
+      let src = !cur in
+      let dst = (src + cluster) mod nprocs in
+      cur := dst;
+      Am.post am ~tag:"HOP" ~src ~dst ~words:0 ~cost:0 hop
+    end
+  in
+  Sim.at_shard sim ~shard:0 0 (fun () -> hop 0);
+  let w0 = Gc.minor_words () in
+  ignore (Sim.run sim ());
+  let per_hop = (Gc.minor_words () -. w0) /. float_of_int hops in
+  Alcotest.(check int) "every hop posted" hops (Am.total_posted am);
+  if per_hop >= 23.5 then Alcotest.failf "%.2f words per message, budget 23" per_hop
+
 (* Property: per-channel arrival times never regress, whatever the mix
    of bulk and short messages. *)
 let prop_lan_fifo =
@@ -461,6 +488,7 @@ let () =
           Alcotest.test_case "per-tag counters" `Quick test_am_counters;
           Alcotest.test_case "trace sees the envelope" `Quick test_am_trace_envelope;
           Alcotest.test_case "run_on" `Quick test_am_run_on;
+          Alcotest.test_case "a message allocates 23 words" `Quick test_am_post_words;
         ] );
       ("properties", qsuite);
     ]
