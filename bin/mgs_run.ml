@@ -102,7 +102,6 @@ let run app size iters params procs cluster delay page_bytes protocol lock fault
     let m = Mgs.Machine.create cfg in
     if trace <> None || hist || spans <> None then ignore (Mgs.Machine.enable_trace m);
     if metrics <> None then ignore (Mgs.Machine.enable_metrics m);
-    if engine_stats then ignore (Mgs.Machine.enable_engine_stats m);
     let checker = if check then Some (Mgs.Machine.enable_checker m) else None in
     (match fault_spec with
     | Some spec -> Mgs.Machine.set_faults m ~seed spec
@@ -429,10 +428,14 @@ let engine_stats_t =
     & info [ "engine-stats" ]
         ~doc:
           "Print the engine's per-shard self-profile after each point (events \
-           executed, cross-shard sends, outbox merges, window stalls, barrier \
-           wall time) and add the engine.* series to the metrics sampler.  \
-           These series describe the host-side run: they are not byte-stable \
-           across --par job counts, which is why they are opt-in.")
+           executed, cross-shard sends, clamps, peak heap, outbox merges, \
+           window stalls, wall time), read from counters the engine always \
+           keeps: it records nothing and leaves --metrics unchanged.  The \
+           peak, merge, stall and wall columns describe the host-side run and \
+           are not byte-stable across --par job counts, which is why the \
+           table is opt-in.  At --par 1 one heap drains every shard, so the \
+           per-shard peak and wall columns print - and the footer gives the \
+           heap's peak.")
 
 let cmd =
   let doc = "run MGS multigrain shared-memory applications on a simulated DSSMP" in

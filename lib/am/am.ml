@@ -194,7 +194,3 @@ let total_posted am = Array.fold_left ( + ) 0 am.total
 let in_flight am = Array.fold_left ( + ) 0 am.in_flight
 
 let in_flight_cell am c = am.in_flight.(c)
-
-let reset_counts am =
-  Array.iter Hashtbl.reset am.counts;
-  Array.fill am.total 0 (Array.length am.total) 0

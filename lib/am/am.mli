@@ -75,7 +75,3 @@ val in_flight_cell : t -> int -> int
 (** One SSMP's in-flight cell (posted from it minus delivered to it;
     may be negative in isolation — only the sum is meaningful).  Safe
     to read from that shard's own event context. *)
-
-val reset_counts : t -> unit
-(** Zero the per-tag and total message counters (e.g. after a warmup
-    phase, so a measured phase reports only its own traffic). *)

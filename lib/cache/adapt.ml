@@ -90,13 +90,6 @@ let reset_window p =
   p.w_upg <- 0;
   p.w_clean <- 0
 
-let reset_page p =
-  reset_window p;
-  p.dom <- -1;
-  p.dom_streak <- 0;
-  p.last_pattern <- Idle;
-  p.streak <- 0
-
 (* Producer-consumer pages keep the default regime: the lone writer
    would qualify for a twinless copy, but recalling one ships the whole
    page where a twin-and-diff run ships a few words, and PC pages are

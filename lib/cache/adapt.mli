@@ -93,12 +93,6 @@ val reset_window : page -> unit
     pattern streak and dominant-writer streak: those are protocol
     policy state, not statistics. *)
 
-val reset_page : page -> unit
-(** Full reset for phase boundaries ({!Machine.reset_stats}): window
-    counters plus streaks.  The regime itself survives — it describes
-    live protocol state (an untwinned copy granted under Rsw must keep
-    being treated as such). *)
-
 val decide : page -> (regime * regime) option
 (** Run one decision: classify the completed window, update pattern and
     dominant-writer streaks, apply the switch policy, reset the window.

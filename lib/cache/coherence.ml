@@ -305,12 +305,3 @@ let check_invariants c =
     c.pages
 
 let stats c = c.stats
-
-let reset_stats c =
-  let s = c.stats in
-  s.hits <- 0;
-  s.local_misses <- 0;
-  s.remote_misses <- 0;
-  s.misses_2party <- 0;
-  s.misses_3party <- 0;
-  s.software_extensions <- 0

@@ -56,5 +56,3 @@ val check_invariants : t -> unit
     owners.  @raise Failure describing the first violation. *)
 
 val stats : t -> stats
-
-val reset_stats : t -> unit

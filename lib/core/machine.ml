@@ -96,7 +96,7 @@ let create cfg =
       counters = Array.init topo.Topology.nssmps (fun _ -> Array.make Pstats.ncols 0);
       sync_hooks = [];
       rel_resume = Array.make cfg.nprocs None;
-      fibers = [];
+      ran = false;
       event_limit = cfg.event_limit;
       par_jobs = cfg.par_jobs;
       shadow = cfg.shadow;
@@ -239,21 +239,6 @@ let enable_metrics ?interval ?max_samples (m : t) =
 
 let metrics (m : t) = m.metrics
 
-(* Engine self-profiling series that are NOT deterministic — outbox
-   merges, window stalls, barrier wait and per-shard wall time depend on
-   domain scheduling — so they only register on request: a metrics CSV
-   without them stays byte-identical across job counts. *)
-let enable_engine_stats (m : t) =
-  let mt = enable_metrics m in
-  let fi = float_of_int in
-  Mgs_obs.Metrics.probe mt "engine.windows" (fun () -> fi (Sim.windows m.sim));
-  Mgs_obs.Metrics.probe mt "engine.barrier_wall" (fun () -> Sim.barrier_wall m.sim);
-  Mgs_obs.Metrics.probe_cell mt "engine.merges" (fun c ->
-      fi (Sim.shard_stats m.sim).(c).Sim.st_merges);
-  Mgs_obs.Metrics.probe_cell mt "engine.stalls" (fun c ->
-      fi (Sim.shard_stats m.sim).(c).Sim.st_stalls);
-  mt
-
 let set_faults (m : t) ?(seed = 42) spec =
   if Mgs_net.Fault.is_zero spec then Lan.set_fault_plan m.lan None
   else begin
@@ -262,38 +247,9 @@ let set_faults (m : t) ?(seed = 42) spec =
     match m.metrics with Some mt -> net_probes m mt | None -> ()
   end
 
-let clear_faults (m : t) = Lan.set_fault_plan m.lan None
-
 let fault_plan (m : t) = Lan.fault_plan m.lan
 
 let enable_checker (m : t) = Invariant.attach m
-
-let reset_stats (m : t) =
-  bump_gen m;
-  Array.iter (fun row -> Array.fill row 0 Pstats.ncols 0) m.counters;
-  Lan.reset m.lan;
-  Array.iter Coherence.reset_stats m.caches;
-  Am.reset_counts m.am;
-  (* registered synchronization objects (registry locks, condvars):
-     their per-instance stats and any dead queued waiters go too, so a
-     measured phase cannot inherit the warmup's handoff history or a
-     parked fiber from an abandoned run *)
-  List.iter (fun h -> h.sh_reset ()) m.sync_hooks;
-  (* adaptive classifier windows and streaks are statistics and reset
-     with the phase; regimes, home locations, views and forwarding
-     tables are live protocol state (an untwinned copy granted under
-     the single-writer regime must keep being treated as such, and a
-     migrated page's requests must keep finding its home) and survive *)
-  (match m.adapt with
-  | Some _ ->
-    Hashtbl.iter
-      (fun _ se ->
-        match se.s_ad with
-        | Some p -> Mgs_cache.Adapt.reset_page p
-        | None -> ())
-      m.servers
-  | None -> ());
-  Array.fill m.shadow_errors 0 (Array.length m.shadow_errors) 0
 
 let shadow_mismatches (m : t) = Array.fold_left ( + ) 0 m.shadow_errors
 let topo (m : t) = m.topo
@@ -339,7 +295,11 @@ let peek (m : t) addr =
     match ce.cdata with Some d -> d.(off) | None -> se.s_master.(off))
   | _ -> se.s_master.(off)
 
+(* A machine runs once: its counters, LAN watermarks, fault streams and
+   lock queues all start from creation, and nothing restores them. *)
 let run (m : t) body =
+  if m.ran then invalid_arg "Machine.run: a machine runs once";
+  m.ran <- true;
   let limit = m.event_limit in
   let t0 = Unix.gettimeofday () in
   Sim.set_jobs m.sim m.par_jobs;
@@ -353,7 +313,6 @@ let run (m : t) body =
             body ctx;
             Cpu.finish m.cpus.(p)))
   in
-  m.fibers <- fibers;
   let outcome =
     match Sim.run m.sim ~limit () with
     | _ ->

@@ -9,7 +9,11 @@
       for i = 0 to 4095 do Machine.poke m (a + i) 0.0 done;
       let report = Machine.run m (fun ctx -> ... Api.read ctx (a + i) ...) in
       Format.printf "%a@." Report.pp report
-    ]} *)
+    ]}
+
+    A machine runs once: every counter, LAN watermark, fault stream and
+    lock queue starts from {!create}, so each measured run builds a
+    fresh machine. *)
 
 type config = {
   nprocs : int;  (** P: total processors *)
@@ -107,14 +111,6 @@ val enable_metrics : ?interval:int -> ?max_samples:int -> t -> Mgs_obs.Metrics.t
 val metrics : t -> Mgs_obs.Metrics.t option
 (** The installed metrics sampler, if any. *)
 
-val enable_engine_stats : t -> Mgs_obs.Metrics.t
-(** Additionally sample the engine's nondeterministic self-profiling
-    series — window count, outbox merges, window stalls, barrier wait
-    wall time (all 0 unless a run is windowed).  These depend on domain
-    scheduling, so they are opt-in: without them the metrics export
-    stays byte-identical across job counts.  Implies {!enable_metrics};
-    call before [run]. *)
-
 val set_faults : t -> ?seed:int -> Mgs_net.Fault.spec -> unit
 (** Install a deterministic fault plan on the LAN (seed default 42):
     the reliable transport activates and the wire misbehaves per the
@@ -125,9 +121,6 @@ val set_faults : t -> ?seed:int -> Mgs_net.Fault.spec -> unit
     the per-SSMP transport gauges [net.retransmits], [net.dup_drops]
     and [net.unacked] are registered.  Call before [run]. *)
 
-val clear_faults : t -> unit
-(** Remove the fault plan; subsequent traffic uses the perfect wire. *)
-
 val fault_plan : t -> Mgs_net.Fault.plan option
 
 val enable_checker : t -> Invariant.t
@@ -136,14 +129,6 @@ val enable_checker : t -> Invariant.t
     stays off unless {!enable_trace} turns it on, and the run keeps its
     [par_jobs] domains.  Inspect the returned checker after [run] with
     {!Invariant.count} / {!Invariant.pp}. *)
-
-val reset_stats : t -> unit
-(** Zero every statistics surface — protocol counters, message counts,
-    LAN state ({!Mgs_net.Lan.reset}, including sender-occupancy
-    horizons), cache-model counters, synchronization counters, and the
-    shadow-mismatch count — so a measured phase that follows a warmup
-    phase reports only its own activity.  The event trace, checker, and
-    all protocol state are untouched. *)
 
 val shadow_mismatches : t -> int
 (** Number of reads that diverged from the shadow mirror (0 unless the
@@ -170,7 +155,8 @@ val run : t -> (Api.ctx -> unit) -> Report.t
     simulation to completion, and summarize.  Under a fault plan, a
     message that exhausts its retries ends the run early with
     [outcome = Partitioned _] in the report instead of hanging.
-    @raise Failure if any fiber deadlocks or the event limit trips. *)
+    @raise Failure if any fiber deadlocks or the event limit trips.
+    @raise Invalid_argument on a second call: a machine runs once. *)
 
 val assert_quiescent : t -> unit
 (** Check end-of-run protocol invariants: every delayed update queue is

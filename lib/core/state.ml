@@ -128,14 +128,12 @@ type sentry = {
          lookahead, so the two never run in the same window. *)
 }
 
-(* Hooks registered by synchronization objects (the [Mgs_sync] lock
-   registry) so the machine can reset and inspect them without a
-   reverse library dependency: [Machine.reset_stats] runs every
-   [sh_reset], [assert_quiescent] demands every [sh_waiters] be zero,
-   and the metrics sampler sums [sh_waiters] into a gauge. *)
+(* Hooks registered by [Mgs_sync.Locks.make] so the machine can inspect
+   its locks without a reverse library dependency: [assert_quiescent]
+   demands every [sh_waiters] be zero, and the metrics sampler sums
+   [sh_waiters_cell] into a gauge. *)
 type sync_hook = {
   sh_name : string;
-  sh_reset : unit -> unit; (* zero stats + drop dead queued waiters *)
   sh_waiters : unit -> int; (* fibers currently parked in the object *)
   sh_waiters_cell : int -> int;
       (* waiters attributed to one SSMP — read from that shard's own
@@ -191,7 +189,7 @@ type t = {
          the column totals ({!total}) match at every job count *)
   mutable sync_hooks : sync_hook list;
   rel_resume : (unit -> unit) option array; (* per proc: fiber awaiting RACK *)
-  mutable fibers : Mgs_engine.Fiber.t list;
+  mutable ran : bool; (* Machine.run has been called *)
   mutable event_limit : int; (* livelock guard for Machine.run *)
   mutable par_jobs : int;
       (* requested engine domains, >= 1 *)
@@ -220,12 +218,12 @@ type t = {
   gen : int Atomic.t;
       (* machine-wide mapping generation, bumped by every protocol
          downcall that can replace or retire a page's local state
-         (install, flush, upgrade, phase reset).  Per-ctx fast-path
-         caches snapshot it and self-invalidate when it moves; see
-         {!Api}.  Atomic because any shard may bump while another
-         shard's fast path reads; a stale read only costs a spurious
-         slow-path trip (the caches cache their own SSMP's state, which
-         only their own shard retires). *)
+         (install, flush, upgrade).  Per-ctx fast-path caches snapshot
+         it and self-invalidate when it moves; see {!Api}.  Atomic
+         because any shard may bump while another shard's fast path
+         reads; a stale read only costs a spurious slow-path trip (the
+         caches cache their own SSMP's state, which only their own
+         shard retires). *)
 }
 
 (* Invalidate every per-ctx last-page cache.  Cheap (one increment), so

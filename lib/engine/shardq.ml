@@ -198,13 +198,6 @@ let pop_min q =
   if last > 0 then sift_down q 0;
   f
 
-let take_all q f =
-  for i = 0 to q.n - 1 do
-    f q.keys.(i) q.own.(i);
-    q.keys.(i) <- no_parent
-  done;
-  q.n <- 0
-
 let popped_key q = q.popped_key
 
 let popped_fire q = q.popped_key.k_fire

@@ -96,10 +96,6 @@ val pop_min : t -> unit -> unit
     the rest until the next pop.
     @raise Empty_queue when empty. *)
 
-val take_all : t -> (key -> int -> unit) -> unit
-(** [take_all q f] empties [q], calling [f key own] on each element in
-    no particular order; the keys keep their payloads. *)
-
 val popped_key : t -> key
 val popped_fire : t -> int
 val popped_own : t -> int

@@ -512,21 +512,12 @@ let run_windowed sim ~jobs ~limit =
 let run sim ?(limit = max_int) () =
   if sim.jobs = 1 then run_global sim ~limit else run_windowed sim ~jobs:sim.jobs ~limit
 
-(* Changing the job count switches which structure holds pending
-   events; migrate anything queued (e.g. left behind by an aborted run)
-   so nothing is stranded.  Keys are preserved, so order is too. *)
+(* The job count picks which heaps hold pending events — the one heap
+   at 1, the per-shard heaps at 2 or more — so it changes only while
+   nothing is pending. *)
 let set_jobs sim jobs =
   let jobs = if sim.lookahead = 0 then 1 else max 1 (min jobs (Array.length sim.shards)) in
   if jobs <> sim.jobs then begin
-    let was_windowed = sim.jobs > 1 and now_windowed = jobs > 1 in
-    sim.jobs <- jobs;
-    let move src_q dst_q_of =
-      Shardq.take_all src_q (fun key own -> Shardq.insert (dst_q_of own) ~key ~own)
-    in
-    if was_windowed && not now_windowed then begin
-      flush_outboxes sim;
-      Array.iter (fun s -> move s.q (fun _ -> sim.g)) sim.shards
-    end
-    else if now_windowed && not was_windowed then
-      move sim.g (fun own -> sim.shards.(own).q)
+    if pending sim > 0 then invalid_arg "Sim.set_jobs: events pending";
+    sim.jobs <- jobs
   end

@@ -55,8 +55,9 @@ val set_jobs : t -> int -> unit
     [1 .. nshards], and to 1 when the lookahead is 0 (a window needs a
     positive width).  [1] drains a single heap in the canonical order
     on the calling domain; [>= 2] runs shards concurrently between
-    lookahead barriers.  Pending events migrate between the global and
-    per-shard heaps when the mode changes, preserving their keys. *)
+    lookahead barriers.  A no-op when the clamped count is unchanged.
+    @raise Invalid_argument if the count would change while events are
+    pending. *)
 
 val set_strict : t -> bool -> unit
 (** Strict mode: a cross-shard event merged after its destination's

@@ -17,11 +17,6 @@ let wake_one sim ?(delay = 0) t =
     Sim.after sim delay k;
     true
 
-let clear t =
-  let n = Queue.length t.q in
-  Queue.clear t.q;
-  n
-
 let wake_all sim ?(delay = 0) t =
   let n = Queue.length t.q in
   while not (Queue.is_empty t.q) do

@@ -27,9 +27,3 @@ val wake_one : Sim.t -> ?delay:Sim.time -> t -> bool
 
 val wake_all : Sim.t -> ?delay:Sim.time -> t -> int
 (** [wake_all sim q] schedules every parked thunk; returns how many. *)
-
-val clear : t -> int
-(** Drop every parked thunk without scheduling it; returns how many were
-    dropped.  Only safe when the parked fibers are known dead (e.g. a
-    phase reset after a partitioned run abandoned them): resuming a
-    dropped thunk later would run an abandoned fiber's continuation. *)

@@ -146,8 +146,13 @@ let pp_adapt_table rows =
 (* Engine self-profile: one row per shard of the discrete-event engine.
    Executed and cross-shard sends are deterministic (identical between
    jobs=1 and jobs>=2); merges, stalls, and wall seconds describe the
-   host-side windowed run and vary with scheduling. *)
+   host-side windowed run and vary with scheduling.  A run that opened
+   no window drained one heap, which tracks neither per-shard peaks nor
+   per-shard wall time: those columns print "-" and the footer gives
+   the heap's peak. *)
 let pp_shard_table sim =
+  let windowed = Mgs_engine.Sim.windows sim > 0 in
+  let tracked s = if windowed then s else "-" in
   let rows =
     Mgs_engine.Sim.shard_stats sim |> Array.to_list
     |> List.map (fun (s : Mgs_engine.Sim.shard_stat) ->
@@ -156,10 +161,10 @@ let pp_shard_table sim =
              string_of_int s.Mgs_engine.Sim.st_executed;
              string_of_int s.Mgs_engine.Sim.st_xsends;
              string_of_int s.Mgs_engine.Sim.st_clamped;
-             string_of_int s.Mgs_engine.Sim.st_peak;
+             tracked (string_of_int s.Mgs_engine.Sim.st_peak);
              string_of_int s.Mgs_engine.Sim.st_merges;
              string_of_int s.Mgs_engine.Sim.st_stalls;
-             Printf.sprintf "%.3f" s.Mgs_engine.Sim.st_wall;
+             tracked (Printf.sprintf "%.3f" s.Mgs_engine.Sim.st_wall);
            ])
   in
   let table =
@@ -171,8 +176,11 @@ let pp_shard_table sim =
       ~rows
   in
   table
-  ^ Printf.sprintf "windows = %d, barrier wall = %.3fs\n" (Mgs_engine.Sim.windows sim)
+  ^
+  if windowed then
+    Printf.sprintf "windows = %d, barrier wall = %.3fs\n" (Mgs_engine.Sim.windows sim)
       (Mgs_engine.Sim.barrier_wall sim)
+  else Printf.sprintf "windows = 0, one heap, peak = %d\n" (Mgs_engine.Sim.peak_pending sim)
 
 let csv_of_sweep ~name points =
   let buf = Buffer.create 512 in

@@ -75,7 +75,9 @@ val pp_shard_table : Mgs_engine.Sim.t -> string
     merges, window stalls, and host wall seconds, plus a footer with
     the window count and coordinator barrier wall time.  Executed and
     x-send columns are deterministic across job counts; the rest
-    describe the host-side run. *)
+    describe the host-side run.  A run that opened no window drained
+    one heap: its Peak and Wall columns print [-], and the footer gives
+    that heap's peak ({!Mgs_engine.Sim.peak_pending}). *)
 
 val csv_of_sweep : name:string -> Sweep.point list -> string
 (** Machine-readable export: one line per cluster size with runtime,

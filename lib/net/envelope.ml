@@ -9,8 +9,7 @@ type t = {
   src_ssmp : int;
   dst_ssmp : int;
   words : int;  (* bulk payload words (page / diff data) *)
-  cost : int;  (* destination handler occupancy beyond dispatch *)
 }
 
-let make ?(tag = "LAN") ?(src = -1) ?(dst = -1) ?(cost = 0) ~src_ssmp ~dst_ssmp ~words () =
-  { tag; src; dst; src_ssmp; dst_ssmp; words; cost }
+let make ?(tag = "LAN") ?(src = -1) ?(dst = -1) ~src_ssmp ~dst_ssmp ~words () =
+  { tag; src; dst; src_ssmp; dst_ssmp; words }

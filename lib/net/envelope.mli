@@ -12,18 +12,8 @@ type t = {
   src_ssmp : int;
   dst_ssmp : int;
   words : int;  (** bulk payload words (page / diff data) *)
-  cost : int;  (** destination handler occupancy beyond dispatch *)
 }
 
 val make :
-  ?tag:string ->
-  ?src:int ->
-  ?dst:int ->
-  ?cost:int ->
-  src_ssmp:int ->
-  dst_ssmp:int ->
-  words:int ->
-  unit ->
-  t
-(** Constructor for tests and benchmarks; [cost] is carried, never read
-    by the transport. *)
+  ?tag:string -> ?src:int -> ?dst:int -> src_ssmp:int -> dst_ssmp:int -> words:int -> unit -> t
+(** Constructor for tests and benchmarks. *)

@@ -132,10 +132,9 @@ let to_string s =
 
 type plan = {
   spec : spec;
-  seed : int;
   nssmps : int;
-  mutable chans : Rng.t array;  (* per (src * nssmps + dst) channel *)
-  mutable ack_chans : Rng.t array;
+  chans : Rng.t array;  (* per (src * nssmps + dst) channel *)
+  ack_chans : Rng.t array;
       (* separate per-channel streams for the ack direction: the forward
          draws happen at the sender and the ack draws at the receiver,
          which under the sharded engine are different domains — a shared
@@ -143,38 +142,23 @@ type plan = {
   slowf : float array;  (* per-SSMP slowdown factor, 1.0 = healthy *)
 }
 
-let derive_chans ~seed ~nssmps =
-  let base = Rng.create ~seed in
-  Array.init (nssmps * nssmps) (fun i -> Rng.split_key base ~key:i)
-
-let derive_ack_chans ~seed ~nssmps =
-  let base = Rng.create ~seed in
-  let n = nssmps * nssmps in
-  Array.init n (fun i -> Rng.split_key base ~key:(n + i))
-
 let make spec ~seed ~nssmps =
   if nssmps <= 0 then invalid_arg "Fault.make: nssmps";
   let slowf = Array.make nssmps 1.0 in
   List.iter
     (fun (ssmp, f) -> if ssmp >= 0 && ssmp < nssmps && f > 1.0 then slowf.(ssmp) <- f)
     spec.slow;
+  let base = Rng.create ~seed in
+  let n = nssmps * nssmps in
   {
     spec;
-    seed;
     nssmps;
-    chans = derive_chans ~seed ~nssmps;
-    ack_chans = derive_ack_chans ~seed ~nssmps;
+    chans = Array.init n (fun i -> Rng.split_key base ~key:i);
+    ack_chans = Array.init n (fun i -> Rng.split_key base ~key:(n + i));
     slowf;
   }
 
 let spec_of p = p.spec
-
-(* Re-derive every channel stream from the seed: after a reset the fault
-   schedule restarts exactly as at creation, so a measured phase is
-   unaffected by how much randomness warmup traffic consumed. *)
-let reset p =
-  p.chans <- derive_chans ~seed:p.seed ~nssmps:p.nssmps;
-  p.ack_chans <- derive_ack_chans ~seed:p.seed ~nssmps:p.nssmps
 
 let chan_rng p ~src ~dst = p.chans.((src * p.nssmps) + dst)
 

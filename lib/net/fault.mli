@@ -48,10 +48,6 @@ val make : spec -> seed:int -> nssmps:int -> plan
 
 val spec_of : plan -> spec
 
-val reset : plan -> unit
-(** Re-derive every channel stream from the seed, restarting the fault
-    schedule exactly as at {!make} time. *)
-
 val chan_rng : plan -> src:int -> dst:int -> Mgs_util.Rng.t
 (** The stream owned by the (src, dst) SSMP channel's forward
     direction; drawn at the sender. *)

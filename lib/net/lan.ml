@@ -301,7 +301,7 @@ let post lan ~tag ~src ~dst ~src_ssmp ~dst_ssmp ~words ~at k =
   else
     match lan.rel with
     | Some rel ->
-      send_reliable lan rel { Envelope.tag; src; dst; src_ssmp; dst_ssmp; words; cost = 0 } ~at k
+      send_reliable lan rel { Envelope.tag; src; dst; src_ssmp; dst_ssmp; words } ~at k
     | None ->
       let depart = max at lan.sender_free.(src_ssmp) in
       lan.sender_free.(src_ssmp) <- depart + l.send_occupancy;
@@ -371,36 +371,3 @@ let unacked_cell lan c =
     done;
     !n
   | None -> 0
-
-let reset_stats lan =
-  Array.iter
-    (fun c ->
-      c.messages <- 0;
-      c.data_words <- 0;
-      c.retransmits <- 0;
-      c.dup_drops <- 0;
-      c.timeouts <- 0;
-      c.acks <- 0)
-    lan.cells
-
-(* Full reset between measured phases: beyond the counters, clear the
-   sender-occupancy horizons and per-channel FIFO watermarks so warmup
-   traffic cannot delay (and thus skew) the first measured messages.
-   With a fault plan installed the retransmission state (sequence
-   numbers, unacked and parked tables) and the fault schedule restart
-   too — only safe when the network is quiescent, since an in-flight
-   message's sequence number would collide with the restarted stream.
-   Safe mid-run otherwise: departures and arrivals are clamped to [at],
-   which is never in the past. *)
-let reset lan =
-  reset_stats lan;
-  Array.fill lan.sender_free 0 (Array.length lan.sender_free) 0;
-  Array.fill lan.last_arrival 0 (Array.length lan.last_arrival) 0;
-  match lan.rel with
-  | Some rel ->
-    Array.fill rel.next_seq 0 (Array.length rel.next_seq) 0;
-    Array.fill rel.next_deliver 0 (Array.length rel.next_deliver) 0;
-    Array.iter Hashtbl.reset rel.unacked;
-    Array.iter Hashtbl.reset rel.parked;
-    Fault.reset rel.plan
-  | None -> ()

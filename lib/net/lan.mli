@@ -96,15 +96,3 @@ val unacked : t -> int
 val unacked_cell : t -> int -> int
 (** The part of {!unacked} that SSMP [c] sent: sender-side state that
     only [c]'s engine shard touches. *)
-
-val reset_stats : t -> unit
-(** Zero the counters only.  The sender-occupancy horizons and
-    per-channel FIFO watermarks survive, so timing is unaffected —
-    use {!reset} when starting a measured phase. *)
-
-val reset : t -> unit
-(** Full reset between measured phases: counters, sender-occupancy
-    horizons, FIFO watermarks — and, under a fault plan, sequence
-    numbers, unacked/parked tables, and the fault schedule itself
-    (re-derived from the seed).  Only call with the network quiescent
-    ({!unacked} = 0) when a plan is installed. *)

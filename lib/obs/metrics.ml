@@ -24,7 +24,6 @@ type counter = { ca : int array }
 
 type kind =
   | Kcounter of int array
-  | Kprobe of (unit -> float) (* polled in cell 0 only *)
   | Kprobe_cell of (int -> float) (* polled per cell, shard-local read *)
 
 type series = { s_name : string; s_kind : kind }
@@ -113,8 +112,6 @@ let histogram t ?(labels = []) name =
 
 let observe h v = Hist.add h v
 
-let probe t ?(labels = []) name read = add_series t (full_name name labels) (Kprobe read)
-
 let probe_cell t ?(labels = []) name read =
   add_series t (full_name name labels) (Kprobe_cell read)
 
@@ -123,7 +120,6 @@ let columns t = List.rev_map (fun s -> s.s_name) t.series
 let read_series s ~cell =
   match s.s_kind with
   | Kcounter ca -> float_of_int ca.(cell)
-  | Kprobe f -> if cell = 0 then f () else 0.
   | Kprobe_cell f -> f cell
 
 let snapshot t ~cell =

@@ -45,11 +45,6 @@ val histogram : t -> ?labels:(string * string) list -> string -> Hist.t
 
 val observe : Hist.t -> int -> unit
 
-val probe : t -> ?labels:(string * string) list -> string -> (unit -> float) -> unit
-(** Register a live-state probe polled at each sample, in cell 0 only —
-    for state that is global or host-side (e.g. fault-injection
-    schedules).  Shard-owned state wants {!probe_cell}. *)
-
 val probe_cell : t -> ?labels:(string * string) list -> string -> (int -> float) -> unit
 (** Register a per-cell probe: [read cell] is polled when cell [cell]
     samples, from that cell's own event context — it must read only

@@ -1,8 +1,8 @@
 open Mgs.State
 
 (* Every lock algorithm behind one closed tag: [make] builds an instance
-   of a [kind], and [acquire], [release], [reset] and the counters
-   dispatch with one [match] on it.
+   of a [kind], and [acquire], [release] and the counters dispatch with
+   one [match] on it.
 
    Every algorithm is home-based: a designated home holds the
    arbitration state (the token's global lock, the test-and-set word,
@@ -333,21 +333,6 @@ module Token = struct
       ignore (Mgs_engine.Waitq.wake_one m.sim loc.waiters)
     end;
     close_root m root
-
-  let reset t l =
-    let h = home_ssmp t in
-    Array.iteri
-      (fun s loc ->
-        ignore (Mgs_engine.Waitq.clear loc.waiters);
-        loc.has_token <- s = h;
-        loc.held <- false;
-        loc.requested <- false;
-        loc.recall <- false;
-        loc.grants_left <- l.grant_bound)
-      l.locals;
-    l.token_at <- h;
-    l.transfer <- false;
-    Queue.clear l.pending
 end
 
 (* --- test-and-set with exponential backoff ------------------------- *)
@@ -406,8 +391,6 @@ module Tas = struct
     Am.post m.am ~tag:"TAS_REL" ~src:ctx.Mgs.Api.proc ~dst:t.home ~words:0
       ~cost:m.costs.sync.lock_local_release (fun _t -> l.held <- false);
     close_root m root
-
-  let reset l = l.held <- false
 end
 
 (* --- ticket lock ---------------------------------------------------- *)
@@ -467,12 +450,6 @@ module Ticket = struct
           grant ()
         | None -> ());
     close_root m root
-
-  let reset l =
-    l.next_ticket <- 0;
-    l.now_serving <- 0;
-    Hashtbl.reset l.waiting;
-    l.held <- false
 end
 
 (* The MCS and CLH node tables are touched from the requester's, the
@@ -605,12 +582,6 @@ module Mcs = struct
           end);
       blocked_wait t ctx root (fun () -> Mgs_engine.Waitq.park q));
     close_root m root
-
-  let reset l =
-    Mutex.protect l.nodes_mu (fun () -> Hashtbl.reset l.nodes);
-    l.tail <- None;
-    Array.fill l.mint 0 (Array.length l.mint) 0;
-    l.holder <- -1
 end
 
 (* --- CLH queue lock ------------------------------------------------- *)
@@ -636,15 +607,6 @@ module Clh = struct
     mint : int array; (* per-proc counters; ids = 1 + proc + nprocs*k *)
     mutable holder : int; (* node id of the current holder, -1 if free *)
   }
-
-  let reset l ~home =
-    Mutex.protect l.nodes_mu (fun () ->
-        Hashtbl.reset l.nodes;
-        (* sentinel: an already-released node owned by the home *)
-        Hashtbl.replace l.nodes 0 { owner = home; released = true; watcher = None });
-    l.tail <- 0;
-    Array.fill l.mint 0 (Array.length l.mint) 0;
-    l.holder <- -1
 
   let acquire (ctx : Mgs.Api.ctx) t l =
     let m = t.m in
@@ -709,28 +671,6 @@ type state =
 
 type t = state lock
 
-let zero a = Array.fill a 0 (Array.length a) 0
-
-let reset t =
-  zero t.cells.acquires;
-  zero t.cells.hits;
-  zero t.cells.blocked;
-  Hashtbl.reset t.notices;
-  (match t.st with
-  | Token_st l -> Token.reset t l
-  | Tas_st l -> Tas.reset l
-  | Ticket_st l -> Ticket.reset l
-  | Mcs_st l -> Mcs.reset l
-  | Clh_st l -> Clh.reset l ~home:t.home);
-  t.last_release <- -1;
-  t.last_holder <- -1;
-  t.handoffs <- 0;
-  t.gap_n <- 0;
-  t.gap_sum <- 0;
-  t.gap_max <- 0;
-  t.gap_w.w_mean <- 0.;
-  t.gap_w.w_m2 <- 0.
-
 let sum = Array.fold_left ( + ) 0
 
 let waiters t = sum t.cells.blocked
@@ -759,9 +699,9 @@ let make (m : Mgs.Machine.t) ?(home = 0) ?grant_bound kind =
       Mcs_st { nodes; nodes_mu; tail = None; mint = Array.make nprocs 0; holder = -1 }
     | Clh ->
       let nodes, nodes_mu = node_table () in
-      let l = { Clh.nodes; nodes_mu; tail = 0; mint = Array.make nprocs 0; holder = -1 } in
-      Clh.reset l ~home:home_proc;
-      Clh_st l
+      (* sentinel: an already-released node owned by the home *)
+      Hashtbl.replace nodes 0 { Clh.owner = home_proc; released = true; watcher = None };
+      Clh_st { nodes; nodes_mu; tail = 0; mint = Array.make nprocs 0; holder = -1 }
   in
   let t =
     {
@@ -780,13 +720,11 @@ let make (m : Mgs.Machine.t) ?(home = 0) ?grant_bound kind =
       gap_w = { w_mean = 0.; w_m2 = 0. };
     }
   in
-  (* Phase resets ([Machine.reset_stats]) restore the lock through this
-     hook; [assert_quiescent] and the [sync.lock_waiters] gauge read the
-     waiter count. *)
+  (* [assert_quiescent] and the [sync.lock_waiters] gauge read the
+     waiter count through this hook. *)
   m.sync_hooks <-
     {
       sh_name = "lock:" ^ name_of kind;
-      sh_reset = (fun () -> reset t);
       sh_waiters = (fun () -> waiters t);
       sh_waiters_cell = (fun c -> t.cells.blocked.(c));
     }

@@ -1,7 +1,7 @@
 (** Every lock algorithm behind one closed tag.
 
-    A lock is built from a {!kind} with {!make}; [acquire], [release],
-    [reset] and the counters dispatch with one [match] on it.  The
+    A lock is built from a {!kind} with {!make}; [acquire], [release]
+    and the counters dispatch with one [match] on it.  The
     harness, the benchmark driver, and [mgs_run --lock] turn a name into
     a kind once, with {!of_name}.  Five algorithms:
 
@@ -47,8 +47,7 @@
     trace is installed, and the [lock_wait]/[lock_handoffs] Pstats
     counters ([Token] excepted, so its runs stay byte-identical with
     earlier revisions).  {!make} registers a {!Mgs.State.sync_hook}, so
-    [Machine.reset_stats] restores the lock between phases,
-    [assert_quiescent] fails on leaked waiters, and the
+    [assert_quiescent] fails on leaked waiters and the
     [sync.lock_waiters] gauge counts parked fibers. *)
 
 type kind = Token | Tas | Ticket | Mcs | Clh
@@ -70,8 +69,8 @@ type t
 
 val make : Mgs.Machine.t -> ?home:int -> ?grant_bound:int -> kind -> t
 (** [make m ~home kind] builds a lock whose arbitration state lives on
-    SSMP [home] (default 0) and registers a sync hook on [m] for phase
-    resets and quiescence checks.  [grant_bound] overrides the token
+    SSMP [home] (default 0) and registers a sync hook on [m] for
+    quiescence checks and the waiter gauge.  [grant_bound] overrides the token
     lock's handoff budget per recall (default: half the cluster size,
     at least 1): 0 surrenders the token at the first recalled release
     (globally fair), larger values favor locality.
@@ -101,15 +100,6 @@ val hit_ratio : t -> float
 
 val waiters : t -> int
 (** Fibers currently blocked inside the lock. *)
-
-val reset : t -> unit
-(** Restore the just-created state and zero the instrumentation.
-    Parked waiters are {e dropped}, not woken — only call between
-    phases, when any parked fiber belongs to an abandoned run (e.g.
-    after {!Mgs_net.Lan.Net_partition} ended it).  Without this, a
-    token-lock waiter stranded by a partition leaves its request
-    latched and the next acquirer deadlocks waiting for a token grant
-    that never comes. *)
 
 val handoffs : t -> int
 (** Acquires whose previous holder was a different processor. *)

@@ -3,12 +3,11 @@
    driven demotion, home-migration gating, machine-level determinism of
    adaptive runs across engine job counts (invariant checker on),
    byte-identity of the default (adapt-off) configuration, engagement
-   on serving traffic, phase-reset parity, and the ivy guard. *)
+   on serving traffic, and the ivy guard. *)
 
 module Adapt = Mgs_cache.Adapt
 module Bitset = Mgs_util.Bitset
 module Sweep = Mgs_harness.Sweep
-module Locks = Mgs_sync.Locks
 
 let pattern = Alcotest.testable (Fmt.of_to_string Adapt.pattern_name) ( = )
 
@@ -216,7 +215,7 @@ let test_migration_gate () =
   ignore (mw p);
   Alcotest.(check int) "contention clears the candidate" (-1) p.Adapt.dom
 
-let test_page_resets () =
+let test_window_reset () =
   let p = Adapt.new_page ~nssmps:4 in
   ignore (sw p);
   ignore (sw p);
@@ -226,13 +225,7 @@ let test_page_resets () =
   Alcotest.(check int) "window counters cleared" 0
     (Bitset.cardinal p.Adapt.w_writers + p.Adapt.w_wreq + p.Adapt.w_rreq
    + p.Adapt.w_upg + p.Adapt.w_clean);
-  Alcotest.(check int) "reset_window keeps the dominance streak" 2 p.Adapt.dom_streak;
-  Adapt.reset_page p;
-  Alcotest.(check int) "reset_page clears streaks" 0
-    (p.Adapt.dom_streak + p.Adapt.streak);
-  Alcotest.(check int) "and the candidate" (-1) p.Adapt.dom;
-  Alcotest.(check bool) "but the regime survives (it is protocol state)" true
-    (p.Adapt.regime = Adapt.Rsw)
+  Alcotest.(check int) "reset_window keeps the dominance streak" 2 p.Adapt.dom_streak
 
 (* ------------------------------------------------------------------ *)
 (* Machine level.                                                      *)
@@ -357,39 +350,6 @@ let test_ivy_rejected () =
        let rec scan i = i + k <= n && (String.sub msg i k = affix || scan (i + 1)) in
        scan 0)
 
-(* Phase-reset parity: an adaptive warmup phase moves the adaptive
-   counters; [reset_stats] must zero every one of them (and the
-   classifier windows behind them) while leaving the machine fully
-   usable — the canonical migratory workload then reruns correctly. *)
-let test_reset_parity () =
-  let cfg = Mgs.Machine.config ~adapt:true ~nprocs:8 ~cluster:2 () in
-  let m = Mgs.Machine.create cfg in
-  let cell = Mgs.Machine.alloc m ~words:1 ~home:(Mgs_mem.Allocator.On_proc 0) in
-  let lock = Locks.make m Ticket in
-  let phase () =
-    ignore
-      (Mgs.Machine.run m (fun ctx ->
-           for _ = 1 to 6 do
-             Locks.acquire ctx lock;
-             Mgs.Api.write ctx cell (Mgs.Api.read ctx cell +. 1.0);
-             Locks.release ctx lock;
-             Mgs.Api.compute ctx 2_000
-           done));
-    Mgs.Machine.assert_quiescent m
-  in
-  phase ();
-  let open Mgs.State in
-  Alcotest.(check bool) "warmup ran decision windows" true
-    (total m Mgs.Pstats.adapt_res_mw + total m Mgs.Pstats.adapt_res_sw
-     + total m Mgs.Pstats.adapt_res_inv
-    > 0);
-  Mgs.Machine.reset_stats m;
-  Alcotest.(check int) "every adaptive counter reset" 0
-    (adapt_total (Mgs.Report.of_machine m).Mgs.Report.pstats);
-  phase ();
-  Alcotest.(check (float 0.)) "second phase counter" (float_of_int (2 * 8 * 6))
-    (Mgs.Machine.peek m cell)
-
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -411,7 +371,7 @@ let () =
             test_pc_stays_default;
           Alcotest.test_case "event-driven demotion" `Quick test_demote;
           Alcotest.test_case "migration gating" `Quick test_migration_gate;
-          Alcotest.test_case "window and phase resets" `Quick test_page_resets;
+          Alcotest.test_case "window reset" `Quick test_window_reset;
         ] );
       ( "machine",
         [
@@ -422,7 +382,6 @@ let () =
           Alcotest.test_case "and under faults" `Quick test_adapt_faulty_identity;
           Alcotest.test_case "engages on serving traffic" `Quick test_adapt_serving;
           Alcotest.test_case "ivy rejected" `Quick test_ivy_rejected;
-          Alcotest.test_case "reset parity" `Quick test_reset_parity;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_switch_invariants ] );

@@ -163,6 +163,39 @@ let test_lookahead_zero () =
     (Invalid_argument "Sim.make_sharded: events already scheduled") (fun () ->
       Sim.make_sharded sim ~nshards:2 ~lookahead:0)
 
+(* The job count picks which heaps hold pending events, so it changes
+   only while nothing is pending. *)
+let test_set_jobs_refuses_pending () =
+  let sim = Sim.create () in
+  Sim.make_sharded sim ~nshards:2 ~lookahead:1000;
+  Sim.at_shard sim ~shard:1 10 (fun () -> ());
+  Alcotest.check_raises "an event is pending"
+    (Invalid_argument "Sim.set_jobs: events pending") (fun () -> Sim.set_jobs sim 2);
+  Sim.set_jobs sim 1;
+  Alcotest.(check int) "the event still runs" 1 (Sim.run sim ());
+  Sim.set_jobs sim 2;
+  Sim.at_shard sim ~shard:1 2000 (fun () -> ());
+  ignore (Sim.run sim ());
+  Alcotest.(check bool) "windowed once nothing was pending" true (Sim.windows sim > 0)
+
+(* A count that clamps to the current one is no change, so it is
+   accepted with events pending: above the shard count, and on a
+   lookahead-0 simulator, which only drains one heap. *)
+let test_set_jobs_unchanged_count () =
+  let sim = Sim.create () in
+  Sim.make_sharded sim ~nshards:2 ~lookahead:1000;
+  Sim.set_jobs sim 2;
+  Sim.at_shard sim ~shard:1 2000 (fun () -> ());
+  Sim.set_jobs sim 8;
+  Alcotest.(check int) "the event runs" 1 (Sim.run sim ());
+  Alcotest.(check bool) "on two domains" true (Sim.windows sim > 0);
+  let sim = Sim.create () in
+  Sim.make_sharded sim ~nshards:2 ~lookahead:0;
+  Sim.at_shard sim ~shard:1 10 (fun () -> ());
+  Sim.set_jobs sim 4;
+  Alcotest.(check int) "the event runs on one heap" 1 (Sim.run sim ());
+  Alcotest.(check int) "no window" 0 (Sim.windows sim)
+
 (* One job ranks each key as it pops it, so the key of a running event
    reaches a self-referential sentinel in one hop however long the
    fiber's history is; unranked, each sleep would add a hop. *)
@@ -441,6 +474,10 @@ let () =
           Alcotest.test_case "strict mode raises on late merge" `Quick
             test_sharded_strict_raises;
           Alcotest.test_case "lookahead 0 runs on one domain" `Quick test_lookahead_zero;
+          Alcotest.test_case "set_jobs refuses pending events" `Quick
+            test_set_jobs_refuses_pending;
+          Alcotest.test_case "set_jobs keeps an unchanged count" `Quick
+            test_set_jobs_unchanged_count;
           Alcotest.test_case "key chains stay bounded" `Quick test_chains_bounded;
           Alcotest.test_case "no ranks after a windowed run" `Quick
             test_no_ranks_after_windowed;

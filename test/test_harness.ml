@@ -196,6 +196,43 @@ let test_figures_render () =
   let summary = Figures.metrics_summary [ ("trivial", points) ] in
   Alcotest.(check bool) "summary header" true (contains summary "Multigrain potential")
 
+(* The engine's shard table after a tiny jacobi run at [par_jobs]: its
+   simulator, each shard row's Peak field, and its footer line. *)
+let shard_table ~par_jobs =
+  let m = Mgs.Machine.create (Mgs.Machine.config ~par_jobs ~nprocs:8 ~cluster:2 ()) in
+  let body, _ = (Mgs_apps.Jacobi.workload Mgs_apps.Jacobi.tiny).Sweep.prepare m in
+  ignore (Mgs.Machine.run m body);
+  let sim = Mgs.Machine.sim m in
+  let lines =
+    List.filter (fun l -> l <> "") (String.split_on_char '\n' (Figures.pp_shard_table sim))
+  in
+  let fields l = List.filter (fun f -> f <> "") (String.split_on_char ' ' l) in
+  let shard_rows = List.filteri (fun i _ -> i >= 2 && i < List.length lines - 1) lines in
+  ( sim,
+    List.map (fun row -> List.nth (fields row) 4) shard_rows,
+    List.nth lines (List.length lines - 1) )
+
+(* A par-1 run drains one heap, which tracks no per-shard peak: the
+   shard table prints "-" there and gives the heap's peak below. *)
+let test_shard_table_one_heap () =
+  let sim, peaks, footer = shard_table ~par_jobs:1 in
+  Alcotest.(check (list string)) "per-shard peak" [ "-"; "-"; "-"; "-" ] peaks;
+  let peak = Mgs_engine.Sim.peak_pending sim in
+  Alcotest.(check bool) "the heap ran" true (peak > 0);
+  Alcotest.(check string) "footer" (Printf.sprintf "windows = 0, one heap, peak = %d" peak) footer
+
+(* A windowed run tracks each shard's heap: the Peak column holds
+   numbers, and the footer counts the windows instead. *)
+let test_shard_table_windowed () =
+  let sim, peaks, footer = shard_table ~par_jobs:2 in
+  Alcotest.(check int) "one row per shard" 4 (List.length peaks);
+  let peaks = List.map int_of_string peaks in
+  Alcotest.(check bool) "a shard's heap filled" true (List.exists (fun p -> p > 0) peaks);
+  let windows = Mgs_engine.Sim.windows sim in
+  Alcotest.(check bool) "windows opened" true (windows > 0);
+  let prefix = Printf.sprintf "windows = %d, barrier wall = " windows in
+  Alcotest.(check string) "footer" prefix (String.sub footer 0 (String.length prefix))
+
 let test_csv_and_messages () =
   let points = Sweep.sweep ~nprocs:4 trivial_workload in
   let csv = Figures.csv_of_sweep ~name:"trivial" points in
@@ -298,6 +335,8 @@ let () =
         [
           Alcotest.test_case "figures" `Quick test_figures_render;
           Alcotest.test_case "fault-latency table" `Quick test_fault_latency_renders;
+          Alcotest.test_case "shard table of one heap" `Quick test_shard_table_one_heap;
+          Alcotest.test_case "shard table of a windowed run" `Quick test_shard_table_windowed;
           Alcotest.test_case "csv + message mix" `Quick test_csv_and_messages;
           Alcotest.test_case "ablation table" `Quick test_ablation_run;
           Alcotest.test_case "micro rows" `Quick test_micro_structure;

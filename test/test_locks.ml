@@ -1,13 +1,12 @@
 (* Tests for the lock kinds: every algorithm must provide mutual
    exclusion and eventual acquisition (under clean and faulty networks),
-   the queue locks must grant in FIFO order, the condition variables
-   must not lose wakeups, phase resets must restore every per-lock
-   counter and queue, and a partitioned acquire must not poison the next
-   phase.  The microbenchmark family must be byte-identical under -j N,
-   and its output and the lock-using apps' reports are pinned. *)
+   the queue locks must grant in FIFO order, a run's per-lock counters
+   must agree with the machine's, and an acquire cut off by a
+   partition must end the run with a typed outcome.  The microbenchmark
+   family must be byte-identical under -j N, and its output and the
+   lock-using apps' reports are pinned. *)
 
 module Locks = Mgs_sync.Locks
-module Condvar = Mgs_sync.Condvar
 module Micro = Mgs_harness.Micro
 module Figures = Mgs_harness.Figures
 
@@ -132,149 +131,55 @@ let prop_fifo_faulty =
     (fun (seed, kind) -> run_fifo ~faults:(Mgs_net.Fault.of_string chaos) ~seed kind)
 
 (* ------------------------------------------------------------------ *)
-(* Condition variables.                                                *)
+(* One run's lock counters.                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Four consumers wait for items, four producers each publish one and
-   signal.  The Mesa while-loop absorbs any signal/wait race; the run
-   can only complete if no wakeup is lost. *)
-let test_condvar_signal () =
-  let m = make ~nprocs:8 ~cluster:2 () in
-  let lock = Locks.make m Mcs in
-  let cv = Condvar.create m lock in
-  let ready = ref 0 in
-  ignore
-    (Mgs.Machine.run m (fun ctx ->
-         let p = Mgs.Api.proc ctx in
-         if p < 4 then begin
-           Locks.acquire ctx lock;
-           while !ready = 0 do
-             Condvar.wait ctx cv
-           done;
-           decr ready;
-           Locks.release ctx lock
-         end
-         else begin
-           Mgs.Api.compute ctx 50_000;
-           Locks.acquire ctx lock;
-           incr ready;
-           ignore (Condvar.signal ctx cv);
-           Locks.release ctx lock
-         end));
-  Mgs.Machine.assert_quiescent m;
-  Alcotest.(check int) "all items consumed" 0 !ready;
-  Alcotest.(check int) "no parked waiters" 0 (Condvar.waiters cv)
-
-let test_condvar_broadcast () =
-  let m = make ~nprocs:8 ~cluster:2 () in
-  let lock = Locks.make m Ticket in
-  let cv = Condvar.create m lock in
-  let go = ref false in
-  let woken = ref 0 in
-  ignore
-    (Mgs.Machine.run m (fun ctx ->
-         let p = Mgs.Api.proc ctx in
-         if p = 0 then begin
-           (* park everyone first: waiters release the lock inside
-              [wait], so the whole group is asleep long before this
-              ([idle_until] suspends in simulated time; a [compute]
-              would only advance this fiber's virtual clock) *)
-           Mgs.Api.idle_until ctx 500_000;
-           Locks.acquire ctx lock;
-           go := true;
-           woken := Condvar.broadcast ctx cv;
-           Locks.release ctx lock
-         end
-         else begin
-           Locks.acquire ctx lock;
-           while not !go do
-             Condvar.wait ctx cv
-           done;
-           Locks.release ctx lock
-         end));
-  Mgs.Machine.assert_quiescent m;
-  Alcotest.(check int) "broadcast woke the whole group" 7 !woken;
-  Alcotest.(check int) "waits recorded" 7 (Condvar.waits cv);
-  Alcotest.(check int) "wakeups recorded" 7 (Condvar.wakeups cv);
-  Alcotest.(check int) "no parked waiters" 0 (Condvar.waiters cv)
-
-(* ------------------------------------------------------------------ *)
-(* Phase-reset parity.                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_reset_parity () =
+(* The per-lock counters and the machine's lock columns describe the
+   same run: every acquire is counted once on each side, handoffs
+   record their gaps, the queue drains, and the lock's traffic and
+   waiting reach the protocol counters. *)
+let test_lock_counters () =
   let m = make ~nprocs:8 ~cluster:2 () in
   let cell = Mgs.Machine.alloc m ~words:1 ~home:(Mgs_mem.Allocator.On_proc 0) in
   let lock = Locks.make m Clh in
-  let phase () =
-    ignore
-      (Mgs.Machine.run m (fun ctx ->
-           for _ = 1 to 4 do
-             Locks.acquire ctx lock;
-             Mgs.Api.write ctx cell (Mgs.Api.read ctx cell +. 1.0);
-             Locks.release ctx lock
-           done));
-    Mgs.Machine.assert_quiescent m
-  in
-  phase ();
+  ignore
+    (Mgs.Machine.run m (fun ctx ->
+         for _ = 1 to 4 do
+           Locks.acquire ctx lock;
+           Mgs.Api.write ctx cell (Mgs.Api.read ctx cell +. 1.0);
+           Locks.release ctx lock
+         done));
+  Mgs.Machine.assert_quiescent m;
   let open Mgs.State in
-  Alcotest.(check bool) "warmup recorded acquires" true (Locks.acquires lock > 0);
-  Alcotest.(check bool) "warmup recorded handoffs" true (Locks.handoffs lock > 0);
-  Alcotest.(check bool) "warmup recorded lock messages" true
-    (total m Mgs.Pstats.lock_msgs > 0);
-  Alcotest.(check bool) "warmup recorded lock wait" true
-    (total m Mgs.Pstats.lock_wait > 0);
-  Mgs.Machine.reset_stats m;
-  Alcotest.(check int) "acquires reset" 0 (Locks.acquires lock);
-  Alcotest.(check int) "hits reset" 0 (Locks.hits lock);
-  Alcotest.(check int) "handoffs reset" 0 (Locks.handoffs lock);
-  Alcotest.(check int) "gap history reset" 0 (Locks.gap_stats lock).Locks.n;
+  Alcotest.(check int) "acquires" (8 * 4) (Locks.acquires lock);
+  Alcotest.(check int) "machine lock counter" (8 * 4) (total m Mgs.Pstats.lock_acquires);
+  Alcotest.(check bool) "handoffs recorded" true (Locks.handoffs lock > 0);
+  Alcotest.(check int) "a gap per handoff" (Locks.handoffs lock) (Locks.gap_stats lock).Locks.n;
   Alcotest.(check int) "no queued waiters" 0 (Locks.waiters lock);
-  Alcotest.(check int) "pstats lock_msgs reset" 0 (total m Mgs.Pstats.lock_msgs);
-  Alcotest.(check int) "pstats lock_handoffs reset" 0 (total m Mgs.Pstats.lock_handoffs);
-  Alcotest.(check int) "pstats lock_wait reset" 0 (total m Mgs.Pstats.lock_wait);
-  Alcotest.(check int) "machine lock counter reset" 0 (total m Mgs.Pstats.lock_acquires);
-  (* the lock must be fully usable in the next measured phase *)
-  phase ();
-  Alcotest.(check int) "second phase acquires" (8 * 4) (Locks.acquires lock);
-  Alcotest.(check (float 0.)) "second phase counter" (float_of_int (2 * 8 * 4))
-    (Mgs.Machine.peek m cell)
+  Alcotest.(check bool) "lock messages counted" true (total m Mgs.Pstats.lock_msgs > 0);
+  Alcotest.(check bool) "lock wait counted" true (total m Mgs.Pstats.lock_wait > 0);
+  Alcotest.(check (float 0.)) "counter" (float_of_int (8 * 4)) (Mgs.Machine.peek m cell)
 
 (* ------------------------------------------------------------------ *)
-(* Partition during an acquire must not poison the next phase.         *)
+(* A partition during an acquire ends the run, not the process.        *)
 (* ------------------------------------------------------------------ *)
 
-let test_partition_recovery () =
+let test_partitioned_acquire () =
   let m = make ~nprocs:4 ~cluster:2 () in
-  let cell = Mgs.Machine.alloc m ~words:1 ~home:(Mgs_mem.Allocator.On_proc 0) in
   let lock = Locks.make m ~home:0 Token in
   (* total loss: the cross-SSMP token request exhausts its retries *)
   Mgs.Machine.set_faults m ~seed:7 (Mgs_net.Fault.of_string "drop=1.0,retries=3");
-  let r1 =
+  let r =
     Mgs.Machine.run m (fun ctx ->
         if Mgs.Api.proc ctx = 2 then begin
           Locks.acquire ctx lock;
           Locks.release ctx lock
         end)
   in
-  (match r1.Mgs.Report.outcome with
+  (match r.Mgs.Report.outcome with
   | Mgs.Report.Partitioned _ -> ()
   | _ -> Alcotest.fail "expected a partitioned outcome");
-  Alcotest.(check bool) "waiter abandoned mid-acquire" true (Locks.waiters lock > 0);
-  (* reset while the plan is installed (clears the transport's pending
-     retransmissions), then lift the faults for the next phase *)
-  Mgs.Machine.reset_stats m;
-  Mgs.Machine.clear_faults m;
-  Alcotest.(check int) "reset dropped the dead waiter" 0 (Locks.waiters lock);
-  let r2 =
-    Mgs.Machine.run m (fun ctx ->
-        Locks.acquire ctx lock;
-        Mgs.Api.write ctx cell (Mgs.Api.read ctx cell +. 1.0);
-        Locks.release ctx lock)
-  in
-  Alcotest.(check bool) "second phase completes" true (Mgs.Report.completed r2);
-  Mgs.Machine.assert_quiescent m;
-  Alcotest.(check (float 0.)) "every proc acquired" 4.0 (Mgs.Machine.peek m cell)
+  Alcotest.(check bool) "waiter abandoned mid-acquire" true (Locks.waiters lock > 0)
 
 (* ------------------------------------------------------------------ *)
 (* -j N byte identity of the microbenchmark family.                    *)
@@ -339,8 +244,7 @@ let test_pinned_app_reports () =
     ]
 
 (* Water-kernel's molecule locks are visible to the machine: each
-   registers a sync hook, so phase resets and [assert_quiescent] reach
-   them. *)
+   registers a sync hook, so [assert_quiescent] reaches them. *)
 let test_water_kernel_hooks () =
   let p = Mgs_apps.Water_kernel.tiny in
   let m = make () in
@@ -383,16 +287,9 @@ let () =
                      with Invalid_argument _ -> kind <> Token))
                 Locks.all);
         ] );
-      ( "condvar",
-        [
-          Alcotest.test_case "signal wakes one" `Quick test_condvar_signal;
-          Alcotest.test_case "broadcast wakes all" `Quick test_condvar_broadcast;
-        ] );
-      ( "phases",
-        [
-          Alcotest.test_case "reset parity" `Quick test_reset_parity;
-          Alcotest.test_case "partition recovery" `Quick test_partition_recovery;
-        ] );
+      ("counters", [ Alcotest.test_case "one run's lock counters" `Quick test_lock_counters ]);
+      ( "partition",
+        [ Alcotest.test_case "partitioned acquire" `Quick test_partitioned_acquire ] );
       ( "determinism",
         [
           Alcotest.test_case "-j N byte identity" `Quick test_lock_family_jobs_identical;

@@ -229,10 +229,9 @@ let test_hlrc_ivy_pinned () =
         cell "ivy" water );
     ]
 
-(* A phase reset zeroes the whole counter table: every column of every
-   SSMP's row, after a run whose MCS lock, adaptive layer and lossy
-   LAN move each counter group on several shards at once. *)
-let test_reset_zeroes_table () =
+(* A run whose MCS lock, adaptive layer and lossy LAN move each counter
+   group on several shards at once counts into every SSMP's row. *)
+let test_every_row_counted () =
   let cfg = Mgs.Machine.config ~adapt:true ~par_jobs:2 ~nprocs:8 ~cluster:2 () in
   let m = Mgs.Machine.create cfg in
   Mgs.Machine.set_faults m (Mgs_net.Fault.scale Mgs_net.Fault.default_chaos ~intensity:0.5);
@@ -247,14 +246,59 @@ let test_reset_zeroes_table () =
     (fun k ->
       Alcotest.(check bool) "lock, adaptive and sync columns moved" true
         (Mgs.State.total m k > 0))
-    Mgs.Pstats.[ lock_msgs; adapt_res_mw; lock_acquires; barrier_episodes ];
-  Mgs.Machine.reset_stats m;
-  Array.iteri
-    (fun s row ->
-      Array.iteri
-        (fun k v -> if v <> 0 then Alcotest.failf "row %d column %d is %d after reset" s k v)
-        row)
-    rows
+    Mgs.Pstats.[ lock_msgs; adapt_res_mw; lock_acquires; barrier_episodes ]
+
+(* A machine runs once: nothing restores its counters, LAN watermarks,
+   fault streams or lock queues, so a second run is refused. *)
+let test_runs_once () =
+  let m = Mgs.Machine.create (Mgs.Machine.config ~nprocs:8 ~cluster:2 ()) in
+  let body, verify = (Mgs_apps.Jacobi.workload Mgs_apps.Jacobi.tiny).Mgs_harness.Sweep.prepare m in
+  Alcotest.(check bool) "first run completes" true
+    (Mgs.Report.completed (Mgs.Machine.run m body));
+  verify m;
+  Alcotest.check_raises "second run refused"
+    (Invalid_argument "Machine.run: a machine runs once") (fun () ->
+      ignore (Mgs.Machine.run m body))
+
+(* A partition abandons a windowed run mid-flight; the refusal comes
+   before the engine is touched, so the abandoned run's clock and event
+   count stand. *)
+let test_partitioned_runs_once () =
+  let m = Mgs.Machine.create (Mgs.Machine.config ~par_jobs:2 ~nprocs:4 ~cluster:2 ()) in
+  Mgs.Machine.set_faults m ~seed:7 (Mgs_net.Fault.of_string "drop=1.0,retries=3");
+  let cell = Mgs.Machine.alloc m ~words:1 ~home:(Mgs_mem.Allocator.On_proc 0) in
+  let body ctx = if Mgs.Api.proc ctx = 2 then Mgs.Api.write ctx cell 1.0 in
+  (match (Mgs.Machine.run m body).Mgs.Report.outcome with
+  | Mgs.Report.Partitioned _ -> ()
+  | _ -> Alcotest.fail "expected a partitioned outcome");
+  let sim = Mgs.Machine.sim m in
+  let now = Mgs_engine.Sim.now sim and executed = Mgs_engine.Sim.events_executed sim in
+  Alcotest.check_raises "second run refused"
+    (Invalid_argument "Machine.run: a machine runs once") (fun () ->
+      ignore (Mgs.Machine.run m body));
+  Alcotest.(check int) "clock untouched" now (Mgs_engine.Sim.now sim);
+  Alcotest.(check int) "no event executed" executed (Mgs_engine.Sim.events_executed sim)
+
+(* An all-zero spec uninstalls a plan: a machine whose lossy plan was
+   replaced by [Fault.none] runs exactly like one never faulted. *)
+let test_zero_spec_uninstalls () =
+  let run specs =
+    let m = Mgs.Machine.create (Mgs.Machine.config ~nprocs:8 ~cluster:2 ()) in
+    List.iter (Mgs.Machine.set_faults m) specs;
+    let body, verify =
+      (Mgs_apps.Jacobi.workload Mgs_apps.Jacobi.tiny).Mgs_harness.Sweep.prepare m
+    in
+    let r = Mgs.Machine.run m body in
+    verify m;
+    (Mgs.Report.ident r, (Mgs_net.Lan.stats m.Mgs.State.lan).Mgs_net.Lan.retransmits)
+  in
+  let lossy = Mgs_net.Fault.scale Mgs_net.Fault.default_chaos ~intensity:0.5 in
+  let plain, _ = run [] in
+  let _, retransmits = run [ lossy ] in
+  Alcotest.(check bool) "the plan retransmits" true (retransmits > 0);
+  let lifted, lifted_retransmits = run [ lossy; Mgs_net.Fault.none ] in
+  Alcotest.(check int) "no retransmission" 0 lifted_retransmits;
+  Alcotest.(check string) "the report of a never-faulted machine" plain lifted
 
 (* Checking leaves the engine alone: with the shadow oracle and the
    invariant checker both on, a par-2 run still opens lookahead windows
@@ -328,7 +372,14 @@ let () =
         [
           Alcotest.test_case "pstats line pinned" `Quick test_pstats_line;
           Alcotest.test_case "hlrc and ivy lines pinned" `Quick test_hlrc_ivy_pinned;
-          Alcotest.test_case "reset zeroes every row" `Quick test_reset_zeroes_table;
+          Alcotest.test_case "every row counted" `Quick test_every_row_counted;
+        ] );
+      ( "lifecycle",
+        [
+          Alcotest.test_case "a machine runs once" `Quick test_runs_once;
+          Alcotest.test_case "a partitioned machine runs once" `Quick
+            test_partitioned_runs_once;
+          Alcotest.test_case "a zero spec uninstalls faults" `Quick test_zero_spec_uninstalls;
         ] );
       ( "checking",
         [

@@ -78,25 +78,7 @@ let test_lan_stats () =
   ignore (Sim.run sim ());
   let s = Lan.stats lan in
   Alcotest.(check int) "messages" 2 s.Lan.messages;
-  Alcotest.(check int) "words" 30 s.Lan.data_words;
-  Lan.reset_stats lan;
-  Alcotest.(check int) "reset" 0 (Lan.stats lan).Lan.messages
-
-let test_lan_full_reset () =
-  let sim = sim_for 4 in
-  let lan = Lan.create sim costs ~nssmps:4 in
-  (* two warmup messages leave the sender occupied until 2x occupancy
-     and push the channel's FIFO watermark past one latency *)
-  Lan.send lan (env ~src:0 ~dst:1 ~words:0) ~at:0 (fun _ -> ());
-  Lan.send lan (env ~src:0 ~dst:1 ~words:0) ~at:0 (fun _ -> ());
-  Lan.reset lan;
-  let arrived = ref (-1) in
-  Lan.send lan (env ~src:0 ~dst:1 ~words:0) ~at:0 (fun t -> arrived := t);
-  ignore (Sim.run sim ());
-  (* with reset_stats alone the residual occupancy and watermark would
-     push this to latency + occupancy *)
-  Alcotest.(check int) "departs as if idle" costs.Costs.lan.latency !arrived;
-  Alcotest.(check int) "counters zeroed" 1 (Lan.stats lan).Lan.messages
+  Alcotest.(check int) "words" 30 s.Lan.data_words
 
 (* --- fault specs ------------------------------------------------------ *)
 
@@ -202,41 +184,6 @@ let test_lossy_delivers_exactly_once () =
   Alcotest.(check int) "nothing unacked at quiescence" 0 (Lan.unacked lan);
   Alcotest.(check bool) "faults actually fired" true
     ((Lan.stats lan).Lan.retransmits > 0 && (Lan.stats lan).Lan.dup_drops > 0)
-
-let test_reset_clears_transport_state () =
-  let sim = sim_for 4 in
-  let lan = Lan.create sim costs ~nssmps:4 in
-  let spec = { Fault.none with Fault.drop = 0.4; max_retries = 30 } in
-  Lan.set_fault_plan lan (Some (Fault.make spec ~seed:3 ~nssmps:4));
-  for _ = 1 to 20 do
-    Lan.send lan (env ~src:0 ~dst:1 ~words:0) ~at:0 (fun _ -> ())
-  done;
-  ignore (Sim.run sim ());
-  Alcotest.(check int) "quiescent before reset" 0 (Lan.unacked lan);
-  Lan.reset lan;
-  let s = Lan.stats lan in
-  Alcotest.(check int) "retransmits zeroed" 0 s.Lan.retransmits;
-  Alcotest.(check int) "acks zeroed" 0 s.Lan.acks;
-  (* after the reset the fault schedule replays from the seed: the same
-     traffic sees the same faults as a fresh machine (phase 2 starts at
-     the current simulated time, so compare base-relative arrivals) *)
-  let base = Sim.now sim in
-  let arrivals = ref [] in
-  for _ = 1 to 20 do
-    Lan.send lan (env ~src:0 ~dst:1 ~words:0) ~at:base (fun t ->
-        arrivals := (t - base) :: !arrivals)
-  done;
-  ignore (Sim.run sim ());
-  let sim2 = sim_for 4 in
-  let lan2 = Lan.create sim2 costs ~nssmps:4 in
-  Lan.set_fault_plan lan2 (Some (Fault.make spec ~seed:3 ~nssmps:4));
-  let arrivals2 = ref [] in
-  for _ = 1 to 20 do
-    Lan.send lan2 (env ~src:0 ~dst:1 ~words:0) ~at:0 (fun t -> arrivals2 := t :: !arrivals2)
-  done;
-  ignore (Sim.run sim2 ());
-  Alcotest.(check (list int)) "post-reset run replays like a fresh machine" !arrivals2
-    !arrivals
 
 (* --- active messages -------------------------------------------------- *)
 
@@ -464,7 +411,6 @@ let () =
           Alcotest.test_case "fifo per channel" `Quick test_lan_fifo_no_overtake;
           Alcotest.test_case "intra fast path" `Quick test_lan_intra_fast_path;
           Alcotest.test_case "stats" `Quick test_lan_stats;
-          Alcotest.test_case "full reset" `Quick test_lan_full_reset;
         ] );
       ( "faults",
         [
@@ -475,8 +421,6 @@ let () =
           Alcotest.test_case "partition on retry exhaustion" `Quick
             test_partition_on_retry_exhaustion;
           Alcotest.test_case "lossy exactly-once" `Quick test_lossy_delivers_exactly_once;
-          Alcotest.test_case "reset clears transport state" `Quick
-            test_reset_clears_transport_state;
           Alcotest.test_case "retransmit backoff clamped" `Quick
             test_rto_backoff_clamped;
         ] );

@@ -1,7 +1,7 @@
 (* Tests for the observability subsystem: the bounded ring, the
    power-of-two latency histograms, the event trace with its Chrome
    export, the online invariant checker (including deliberately
-   corrupted state it must flag), and the phase-reset plumbing. *)
+   corrupted state it must flag), and the metrics sampler. *)
 
 module Ring = Mgs_obs.Ring
 module Hist = Mgs_obs.Hist
@@ -541,7 +541,7 @@ let test_metrics_registry_and_sampler () =
   let depth = ref 0.0 in
   Metrics.probe_cell mt "depth" (fun _cell -> !depth);
   let live = ref 0.0 in
-  Metrics.probe mt "live" (fun () -> !live);
+  Metrics.probe_cell mt "live" (fun _cell -> !live);
   Metrics.incr c;
   Metrics.incr ~by:4 c;
   depth := 2.5;
@@ -793,19 +793,6 @@ let test_net_gauges_either_order () =
   Alcotest.(check (list string)) "metrics, then faults" net (columns false);
   Alcotest.(check (list string)) "faults, then metrics" net (columns true)
 
-let test_reset_stats () =
-  let m = small_machine () in
-  ignore (run_mp m);
-  let open Mgs.State in
-  Alcotest.(check bool) "messages counted" true (Am.total_posted m.am > 0);
-  Alcotest.(check bool) "lan traffic counted" true ((Lan.stats m.lan).Lan.messages > 0);
-  Alcotest.(check bool) "fetches counted" true (total m Mgs.Pstats.write_fetches > 0);
-  Mgs.Machine.reset_stats m;
-  Alcotest.(check int) "message counters zeroed" 0 (Am.total_posted m.am);
-  Alcotest.(check int) "lan counters zeroed" 0 (Lan.stats m.lan).Lan.messages;
-  Alcotest.(check int) "protocol counters zeroed" 0 (total m Mgs.Pstats.write_fetches);
-  Alcotest.(check int) "sync counters zeroed" 0 (total m Mgs.Pstats.barrier_episodes)
-
 let () =
   Alcotest.run "obs"
     [
@@ -863,6 +850,5 @@ let () =
             test_violation_listing_par_identical;
           Alcotest.test_case "net gauges in either order" `Quick
             test_net_gauges_either_order;
-          Alcotest.test_case "reset_stats" `Quick test_reset_stats;
         ] );
     ]
