@@ -101,10 +101,11 @@ let adapt_move_home m a (p : Adapt.page) se =
 (* ------------------------------------------------------------------ *)
 
 (* Ship a copy of the master page to [requester], granting its SSMP
-   read or write privilege.  The receiver-side handler allocates the
-   frame (and the twin, for writes) and installs the page, then resumes
+   read or write privilege.  The copy travels in [frame], the requester's
+   retired frame, when its request carried one.  The receiver-side
+   handler installs the page (and twins it, for writes), then resumes
    the faulting fiber, which still holds the mapping lock. *)
-let send_data m se ~requester ~write =
+let send_data m se ~requester ~write ~frame =
   let c = m.costs in
   let ssmp = Topology.ssmp_of_proc m.topo requester in
   let cur = se.s_cur_home and vpn = se.s_vpn in
@@ -132,7 +133,7 @@ let send_data m se ~requester ~write =
   if not (Hashtbl.mem se.s_frame_procs ssmp) then Hashtbl.replace se.s_frame_procs ssmp requester;
   obs_emit m ~engine:Mgs_obs.Event.Server ~tag:"sv.send_data" ~vpn:se.s_vpn
     ~src:cur ~dst:requester ~words:m.geom.Geom.page_words ~cost:0 ~dur:0;
-  let payload = Pagedata.copy se.s_master in
+  let payload = grant_frame se frame in
   let install_cost =
     c.proto.frame_alloc
     +
@@ -152,13 +153,13 @@ let send_data m se ~requester ~write =
 (* RREQ / WREQ arrival at the home (arcs 17-19; queued by arc 22 during
    a release).  [self] is the processor the message was addressed to —
    a former home forwards instead of touching the (migrated) sentry. *)
-let rec server_req m ~self ~vpn ~requester ~write =
+let rec server_req m ~self ~vpn ~requester ~write ~frame =
   if
     Option.is_some m.adapt
     && forward m ~self ~vpn
       ~tag:(if write then "WREQ" else "RREQ")
       ~cost:m.costs.proto.server_op
-      (fun self -> server_req m ~self ~vpn ~requester ~write)
+      (fun self -> server_req m ~self ~vpn ~requester ~write ~frame)
   then ()
   else begin
     let se = get_sentry m vpn in
@@ -174,8 +175,8 @@ let rec server_req m ~self ~vpn ~requester ~write =
         span_open m ~label:"sv.queue" ~engine:Mgs_obs.Event.Server ~vpn ~src:requester
           ~dst:se.s_cur_home ()
       in
-      if write then se.s_pend_wr <- (requester, q) :: se.s_pend_wr
-      else se.s_pend_rd <- (requester, q) :: se.s_pend_rd
+      if write then se.s_pend_wr <- (requester, q, frame) :: se.s_pend_wr
+      else se.s_pend_rd <- (requester, q, frame) :: se.s_pend_rd
     | S_read | S_write ->
       (* a second writing SSMP ends the single-writer regime on the
          spot (between epochs, so never mid-epoch) *)
@@ -190,7 +191,7 @@ let rec server_req m ~self ~vpn ~requester ~write =
         | Some (old, nxt) -> adapt_switch m se ~old ~nxt
         | None -> ())
       | _ -> ());
-      send_data m se ~requester ~write
+      send_data m se ~requester ~write ~frame
   end
 
 (* WNOTIFY arrival (arc 18): an SSMP upgraded its read copy in place.
@@ -326,9 +327,9 @@ let rec complete_release m se =
      RACK / page grant leaves here, inside the last reply's handler, but
      belongs to the waiter's transaction. *)
   List.iter (fun (p, ctx) -> span_with m ctx (fun () -> send_rack m se p)) (List.rev racks);
-  let grant ~write (r, qctx) =
+  let grant ~write (r, qctx, frame) =
     span_close m qctx;
-    span_with m qctx (fun () -> send_data m se ~requester:r ~write)
+    span_with m qctx (fun () -> send_data m se ~requester:r ~write ~frame)
   in
   List.iter (grant ~write:false) (List.rev rd);
   List.iter (grant ~write:true) (List.rev wr);
@@ -427,7 +428,8 @@ and server_collect m ~vpn ~ssmp ~payload =
     se.s_retained_notwin <- nw
   | `Yield p ->
     (* a twinless write copy surrendering its page wholesale (no twin
-       to diff against); the frame is freed, nothing is retained *)
+       to diff against): its frame itself, merged and then dropped;
+       nothing is retained *)
     assert (se.s_pending_page = None);
     se.s_pending_page <- Some p;
     Hashtbl.remove se.s_frame_procs ssmp);
@@ -464,7 +466,7 @@ and finish_inv m ~ssmp ~vpn ~reply_to =
     (* Write copy, but the dirty bit is clear: nothing changed since the
        last twin sync, so free the page and acknowledge without paying
        for a diff. *)
-    ce.cdata <- None;
+    retire_frame ce;
     retire_twin ce;
     ce.pstate <- P_inv;
     ce.c_notwin <- false;
@@ -485,7 +487,7 @@ and finish_inv m ~ssmp ~vpn ~reply_to =
        cleaning work completes — read-only data has no coherence issue,
        so the cleaning only needs to finish before the frame is reused,
        which the mapping lock guarantees. *)
-    ce.cdata <- None;
+    retire_frame ce;
     retire_twin ce;
     ce.pstate <- P_inv;
     ce.c_notwin <- false;
@@ -505,10 +507,10 @@ and finish_inv m ~ssmp ~vpn ~reply_to =
   | 2 when ce.c_notwin ->
     (* Twinless write copy (single-writer regime) recalled by a plain
        invalidation: there is no twin to diff against, so yield the
-       whole page and free the frame.  This is the price of skipping
-       the twin — paid only when the single-writer call was wrong. *)
+       whole page.  The frame itself travels home (it is freed here, so
+       no snapshot is needed).  This is the price of skipping the twin —
+       paid only when the single-writer call was wrong. *)
     let data = Option.get ce.cdata in
-    let snapshot = Pagedata.copy data in
     count m Pstats.adapt_yields 1;
     ce.cdata <- None;
     retire_twin ce;
@@ -517,7 +519,7 @@ and finish_inv m ~ssmp ~vpn ~reply_to =
     Mlock.release m.sim ce.mlock;
     Am.post m.am ~tag:"YIELD" ~src:rc ~dst:home ~words:m.geom.Geom.page_words
       ~cost:(m.geom.Geom.page_words * c.proto.copy_per_word) (fun _t ->
-        server_collect m ~vpn ~ssmp ~payload:(`Yield snapshot))
+        server_collect m ~vpn ~ssmp ~payload:(`Yield data))
   | 2 ->
     (* Write copy: diff against the twin, free the page, send the diff. *)
     let data = Option.get ce.cdata and twin = Option.get ce.ctwin in
@@ -528,7 +530,7 @@ and finish_inv m ~ssmp ~vpn ~reply_to =
     let diff_cost =
       (m.geom.Geom.page_words * c.proto.diff_per_word) + (nd * c.proto.diff_word_out)
     in
-    ce.cdata <- None;
+    retire_frame ce;
     retire_twin ce;
     ce.pstate <- P_inv;
     Am.run_on m.am ~tag:"rc.diff" ~proc:rc ~at:(Sim.now m.sim) ~cost:diff_cost (fun _t ->
@@ -687,15 +689,16 @@ and server_rel m ~self ~vpn ~releaser =
 (* Local Client steps (arcs 2, 5); {!Protocol.fault} runs the rest.    *)
 (* ------------------------------------------------------------------ *)
 
-(* Arc 5: ask the home for the page (RREQ / WREQ). *)
-let request m ~proc ~vpn ~write =
+(* Arc 5: ask the home for the page (RREQ / WREQ), carrying [frame] for
+   the grant to fill. *)
+let request m ~proc ~vpn ~write ~frame =
   let ssmp = Topology.ssmp_of_proc m.topo proc in
   count m (if write then Pstats.write_fetches else Pstats.read_fetches) 1;
   let home = home_for m ~ssmp vpn in
   Am.post m.am
     ~tag:(if write then "WREQ" else "RREQ")
     ~src:proc ~dst:home ~words:0 ~cost:m.costs.proto.server_op
-    (fun _t -> server_req m ~self:home ~vpn ~requester:proc ~write)
+    (fun _t -> server_req m ~self:home ~vpn ~requester:proc ~write ~frame)
 
 (* Arc 2: upgrade the read copy in place through the Remote Client
    (arc 13), which twins the page and tells the home (WNOTIFY); the

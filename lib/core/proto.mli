@@ -23,9 +23,12 @@
     [request], [upgrade] and [release_all] are fiber-side entry points;
     everything else runs inside active-message handlers. *)
 
-val request : State.t -> proc:int -> vpn:int -> write:bool -> unit
-(** Arc 5: send [proc]'s RREQ / WREQ for [vpn] to the home.  The grant
-    handler installs the copy and resumes the fiber parked in BUSY. *)
+val request :
+  State.t -> proc:int -> vpn:int -> write:bool -> frame:Mgs_mem.Pagedata.page option -> unit
+(** Arc 5: send [proc]'s RREQ / WREQ for [vpn] to the home, carrying the
+    SSMP's retired [frame] of the page ({!State.take_frame}) for the
+    home to fill.  The grant handler installs the copy and resumes the
+    fiber parked in BUSY. *)
 
 val upgrade : State.t -> proc:int -> State.centry -> ctx:Mgs_obs.Span.ctx -> unit
 (** Arc 2: upgrade the SSMP's read copy in place through the Remote

@@ -202,7 +202,7 @@ let apply_notices m ~proc map =
           Cpu.advance cpu Mgs
             (shoot_local_tlbs m ~ssmp ce
             + (Geom.lines_per_page m.geom * m.costs.proto.clean_per_line));
-          ce.cdata <- None;
+          retire_frame ce;
           retire_twin ce;
           ce.c_dirty <- false;
           ce.pstate <- P_inv;
@@ -219,26 +219,27 @@ let apply_notices m ~proc map =
    happens-before this fault's acquire.  A sibling's acquire may learn
    of a newer version while the fetch is in flight: [apply_notices]
    skips the busy page, so a reply older than the SSMP's [k_map] entry
-   is not installed but re-requested. *)
-let request m ~proc ~vpn ~write =
+   is not installed but re-requested, carrying the stale reply's frame
+   as every request carries the SSMP's retired one. *)
+let request m ~proc ~vpn ~write ~frame =
   let c = m.costs in
   let ssmp = Topology.ssmp_of_proc m.topo proc in
   let ce = get_centry m ssmp vpn in
   let cl = client m ssmp in
   count m (if write then Pstats.write_fetches else Pstats.read_fetches) 1;
-  let rec send () =
+  let rec send frame =
     let home = Proto.home_for m ~ssmp vpn in
     Am.post m.am
       ~tag:(if write then "HLRC_WREQ" else "HLRC_RREQ")
       ~src:proc ~dst:home ~words:0 ~cost:c.proto.server_op
-      (fun _t -> handle home)
-  and handle self =
+      (fun _t -> handle home frame)
+  and handle self frame =
     if
       Option.is_some m.adapt
       && Proto.forward m ~self ~vpn
         ~tag:(if write then "HLRC_WREQ" else "HLRC_RREQ")
         ~cost:c.proto.server_op
-        (fun next -> handle next)
+        (fun next -> handle next frame)
     then ()
     else begin
       let se = get_sentry m vpn in
@@ -247,7 +248,7 @@ let request m ~proc ~vpn ~write =
         p.Adapt.w_rreq <- p.Adapt.w_rreq + 1;
         Bitset.add p.Adapt.w_readers ssmp
       | _ -> ());
-      let payload = Pagedata.copy se.s_master in
+      let payload = grant_frame se frame in
       let version = se.s_version in
       let install_cost =
         c.proto.frame_alloc
@@ -260,7 +261,7 @@ let request m ~proc ~vpn ~write =
         ~src:self ~dst:proc ~words:m.geom.Geom.page_words ~cost:install_cost (fun _t ->
           if version < Option.value ~default:0 (Hashtbl.find_opt cl.k_map vpn) then begin
             Proto.view_note m ~ssmp ~vpn self;
-            send ()
+            send (Some payload)
           end
           else begin
             install m ce ~proc ~write ~twin:write payload;
@@ -270,7 +271,7 @@ let request m ~proc ~vpn ~write =
           end)
     end
   in
-  send ()
+  send frame
 
 (* Multiple writers are allowed: twin the read copy locally, no server
    contact. *)

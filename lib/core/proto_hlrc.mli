@@ -22,9 +22,11 @@
     {!Protocol.at_acquire} call [release_all]/[publish] and
     [apply_notices]. *)
 
-val request : State.t -> proc:int -> vpn:int -> write:bool -> unit
-(** Ask the home for [vpn] and its version; the grant handler installs
-    the copy and resumes the fiber parked in BUSY. *)
+val request :
+  State.t -> proc:int -> vpn:int -> write:bool -> frame:Mgs_mem.Pagedata.page option -> unit
+(** Ask the home for [vpn] and its version, carrying the SSMP's retired
+    [frame] for the home to fill; the grant handler installs the copy
+    and resumes the fiber parked in BUSY. *)
 
 val upgrade : State.t -> proc:int -> State.centry -> unit
 (** Twin the SSMP's read copy in place (multiple writers are allowed,

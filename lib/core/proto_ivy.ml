@@ -34,7 +34,9 @@ let shoot_tlbs m ~ssmp ~vpn ~rc k =
       targets
 
 (* Drop this SSMP's copy; reply with the page contents if it was the
-   owner (the master must be refreshed before anyone else reads).
+   owner (the master must be refreshed before anyone else reads).  The
+   owner's frame itself goes home, since it is freed here; a read
+   copy's frame is parked for the SSMP's next fetch.
    A BUSY mapping means the copy was already dropped (an upgrade in
    flight) — nothing to do, and blocking on the mapping lock would
    deadlock against the fetching fiber. *)
@@ -56,10 +58,8 @@ let client_inv m ~ssmp ~vpn ~(reply : Pagedata.page option -> unit) =
           bump_gen m;
           ignore (Coherence.flush_page m.caches.(ssmp) ~vpn ~dirty);
           shoot_tlbs m ~ssmp ~vpn ~rc (fun () ->
-              let payload =
-                if was_owner then Some (Pagedata.copy (Option.get ce.cdata)) else None
-              in
-              ce.cdata <- None;
+              let payload = if was_owner then ce.cdata else None in
+              if was_owner then ce.cdata <- None else retire_frame ce;
               ce.ctwin <- None;
               ce.pstate <- P_inv;
               let clean = Geom.lines_per_page m.geom * m.costs.proto.clean_per_line in
@@ -91,8 +91,9 @@ let client_recall m ~ssmp ~vpn ~(reply : Pagedata.page -> unit) =
 
 (* --- server side ------------------------------------------------------ *)
 
-(* Ship the page; the transition stays open until the grantee's ack. *)
-let rec do_grant m se ~requester ~write =
+(* Ship the page in [frame] (see {!State.grant_frame}); the transition
+   stays open until the grantee's ack. *)
+let rec do_grant m se ~requester ~write ~frame =
   let ssmp = Topology.ssmp_of_proc m.topo requester in
   let vpn = se.s_vpn in
   assert (se.s_state = S_rel);
@@ -103,7 +104,7 @@ let rec do_grant m se ~requester ~write =
   end
   else Bitset.add se.s_read_dir ssmp;
   Hashtbl.replace se.s_frame_procs ssmp requester;
-  let payload = Pagedata.copy se.s_master in
+  let payload = grant_frame se frame in
   Am.post m.am
     ~tag:(if write then "IVY_WDAT" else "IVY_RDAT")
     ~src:se.s_home_proc ~dst:requester ~words:m.geom.Geom.page_words
@@ -120,14 +121,14 @@ let rec do_grant m se ~requester ~write =
           let rd = List.rev se.s_pend_rd and wr = List.rev se.s_pend_wr in
           se.s_pend_rd <- [];
           se.s_pend_wr <- [];
-          let serve ~write (r, qctx) =
+          let serve ~write (r, qctx, frame) =
             span_close m qctx;
-            span_with m qctx (fun () -> server_req m ~vpn ~requester:r ~write)
+            span_with m qctx (fun () -> server_req m ~vpn ~requester:r ~write ~frame)
           in
           List.iter (serve ~write:false) rd;
           List.iter (serve ~write:true) wr))
 
-and server_req m ~vpn ~requester ~write =
+and server_req m ~vpn ~requester ~write ~frame =
   let se = get_sentry m vpn in
   let src_ssmp = Topology.ssmp_of_proc m.topo requester in
   match se.s_state with
@@ -138,8 +139,8 @@ and server_req m ~vpn ~requester ~write =
       span_open m ~label:"sv.queue" ~engine:Mgs_obs.Event.Server ~vpn ~src:requester
         ~dst:se.s_home_proc ()
     in
-    if write then se.s_pend_wr <- (requester, q) :: se.s_pend_wr
-    else se.s_pend_rd <- (requester, q) :: se.s_pend_rd
+    if write then se.s_pend_wr <- (requester, q, frame) :: se.s_pend_wr
+    else se.s_pend_rd <- (requester, q, frame) :: se.s_pend_rd
   | S_read | S_write ->
     se.s_state <- S_rel;
     se.s_ivy_grantee <- requester;
@@ -156,9 +157,13 @@ and server_req m ~vpn ~requester ~write =
       (* the requester's own membership (if any) is already gone: an
          upgrading SSMP drops its copy before sending IVY_WREQ *)
       Bitset.remove se.s_read_dir src_ssmp;
-      if targets = [] then do_grant m se ~requester ~write:true
+      if targets = [] then do_grant m se ~requester ~write:true ~frame
       else begin
         se.s_count <- List.length targets;
+        (* a page that comes home in the owner's frame leaves the frame
+           free once merged: it carries the grant if the requester sent
+           none *)
+        let carried = ref frame in
         List.iter
           (fun ssmp ->
             count m Pstats.invals 1;
@@ -178,7 +183,9 @@ and server_req m ~vpn ~requester ~write =
                     Am.post m.am ~tag:"IVY_ACK" ~src:rc ~dst:se.s_home_proc ~words ~cost
                       (fun _t ->
                         (match payload with
-                        | Some p -> Pagedata.blit ~src:p ~dst:se.s_master
+                        | Some p ->
+                          Pagedata.blit ~src:p ~dst:se.s_master;
+                          if Option.is_none !carried then carried := payload
                         | None -> ());
                         Bitset.remove se.s_read_dir ssmp;
                         Bitset.remove se.s_write_dir ssmp;
@@ -186,7 +193,7 @@ and server_req m ~vpn ~requester ~write =
                         se.s_count <- se.s_count - 1;
                         if se.s_count = 0 then
                           do_grant m se ~requester:se.s_ivy_grantee
-                            ~write:se.s_ivy_grant_write))))
+                            ~write:se.s_ivy_grant_write ~frame:!carried))))
           targets
       end
     end
@@ -208,25 +215,26 @@ and server_req m ~vpn ~requester ~write =
                     Pagedata.blit ~src:payload ~dst:se.s_master;
                     Bitset.remove se.s_write_dir owner;
                     Bitset.add se.s_read_dir owner;
-                    do_grant m se ~requester ~write:false)))
-      | _ -> do_grant m se ~requester ~write:false
+                    do_grant m se ~requester ~write:false ~frame)))
+      | _ -> do_grant m se ~requester ~write:false ~frame
     end
 
 (* --- Local Client steps; {!Protocol.fault} runs the rest ---------------- *)
 
-let request m ~proc ~vpn ~write =
+let request m ~proc ~vpn ~write ~frame =
   let home = home_proc_of_vpn m vpn in
   Am.post m.am
     ~tag:(if write then "IVY_WREQ" else "IVY_RREQ")
     ~src:proc ~dst:home ~words:0 ~cost:m.costs.proto.server_op
-    (fun _t -> server_req m ~vpn ~requester:proc ~write)
+    (fun _t -> server_req m ~vpn ~requester:proc ~write ~frame)
 
 (* A write to a read-shared page: drop the local copy, shooting down
-   the local TLB mappings, before fetching exclusive ownership. *)
+   the local TLB mappings, before fetching exclusive ownership (in the
+   dropped frame). *)
 let drop_copy m ~proc ce =
   let ssmp = Topology.ssmp_of_proc m.topo proc in
   Cpu.advance m.cpus.(proc) Mgs (shoot_local_tlbs m ~ssmp ce);
   let dirty = ref 0 in
   bump_gen m;
   ignore (Coherence.flush_page m.caches.(ssmp) ~vpn:ce.c_vpn ~dirty);
-  ce.cdata <- None
+  retire_frame ce

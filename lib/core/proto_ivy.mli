@@ -15,12 +15,13 @@
     shared fault steps and calls {!drop_copy} and {!request} for the
     Ivy ones. *)
 
-val request : State.t -> proc:int -> vpn:int -> write:bool -> unit
-(** Ask the home for [vpn]: shared for a read, exclusive for a write.
-    The grant handler installs the copy and resumes the fiber parked in
-    BUSY. *)
+val request :
+  State.t -> proc:int -> vpn:int -> write:bool -> frame:Mgs_mem.Pagedata.page option -> unit
+(** Ask the home for [vpn]: shared for a read, exclusive for a write,
+    carrying the SSMP's retired [frame] for the home to fill.  The grant
+    handler installs the copy and resumes the fiber parked in BUSY. *)
 
 val drop_copy : State.t -> proc:int -> State.centry -> unit
 (** A write to a read-shared page: drop the SSMP's copy (local TLB
-    shoot-down and cache scrub) before the exclusive fetch.  Fiber
-    context, mapping lock held. *)
+    shoot-down and cache scrub), parking its frame for the exclusive
+    fetch that follows.  Fiber context, mapping lock held. *)

@@ -55,15 +55,17 @@ let fault m ~proc ~vpn ~write =
     Tlb.fill m.tlbs.(proc) ~vpn ~mode:(if write then Tlb.Rw else Tlb.Ro);
     Cpu.advance cpu Mgs c.svm.tlb_write
   in
-  (* Arc 5: fetch from the home, BUSY with the mapping lock held; the
-     grant handler installs the copy and resumes the fiber. *)
+  (* Arc 5: fetch from the home, BUSY with the mapping lock held, in the
+     SSMP's retired frame of the page if it has one; the grant handler
+     installs the copy and resumes the fiber. *)
   let fetch () =
     ce.pstate <- P_busy;
     Cpu.advance cpu Mgs c.proto.msg_send;
+    let frame = take_frame ce in
     (match m.protocol with
-    | Protocol_mgs -> Proto.request m ~proc ~vpn ~write
-    | Protocol_hlrc -> Proto_hlrc.request m ~proc ~vpn ~write
-    | Protocol_ivy -> Proto_ivy.request m ~proc ~vpn ~write);
+    | Protocol_mgs -> Proto.request m ~proc ~vpn ~write ~frame
+    | Protocol_hlrc -> Proto_hlrc.request m ~proc ~vpn ~write ~frame
+    | Protocol_ivy -> Proto_ivy.request m ~proc ~vpn ~write ~frame);
     count m Pstats.fetch_wait (await_fetch m ~proc ce ~ctx:root);
     map ()
   in

@@ -27,11 +27,25 @@ module Tlb = Mgs_svm.Tlb
 type page_state = P_inv | P_read | P_write | P_busy
 
 (* Per-(SSMP, page) client entry: the Local Client's mapping state plus
-   the Remote Client's invalidation bookkeeping for the same frame. *)
+   the Remote Client's invalidation bookkeeping for the same frame.
+
+   Frame ownership: a frame (a page-sized array) has exactly one holder
+   at a time — this entry's [cdata], its spare slot [cdata_free], or
+   one message in flight (a request or grant carrying it, or a reply
+   moving a freed copy home) — and it is never a sentry's [s_master].  Dropping a copy parks its frame in the spare slot
+   ({!retire_frame}); the next fetch from this SSMP takes it
+   ({!take_frame}) and carries it to the home, which fills it from the
+   master ({!grant_frame}) and ships it back as the grant.  A spare
+   only ever serves its own page, and every retire site bumps [gen]
+   first, so a fast-path cache never reads a frame after it left. *)
 type centry = {
   c_vpn : int;
   mutable pstate : page_state;
   mutable cdata : Pagedata.page option; (* physical local copy *)
+  mutable cdata_free : Pagedata.page option;
+      (* retired frame kept for this page's next fetch: copies come and
+         go many times per page, and a fresh frame is a page-sized
+         allocation each time *)
   mutable ctwin : Pagedata.twin option;
       (* twin + dirty-word bitmap, present iff write privilege *)
   mutable ctwin_free : Pagedata.twin option;
@@ -93,10 +107,11 @@ type sentry = {
   (* Requests parked during REL_IN_PROG carry the span context of the
      transaction they serve, so the eventual grant (sent from inside the
      epoch-completion handler, a different transaction) is still
-     attributed to the requester's fault / release. *)
-  mutable s_pend_rd : (int * Mgs_obs.Span.ctx) list;
+     attributed to the requester's fault / release, and the frame the
+     requester sent for the grant to fill. *)
+  mutable s_pend_rd : (int * Mgs_obs.Span.ctx * Pagedata.page option) list;
       (* requester procs queued during REL_IN_PROG *)
-  mutable s_pend_wr : (int * Mgs_obs.Span.ctx) list;
+  mutable s_pend_wr : (int * Mgs_obs.Span.ctx * Pagedata.page option) list;
   mutable s_pend_rl : (int * Mgs_obs.Span.ctx) list; (* releasers awaiting RACK *)
   mutable s_pend_rel_next : (int * Mgs_obs.Span.ctx) list;
       (* RELs deferred past this epoch *)
@@ -263,6 +278,7 @@ let get_centry m ssmp vpn =
         c_vpn = vpn;
         pstate = P_inv;
         cdata = None;
+        cdata_free = None;
         ctwin = None;
         ctwin_free = None;
         frame_owner = -1;
@@ -294,6 +310,27 @@ let take_twin ce ~from =
 let retire_twin ce =
   (match ce.ctwin with Some t -> ce.ctwin_free <- Some t | None -> ());
   ce.ctwin <- None
+
+(* Frames cycle through the home: [retire_frame] parks the dropped copy
+   in the spare slot (its [Some] cell too), [take_frame] hands it to the
+   next fetch's request, and the home's [grant_frame] fills it from the
+   master — a fresh copy only when the request carried none (a first
+   touch, or a frame that moved home). *)
+let retire_frame ce =
+  (match ce.cdata with Some _ as f -> ce.cdata_free <- f | None -> ());
+  ce.cdata <- None
+
+let take_frame ce =
+  let f = ce.cdata_free in
+  ce.cdata_free <- None;
+  f
+
+let grant_frame se frame =
+  match frame with
+  | Some f ->
+    Pagedata.blit ~src:se.s_master ~dst:f;
+    f
+  | None -> Pagedata.copy se.s_master
 
 let get_sentry m vpn =
   try Hashtbl.find m.servers vpn

@@ -124,16 +124,13 @@ let is_empty q = q.n = 0
 
 let min_fire q = if q.n = 0 then max_int else q.keys.(0).k_fire
 
-(* strict key order: element [i] fires before element [j] *)
-let less q i j = cmp_key q.keys.(i) q.keys.(j) < 0
-
-let swap q i j =
-  let t = q.keys.(i) in
-  q.keys.(i) <- q.keys.(j);
-  q.keys.(j) <- t;
-  let t = q.own.(i) in
-  q.own.(i) <- q.own.(j);
-  q.own.(j) <- t
+(* strict key order: [a] fires before [b].  Fire time and scheduling
+   clock decide almost every comparison inline; only a tie on both
+   takes the genealogy walk. *)
+let before a b =
+  if a.k_fire <> b.k_fire then a.k_fire < b.k_fire
+  else if a.k_sched <> b.k_sched then a.k_sched < b.k_sched
+  else cmp_key a b < 0
 
 let grow q =
   let cap = Array.length q.keys in
@@ -145,33 +142,38 @@ let grow q =
   Array.blit q.own 0 own 0 cap;
   q.own <- own
 
-let rec sift_up q i =
-  if i > 0 then begin
-    let p = (i - 1) / 2 in
-    if less q i p then begin
-      swap q i p;
-      sift_up q p
-    end
+(* The sifts move a hole instead of swapping: each level writes one key
+   and one shard, and the sifted key is written once where it lands —
+   the same comparisons as a swapping sift, so the same heap. *)
+let rec sift_up q i key own =
+  let p = (i - 1) / 2 in
+  if i > 0 && before key q.keys.(p) then begin
+    q.keys.(i) <- q.keys.(p);
+    q.own.(i) <- q.own.(p);
+    sift_up q p key own
+  end
+  else begin
+    q.keys.(i) <- key;
+    q.own.(i) <- own
   end
 
-let rec sift_down q i =
+let rec sift_down q i key own =
   let l = (2 * i) + 1 in
-  if l < q.n then begin
-    let r = l + 1 in
-    let s = if r < q.n && less q r l then r else l in
-    if less q s i then begin
-      swap q i s;
-      sift_down q s
-    end
+  let s = if l + 1 < q.n && before q.keys.(l + 1) q.keys.(l) then l + 1 else l in
+  if l < q.n && before q.keys.(s) key then begin
+    q.keys.(i) <- q.keys.(s);
+    q.own.(i) <- q.own.(s);
+    sift_down q s key own
+  end
+  else begin
+    q.keys.(i) <- key;
+    q.own.(i) <- own
   end
 
 let insert q ~key ~own =
   if q.n = Array.length q.keys then grow q;
-  let i = q.n in
-  q.keys.(i) <- key;
-  q.own.(i) <- own;
-  q.n <- i + 1;
-  sift_up q i
+  q.n <- q.n + 1;
+  sift_up q (q.n - 1) key own
 
 let push q ~key ~own fn =
   key.k_fn <- fn;
@@ -189,13 +191,10 @@ let pop_min q =
   k.k_fn <- nop;
   k.k_timed <- nop_timed;
   let last = q.n - 1 in
-  if last > 0 then begin
-    q.keys.(0) <- q.keys.(last);
-    q.own.(0) <- q.own.(last)
-  end;
+  let lk = q.keys.(last) and lo = q.own.(last) in
   q.keys.(last) <- no_parent;
   q.n <- last;
-  if last > 0 then sift_down q 0;
+  if last > 0 then sift_down q 0 lk lo;
   f
 
 let popped_key q = q.popped_key

@@ -41,32 +41,43 @@ let words_differ a b i =
   if !count_comparisons then incr comparisons_made;
   Int64.bits_of_float (Array.unsafe_get a i) <> Int64.bits_of_float (Array.unsafe_get b i)
 
-(* Build a run-length diff from an increasing stream of candidate
-   offsets.  Two passes over the stream: the first sizes the [runs] and
-   [vals] arrays exactly, the second fills them, so nothing but the two
-   result arrays is ever allocated. *)
-let build p base iter_candidates =
+(* Build a run-length diff of [p] against [base] from an increasing
+   stream of candidate offsets, where [next src i] is the least
+   candidate >= i, or -1.  Two passes over the stream: the first sizes
+   the [runs] and [vals] arrays exactly, the second fills them.  Plain
+   loops keep every counter local, so the diff record and its two
+   arrays are all that is allocated. *)
+let build p base next src =
   let nwords = ref 0 and nruns = ref 0 and prev = ref (-2) in
-  iter_candidates (fun i ->
-      if words_differ p base i then begin
-        incr nwords;
-        if i <> !prev + 1 then incr nruns;
-        prev := i
-      end);
+  let i = ref (next src 0) in
+  while !i >= 0 do
+    let j = !i in
+    if words_differ p base j then begin
+      incr nwords;
+      if j <> !prev + 1 then incr nruns;
+      prev := j
+    end;
+    i := next src (j + 1)
+  done;
   let runs = Array.make (2 * !nruns) 0 in
   let vals = Float.Array.create !nwords in
-  let r = ref (-1) and v = ref 0 and prev = ref (-2) in
-  iter_candidates (fun i ->
-      if words_differ p base i then begin
-        if i <> !prev + 1 then begin
-          incr r;
-          runs.(2 * !r) <- i
-        end;
-        runs.((2 * !r) + 1) <- runs.((2 * !r) + 1) + 1;
-        Float.Array.set vals !v (Array.unsafe_get p i);
-        incr v;
-        prev := i
-      end);
+  let r = ref (-1) and v = ref 0 in
+  prev := -2;
+  i := next src 0;
+  while !i >= 0 do
+    let j = !i in
+    if words_differ p base j then begin
+      if j <> !prev + 1 then begin
+        incr r;
+        runs.(2 * !r) <- j
+      end;
+      runs.((2 * !r) + 1) <- runs.((2 * !r) + 1) + 1;
+      Float.Array.set vals !v (Array.unsafe_get p j);
+      incr v;
+      prev := j
+    end;
+    i := next src (j + 1)
+  done;
   { runs; vals }
 
 let diff p ~twin =
@@ -74,14 +85,13 @@ let diff p ~twin =
     invalid_arg "Pagedata.diff: length mismatch";
   (* the dirty set over-approximates the words touched since the last
      twin sync, so only those need comparing *)
-  build p twin.t_data (fun f -> Bitset.iter f twin.t_dirty)
+  build p twin.t_data Bitset.next twin.t_dirty
+
+let next_word p i = if i < Array.length p then i else -1
 
 let diff_full p ~against =
   if Array.length p <> Array.length against then invalid_arg "Pagedata.diff_full: length mismatch";
-  build p against (fun f ->
-      for i = 0 to Array.length p - 1 do
-        f i
-      done)
+  build p against next_word p
 
 let diff_size d = Float.Array.length d.vals
 

@@ -55,6 +55,24 @@ let iter f s =
     end
   done
 
+(* The least member >= [i], or -1: a zero byte is skipped whole, as in
+   [iter], and nothing is allocated. *)
+let rec next_in words b =
+  if b >= Bytes.length words then -1
+  else
+    let byte = Char.code (Bytes.unsafe_get words b) in
+    if byte = 0 then next_in words (b + 1) else (b lsl 3) + lowest_bit byte 0
+
+and lowest_bit byte i = if byte land (1 lsl i) <> 0 then i else lowest_bit byte (i + 1)
+
+let next s i =
+  let i = max i 0 in
+  if i >= s.cap then -1
+  else
+    let b = i lsr 3 in
+    let byte = Char.code (Bytes.unsafe_get s.words b) land (0xff lsl (i land 7)) in
+    if byte <> 0 then (b lsl 3) + lowest_bit byte 0 else next_in s.words (b + 1)
+
 let elements s =
   let acc = ref [] in
   for i = s.cap - 1 downto 0 do

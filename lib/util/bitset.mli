@@ -35,6 +35,11 @@ val clear : t -> unit
 val iter : (int -> unit) -> t -> unit
 (** [iter f s] applies [f] to each member in increasing order. *)
 
+val next : t -> int -> int
+(** [next s i] is the least member [>= i], or [-1] if there is none.
+    Allocates nothing, so a loop over a set's members needs no
+    closure. *)
+
 val elements : t -> int list
 (** [elements s] lists members in increasing order. *)
 

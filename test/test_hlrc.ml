@@ -230,5 +230,10 @@ let () =
           Alcotest.test_case "stale fetch reply re-requested" `Quick
             test_stale_fetch_rerequested;
         ] );
+      ( "frames",
+        [
+          Alcotest.test_case "a re-grant fills the retired frame" `Quick (fun () ->
+              Frames.check_pingpong Protocol_hlrc);
+        ] );
       ("properties", List.map QCheck_alcotest.to_alcotest [ prop_hlrc_random_drf ]);
     ]

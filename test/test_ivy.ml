@@ -206,5 +206,10 @@ let () =
           Alcotest.test_case "apps verify under Ivy" `Quick test_apps_run_under_ivy;
           Alcotest.test_case "false sharing ping-pong" `Quick test_false_sharing_pingpong;
         ] );
+      ( "frames",
+        [
+          Alcotest.test_case "a re-grant fills the retired frame" `Quick (fun () ->
+              Frames.check_pingpong Protocol_ivy);
+        ] );
       ("properties", List.map QCheck_alcotest.to_alcotest [ prop_ivy_random_drf ]);
     ]

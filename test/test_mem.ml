@@ -148,6 +148,27 @@ let test_diff_comparison_count () =
   Alcotest.(check (list (pair int (float 0.)))) "same deltas either way" (diff_list d_full)
     (diff_list d)
 
+let test_diff_allocates_its_result () =
+  (* a 3-word, one-run diff allocates its record and two arrays (10
+     words) and nothing else: the candidate loops keep their counters
+     local *)
+  let p = Pd.create geom in
+  let twin = Pd.twin_of p in
+  List.iter (fun i -> store twin p i 1.0) [ 40; 41; 42 ];
+  let d = Pd.diff p ~twin in
+  Alcotest.(check int) "one run" 1 (Pd.diff_runs d);
+  let result = Obj.reachable_words (Obj.repr d) in
+  let n = 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Pd.diff p ~twin))
+  done;
+  let per = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per diff, result %d" per result)
+    true
+    (per < float_of_int (result + 1))
+
 let prop_diff_merge_roundtrip =
   QCheck2.Test.make ~name:"apply_diff base (diff p twin) = p (incl. NaN, -0.0)" ~count:300
     QCheck2.Gen.(pair int (list (pair (int_bound 15) gen_word)))
@@ -283,6 +304,8 @@ let () =
           Alcotest.test_case "dirty bitmap limits comparisons" `Quick
             test_diff_comparison_count;
           Alcotest.test_case "bitwise comparison" `Quick test_diff_bitwise;
+          Alcotest.test_case "a diff allocates only its result" `Quick
+            test_diff_allocates_its_result;
           Alcotest.test_case "blit length check" `Quick test_blit_mismatch;
         ] );
       ( "allocator",

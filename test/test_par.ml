@@ -57,6 +57,62 @@ let test_machine_equivalence () =
         apps)
     protocols
 
+(* Frame ownership after a run: every cell of the matrix at par 1 and
+   2, and adaptive runs, leave no array with two holders and no client
+   frame that is a master.  The walk must see client frames. *)
+let test_frames_unaliased () =
+  let walk label m =
+    Alcotest.(check bool) (label ^ ": client frames walked") true (Frames.check_unaliased m > 0)
+  in
+  List.iter
+    (fun protocol ->
+      List.iter
+        (fun (aname, w) ->
+          List.iter
+            (fun (fname, faults) ->
+              List.iter
+                (fun par ->
+                  walk
+                    (Printf.sprintf "%s/%s/%s par=%d" protocol aname fname par)
+                    (Frames.run ?faults ~protocol ~par ~nprocs:8 ~cluster:2 w))
+                [ 1; 2 ])
+            [
+              ("clean", None);
+              ("faults", Some (Mgs_net.Fault.scale Mgs_net.Fault.default_chaos ~intensity:0.25));
+            ])
+        apps)
+    protocols;
+  List.iter
+    (fun protocol ->
+      walk (protocol ^ " adapt")
+        (Frames.run ~adapt:true ~protocol ~par:2 ~nprocs:8 ~cluster:2
+           (Mgs_apps.Water.workload Mgs_apps.Water.tiny)))
+    [ "mgs"; "hlrc" ]
+
+(* The walk itself fails on a shared frame and on a frame that is a
+   master. *)
+let test_frames_walk_catches_aliases () =
+  let open Mgs.State in
+  let m = Frames.run ~protocol:"mgs" ~par:1 ~nprocs:8 ~cluster:2 (List.assoc "jacobi" apps) in
+  let copies =
+    Array.to_list m.clients
+    |> List.concat_map (fun cl ->
+           Hashtbl.fold
+             (fun _ ce acc -> if Option.is_some ce.cdata then ce :: acc else acc)
+             cl.cl_pages [])
+  in
+  let fails () = match Frames.check_unaliased m with _ -> false | exception Failure _ -> true in
+  match copies with
+  | a :: b :: _ ->
+    let saved = b.cdata_free in
+    b.cdata_free <- a.cdata;
+    Alcotest.(check bool) "a shared frame fails the walk" true (fails ());
+    b.cdata_free <- Some (get_sentry m b.c_vpn).s_master;
+    Alcotest.(check bool) "a master held as a frame fails the walk" true (fails ());
+    b.cdata_free <- saved;
+    Alcotest.(check bool) "restored, the walk passes" false (fails ())
+  | _ -> Alcotest.fail "expected two client copies"
+
 (* A second shape: more SSMPs than the default test shape, uneven
    occupancy (P=16, C=4 -> 4 shards), full job ladder. *)
 let test_job_ladder () =
@@ -200,6 +256,9 @@ let () =
           Alcotest.test_case "protocol x app x faults matrix" `Quick
             test_machine_equivalence;
           Alcotest.test_case "job ladder at P=16 C=4" `Quick test_job_ladder;
+          Alcotest.test_case "frames are never aliased" `Quick test_frames_unaliased;
+          Alcotest.test_case "the frame walk catches aliases" `Quick
+            test_frames_walk_catches_aliases;
           Alcotest.test_case "trace parity" `Quick test_trace_parity;
         ] );
       ("micro-dag", qsuite);

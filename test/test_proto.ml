@@ -420,4 +420,9 @@ let () =
           Alcotest.test_case "C=P bypasses software" `Quick test_single_ssmp_has_no_protocol;
           Alcotest.test_case "page size parameter" `Quick test_page_size_parameter;
         ] );
+      ( "frames",
+        [
+          Alcotest.test_case "a re-grant fills the retired frame" `Quick (fun () ->
+              Frames.check_pingpong Protocol_mgs);
+        ] );
     ]

@@ -78,7 +78,12 @@ let prop_bitset_model =
             end)
           IntSet.empty ops
       in
-      Bs.elements s = IntSet.elements model && Bs.cardinal s = IntSet.cardinal model)
+      let next i =
+        match IntSet.find_first_opt (fun x -> x >= i) model with Some x -> x | None -> -1
+      in
+      Bs.elements s = IntSet.elements model
+      && Bs.cardinal s = IntSet.cardinal model
+      && List.for_all (fun i -> Bs.next s i = next i) (List.init 34 (fun i -> i - 1)))
 
 (* --- rng -------------------------------------------------------------- *)
 
