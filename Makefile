@@ -2,13 +2,15 @@
 # the complete test suite (which runs the online protocol invariant
 # checker on every harness sweep and litmus machine, and holds the
 # determinism, lock, adaptive and KV contracts), the CLI runs that
-# `trace-lint` checks end to end, the perf baseline diff, the repository
-# benchmark's self-check, and — when ocamlformat is installed — a
+# `trace-lint` checks end to end, the perf baseline diff, the paper's
+# tables and figures against their record, the repository benchmark's
+# self-check, and — when ocamlformat is installed — a
 # formatting check that fails on drift.  Each contract has one gate.
 
 DUNE ?= dune
 
-.PHONY: all build test check fmt fmt-check trace-lint perf perf-diff bench-selftest clean
+.PHONY: all build test check fmt fmt-check trace-lint perf perf-diff claims claims-diff \
+  bench-selftest clean
 
 all: build
 
@@ -69,6 +71,21 @@ perf-diff: build
 	$(DUNE) exec bench/perf.exe -- -o _build/BENCH_diff.json --diff BENCH_sim.json
 	$(DUNE) exec bin/trace_lint.exe -- --bench _build/BENCH_diff.json
 
+# The paper's tables and figures as `bench/main.exe` prints them,
+# recorded in CLAIMS.txt.  `claims` rewrites the record; `claims-diff`
+# regenerates it under _build/ and fails on any difference.  Runs are
+# deterministic and -j only spreads sweep points over domains, so the
+# comparison is exact.  A change that moves a paper number updates the
+# record and says why.
+CLAIMS_TARGETS = table3 table4 fig6 fig7 fig8 fig9 fig10 fig11 fig12 summary hlrc-figs
+
+claims: build
+	$(DUNE) exec bench/main.exe -- -j 2 $(CLAIMS_TARGETS) > CLAIMS.txt
+
+claims-diff: build
+	$(DUNE) exec bench/main.exe -- -j 2 $(CLAIMS_TARGETS) > _build/CLAIMS.txt
+	diff -u CLAIMS.txt _build/CLAIMS.txt
+
 # The repository benchmark checks itself (BENCHMARK.json against its
 # metric table; every workload builds, runs, verifies and emits every
 # metric).  It builds the unchanged perfbench/ against this tree, so an
@@ -92,7 +109,7 @@ fmt:
 	  echo "ocamlformat not installed"; exit 1; \
 	fi
 
-check: build test trace-lint perf-diff bench-selftest fmt-check
+check: build test trace-lint perf-diff claims-diff bench-selftest fmt-check
 	@echo "check: OK"
 
 clean:
