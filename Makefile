@@ -9,7 +9,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build test check fmt fmt-check trace-lint perf perf-diff claims claims-diff \
+.PHONY: all build test check fmt fmt-check trace-lint perf perf-diff claims-diff \
   bench-selftest clean
 
 all: build
@@ -29,7 +29,11 @@ test:
 # respect the wire).  The third run, on a seeded lossy LAN, adds
 # retransmission events, net.retry spans and the net.* metric columns,
 # and must still verify and report its retransmission work.  The
-# tracked perf baseline is schema-checked along the way.
+# fourth runs two SSMPs at zero LAN latency: no lookahead, so one job,
+# and the one configuration where an event key may sort before its
+# creator's (a zero-delay cross-shard event); its merged exports must
+# lint like any other.  The tracked perf baseline is schema-checked
+# along the way.
 trace-lint: build
 	$(DUNE) exec bin/mgs_run.exe -- --app jacobi --procs 8 --cluster 2 \
 	  --size 32 --iters 2 --check --trace _build/lint-trace.json \
@@ -57,6 +61,12 @@ trace-lint: build
 	  --chrome _build/lint-chaos-trace.json \
 	  --spans _build/lint-chaos-spans.json \
 	  --metrics _build/lint-chaos-metrics.json
+	$(DUNE) exec bin/mgs_run.exe -- --app jacobi --procs 8 --cluster 2 \
+	  --size 32 --iters 2 --delay 0 --check --trace _build/lint-zero-trace.json \
+	  --spans _build/lint-zero-spans.json
+	$(DUNE) exec bin/trace_lint.exe -- --latency 0 \
+	  --chrome _build/lint-zero-trace.json \
+	  --spans _build/lint-zero-spans.json
 
 # Perf baseline: full matrix -> BENCH_sim.json (slow; run by hand when
 # chasing a regression).
@@ -72,15 +82,11 @@ perf-diff: build
 	$(DUNE) exec bin/trace_lint.exe -- --bench _build/BENCH_diff.json
 
 # The paper's tables and figures as `bench/main.exe` prints them,
-# recorded in CLAIMS.txt.  `claims` rewrites the record; `claims-diff`
-# regenerates it under _build/ and fails on any difference.  Runs are
-# deterministic and -j only spreads sweep points over domains, so the
-# comparison is exact.  A change that moves a paper number updates the
-# record and says why.
+# recorded in CLAIMS.txt: regenerate them under _build/ and fail on any
+# difference.  Runs are deterministic and -j only spreads sweep points
+# over domains, so the comparison is exact.  A change that moves a
+# paper number copies _build/CLAIMS.txt over the record and says why.
 CLAIMS_TARGETS = table3 table4 fig6 fig7 fig8 fig9 fig10 fig11 fig12 summary hlrc-figs
-
-claims: build
-	$(DUNE) exec bench/main.exe -- -j 2 $(CLAIMS_TARGETS) > CLAIMS.txt
 
 claims-diff: build
 	$(DUNE) exec bench/main.exe -- -j 2 $(CLAIMS_TARGETS) > _build/CLAIMS.txt

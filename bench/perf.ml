@@ -108,7 +108,7 @@ let large_rows () =
 (* Observability-on rows at P = 256: the same large-P shapes with the
    per-shard trace and metrics sampler installed, still sharded
    across 4 domains, and the merged exports forced so their cost is in
-   the row.  Tracks the overhead of cell recording + genealogy merge;
+   the row.  Tracks the overhead of cell recording + stamp-order merge;
    rows newer than a baseline diff as "new" and never gate. *)
 let traced_rows () =
   let nprocs = 256 in

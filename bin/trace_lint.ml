@@ -12,8 +12,8 @@
    timestamps are monotone, every span is balanced (t1 >= t0, parents
    precede children in the same transaction), and Chrome async
    begin/end and flow start/finish events pair up exactly.  Merged
-   multi-shard traces get the genealogy-order invariants: 'X' slices
-   appear in execution order (end = ts + dur globally nondecreasing),
+   multi-shard traces get the key-order invariants: 'X' slices appear
+   in key order, fire time first (end = ts + dur globally nondecreasing),
    per-shard 'M'/'C' lane metadata is accepted, and with --latency N
    every handler span (label "h.*") that landed on a different SSMP
    than its parent must start at least N cycles after the parent
@@ -110,10 +110,13 @@ let lint_chrome file =
        deliveries are backdated (their slice starts at the post).  What
        IS guaranteed: every slice has nonnegative duration, every async
        pair ends at or after its begin, and — because the 'X' slices
-       are written in merged genealogy order, which is execution order
-       on every engine, and each slice's emission instant lies inside
-       its [ts, ts+dur] interval — no slice may end before an
-       earlier-emitted slice started. *)
+       are written in the order of their events' keys, which sort by
+       fire time first (the emission instant), and each slice's
+       emission instant lies inside its [ts, ts+dur] interval — no
+       slice may end before an earlier-emitted slice started.  Within
+       one instant, key order is execution order at any positive
+       lookahead; at lookahead 0 an event a zero-delay cross-shard
+       event creates may sort before its creator. *)
     let max_ts = ref neg_infinity in
     List.iteri
       (fun i e ->

@@ -117,7 +117,7 @@ let create cfg =
 let sim (m : t) = m.sim
 
 (* One cell per SSMP: each engine shard writes into its own cell and
-   exports merge on genealogy stamps, so the store does not force the
+   exports merge on event-key stamps, so the store does not force the
    engine onto one domain. *)
 let enable_spans (m : t) =
   match m.store with

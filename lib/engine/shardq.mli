@@ -1,25 +1,19 @@
-(** Event heap for the sharded engine: a binary min-heap over canonical
-    genealogy keys.
+(** Event heap for the sharded engine: a binary min-heap over event
+    keys.
 
-    A key orders an event by [(fire, sched, src, seq)] with one
-    refinement: when two events tie on [(fire, sched)] but were created
-    by {e different} shards, the tie is broken by recursively comparing
-    the keys of the events that created them.  That parent order is
-    exactly what a global insertion counter encodes, so the canonical
-    order reproduces [(time, scheduling order)] tie-breaking on one
-    global clock in every case — including two shards scheduling onto
-    a common destination at the same clock.
-
-    Once an event has run, its key may be {e ranked} ({!rank}): its
-    position in the canonical execution order replaces its ancestry.
-    The canonical-global drain ({!Sim.run} at one job) ranks each key
-    as it pops it, before the event runs, so a pending event's parent
-    is ranked (a root's is {!no_parent}) and the tie above costs one
-    integer comparison; the parent's own ancestors are no longer
-    reachable through it.
-    Windowed drains do not rank — ranks there would need a serial
-    merge of the per-shard execution logs at every barrier — so their
-    executed keys keep their parent links.
+    A key orders an event by [(fire, sched, src, seq)] and nothing
+    else: fire time, then the creating shard's clock at creation, that
+    shard's id, and its private counter.  Each field is a function of
+    the creating shard's own history, so a shard that runs the same
+    events in the same order mints the same keys at every job count.
+    A local event sorts after the key of the event that created it, and
+    a cross-shard event fires at least one lookahead after its
+    creation, in a later window than its creator's; so each shard pops
+    its events in key order at every job count and, by induction, runs
+    the same events.  At zero lookahead, which always runs one job, a
+    key may sort before its creator's (a zero-delay cross-shard event
+    ties on [(fire, sched)] and wins on [src]); the one heap runs it
+    next, and the order is still a function of the program.
 
     [own] names the shard that will execute the event — it is carried,
     not part of the order.
@@ -27,51 +21,40 @@
     A pending key carries its event's payload, a thunk or a timed
     callback that receives the fire time, so the heap keeps two arrays
     (keys and [own] shards) and an event whose callback exists costs one
-    key.  {!pop_min} clears the payload: an executed key kept as a
-    parent or an observability stamp holds no closure. *)
+    key.  {!pop_min} clears the payload: an executed key kept as an
+    observability stamp holds only itself. *)
 
 type key = private {
   k_fire : int;  (** absolute fire time *)
   k_sched : int;  (** scheduling shard's clock at creation *)
   k_src : int;  (** scheduling shard's id *)
-  mutable k_seq : int;  (** scheduling shard's private counter; the rank once ranked *)
-  mutable k_parent : key;
-      (** key of the creating event; {!no_parent} for roots; a
-          self-referential sentinel once ranked *)
+  k_seq : int;  (** scheduling shard's private counter *)
   mutable k_fn : unit -> unit;  (** the thunk; {!nop} for a timed event *)
   mutable k_timed : int -> unit;  (** the timed callback; {!nop_timed} for a thunk *)
 }
 
 val no_parent : key
-(** Sentinel parent for host-scheduled (root) events.  Roots sort
-    before same-[(fire, sched)] events created during execution, as a
-    global insertion counter does. *)
-
-val key : fire:int -> sched:int -> src:int -> seq:int -> parent:key -> key
+(** The empty-slot key: fills vacant heap and outbox slots and stands
+    for "no event running".  It sorts before every real key. *)
 
 val nop : unit -> unit
 val nop_timed : int -> unit
 
 val event :
-  fire:int -> sched:int -> src:int -> seq:int -> parent:key -> (unit -> unit) -> (int -> unit) ->
-  key
+  fire:int -> sched:int -> src:int -> seq:int -> (unit -> unit) -> (int -> unit) -> key
 (** A key carrying its thunk and timed callback, one of them a no-op. *)
+
+val key : fire:int -> sched:int -> src:int -> seq:int -> parent:key -> key
+(** A key with no payload.  [parent] is ignored; it is kept for the
+    frozen benchmark's heap micro-loop ([perfbench/micro.ml]), the one
+    caller that still passes it, until that benchmark is next revised. *)
 
 val refire : key -> fire:int -> key
 (** The same key moved to a later fire time (lookahead-violation
     clamping at outbox flush). *)
 
-val rank : key -> int -> unit
-(** [rank k r] records that the event of [k] is the [r]-th to execute
-    in canonical order: [r] replaces [k]'s [seq] and [k]'s parent
-    becomes the ranked sentinel, dropping [k]'s ancestry.  Ranks must
-    be assigned in execution order, and only while every key already
-    executed is ranked too, since {!cmp_key} puts a ranked key before
-    an unranked one that ties on [(fire, sched)]. *)
-
 val cmp_key : key -> key -> int
-(** The canonical total order described above.  Two ranked keys that
-    tie on [(fire, sched)] compare by rank. *)
+(** The total order above: four integer comparisons. *)
 
 type t
 

@@ -2,18 +2,13 @@
    cluster, synchronized conservatively with the inter-SSMP LAN
    latency as the lookahead window.
 
-   Every event carries a canonical genealogy key (see {!Shardq}).  The
-   engine runs in one of two modes, chosen by the effective job count
-   for the run:
+   Every event carries a key [(fire, sched, src, seq)] (see
+   {!Shardq}) minted from the scheduling shard's clock, id and counter.
+   The engine runs in one of two modes, chosen by the effective job
+   count for the run:
 
-   - {b canonical-global} (jobs = 1): a single heap ordered by the
-     canonical key, drained on the calling domain.  This is a total
-     order over all shards and is the order the parallel mode must
-     reproduce per shard: fire time, then scheduling order — the key's
-     recursive parent component resolves even cross-shard ties the way
-     a global insertion counter would.  Each popped key is ranked with
-     its position in that order before its event runs, so the keys its
-     event creates point at a parent that holds no ancestry.
+   - {b one heap} (jobs = 1): a single heap over all shards in key
+     order, drained on the calling domain.
 
    - {b windowed} (jobs >= 2): per-shard heaps drained concurrently on
      [jobs] domains between barriers.  Each window executes every event
@@ -22,11 +17,10 @@
      scheduling shard's outbox and merged into the destination heap at
      the barrier; because the LAN delivers cross-SSMP work no earlier
      than [send + lookahead], a message created inside a window always
-     fires at or after the window's end, so the destination's per-shard
-     execution order is identical to its subsequence of the
-     canonical-global order — which is what makes the two modes produce
-     byte-identical results.  A window needs a positive width, so a
-     zero lookahead always runs canonical-global.
+     fires at or after the window's end, so each shard runs its events
+     in key order, as under the one heap — which is what makes the two
+     modes produce byte-identical results.  A window needs a positive
+     width, so a zero lookahead always runs one heap.
 
    Shard-local clocks, counters and statistics are only ever touched by
    the domain currently running that shard; the window barrier's mutex
@@ -39,7 +33,6 @@ type shard = {
   q : Shardq.t; (* per-shard heap (windowed mode) *)
   mutable clock : int;
   mutable ctr : int; (* scheduling counter: [seq] source *)
-  mutable running : Shardq.key; (* key of the event being executed *)
   mutable executed : int;
   mutable clamped : int; (* past-due schedules clamped to the clock *)
   mutable peak : int;
@@ -57,7 +50,7 @@ type t = {
   mutable shards : shard array;
   mutable lookahead : int;
   mutable jobs : int; (* effective domains for the next run; >= 1 *)
-  g : Shardq.t; (* canonical-global heap (jobs = 1) *)
+  g : Shardq.t; (* the one heap (jobs = 1) *)
   mutable strict : bool;
   mutable gpeak : int;
   mutable windows : int; (* lookahead windows opened (windowed mode) *)
@@ -68,10 +61,6 @@ type t = {
          after the shard clock and counters have advanced.  Used by the
          metrics sampler; the callback must only touch state owned by
          [shard] or the determinism contract breaks. *)
-  mutable rank : int;
-      (* the next canonical-global rank; -1 from the first windowed
-         run on, whose executed keys stay unranked and so must sort
-         after every ranked one *)
 }
 
 exception Late_delivery of { dst : int; fire : int; clock : int }
@@ -85,10 +74,9 @@ let cur () = Domain.DLS.get cur_key
 
 let set_cur v = Domain.DLS.set cur_key v
 
-(* Genealogy key of the event this domain is currently executing.  The
+(* Key of the event this domain is currently executing.  The
    observability layer stamps every emission with it so per-shard cells
-   can be merged back into the canonical execution order at export.
-   Only meaningful while [cur () >= 0]. *)
+   merge in key order at export.  Only meaningful while [cur () >= 0]. *)
 let run_key : Shardq.key Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Shardq.no_parent)
 
@@ -100,7 +88,6 @@ let new_shard id =
     q = Shardq.create ();
     clock = 0;
     ctr = 0;
-    running = Shardq.no_parent;
     executed = 0;
     clamped = 0;
     peak = 0;
@@ -124,7 +111,6 @@ let create () =
     windows = 0;
     wall = [| 0.; 0. |];
     on_event = None;
-    rank = 0;
   }
 
 let set_strict sim v = sim.strict <- v
@@ -242,10 +228,10 @@ let outbox_add s key dst =
   s.out_n <- n + 1
 
 (* Schedule [fn] or [timed] (the other a no-op) on shard [dst] at time
-   [t].  The key is minted from the scheduling context: inside an event,
-   the executing shard and the executing event's key as parent;
-   host-side, the destination shard itself with the root sentinel.
-   Past-due times are clamped to the scheduler's clock and counted. *)
+   [t].  The key is minted from the scheduling shard's clock, id and
+   counter: inside an event, the executing shard's; host-side, the
+   destination shard's.  Past-due times are clamped to the scheduler's
+   clock and counted. *)
 let schedule sim dst t fn timed =
   if dst < 0 || dst >= Array.length sim.shards then invalid_arg "Sim.at_shard: bad shard";
   let c = cur () in
@@ -259,8 +245,7 @@ let schedule sim dst t fn timed =
   in
   let seq = s.ctr in
   s.ctr <- seq + 1;
-  let parent = if c >= 0 then s.running else Shardq.no_parent in
-  let key = Shardq.event ~fire ~sched:s.clock ~src:s.id ~seq ~parent fn timed in
+  let key = Shardq.event ~fire ~sched:s.clock ~src:s.id ~seq fn timed in
   if c >= 0 && c <> dst then s.xsends <- s.xsends + 1;
   if sim.jobs > 1 && c >= 0 && c <> dst then
     (* cross-shard send from inside an event: park in the outbox; the
@@ -292,7 +277,25 @@ let limit_msg ~limit ~executed ~clock ~pending =
     "Sim.run: event limit exhausted (livelock?): limit=%d executed=%d clock=%d pending=%d"
     limit executed clock pending
 
-(* jobs = 1: drain the canonical-global heap in key order. *)
+(* One event: pop the minimum of [q], advance its shard's clock, count
+   it, set it running, run the hook, call it.  Both drains use it. *)
+let step sim q =
+  let fn = Shardq.pop_min q in
+  let timed = Shardq.popped_timed q in
+  let s = sim.shards.(Shardq.popped_own q) in
+  let t = Shardq.popped_fire q in
+  if t > s.clock then s.clock <- t;
+  s.executed <- s.executed + 1;
+  set_cur s.id;
+  Domain.DLS.set run_key (Shardq.popped_key q);
+  (match sim.on_event with Some h -> h ~shard:s.id ~now:t | None -> ());
+  match if timed == Shardq.nop_timed then fn () else timed t with
+  | () -> set_cur (-1)
+  | exception e ->
+    set_cur (-1);
+    raise e
+
+(* jobs = 1: drain the one heap in key order. *)
 let run_global sim ~limit =
   let n0 = events_executed sim in
   let rec go n =
@@ -300,28 +303,7 @@ let run_global sim ~limit =
       failwith (limit_msg ~limit ~executed:n ~clock:(now sim) ~pending:(pending sim))
     else if Shardq.is_empty sim.g then n - n0
     else begin
-      let fn = Shardq.pop_min sim.g in
-      let timed = Shardq.popped_timed sim.g in
-      let s = sim.shards.(Shardq.popped_own sim.g) in
-      let t = Shardq.popped_fire sim.g in
-      if t > s.clock then s.clock <- t;
-      s.executed <- s.executed + 1;
-      s.running <- Shardq.popped_key sim.g;
-      if sim.rank >= 0 then begin
-        Shardq.rank s.running sim.rank;
-        sim.rank <- sim.rank + 1
-      end;
-      set_cur s.id;
-      Domain.DLS.set run_key s.running;
-      (match sim.on_event with Some h -> h ~shard:s.id ~now:t | None -> ());
-      (match if timed == Shardq.nop_timed then fn () else timed t with
-      | () ->
-        s.running <- Shardq.no_parent;
-        set_cur (-1)
-      | exception e ->
-        s.running <- Shardq.no_parent;
-        set_cur (-1);
-        raise e);
+      step sim sim.g;
       go (n + 1)
     end
   in
@@ -339,35 +321,15 @@ let drain sim s ~wend ~allow =
   let t0 = Unix.gettimeofday () in
   let n = ref 0 in
   (try
-     let continue_ = ref true in
-     while !continue_ do
-       if Shardq.min_fire s.q < wend then begin
-         if !n >= allow then
-           failwith
-             (limit_msg ~limit:allow ~executed:(s.executed) ~clock:s.clock
-                ~pending:(Shardq.length s.q))
-         else begin
-           let fn = Shardq.pop_min s.q in
-           let timed = Shardq.popped_timed s.q in
-           let t = Shardq.popped_fire s.q in
-           if t > s.clock then s.clock <- t;
-           s.executed <- s.executed + 1;
-           s.running <- Shardq.popped_key s.q;
-           incr n;
-           set_cur s.id;
-           Domain.DLS.set run_key s.running;
-           (match sim.on_event with Some h -> h ~shard:s.id ~now:t | None -> ());
-           if timed == Shardq.nop_timed then fn () else timed t;
-           s.running <- Shardq.no_parent;
-           set_cur (-1)
-         end
-       end
-       else continue_ := false
+     while Shardq.min_fire s.q < wend do
+       if !n >= allow then
+         failwith
+           (limit_msg ~limit:allow ~executed:s.executed ~clock:s.clock
+              ~pending:(Shardq.length s.q));
+       step sim s.q;
+       incr n
      done
-   with e ->
-     s.running <- Shardq.no_parent;
-     set_cur (-1);
-     s.failure <- Some e);
+   with e -> s.failure <- Some e);
   if !n = 0 then s.stalls <- s.stalls + 1;
   sim.wall.(s.id) <- sim.wall.(s.id) +. (Unix.gettimeofday () -. t0);
   !n
@@ -416,7 +378,6 @@ let window_min sim =
     max_int sim.shards
 
 let run_windowed sim ~jobs ~limit =
-  sim.rank <- -1;
   let nsh = Array.length sim.shards in
   Array.iter (fun s -> s.failure <- None) sim.shards;
   let n0 = events_executed sim in

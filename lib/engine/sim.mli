@@ -2,26 +2,22 @@
 
     A simulator owns timestamped events (callbacks), partitioned into one
     shard per SSMP cluster.  [run] executes events in nondecreasing
-    time order; ties are broken by scheduling order through each
-    event's genealogy key ({!Shardq}), so a run is fully deterministic.
+    time order; ties are broken by each event's key ({!Shardq}): the
+    scheduling shard's clock at creation, its id and its counter, so a
+    run is fully deterministic.
     All simulated components (network links, protocol engines,
     processor fibers) interact exclusively by scheduling events.
 
     With an effective job count of 1 the engine drains a single heap in
-    the canonical key order on the calling domain; with jobs >= 2 it
-    drains per-shard heaps on OCaml Domains between conservative
-    lookahead barriers, merging cross-shard sends at window boundaries.
-    Both produce identical results; the contract relies on every
-    cross-shard event firing at least [lookahead] after its creation,
-    which the LAN's fixed inter-SSMP latency guarantees.
-
-    The single-heap drain knows each event's position in the canonical
-    order as it pops it, and ranks the event's key with it
-    ({!Shardq.rank}) before the event runs: pending events then keep
-    one ranked parent alive instead of their whole causal history.
-    Windowed drains do not know the global position and rank nothing,
-    and a simulator that has run windowed once stops ranking, so every
-    ranked key precedes every unranked executed one. *)
+    key order on the calling domain; with jobs >= 2 it drains per-shard
+    heaps on OCaml Domains between conservative lookahead barriers,
+    merging cross-shard sends at window boundaries.  Both produce
+    identical results: a key is a function of its creating shard's own
+    history, and every cross-shard event fires at least [lookahead]
+    after its creation, which the LAN's fixed inter-SSMP latency
+    guarantees, so each shard runs its events in key order at every job
+    count.  At lookahead 0 the engine always runs one job, and a key may
+    sort before its creator's. *)
 
 type time = int
 (** Simulated time in processor cycles. *)
@@ -53,7 +49,7 @@ val set_on_event : t -> (shard:int -> now:int -> unit) option -> unit
 val set_jobs : t -> int -> unit
 (** Effective domain count for subsequent {!run}s, clamped to
     [1 .. nshards], and to 1 when the lookahead is 0 (a window needs a
-    positive width).  [1] drains a single heap in the canonical order
+    positive width).  [1] drains a single heap in key order
     on the calling domain; [>= 2] runs shards concurrently between
     lookahead barriers.  A no-op when the clamped count is unchanged.
     @raise Invalid_argument if the count would change while events are
@@ -68,11 +64,10 @@ val cur : unit -> int
 (** Shard currently executing on this domain; -1 outside an event. *)
 
 val running_key : unit -> Shardq.key
-(** Genealogy key of the event this domain is currently executing; the
+(** Key of the event this domain is currently executing; the
     observability layer stamps emissions with it so per-shard cells
-    merge back into the canonical execution order.  Under the
-    single-heap drain it is already ranked.  Meaningful only while
-    {!cur} is [>= 0]. *)
+    merge in key order.  It holds only itself: its payload is cleared
+    before the event runs.  Meaningful only while {!cur} is [>= 0]. *)
 
 val now : t -> time
 (** The executing shard's clock inside an event; from host code, the

@@ -2,7 +2,8 @@
     of {!width} ints in chunks of {!chunk_rows} rows, allocated as they
     first fill and never copied, so memory follows the rows kept and
     adding a row allocates nothing once its chunk exists.  Labels are
-    interned per cell; a stamped cell keeps one genealogy key per row.
+    interned per cell; a stamped cell keeps one event key per row, the
+    merge-order stamp, which holds only itself.
     Only the cell's own shard adds rows to it. *)
 
 val chunk_rows : int

@@ -11,12 +11,13 @@
 
    Storage is per shard ("cell"): under the parallel engine each domain
    opens spans only in its own SSMP's cell, so the hot path shares
-   nothing across domains.  Cells are merged at export by ordering each
-   span's genealogy stamp — the key of the simulator event that opened
-   it (see {!Mgs_engine.Shardq}) — which reconstructs the canonical
-   execution order regardless of the job count.  Span and transaction
-   IDs are renumbered densely in that order at export, so every export
-   is byte-identical between jobs=1 and jobs>=2 runs.
+   nothing across domains.  Cells are merged at export by each span's
+   stamp — the key of the simulator event that opened it (see
+   {!Mgs_engine.Shardq}) — whose order is the same at every job count
+   (at a positive lookahead it is the order the one heap runs events
+   in).  Span and transaction IDs are renumbered densely in that order
+   at export, so every export is byte-identical between jobs=1 and
+   jobs>=2 runs.
    Single-cell stores skip stamping entirely and export raw IDs — the
    original single-domain behavior, byte for byte.
 
@@ -102,8 +103,8 @@ let create ?(capacity = default_capacity) ?(cells = 1) () =
 let cells t = t.ncells
 
 (* The order stamp for an emission happening now: the executing event's
-   genealogy key, or a synthetic host key ordered by emission time then
-   a host-side counter.  [sched = max_int] makes a host emission sort
+   key, or a synthetic host key ordered by emission time then a
+   host-side counter.  [sched = max_int] makes a host emission sort
    after every event emission of the same instant: host code runs only
    once the events of that instant have drained. *)
 let stamp t ~time =
@@ -111,8 +112,7 @@ let stamp t ~time =
   else begin
     let seq = t.host_seq in
     t.host_seq <- seq + 1;
-    Mgs_engine.Shardq.key ~fire:time ~sched:max_int ~src:max_int ~seq
-      ~parent:Mgs_engine.Shardq.no_parent
+    Mgs_engine.Shardq.(event ~fire:time ~sched:max_int ~src:max_int ~seq nop nop_timed)
   end
 
 let mint_in t cl c =
@@ -214,10 +214,10 @@ let enc_get t enc =
     words = a.(b + f_words);
   }
 
-(* --- canonical merged view ------------------------------------------ *)
+(* --- merged view ---------------------------------------------------- *)
 
 (* Read-side view of a multi-cell store: every span ordered by its
-   genealogy stamp (= canonical execution order), with span and
+   stamp (key order, the same at every job count), with span and
    transaction IDs renumbered densely in that order.  In the
    single-cell case the emission order already IS the execution order
    and raw IDs are already dense, so the view is the identity and no
@@ -225,7 +225,7 @@ let enc_get t enc =
    to the historical single-domain implementation. *)
 type view = {
   v_ident : bool;
-  v_order : int array; (* encoded sids, canonical order ([||] when ident) *)
+  v_order : int array; (* encoded sids, key order ([||] when ident) *)
   v_sid : int array; (* encoded sid -> dense sid ([||] when ident) *)
   v_txn : (int, int) Hashtbl.t; (* encoded txn -> dense txn *)
 }
@@ -428,7 +428,7 @@ let attribute ~lo ~hi ivals acc =
   sweep acc cuts
 
 let fault_breakdown t =
-  (* group spans by transaction; the canonical view keeps the grouping
+  (* group spans by transaction; the merged view keeps the grouping
      and the txn iteration order identical across job counts *)
   let roots = Hashtbl.create 256 in
   let children = Hashtbl.create 256 in

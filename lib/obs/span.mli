@@ -16,7 +16,8 @@
     A store created with [cells > 1] keeps one span store per shard
     (SSMP): each simulator domain writes only its own cell — nothing on
     the hot path is shared — and reads merge the cells by each span's
-    genealogy stamp, reconstructing the canonical execution order.
+    stamp, the key of the event that opened it, whose order is the
+    same at every job count.
     Span/transaction IDs are renumbered densely in that order at
     read/export time, so exports are byte-identical across job counts.
     Single-cell stores behave exactly as before. *)
@@ -34,7 +35,7 @@ val sid_of : ctx -> int
 (** The enclosing span's raw ID: [-1] for none, [-2] for a dropped one. *)
 
 type span = {
-  sid : int;  (** dense span ID, canonical execution order *)
+  sid : int;  (** dense span ID, in stamp order *)
   parent : int;  (** parent span ID, [-1] for a transaction root *)
   txn : int;
   label : string;
@@ -62,8 +63,8 @@ val cells : t -> int
 
 val stamp : t -> time:int -> Mgs_engine.Shardq.key
 (** The merge-order stamp for a record made now: the executing event's
-    genealogy key, or, from host code, a fresh key ordered by [time]
-    and then host emission order, after every event of that instant. *)
+    key, or, from host code, a fresh key ordered by [time] and then
+    host emission order, after every event of that instant. *)
 
 val mint_txn : t -> int
 (** Reserve a fresh transaction ID without opening a span. *)
@@ -130,14 +131,14 @@ val txns : t -> int
 (** Transactions minted. *)
 
 val iter : t -> (span -> unit) -> unit
-(** All recorded spans in canonical execution order with dense
-    renumbered IDs (identical across job counts; for a single-cell
-    store this is the raw emission order and raw IDs). *)
+(** All recorded spans in stamp order with dense renumbered IDs
+    (identical across job counts; for a single-cell store this is the
+    raw emission order and raw IDs). *)
 
 val fold_unordered :
   t -> init:'a -> ('a -> label:string -> parent:int -> t0:int -> t1:int -> 'a) -> 'a
 (** Fold over every recorded span's label, parent, start and end in no
-    particular order, without building the canonical view {!iter}
+    particular order, without building the merged view {!iter}
     sorts and renumbers.  [parent] is a raw store ID: only its sign is
     portable ([-1] for a transaction root).  For order-free aggregates
     — sums, counts, sorted samples. *)

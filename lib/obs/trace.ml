@@ -4,10 +4,10 @@
    ring, and histograms indexed by the cell's interned tag ids: under
    the parallel engine every domain emits only into its own cell, so
    the hot path shares nothing and allocates nothing.  Reads merge the
-   cells — events by their genealogy stamp (the key of the simulator
-   event that emitted them), histograms exactly — reconstructing the
-   canonical execution order, so every export is byte-identical across
-   job counts.  An {!Event.t} is built only at export. *)
+   cells — events by their stamp (the key of the simulator event that
+   emitted them), histograms exactly — in an order that is the same at
+   every job count, so every export is byte-identical across job
+   counts.  An {!Event.t} is built only at export. *)
 
 type cell = {
   rows : Rows.t;
@@ -72,7 +72,7 @@ let event_of r slot : Event.t =
   }
 
 (* One row into the emitting shard's cell.  A multi-cell trace also
-   records {!Span.stamp}: the executing event's genealogy key, or a
+   records {!Span.stamp}: the executing event's key, or a
    synthetic host key. *)
 let emit t ~time ~engine ~tag ~vpn ~src ~dst ~src_ssmp ~dst_ssmp ~words ~cost ~dur ~txn =
   let cl = t.cells.(Rows.cur_cell t.ncells) in
@@ -101,10 +101,10 @@ let retained t = Array.fold_left (fun acc cl -> acc + Rows.kept cl.rows) 0 t.cel
 
 let dropped t = Array.fold_left (fun acc cl -> acc + Rows.dropped cl.rows) 0 t.cells
 
-(* Merge the retained events of every cell into canonical execution
-   order: sort by genealogy stamp, ties (same event emitting several
-   events — necessarily one cell) by position in that cell's ring.
-   Single-cell: the ring order, no sort. *)
+(* Merge the retained events of every cell into stamp order: sort by
+   key, ties (same event emitting several events — necessarily one
+   cell) by position in that cell's ring.  Single-cell: the ring order,
+   no sort. *)
 let merged t =
   let entries = ref [] in
   Array.iter

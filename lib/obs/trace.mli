@@ -10,9 +10,14 @@
     A trace created with [cells > 1] keeps one ring and histogram table
     per shard (SSMP): each simulator domain writes only its own cell —
     nothing on the emit path is shared — and reads merge the cells by
-    each event's genealogy stamp (the key of the simulator event that
-    emitted it), reconstructing the canonical execution order.  Every
-    export is therefore byte-identical across engine job counts.
+    each event's stamp, the key [(fire, sched, src, seq)] of the
+    simulator event that emitted it.  Each field is a function of the
+    emitting shard's own history, so the merged order is the same at
+    every engine job count and every export is byte-identical across
+    them.  At a positive lookahead it is the order the one heap runs
+    events in; at lookahead 0 an event created by a zero-delay
+    cross-shard event may sort before its creator, within one
+    instant.
     Single-cell traces skip stamping. *)
 
 type t
@@ -36,7 +41,7 @@ val emit :
 (** Record one event, given by the fields of {!Event.t}. *)
 
 val events : t -> Event.t list
-(** Retained events in canonical execution order (oldest first), with
+(** Retained events in stamp order (oldest first), with
     transaction IDs mapped to their dense export values. *)
 
 val emitted : t -> int

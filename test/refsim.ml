@@ -1,56 +1,65 @@
-(* Reference event engine: the semantics the sharded engine must
-   reproduce, kept as the oracle of the micro-DAG properties.  One
-   global clock; an event scheduled in the past runs at the present;
-   events due at the same time run in scheduling order (a global
-   insertion counter).  Shards are only labels here. *)
+(* Reference event engine: the order the sharded engine must produce,
+   kept as the oracle of the micro-DAG and emit-order properties.  Each
+   shard keeps its own clock and scheduling counter.  An event is keyed
+   by its fire time, then the scheduling shard's clock, id and counter
+   — the scheduling shard being the one running the scheduling event,
+   or the destination for host code — and every pending event waits in
+   one ordered map.  An event scheduled in the past runs at the
+   scheduling shard's present.  No window, outbox or heap: nothing here
+   is shared with the engine. *)
 
 module Q = Map.Make (struct
-  type t = int * int (* fire time, insertion counter *)
+  type t = int * int * int * int (* fire, sched, src, seq *)
 
   let compare = compare
 end)
 
 type t = {
-  mutable clock : int;
-  mutable inserted : int;
-  mutable queue : (unit -> unit) Q.t;
+  clock : int array; (* per shard *)
+  ctr : int array; (* per shard: the next [seq] *)
+  mutable cur : int; (* the shard running an event; -1 for host code *)
+  mutable queue : (int * (unit -> unit)) Q.t; (* the executing shard and the thunk *)
   mutable executed : int;
   mutable clamped : int;
 }
 
-let create () = { clock = 0; inserted = 0; queue = Q.empty; executed = 0; clamped = 0 }
+let create ~shards =
+  {
+    clock = Array.make shards 0;
+    ctr = Array.make shards 0;
+    cur = -1;
+    queue = Q.empty;
+    executed = 0;
+    clamped = 0;
+  }
 
-let now r = r.clock
+let now r = if r.cur >= 0 then r.clock.(r.cur) else Array.fold_left max 0 r.clock
 
-let at_shard r ~shard:_ t f =
-  let t =
-    if t < r.clock then begin
+let at_shard r ~shard t f =
+  let s = if r.cur >= 0 then r.cur else shard in
+  let fire =
+    if t < r.clock.(s) then begin
       r.clamped <- r.clamped + 1;
-      r.clock
+      r.clock.(s)
     end
     else t
   in
-  r.inserted <- r.inserted + 1;
-  r.queue <- Q.add (t, r.inserted) f r.queue
+  let seq = r.ctr.(s) in
+  r.ctr.(s) <- seq + 1;
+  r.queue <- Q.add (fire, r.clock.(s), s, seq) (shard, f) r.queue
 
 let rec run r =
   match Q.min_binding_opt r.queue with
   | None -> ()
-  | Some (((t, _) as k), f) ->
+  | Some (((fire, _, _, _) as k), (shard, f)) ->
     r.queue <- Q.remove k r.queue;
-    r.clock <- t;
+    if fire > r.clock.(shard) then r.clock.(shard) <- fire;
     r.executed <- r.executed + 1;
+    r.cur <- shard;
     f ();
+    r.cur <- -1;
     run r
 
 let executed r = r.executed
 
 let clamped r = r.clamped
-
-(* Host-scheduled roots due at the same time tie-break by shard id in
-   genealogy order, so the engine matches this model only when such
-   roots are seeded in shard order — as Machine.run does by spawning
-   fibers in processor order.  Events created during execution carry
-   their full genealogy and need no such discipline. *)
-let seeding_order plan =
-  List.stable_sort (fun (s1, t1, _) (s2, t2, _) -> compare (t1, s1) (t2, s2)) plan

@@ -234,7 +234,7 @@ let test_pinned_app_reports () =
   List.iter
     (fun (what, w, want) -> Alcotest.(check string) what want (ident w))
     [
-      ("water token", water Token, "2d45459b680a1f94276dcba853d4438b");
+      ("water token", water Token, "a8d82896ef7cf6d70a0e92585641b1d5");
       ("tsp token", tsp Token, "68bc60cc5315f990c4a2a505010ef402");
       ("water mcs", water Mcs, "638a42557f8422051c5004ddf922b318");
       ("tsp mcs", tsp Mcs, "68711b34a4359634dd9fb1fe48dab5de");

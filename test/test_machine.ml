@@ -182,7 +182,7 @@ let test_pstats_line () =
       ( "adapt",
         "tlb_fills=277 rreq=178 wreq=5 upgrades=174 rel=296 rel_ops=292 inv=179 \
          1winv=55 pinv=319 diffs=127 diff_words=715 1wdata=55 1wclean=0 acks=52 \
-         syncs=21 sync_wait=44310 rel_wait=6977318 fetch_wait=1010202 \
+         syncs=21 sync_wait=44310 rel_wait=6978488 fetch_wait=1009942 \
          upgrade_wait=1192254 adapt_reclass=2 adapt_migs=2 adapt_fwds=4 \
          adapt_yields=0 adapt_res=73/0/0",
         line ~adapt:true (water Mgs_sync.Locks.Token) );
@@ -212,9 +212,9 @@ let test_hlrc_ivy_pinned () =
          syncs=0 sync_wait=0 rel_wait=267700 fetch_wait=162511 upgrade_wait=0",
         cell "hlrc" jacobi );
       ( "hlrc water",
-        "runtime=1781378 tlb_fills=445 rreq=115 wreq=8 upgrades=113 rel=275 \
+        "runtime=1780948 tlb_fills=445 rreq=115 wreq=8 upgrades=113 rel=275 \
          rel_ops=292 inv=119 1winv=0 pinv=0 diffs=275 diff_words=984 1wdata=0 \
-         1wclean=0 acks=0 syncs=0 sync_wait=0 rel_wait=3280288 fetch_wait=321505 \
+         1wclean=0 acks=0 syncs=0 sync_wait=0 rel_wait=3280288 fetch_wait=321075 \
          upgrade_wait=0",
         cell "hlrc" water );
       ( "ivy jacobi",

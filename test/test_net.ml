@@ -285,7 +285,7 @@ let test_am_post_words () =
   ignore (Sim.run sim ());
   let per_hop = (Gc.minor_words () -. w0) /. float_of_int hops in
   Alcotest.(check int) "every hop posted" hops (Am.total_posted am);
-  if per_hop >= 23.5 then Alcotest.failf "%.2f words per message, budget 23" per_hop
+  if per_hop >= 21.5 then Alcotest.failf "%.2f words per message, budget 21" per_hop
 
 (* Property: per-channel arrival times never regress, whatever the mix
    of bulk and short messages. *)
@@ -432,7 +432,7 @@ let () =
           Alcotest.test_case "per-tag counters" `Quick test_am_counters;
           Alcotest.test_case "trace sees the envelope" `Quick test_am_trace_envelope;
           Alcotest.test_case "run_on" `Quick test_am_run_on;
-          Alcotest.test_case "a message allocates 23 words" `Quick test_am_post_words;
+          Alcotest.test_case "a message allocates 21 words" `Quick test_am_post_words;
         ] );
       ("properties", qsuite);
     ]

@@ -525,8 +525,8 @@ let test_exports_pinned () =
     ];
   check_run "water/hlrc" ~protocol:"hlrc" (Mgs_apps.Water.workload Mgs_apps.Water.tiny)
     [
-      "f5cf5631d2aac41aea1c0fbe5725c8d5"; "9e05aadb60fd612aa600cfe5dac37dcc";
-      "df6ec1d91628416c792a4a06184dd54e"; "7d865a5872594b4972b4089af4ef17b9";
+      "3d94e8b16a352ad6cde41172ffe956f7"; "1afbae58caba2a42614fd13aad00a60f";
+      "c899bc819d6ca6b79a598f557acd09e2"; "0d3b25cb62a18a3c1bf73251804745a7";
     ];
   let tr, _ = run_exports ~protocol:"mgs" (Mgs_serve.Kv.workload Mgs_serve.Kv.tiny) in
   Alcotest.(check string) "kv tail table" "86b4037081116b3ac70dde08eea33f93"

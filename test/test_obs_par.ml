@@ -10,7 +10,7 @@
      protocols);
    - raw engine: a qcheck micro-DAG emitting into a per-shard trace,
      with delays piled onto same-cycle and window-edge collisions —
-     the merged genealogy order must equal the reference model's
+     the merged key order must equal the reference model's
      execution order at every job count. *)
 
 module Sim = Mgs_engine.Sim
@@ -125,7 +125,7 @@ let test_every_lock_par () = List.iter check_lock_par Locks.all
 
 (* Random event forests where delays land on the same cycle and on
    lookahead-window edges, each execution emitting into a per-shard
-   trace cell.  The merged order (genealogy keys) must equal the
+   trace cell.  The merged order (event keys) must equal the
    reference model's execution order at every job count. *)
 
 type node = { hop : int; (* 0 = stay; k > 0 = (shard + k) mod n *) pad : int; kids : node list }
@@ -152,7 +152,7 @@ let gen_plan : (int * int * node) list QCheck2.Gen.t =
    emits the same into the trace and is read back merged. *)
 let run_traced ~engine plan =
   let nshards = 4 in
-  let sim = Sim.create () and r = Refsim.create () in
+  let sim = Sim.create () and r = Refsim.create ~shards:nshards in
   let tr = Trace.create ~capacity:8192 ~cells:nshards () in
   let log = ref [] in
   let now, at_shard, emit =
@@ -180,9 +180,7 @@ let run_traced ~engine plan =
         at_shard ~shard:dst (now () + d) (exec ((id * 8) + i + 1) ~shard:dst kid))
       node.kids
   in
-  List.iteri
-    (fun i (shard, t, n) -> at_shard ~shard t (exec (i * 1000) ~shard n))
-    (Refsim.seeding_order plan);
+  List.iteri (fun i (shard, t, n) -> at_shard ~shard t (exec (i * 1000) ~shard n)) plan;
   match engine with
   | `Ref ->
     Refsim.run r;

@@ -188,18 +188,19 @@ let gen_plan : (int * int * node) list QCheck2.Gen.t =
      let* n = gen_node in
      pure (shard, t, n))
 
-(* Execute a plan on the reference model or on the engine at [jobs];
-   returns per-shard execution logs, the whole execution sequence (one
-   log shared by every shard, kept only on one domain), events
-   executed, and clamps. *)
-let run_plan ~engine plan =
+(* Execute a plan on the reference model or on the engine at [jobs],
+   with cross-shard hops paying [lookahead] (default [la]); returns
+   per-shard execution logs, the whole execution sequence (one log
+   shared by every shard, kept only on one domain), events executed,
+   and clamps. *)
+let run_plan ?(lookahead = la) ~engine plan =
   let nshards = 4 in
-  let sim = Sim.create () and r = Refsim.create () in
+  let sim = Sim.create () and r = Refsim.create ~shards:nshards in
   let now, at_shard =
     match engine with
     | `Ref -> ((fun () -> Refsim.now r), Refsim.at_shard r)
     | `Jobs jobs ->
-      Sim.make_sharded sim ~nshards ~lookahead:la;
+      Sim.make_sharded sim ~nshards ~lookahead;
       Sim.set_jobs sim jobs;
       ((fun () -> Sim.now sim), Sim.at_shard sim)
   in
@@ -213,13 +214,11 @@ let run_plan ~engine plan =
     List.iteri
       (fun i kid ->
         let dst = (shard + kid.hop) mod nshards in
-        let d = if kid.hop = 0 then kid.pad else la + kid.pad in
+        let d = if kid.hop = 0 then kid.pad else lookahead + kid.pad in
         at_shard ~shard:dst (now () + d) (exec ((id * 8) + i + 1) ~shard:dst kid))
       node.kids
   in
-  List.iteri
-    (fun i (shard, t, n) -> at_shard ~shard t (exec (i * 1000) ~shard n))
-    (Refsim.seeding_order plan);
+  List.iteri (fun i (shard, t, n) -> at_shard ~shard t (exec (i * 1000) ~shard n)) plan;
   let counts =
     match engine with
     | `Ref ->
@@ -235,7 +234,7 @@ let run_plan ~engine plan =
 (* Per-shard logs at every job count, and at one job the whole
    sequence: a cross-shard swap of two events tied on (fire, sched)
    moves no clock and shows in no per-shard log, and that tie is where
-   ranked parents stand in for the recursive genealogy comparison. *)
+   the key's scheduling shard decides. *)
 let prop_dag_equivalence =
   QCheck2.Test.make ~name:"micro-DAG: per-shard schedules identical for any job count"
     ~count:120 gen_plan (fun plan ->
@@ -246,7 +245,16 @@ let prop_dag_equivalence =
           l = logs && c = counts && (jobs > 1 || w = whole))
         [ 1; 2; 4 ])
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_dag_equivalence ]
+(* At lookahead 0 a hop may cost nothing, and an event it creates can
+   sort before its creator; the one heap must still run the reference
+   order. *)
+let prop_dag_zero_lookahead =
+  QCheck2.Test.make ~name:"micro-DAG at lookahead 0: one heap runs the reference order"
+    ~count:120 gen_plan (fun plan ->
+      run_plan ~lookahead:0 ~engine:`Ref plan = run_plan ~lookahead:0 ~engine:(`Jobs 1) plan)
+
+let qsuite =
+  List.map QCheck_alcotest.to_alcotest [ prop_dag_equivalence; prop_dag_zero_lookahead ]
 
 let () =
   Alcotest.run "par"

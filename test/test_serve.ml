@@ -190,7 +190,7 @@ let test_hist_percentile_edges () =
 
 (* --- end-to-end KV -------------------------------------------------- *)
 
-(* Phase coverage summed over the canonical view, where parents are
+(* Phase coverage summed over the merged view, where parents are
    renumbered: the oracle of [Tail.coverage], which folds over the raw
    cells in no order. *)
 let view_coverage sp =
@@ -222,7 +222,7 @@ let kv_exports par =
 let test_kv_run () =
   let table, coverage, in_view, dropped = kv_exports 1 in
   Alcotest.(check int) "no spans dropped" 0 dropped;
-  Alcotest.(check (float 0.)) "coverage as over the canonical view" in_view coverage;
+  Alcotest.(check (float 0.)) "coverage as over the merged view" in_view coverage;
   if coverage < 0.95 then Alcotest.failf "phase coverage %.3f < 0.95" coverage;
   List.iter
     (fun op ->
