@@ -81,12 +81,17 @@ perf-diff: build
 	$(DUNE) exec bench/perf.exe -- -o _build/BENCH_diff.json --diff BENCH_sim.json
 	$(DUNE) exec bin/trace_lint.exe -- --bench _build/BENCH_diff.json
 
-# The paper's tables and figures as `bench/main.exe` prints them,
-# recorded in CLAIMS.txt: regenerate them under _build/ and fail on any
-# difference.  Runs are deterministic and -j only spreads sweep points
-# over domains, so the comparison is exact.  A change that moves a
-# paper number copies _build/CLAIMS.txt over the record and says why.
-CLAIMS_TARGETS = table3 table4 fig6 fig7 fig8 fig9 fig10 fig11 fig12 summary hlrc-figs
+# Everything `bench/main.exe` prints — the paper's tables and figures,
+# then the lock table, ablations, extra workloads, scaling and the
+# exports — recorded in CLAIMS.txt: regenerate it under _build/ and
+# fail on any difference.  Runs are deterministic, no target prints a
+# host time, and -j only spreads sweep points over domains, so the
+# comparison is exact.  A change that moves a recorded number copies
+# _build/CLAIMS.txt over the record and says why.
+CLAIMS_TARGETS = table3 table4 fig6 fig7 fig8 fig9 fig10 fig11 fig12 summary hlrc-figs \
+  locktable ablation-singlewriter ablation-earlyack ablation-pagesize ablation-latency \
+  ablation-protocol ablation-pipeline ablation-tlb ablation-adapt extra-lu extra-fft \
+  extra-radix scaling csv messages
 
 claims-diff: build
 	$(DUNE) exec bench/main.exe -- -j 2 $(CLAIMS_TARGETS) > _build/CLAIMS.txt
