@@ -1,139 +1,191 @@
-(* Binary min-heap over event keys; see the interface for the order
-   and the argument that makes it the same at every job count. *)
+(* Binary min-heap of integer event keys over a payload slab; see the
+   interface for the order and the argument that makes it the same at
+   every job count. *)
 
-type key = {
-  k_fire : int;
-  k_sched : int;
-  k_src : int;
-  k_seq : int;
-  (* the event's payload, which [pop_min] clears: a thunk or a timed
-     callback, the other a no-op *)
-  mutable k_fn : unit -> unit;
-  mutable k_timed : int -> unit;
-}
+let seq_bits = 42
+
+let max_shards = 1 lsl (Sys.int_size - 1 - seq_bits)
+
+let max_seq = (1 lsl seq_bits) - 1
+
+let pack ~src ~seq =
+  if src < 0 || src >= max_shards || seq < 0 || seq > max_seq then
+    invalid_arg "Shardq.pack: src or seq out of range";
+  (src lsl seq_bits) lor seq
+
+type key = { k_fire : int; k_sched : int; k_src : int; k_seq : int }
+
+let key ~fire ~sched ~src ~seq ~parent:_ =
+  { k_fire = fire; k_sched = sched; k_src = src; k_seq = seq }
+
+let no_parent = { k_fire = min_int; k_sched = min_int; k_src = -1; k_seq = -1 }
 
 let nop () = ()
 
 let nop_timed (_ : int) = ()
 
-let no_parent =
-  { k_fire = min_int; k_sched = min_int; k_src = -1; k_seq = -1; k_fn = nop; k_timed = nop_timed }
-
-let event ~fire ~sched ~src ~seq fn timed =
-  { k_fire = fire; k_sched = sched; k_src = src; k_seq = seq; k_fn = fn; k_timed = timed }
-
-let key ~fire ~sched ~src ~seq ~parent:_ = event ~fire ~sched ~src ~seq nop nop_timed
-
-let refire k ~fire = { k with k_fire = fire }
-
-let cmp_key a b =
-  if a.k_fire <> b.k_fire then Int.compare a.k_fire b.k_fire
-  else if a.k_sched <> b.k_sched then Int.compare a.k_sched b.k_sched
-  else if a.k_src <> b.k_src then Int.compare a.k_src b.k_src
-  else Int.compare a.k_seq b.k_seq
-
 type t = {
-  mutable keys : key array;
-  mutable own : int array; (* shard that will execute the event *)
+  mutable h : int array; (* entry i: fire at 3i, sched at 3i+1, slot at 3i+2 *)
   mutable n : int;
-  mutable popped_key : key;
-  mutable popped_own : int;
-  mutable popped_timed : int -> unit;
+  (* the slab, by slot; a free slot's payloads are the no-ops *)
+  mutable srcseq : int array;
+  mutable own : int array;
+  mutable fns : (unit -> unit) array;
+  mutable timeds : (int -> unit) array;
+  mutable free : int array; (* the free slots, in [0, capacity - n) *)
+  (* the last popped event *)
+  mutable p_fire : int;
+  mutable p_sched : int;
+  mutable p_srcseq : int;
+  mutable p_own : int;
+  mutable p_timed : int -> unit;
 }
 
+(* Empty until its first event: at one job the per-shard heaps stay
+   unused, and at setup a heap costs only its record. *)
 let create () =
-  let cap = 64 in
   {
-    keys = Array.make cap no_parent;
-    own = Array.make cap 0;
+    h = [||];
     n = 0;
-    popped_key = no_parent;
-    popped_own = -1;
-    popped_timed = nop_timed;
+    srcseq = [||];
+    own = [||];
+    fns = [||];
+    timeds = [||];
+    free = [||];
+    p_fire = 0;
+    p_sched = 0;
+    p_srcseq = 0;
+    p_own = -1;
+    p_timed = nop_timed;
   }
 
 let length q = q.n
 
 let is_empty q = q.n = 0
 
-let min_fire q = if q.n = 0 then max_int else q.keys.(0).k_fire
-
-(* strict key order: [a] fires before [b] *)
-let before a b =
-  if a.k_fire <> b.k_fire then a.k_fire < b.k_fire
-  else if a.k_sched <> b.k_sched then a.k_sched < b.k_sched
-  else if a.k_src <> b.k_src then a.k_src < b.k_src
-  else a.k_seq < b.k_seq
+let min_fire q = if q.n = 0 then max_int else Array.unsafe_get q.h 0
 
 let grow q =
-  let cap = Array.length q.keys in
-  let ncap = cap * 2 in
-  let keys = Array.make ncap no_parent in
-  Array.blit q.keys 0 keys 0 cap;
-  q.keys <- keys;
-  let own = Array.make ncap 0 in
-  Array.blit q.own 0 own 0 cap;
-  q.own <- own
+  let cap = Array.length q.own in
+  let ncap = max 16 (2 * cap) in
+  let extend a k fill =
+    Array.init (k * ncap) (fun i -> if i < Array.length a then a.(i) else fill)
+  in
+  q.h <- extend q.h 3 0;
+  q.srcseq <- extend q.srcseq 1 0;
+  q.own <- extend q.own 1 0;
+  q.fns <- extend q.fns 1 nop;
+  q.timeds <- extend q.timeds 1 nop_timed;
+  (* every old slot is in use: the free slots are the new ones *)
+  q.free <- Array.init ncap (fun i -> if i < ncap - cap then cap + i else 0)
 
-(* The sifts move a hole instead of swapping: each level writes one key
-   and one shard, and the sifted key is written once where it lands —
-   the same comparisons as a swapping sift, so the same heap. *)
-let rec sift_up q i key own =
+(* Order on a [(fire, sched)] tie: [sched], then the slab's packed
+   [src]/[seq] of slots [sa] and [sb]. *)
+let tie_before q sc sa sj sb =
+  sc < sj || (sc = sj && Array.unsafe_get q.srcseq sa < Array.unsafe_get q.srcseq sb)
+
+(* The entry [(f, sc, slot sl)] sorts before heap entry [j].  Entry
+   [j]'s sched and slot are read only when the fire times tie. *)
+let before q f sc sl j =
+  let h = q.h in
+  let fj = Array.unsafe_get h (3 * j) in
+  f < fj
+  || f = fj
+     && tie_before q sc sl (Array.unsafe_get h ((3 * j) + 1)) (Array.unsafe_get h ((3 * j) + 2))
+
+(* Heap entry [a] sorts before heap entry [b]. *)
+let entry_before q a b =
+  let h = q.h in
+  let fa = Array.unsafe_get h (3 * a) and fb = Array.unsafe_get h (3 * b) in
+  fa < fb
+  || fa = fb
+     && tie_before q
+          (Array.unsafe_get h ((3 * a) + 1))
+          (Array.unsafe_get h ((3 * a) + 2))
+          (Array.unsafe_get h ((3 * b) + 1))
+          (Array.unsafe_get h ((3 * b) + 2))
+
+let set q i f sc sl =
+  let h = q.h in
+  Array.unsafe_set h (3 * i) f;
+  Array.unsafe_set h ((3 * i) + 1) sc;
+  Array.unsafe_set h ((3 * i) + 2) sl
+
+let move q ~from i =
+  let h = q.h in
+  set q i (Array.unsafe_get h (3 * from))
+    (Array.unsafe_get h ((3 * from) + 1))
+    (Array.unsafe_get h ((3 * from) + 2))
+
+(* The sifts move a hole and write the sifted entry once, where it
+   lands; every store is an int store, so no level pays a write
+   barrier. *)
+let rec sift_up q i f sc sl =
   let p = (i - 1) / 2 in
-  if i > 0 && before key q.keys.(p) then begin
-    q.keys.(i) <- q.keys.(p);
-    q.own.(i) <- q.own.(p);
-    sift_up q p key own
+  if i > 0 && before q f sc sl p then begin
+    move q ~from:p i;
+    sift_up q p f sc sl
   end
-  else begin
-    q.keys.(i) <- key;
-    q.own.(i) <- own
-  end
+  else set q i f sc sl
 
-let rec sift_down q i key own =
+let rec sift_down q i f sc sl =
   let l = (2 * i) + 1 in
-  let s = if l + 1 < q.n && before q.keys.(l + 1) q.keys.(l) then l + 1 else l in
-  if l < q.n && before q.keys.(s) key then begin
-    q.keys.(i) <- q.keys.(s);
-    q.own.(i) <- q.own.(s);
-    sift_down q s key own
-  end
+  if l >= q.n then set q i f sc sl
   else begin
-    q.keys.(i) <- key;
-    q.own.(i) <- own
+    let c = if l + 1 < q.n && entry_before q (l + 1) l then l + 1 else l in
+    if before q f sc sl c then set q i f sc sl
+    else begin
+      move q ~from:c i;
+      sift_down q c f sc sl
+    end
   end
 
-let insert q ~key ~own =
-  if q.n = Array.length q.keys then grow q;
+(* A free slot holds the no-ops, so only a real payload is written.  A
+   slot from the free list is always in range. *)
+let add q ~fire ~sched ~srcseq ~own fn timed =
+  if q.n = Array.length q.own then grow q;
+  let slot = q.free.(Array.length q.own - q.n - 1) in
+  Array.unsafe_set q.srcseq slot srcseq;
+  Array.unsafe_set q.own slot own;
+  if fn != nop then Array.unsafe_set q.fns slot fn;
+  if timed != nop_timed then Array.unsafe_set q.timeds slot timed;
   q.n <- q.n + 1;
-  sift_up q (q.n - 1) key own
+  sift_up q (q.n - 1) fire sched slot
 
 let push q ~key ~own fn =
-  key.k_fn <- fn;
-  insert q ~key ~own
+  add q ~fire:key.k_fire ~sched:key.k_sched
+    ~srcseq:(pack ~src:key.k_src ~seq:key.k_seq)
+    ~own fn nop_timed
 
 exception Empty_queue
 
 let pop_min q =
   if q.n = 0 then raise Empty_queue;
-  let k = q.keys.(0) in
-  let f = k.k_fn in
-  q.popped_key <- k;
-  q.popped_own <- q.own.(0);
-  q.popped_timed <- k.k_timed;
-  k.k_fn <- nop;
-  k.k_timed <- nop_timed;
+  let h = q.h in
+  let slot = Array.unsafe_get h 2 in
+  q.p_fire <- Array.unsafe_get h 0;
+  q.p_sched <- Array.unsafe_get h 1;
+  q.p_srcseq <- Array.unsafe_get q.srcseq slot;
+  q.p_own <- Array.unsafe_get q.own slot;
+  let fn = Array.unsafe_get q.fns slot and timed = Array.unsafe_get q.timeds slot in
+  if fn != nop then Array.unsafe_set q.fns slot nop;
+  if timed != nop_timed then Array.unsafe_set q.timeds slot nop_timed;
+  q.p_timed <- timed;
   let last = q.n - 1 in
-  let lk = q.keys.(last) and lo = q.own.(last) in
-  q.keys.(last) <- no_parent;
   q.n <- last;
-  if last > 0 then sift_down q 0 lk lo;
-  f
+  q.free.(Array.length q.own - last - 1) <- slot;
+  if last > 0 then sift_down q 0 h.(3 * last) h.((3 * last) + 1) h.((3 * last) + 2);
+  fn
 
-let popped_key q = q.popped_key
+let take_timed q =
+  let k = q.p_timed in
+  if k != nop_timed then q.p_timed <- nop_timed;
+  k
 
-let popped_fire q = q.popped_key.k_fire
+let popped_fire q = q.p_fire
 
-let popped_own q = q.popped_own
+let popped_sched q = q.p_sched
 
-let popped_timed q = q.popped_timed
+let popped_srcseq q = q.p_srcseq
+
+let popped_own q = q.p_own

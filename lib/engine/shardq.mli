@@ -1,5 +1,5 @@
-(** Event heap for the sharded engine: a binary min-heap over event
-    keys.
+(** Event heap for the sharded engine: a binary min-heap over integer
+    event keys, with each event's payload in a slab.
 
     A key orders an event by [(fire, sched, src, seq)] and nothing
     else: fire time, then the creating shard's clock at creation, that
@@ -15,46 +15,40 @@
     ties on [(fire, sched)] and wins on [src]); the one heap runs it
     next, and the order is still a function of the program.
 
-    [own] names the shard that will execute the event — it is carried,
-    not part of the order.
+    [src] and [seq] travel packed in one int ({!pack}) that sorts like
+    the pair.  The heap sifts [(fire, sched, slot)] triples in one int
+    array and reads the slab only when [(fire, sched)] ties.  A slab
+    slot holds the packed word, the owner shard (the one that will
+    execute the event: carried, not part of the order) and the payload,
+    a thunk or a timed callback that receives the fire time, the other
+    a no-op.  A slot is written once at {!add} and cleared at
+    {!pop_min}: an event allocates nothing, and once popped the heap
+    reaches nothing of it. *)
 
-    A pending key carries its event's payload, a thunk or a timed
-    callback that receives the fire time, so the heap keeps two arrays
-    (keys and [own] shards) and an event whose callback exists costs one
-    key.  {!pop_min} clears the payload: an executed key kept as an
-    observability stamp holds only itself. *)
+val max_shards : int
+(** Shard ids below this fit in a packed word. *)
 
-type key = private {
-  k_fire : int;  (** absolute fire time *)
-  k_sched : int;  (** scheduling shard's clock at creation *)
-  k_src : int;  (** scheduling shard's id *)
-  k_seq : int;  (** scheduling shard's private counter *)
-  mutable k_fn : unit -> unit;  (** the thunk; {!nop} for a timed event *)
-  mutable k_timed : int -> unit;  (** the timed callback; {!nop_timed} for a thunk *)
-}
+val max_seq : int
+(** The largest counter value that fits in a packed word. *)
+
+val pack : src:int -> seq:int -> int
+(** [src] in the high bits, [seq] in the low: packed words compare like
+    [(src, seq)] pairs.
+    @raise Invalid_argument unless [0 <= src < max_shards] and
+    [0 <= seq <= max_seq]. *)
+
+type key = { k_fire : int; k_sched : int; k_src : int; k_seq : int }
+(** A key as four fields, for callers that build one to {!push}. *)
+
+val key : fire:int -> sched:int -> src:int -> seq:int -> parent:key -> key
+(** [parent] is ignored.  It and {!no_parent} are kept for the frozen
+    benchmark's heap micro-loop ([perfbench/micro.ml]), the one caller
+    that passes them, until that benchmark is next revised. *)
 
 val no_parent : key
-(** The empty-slot key: fills vacant heap and outbox slots and stands
-    for "no event running".  It sorts before every real key. *)
 
 val nop : unit -> unit
 val nop_timed : int -> unit
-
-val event :
-  fire:int -> sched:int -> src:int -> seq:int -> (unit -> unit) -> (int -> unit) -> key
-(** A key carrying its thunk and timed callback, one of them a no-op. *)
-
-val key : fire:int -> sched:int -> src:int -> seq:int -> parent:key -> key
-(** A key with no payload.  [parent] is ignored; it is kept for the
-    frozen benchmark's heap micro-loop ([perfbench/micro.ml]), the one
-    caller that still passes it, until that benchmark is next revised. *)
-
-val refire : key -> fire:int -> key
-(** The same key moved to a later fire time (lookahead-violation
-    clamping at outbox flush). *)
-
-val cmp_key : key -> key -> int
-(** The total order above: four integer comparisons. *)
 
 type t
 
@@ -66,20 +60,27 @@ val min_fire : t -> int
 (** Fire time of the earliest event, [max_int] when empty.  An int, not
     an option: the windowed drain reads it before every event. *)
 
-val push : t -> key:key -> own:int -> (unit -> unit) -> unit
-(** Loads the thunk into [key] and {!insert}s it. *)
+val add :
+  t -> fire:int -> sched:int -> srcseq:int -> own:int -> (unit -> unit) -> (int -> unit) -> unit
+(** Queue an event keyed [(fire, sched, srcseq)], [srcseq] a {!pack}ed
+    word, for shard [own], with its thunk and its timed callback, one
+    of them a no-op. *)
 
-val insert : t -> key:key -> own:int -> unit
+val push : t -> key:key -> own:int -> (unit -> unit) -> unit
+(** {!add} of a thunk under a four-field key. *)
 
 exception Empty_queue
 
 val pop_min : t -> unit -> unit
-(** Removes the minimum element, clears its key's payload and returns
-    its thunk; {!popped_key}, {!popped_own} and {!popped_timed} read
-    the rest until the next pop.
+(** Removes the minimum event, frees its slot and returns its thunk;
+    {!take_timed} returns its timed callback, and the [popped_*]
+    functions read the rest, until the next pop.
     @raise Empty_queue when empty. *)
 
-val popped_key : t -> key
+val take_timed : t -> int -> unit
+(** The popped event's timed callback, which the heap then drops. *)
+
 val popped_fire : t -> int
+val popped_sched : t -> int
+val popped_srcseq : t -> int
 val popped_own : t -> int
-val popped_timed : t -> int -> unit

@@ -3,7 +3,9 @@
    latency as the lookahead window.
 
    Every event carries a key [(fire, sched, src, seq)] (see
-   {!Shardq}) minted from the scheduling shard's clock, id and counter.
+   {!Shardq}) minted from the scheduling shard's clock, id and counter,
+   [src] and [seq] packed in one int.  A heap holds keys as integers
+   and payloads in a slab, so scheduling an event allocates nothing.
    The engine runs in one of two modes, chosen by the effective job
    count for the run:
 
@@ -13,14 +15,15 @@
    - {b windowed} (jobs >= 2): per-shard heaps drained concurrently on
      [jobs] domains between barriers.  Each window executes every event
      with [fire < T + lookahead] where [T] is the globally earliest
-     pending fire time.  Cross-shard events' keys are appended to the
-     scheduling shard's outbox and merged into the destination heap at
-     the barrier; because the LAN delivers cross-SSMP work no earlier
-     than [send + lookahead], a message created inside a window always
-     fires at or after the window's end, so each shard runs its events
-     in key order, as under the one heap — which is what makes the two
-     modes produce byte-identical results.  A window needs a positive
-     width, so a zero lookahead always runs one heap.
+     pending fire time.  A cross-shard event waits in the scheduling
+     shard's outbox, as integers beside its two payloads, and is merged
+     into the destination heap at the barrier; because the LAN delivers
+     cross-SSMP work no earlier than [send + lookahead], a message
+     created inside a window always fires at or after the window's end,
+     so each shard runs its events in key order, as under the one heap
+     — which is what makes the two modes produce byte-identical
+     results.  A window needs a positive width, so a zero lookahead
+     always runs one heap.
 
    Shard-local clocks, counters and statistics are only ever touched by
    the domain currently running that shard; the window barrier's mutex
@@ -36,8 +39,11 @@ type shard = {
   mutable executed : int;
   mutable clamped : int; (* past-due schedules clamped to the clock *)
   mutable peak : int;
-  mutable out_keys : Shardq.key array; (* cross-shard sends, merged at barriers *)
-  mutable out_dst : int array; (* their destination shards *)
+  (* cross-shard sends, merged at barriers: fire, sched, packed src/seq
+     and destination shard, four ints each, beside their payloads *)
+  mutable out_ints : int array;
+  mutable out_fns : (unit -> unit) array;
+  mutable out_timeds : (int -> unit) array;
   mutable out_n : int;
   mutable failure : exn option; (* first exception raised while draining *)
   (* engine self-profiling; only the owning domain writes these *)
@@ -65,22 +71,24 @@ type t = {
 
 exception Late_delivery of { dst : int; fire : int; clock : int }
 
-(* Which shard the running domain is currently executing; -1 between
-   events (host code).  Domain-local so concurrent shards each see
-   their own. *)
-let cur_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> -1)
+(* The event this domain is executing: its shard, -1 between events
+   (host code), and its key, which the observability layer copies into
+   every record so per-shard cells merge in key order at export.
+   Domain-local so concurrent shards each see their own; a drain reads
+   it once and rewrites its fields at every event. *)
+type running = {
+  mutable shard : int;
+  mutable fire : int;
+  mutable sched : int;
+  mutable srcseq : int;
+}
 
-let cur () = Domain.DLS.get cur_key
+let running_dls : running Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { shard = -1; fire = 0; sched = 0; srcseq = 0 })
 
-let set_cur v = Domain.DLS.set cur_key v
+let running () = Domain.DLS.get running_dls
 
-(* Key of the event this domain is currently executing.  The
-   observability layer stamps every emission with it so per-shard cells
-   merge in key order at export.  Only meaningful while [cur () >= 0]. *)
-let run_key : Shardq.key Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Shardq.no_parent)
-
-let running_key () = Domain.DLS.get run_key
+let cur () = (running ()).shard
 
 let new_shard id =
   {
@@ -91,8 +99,9 @@ let new_shard id =
     executed = 0;
     clamped = 0;
     peak = 0;
-    out_keys = [||];
-    out_dst = [||];
+    out_ints = [||];
+    out_fns = [||];
+    out_timeds = [||];
     out_n = 0;
     failure = None;
     xsends = 0;
@@ -190,6 +199,7 @@ let shard_xsends sim i = sim.shards.(i).xsends
 let make_sharded sim ~nshards ~lookahead =
   if nshards <> Array.length sim.shards || lookahead <> sim.lookahead then begin
     if nshards < 1 then invalid_arg "Sim.make_sharded: nshards < 1";
+    if nshards > Shardq.max_shards then invalid_arg "Sim.make_sharded: nshards too large";
     if lookahead < 0 then invalid_arg "Sim.make_sharded: lookahead < 0";
     if events_executed sim > 0 || pending sim > 0 then
       invalid_arg "Sim.make_sharded: events already scheduled";
@@ -203,38 +213,43 @@ let make_sharded sim ~nshards ~lookahead =
 (* Scheduling                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let push_local sim ~key ~own =
+let push_local sim ~fire ~sched ~srcseq ~own fn timed =
   if sim.jobs > 1 then begin
     let d = sim.shards.(own) in
-    Shardq.insert d.q ~key ~own;
+    Shardq.add d.q ~fire ~sched ~srcseq ~own fn timed;
     let len = Shardq.length d.q in
     if len > d.peak then d.peak <- len
   end
   else begin
-    Shardq.insert sim.g ~key ~own;
+    Shardq.add sim.g ~fire ~sched ~srcseq ~own fn timed;
     let len = Shardq.length sim.g in
     if len > sim.gpeak then sim.gpeak <- len
   end
 
-(* Park a cross-shard key until the barrier; the arrays only grow. *)
-let outbox_add s key dst =
+(* Park a cross-shard event until the barrier; the arrays only grow. *)
+let outbox_add s ~fire ~sched ~srcseq ~dst fn timed =
   let n = s.out_n in
-  if n = Array.length s.out_keys then begin
-    s.out_keys <- Array.append s.out_keys (Array.make (n + 16) Shardq.no_parent);
-    s.out_dst <- Array.append s.out_dst (Array.make (n + 16) 0)
+  if n = Array.length s.out_fns then begin
+    s.out_ints <- Array.append s.out_ints (Array.make (4 * (n + 16)) 0);
+    s.out_fns <- Array.append s.out_fns (Array.make (n + 16) Shardq.nop);
+    s.out_timeds <- Array.append s.out_timeds (Array.make (n + 16) Shardq.nop_timed)
   end;
-  s.out_keys.(n) <- key;
-  s.out_dst.(n) <- dst;
+  let a = s.out_ints in
+  a.(4 * n) <- fire;
+  a.((4 * n) + 1) <- sched;
+  a.((4 * n) + 2) <- srcseq;
+  a.((4 * n) + 3) <- dst;
+  s.out_fns.(n) <- fn;
+  s.out_timeds.(n) <- timed;
   s.out_n <- n + 1
 
 (* Schedule [fn] or [timed] (the other a no-op) on shard [dst] at time
-   [t].  The key is minted from the scheduling shard's clock, id and
-   counter: inside an event, the executing shard's; host-side, the
-   destination shard's.  Past-due times are clamped to the scheduler's
-   clock and counted. *)
-let schedule sim dst t fn timed =
+   [t], from shard [c] ([cur ()]).  The key is minted from the
+   scheduling shard's clock, id and counter: inside an event, the
+   executing shard's; host-side, the destination shard's.  Past-due
+   times are clamped to the scheduler's clock and counted. *)
+let schedule sim c dst t fn timed =
   if dst < 0 || dst >= Array.length sim.shards then invalid_arg "Sim.at_shard: bad shard";
-  let c = cur () in
   let s = if c >= 0 then sim.shards.(c) else sim.shards.(dst) in
   let fire =
     if t < s.clock then begin
@@ -243,26 +258,29 @@ let schedule sim dst t fn timed =
     end
     else t
   in
-  let seq = s.ctr in
-  s.ctr <- seq + 1;
-  let key = Shardq.event ~fire ~sched:s.clock ~src:s.id ~seq fn timed in
+  let srcseq = Shardq.pack ~src:s.id ~seq:s.ctr in
+  s.ctr <- s.ctr + 1;
   if c >= 0 && c <> dst then s.xsends <- s.xsends + 1;
   if sim.jobs > 1 && c >= 0 && c <> dst then
     (* cross-shard send from inside an event: park in the outbox; the
        barrier merges it into [dst]'s heap before the next window *)
-    outbox_add s key dst
-  else push_local sim ~key ~own:dst
+    outbox_add s ~fire ~sched:s.clock ~srcseq ~dst fn timed
+  else push_local sim ~fire ~sched:s.clock ~srcseq ~own:dst fn timed
 
-let at_shard sim ~shard t fn = schedule sim shard t fn Shardq.nop_timed
+let at_shard sim ~shard t fn = schedule sim (cur ()) shard t fn Shardq.nop_timed
 
-let at_shard_k sim ~shard t k = schedule sim shard t Shardq.nop k
+let at_shard_k sim ~shard t k = schedule sim (cur ()) shard t Shardq.nop k
 
 (* [at] without an explicit target: stay on the executing shard (the
    common case — timers, fiber resumptions, local protocol work).
    Host-side calls without a target land on shard 0. *)
-let at sim t fn = schedule sim (Int.max 0 (cur ())) t fn Shardq.nop_timed
+let at sim t fn =
+  let c = cur () in
+  schedule sim c (Int.max 0 c) t fn Shardq.nop_timed
 
-let at_k sim t k = schedule sim (Int.max 0 (cur ())) t Shardq.nop k
+let at_k sim t k =
+  let c = cur () in
+  schedule sim c (Int.max 0 c) t Shardq.nop k
 
 let after sim d f =
   if d < 0 then invalid_arg "Sim.after: negative delay";
@@ -278,32 +296,36 @@ let limit_msg ~limit ~executed ~clock ~pending =
     limit executed clock pending
 
 (* One event: pop the minimum of [q], advance its shard's clock, count
-   it, set it running, run the hook, call it.  Both drains use it. *)
-let step sim q =
+   it, record it in this domain's [r] as running, run the hook, call
+   it.  Both drains use it. *)
+let step sim q r =
   let fn = Shardq.pop_min q in
-  let timed = Shardq.popped_timed q in
+  let timed = Shardq.take_timed q in
   let s = sim.shards.(Shardq.popped_own q) in
   let t = Shardq.popped_fire q in
   if t > s.clock then s.clock <- t;
   s.executed <- s.executed + 1;
-  set_cur s.id;
-  Domain.DLS.set run_key (Shardq.popped_key q);
+  r.shard <- s.id;
+  r.fire <- t;
+  r.sched <- Shardq.popped_sched q;
+  r.srcseq <- Shardq.popped_srcseq q;
   (match sim.on_event with Some h -> h ~shard:s.id ~now:t | None -> ());
   match if timed == Shardq.nop_timed then fn () else timed t with
-  | () -> set_cur (-1)
+  | () -> r.shard <- -1
   | exception e ->
-    set_cur (-1);
+    r.shard <- -1;
     raise e
 
 (* jobs = 1: drain the one heap in key order. *)
 let run_global sim ~limit =
   let n0 = events_executed sim in
+  let r = running () in
   let rec go n =
     if n - n0 >= limit then
       failwith (limit_msg ~limit ~executed:n ~clock:(now sim) ~pending:(pending sim))
     else if Shardq.is_empty sim.g then n - n0
     else begin
-      step sim sim.g;
+      step sim sim.g r;
       go (n + 1)
     end
   in
@@ -320,13 +342,14 @@ let run_global sim ~limit =
 let drain sim s ~wend ~allow =
   let t0 = Unix.gettimeofday () in
   let n = ref 0 in
+  let r = running () in
   (try
      while Shardq.min_fire s.q < wend do
        if !n >= allow then
          failwith
            (limit_msg ~limit:allow ~executed:s.executed ~clock:s.clock
               ~pending:(Shardq.length s.q));
-       step sim s.q;
+       step sim s.q r;
        incr n
      done
    with e -> s.failure <- Some e);
@@ -334,24 +357,24 @@ let drain sim s ~wend ~allow =
   sim.wall.(s.id) <- sim.wall.(s.id) +. (Unix.gettimeofday () -. t0);
   !n
 
-(* Merge every outbox key into its destination heap.  Runs on the
+(* Merge every outbox event into its destination heap.  Runs on the
    coordinating domain while the workers are parked at the barrier.
    Heap order comes from the keys, so merge order does not matter.  A
    message firing before its destination's clock means the lookahead
    argument was violated (an engine or cost-model bug, not a program
-   bug): it is counted as a clamp on the destination and, under strict
-   mode, raised. *)
-let merge sim key dst =
-  let d = sim.shards.(dst) and fire = key.Shardq.k_fire in
-  let key =
-    if fire >= d.clock then key
+   bug): it moves to the destination's clock, is counted as a clamp
+   there and, under strict mode, raised. *)
+let merge sim ~fire ~sched ~srcseq ~dst fn timed =
+  let d = sim.shards.(dst) in
+  let fire =
+    if fire >= d.clock then fire
     else begin
       d.clamped <- d.clamped + 1;
       if sim.strict then raise (Late_delivery { dst; fire; clock = d.clock });
-      Shardq.refire key ~fire:d.clock
+      d.clock
     end
   in
-  Shardq.insert d.q ~key ~own:dst;
+  Shardq.add d.q ~fire ~sched ~srcseq ~own:dst fn timed;
   d.merges <- d.merges + 1;
   let len = Shardq.length d.q in
   if len > d.peak then d.peak <- len
@@ -362,9 +385,11 @@ let flush_outboxes sim =
     let n = s.out_n in
     s.out_n <- 0;
     for j = 0 to n - 1 do
-      let key = s.out_keys.(j) in
-      s.out_keys.(j) <- Shardq.no_parent;
-      merge sim key s.out_dst.(j)
+      let a = s.out_ints and fn = s.out_fns.(j) and timed = s.out_timeds.(j) in
+      s.out_fns.(j) <- Shardq.nop;
+      s.out_timeds.(j) <- Shardq.nop_timed;
+      merge sim ~fire:a.(4 * j) ~sched:a.((4 * j) + 1) ~srcseq:a.((4 * j) + 2)
+        ~dst:a.((4 * j) + 3) fn timed
     done
   done
 

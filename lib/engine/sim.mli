@@ -4,7 +4,9 @@
     shard per SSMP cluster.  [run] executes events in nondecreasing
     time order; ties are broken by each event's key ({!Shardq}): the
     scheduling shard's clock at creation, its id and its counter, so a
-    run is fully deterministic.
+    run is fully deterministic.  A key is integers and an event's
+    payload waits in the heap's slab, so scheduling and running an
+    event whose callback already exists allocates nothing.
     All simulated components (network links, protocol engines,
     processor fibers) interact exclusively by scheduling events.
 
@@ -38,7 +40,8 @@ val make_sharded : t -> nshards:int -> lookahead:int -> unit
     window (the inter-SSMP LAN latency).  A no-op for the current
     parameters; resets the job count to 1.
     @raise Invalid_argument if events were already scheduled, if
-    [nshards < 1], or if [lookahead < 0]. *)
+    [nshards] is not in [1 .. Shardq.max_shards], or if
+    [lookahead < 0]. *)
 
 val set_on_event : t -> (shard:int -> now:int -> unit) option -> unit
 (** Install a callback run immediately before each event on the
@@ -60,14 +63,22 @@ val set_strict : t -> bool -> unit
     clock — a lookahead violation — raises {!Late_delivery} instead of
     being clamped and counted. *)
 
+type running = private {
+  mutable shard : int;  (** the executing shard; -1 outside an event *)
+  mutable fire : int;
+  mutable sched : int;
+  mutable srcseq : int;  (** [src] and [seq], {!Shardq.pack}ed *)
+}
+(** The event a domain is executing and its key.  The observability
+    layer copies the key into its records, three integers, so
+    per-shard cells merge in key order.  The key is meaningful only
+    while [shard >= 0]. *)
+
+val running : unit -> running
+(** This domain's record, one per domain, rewritten at every event. *)
+
 val cur : unit -> int
 (** Shard currently executing on this domain; -1 outside an event. *)
-
-val running_key : unit -> Shardq.key
-(** Key of the event this domain is currently executing; the
-    observability layer stamps emissions with it so per-shard cells
-    merge in key order.  It holds only itself: its payload is cleared
-    before the event runs.  Meaningful only while {!cur} is [>= 0]. *)
 
 val now : t -> time
 (** The executing shard's clock inside an event; from host code, the
@@ -90,9 +101,10 @@ val at_shard : t -> shard:int -> time -> (unit -> unit) -> unit
 
 val at_k : t -> time -> (time -> unit) -> unit
 (** [at_k sim t k] is the timed form of {!at}: [k] runs with the
-    event's fire time, and the event allocates only its key.  The fire
-    time is [t] unless a clamp moved it — past due at scheduling, or a
-    lookahead violation at a window barrier — and then the clamped time. *)
+    event's fire time, so a callback that already exists needs no
+    closure and the event allocates nothing.  The fire time is [t]
+    unless a clamp moved it — past due at scheduling, or a lookahead
+    violation at a window barrier — and then the clamped time. *)
 
 val at_shard_k : t -> shard:int -> time -> (time -> unit) -> unit
 (** The timed form of {!at_shard}; see {!at_k}. *)

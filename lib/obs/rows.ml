@@ -1,17 +1,21 @@
 (* One cell of the chunked row store behind {!Trace} and {!Span}; see
    the interface for the contract. *)
 
-module Shardq = Mgs_engine.Shardq
-
-let chunk_rows = 1024
+(* A cell's last chunk is allocated whole and partly filled: at 256
+   rows a chunk is 24 KiB of fields and 6 KiB of stamps, so a store of
+   few rows over many cells wastes little. *)
+let chunk_rows = 256
 
 let width = 12
+
+let stamp_width = 3
 
 type t = {
   cap : int;
   ring : bool; (* full: overwrite the oldest row (true) or drop new ones *)
   ints : int array array; (* chunk directory; [||] until first use *)
-  keys : Shardq.key array array; (* same layout; [||] when unstamped *)
+  stamps : int array array;
+      (* same layout, {!stamp_width} ints a row; [||] when unstamped *)
   mutable n : int; (* rows ever added, dropped ones included *)
   ids : (string, int) Hashtbl.t;
   mutable names : string array; (* label id -> label *)
@@ -28,7 +32,7 @@ let create ~capacity ~cells ~ring =
     cap;
     ring;
     ints = Array.make nchunks [||];
-    keys = Array.make (if cells > 1 then nchunks else 0) [||];
+    stamps = Array.make (if cells > 1 then nchunks else 0) [||];
     n = 0;
     ids = Hashtbl.create 32;
     names = Array.make 32 "";
@@ -42,7 +46,7 @@ let add r =
     if Array.length r.ints.(ci) = 0 then begin
       let rows = min chunk_rows (r.cap - (ci * chunk_rows)) in
       r.ints.(ci) <- Array.make (rows * width) 0;
-      if Array.length r.keys > 0 then r.keys.(ci) <- Array.make rows Shardq.no_parent
+      if Array.length r.stamps > 0 then r.stamps.(ci) <- Array.make (rows * stamp_width) 0
     end;
     n
   end
@@ -55,9 +59,21 @@ let base slot = slot mod chunk_rows * width
 
 let get r slot f = (chunk r slot).(base slot + f)
 
-let set_key r slot k = r.keys.(slot / chunk_rows).(slot mod chunk_rows) <- k
+let set_stamp r slot ~fire ~sched ~srcseq =
+  let a = r.stamps.(slot / chunk_rows) and b = slot mod chunk_rows * stamp_width in
+  a.(b) <- fire;
+  a.(b + 1) <- sched;
+  a.(b + 2) <- srcseq
 
-let key r slot = r.keys.(slot / chunk_rows).(slot mod chunk_rows)
+(* Lexicographic over the three stamp ints. *)
+let cmp_stamp r1 s1 r2 s2 =
+  let a1 = r1.stamps.(s1 / chunk_rows) and b1 = s1 mod chunk_rows * stamp_width in
+  let a2 = r2.stamps.(s2 / chunk_rows) and b2 = s2 mod chunk_rows * stamp_width in
+  let c = Int.compare a1.(b1) a2.(b2) in
+  if c <> 0 then c
+  else
+    let c = Int.compare a1.(b1 + 1) a2.(b2 + 1) in
+    if c <> 0 then c else Int.compare a1.(b1 + 2) a2.(b2 + 2)
 
 let added r = r.n
 

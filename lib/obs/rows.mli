@@ -2,14 +2,19 @@
     of {!width} ints in chunks of {!chunk_rows} rows, allocated as they
     first fill and never copied, so memory follows the rows kept and
     adding a row allocates nothing once its chunk exists.  Labels are
-    interned per cell; a stamped cell keeps one event key per row, the
-    merge-order stamp, which holds only itself.
-    Only the cell's own shard adds rows to it. *)
+    interned per cell.  A stamped cell also keeps a merge-order stamp
+    per row, {!stamp_width} integers in chunks of their own: the key
+    [(fire, sched, srcseq)] of the event that made the row, [srcseq]
+    being [src] and [seq] {!Mgs_engine.Shardq.pack}ed, so no row keeps
+    anything alive.  Only the cell's own shard adds rows to it. *)
 
 val chunk_rows : int
 
 val width : int
 (** Ints per row: an event and a span both have twelve fields. *)
+
+val stamp_width : int
+(** Ints per stamp: three. *)
 
 type t
 
@@ -34,9 +39,12 @@ val base : int -> int
 
 val get : t -> int -> int -> int
 
-val set_key : t -> int -> Mgs_engine.Shardq.key -> unit
+val set_stamp : t -> int -> fire:int -> sched:int -> srcseq:int -> unit
+(** Stamp a row of a stamped cell. *)
 
-val key : t -> int -> Mgs_engine.Shardq.key
+val cmp_stamp : t -> int -> t -> int -> int
+(** [cmp_stamp r1 s1 r2 s2] orders row [s1] of [r1] and row [s2] of
+    [r2] by their stamps: the event key order. *)
 
 val added : t -> int
 (** Rows ever added; [dropped] of them were overwritten or refused. *)

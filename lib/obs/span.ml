@@ -13,7 +13,8 @@
    opens spans only in its own SSMP's cell, so the hot path shares
    nothing across domains.  Cells are merged at export by each span's
    stamp — the key of the simulator event that opened it (see
-   {!Mgs_engine.Shardq}) — whose order is the same at every job count
+   {!Mgs_engine.Shardq}), three integers in {!Rows} — whose order is
+   the same at every job count
    (at a positive lookahead it is the order the one heap runs events
    in).  Span and transaction IDs are renumbered densely in that order
    at export, so every export is byte-identical between jobs=1 and
@@ -105,14 +106,16 @@ let cells t = t.ncells
 (* The order stamp for an emission happening now: the executing event's
    key, or a synthetic host key ordered by emission time then a
    host-side counter.  [sched = max_int] makes a host emission sort
-   after every event emission of the same instant: host code runs only
-   once the events of that instant have drained. *)
-let stamp t ~time =
-  if Mgs_engine.Sim.cur () >= 0 then Mgs_engine.Sim.running_key ()
+   after every event emission of the same instant (an event's [sched]
+   is at most its fire time): host code runs only once the events of
+   that instant have drained. *)
+let stamp t r slot ~time =
+  let e = Mgs_engine.Sim.running () in
+  if e.shard >= 0 then Rows.set_stamp r slot ~fire:e.fire ~sched:e.sched ~srcseq:e.srcseq
   else begin
     let seq = t.host_seq in
     t.host_seq <- seq + 1;
-    Mgs_engine.Shardq.(event ~fire:time ~sched:max_int ~src:max_int ~seq nop nop_timed)
+    Rows.set_stamp r slot ~fire:time ~sched:max_int ~srcseq:seq
   end
 
 let mint_in t cl c =
@@ -152,7 +155,7 @@ let open_span_x t ~(parent : ctx) ~time ~label ~engine ~vpn ~src ~dst ~src_ssmp 
     a.(b + f_words) <- words;
     a.(b + f_label) <- Rows.intern r label;
     a.(b + f_engine) <- Event.engine_index engine;
-    if t.ncells > 1 then Rows.set_key r slot (stamp t ~time);
+    if t.ncells > 1 then stamp t r slot ~time;
     cl.c_open <- cl.c_open + 1;
     pack ~txn ~sid:((slot * t.ncells) + c)
   end
@@ -244,13 +247,13 @@ let view t =
           incr idx
         done)
       t.cells;
-    let key_of enc = Rows.key t.cells.(enc mod t.ncells).rows (enc / t.ncells) in
+    let rows enc = t.cells.(enc mod t.ncells).rows in
     (* equal stamps only happen within one cell (one simulator event
        executes on exactly one shard), where the local index breaks the
        tie in emission order — so this comparison is total. *)
     Array.sort
       (fun a b ->
-        let k = Mgs_engine.Shardq.cmp_key (key_of a) (key_of b) in
+        let k = Rows.cmp_stamp (rows a) (a / t.ncells) (rows b) (b / t.ncells) in
         if k <> 0 then k else compare a b)
       order;
     let maxcn = Array.fold_left (fun acc cl -> max acc (Rows.kept cl.rows)) 0 t.cells in

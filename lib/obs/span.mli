@@ -16,8 +16,8 @@
     A store created with [cells > 1] keeps one span store per shard
     (SSMP): each simulator domain writes only its own cell — nothing on
     the hot path is shared — and reads merge the cells by each span's
-    stamp, the key of the event that opened it, whose order is the
-    same at every job count.
+    stamp, the key of the event that opened it, kept as three integers
+    ({!Rows}) whose order is the same at every job count.
     Span/transaction IDs are renumbered densely in that order at
     read/export time, so exports are byte-identical across job counts.
     Single-cell stores behave exactly as before. *)
@@ -61,10 +61,12 @@ val create : ?capacity:int -> ?cells:int -> unit -> t
 
 val cells : t -> int
 
-val stamp : t -> time:int -> Mgs_engine.Shardq.key
-(** The merge-order stamp for a record made now: the executing event's
-    key, or, from host code, a fresh key ordered by [time] and then
-    host emission order, after every event of that instant. *)
+val stamp : t -> Rows.t -> int -> time:int -> unit
+(** [stamp t r slot ~time] writes into row [slot] of the stamped cell
+    [r] the merge-order stamp for a record made now: the executing
+    event's key, or, from host code, a fresh stamp ordered by [time]
+    and then host emission order, after every event stamp of that
+    instant. *)
 
 val mint_txn : t -> int
 (** Reserve a fresh transaction ID without opening a span. *)

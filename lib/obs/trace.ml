@@ -73,7 +73,7 @@ let event_of r slot : Event.t =
 
 (* One row into the emitting shard's cell.  A multi-cell trace also
    records {!Span.stamp}: the executing event's key, or a
-   synthetic host key. *)
+   synthetic host key, as three integers. *)
 let emit t ~time ~engine ~tag ~vpn ~src ~dst ~src_ssmp ~dst_ssmp ~words ~cost ~dur ~txn =
   let cl = t.cells.(Rows.cur_cell t.ncells) in
   let r = cl.rows in
@@ -92,7 +92,7 @@ let emit t ~time ~engine ~tag ~vpn ~src ~dst ~src_ssmp ~dst_ssmp ~words ~cost ~d
   a.(b + f_cost) <- cost;
   a.(b + f_dur) <- dur;
   a.(b + f_txn) <- txn;
-  if t.ncells > 1 then Rows.set_key r slot (Span.stamp t.spans ~time);
+  if t.ncells > 1 then Span.stamp t.spans r slot ~time;
   Hist.add (hist_of cl id) dur
 
 let emitted t = Array.fold_left (fun acc cl -> acc + Rows.added cl.rows) 0 t.cells
@@ -102,7 +102,7 @@ let retained t = Array.fold_left (fun acc cl -> acc + Rows.kept cl.rows) 0 t.cel
 let dropped t = Array.fold_left (fun acc cl -> acc + Rows.dropped cl.rows) 0 t.cells
 
 (* Merge the retained events of every cell into stamp order: sort by
-   key, ties (same event emitting several events — necessarily one
+   stamp, ties (same event emitting several events — necessarily one
    cell) by position in that cell's ring.  Single-cell: the ring order,
    no sort. *)
 let merged t =
@@ -116,7 +116,7 @@ let merged t =
   if t.ncells > 1 then
     Array.sort
       (fun (r1, p1, s1) (r2, p2, s2) ->
-        let c = Mgs_engine.Shardq.cmp_key (Rows.key r1 s1) (Rows.key r2 s2) in
+        let c = Rows.cmp_stamp r1 s1 r2 s2 in
         if c <> 0 then c else compare p1 p2)
       entries;
   Array.map (fun (r, _, slot) -> event_of r slot) entries

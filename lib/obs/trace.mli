@@ -11,8 +11,9 @@
     per shard (SSMP): each simulator domain writes only its own cell —
     nothing on the emit path is shared — and reads merge the cells by
     each event's stamp, the key [(fire, sched, src, seq)] of the
-    simulator event that emitted it.  Each field is a function of the
-    emitting shard's own history, so the merged order is the same at
+    simulator event that emitted it, kept as three integers per row
+    ({!Rows}; [src] and [seq] share one).  Each field is a function of
+    the emitting shard's own history, so the merged order is the same at
     every engine job count and every export is byte-identical across
     them.  At a positive lookahead it is the order the one heap runs
     events in; at lookahead 0 an event created by a zero-delay

@@ -9,7 +9,7 @@ module Q = Mgs_engine.Shardq
 (* --- the event heap ---------------------------------------------------- *)
 
 let push q ~fire ?(sched = 0) ?(src = 0) ~seq f =
-  Q.push q ~key:(Q.event ~fire ~sched ~src ~seq Q.nop Q.nop_timed) ~own:0 f
+  Q.push q ~key:(Q.key ~fire ~sched ~src ~seq ~parent:Q.no_parent) ~own:0 f
 
 let test_pqueue_basic () =
   let q = Q.create () in
@@ -36,25 +36,78 @@ let test_pqueue_fifo_ties () =
   Alcotest.(check (list string)) "ties pop in scheduling order" [ "x"; "y"; "z" ]
     (List.rev !log)
 
-(* pop order matches a sorted reference over 10k random keys; the
-   narrow ranges make ties on fire, sched and src common *)
+(* 10k random pushes and pops, interleaved, against a sorted-list
+   model.  Pushes outnumber pops about two to one, so the heap runs a
+   few thousand deep and its slab grows mid-run, reusing the slots that
+   pops free.  The narrow ranges make ties on (fire, sched) and src
+   common; [seq] counts pushes, so keys are distinct.  Each pop must
+   return the model's minimum: its key, its owner shard and its own
+   payload, the thunk or timed callback pushed with it. *)
+type entry = {
+  e_key : int * int * int * int; (* fire, sched, src, seq *)
+  e_own : int;
+  e_fn : unit -> unit;
+  e_timed : int -> unit;
+}
+
 let prop_pqueue_10k =
-  QCheck2.Test.make ~name:"10k random (fire, sched, src, seq) pushes pop sorted" ~count:10
+  QCheck2.Test.make ~name:"10k interleaved pushes and pops match a sorted-list model"
+    ~count:10
     QCheck2.Gen.(
       list_size (return 10_000)
-        (quad (int_bound 200) (int_bound 20) (int_bound 3) (int_bound 1_000_000)))
-    (fun keys ->
+        (option ~ratio:0.65
+           (quad (int_bound 30) (int_bound 4) (int_bound 3) (pair (int_bound 7) bool))))
+    (fun ops ->
       let q = Q.create () in
-      List.iter (fun (fire, sched, src, seq) -> push q ~fire ~sched ~src ~seq ignore) keys;
-      let rec drain acc =
-        if Q.is_empty q then List.rev acc
-        else begin
-          Q.pop_min q ();
-          let k = Q.popped_key q in
-          drain ((k.Q.k_fire, k.Q.k_sched, k.Q.k_src, k.Q.k_seq) :: acc)
-        end
+      let model = ref [] and size = ref 0 and seq = ref 0 and depth = ref 0 in
+      let ok = ref true in
+      let ran = ref (-1) in
+      let pop () =
+        match !model with
+        | [] -> (
+          match (Q.pop_min q : unit -> unit) with
+          | _ -> ok := false
+          | exception Q.Empty_queue -> ())
+        | e :: rest ->
+          model := rest;
+          decr size;
+          let fn = Q.pop_min q in
+          let timed = Q.take_timed q in
+          let fire, sched, src, seq = e.e_key in
+          ran := -1;
+          if timed == Q.nop_timed then fn () else timed (Q.popped_fire q);
+          ok :=
+            !ok && fn == e.e_fn && timed == e.e_timed
+            && Q.popped_fire q = fire
+            && Q.popped_sched q = sched
+            && Q.popped_srcseq q = Q.pack ~src ~seq
+            && Q.popped_own q = e.e_own && !ran = seq
+            && Q.length q = !size
       in
-      drain [] = List.sort compare keys)
+      List.iter
+        (function
+          | None -> pop ()
+          | Some (fire, sched, src, (own, timed)) ->
+            let id = !seq in
+            incr seq;
+            let e =
+              {
+                e_key = (fire, sched, src, id);
+                e_own = own;
+                e_fn = (if timed then Q.nop else fun () -> ran := id);
+                e_timed =
+                  (if timed then (fun t -> if t = fire then ran := id) else Q.nop_timed);
+              }
+            in
+            Q.add q ~fire ~sched ~srcseq:(Q.pack ~src ~seq:id) ~own e.e_fn e.e_timed;
+            model := List.merge (fun a b -> compare a.e_key b.e_key) [ e ] !model;
+            incr size;
+            depth := max !depth !size)
+        ops;
+      while !size > 0 do
+        pop ()
+      done;
+      !ok && Q.is_empty q && !depth > 1_000)
 
 (* --- the simulator ------------------------------------------------------ *)
 
@@ -198,31 +251,91 @@ let test_set_jobs_unchanged_count () =
   Alcotest.(check int) "the event runs on one heap" 1 (Sim.run sim ());
   Alcotest.(check int) "no window" 0 (Sim.windows sim)
 
-(* A running key holds only itself, at one job and windowed: a fiber
-   that has slept 100,000 times runs under a key that reaches as many
-   words as its first sleep's did.  A key that linked to the key of the
-   event that created it would reach one more key per sleep. *)
-let test_running_key_holds_itself () =
-  let n = 100_000 in
+(* The running record carries the executing event's shard and key.
+   Keys by hand: an event scheduled from host code is minted by its
+   destination shard at clock 0; one scheduled inside an event by the
+   executing shard, at its clock, with its next counter value.  The
+   cross-shard send waits in the outbox at jobs 2, and the schedule
+   into the past fires at its shard's clock. *)
+let test_running_stamp () =
   List.iter
     (fun jobs ->
       let sim = Sim.create () in
       Sim.make_sharded sim ~nshards:2 ~lookahead:100;
       Sim.set_jobs sim jobs;
-      let first = ref 0 and last = ref 0 in
-      let words () = Obj.reachable_words (Obj.repr (Sim.running_key ())) in
-      ignore
-        (Fiber.spawn sim ~at:0 ~name:"sleeper" (fun () ->
-             for t = 1 to n do
-               if t = 1 then first := words ();
-               if t = n then last := words ();
-               Fiber.sleep_until sim t
-             done));
+      let log = ref [] in
+      let record name =
+        let r = Sim.running () in
+        log := (name, (r.Sim.shard, r.Sim.fire, r.Sim.sched, r.Sim.srcseq)) :: !log
+      in
+      let record_at name (_ : int) = record name in
+      Sim.at_shard sim ~shard:1 0 (fun () ->
+          record "b";
+          Sim.at sim 30 (fun () -> record "e"));
+      Sim.at_shard sim ~shard:0 0 (fun () ->
+          record "a";
+          Sim.at sim 50 (fun () ->
+              record "c";
+              Sim.at_k sim 60 (record_at "f");
+              Sim.at sim 20 (fun () -> record "clamped"));
+          Sim.at_shard_k sim ~shard:1 150 (fun _ ->
+              record "d";
+              Sim.at sim 150 (fun () -> record "g")));
       ignore (Sim.run sim ());
+      let key shard fire sched src seq = (shard, fire, sched, Q.pack ~src ~seq) in
+      let expected =
+        [
+          ("a", key 0 0 0 0 0);
+          ("b", key 1 0 0 1 0);
+          ("e", key 1 30 0 1 1);
+          ("c", key 0 50 0 0 1);
+          ("clamped", key 0 50 50 0 4);
+          ("f", key 0 60 50 0 3);
+          ("d", key 1 150 0 0 2);
+          ("g", key 1 150 150 1 2);
+        ]
+      in
+      List.iter
+        (fun (name, want) ->
+          let shard, fire, sched, srcseq = List.assoc name !log in
+          let ws, wf, wsc, wss = want in
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s at jobs %d: shard, fire, sched, src/seq" name jobs)
+            [ ws; wf; wsc; wss ] [ shard; fire; sched; srcseq ])
+        expected;
+      Alcotest.(check int) "every event recorded" (List.length expected) (List.length !log);
+      Alcotest.(check int) "host code runs outside an event" (-1) (Sim.running ()).Sim.shard;
       Alcotest.(check bool) (Printf.sprintf "windowed at jobs %d" jobs) (jobs > 1)
-        (Sim.windows sim > 0);
-      Alcotest.(check int) (Printf.sprintf "words at the last sleep, jobs %d" jobs) !first !last)
+        (Sim.windows sim > 0))
     [ 1; 2 ]
+
+(* After an event runs, nothing in the engine reaches its payload: a
+   closure that captured a large array, sent across shards (through the
+   outbox at jobs 2), as a thunk and as a timed callback, leaves the
+   array collectable once the run ends, while the simulator itself is
+   still alive. *)
+let test_ran_payload_unreachable () =
+  List.iter
+    (fun (jobs, timed) ->
+      let sim = Sim.create () in
+      Sim.make_sharded sim ~nshards:2 ~lookahead:100;
+      Sim.set_jobs sim jobs;
+      let w = Weak.create 1 in
+      let sum = ref 0 in
+      Sim.at_shard sim ~shard:0 0 (fun () ->
+          let big = Array.make 100_000 1 in
+          Weak.set w 0 (Some big);
+          if timed then Sim.at_shard_k sim ~shard:1 200 (fun _ -> sum := !sum + big.(0))
+          else Sim.at_shard sim ~shard:1 200 (fun () -> sum := !sum + big.(0)));
+      ignore (Sim.run sim ());
+      Gc.full_major ();
+      Alcotest.(check bool)
+        (Printf.sprintf "payload collected (jobs %d, %s)" jobs
+           (if timed then "timed" else "thunk"))
+        false (Weak.check w 0);
+      Alcotest.(check int) "the event ran" 1 !sum;
+      Alcotest.(check int) "the simulator is still reachable" 2 (Sim.events_executed sim))
+    [ (1, false); (1, true); (2, false); (2, true) ]
 
 (* At lookahead 0 a key may sort before its creator's: the event a
    zero-delay cross-shard event creates ties it on (fire, sched) and
@@ -232,7 +345,10 @@ let test_zero_lookahead_order () =
   let sim = Sim.create () in
   Sim.make_sharded sim ~nshards:2 ~lookahead:0;
   let log = ref [] in
-  let record name = log := (name, Sim.running_key ()) :: !log in
+  let record name =
+    let r = Sim.running () in
+    log := (name, (r.Sim.fire, r.Sim.sched, r.Sim.srcseq)) :: !log
+  in
   Sim.at_shard sim ~shard:1 10 (fun () ->
       record "root";
       Sim.at_shard sim ~shard:0 10 (fun () ->
@@ -243,7 +359,7 @@ let test_zero_lookahead_order () =
     (List.rev_map fst !log);
   let key name = List.assoc name !log in
   Alcotest.(check bool) "the child's key sorts before its creator's" true
-    (Q.cmp_key (key "child") (key "cross") < 0)
+    (compare (key "child") (key "cross") < 0)
 
 (* Opening, draining and closing a window allocates nothing on the
    coordinating domain: two windowed runs of the same events, one
@@ -269,35 +385,50 @@ let test_windows_allocate_nothing () =
   if Float.abs per_window >= 0.5 then
     Alcotest.failf "%.2f words allocated per window" per_window
 
-(* A cross-shard send inside a window allocates nothing beyond its
-   event.  The same events run twice, once with every send local and
-   once with every send crossing to the other shard; on the calling
-   domain, which runs shard 0's sends, both runs allocate alike. *)
+(* A cross-shard send inside a window allocates nothing.  The same
+   events run twice, once with every send local and once with every
+   send crossing to the other shard; each of two chains re-sends one
+   closure built before the run.  On the calling domain, which runs
+   shard 0's events, both runs allocate alike, and under half a word
+   per event. *)
 let test_cross_sends_allocate_nothing () =
   let sends = 20_000 in
   let run ~cross =
     let sim = Sim.create () in
     Sim.make_sharded sim ~nshards:2 ~lookahead:100;
     Sim.set_jobs sim 2;
-    let rec tick n () =
-      if n > 0 then begin
-        let dst = if cross then 1 - Sim.cur () else Sim.cur () in
-        Sim.at_shard sim ~shard:dst (Sim.now sim + 100) (tick (n - 1))
-      end
+    (* a chain has one event pending at a time, and the window barrier
+       orders its hops between domains, so its counter is never shared *)
+    let chain () =
+      let left = ref sends in
+      let rec tick () =
+        if !left > 0 then begin
+          decr left;
+          let dst = if cross then 1 - Sim.cur () else Sim.cur () in
+          Sim.at_shard sim ~shard:dst (Sim.now sim + 100) tick
+        end
+      in
+      tick
     in
     for shard = 0 to 1 do
-      Sim.at_shard sim ~shard 0 (tick sends)
+      Sim.at_shard sim ~shard 0 (chain ())
     done;
     let w0 = Gc.minor_words () in
     ignore (Sim.run sim ());
-    (Gc.minor_words () -. w0, Sim.windows sim)
+    let words = Gc.minor_words () -. w0 in
+    (words /. float_of_int (Sim.shard_executed sim 0), words, Sim.windows sim)
   in
-  let words_local, wl = run ~cross:false in
-  let words_cross, wc = run ~cross:true in
+  let per_local, words_local, wl = run ~cross:false in
+  let per_cross, words_cross, wc = run ~cross:true in
   Alcotest.(check (pair int int)) "windows opened" (sends + 1, sends + 1) (wl, wc);
   let per_send = (words_cross -. words_local) /. float_of_int sends in
   if Float.abs per_send >= 0.5 then
-    Alcotest.failf "%.2f words allocated per cross-shard send" per_send
+    Alcotest.failf "%.2f words allocated per cross-shard send" per_send;
+  List.iter
+    (fun (what, per) ->
+      if per >= 0.5 then
+        Alcotest.failf "%s: %.2f words per event on the calling domain" what per)
+    [ ("local sends", per_local); ("cross-shard sends", per_cross) ]
 
 (* Minor-heap words per operation when [run] performs [n] of them;
    setup inside [run] must cost under half a word per operation. *)
@@ -310,24 +441,47 @@ let within_budget what ~words per =
   if per >= float_of_int words +. 0.5 then
     Alcotest.failf "%s: %.2f words, budget %d" what per words
 
-(* A timed event allocates only its key: a callback that reschedules
-   itself with the fire time it receives builds no closure. *)
-let test_timed_event_words () =
-  let sim = Sim.create () in
+(* An event whose callback already exists allocates nothing: a timed
+   callback that reschedules itself with the fire time it receives, and
+   a thunk that reschedules itself, on one heap and windowed (shard 0
+   runs on the calling domain). *)
+let test_event_words () =
   let n = 100_000 in
-  let left = ref n in
-  let rec tick t =
-    if !left > 0 then begin
-      decr left;
-      Sim.at_k sim (t + 1) tick
-    end
-  in
-  Sim.at_k sim 0 tick;
-  within_budget "timed event" ~words:7 (words_per ~n (fun () -> ignore (Sim.run sim ())));
-  Alcotest.(check int) "each event fired at its requested time" n (Sim.now sim)
+  List.iter
+    (fun jobs ->
+      let sim = Sim.create () in
+      Sim.make_sharded sim ~nshards:2 ~lookahead:100;
+      Sim.set_jobs sim jobs;
+      let left = ref n in
+      let rec tick t =
+        if !left > 0 then begin
+          decr left;
+          Sim.at_k sim (t + 1) tick
+        end
+      in
+      Sim.at_k sim 0 tick;
+      within_budget
+        (Printf.sprintf "timed event, jobs %d" jobs)
+        ~words:0
+        (words_per ~n (fun () -> ignore (Sim.run sim ())));
+      Alcotest.(check int) "each event fired at its requested time" n (Sim.now sim);
+      let left = ref n in
+      let rec thunk () =
+        if !left > 0 then begin
+          decr left;
+          Sim.after sim 1 thunk
+        end
+      in
+      Sim.at sim (Sim.now sim) thunk;
+      within_budget
+        (Printf.sprintf "thunk event, jobs %d" jobs)
+        ~words:0
+        (words_per ~n (fun () -> ignore (Sim.run sim ())));
+      Alcotest.(check int) "every thunk ran" (2 * (n + 1)) (Sim.events_executed sim))
+    [ 1; 2 ]
 
-(* A [sleep_until] round trip allocates its effect, its continuation,
-   its resume thunk and the resume event's key. *)
+(* A [sleep_until] round trip allocates its effect (2 words), its
+   continuation (3) and its resume thunk (4). *)
 let test_sleep_words () =
   let sim = Sim.create () in
   let n = 100_000 in
@@ -336,7 +490,7 @@ let test_sleep_words () =
          for t = 1 to n do
            Fiber.sleep_until sim t
          done));
-  within_budget "sleep_until round trip" ~words:16
+  within_budget "sleep_until round trip" ~words:9
     (words_per ~n (fun () -> ignore (Sim.run sim ())))
 
 let test_fiber_completes () =
@@ -491,16 +645,17 @@ let () =
             test_set_jobs_refuses_pending;
           Alcotest.test_case "set_jobs keeps an unchanged count" `Quick
             test_set_jobs_unchanged_count;
-          Alcotest.test_case "a running key holds only itself" `Quick
-            test_running_key_holds_itself;
+          Alcotest.test_case "the running record holds the event's key" `Quick
+            test_running_stamp;
+          Alcotest.test_case "a run event's payload is unreachable" `Quick
+            test_ran_payload_unreachable;
           Alcotest.test_case "lookahead 0 runs a key before its creator's" `Quick
             test_zero_lookahead_order;
           Alcotest.test_case "windows allocate nothing" `Quick
             test_windows_allocate_nothing;
-          Alcotest.test_case "cross-shard sends allocate only their key" `Quick
+          Alcotest.test_case "cross-shard sends allocate nothing" `Quick
             test_cross_sends_allocate_nothing;
-          Alcotest.test_case "a timed event allocates only its key" `Quick
-            test_timed_event_words;
+          Alcotest.test_case "a timed event allocates nothing" `Quick test_event_words;
         ] );
       ( "fiber",
         [
@@ -511,7 +666,7 @@ let () =
           Alcotest.test_case "interleaves with events" `Quick test_fiber_event_interleaving;
           Alcotest.test_case "a second resume raises" `Quick test_resume_twice;
           Alcotest.test_case "sleep outside fiber" `Quick test_sleep_outside_fiber;
-          Alcotest.test_case "a sleep allocates 16 words" `Quick test_sleep_words;
+          Alcotest.test_case "a sleep allocates 9 words" `Quick test_sleep_words;
         ] );
       ( "waitq",
         [

@@ -304,14 +304,19 @@ let record tr ~from () =
   done
 
 (* Words of the chunks that rows [lo, hi) of one store open, given
-   [stamped] key chunks: the only allocation recording may do. *)
+   [stamped] stamp chunks of three ints a row: the only allocation
+   recording may do. *)
 let chunk_words ~lo ~hi ~stamped =
   let rows = Mgs_obs.Rows.chunk_rows in
   let n = ((hi - 1) / rows) - ((lo - 1) / rows) in
-  n * ((rows * Mgs_obs.Rows.width) + 1 + if stamped then rows + 1 else 0)
+  n
+  * ((rows * Mgs_obs.Rows.width)
+    + 1
+    + if stamped then (rows * Mgs_obs.Rows.stamp_width) + 1 else 0)
 
 (* Emitting and opening/closing spans allocate nothing once a row's
-   chunk exists; a two-cell store stamps with the running event's key. *)
+   chunk exists; a two-cell store copies the running event's key into
+   its stamp chunk. *)
 let test_recording_allocates_nothing () =
   let one = Trace.create ~capacity:(4 * rounds) ~span_capacity:(4 * rounds) () in
   record one ~from:0 ();
@@ -333,6 +338,66 @@ let test_recording_allocates_nothing () =
     (2 * chunk_words ~lo:rounds ~hi:(2 * rounds) ~stamped:true)
     (snd !got);
   Alcotest.(check int) "all rows kept" (2 * rounds) (Trace.retained two)
+
+(* A host stamp sorts after every event stamp of its time, whatever
+   the order of recording: host emissions made before the run merge
+   after the events that fire at their time, the last of which was
+   scheduled at that time by an event of that time, so it carries the
+   largest [sched] an event can. *)
+let test_host_stamp_last () =
+  let tr = Trace.create ~cells:2 () in
+  let emit tag time =
+    Trace.emit tr ~time ~engine:Event.Network ~tag ~vpn:(-1) ~src:0 ~dst:0 ~src_ssmp:0
+      ~dst_ssmp:0 ~words:0 ~cost:0 ~dur:0 ~txn:(-1)
+  in
+  let sim = Mgs_engine.Sim.create () in
+  Mgs_engine.Sim.make_sharded sim ~nshards:2 ~lookahead:10;
+  emit "host-11" 11;
+  emit "host-10" 10;
+  emit "host-9" 9;
+  Mgs_engine.Sim.at_shard sim ~shard:0 10 (fun () -> emit "event-0" 10);
+  Mgs_engine.Sim.at_shard sim ~shard:1 10 (fun () ->
+      emit "event-1" 10;
+      Mgs_engine.Sim.at sim 10 (fun () -> emit "event-1-child" 10));
+  ignore (Mgs_engine.Sim.run sim ());
+  emit "host-10-after" 10;
+  Alcotest.(check (list string)) "merged order"
+    [ "host-9"; "event-0"; "event-1"; "event-1-child"; "host-10"; "host-10-after"; "host-11" ]
+    (List.map (fun (e : Event.t) -> e.tag) (Trace.events tr))
+
+(* A stamp packs [src] above [seq] in one int, which must sort like the
+   pair: shard ids up to the limit, and counters on both sides of
+   powers of two up to the largest that fits.  Out-of-range values are
+   refused, and so is a simulator with more shards than fit. *)
+let test_packed_order () =
+  let module Q = Mgs_engine.Shardq in
+  let srcs = [ 0; 1; Q.max_shards - 2; Q.max_shards - 1 ] in
+  let seqs =
+    [ 0; Q.max_seq - 1; Q.max_seq ]
+    @ List.concat_map (fun k -> [ (1 lsl k) - 1; 1 lsl k; (1 lsl k) + 1 ]) [ 1; 20; 41 ]
+  in
+  let pairs = List.concat_map (fun src -> List.map (fun seq -> (src, seq)) seqs) srcs in
+  let pack (src, seq) = Q.pack ~src ~seq in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          if Int.compare (pack a) (pack b) <> compare a b then
+            Alcotest.failf "(%d, %d) vs (%d, %d) sorts differently packed" (fst a) (snd a)
+              (fst b) (snd b))
+        pairs)
+    pairs;
+  List.iter
+    (fun (src, seq) ->
+      Alcotest.check_raises
+        (Printf.sprintf "pack (%d, %d)" src seq)
+        (Invalid_argument "Shardq.pack: src or seq out of range")
+        (fun () -> ignore (Q.pack ~src ~seq : int)))
+    [ (Q.max_shards, 0); (-1, 0); (0, Q.max_seq + 1); (0, -1) ];
+  Alcotest.check_raises "too many shards"
+    (Invalid_argument "Sim.make_sharded: nshards too large") (fun () ->
+      Mgs_engine.Sim.make_sharded (Mgs_engine.Sim.create ()) ~nshards:(Q.max_shards + 1)
+        ~lookahead:10)
 
 (* Both stores against a naive list model, across chunk boundaries.  A
    plan is a list of events, each on one cell, recording one to three
@@ -821,6 +886,9 @@ let () =
           Alcotest.test_case "recording allocates nothing" `Quick
             test_recording_allocates_nothing;
           Alcotest.test_case "exports pinned" `Quick test_exports_pinned;
+          Alcotest.test_case "a host stamp sorts after its time's events" `Quick
+            test_host_stamp_last;
+          Alcotest.test_case "packed src/seq sorts like the pair" `Quick test_packed_order;
           QCheck_alcotest.to_alcotest prop_rows_model;
         ] );
       ( "span",
