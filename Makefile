@@ -32,8 +32,10 @@ test:
 # fourth runs two SSMPs at zero LAN latency: no lookahead, so one job,
 # and the one configuration where an event key may sort before its
 # creator's (a zero-delay cross-shard event); its merged exports must
-# lint like any other.  The tracked perf baseline is schema-checked
-# along the way.
+# lint like any other.  The fifth samples metrics alone on the
+# contended kv cell whose adaptive homes migrate, on two domains; it
+# records no trace, so it must not warn of a ring overflow.  The
+# tracked perf baseline is schema-checked along the way.
 trace-lint: build
 	$(DUNE) exec bin/mgs_run.exe -- --app jacobi --procs 8 --cluster 2 \
 	  --size 32 --iters 2 --check --trace _build/lint-trace.json \
@@ -67,6 +69,13 @@ trace-lint: build
 	$(DUNE) exec bin/trace_lint.exe -- --latency 0 \
 	  --chrome _build/lint-zero-trace.json \
 	  --spans _build/lint-zero-spans.json
+	$(DUNE) exec bin/mgs_run.exe -- --app kv --procs 8 --cluster 2 --adapt \
+	  --size 16 --iters 300 --param shards=1 --param stripes=16 --param get=5 \
+	  --param put=95 --param theta=1.1 --param churn=0 --param period=2000 \
+	  --par 2 --metrics _build/lint-kv-metrics.json > _build/lint-kv.out
+	@cat _build/lint-kv.out
+	@! grep -q "overflowed" _build/lint-kv.out
+	$(DUNE) exec bin/trace_lint.exe -- --metrics _build/lint-kv-metrics.json
 
 # Perf baseline: full matrix -> BENCH_sim.json (slow; run by hand when
 # chasing a regression).

@@ -401,7 +401,11 @@ let metrics_t =
           "Sample machine metrics (per-shard engine progress, DUQ lengths, pages \
            per state, messages in flight) on the simulated clock and write the \
            time-series to $(docv): CSV if $(docv) ends in .csv, otherwise JSON \
-           (schema mgs-metrics-1).  With --sweep, one file per cluster size.")
+           (schema mgs-metrics-1).  Each series reads a counter the SSMP's shard \
+           keeps anyway, and nothing else is recorded: without --trace, --spans \
+           or --hist there is no trace, and spans.open counts only spans an \
+           application records itself.  The file is byte-identical at every \
+           --par.  With --sweep, one file per cluster size.")
 
 let hist_t =
   Arg.(

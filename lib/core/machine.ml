@@ -145,86 +145,64 @@ let trace (m : t) = m.store
    sender, dup drops by the receiver) and the sender-side unacked
    tables of its outgoing channels. *)
 let net_probes (m : t) mt =
-  let fi = float_of_int in
-  Mgs_obs.Metrics.probe_cell mt "net.retransmits" (fun c ->
-      fi (Lan.cell m.lan c).Lan.retransmits);
-  Mgs_obs.Metrics.probe_cell mt "net.dup_drops" (fun c -> fi (Lan.cell m.lan c).Lan.dup_drops);
-  Mgs_obs.Metrics.probe_cell mt "net.unacked" (fun c -> fi (Lan.unacked_cell m.lan c))
+  Mgs_obs.Metrics.probe_cell mt "net.retransmits" (fun c -> (Lan.cell m.lan c).Lan.retransmits);
+  Mgs_obs.Metrics.probe_cell mt "net.dup_drops" (fun c -> (Lan.cell m.lan c).Lan.dup_drops);
+  Mgs_obs.Metrics.probe_cell mt "net.unacked" (fun c -> Lan.unacked_cell m.lan c)
 
 (* The sampler rides the engine's per-event hook: before each event
    runs, {!Mgs_obs.Metrics.on_event} snapshots the executing shard's
    cell at every sampling boundary it crossed.  (A self-rescheduling
    simulator event would keep the run alive forever, so the event
-   stream is the clock.)  Every probe is per-cell and reads only state
-   the sampling shard owns — its SSMP's pages, processors, parked
-   fibers — so sampling is race-free under the parallel engine and the
+   stream is the clock.)  Every probe reads a counter the sampling
+   shard keeps anyway — its counter row, its engine and transport
+   cells, its processors' queues — so sampling is race-free under the
+   parallel engine, costs no walk over pages, servers or locks, and the
    merged series is byte-identical across job counts.  The final
    partial interval is captured by {!run}. *)
 let enable_metrics ?interval ?max_samples (m : t) =
   match m.metrics with
   | Some mt -> mt
   | None ->
-    let tr = enable_trace m in
     let cells = m.topo.Topology.nssmps in
     let mt = Mgs_obs.Metrics.create ?interval ?max_samples ~cells () in
-    let fi = float_of_int in
+    let probe = Mgs_obs.Metrics.probe_cell mt in
     (* per-shard engine self-profiling; both are deterministic (the
        executed-event and cross-shard-send prefixes at a sampling
        boundary are pure functions of the simulated program) *)
-    Mgs_obs.Metrics.probe_cell mt "engine.executed" (fun c ->
-        fi (Sim.shard_executed m.sim c));
-    Mgs_obs.Metrics.probe_cell mt "engine.xsends" (fun c ->
-        fi (Sim.shard_xsends m.sim c));
-    Mgs_obs.Metrics.probe_cell mt "am.in_flight" (fun c -> fi (Am.in_flight_cell m.am c));
-    let fold_procs_of c f =
-      let lo = c * m.topo.Topology.cluster in
-      let acc = ref 0 in
-      for p = lo to lo + m.topo.Topology.cluster - 1 do
-        acc := !acc + f p
-      done;
-      !acc
+    probe "engine.executed" (fun c -> Sim.shard_executed m.sim c);
+    probe "engine.xsends" (fun c -> Sim.shard_xsends m.sim c);
+    probe "am.in_flight" (fun c -> Am.in_flight_cell m.am c);
+    (* [f] is built once here: a closure made per read would allocate
+       at every sample *)
+    let per_duq name f =
+      let cluster = m.topo.Topology.cluster in
+      probe name (fun c ->
+          let acc = ref 0 in
+          for p = c * cluster to ((c + 1) * cluster) - 1 do
+            acc := !acc + f m.duqs.(p)
+          done;
+          !acc)
     in
-    Mgs_obs.Metrics.probe_cell mt "duq.entries" (fun c ->
-        fi (fold_procs_of c (fun p -> Hashtbl.length m.duqs.(p).duq_set)));
-    Mgs_obs.Metrics.probe_cell mt "duq.psync" (fun c ->
-        fi (fold_procs_of c (fun p -> Hashtbl.length m.duqs.(p).psync)));
-    let column name k = Mgs_obs.Metrics.probe_cell mt name (fun c -> fi m.counters.(c).(k)) in
+    per_duq "duq.entries" (fun d -> Hashtbl.length d.duq_set);
+    per_duq "duq.psync" (fun d -> Hashtbl.length d.psync);
+    let column name k = probe name (fun c -> m.counters.(c).(k)) in
     column "sync.lock_acquires" Pstats.lock_acquires;
     column "sync.lock_hits" Pstats.lock_hits;
     column "sync.barrier_episodes" Pstats.barrier_episodes;
-    (* waiters parked in registered synchronization objects, attributed
-       to the waiting processor's SSMP; the hook list grows as locks
-       are created, so the probe re-reads it *)
-    Mgs_obs.Metrics.probe_cell mt "sync.lock_waiters" (fun c ->
-        fi (List.fold_left (fun acc h -> acc + h.sh_waiters_cell c) 0 m.sync_hooks));
-    let count_pages st c =
-      let cl = m.clients.(c) in
-      fi (Hashtbl.fold (fun _ ce n -> if ce.pstate = st then n + 1 else n) cl.cl_pages 0)
-    in
-    Mgs_obs.Metrics.probe_cell mt "pages.inv" (count_pages P_inv);
-    Mgs_obs.Metrics.probe_cell mt "pages.read" (count_pages P_read);
-    Mgs_obs.Metrics.probe_cell mt "pages.write" (count_pages P_write);
-    Mgs_obs.Metrics.probe_cell mt "pages.busy" (count_pages P_busy);
-    (* a server entry belongs to the home processor's SSMP — only that
-       shard's handlers mutate it *)
-    Mgs_obs.Metrics.probe_cell mt "servers.rel_in_prog" (fun c ->
-        fi
-          (Hashtbl.fold
-             (fun vpn se n ->
-               if
-                 se.s_state = S_rel
-                 && Topology.ssmp_of_proc m.topo (home_proc_of_vpn m vpn) = c
-               then n + 1
-               else n)
-             m.servers 0));
-    Mgs_obs.Metrics.probe_cell mt "spans.open" (fun c ->
-        fi (Mgs_obs.Span.open_count_cell (Mgs_obs.Trace.spans tr) c));
+    column "sync.lock_waiters" Pstats.lock_waiters;
+    column "pages.inv" Pstats.pages_inv;
+    column "pages.read" Pstats.pages_read;
+    column "pages.write" Pstats.pages_write;
+    column "pages.busy" Pstats.pages_busy;
+    column "servers.rel_in_prog" Pstats.rel_in_prog;
+    (* open spans of whatever store exists when the cell samples: the
+       machine's trace, or an application's own span store *)
+    probe "spans.open" (fun c ->
+        match m.store with
+        | Some tr -> Mgs_obs.Span.open_count_cell (Mgs_obs.Trace.spans tr) c
+        | None -> 0);
     (* adaptive-coherence gauges, registered only under --adapt so a
-       static run's metrics CSV keeps its exact pre-adapt column set.
-       Each reads the sampling shard's own counter row — per-shard
-       commutative sums, so the merged series is byte-identical across
-       job counts (no probe walks sentries: after a cross-shard home
-       migration their policy fields belong to another shard). *)
+       static run's metrics CSV keeps its exact pre-adapt column set *)
     if Option.is_some m.adapt then begin
       column "adapt.reclass" Pstats.adapt_reclass;
       column "adapt.migs" Pstats.adapt_migs;
@@ -302,6 +280,9 @@ let run (m : t) body =
   m.ran <- true;
   let limit = m.event_limit in
   let t0 = Unix.gettimeofday () in
+  (* before any domain starts: cells sample in parallel into stores
+     allocated here *)
+  Option.iter Mgs_obs.Metrics.freeze m.metrics;
   Sim.set_jobs m.sim m.par_jobs;
   let fibers =
     List.init m.topo.Topology.nprocs (fun p ->
@@ -370,4 +351,25 @@ let assert_quiescent (m : t) =
       let n = h.sh_waiters () in
       if n <> 0 then
         failwith (Printf.sprintf "lock %s: %d waiter(s) still queued" h.sh_name n))
-    m.sync_hooks
+    m.sync_hooks;
+  (* the gauge columns count what the machine holds: a state write that
+     bypasses [set_pstate] / [set_s_state] shows here *)
+  List.iter
+    (fun (st, name) ->
+      let held =
+        Array.fold_left
+          (fun n cl ->
+            Hashtbl.fold (fun _ ce n -> if ce.pstate = st then n + 1 else n) cl.cl_pages n)
+          0 m.clients
+      in
+      let counted = total m (pstate_col st) in
+      if counted <> held then
+        failwith
+          (Printf.sprintf "pages.%s column counts %d pages, %d are in that state" name counted
+             held))
+    [ (P_inv, "inv"); (P_read, "read"); (P_write, "write"); (P_busy, "busy") ];
+  List.iter
+    (fun (k, name) ->
+      let n = total m k in
+      if n <> 0 then failwith (Printf.sprintf "%s column is %d at quiescence" name n))
+    [ (Pstats.rel_in_prog, "servers.rel_in_prog"); (Pstats.lock_waiters, "sync.lock_waiters") ]

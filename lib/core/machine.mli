@@ -97,16 +97,20 @@ val trace : t -> Mgs_obs.Trace.t option
     {!enable_spans} store, if any. *)
 
 val enable_metrics : ?interval:int -> ?max_samples:int -> t -> Mgs_obs.Metrics.t
-(** Install the simulated-clock metrics sampler (implies
-    {!enable_trace}): per-shard engine progress ([engine.executed],
-    [engine.xsends]), messages in flight, DUQ lengths, synchronization
-    counters and parked waiters, pages per protocol state, servers in
-    REL_IN_PROG, and open spans are snapshotted on a boundary grid
-    every [interval] cycles (default 10000) into a bounded time-series.
-    Every series is per-SSMP-cell and read shard-locally, so sampling
-    runs race-free under the parallel engine and the merged export is
-    byte-identical across job counts.  Idempotent.  Call before [run];
-    the run's final partial interval is always captured. *)
+(** Install the simulated-clock metrics sampler: per-shard engine
+    progress ([engine.executed], [engine.xsends]), messages in flight,
+    DUQ lengths, synchronization counters and parked waiters, pages per
+    protocol state, servers in REL_IN_PROG, and open spans are
+    snapshotted on a boundary grid every [interval] cycles (default
+    10000) into a bounded time-series.  Every series reads a counter
+    the sampling SSMP's shard keeps anyway, so sampling walks no page,
+    server or lock table, runs race-free under the parallel engine, and
+    the merged export is byte-identical across job counts, home
+    migration included.  It records nothing else: the trace stays off
+    unless {!enable_trace} turns it on, and [spans.open] counts the
+    open spans of whatever store {!enable_trace} or {!enable_spans}
+    created (0 without one).  Idempotent.  Call before [run]; the run's
+    final partial interval is always captured. *)
 
 val metrics : t -> Mgs_obs.Metrics.t option
 (** The installed metrics sampler, if any. *)
@@ -160,6 +164,9 @@ val run : t -> (Api.ctx -> unit) -> Report.t
 
 val assert_quiescent : t -> unit
 (** Check end-of-run protocol invariants: every delayed update queue is
-    empty, no mapping lock is held, and every server entry is out of
-    REL_IN_PROG with consistent directories.
+    empty, no mapping lock is held, every server entry is out of
+    REL_IN_PROG with consistent directories, and the gauge columns the
+    metrics sampler reads agree with the state they count (pages per
+    state summed over every SSMP; no server in REL_IN_PROG, no parked
+    lock waiter).
     @raise Failure describing the first violation. *)

@@ -127,7 +127,7 @@ let send_data m se ~requester ~write ~frame =
   adapt_count_grant se ~ssmp ~write:eff_write;
   if eff_write then begin
     Bitset.add se.s_write_dir ssmp;
-    se.s_state <- S_write
+    set_s_state m se S_write
   end
   else Bitset.add se.s_read_dir ssmp;
   if not (Hashtbl.mem se.s_frame_procs ssmp) then Hashtbl.replace se.s_frame_procs ssmp requester;
@@ -223,7 +223,7 @@ let rec server_wnotify m ~self ~vpn ~ssmp =
         | None -> ());
         Bitset.remove se.s_read_dir ssmp;
         Bitset.add se.s_write_dir ssmp;
-        se.s_state <- S_write
+        set_s_state m se S_write
       end
   end
 
@@ -314,7 +314,7 @@ let rec complete_release m se =
      survives — we keep it.) *)
   if se.s_retained >= 0 then Bitset.add se.s_write_dir se.s_retained;
   se.s_retained <- -1;
-  se.s_state <- (if Bitset.is_empty se.s_write_dir then S_read else S_write);
+  set_s_state m se (if Bitset.is_empty se.s_write_dir then S_read else S_write);
   (* Epoch complete: master merged, directories rebuilt.  The release-
      visibility oracle compares the master against the shadow here. *)
   obs_emit m ~engine:Mgs_obs.Event.Server ~tag:"sv.epoch_end" ~vpn:se.s_vpn
@@ -377,7 +377,7 @@ and start_epoch m se ~releasers =
     && se.s_state = S_write
     && Bitset.cardinal se.s_write_dir = 1
   in
-  se.s_state <- S_rel;
+  set_s_state m se S_rel;
   se.s_count <- List.length targets;
   se.s_retained <- -1;
   se.s_pend_rl <- releasers;
@@ -468,7 +468,7 @@ and finish_inv m ~ssmp ~vpn ~reply_to =
        for a diff. *)
     retire_frame ce;
     retire_twin ce;
-    ce.pstate <- P_inv;
+    set_pstate m ce P_inv;
     ce.c_notwin <- false;
     Mlock.release m.sim ce.mlock;
     Am.post m.am ~tag:"ACK" ~src:rc ~dst:home ~words:0 ~cost:0 (fun _t ->
@@ -489,7 +489,7 @@ and finish_inv m ~ssmp ~vpn ~reply_to =
        which the mapping lock guarantees. *)
     retire_frame ce;
     retire_twin ce;
-    ce.pstate <- P_inv;
+    set_pstate m ce P_inv;
     ce.c_notwin <- false;
     if m.features.early_read_ack then begin
       Am.post m.am ~tag:"ACK" ~src:rc ~dst:home ~words:0 ~cost:0 (fun _t ->
@@ -514,7 +514,7 @@ and finish_inv m ~ssmp ~vpn ~reply_to =
     count m Pstats.adapt_yields 1;
     ce.cdata <- None;
     retire_twin ce;
-    ce.pstate <- P_inv;
+    set_pstate m ce P_inv;
     ce.c_notwin <- false;
     Mlock.release m.sim ce.mlock;
     Am.post m.am ~tag:"YIELD" ~src:rc ~dst:home ~words:m.geom.Geom.page_words
@@ -532,7 +532,7 @@ and finish_inv m ~ssmp ~vpn ~reply_to =
     in
     retire_frame ce;
     retire_twin ce;
-    ce.pstate <- P_inv;
+    set_pstate m ce P_inv;
     Am.run_on m.am ~tag:"rc.diff" ~proc:rc ~at:(Sim.now m.sim) ~cost:diff_cost (fun _t ->
         Mlock.release m.sim ce.mlock;
         Am.post m.am ~tag:"DIFF" ~src:rc ~dst:home ~words:(2 * nd)
@@ -715,7 +715,7 @@ let upgrade m ~proc ce ~ctx =
       (match ce.cdata with
       | Some d -> ce.ctwin <- Some (take_twin ce ~from:d)
       | None -> assert false);
-      ce.pstate <- P_write;
+      set_pstate m ce P_write;
       let home = home_for m ~ssmp vpn in
       Am.post m.am ~tag:"WNOTIFY" ~src:rc ~dst:home ~words:0 ~cost:c.proto.server_op
         (fun _t -> server_wnotify m ~self:home ~vpn ~ssmp);

@@ -205,7 +205,7 @@ let apply_notices m ~proc map =
           retire_frame ce;
           retire_twin ce;
           ce.c_dirty <- false;
-          ce.pstate <- P_inv;
+          set_pstate m ce P_inv;
           count m Pstats.invals 1
         end;
         Mlock.release m.sim ce.mlock)
@@ -279,6 +279,6 @@ let upgrade m ~proc ce =
   let c = m.costs in
   bump_gen m;
   ce.ctwin <- Some (take_twin ce ~from:(Option.get ce.cdata));
-  ce.pstate <- P_write;
+  set_pstate m ce P_write;
   Cpu.advance m.cpus.(proc) Mgs
     (c.proto.twin_alloc + (m.geom.Geom.page_words * c.proto.twin_per_word))

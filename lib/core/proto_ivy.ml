@@ -61,7 +61,7 @@ let client_inv m ~ssmp ~vpn ~(reply : Pagedata.page option -> unit) =
               let payload = if was_owner then ce.cdata else None in
               if was_owner then ce.cdata <- None else retire_frame ce;
               ce.ctwin <- None;
-              ce.pstate <- P_inv;
+              set_pstate m ce P_inv;
               let clean = Geom.lines_per_page m.geom * m.costs.proto.clean_per_line in
               Am.run_on m.am ~tag:"rc.inv_clean" ~proc:rc ~at:(Sim.now m.sim) ~cost:clean
                 (fun _t ->
@@ -82,7 +82,7 @@ let client_recall m ~ssmp ~vpn ~(reply : Pagedata.page -> unit) =
       (* mapping processors refill read-only afterwards *)
       shoot_tlbs m ~ssmp ~vpn ~rc (fun () ->
           let payload = Pagedata.copy (Option.get ce.cdata) in
-          ce.pstate <- P_read;
+          set_pstate m ce P_read;
           let clean = Geom.lines_per_page m.geom * m.costs.proto.clean_per_line in
           Am.run_on m.am ~tag:"rc.inv_clean" ~proc:rc ~at:(Sim.now m.sim) ~cost:clean
             (fun _t ->
@@ -115,7 +115,7 @@ let rec do_grant m se ~requester ~write ~frame =
       wake_fetch ce;
       Am.post m.am ~tag:"IVY_GACK" ~src:requester ~dst:se.s_home_proc ~words:0 ~cost:0
         (fun _t ->
-          se.s_state <- (if Bitset.is_empty se.s_write_dir then S_read else S_write);
+          set_s_state m se (if Bitset.is_empty se.s_write_dir then S_read else S_write);
           (* serve requests that pended during the transition, each
              under its own transaction's context *)
           let rd = List.rev se.s_pend_rd and wr = List.rev se.s_pend_wr in
@@ -142,7 +142,7 @@ and server_req m ~vpn ~requester ~write ~frame =
     if write then se.s_pend_wr <- (requester, q, frame) :: se.s_pend_wr
     else se.s_pend_rd <- (requester, q, frame) :: se.s_pend_rd
   | S_read | S_write ->
-    se.s_state <- S_rel;
+    set_s_state m se S_rel;
     se.s_ivy_grantee <- requester;
     se.s_ivy_grant_write <- write;
     if write then begin

@@ -59,7 +59,7 @@ let fault m ~proc ~vpn ~write =
      SSMP's retired frame of the page if it has one; the grant handler
      installs the copy and resumes the fiber. *)
   let fetch () =
-    ce.pstate <- P_busy;
+    set_pstate m ce P_busy;
     Cpu.advance cpu Mgs c.proto.msg_send;
     let frame = take_frame ce in
     (match m.protocol with

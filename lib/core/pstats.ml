@@ -32,7 +32,14 @@ let adapt_res_inv = 28
 let lock_acquires = 29
 let lock_hits = 30
 let barrier_episodes = 31
-let ncols = 32
+(* gauges: up and down counts the metrics sampler reads *)
+let pages_inv = 32
+let pages_read = 33
+let pages_write = 34
+let pages_busy = 35
+let rel_in_prog = 36
+let lock_waiters = 37
+let ncols = 38
 
 type t = {
   tlb_local_fills : int;

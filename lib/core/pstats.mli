@@ -45,6 +45,22 @@ val lock_acquires : int
 val lock_hits : int
 val barrier_episodes : int
 
+(** {1 Gauges}
+
+    Columns that count up and down, read only by the metrics sampler:
+    client pages per state ({!State.set_pstate}), server entries in
+    REL_IN_PROG ({!State.set_s_state}) and fibers parked in a lock.
+    Each shard moves its own row, so a row can go negative when one
+    shard opens what another closes; only the sum over rows is a
+    count. *)
+
+val pages_inv : int
+val pages_read : int
+val pages_write : int
+val pages_busy : int
+val rel_in_prog : int
+val lock_waiters : int
+
 val ncols : int
 (** Row length: one past the last column. *)
 

@@ -145,15 +145,10 @@ type sentry = {
 
 (* Hooks registered by [Mgs_sync.Locks.make] so the machine can inspect
    its locks without a reverse library dependency: [assert_quiescent]
-   demands every [sh_waiters] be zero, and the metrics sampler sums
-   [sh_waiters_cell] into a gauge. *)
+   demands every [sh_waiters] be zero. *)
 type sync_hook = {
   sh_name : string;
   sh_waiters : unit -> int; (* fibers currently parked in the object *)
-  sh_waiters_cell : int -> int;
-      (* waiters attributed to one SSMP — read from that shard's own
-         event context by the per-cell metrics sampler, so it must only
-         touch state the shard owns (its processors' parked fibers) *)
 }
 
 (* Protocol feature toggles (ablation studies; see bench targets). *)
@@ -224,7 +219,7 @@ type t = {
          records, or else an application's own span store, which
          nothing in the machine writes *)
   mutable metrics : Mgs_obs.Metrics.t option;
-      (* simulated-clock metrics sampler, piggybacking on [obs] *)
+      (* simulated-clock metrics sampler; records nothing into [obs] *)
   adapt : Mgs_cache.Adapt.t option;
       (* adaptive per-page coherence: per-SSMP home views and
          forwarding tables.  None = the static protocol, whose wire
@@ -261,6 +256,25 @@ let count m k n =
 (* Column [k] summed over every SSMP's row. *)
 let total m k = Array.fold_left (fun acc row -> acc + row.(k)) 0 m.counters
 
+(* The page-state and REL_IN_PROG gauges move only here: a client
+   entry's [pstate] and a server entry's [s_state] change through these
+   two helpers, which the executing shard's row counts. *)
+let pstate_col = function
+  | P_inv -> Pstats.pages_inv
+  | P_read -> Pstats.pages_read
+  | P_write -> Pstats.pages_write
+  | P_busy -> Pstats.pages_busy
+
+let set_pstate m ce st =
+  count m (pstate_col ce.pstate) (-1);
+  count m (pstate_col st) 1;
+  ce.pstate <- st
+
+let set_s_state m se st =
+  if se.s_state = S_rel then count m Pstats.rel_in_prog (-1);
+  if st = S_rel then count m Pstats.rel_in_prog 1;
+  se.s_state <- st
+
 let local_idx m proc = proc mod m.topo.Topology.cluster
 
 let global_proc m ssmp lidx = (ssmp * m.topo.Topology.cluster) + lidx
@@ -293,6 +307,7 @@ let get_centry m ssmp vpn =
       }
     in
     Hashtbl.add cl.cl_pages vpn e;
+    count m Pstats.pages_inv 1;
     e
 
 (* Twin buffers cycle through the entry's free slot: [retire_twin]
@@ -493,7 +508,7 @@ let install m ce ~proc ~write ~twin payload =
   ce.cdata <- Some payload;
   ce.ctwin <- (if twin then Some (take_twin ce ~from:payload) else None);
   ce.frame_owner <- local_idx m proc;
-  ce.pstate <- (if write then P_write else P_read);
+  set_pstate m ce (if write then P_write else P_read);
   ce.c_dirty <- false;
   Bitset.clear ce.tlb_dir
 

@@ -1,25 +1,24 @@
-(** Typed metrics registry + simulated-clock sampler, sharded per SSMP.
+(** Metrics registry + simulated-clock sampler, sharded per SSMP.
 
-    Counters, probes, and histograms register under a name plus
-    optional labels (e.g. SSMP, engine).  Counter storage is per-cell
-    (one cell per engine shard): increments land in the writing shard's
-    cell, so nothing on the hot path is shared under the parallel
-    engine, and exports merge the cells pointwise.
+    A series is a per-cell probe: an int read, under a name plus
+    optional labels (e.g. SSMP, engine), of state that cell's shard
+    owns — in the machine, a counter it keeps anyway.  Each cell (one
+    per engine shard) records its samples as int rows in a {!Rows} ring
+    of its own, so nothing on the hot path is shared under the parallel
+    engine, and exports sum the cells row by row.
 
     Sampling runs on a fixed boundary grid (row k at simulated time
     [k * interval]): each cell's row is snapshotted by the first of its
     events to reach that boundary, back-filling crossed boundaries, so
     the merged time-series is byte-identical across engine job counts.
-    Rows live in a bounded per-cell ring — the most recent window
-    survives, older rows are counted as dropped.  Histograms are not
-    sampled; they export as end-of-run summaries.
+    A cell keeps its most recent [max_samples] rows; older rows are
+    counted as dropped.  Histograms are not sampled; they export as
+    end-of-run summaries.
 
     The sampler is driven by the engine's per-event hook ({!on_event})
     plus a final {!sample} when the run ends. *)
 
 type t
-
-type counter
 
 val create : ?interval:int -> ?max_samples:int -> ?cells:int -> unit -> t
 (** Defaults: sample every 10000 cycles, keep 4096 samples (per cell),
@@ -28,46 +27,41 @@ val create : ?interval:int -> ?max_samples:int -> ?cells:int -> unit -> t
 
 val interval : t -> int
 
-val cells : t -> int
-
-val counter : t -> ?labels:(string * string) list -> string -> counter
-(** Register (or fetch) a monotone counter.  The full series name is
-    [name{k=v,...}] with labels sorted.
-    @raise Invalid_argument after sampling has started. *)
-
-val incr : ?by:int -> counter -> unit
-(** Increment in the calling shard's cell. *)
-
-val counter_value : counter -> int
-(** Sum over cells. *)
+val probe_cell : t -> ?labels:(string * string) list -> string -> (int -> int) -> unit
+(** Register a series: [read cell] is polled when cell [cell] samples,
+    from that cell's own event context — it must read only state owned
+    by that shard.  The full series name is [name{k=v,...}] with labels
+    sorted.
+    @raise Invalid_argument on a duplicate name or once the columns are
+    frozen. *)
 
 val histogram : t -> ?labels:(string * string) list -> string -> Hist.t
-
-val observe : Hist.t -> int -> unit
-
-val probe_cell : t -> ?labels:(string * string) list -> string -> (int -> float) -> unit
-(** Register a per-cell probe: [read cell] is polled when cell [cell]
-    samples, from that cell's own event context — it must read only
-    state owned by that shard. *)
+(** Register (or fetch) an end-of-run histogram; record with
+    {!Hist.add}. *)
 
 val columns : t -> string list
 (** Series names in registration order (the CSV/JSON column order). *)
+
+val freeze : t -> unit
+(** Freeze the column set and allocate every cell's store; the first
+    row does it if nothing did before.  Cells may sample from several
+    domains only once it has run, so a machine freezes its sampler
+    before it runs. *)
 
 val on_event : t -> cell:int -> now:int -> unit
 (** Pre-event hook from the engine: snapshot cell [cell] at every
     sampling boundary crossed since its previous event. *)
 
-val tick : t -> now:int -> unit
-(** [on_event] for cell 0 — host-side convenience. *)
-
 val sample : t -> now:int -> unit
 (** Fill every cell to the last crossed boundary, then snapshot every
-    cell at exactly [now] (overwriting a row already at [now]).  The
-    first row freezes the column set. *)
+    cell at exactly [now] (overwriting a row already at [now]).
+    Afterwards every cell holds the same time grid. *)
 
-val samples : t -> (int * float array) list
+val samples : t -> (int * int array) list
 (** Merged rows, oldest first, values in {!columns} order: the
-    per-cell series summed pointwise at each sampling time. *)
+    per-cell rows summed row by row.
+    @raise Invalid_argument if the cells' sample times differ, which a
+    final {!sample} rules out. *)
 
 val sample_count : t -> int
 

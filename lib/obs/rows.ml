@@ -1,16 +1,15 @@
-(* One cell of the chunked row store behind {!Trace} and {!Span}; see
-   the interface for the contract. *)
+(* One cell of the chunked row store behind {!Trace}, {!Span} and
+   {!Metrics}; see the interface for the contract. *)
 
 (* A cell's last chunk is allocated whole and partly filled: at 256
-   rows a chunk is 24 KiB of fields and 6 KiB of stamps, so a store of
-   few rows over many cells wastes little. *)
+   rows a twelve-int chunk is 24 KiB of fields and 6 KiB of stamps, so
+   a store of few rows over many cells wastes little. *)
 let chunk_rows = 256
-
-let width = 12
 
 let stamp_width = 3
 
 type t = {
+  width : int;
   cap : int;
   ring : bool; (* full: overwrite the oldest row (true) or drop new ones *)
   ints : int array array; (* chunk directory; [||] until first use *)
@@ -25,10 +24,11 @@ let cur_cell ncells =
   let c = Mgs_engine.Sim.cur () in
   if c < 0 || c >= ncells then 0 else c
 
-let create ~capacity ~cells ~ring =
+let create ~width ~capacity ~cells ~ring =
   let cap = max (min capacity 64) ((capacity + cells - 1) / cells) in
   let nchunks = (cap + chunk_rows - 1) / chunk_rows in
   {
+    width;
     cap;
     ring;
     ints = Array.make nchunks [||];
@@ -45,7 +45,7 @@ let add r =
     let ci = n / chunk_rows in
     if Array.length r.ints.(ci) = 0 then begin
       let rows = min chunk_rows (r.cap - (ci * chunk_rows)) in
-      r.ints.(ci) <- Array.make (rows * width) 0;
+      r.ints.(ci) <- Array.make (rows * r.width) 0;
       if Array.length r.stamps > 0 then r.stamps.(ci) <- Array.make (rows * stamp_width) 0
     end;
     n
@@ -55,9 +55,9 @@ let add r =
 
 let chunk r slot = r.ints.(slot / chunk_rows)
 
-let base slot = slot mod chunk_rows * width
+let base r slot = slot mod chunk_rows * r.width
 
-let get r slot f = (chunk r slot).(base slot + f)
+let get r slot f = (chunk r slot).(base r slot + f)
 
 let set_stamp r slot ~fire ~sched ~srcseq =
   let a = r.stamps.(slot / chunk_rows) and b = slot mod chunk_rows * stamp_width in

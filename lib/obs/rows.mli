@@ -1,17 +1,17 @@
-(** One cell of the chunked row store behind {!Trace} and {!Span}: rows
-    of {!width} ints in chunks of {!chunk_rows} rows, allocated as they
-    first fill and never copied, so memory follows the rows kept and
-    adding a row allocates nothing once its chunk exists.  Labels are
-    interned per cell.  A stamped cell also keeps a merge-order stamp
-    per row, {!stamp_width} integers in chunks of their own: the key
-    [(fire, sched, srcseq)] of the event that made the row, [srcseq]
-    being [src] and [seq] {!Mgs_engine.Shardq.pack}ed, so no row keeps
-    anything alive.  Only the cell's own shard adds rows to it. *)
+(** One cell of the chunked row store behind {!Trace}, {!Span} and
+    {!Metrics}: rows of a fixed number of ints, the store's [width], in
+    chunks of {!chunk_rows} rows, allocated as they first fill and never
+    copied, so memory follows the rows kept and adding a row allocates
+    nothing once its chunk exists.  An event and a span are twelve ints
+    a row; a metrics sample is its time and one int per series.  Labels
+    are interned per cell.  A stamped cell also keeps a merge-order
+    stamp per row, {!stamp_width} integers in chunks of their own: the
+    key [(fire, sched, srcseq)] of the event that made the row,
+    [srcseq] being [src] and [seq] {!Mgs_engine.Shardq.pack}ed, so no
+    row keeps anything alive.  Only the cell's own shard adds rows to
+    it. *)
 
 val chunk_rows : int
-
-val width : int
-(** Ints per row: an event and a span both have twelve fields. *)
 
 val stamp_width : int
 (** Ints per stamp: three. *)
@@ -22,20 +22,20 @@ val cur_cell : int -> int
 (** The cell the running code writes in a store of [n] cells: the
     executing shard's, or cell 0 for host code. *)
 
-val create : capacity:int -> cells:int -> ring:bool -> t
-(** One of [cells] cells sharing a budget of [capacity] rows: at least
-    64 rows per cell, never above the total.  Cells of a multi-cell
-    store are stamped.  When full, a [ring] cell overwrites its oldest
-    row; any other cell drops new rows. *)
+val create : width:int -> capacity:int -> cells:int -> ring:bool -> t
+(** One of [cells] cells of rows of [width] ints, sharing a budget of
+    [capacity] rows: at least 64 rows per cell, never above the total.
+    Cells of a multi-cell store are stamped.  When full, a [ring] cell
+    overwrites its oldest row; any other cell drops new rows. *)
 
 val add : t -> int
 (** Reserve the next row and return its slot, or [-1] when a non-ring
     cell is full.  Field [f < width] of the row is
-    [(chunk r slot).(base slot + f)]. *)
+    [(chunk r slot).(base r slot + f)]. *)
 
 val chunk : t -> int -> int array
 
-val base : int -> int
+val base : t -> int -> int
 
 val get : t -> int -> int -> int
 

@@ -70,6 +70,8 @@ let f_dst = 6 and f_src_ssmp = 7 and f_dst_ssmp = 8 and f_words = 9 and f_label 
 
 let f_engine = 11
 
+let width = 12
+
 type cell = {
   rows : Rows.t; (* fills, then drops *)
   mutable c_txns : int; (* local transaction mint counter *)
@@ -93,7 +95,7 @@ let create ?(capacity = default_capacity) ?(cells = 1) () =
      16-SSMP machine must not retain 16x the memory of one cell *)
   let mk_cell () =
     {
-      rows = Rows.create ~capacity ~cells ~ring:false;
+      rows = Rows.create ~width ~capacity ~cells ~ring:false;
       c_txns = 0;
       c_open = 0;
       c_current = none;
@@ -142,7 +144,7 @@ let open_span_x t ~(parent : ctx) ~time ~label ~engine ~vpn ~src ~dst ~src_ssmp 
   let slot = Rows.add r in
   if slot < 0 then pack ~txn ~sid:(-2)
   else begin
-    let a = Rows.chunk r slot and b = Rows.base slot in
+    let a = Rows.chunk r slot and b = Rows.base r slot in
     a.(b + f_parent) <- max (sid_of parent) (-1);
     a.(b + f_txn) <- txn;
     a.(b + f_t0) <- time;
@@ -173,7 +175,7 @@ let close t (ctx : ctx) ~time =
     let cl = t.cells.(sid mod t.ncells) in
     let l = sid / t.ncells in
     if l < Rows.kept cl.rows then begin
-      let a = Rows.chunk cl.rows l and b = Rows.base l in
+      let a = Rows.chunk cl.rows l and b = Rows.base cl.rows l in
       if a.(b + f_t1) < 0 then begin
         a.(b + f_t1) <- max time a.(b + f_t0);
         cl.c_open <- cl.c_open - 1
@@ -200,7 +202,7 @@ let txns t = Array.fold_left (fun acc cl -> acc + cl.c_txns) 0 t.cells
 let enc_get t enc =
   let r = t.cells.(enc mod t.ncells).rows in
   let l = enc / t.ncells in
-  let a = Rows.chunk r l and b = Rows.base l in
+  let a = Rows.chunk r l and b = Rows.base r l in
   {
     sid = enc;
     parent = a.(b + f_parent);
@@ -307,7 +309,7 @@ let fold_unordered t ~init f =
       let r = cl.rows in
       let acc = ref acc in
       Rows.iter r (fun _ l ->
-          let a = Rows.chunk r l and b = Rows.base l in
+          let a = Rows.chunk r l and b = Rows.base r l in
           acc :=
             f !acc ~label:(Rows.name r a.(b + f_label)) ~parent:a.(b + f_parent)
               ~t0:a.(b + f_t0) ~t1:a.(b + f_t1));

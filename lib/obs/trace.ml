@@ -28,6 +28,8 @@ let f_src_ssmp = 6 and f_dst_ssmp = 7 and f_words = 8 and f_cost = 9 and f_dur =
 
 let f_txn = 11
 
+let width = 12
+
 let default_capacity = 65536
 
 let create ?(capacity = default_capacity) ?span_capacity ?(cells = 1) () =
@@ -39,7 +41,7 @@ let create ?(capacity = default_capacity) ?span_capacity ?(cells = 1) () =
     ncells = cells;
     cells =
       Array.init cells (fun _ ->
-          { rows = Rows.create ~capacity ~cells ~ring:true; hists = [||] });
+          { rows = Rows.create ~width ~capacity ~cells ~ring:true; hists = [||] });
     spans = Span.create ?capacity:span_capacity ~cells ();
   }
 
@@ -55,7 +57,7 @@ let hist_of cl id =
   cl.hists.(id)
 
 let event_of r slot : Event.t =
-  let a = Rows.chunk r slot and b = Rows.base slot in
+  let a = Rows.chunk r slot and b = Rows.base r slot in
   {
     time = a.(b + f_time);
     engine = Event.engine_of_index a.(b + f_engine);
@@ -78,7 +80,7 @@ let emit t ~time ~engine ~tag ~vpn ~src ~dst ~src_ssmp ~dst_ssmp ~words ~cost ~d
   let cl = t.cells.(Rows.cur_cell t.ncells) in
   let r = cl.rows in
   let slot = Rows.add r in
-  let a = Rows.chunk r slot and b = Rows.base slot in
+  let a = Rows.chunk r slot and b = Rows.base r slot in
   let id = Rows.intern r tag in
   a.(b + f_time) <- time;
   a.(b + f_engine) <- Event.engine_index engine;

@@ -277,27 +277,33 @@ let prepare p (m : Mgs.Machine.t) =
   (* per-proc accounting: each fiber writes only its own slot *)
   let violations = Array.make nprocs 0 in
   let completed = Array.make nprocs 0 in
-  (* serve.* metrics, when the sampler is installed *)
-  let obs_metrics =
+  let by_op = Array.init 3 (fun _ -> Array.make nprocs 0) (* get, put, scan *) in
+  let queued = Array.make nprocs 0 in
+  (* serve.* metrics, when the sampler is installed: each probe sums
+     one per-proc count over the sampling SSMP's processors *)
+  let lat =
     match Mgs.Machine.metrics m with
     | None -> None
     | Some mt ->
-      let op_counter name = Mgs_obs.Metrics.counter mt ~labels:[ ("op", name) ] "serve.ops" in
-      let c_get = op_counter "get" and c_put = op_counter "put" and c_scan = op_counter "scan" in
-      let c_queued = Mgs_obs.Metrics.counter mt "serve.queued" in
-      let lat =
-        Array.init nssmps (fun s ->
-            Mgs_obs.Metrics.histogram mt
-              ~labels:[ ("ssmp", string_of_int s) ]
-              "serve.latency")
+      let cluster = topo.Mgs_machine.Topology.cluster in
+      let probe ?labels name counts =
+        Mgs_obs.Metrics.probe_cell mt ?labels name (fun cell ->
+            let sum = ref 0 in
+            for proc = cell * cluster to ((cell + 1) * cluster) - 1 do
+              sum := !sum + counts.(proc)
+            done;
+            !sum)
       in
-      Mgs_obs.Metrics.probe_cell mt "serve.done" (fun cell ->
-          let sum = ref 0 in
-          List.iter
-            (fun proc -> sum := !sum + completed.(proc))
-            (Mgs_machine.Topology.procs_of_ssmp topo cell);
-          float_of_int !sum);
-      Some (c_get, c_put, c_scan, c_queued, lat)
+      List.iteri
+        (fun i op -> probe ~labels:[ ("op", op) ] "serve.ops" by_op.(i))
+        [ "get"; "put"; "scan" ];
+      probe "serve.queued" queued;
+      probe "serve.done" completed;
+      Some
+        (Array.init nssmps (fun s ->
+             Mgs_obs.Metrics.histogram mt
+               ~labels:[ ("ssmp", string_of_int s) ]
+               "serve.latency"))
   in
   let body (ctx : Api.ctx) =
     let proc = Api.proc ctx in
@@ -383,13 +389,12 @@ let prepare p (m : Mgs.Machine.t) =
         Mgs_obs.Span.close sp (phase ~parent:root ~time:t_start "kv.lock") ~time:t_svc;
       Mgs_obs.Span.close sp (phase ~parent:root ~time:t_svc "kv.access") ~time:t_done;
       Mgs_obs.Span.close sp root ~time:t_done;
-      (match obs_metrics with
+      let ops = by_op.(match sched.opcode.(i) with Get -> 0 | Put -> 1 | Scan -> 2) in
+      ops.(proc) <- ops.(proc) + 1;
+      if t_start > t_arr then queued.(proc) <- queued.(proc) + 1;
+      match lat with
       | None -> ()
-      | Some (c_get, c_put, c_scan, c_queued, lat) ->
-        Mgs_obs.Metrics.incr
-          (match sched.opcode.(i) with Get -> c_get | Put -> c_put | Scan -> c_scan);
-        if t_start > t_arr then Mgs_obs.Metrics.incr c_queued;
-        Mgs_obs.Metrics.observe lat.(my_ssmp) (t_done - t_arr))
+      | Some lat -> Mgs_obs.Hist.add lat.(my_ssmp) (t_done - t_arr)
     done
   in
   let check m =

@@ -138,8 +138,10 @@ let home_local t proc =
 let blocked_wait t (ctx : Mgs.Api.ctx) root wait =
   let m = t.m in
   cell_add m t.cells.blocked ctx.Mgs.Api.proc 1;
+  count m Mgs.Pstats.lock_waiters 1;
   wait ();
   cell_add m t.cells.blocked ctx.Mgs.Api.proc (-1);
+  count m Mgs.Pstats.lock_waiters (-1);
   Cpu.resume_charge ctx.cpu Lock (Sim.now m.sim);
   span_set m root
 
@@ -720,15 +722,9 @@ let make (m : Mgs.Machine.t) ?(home = 0) ?grant_bound kind =
       gap_w = { w_mean = 0.; w_m2 = 0. };
     }
   in
-  (* [assert_quiescent] and the [sync.lock_waiters] gauge read the
-     waiter count through this hook. *)
+  (* [assert_quiescent] reads the waiter count through this hook. *)
   m.sync_hooks <-
-    {
-      sh_name = "lock:" ^ name_of kind;
-      sh_waiters = (fun () -> waiters t);
-      sh_waiters_cell = (fun c -> t.cells.blocked.(c));
-    }
-    :: m.sync_hooks;
+    { sh_name = "lock:" ^ name_of kind; sh_waiters = (fun () -> waiters t) } :: m.sync_hooks;
   t
 
 let add_gap t g =

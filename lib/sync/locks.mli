@@ -47,8 +47,9 @@
     trace is installed, and the [lock_wait]/[lock_handoffs] Pstats
     counters ([Token] excepted, so its runs stay byte-identical with
     earlier revisions).  {!make} registers a {!Mgs.State.sync_hook}, so
-    [assert_quiescent] fails on leaked waiters and the
-    [sync.lock_waiters] gauge counts parked fibers. *)
+    [assert_quiescent] fails on leaked waiters, and a parked fiber
+    counts in its SSMP's [Pstats.lock_waiters] column, the
+    [sync.lock_waiters] gauge. *)
 
 type kind = Token | Tas | Ticket | Mcs | Clh
 

@@ -1,9 +1,8 @@
-(* Tests for the observability subsystem: the bounded ring, the
-   power-of-two latency histograms, the event trace with its Chrome
-   export, the online invariant checker (including deliberately
-   corrupted state it must flag), and the metrics sampler. *)
+(* Tests for the observability subsystem: the power-of-two latency
+   histograms, the event trace with its Chrome export, the row store,
+   the online invariant checker (including deliberately corrupted state
+   it must flag), and the metrics sampler. *)
 
-module Ring = Mgs_obs.Ring
 module Hist = Mgs_obs.Hist
 module Event = Mgs_obs.Event
 module Trace = Mgs_obs.Trace
@@ -15,35 +14,6 @@ let contains haystack needle =
   let n = String.length needle and l = String.length haystack in
   let rec go i = i + n <= l && (String.sub haystack i n = needle || go (i + 1)) in
   go 0
-
-(* --- ring ------------------------------------------------------------- *)
-
-let test_ring_basic () =
-  let r = Ring.create ~capacity:4 in
-  Alcotest.(check int) "capacity" 4 (Ring.capacity r);
-  Alcotest.(check int) "empty" 0 (Ring.length r);
-  Ring.push r 1;
-  Ring.push r 2;
-  Ring.push r 3;
-  Alcotest.(check (list int)) "oldest first" [ 1; 2; 3 ] (Ring.to_list r);
-  Alcotest.(check int) "nothing dropped" 0 (Ring.dropped r)
-
-let test_ring_wrap () =
-  let r = Ring.create ~capacity:3 in
-  for i = 1 to 7 do
-    Ring.push r i
-  done;
-  Alcotest.(check (list int)) "keeps the newest" [ 5; 6; 7 ] (Ring.to_list r);
-  Alcotest.(check int) "pushed" 7 (Ring.pushed r);
-  Alcotest.(check int) "length" 3 (Ring.length r);
-  Alcotest.(check int) "dropped" 4 (Ring.dropped r);
-  Ring.clear r;
-  Alcotest.(check int) "clear empties" 0 (Ring.length r);
-  Alcotest.(check int) "clear zeroes pushed" 0 (Ring.pushed r)
-
-let test_ring_invalid () =
-  Alcotest.check_raises "capacity 0 rejected" (Invalid_argument "Ring.create: capacity")
-    (fun () -> ignore (Ring.create ~capacity:0))
 
 (* --- histogram -------------------------------------------------------- *)
 
@@ -304,13 +274,14 @@ let record tr ~from () =
   done
 
 (* Words of the chunks that rows [lo, hi) of one store open, given
-   [stamped] stamp chunks of three ints a row: the only allocation
-   recording may do. *)
+   twelve ints a row (an event's and a span's fields) and [stamped]
+   stamp chunks of three ints a row: the only allocation recording may
+   do. *)
 let chunk_words ~lo ~hi ~stamped =
   let rows = Mgs_obs.Rows.chunk_rows in
   let n = ((hi - 1) / rows) - ((lo - 1) / rows) in
   n
-  * ((rows * Mgs_obs.Rows.width)
+  * ((rows * 12)
     + 1
     + if stamped then (rows * Mgs_obs.Rows.stamp_width) + 1 else 0)
 
@@ -593,44 +564,49 @@ let test_exports_pinned () =
       "3d94e8b16a352ad6cde41172ffe956f7"; "1afbae58caba2a42614fd13aad00a60f";
       "c899bc819d6ca6b79a598f557acd09e2"; "0d3b25cb62a18a3c1bf73251804745a7";
     ];
-  let tr, _ = run_exports ~protocol:"mgs" (Mgs_serve.Kv.workload Mgs_serve.Kv.tiny) in
+  let tr, mt = run_exports ~protocol:"mgs" (Mgs_serve.Kv.workload Mgs_serve.Kv.tiny) in
   Alcotest.(check string) "kv tail table" "86b4037081116b3ac70dde08eea33f93"
-    (md5 (Mgs_serve.Tail.table (Trace.spans tr)))
+    (md5 (Mgs_serve.Tail.table (Trace.spans tr)));
+  (* kv's serve.* columns, pinned from when they were metric counters *)
+  Alcotest.(check string) "kv metrics" "5f6f069a32821066090dea605676a8af"
+    (md5 (Metrics.csv mt))
 
 (* --- metrics ----------------------------------------------------------- *)
 
 let test_metrics_registry_and_sampler () =
   let mt = Metrics.create ~interval:10 () in
   Alcotest.(check int) "interval" 10 (Metrics.interval mt);
-  let c = Metrics.counter mt "msgs" ~labels:[ ("engine", "server") ] in
-  let depth = ref 0.0 in
+  let msgs = ref 0 in
+  Metrics.probe_cell mt "msgs" ~labels:[ ("engine", "server") ] (fun _cell -> !msgs);
+  let depth = ref 0 in
   Metrics.probe_cell mt "depth" (fun _cell -> !depth);
-  let live = ref 0.0 in
+  let live = ref 0 in
   Metrics.probe_cell mt "live" (fun _cell -> !live);
-  Metrics.incr c;
-  Metrics.incr ~by:4 c;
-  depth := 2.5;
-  live := 7.0;
-  Alcotest.(check int) "counter value" 5 (Metrics.counter_value c);
+  msgs := 5;
+  depth := 2;
+  live := 7;
   Metrics.sample mt ~now:0;
-  Metrics.tick mt ~now:5;
+  Metrics.on_event mt ~cell:0 ~now:5;
   (* inside boundary 0's interval: no new row *)
-  Metrics.tick mt ~now:15;
+  depth := -3;
+  Metrics.on_event mt ~cell:0 ~now:15;
   (* boundary 1 crossed: one row back-filled at t=10 *)
-  Alcotest.(check int) "tick snapshots the boundary grid" 2 (Metrics.sample_count mt);
+  Alcotest.(check int) "events snapshot the boundary grid" 2 (Metrics.sample_count mt);
   Alcotest.(check (list string)) "columns in registration order"
     [ "msgs{engine=server}"; "depth"; "live" ] (Metrics.columns mt);
   (match Metrics.samples mt with
-  | [ (0, row0); (10, _) ] ->
-    Alcotest.(check (float 0.)) "counter sampled" 5.0 row0.(0);
-    Alcotest.(check (float 0.)) "cell probe polled" 2.5 row0.(1);
-    Alcotest.(check (float 0.)) "probe polled" 7.0 row0.(2)
+  | [ (0, row0); (10, row1) ] ->
+    Alcotest.(check (array int)) "probes polled at t=0" [| 5; 2; 7 |] row0;
+    Alcotest.(check (array int)) "and at the crossed boundary" [| 5; -3; 7 |] row1
   | _ -> Alcotest.fail "expected samples at t=0 and t=10");
+  Alcotest.check_raises "duplicate series refused"
+    (Invalid_argument "Metrics: duplicate series depth") (fun () ->
+      Metrics.probe_cell mt "depth" (fun _ -> 0));
   Alcotest.check_raises "registration is frozen after first sample"
     (Invalid_argument "Metrics: cannot register late after sampling started") (fun () ->
-      ignore (Metrics.counter mt "late"));
+      Metrics.probe_cell mt "late" (fun _ -> 0));
   let csv = Metrics.csv mt in
-  Alcotest.(check bool) "csv header" true (contains csv "time,msgs{engine=server},depth,live");
+  Alcotest.(check string) "csv" "time,msgs{engine=server},depth,live\n0,5,2,7\n10,5,-3,7\n" csv;
   match Json.parse (Metrics.json mt) with
   | Error e -> Alcotest.fail ("metrics export rejected by strict parser: " ^ e)
   | Ok v ->
@@ -639,7 +615,7 @@ let test_metrics_registry_and_sampler () =
 
 let test_metrics_ring_bound () =
   let mt = Metrics.create ~interval:1 ~max_samples:2 () in
-  ignore (Metrics.counter mt "c");
+  Metrics.probe_cell mt "c" (fun _ -> 0);
   for t = 1 to 5 do
     Metrics.sample mt ~now:t
   done;
@@ -648,6 +624,21 @@ let test_metrics_ring_bound () =
   Alcotest.(check int) "evictions counted" 4 (Metrics.dropped mt);
   Alcotest.(check (list int)) "newest window kept" [ 4; 5 ]
     (List.map fst (Metrics.samples mt))
+
+(* Cells merge row by row: after a final [sample] every cell holds the
+   same time grid, and rows sum; a cell left on another grid is a
+   sampler bug, refused rather than merged. *)
+let test_metrics_cells_merge () =
+  let mt = Metrics.create ~interval:10 ~cells:2 () in
+  Metrics.probe_cell mt "cell" (fun c -> c + 1);
+  Metrics.on_event mt ~cell:1 ~now:25;
+  Alcotest.check_raises "grids differ before the final sample"
+    (Invalid_argument "Metrics: cell 1 sampled another time grid than cell 0") (fun () ->
+      ignore (Metrics.samples mt));
+  Metrics.sample mt ~now:25;
+  Alcotest.(check (list (pair int (array int)))) "rows summed"
+    [ (0, [| 3 |]); (10, [| 3 |]); (20, [| 3 |]); (25, [| 3 |]) ]
+    (Metrics.samples mt)
 
 (* --- machine integration ---------------------------------------------- *)
 
@@ -843,6 +834,59 @@ let test_violation_listing_par_identical () =
       Alcotest.(check string) (Printf.sprintf "par %d listing" par) oracle (listing par))
     [ 2; 4 ]
 
+(* Metrics alone record nothing else: no trace, and a series set that
+   matches a traced run's in every column but [spans.open], which has
+   no store to read. *)
+let test_metrics_record_nothing_else () =
+  let csv ~trace =
+    let cfg = Mgs.Machine.config ~lan_latency:1000 ~nprocs:8 ~cluster:2 () in
+    let m = Mgs.Machine.create cfg in
+    if trace then ignore (Mgs.Machine.enable_trace m);
+    let mt = Mgs.Machine.enable_metrics m in
+    let body, check = (Mgs_apps.Water.workload Mgs_apps.Water.tiny).Mgs_harness.Sweep.prepare m in
+    ignore (Mgs.Machine.run m body);
+    Mgs.Machine.assert_quiescent m;
+    check m;
+    if not trace then
+      Alcotest.(check bool) "metrics alone install no trace" true (Mgs.Machine.trace m = None);
+    Metrics.csv mt
+  in
+  let without_spans_open csv =
+    let rows = List.map (String.split_on_char ',') (String.split_on_char '\n' csv) in
+    let col =
+      let rec find i = function
+        | [] -> Alcotest.fail "no spans.open column"
+        | c :: _ when c = "spans.open" -> i
+        | _ :: rest -> find (i + 1) rest
+      in
+      find 0 (List.hd rows)
+    in
+    List.map (List.filteri (fun i _ -> i <> col)) rows
+  in
+  let plain = csv ~trace:false and traced = csv ~trace:true in
+  Alcotest.(check (list (list string))) "every other column as traced"
+    (without_spans_open traced) (without_spans_open plain);
+  Alcotest.(check bool) "the traced run had open spans to count" true (plain <> traced)
+
+(* The gauge columns move only through [State.set_pstate] and
+   [State.set_s_state]; a state write that bypasses them fails the
+   end-of-run check every harness sweep makes. *)
+let test_gauges_checked () =
+  let open Mgs.State in
+  let m = small_machine () in
+  let data = run_mp m in
+  Mgs.Machine.assert_quiescent m;
+  (* a new client entry counts as an invalid page *)
+  let ce = get_centry m 1 (Mgs_mem.Geom.vpn_of_addr (Mgs.Machine.geom m) data + 1) in
+  Mgs.Machine.assert_quiescent m;
+  ce.pstate <- P_read;
+  Alcotest.check_raises "a bypassing pstate write is caught"
+    (Failure "pages.inv column counts 1 pages, 0 are in that state") (fun () ->
+      Mgs.Machine.assert_quiescent m);
+  ce.pstate <- P_inv;
+  set_pstate m ce P_read;
+  Mgs.Machine.assert_quiescent m
+
 (* The transport gauges need both a fault plan and a sampler; they are
    registered by whichever call comes second. *)
 let test_net_gauges_either_order () =
@@ -861,12 +905,6 @@ let test_net_gauges_either_order () =
 let () =
   Alcotest.run "obs"
     [
-      ( "ring",
-        [
-          Alcotest.test_case "push and order" `Quick test_ring_basic;
-          Alcotest.test_case "wrap evicts oldest" `Quick test_ring_wrap;
-          Alcotest.test_case "invalid capacity" `Quick test_ring_invalid;
-        ] );
       ( "hist",
         [
           Alcotest.test_case "power-of-two buckets" `Quick test_hist_buckets;
@@ -902,6 +940,7 @@ let () =
         [
           Alcotest.test_case "registry + sampler" `Quick test_metrics_registry_and_sampler;
           Alcotest.test_case "bounded sample window" `Quick test_metrics_ring_bound;
+          Alcotest.test_case "cells merge row by row" `Quick test_metrics_cells_merge;
         ] );
       ( "machine",
         [
@@ -918,5 +957,8 @@ let () =
             test_violation_listing_par_identical;
           Alcotest.test_case "net gauges in either order" `Quick
             test_net_gauges_either_order;
+          Alcotest.test_case "metrics record nothing else" `Quick
+            test_metrics_record_nothing_else;
+          Alcotest.test_case "gauge columns match the state" `Quick test_gauges_checked;
         ] );
     ]

@@ -4,7 +4,8 @@
 
    - full machines: chrome JSON, span dump, metrics CSV, and the
      histogram summary at par 2 and 4 against par 1, for every
-     protocol x app cell and for faulty cells on a lossy LAN;
+     protocol x app cell and for faulty cells on a lossy LAN, and the
+     metrics CSV of a kv cell whose homes migrate;
    - every lock kind under the parallel engine (the paper's workloads
      barely contend, so a dedicated contended run covers the lock
      protocols);
@@ -74,6 +75,46 @@ let test_faulty_export_identity () =
   List.iter
     (fun (protocol, aname) -> check_identity ~faults ~protocol (aname, List.assoc aname apps))
     [ ("mgs", "jacobi"); ("hlrc", "water"); ("hlrc", "tsp") ]
+
+(* Home migration moves a server entry's REL_IN_PROG transitions to
+   another shard; the gauge counts them on whichever shard makes them,
+   so the series stays par-identical.  The contended skewed kv cell
+   migrates ten homes; metrics alone, so no trace is recorded. *)
+let test_migration_metrics_identity () =
+  let module Kv = Mgs_serve.Kv in
+  let p =
+    {
+      Kv.default with
+      Kv.nkeys = 16;
+      nshards = 1;
+      stripes = 16;
+      ops = 300;
+      get_pct = 5;
+      put_pct = 95;
+      theta = 1.1;
+      churn = 0;
+      period = 2_000;
+    }
+  in
+  let csv par =
+    let cfg =
+      Mgs.Machine.config ~lan_latency:1000 ~par_jobs:par ~adapt:true ~nprocs:8 ~cluster:2 ()
+    in
+    let m = Mgs.Machine.create cfg in
+    let mt = Mgs.Machine.enable_metrics m in
+    let body, check = (Kv.workload p).Mgs_harness.Sweep.prepare m in
+    let r = Mgs.Machine.run m body in
+    Mgs.Machine.assert_quiescent m;
+    check m;
+    (r.Mgs.Report.pstats.Mgs.Pstats.adapt_migs, Mgs_obs.Metrics.csv mt)
+  in
+  let migs, c1 = csv 1 in
+  Alcotest.(check bool) "homes migrated" true (migs > 0);
+  List.iter
+    (fun par ->
+      Alcotest.(check string) (Printf.sprintf "kv/adapt par=%d: metrics csv identical" par) c1
+        (snd (csv par)))
+    [ 2; 4 ]
 
 (* --- locks under the parallel engine ---------------------------------- *)
 
@@ -207,6 +248,8 @@ let () =
         [
           Alcotest.test_case "protocol x app export matrix" `Quick test_export_identity;
           Alcotest.test_case "export matrix under faults" `Quick test_faulty_export_identity;
+          Alcotest.test_case "metrics under home migration" `Quick
+            test_migration_metrics_identity;
           Alcotest.test_case "mcs lock under par" `Quick test_lock_par;
           Alcotest.test_case "every lock under par" `Quick test_every_lock_par;
         ] );
