@@ -328,7 +328,7 @@ let scaling () =
           string_of_int r.Mgs.Report.runtime;
           Printf.sprintf "%.0f" r.Mgs.Report.breakdown.Mgs.Report.mgs;
           string_of_int r.Mgs.Report.lan_messages;
-          Printf.sprintf "%.2f" pt.Sweep.lock_hit_ratio;
+          Printf.sprintf "%.2f" (Mgs.Report.lock_hit_ratio r);
         ])
       [ 8; 16; 32; 64 ]
   in

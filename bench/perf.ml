@@ -19,14 +19,11 @@ type row = {
   par : int; (* engine domains; 0 in a baseline row, whose job count is not read *)
   wall_s : float;
   allocated_mb : float;
-  promoted_mb : float option; (* None when a baseline predates the field *)
+  promoted_mb : float;
   sim_events : int;
   sim_cycles : int;
   events_per_s : float;
 }
-
-(* A measured row always carries its promotion. *)
-let promoted r = Option.value r.promoted_mb ~default:0.
 
 (* Bytes allocated by every domain so far: minor + major - promoted
    words from [Gc.quick_stat], as perfbench/rep.ml counts them.
@@ -57,7 +54,7 @@ let timed ?(par = 1) ~app ~nprocs ~cluster run =
     par;
     wall_s = wall;
     allocated_mb = mb (allocated_bytes s1 -. allocated_bytes s0);
-    promoted_mb = Some (mb (promoted_bytes s1 -. promoted_bytes s0));
+    promoted_mb = mb (promoted_bytes s1 -. promoted_bytes s0);
     sim_events;
     sim_cycles;
     events_per_s = (if wall > 0. then float_of_int sim_events /. wall else 0.);
@@ -192,7 +189,7 @@ let json_of_rows rows =
            "    { \"app\": %S, \"nprocs\": %d, \"cluster\": %d, \"wall_s\": %.6f, \
             \"allocated_mb\": %.3f, \"promoted_mb\": %.3f, \"sim_events\": %d, \
             \"sim_cycles\": %d, \"events_per_s\": %.1f }%s\n"
-           r.app r.nprocs r.cluster r.wall_s r.allocated_mb (promoted r) r.sim_events
+           r.app r.nprocs r.cluster r.wall_s r.allocated_mb r.promoted_mb r.sim_events
            r.sim_cycles r.events_per_s
            (if i = List.length rows - 1 then "" else ",")))
     rows;
@@ -216,7 +213,6 @@ let rows_of_file path =
   in
   let num r key = get Json.to_number "number" r key in
   let int r key = int_of_float (num r key) in
-  let opt_num r key = Option.bind (Json.member key r) Json.to_number in
   List.map
     (fun r ->
       {
@@ -226,7 +222,7 @@ let rows_of_file path =
         par = 0;
         wall_s = num r "wall_s";
         allocated_mb = num r "allocated_mb";
-        promoted_mb = opt_num r "promoted_mb";
+        promoted_mb = num r "promoted_mb";
         sim_events = int r "sim_events";
         sim_cycles = int r "sim_cycles";
         events_per_s = num r "events_per_s";
@@ -240,8 +236,7 @@ let rows_of_file path =
    fails.  Promotion gates the same way on one-domain rows, where it
    repeats to within a few percent: it catches a change that keeps
    more alive (a pending event holding its causal history, say)
-   without allocating more.  A baseline row that predates promoted_mb
-   is not gated on it.
+   without allocating more.
    Wall-clock and events/s are reported but never gate — they depend on
    the host's load. *)
 let diff_against ~base rows =
@@ -270,7 +265,7 @@ let diff_against ~base rows =
             string_of_int r.cluster;
             "-";
             Printf.sprintf "%.1f" r.allocated_mb;
-            Printf.sprintf "%.1f" (promoted r);
+            Printf.sprintf "%.1f" r.promoted_mb;
             "new";
             "-";
           ]
@@ -292,23 +287,19 @@ let diff_against ~base rows =
               Printf.sprintf "%s: allocated_mb %.1f -> %.1f (> +10%% and > +3 MB)" id
                 b.allocated_mb r.allocated_mb
               :: !failures;
-          (match b.promoted_mb with
-          | Some bp when r.par = 1 && grew ~base:bp (promoted r) ->
+          if r.par = 1 && grew ~base:b.promoted_mb r.promoted_mb then
             failures :=
-              Printf.sprintf "%s: promoted_mb %.1f -> %.1f (> +10%% and > +3 MB)" id bp
-                (promoted r)
-              :: !failures
-          | _ -> ());
+              Printf.sprintf "%s: promoted_mb %.1f -> %.1f (> +10%% and > +3 MB)" id
+                b.promoted_mb r.promoted_mb
+              :: !failures;
           [
             r.app;
             string_of_int r.cluster;
             Printf.sprintf "%+.1f%%" (pct r.wall_s b.wall_s);
             Printf.sprintf "%.1f -> %.1f (%+.1f%%)" b.allocated_mb r.allocated_mb
               (pct r.allocated_mb b.allocated_mb);
-            (match b.promoted_mb with
-            | Some bp ->
-              Printf.sprintf "%.1f -> %.1f (%+.1f%%)" bp (promoted r) (pct (promoted r) bp)
-            | None -> Printf.sprintf "%.1f" (promoted r));
+            Printf.sprintf "%.1f -> %.1f (%+.1f%%)" b.promoted_mb r.promoted_mb
+              (pct r.promoted_mb b.promoted_mb);
             (if r.sim_events = b.sim_events && r.sim_cycles = b.sim_cycles then "same"
              else "CHANGED");
             Printf.sprintf "%+.1f%%" (pct r.events_per_s b.events_per_s);
@@ -390,7 +381,7 @@ let () =
              string_of_int r.cluster;
              Printf.sprintf "%.3f" r.wall_s;
              Printf.sprintf "%.1f" r.allocated_mb;
-             Printf.sprintf "%.1f" (promoted r);
+             Printf.sprintf "%.1f" r.promoted_mb;
              string_of_int r.sim_events;
              Printf.sprintf "%.0f" r.events_per_s;
            ])

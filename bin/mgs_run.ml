@@ -126,9 +126,9 @@ let run app size iters params procs cluster delay page_bytes protocol lock fault
       Format.fprintf ppf "trace: %d events (%d dropped) -> %s@." (Mgs_obs.Trace.emitted tr)
         (Mgs_obs.Trace.dropped tr) file
     | _ -> ());
-    (* A lossy ring makes any downstream decomposition suspect: warn
-       loudly on every traced run.  Under --hist the summary below
-       carries the warning. *)
+    (* A lossy ring or a full span store makes any downstream
+       decomposition suspect: warn loudly on every traced run.  Under
+       --hist the summary below carries the warning. *)
     (match Mgs.Machine.trace m with
     | Some tr when not hist ->
       Format.fprintf ppf "%a" Mgs_obs.Trace.pp_overflow_warning tr
@@ -180,11 +180,7 @@ let run app size iters params procs cluster delay page_bytes protocol lock fault
       | None -> 0
     in
     Format.pp_print_flush ppf ();
-    ( {
-        Mgs_harness.Sweep.cluster;
-        report;
-        lock_hit_ratio = Mgs.Report.lock_hit_ratio report;
-      },
+    ( { Mgs_harness.Sweep.cluster; report },
       Buffer.contents buf,
       violations,
       breakdown )
@@ -213,10 +209,7 @@ let run app size iters params procs cluster delay page_bytes protocol lock fault
               ~title:(Printf.sprintf "%s, P = %d" app procs)
               points);
        let latency_rows =
-         List.filter_map
-           (fun (p, _, _, b) ->
-             Option.map (fun b -> (p.Mgs_harness.Sweep.cluster, b)) b)
-           results
+         List.filter_map (fun (p, _, _, b) -> Option.map (fun b -> (p, b)) b) results
        in
        if latency_rows <> [] then
          print_string (Mgs_harness.Figures.fault_latency latency_rows)
@@ -228,9 +221,10 @@ let run app size iters params procs cluster delay page_bytes protocol lock fault
        violations := v;
        note_outcome p;
        Format.printf "%a@." Mgs.Report.pp p.Mgs_harness.Sweep.report;
-       Format.printf "lock hit ratio: %.3f@." p.Mgs_harness.Sweep.lock_hit_ratio;
+       Format.printf "lock hit ratio: %.3f@."
+         (Mgs.Report.lock_hit_ratio p.Mgs_harness.Sweep.report);
        match b with
-       | Some b -> print_string (Mgs_harness.Figures.fault_latency [ (cluster, b) ])
+       | Some b -> print_string (Mgs_harness.Figures.fault_latency [ (p, b) ])
        | None -> ()
      end
    with Trace_write_error msg ->
@@ -404,8 +398,10 @@ let metrics_t =
            (schema mgs-metrics-1).  Each series reads a counter the SSMP's shard \
            keeps anyway, and nothing else is recorded: without --trace, --spans \
            or --hist there is no trace, and spans.open counts only spans an \
-           application records itself.  The file is byte-identical at every \
-           --par.  With --sweep, one file per cluster size.")
+           application records itself.  A run longer than 4096 samples per SSMP \
+           doubles its sampling interval as often as needed, so the file covers \
+           the whole run.  The file is byte-identical at every --par.  With \
+           --sweep, one file per cluster size.")
 
 let hist_t =
   Arg.(

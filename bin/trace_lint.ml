@@ -333,8 +333,8 @@ let lint_bench file =
             let n = get_num file what r field in
             if n < 0. then errf file "%s.%s is negative" what field)
           [
-            "nprocs"; "cluster"; "wall_s"; "allocated_mb"; "sim_events"; "sim_cycles";
-            "events_per_s";
+            "nprocs"; "cluster"; "wall_s"; "allocated_mb"; "promoted_mb"; "sim_events";
+            "sim_cycles"; "events_per_s";
           ])
       (arr file "rows" (get file "top-level object" v "rows"))
 

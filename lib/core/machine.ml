@@ -94,7 +94,6 @@ let create cfg =
       servers = Hashtbl.create 1024;
       tlbs = Array.init cfg.nprocs (fun _ -> Tlb.create ?capacity:cfg.tlb_entries ());
       counters = Array.init topo.Topology.nssmps (fun _ -> Array.make Pstats.ncols 0);
-      sync_hooks = [];
       rel_resume = Array.make cfg.nprocs None;
       ran = false;
       event_limit = cfg.event_limit;
@@ -346,12 +345,6 @@ let assert_quiescent (m : t) =
               (Printf.sprintf "page %d: SSMP %d in a directory without a copy" vpn ssmp))
         se.s_read_dir)
     m.servers;
-  List.iter
-    (fun h ->
-      let n = h.sh_waiters () in
-      if n <> 0 then
-        failwith (Printf.sprintf "lock %s: %d waiter(s) still queued" h.sh_name n))
-    m.sync_hooks;
   (* the gauge columns count what the machine holds: a state write that
      bypasses [set_pstate] / [set_s_state] shows here *)
   List.iter

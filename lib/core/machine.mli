@@ -102,7 +102,9 @@ val enable_metrics : ?interval:int -> ?max_samples:int -> t -> Mgs_obs.Metrics.t
     DUQ lengths, synchronization counters and parked waiters, pages per
     protocol state, servers in REL_IN_PROG, and open spans are
     snapshotted on a boundary grid every [interval] cycles (default
-    10000) into a bounded time-series.  Every series reads a counter
+    10000) into a time-series of at most [max_samples] rows per SSMP
+    (default 4096) that covers the whole run: a full window doubles
+    its interval ({!Mgs_obs.Metrics}).  Every series reads a counter
     the sampling SSMP's shard keeps anyway, so sampling walks no page,
     server or lock table, runs race-free under the parallel engine, and
     the merged export is byte-identical across job counts, home

@@ -143,14 +143,6 @@ type sentry = {
          lookahead, so the two never run in the same window. *)
 }
 
-(* Hooks registered by [Mgs_sync.Locks.make] so the machine can inspect
-   its locks without a reverse library dependency: [assert_quiescent]
-   demands every [sh_waiters] be zero. *)
-type sync_hook = {
-  sh_name : string;
-  sh_waiters : unit -> int; (* fibers currently parked in the object *)
-}
-
 (* Protocol feature toggles (ablation studies; see bench targets). *)
 type features = {
   single_writer_opt : bool;  (* paper section 3.1.1: 1WINV/1WDATA path *)
@@ -197,7 +189,6 @@ type t = {
       (* one row of {!Pstats} columns per SSMP: a shard bumps only its
          own row ({!count}), and every column is a commutative sum, so
          the column totals ({!total}) match at every job count *)
-  mutable sync_hooks : sync_hook list;
   rel_resume : (unit -> unit) option array; (* per proc: fiber awaiting RACK *)
   mutable ran : bool; (* Machine.run has been called *)
   mutable event_limit : int; (* livelock guard for Machine.run *)

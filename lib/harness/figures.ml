@@ -56,7 +56,9 @@ let lock_figure named_sweeps =
     List.map
       (fun (name, points) ->
         name
-        :: List.map (fun p -> Printf.sprintf "%.3f" p.Sweep.lock_hit_ratio) points)
+        :: List.map
+             (fun p -> Printf.sprintf "%.3f" (Mgs.Report.lock_hit_ratio p.Sweep.report))
+             points)
       named_sweeps
   in
   Mgs_util.Tableprint.render ~header ~rows
@@ -193,7 +195,7 @@ let csv_of_sweep ~name points =
         (Printf.sprintf "%s,%d,%d,%.0f,%.0f,%.0f,%.0f,%d,%d,%.4f\n" name p.Sweep.cluster
            r.Mgs.Report.runtime b.Mgs.Report.user b.Mgs.Report.lock b.Mgs.Report.barrier
            b.Mgs.Report.mgs r.Mgs.Report.lan_messages r.Mgs.Report.lan_words
-           p.Sweep.lock_hit_ratio))
+           (Mgs.Report.lock_hit_ratio r)))
     points;
   Buffer.contents buf
 
@@ -258,18 +260,22 @@ let protocol_ops points =
 
 (* Table-4-style remote-fault latency decomposition, rendered purely
    from the span-derived critical-path breakdown: per-fault averages of
-   each pipeline component plus the uninstrumented residual. *)
+   each pipeline component plus the uninstrumented residual, next to
+   the fetches the point made, which the faults analyzed equal unless
+   the span store filled. *)
 let fault_latency rows =
   let per b n = if b.Mgs_obs.Span.faults = 0 then "-" else
       Printf.sprintf "%.0f" (float_of_int n /. float_of_int b.Mgs_obs.Span.faults)
   in
   let table_rows =
     List.map
-      (fun (cluster, b) ->
+      (fun (p, b) ->
         let open Mgs_obs.Span in
+        let ps = p.Sweep.report.Mgs.Report.pstats in
         [
-          string_of_int cluster;
+          string_of_int p.Sweep.cluster;
           string_of_int b.faults;
+          string_of_int (ps.Mgs.Pstats.read_fetches + ps.Mgs.Pstats.write_fetches);
           per b b.e2e;
           per b b.local;
           per b b.wire;
@@ -286,8 +292,8 @@ let fault_latency rows =
   ^ Mgs_util.Tableprint.render
       ~header:
         [
-          "C"; "Faults"; "E2E"; "Local"; "Wire"; "DMA"; "Server"; "Remote"; "Queue";
-          "Resid"; "Coverage";
+          "C"; "Faults"; "Fetches"; "E2E"; "Local"; "Wire"; "DMA"; "Server"; "Remote";
+          "Queue"; "Resid"; "Coverage";
         ]
       ~rows:table_rows
 

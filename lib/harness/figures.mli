@@ -31,12 +31,14 @@ val pp_adapt_table : adapt_row list -> string
     and the adaptive layer's own counters (reclassifications, home
     migrations, forwarded requests, yielded pages, regime residency). *)
 
-val fault_latency : (int * Mgs_obs.Span.breakdown) list -> string
+val fault_latency : (Sweep.point * Mgs_obs.Span.breakdown) list -> string
 (** Table-4-style remote-fault latency decomposition, one row per
-    cluster size, rendered purely from the span critical-path
-    breakdown: per-fault averages of local-client, LAN wire, DMA,
+    point, rendered purely from the span critical-path breakdown:
+    per-fault averages of local-client, LAN wire, DMA,
     server-occupancy, remote-client, and queueing components, the
-    uninstrumented residual, and the coverage fraction. *)
+    uninstrumented residual, and the coverage fraction.  Beside the
+    faults analyzed, the fetches the point made ([read_fetches +
+    write_fetches]): fewer faults means the span store filled. *)
 
 (** One operation class of the request-serving tier's tail-latency
     report: sample count, mean, and nearest-rank percentiles in

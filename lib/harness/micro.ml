@@ -246,8 +246,8 @@ let lock_point ?(iters = 16) ?(crit = 200) ?(think = 1500) ?(par = 1) ?(adapt = 
     lk_protocol = protocol;
     lk_cluster = cluster;
     lk_fibers = fibers;
-    lk_acquires = Mgs_sync.Locks.acquires l;
-    lk_hit_ratio = Mgs_sync.Locks.hit_ratio l;
+    lk_acquires = report.Mgs.Report.lock_acquires;
+    lk_hit_ratio = Mgs.Report.lock_hit_ratio report;
     lk_handoffs = Mgs_sync.Locks.handoffs l;
     lk_gap = Mgs_sync.Locks.gap_stats l;
     lk_runtime = report.Mgs.Report.runtime;

@@ -3,7 +3,7 @@ type workload = {
   prepare : Mgs.Machine.t -> (Mgs.Api.ctx -> unit) * (Mgs.Machine.t -> unit);
 }
 
-type point = { cluster : int; report : Mgs.Report.t; lock_hit_ratio : float }
+type point = { cluster : int; report : Mgs.Report.t }
 
 let clusters_of nprocs =
   let rec go c = if c > nprocs then [] else c :: go (2 * c) in
@@ -36,7 +36,7 @@ let run_point ?(page_words = 256) ?(costs = Mgs_machine.Costs.default) ?(lan_lat
     if Mgs.Invariant.count c > 0 then
       failwith (Format.asprintf "%s C=%d: %a" w.name cluster Mgs.Invariant.pp c)
   | None -> ());
-  { cluster; report; lock_hit_ratio = Mgs.Report.lock_hit_ratio report }
+  { cluster; report }
 
 let sweep ?page_words ?costs ?lan_latency ?protocol ?verify ?check ?par ?adapt ?clusters
     ?(jobs = 1) ~nprocs w =

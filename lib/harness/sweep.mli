@@ -10,11 +10,7 @@ type workload = {
           the SPMD body and a post-run verifier (which may raise). *)
 }
 
-type point = {
-  cluster : int;
-  report : Mgs.Report.t;
-  lock_hit_ratio : float;
-}
+type point = { cluster : int; report : Mgs.Report.t }
 
 val clusters_of : int -> int list
 (** Powers of two from 1 to P. *)

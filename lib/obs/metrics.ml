@@ -3,10 +3,10 @@
    Every series is a per-cell probe: an int read of state the sampling
    cell's shard owns, usually a counter it keeps anyway.  Each cell
    (one per engine shard) records its samples as int rows in a {!Rows}
-   ring of its own, [time] then one int per series, so under the
+   store of its own, [time] then one int per series, so under the
    parallel engine nothing on the hot path is shared.
 
-   Sampling runs on a fixed boundary grid: row k is taken at simulated
+   Sampling runs on a boundary grid: row k is taken at simulated
    time k*interval, snapshotted by the first event in each cell whose
    time has reached that boundary (crossed boundaries are back-filled
    with the then-current values — correct, because no event of that
@@ -18,20 +18,22 @@
    end time, so every cell then holds the same time grid and the merge
    is a row-by-row sum.
 
-   The ring bound applies per cell: a run of any length cannot grow
-   memory without bound, and the most recent window is kept. *)
+   A full window folds: it keeps its even boundary rows and doubles the
+   cell's interval.  The rows a cell holds depend only on the
+   boundaries crossed and the {!sample} calls, not on its shard's pace,
+   so all cells fold alike and end on one grid. *)
 
 type series = { s_name : string; read : int -> int }
 
 type t = {
-  interval : int;
   max_samples : int;
   ncells : int;
   mutable series : series list; (* reverse registration order *)
   mutable probes : (int -> int) array; (* column order; set by {!freeze} *)
   mutable rows : Rows.t array; (* one per cell; [||] until {!freeze} *)
+  iv : int array; (* per cell: its interval, doubled at each fold *)
   last_b : int array; (* per cell: highest boundary index filled; -1 initially *)
-  last_slot : int array; (* per cell: slot of the most recent row; -1 initially *)
+  folded : int array; (* per cell: rows folded away *)
   hists : (string, Hist.t) Hashtbl.t;
 }
 
@@ -39,20 +41,21 @@ let default_interval = 10_000
 
 let create ?(interval = default_interval) ?(max_samples = 4096) ?(cells = 1) () =
   if interval <= 0 then invalid_arg "Metrics.create: interval";
+  if max_samples < 2 then invalid_arg "Metrics.create: max_samples";
   if cells < 1 then invalid_arg "Metrics.create: cells";
   {
-    interval;
     max_samples;
     ncells = cells;
     series = [];
     probes = [||];
     rows = [||];
+    iv = Array.make cells interval;
     last_b = Array.make cells (-1);
-    last_slot = Array.make cells (-1);
+    folded = Array.make cells 0;
     hists = Hashtbl.create 32;
   }
 
-let interval t = t.interval
+let interval t = t.iv.(0)
 
 (* "name{k=v,k2=v2}": labels are sorted so the same set always yields
    the same series name. *)
@@ -90,32 +93,58 @@ let freeze t =
     let width = 1 + Array.length t.probes in
     t.rows <-
       Array.init t.ncells (fun _ ->
-          Rows.create ~width ~capacity:t.max_samples ~cells:1 ~ring:true)
+          Rows.create ~width ~capacity:t.max_samples ~cells:1 ~ring:false)
   end
 
-(* Append a row for [cell] at [time]; a repeat of the last row's time
+(* Keep the rows on the doubled grid (an end row off it goes too). *)
+let fold t cell =
+  let r = t.rows.(cell) and iv = 2 * t.iv.(cell) in
+  let n = Rows.kept r and width = 1 + Array.length t.probes in
+  let kept = ref 0 in
+  for slot = 0 to n - 1 do
+    if Rows.get r slot 0 mod iv = 0 then begin
+      Array.blit (Rows.chunk r slot) (Rows.base r slot) (Rows.chunk r !kept)
+        (Rows.base r !kept) width;
+      incr kept
+    end
+  done;
+  Rows.truncate r !kept;
+  t.folded.(cell) <- t.folded.(cell) + n - !kept;
+  t.iv.(cell) <- iv;
+  t.last_b.(cell) <- t.last_b.(cell) / 2
+
+(* Write a row for [cell] at [time]; a repeat of the last row's time
    overwrites it in place (the end-of-run sample landing exactly on a
-   boundary refreshes that boundary's row rather than duplicating it). *)
+   boundary refreshes that boundary's row rather than duplicating it).
+   A new row folds a full window first. *)
 let push_row t cell ~time =
-  freeze t;
   let r = t.rows.(cell) in
-  let last = t.last_slot.(cell) in
-  let slot = if last >= 0 && Rows.get r last 0 = time then last else Rows.add r in
-  t.last_slot.(cell) <- slot;
+  let n = Rows.kept r in
+  let slot =
+    if n > 0 && Rows.get r (n - 1) 0 = time then n - 1
+    else begin
+      if n = t.max_samples then fold t cell;
+      Rows.add r
+    end
+  in
   let a = Rows.chunk r slot and b = Rows.base r slot in
   a.(b) <- time;
   for j = 0 to Array.length t.probes - 1 do
     a.(b + 1 + j) <- t.probes.(j) cell
   done
 
-let fill_boundaries t cell ~now =
-  let b = now / t.interval in
-  let last = t.last_b.(cell) in
-  if b > last then begin
-    for k = last + 1 to b do
-      push_row t cell ~time:(k * t.interval)
-    done;
-    t.last_b.(cell) <- b
+(* A full window folds before the next boundary is placed, so the
+   boundary lands on the doubled grid. *)
+let rec fill_boundaries t cell ~now =
+  let k = t.last_b.(cell) + 1 in
+  if k * t.iv.(cell) <= now then begin
+    freeze t;
+    if Rows.kept t.rows.(cell) = t.max_samples then fold t cell
+    else begin
+      push_row t cell ~time:(k * t.iv.(cell));
+      t.last_b.(cell) <- k
+    end;
+    fill_boundaries t cell ~now
   end
 
 (* Pre-event hook: called with the executing event's shard and time
@@ -158,7 +187,7 @@ let samples t =
 
 let sample_count t = if Array.length t.rows = 0 then 0 else Rows.kept t.rows.(0)
 
-let dropped t = Array.fold_left (fun acc r -> max acc (Rows.dropped r)) 0 t.rows
+let dropped t = Array.fold_left max 0 t.folded
 
 (* --- export ---------------------------------------------------------- *)
 
@@ -198,7 +227,7 @@ let json t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "{\"schema\":\"mgs-metrics-1\",\"interval\":%d,\"dropped\":%d,\"series\":["
-       t.interval (dropped t));
+       (interval t) (dropped t));
   Buffer.add_string buf
     (String.concat "," (List.map (fun name -> "\"" ^ Json.escape name ^ "\"") (columns t)));
   Buffer.add_string buf "],\"samples\":[";

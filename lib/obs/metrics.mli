@@ -3,17 +3,20 @@
     A series is a per-cell probe: an int read, under a name plus
     optional labels (e.g. SSMP, engine), of state that cell's shard
     owns — in the machine, a counter it keeps anyway.  Each cell (one
-    per engine shard) records its samples as int rows in a {!Rows} ring
+    per engine shard) records its samples as int rows in a {!Rows} store
     of its own, so nothing on the hot path is shared under the parallel
     engine, and exports sum the cells row by row.
 
-    Sampling runs on a fixed boundary grid (row k at simulated time
+    Sampling runs on a boundary grid (row k at simulated time
     [k * interval]): each cell's row is snapshotted by the first of its
     events to reach that boundary, back-filling crossed boundaries, so
     the merged time-series is byte-identical across engine job counts.
-    A cell keeps its most recent [max_samples] rows; older rows are
-    counted as dropped.  Histograms are not sampled; they export as
-    end-of-run summaries.
+    A cell holds at most [max_samples] rows and keeps the whole run: a
+    full window folds, keeping its even boundary rows and doubling the
+    interval.  Every cell folds at the same boundary index, so the
+    cells stay on one grid, and the rows kept are those a sampler
+    created at the final interval would take.  Histograms are not
+    sampled; they export as end-of-run summaries.
 
     The sampler is driven by the engine's per-event hook ({!on_event})
     plus a final {!sample} when the run ends. *)
@@ -21,11 +24,15 @@
 type t
 
 val create : ?interval:int -> ?max_samples:int -> ?cells:int -> unit -> t
-(** Defaults: sample every 10000 cycles, keep 4096 samples (per cell),
-    one cell.  Pass [cells] = the machine's SSMP count so each
-    simulator domain writes its own cell. *)
+(** Defaults: sample every 10000 cycles to start with, hold at most
+    4096 samples (per cell), one cell.  Pass [cells] = the machine's
+    SSMP count so each simulator domain writes its own cell.
+    @raise Invalid_argument if [interval < 1], [max_samples < 2] or
+    [cells < 1]. *)
 
 val interval : t -> int
+(** The grid the rows are on: the creation interval, doubled at each
+    fold (cell 0's; after a final {!sample}, every cell's). *)
 
 val probe_cell : t -> ?labels:(string * string) list -> string -> (int -> int) -> unit
 (** Register a series: [read cell] is polled when cell [cell] samples,
@@ -66,13 +73,15 @@ val samples : t -> (int * int array) list
 val sample_count : t -> int
 
 val dropped : t -> int
-(** Rows evicted by the ring bound (max over cells). *)
+(** Rows folded away (max over cells; after a final {!sample}, every
+    cell's). *)
 
 val csv : t -> string
 (** [time,series...] header plus one row per sample. *)
 
 val json : t -> string
-(** Schema ["mgs-metrics-1"]: column names, sample rows, and histogram
+(** Schema ["mgs-metrics-1"]: the exported grid's {!interval}, the
+    {!dropped} count, column names, sample rows, and histogram
     summaries. *)
 
 val write_json : t -> out_channel -> unit

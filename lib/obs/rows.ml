@@ -81,6 +81,10 @@ let kept r = min r.n r.cap
 
 let dropped r = r.n - kept r
 
+let truncate r n =
+  if n < 0 || n > r.n || r.n > r.cap then invalid_arg "Rows.truncate";
+  r.n <- n
+
 let iter r f =
   let start = if r.ring && r.n > r.cap then r.n mod r.cap else 0 in
   for i = 0 to kept r - 1 do

@@ -53,6 +53,9 @@ val kept : t -> int
 
 val dropped : t -> int
 
+val truncate : t -> int -> unit
+(** Keep the first [n] rows of a cell that never dropped one. *)
+
 val iter : t -> (int -> int -> unit) -> unit
 (** [iter r f] calls [f pos slot] for every kept row, oldest first. *)
 

@@ -222,7 +222,7 @@ let chrome_json t =
 let write_chrome t oc = output_string oc (chrome_json t)
 
 let pp_overflow_warning ppf t =
-  if dropped t > 0 then begin
+  (if dropped t > 0 then begin
     Format.fprintf ppf
       "WARNING: event ring overflowed: %d of %d events dropped — histograms are \
        complete, but the retained event window (and any decomposition derived from \
@@ -237,17 +237,17 @@ let pp_overflow_warning ppf t =
                not recover another shard's history)@."
               c (Rows.dropped cl.rows) (Rows.added cl.rows))
         t.cells
-  end
+  end);
+  if Span.dropped t.spans > 0 then
+    Format.fprintf ppf
+      "WARNING: span store full: %d spans dropped — the latency decomposition \
+       undercounts@."
+      (Span.dropped t.spans)
 
 let pp_summary ppf t =
   Format.fprintf ppf "events: %d emitted, %d retained, %d dropped@." (emitted t)
     (retained t) (dropped t);
   pp_overflow_warning ppf t;
-  if Span.dropped t.spans > 0 then
-    Format.fprintf ppf
-      "WARNING: span store full: %d spans dropped — the latency decomposition \
-       undercounts@."
-      (Span.dropped t.spans);
   List.iter
     (fun (tag, h) -> Format.fprintf ppf "  %-14s %a@." tag Hist.pp h)
     (histograms t)

@@ -70,8 +70,10 @@ val chrome_json : t -> string
 val write_chrome : t -> out_channel -> unit
 
 val pp_overflow_warning : Format.formatter -> t -> unit
-(** A loud warning when the ring overflowed (a decomposition from a
-    lossy trace is suspect); prints nothing otherwise. *)
+(** A loud warning when the ring overflowed or the span store filled
+    (a decomposition from a lossy trace is suspect, and a fault table
+    from a full span store analyzes fewer faults than were fetched);
+    prints nothing otherwise. *)
 
 val pp_summary : Format.formatter -> t -> unit
 (** Event counts plus the per-tag latency histograms, preceded by

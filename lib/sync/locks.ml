@@ -1,8 +1,8 @@
 open Mgs.State
 
 (* Every lock algorithm behind one closed tag: [make] builds an instance
-   of a [kind], and [acquire], [release] and the counters dispatch with
-   one [match] on it.
+   of a [kind], and [acquire] and [release] dispatch with one [match] on
+   it.
 
    Every algorithm is home-based: a designated home holds the
    arbitration state (the token's global lock, the test-and-set word,
@@ -39,12 +39,6 @@ let of_name name =
 
 (* --- what every kind shares ---------------------------------------- *)
 
-(* Per-SSMP episode counters: fiber-side code bumps the cell of the
-   calling processor's SSMP — the shard it executes on — so concurrent
-   shards of the parallel engine never write the same slot.  Accessors
-   sum; sums are commutative, so they match at every job count. *)
-type cells = { acquires : int array; hits : int array; blocked : int array }
-
 (* Running handoff-gap moments.  An all-float record is stored unboxed,
    so an update allocates nothing. *)
 type welford = { mutable w_mean : float; mutable w_m2 : float }
@@ -56,7 +50,6 @@ type 'st lock = {
   m : Mgs.State.t;
   home : int; (* processor holding the arbitration state *)
   notices : (int, int) Hashtbl.t; (* HLRC: write notices riding the lock *)
-  cells : cells;
   st : 'st;
   mutable last_release : int; (* sim time of the last release, -1 *)
   mutable last_holder : int; (* proc of the last holder, -1 *)
@@ -75,10 +68,6 @@ let parker m =
   let q = Mgs_engine.Waitq.create () in
   let wake () = ignore (Mgs_engine.Waitq.wake_one m.sim q) in
   (q, wake)
-
-let cell_add m a proc n =
-  let c = Topology.ssmp_of_proc m.topo proc in
-  a.(c) <- a.(c) + n
 
 (* Open an episode's transaction root, which the messages it triggers
    inherit, and emit its event. *)
@@ -104,12 +93,9 @@ let enter_acquire t (ctx : Mgs.Api.ctx) ~charge ~cost =
   Cpu.sync_busy ctx.cpu;
   Cpu.advance ctx.cpu Lock charge;
   count m Mgs.Pstats.lock_acquires 1;
-  cell_add m t.cells.acquires ctx.Mgs.Api.proc 1;
   open_root t ctx ~label:"sync.lock" ~tag:"sync.lock_acquire" ~cost
 
-let count_hit t proc =
-  count t.m Mgs.Pstats.lock_hits 1;
-  cell_add t.m t.cells.hits proc 1
+let count_hit t = count t.m Mgs.Pstats.lock_hits 1
 
 (* Acquire-side consistency action: lazy protocols apply the write
    notices carried by the lock. *)
@@ -137,10 +123,8 @@ let home_local t proc =
    and restore the acquire's span. *)
 let blocked_wait t (ctx : Mgs.Api.ctx) root wait =
   let m = t.m in
-  cell_add m t.cells.blocked ctx.Mgs.Api.proc 1;
   count m Mgs.Pstats.lock_waiters 1;
   wait ();
-  cell_add m t.cells.blocked ctx.Mgs.Api.proc (-1);
   count m Mgs.Pstats.lock_waiters (-1);
   Cpu.resume_charge ctx.cpu Lock (Sim.now m.sim);
   span_set m root
@@ -297,7 +281,7 @@ module Token = struct
     in
     if loc.has_token then begin
       (* a lock hit: no inter-SSMP communication *)
-      count_hit t proc;
+      count_hit t;
       if not loc.held then loc.held <- true
       else
         (* Parked fibers are woken only by ownership transfer. *)
@@ -381,7 +365,7 @@ module Tas = struct
         blocked_wait t ctx root (fun () ->
             Mgs_engine.Fiber.sleep_until m.sim (Sim.now m.sim + backoff m !attempt))
     done;
-    if !attempt = 1 && home_local t proc then count_hit t proc;
+    if !attempt = 1 && home_local t proc then count_hit t;
     exit_acquire t root ~proc
 
   let release (ctx : Mgs.Api.ctx) t l =
@@ -433,7 +417,7 @@ module Ticket = struct
         end
         else Hashtbl.replace l.waiting ticket grant);
     blocked_wait t ctx root (fun () -> Mgs_engine.Waitq.park q);
-    if !immediate && home_local t proc then count_hit t proc;
+    if !immediate && home_local t proc then count_hit t;
     exit_acquire t root ~proc
 
   let release (ctx : Mgs.Api.ctx) t l =
@@ -527,7 +511,7 @@ module Mcs = struct
               | None -> ()));
     blocked_wait t ctx root (fun () -> Mgs_engine.Waitq.park q);
     l.holder <- me;
-    if !free && home_local t proc then count_hit t proc;
+    if !free && home_local t proc then count_hit t;
     exit_acquire t root ~proc
 
   let release (ctx : Mgs.Api.ctx) t l =
@@ -644,7 +628,7 @@ module Clh = struct
             else pred.watcher <- Some grant));
     blocked_wait t ctx root (fun () -> Mgs_engine.Waitq.park q);
     l.holder <- me;
-    if !free && home_local t proc then count_hit t proc;
+    if !free && home_local t proc then count_hit t;
     exit_acquire t root ~proc
 
   let release (ctx : Mgs.Api.ctx) t l =
@@ -673,10 +657,6 @@ type state =
 
 type t = state lock
 
-let sum = Array.fold_left ( + ) 0
-
-let waiters t = sum t.cells.blocked
-
 let make (m : Mgs.Machine.t) ?(home = 0) ?grant_bound kind =
   let nssmps = m.topo.Topology.nssmps in
   if home < 0 || home >= nssmps then invalid_arg "Locks.make: home";
@@ -689,7 +669,6 @@ let make (m : Mgs.Machine.t) ?(home = 0) ?grant_bound kind =
   let home_proc = Topology.first_proc_of_ssmp m.topo home in
   let nprocs = m.topo.Topology.nprocs in
   let node_table () = (Hashtbl.create 64, Mutex.create ()) in
-  let zeros () = Array.make nssmps 0 in
   let st =
     match kind with
     | Token -> Token_st (Token.create m ~home ~grant_bound)
@@ -705,27 +684,20 @@ let make (m : Mgs.Machine.t) ?(home = 0) ?grant_bound kind =
       Hashtbl.replace nodes 0 { Clh.owner = home_proc; released = true; watcher = None };
       Clh_st { nodes; nodes_mu; tail = 0; mint = Array.make nprocs 0; holder = -1 }
   in
-  let t =
-    {
-      kind;
-      m;
-      home = home_proc;
-      notices = Hashtbl.create 64;
-      cells = { acquires = zeros (); hits = zeros (); blocked = zeros () };
-      st;
-      last_release = -1;
-      last_holder = -1;
-      handoffs = 0;
-      gap_n = 0;
-      gap_sum = 0;
-      gap_max = 0;
-      gap_w = { w_mean = 0.; w_m2 = 0. };
-    }
-  in
-  (* [assert_quiescent] reads the waiter count through this hook. *)
-  m.sync_hooks <-
-    { sh_name = "lock:" ^ name_of kind; sh_waiters = (fun () -> waiters t) } :: m.sync_hooks;
-  t
+  {
+    kind;
+    m;
+    home = home_proc;
+    notices = Hashtbl.create 64;
+    st;
+    last_release = -1;
+    last_holder = -1;
+    handoffs = 0;
+    gap_n = 0;
+    gap_sum = 0;
+    gap_max = 0;
+    gap_w = { w_mean = 0.; w_m2 = 0. };
+  }
 
 let add_gap t g =
   t.gap_n <- t.gap_n + 1;
@@ -784,16 +756,6 @@ let release (ctx : Mgs.Api.ctx) t =
   | Mcs_st l -> Mcs.release ctx t l
   | Clh_st l -> Clh.release ctx t l);
   t.last_release <- Sim.now t.m.sim
-
-let name t = name_of t.kind
-
-let acquires t = sum t.cells.acquires
-
-let hits t = sum t.cells.hits
-
-let hit_ratio t =
-  let a = acquires t in
-  if a = 0 then 1.0 else float_of_int (hits t) /. float_of_int a
 
 let handoffs t = t.handoffs
 

@@ -1,7 +1,7 @@
 (** Every lock algorithm behind one closed tag.
 
-    A lock is built from a {!kind} with {!make}; [acquire], [release]
-    and the counters dispatch with one [match] on it.  The
+    A lock is built from a {!kind} with {!make}; [acquire] and
+    [release] dispatch with one [match] on it.  The
     harness, the benchmark driver, and [mgs_run --lock] turn a name into
     a kind once, with {!of_name}.  Five algorithms:
 
@@ -42,14 +42,16 @@
     Every algorithm pays the same active-message occupancy and LAN
     costs as the coherence engines.
 
-    Each instance also keeps host-only instrumentation: handoff counts,
-    handoff-gap statistics, retroactive [lock.handoff] spans when a
-    trace is installed, and the [lock_wait]/[lock_handoffs] Pstats
-    counters ([Token] excepted, so its runs stay byte-identical with
-    earlier revisions).  {!make} registers a {!Mgs.State.sync_hook}, so
-    [assert_quiescent] fails on leaked waiters, and a parked fiber
-    counts in its SSMP's [Pstats.lock_waiters] column, the
-    [sync.lock_waiters] gauge. *)
+    A lock keeps no counts of its own: acquires, hits (acquires with no
+    inter-SSMP communication — [Token]'s local lock owned the token,
+    another kind's first attempt succeeded at a home on the caller's
+    SSMP) and parked waiters are the machine's [Pstats] columns, read
+    by the report, {!Mgs.Report.lock_hit_ratio} and
+    [Machine.assert_quiescent].  Each instance keeps only host-side
+    handoff counts, gap statistics and retroactive [lock.handoff]
+    spans.  [Token] does not count [lock_msgs], [lock_wait] or
+    [lock_handoffs], so its runs stay byte-identical with earlier
+    revisions. *)
 
 type kind = Token | Tas | Ticket | Mcs | Clh
 
@@ -70,8 +72,8 @@ type t
 
 val make : Mgs.Machine.t -> ?home:int -> ?grant_bound:int -> kind -> t
 (** [make m ~home kind] builds a lock whose arbitration state lives on
-    SSMP [home] (default 0) and registers a sync hook on [m] for
-    quiescence checks and the waiter gauge.  [grant_bound] overrides the token
+    SSMP [home] (default 0); its counts go to [m]'s columns.
+    [grant_bound] overrides the token
     lock's handoff budget per recall (default: half the cluster size,
     at least 1): 0 surrenders the token at the first recalled release
     (globally fair), larger values favor locality.
@@ -86,21 +88,6 @@ val release : Mgs.Api.ctx -> t -> unit
 (** Flush release consistency, then pass the lock on.
     @raise Failure if the lock is not held (for [Token]: by the
     caller's SSMP). *)
-
-val name : t -> string
-
-val acquires : t -> int
-
-val hits : t -> int
-(** Acquires that completed without inter-SSMP communication: for
-    [Token] the local lock owned the token; for the others the first
-    attempt succeeded at a home on the caller's own SSMP. *)
-
-val hit_ratio : t -> float
-(** [hits / acquires]; 1.0 when never acquired. *)
-
-val waiters : t -> int
-(** Fibers currently blocked inside the lock. *)
 
 val handoffs : t -> int
 (** Acquires whose previous holder was a different processor. *)

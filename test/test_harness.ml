@@ -153,8 +153,25 @@ let test_fault_latency_renders () =
       residual = 40;
     }
   in
-  let fig = Figures.fault_latency [ (1, b); (16, Mgs_obs.Span.zero_breakdown) ] in
+  (* a trivial point, credited with 3 fetches of which the spans saw 2 *)
+  let point cluster =
+    let p = Sweep.run_point ~nprocs:4 ~cluster trivial_workload in
+    let r = p.Sweep.report in
+    {
+      p with
+      Sweep.report =
+        { r with pstats = { r.pstats with Mgs.Pstats.read_fetches = 2; write_fetches = 1 } };
+    }
+  in
+  let fig =
+    Figures.fault_latency [ (point 1, b); (point 4, Mgs_obs.Span.zero_breakdown) ]
+  in
   Alcotest.(check bool) "title" true (contains fig "fault latency breakdown");
+  let cells l = List.filter (( <> ) "") (String.split_on_char ' ' l) in
+  Alcotest.(check bool) "C=1: 2 faults of 3 fetches" true
+    (List.exists
+       (fun l -> match cells l with "1" :: "2" :: "3" :: _ -> true | _ -> false)
+       (String.split_on_char '\n' fig));
   Alcotest.(check bool) "per-fault e2e" true (contains fig "1000");
   Alcotest.(check bool) "coverage column" true (contains fig "98.0%");
   (* a cluster size with no remote faults renders as dashes, full coverage *)

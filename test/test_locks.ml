@@ -1,8 +1,9 @@
 (* Tests for the lock kinds: every algorithm must provide mutual
    exclusion and eventual acquisition (under clean and faulty networks),
-   the queue locks must grant in FIFO order, a run's per-lock counters
-   must agree with the machine's, and an acquire cut off by a
-   partition must end the run with a typed outcome.  The microbenchmark
+   the queue locks must grant in FIFO order, a run's lock columns and
+   handoff counts must agree, and an acquire cut off by a partition
+   must end the run with a typed outcome and leave a waiter that fails
+   quiescence.  The microbenchmark
    family must be byte-identical under -j N, and its output and the
    lock-using apps' reports are pinned. *)
 
@@ -36,20 +37,21 @@ let run_mutex ?faults ?(seed = 42) ?(iters = 6) ?(nprocs = 8) ?(cluster = 2) kin
   let violations = ref 0 in
   let rng = Mgs_util.Rng.create ~seed in
   let thinks = Array.init nprocs (fun _ -> 200 + Mgs_util.Rng.int rng 3000) in
-  ignore
-    (Mgs.Machine.run m (fun ctx ->
-         let p = Mgs.Api.proc ctx in
-         Mgs.Api.compute ctx thinks.(p);
-         for _ = 1 to iters do
-           Locks.acquire ctx lock;
-           incr inside;
-           if !inside <> 1 then incr violations;
-           Mgs.Api.write ctx cell (Mgs.Api.read ctx cell +. 1.0);
-           Mgs.Api.compute ctx (100 + (thinks.(p) mod 500));
-           decr inside;
-           Locks.release ctx lock;
-           Mgs.Api.compute ctx thinks.(p)
-         done));
+  let report =
+    Mgs.Machine.run m (fun ctx ->
+        let p = Mgs.Api.proc ctx in
+        Mgs.Api.compute ctx thinks.(p);
+        for _ = 1 to iters do
+          Locks.acquire ctx lock;
+          incr inside;
+          if !inside <> 1 then incr violations;
+          Mgs.Api.write ctx cell (Mgs.Api.read ctx cell +. 1.0);
+          Mgs.Api.compute ctx (100 + (thinks.(p) mod 500));
+          decr inside;
+          Locks.release ctx lock;
+          Mgs.Api.compute ctx thinks.(p)
+        done)
+  in
   Mgs.Machine.assert_quiescent m;
   if !violations > 0 then
     QCheck.Test.fail_reportf "%s: %d mutual-exclusion violations" name !violations;
@@ -57,9 +59,10 @@ let run_mutex ?faults ?(seed = 42) ?(iters = 6) ?(nprocs = 8) ?(cluster = 2) kin
   if got <> nprocs * iters then
     QCheck.Test.fail_reportf "%s: lost updates: counter %d, want %d" name got
       (nprocs * iters);
-  if Locks.acquires lock <> nprocs * iters then
-    QCheck.Test.fail_reportf "%s: %d acquires recorded, want %d" name
-      (Locks.acquires lock) (nprocs * iters);
+  let acquires = report.Mgs.Report.lock_acquires in
+  if acquires <> nprocs * iters then
+    QCheck.Test.fail_reportf "%s: %d acquires recorded, want %d" name acquires
+      (nprocs * iters);
   true
 
 let chaos = "drop=0.05,dup=0.05,delay=0.1:2000,reorder=0.05,retries=25"
@@ -134,28 +137,29 @@ let prop_fifo_faulty =
 (* One run's lock counters.                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The per-lock counters and the machine's lock columns describe the
-   same run: every acquire is counted once on each side, handoffs
+(* The machine's lock columns and the lock's own handoff counts
+   describe the same run: every acquire is counted once, handoffs
    record their gaps, the queue drains, and the lock's traffic and
    waiting reach the protocol counters. *)
 let test_lock_counters () =
   let m = make ~nprocs:8 ~cluster:2 () in
   let cell = Mgs.Machine.alloc m ~words:1 ~home:(Mgs_mem.Allocator.On_proc 0) in
   let lock = Locks.make m Clh in
-  ignore
-    (Mgs.Machine.run m (fun ctx ->
-         for _ = 1 to 4 do
-           Locks.acquire ctx lock;
-           Mgs.Api.write ctx cell (Mgs.Api.read ctx cell +. 1.0);
-           Locks.release ctx lock
-         done));
+  let report =
+    Mgs.Machine.run m (fun ctx ->
+        for _ = 1 to 4 do
+          Locks.acquire ctx lock;
+          Mgs.Api.write ctx cell (Mgs.Api.read ctx cell +. 1.0);
+          Locks.release ctx lock
+        done)
+  in
   Mgs.Machine.assert_quiescent m;
   let open Mgs.State in
-  Alcotest.(check int) "acquires" (8 * 4) (Locks.acquires lock);
+  Alcotest.(check int) "acquires" (8 * 4) report.Mgs.Report.lock_acquires;
   Alcotest.(check int) "machine lock counter" (8 * 4) (total m Mgs.Pstats.lock_acquires);
   Alcotest.(check bool) "handoffs recorded" true (Locks.handoffs lock > 0);
   Alcotest.(check int) "a gap per handoff" (Locks.handoffs lock) (Locks.gap_stats lock).Locks.n;
-  Alcotest.(check int) "no queued waiters" 0 (Locks.waiters lock);
+  Alcotest.(check int) "no queued waiters" 0 (total m Mgs.Pstats.lock_waiters);
   Alcotest.(check bool) "lock messages counted" true (total m Mgs.Pstats.lock_msgs > 0);
   Alcotest.(check bool) "lock wait counted" true (total m Mgs.Pstats.lock_wait > 0);
   Alcotest.(check (float 0.)) "counter" (float_of_int (8 * 4)) (Mgs.Machine.peek m cell)
@@ -164,10 +168,11 @@ let test_lock_counters () =
 (* A partition during an acquire ends the run, not the process.        *)
 (* ------------------------------------------------------------------ *)
 
-let test_partitioned_acquire () =
+(* Total loss: the cross-SSMP token request exhausts its retries, and
+   the acquirer stays parked in the lock. *)
+let partitioned_acquire () =
   let m = make ~nprocs:4 ~cluster:2 () in
   let lock = Locks.make m ~home:0 Token in
-  (* total loss: the cross-SSMP token request exhausts its retries *)
   Mgs.Machine.set_faults m ~seed:7 (Mgs_net.Fault.of_string "drop=1.0,retries=3");
   let r =
     Mgs.Machine.run m (fun ctx ->
@@ -176,10 +181,24 @@ let test_partitioned_acquire () =
           Locks.release ctx lock
         end)
   in
+  (m, r)
+
+let test_partitioned_acquire () =
+  let m, r = partitioned_acquire () in
   (match r.Mgs.Report.outcome with
   | Mgs.Report.Partitioned _ -> ()
   | _ -> Alcotest.fail "expected a partitioned outcome");
-  Alcotest.(check bool) "waiter abandoned mid-acquire" true (Locks.waiters lock > 0)
+  Alcotest.(check int) "waiter abandoned mid-acquire" 1
+    (Mgs.State.total m Mgs.Pstats.lock_waiters)
+
+(* A lock has no quiescence check of its own: the waiter it leaves
+   parked fails [assert_quiescent] through the machine's
+   [sync.lock_waiters] column. *)
+let test_parked_waiter_not_quiescent () =
+  let m, _ = partitioned_acquire () in
+  Alcotest.check_raises "the waiter column names the leak"
+    (Failure "sync.lock_waiters column is 1 at quiescence") (fun () ->
+      Mgs.Machine.assert_quiescent m)
 
 (* ------------------------------------------------------------------ *)
 (* -j N byte identity of the microbenchmark family.                    *)
@@ -243,18 +262,6 @@ let test_pinned_app_reports () =
         "2d839b1bdaeaac0ba1b80d0582b2c74d" );
     ]
 
-(* Water-kernel's molecule locks are visible to the machine: each
-   registers a sync hook, so [assert_quiescent] reaches them. *)
-let test_water_kernel_hooks () =
-  let p = Mgs_apps.Water_kernel.tiny in
-  let m = make () in
-  ignore ((Mgs_apps.Water_kernel.workload p).Mgs_harness.Sweep.prepare m);
-  let locks =
-    List.filter (fun h -> h.Mgs.State.sh_name = "lock:token") m.Mgs.State.sync_hooks
-  in
-  Alcotest.(check int) "one hook per molecule lock" p.Mgs_apps.Water_kernel.nmol
-    (List.length locks)
-
 (* ------------------------------------------------------------------ *)
 
 let qsuite =
@@ -289,14 +296,16 @@ let () =
         ] );
       ("counters", [ Alcotest.test_case "one run's lock counters" `Quick test_lock_counters ]);
       ( "partition",
-        [ Alcotest.test_case "partitioned acquire" `Quick test_partitioned_acquire ] );
+        [
+          Alcotest.test_case "partitioned acquire" `Quick test_partitioned_acquire;
+          Alcotest.test_case "a parked waiter fails quiescence" `Quick
+            test_parked_waiter_not_quiescent;
+        ] );
       ( "determinism",
         [
           Alcotest.test_case "-j N byte identity" `Quick test_lock_family_jobs_identical;
           Alcotest.test_case "pinned lock table" `Quick test_pinned_lock_table;
           Alcotest.test_case "pinned app reports" `Quick test_pinned_app_reports;
         ] );
-      ( "machine",
-        [ Alcotest.test_case "water-kernel lock hooks" `Quick test_water_kernel_hooks ] );
       ("properties", qsuite);
     ]

@@ -613,17 +613,44 @@ let test_metrics_registry_and_sampler () =
     Alcotest.(check (option string)) "metrics schema" (Some "mgs-metrics-1")
       (Option.bind (Json.member "schema" v) Json.to_string)
 
+(* A full window folds instead of evicting: it keeps its even
+   boundary rows and doubles its interval, so the rows span the whole
+   run and equal what a sampler created at the final interval takes.
+   One event per cycle from 0 to [last], each setting the probed value
+   to ten times its time; the end sample comes a cycle later. *)
 let test_metrics_ring_bound () =
-  let mt = Metrics.create ~interval:1 ~max_samples:2 () in
-  Metrics.probe_cell mt "c" (fun _ -> 0);
-  for t = 1 to 5 do
-    Metrics.sample mt ~now:t
-  done;
-  Alcotest.(check int) "window bounded" 2 (List.length (Metrics.samples mt));
-  (* the grid back-fills boundary 0, so 5 sample calls push 6 rows *)
-  Alcotest.(check int) "evictions counted" 4 (Metrics.dropped mt);
-  Alcotest.(check (list int)) "newest window kept" [ 4; 5 ]
-    (List.map fst (Metrics.samples mt))
+  let feed ~interval ~max_samples ~last =
+    let mt = Metrics.create ~interval ~max_samples () in
+    let x = ref (-1) in
+    Metrics.probe_cell mt "x" (fun _ -> !x);
+    for t = 0 to last do
+      Metrics.on_event mt ~cell:0 ~now:t;
+      x := 10 * t
+    done;
+    Metrics.sample mt ~now:(last + 1);
+    mt
+  in
+  List.iter
+    (fun (last, want) ->
+      let mt = feed ~interval:1 ~max_samples:4 ~last in
+      let at = Printf.sprintf "end %d: " (last + 1) in
+      Alcotest.(check (list (pair int (array int)))) (at ^ "rows from 0 to the end") want
+        (Metrics.samples mt);
+      Alcotest.(check int) (at ^ "interval doubled twice") 4 (Metrics.interval mt);
+      Alcotest.(check int) (at ^ "folded rows counted") 4 (Metrics.dropped mt);
+      let fresh = feed ~interval:4 ~max_samples:4096 ~last in
+      Alcotest.(check (list (pair int (array int))))
+        (at ^ "a sampler at the final interval takes the same rows") (Metrics.samples fresh)
+        (Metrics.samples mt))
+    [
+      (* the end row folds the full window *)
+      (6, [ (0, [| -1 |]); (4, [| 30 |]); (7, [| 60 |]) ]);
+      (* a boundary folds it, and the end row fits *)
+      (9, [ (0, [| -1 |]); (4, [| 30 |]); (8, [| 70 |]); (10, [| 90 |]) ]);
+    ];
+  Alcotest.check_raises "a window of one row cannot fold"
+    (Invalid_argument "Metrics.create: max_samples") (fun () ->
+      ignore (Metrics.create ~max_samples:1 ()))
 
 (* Cells merge row by row: after a final [sample] every cell holds the
    same time grid, and rows sum; a cell left on another grid is a

@@ -5,7 +5,8 @@
    - full machines: chrome JSON, span dump, metrics CSV, and the
      histogram summary at par 2 and 4 against par 1, for every
      protocol x app cell and for faulty cells on a lossy LAN, and the
-     metrics CSV of a kv cell whose homes migrate;
+     metrics CSV of a kv cell whose homes migrate, and of a run that
+     folds its sample window;
    - every lock kind under the parallel engine (the paper's workloads
      barely contend, so a dedicated contended run covers the lock
      protocols);
@@ -116,6 +117,30 @@ let test_migration_metrics_identity () =
         (snd (csv par)))
     [ 2; 4 ]
 
+(* A run longer than its window folds it.  With room for 16 rows,
+   water at P=8 C=2 doubles its interval several times; each SSMP's
+   cell folds at the same boundary index whatever its shard's pace, so
+   the CSV is identical at par 1 and 2, and it equals the CSV of a
+   sampler created at the final interval. *)
+let test_folded_metrics_identity () =
+  let run ?interval ~max_samples par =
+    let cfg = Mgs.Machine.config ~lan_latency:1000 ~par_jobs:par ~nprocs:8 ~cluster:2 () in
+    let m = Mgs.Machine.create cfg in
+    let mt = Mgs.Machine.enable_metrics ?interval ~max_samples m in
+    let body, check = (List.assoc "water" apps).Mgs_harness.Sweep.prepare m in
+    ignore (Mgs.Machine.run m body);
+    check m;
+    mt
+  in
+  let mt = run ~max_samples:16 1 in
+  let iv = Mgs_obs.Metrics.interval mt and c1 = Mgs_obs.Metrics.csv mt in
+  Alcotest.(check bool) "the window folded" true (iv > 10_000 && Mgs_obs.Metrics.dropped mt > 0);
+  Alcotest.(check string) "folded metrics csv identical at par 2" c1
+    (Mgs_obs.Metrics.csv (run ~max_samples:16 2));
+  Alcotest.(check string) "same rows as a sampler at the final interval"
+    (Mgs_obs.Metrics.csv (run ~interval:iv ~max_samples:4096 1))
+    c1
+
 (* --- locks under the parallel engine ---------------------------------- *)
 
 (* Eight fibers on four shards each take a lock twice, staggered so
@@ -130,19 +155,20 @@ let contended ~par kind =
   let mt = Mgs.Machine.enable_metrics m in
   let lock = Locks.make m kind in
   let entered = ref 0 in
-  ignore
-    (Mgs.Machine.run m (fun ctx ->
-         let p = Mgs.Api.proc ctx in
-         for _ = 1 to 2 do
-           Mgs.Api.compute ctx ((p + 1) * 700);
-           Locks.acquire ctx lock;
-           incr entered;
-           Mgs.Api.compute ctx 500;
-           Locks.release ctx lock
-         done));
+  let report =
+    Mgs.Machine.run m (fun ctx ->
+        let p = Mgs.Api.proc ctx in
+        for _ = 1 to 2 do
+          Mgs.Api.compute ctx ((p + 1) * 700);
+          Locks.acquire ctx lock;
+          incr entered;
+          Mgs.Api.compute ctx 500;
+          Locks.release ctx lock
+        done)
+  in
   Mgs.Machine.assert_quiescent m;
-  ( Printf.sprintf "entered=%d acquires=%d handoffs=%d" !entered (Locks.acquires lock)
-      (Locks.handoffs lock),
+  ( Printf.sprintf "entered=%d acquires=%d handoffs=%d" !entered
+      report.Mgs.Report.lock_acquires (Locks.handoffs lock),
     Trace.chrome_json tr,
     Mgs_obs.Metrics.csv mt )
 
@@ -250,6 +276,7 @@ let () =
           Alcotest.test_case "export matrix under faults" `Quick test_faulty_export_identity;
           Alcotest.test_case "metrics under home migration" `Quick
             test_migration_metrics_identity;
+          Alcotest.test_case "a folded metrics window" `Quick test_folded_metrics_identity;
           Alcotest.test_case "mcs lock under par" `Quick test_lock_par;
           Alcotest.test_case "every lock under par" `Quick test_every_lock_par;
         ] );

@@ -69,7 +69,9 @@ let test_tiling_pays () =
 let test_hit_ratio_monotone () =
   List.iter
     (fun (name, points) ->
-      let ratios = List.map (fun p -> p.Sweep.lock_hit_ratio) (Lazy.force points) in
+      let ratios =
+        List.map (fun p -> Mgs.Report.lock_hit_ratio p.Sweep.report) (Lazy.force points)
+      in
       let rec mono = function
         | a :: (b :: _ as rest) -> a <= b +. 1e-9 && mono rest
         | _ -> true

@@ -9,32 +9,34 @@ let make ?(nprocs = 8) ?(cluster = 2) ?(lan = 500) () =
 let test_lock_hit_at_home () =
   let m = make () in
   let lock = Mgs_sync.Locks.(make m ~home:1 Token) in
-  ignore
-    (Mgs.Machine.run m (fun ctx ->
-         (* procs 2 and 3 are SSMP 1, where the token starts *)
-         if Mgs.Api.proc ctx = 2 then begin
-           Mgs_sync.Locks.acquire ctx lock;
-           Mgs_sync.Locks.release ctx lock
-         end));
-  Alcotest.(check int) "one acquire" 1 (Mgs_sync.Locks.acquires lock);
-  Alcotest.(check int) "it hit" 1 (Mgs_sync.Locks.hits lock);
-  Alcotest.(check (float 0.)) "ratio" 1.0 (Mgs_sync.Locks.hit_ratio lock)
+  let r =
+    Mgs.Machine.run m (fun ctx ->
+        (* procs 2 and 3 are SSMP 1, where the token starts *)
+        if Mgs.Api.proc ctx = 2 then begin
+          Mgs_sync.Locks.acquire ctx lock;
+          Mgs_sync.Locks.release ctx lock
+        end)
+  in
+  Alcotest.(check int) "one acquire" 1 r.Mgs.Report.lock_acquires;
+  Alcotest.(check int) "it hit" 1 r.Mgs.Report.lock_hits;
+  Alcotest.(check (float 0.)) "ratio" 1.0 (Mgs.Report.lock_hit_ratio r)
 
 let test_lock_miss_transfers_token () =
   let m = make () in
   let lock = Mgs_sync.Locks.(make m ~home:0 Token) in
-  ignore
-    (Mgs.Machine.run m (fun ctx ->
-         (* proc 4 is SSMP 2: the token must travel *)
-         if Mgs.Api.proc ctx = 4 then begin
-           Mgs_sync.Locks.acquire ctx lock;
-           Mgs_sync.Locks.release ctx lock;
-           (* second acquire from the same SSMP is then a hit *)
-           Mgs_sync.Locks.acquire ctx lock;
-           Mgs_sync.Locks.release ctx lock
-         end));
-  Alcotest.(check int) "two acquires" 2 (Mgs_sync.Locks.acquires lock);
-  Alcotest.(check int) "first missed, second hit" 1 (Mgs_sync.Locks.hits lock)
+  let r =
+    Mgs.Machine.run m (fun ctx ->
+        (* proc 4 is SSMP 2: the token must travel *)
+        if Mgs.Api.proc ctx = 4 then begin
+          Mgs_sync.Locks.acquire ctx lock;
+          Mgs_sync.Locks.release ctx lock;
+          (* second acquire from the same SSMP is then a hit *)
+          Mgs_sync.Locks.acquire ctx lock;
+          Mgs_sync.Locks.release ctx lock
+        end)
+  in
+  Alcotest.(check int) "two acquires" 2 r.Mgs.Report.lock_acquires;
+  Alcotest.(check int) "first missed, second hit" 1 r.Mgs.Report.lock_hits
 
 let test_lock_mutual_exclusion_stress () =
   let m = make ~nprocs:8 ~cluster:4 () in
@@ -116,7 +118,7 @@ let test_flat_sync_at_single_ssmp () =
         Mgs_sync.Barrier.wait ctx bar)
   in
   Alcotest.(check int) "no LAN traffic" 0 report.Mgs.Report.lan_messages;
-  Alcotest.(check (float 0.)) "all lock hits" 1.0 (Mgs_sync.Locks.hit_ratio lock)
+  Alcotest.(check (float 0.)) "all lock hits" 1.0 (Mgs.Report.lock_hit_ratio report)
 
 let test_fairness_bound_prevents_starvation () =
   (* one SSMP hammers the lock; a remote acquirer must still get it *)
@@ -144,20 +146,19 @@ let test_grant_bound_zero_is_fair () =
      hammering SSMP cannot raise its hit ratio much *)
   let m = make ~nprocs:4 ~cluster:2 ~lan:300 () in
   let fair = Mgs_sync.Locks.(make m ~grant_bound:0 Token) in
-  ignore
-    (Mgs.Machine.run m (fun ctx ->
-         for _ = 1 to 30 do
-           Mgs_sync.Locks.acquire ctx fair;
-           Mgs.Api.compute ctx 100;
-           Mgs_sync.Locks.release ctx fair;
-           (* yield so the processors genuinely interleave (real
-              programs yield on every shared-memory access) *)
-           Mgs.Api.idle_until ctx (Mgs.Api.cycles ctx)
-         done));
-  Alcotest.(check bool)
-    (Printf.sprintf "fair lock hit ratio low (%.2f)" (Mgs_sync.Locks.hit_ratio fair))
-    true
-    (Mgs_sync.Locks.hit_ratio fair < 0.6);
+  let r =
+    Mgs.Machine.run m (fun ctx ->
+        for _ = 1 to 30 do
+          Mgs_sync.Locks.acquire ctx fair;
+          Mgs.Api.compute ctx 100;
+          Mgs_sync.Locks.release ctx fair;
+          (* yield so the processors genuinely interleave (real
+             programs yield on every shared-memory access) *)
+          Mgs.Api.idle_until ctx (Mgs.Api.cycles ctx)
+        done)
+  in
+  let ratio = Mgs.Report.lock_hit_ratio r in
+  Alcotest.(check bool) (Printf.sprintf "fair lock hit ratio low (%.2f)" ratio) true (ratio < 0.6);
   Alcotest.check_raises "negative bound" (Invalid_argument "Locks.make: grant_bound")
     (fun () -> ignore (Mgs_sync.Locks.(make m ~grant_bound:(-1) Token)))
 
