@@ -53,20 +53,31 @@ let num file what v =
     errf file "%s is not a number" what;
     nan
 
+let lacks file what field = errf file "%s lacks field %S" what field
+
 let get file what obj field =
   match Json.member field obj with
   | Some v -> v
   | None ->
-    errf file "%s lacks field %S" what field;
+    lacks file what field;
     Json.Null
 
-let get_num file what obj field = num file (what ^ "." ^ field) (get file what obj field)
+(* A field that is absent is one error: its type goes unchecked. *)
+let get_num file what obj field =
+  match Json.member field obj with
+  | Some v -> num file (what ^ "." ^ field) v
+  | None ->
+    lacks file what field;
+    nan
 
 let get_str file what obj field =
-  match Json.to_string (get file what obj field) with
-  | Some s -> s
-  | None ->
+  match Option.map Json.to_string (Json.member field obj) with
+  | Some (Some s) -> s
+  | Some None ->
     errf file "%s.%s is not a string" what field;
+    ""
+  | None ->
+    lacks file what field;
     ""
 
 let check_schema file v expected =

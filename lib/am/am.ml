@@ -12,14 +12,14 @@ type hlabel = {
    sharded engine never write the same slot: posting bumps the sender's
    cell, delivery decrements the receiver's in-flight cell, and the
    accessors sum.  (A cell can go negative in isolation; only the sum is
-   meaningful.) *)
+   meaningful.)  A tag's count is a ref, so a post hashes its tag once. *)
 type t = {
   sim : Mgs_engine.Sim.t;
   costs : Mgs_machine.Costs.t;
   topo : Mgs_machine.Topology.t;
   lan : Mgs_net.Lan.t;
   cpus : Mgs_machine.Cpu.t array;
-  counts : (string, int) Hashtbl.t array; (* per sender SSMP *)
+  counts : (string, int ref) Hashtbl.t array; (* per sender SSMP *)
   hlabels : (string, hlabel) Hashtbl.t array;
       (* per tag, interned per handling SSMP (the intern happens on the
          handler's shard) *)
@@ -28,29 +28,51 @@ type t = {
   mutable obs : Mgs_obs.Trace.t option;
 }
 
+(* A message's arrival at [dst]: its handler occupies [dst] for
+   dispatch plus [cost]; returns the finish time. *)
+let handle am ~dst ~cost arrive =
+  let ssmp = Mgs_machine.Topology.ssmp_of_proc am.topo dst in
+  am.in_flight.(ssmp) <- am.in_flight.(ssmp) - 1;
+  Mgs_machine.Cpu.occupy am.cpus.(dst) ~at:arrive
+    ~cost:(am.costs.Mgs_machine.Costs.proto.handler_dispatch + cost)
+
+(* Untraced, a message event carries its handler's processor and cost
+   in one word, [cost] above [dst_bits] bits of [dst], and the engine
+   calls [handle] through the hook [create] installs. *)
+let dst_bits = 20
+
+let max_cost = max_int lsr dst_bits
+
 let create sim costs topo ~lan ~cpus =
   if Array.length cpus <> topo.Mgs_machine.Topology.nprocs then
     invalid_arg "Am.create: cpu count mismatch";
+  if topo.Mgs_machine.Topology.nprocs > 1 lsl dst_bits then invalid_arg "Am.create: too many procs";
   let nssmps = topo.Mgs_machine.Topology.nssmps in
-  {
-    sim;
-    costs;
-    topo;
-    lan;
-    cpus;
-    counts = Array.init nssmps (fun _ -> Hashtbl.create 32);
-    hlabels = Array.init nssmps (fun _ -> Hashtbl.create 32);
-    total = Array.make nssmps 0;
-    in_flight = Array.make nssmps 0;
-    obs = None;
-  }
+  let am =
+    {
+      sim;
+      costs;
+      topo;
+      lan;
+      cpus;
+      counts = Array.init nssmps (fun _ -> Hashtbl.create 32);
+      hlabels = Array.init nssmps (fun _ -> Hashtbl.create 32);
+      total = Array.make nssmps 0;
+      in_flight = Array.make nssmps 0;
+      obs = None;
+    }
+  in
+  let mask = (1 lsl dst_bits) - 1 in
+  Mgs_engine.Sim.set_deliver sim (fun msg arrive ->
+      handle am ~dst:(msg land mask) ~cost:(msg lsr dst_bits) arrive);
+  am
 
 let bump am ssmp tag =
   am.total.(ssmp) <- am.total.(ssmp) + 1;
   let counts = am.counts.(ssmp) in
   match Hashtbl.find counts tag with
-  | prev -> Hashtbl.replace counts tag (prev + 1)
-  | exception Not_found -> Hashtbl.add counts tag 1
+  | n -> incr n
+  | exception Not_found -> Hashtbl.add counts tag (ref 1)
 
 (* The span labels for [tag], computed and classified once per distinct
    tag and handling SSMP: the tag set is small and fixed, and a fresh
@@ -71,13 +93,15 @@ let hlabel am ssmp tag =
     Hashtbl.add hlabels tag hl;
     hl
 
-(* A message's arrival at [dst]: its handler occupies [dst] for
-   dispatch plus [cost]; returns the finish time. *)
-let handle am ~dst ~cost arrive =
-  let ssmp = Mgs_machine.Topology.ssmp_of_proc am.topo dst in
-  am.in_flight.(ssmp) <- am.in_flight.(ssmp) - 1;
-  Mgs_machine.Cpu.occupy am.cpus.(dst) ~at:arrive
-    ~cost:(am.costs.Mgs_machine.Costs.proto.handler_dispatch + cost)
+(* At [fin], close the handler's span [hctx] — only the one opened for
+   it, never an aliased parent [pctx] — and run [k] under it. *)
+let finish_traced am sp ~pctx ~hctx ~fin k =
+  Mgs_engine.Sim.at am.sim fin (fun () ->
+      if hctx <> pctx then Span.close sp hctx ~time:fin;
+      let saved = Span.current sp in
+      Span.set_current sp hctx;
+      k fin;
+      Span.set_current sp saved)
 
 (* Traced, the ambient span context is captured when the message is
    posted and re-installed around the handler's continuation, so any
@@ -119,28 +143,22 @@ let deliver_traced am tr ~tag ~src ~dst ~src_ssmp ~dst_ssmp ~words ~cost ~at k =
           ~engine:hl.h_engine ~vpn:(-1) ~src ~dst ~src_ssmp ~dst_ssmp ~words
       end
     in
-    Mgs_engine.Sim.at am.sim fin (fun () ->
-        (* close only the span opened above, never an aliased parent *)
-        if hctx <> pctx then Span.close sp hctx ~time:fin;
-        let saved = Span.current sp in
-        Span.set_current sp hctx;
-        k fin;
-        Span.set_current sp saved)
+    finish_traced am sp ~pctx ~hctx ~fin k
 
 let post am ~tag ~src ~dst ~words ~cost k =
+  if cost < 0 || cost > max_cost then invalid_arg "Am.post: cost out of range";
   let src_ssmp = Mgs_machine.Topology.ssmp_of_proc am.topo src in
   let dst_ssmp = Mgs_machine.Topology.ssmp_of_proc am.topo dst in
   bump am src_ssmp tag;
   am.in_flight.(src_ssmp) <- am.in_flight.(src_ssmp) + 1;
   let at = Mgs_engine.Sim.now am.sim in
-  (* untraced, a message is this one closure, and [k] runs straight from
-     the event at the handler's finish *)
-  let arrive =
-    match am.obs with
-    | None -> fun arrive -> Mgs_engine.Sim.at_k am.sim (handle am ~dst ~cost arrive) k
-    | Some tr -> deliver_traced am tr ~tag ~src ~dst ~src_ssmp ~dst_ssmp ~words ~cost ~at k
-  in
-  Mgs_net.Lan.post am.lan ~tag ~src ~dst ~src_ssmp ~dst_ssmp ~words ~at arrive
+  match am.obs with
+  | None ->
+    Mgs_net.Lan.post am.lan ~tag ~src ~dst ~src_ssmp ~dst_ssmp ~words ~at
+      ~msg:((cost lsl dst_bits) lor dst) k
+  | Some tr ->
+    Mgs_net.Lan.post am.lan ~tag ~src ~dst ~src_ssmp ~dst_ssmp ~words ~at ~msg:(-1)
+      (deliver_traced am tr ~tag ~src ~dst ~src_ssmp ~dst_ssmp ~words ~cost ~at k)
 
 let run_on am ?tag ~proc ~at ~cost k =
   let fin = Mgs_machine.Cpu.occupy am.cpus.(proc) ~at ~cost in
@@ -164,18 +182,13 @@ let run_on am ?tag ~proc ~at ~cost k =
             ~engine:(hlabel am ssmp tag).tag_engine ~vpn:(-1) ~src:proc ~dst:proc
             ~src_ssmp:ssmp ~dst_ssmp:ssmp ~words:0
     in
-    Mgs_engine.Sim.at am.sim fin (fun () ->
-        if hctx <> pctx then Span.close sp hctx ~time:fin;
-        let saved = Span.current sp in
-        Span.set_current sp hctx;
-        k fin;
-        Span.set_current sp saved)
+    finish_traced am sp ~pctx ~hctx ~fin k
 
 let set_obs am tr = am.obs <- tr
 
 let count am tag =
   Array.fold_left
-    (fun acc counts -> acc + Option.value ~default:0 (Hashtbl.find_opt counts tag))
+    (fun acc counts -> acc + match Hashtbl.find_opt counts tag with Some n -> !n | None -> 0)
     0 am.counts
 
 let counts am =
@@ -184,7 +197,7 @@ let counts am =
     (fun counts ->
       Hashtbl.iter
         (fun tag n ->
-          Hashtbl.replace merged tag (n + Option.value ~default:0 (Hashtbl.find_opt merged tag)))
+          Hashtbl.replace merged tag (!n + Option.value ~default:0 (Hashtbl.find_opt merged tag)))
         counts)
     am.counts;
   List.sort compare (Hashtbl.fold (fun tag n acc -> (tag, n) :: acc) merged [])

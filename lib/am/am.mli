@@ -21,6 +21,9 @@ val create :
   lan:Mgs_net.Lan.t ->
   cpus:Mgs_machine.Cpu.t array ->
   t
+(** Installs the simulator's message hook ({!Mgs_engine.Sim.set_deliver}).
+    @raise Invalid_argument unless there is one CPU per processor, and
+    at most [2{^20}] of them. *)
 
 val post :
   t ->
@@ -36,8 +39,11 @@ val post :
     consumes [handler_dispatch + cost] cycles of [dst]'s time.  [k] runs
     when the handler completes, at the completion time.  [tag] labels
     the message for the per-type counters.  Untraced, a message
-    allocates one closure over [dst], [cost] and [k] and its two events'
-    keys; [k] runs straight from the completion event. *)
+    allocates nothing: its arrival event carries [dst] and [cost] in one
+    word ({!Mgs_engine.Sim.at_msg}), and [k] runs straight from the
+    completion event.  Traced, the arrival is a closure that also
+    records the delivery.
+    @raise Invalid_argument if [cost] is negative or at least [2{^42}]. *)
 
 val run_on :
   t ->

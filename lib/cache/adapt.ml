@@ -102,14 +102,6 @@ let target ~pattern ~regime =
   | Single_writer -> Rsw
   | Migratory -> Rinv
 
-(* The only SSMP in a singleton writer set.  [Bitset.elements] would
-   allocate a list; scan instead (decision windows are off the per-
-   reference fast path but still run once per epoch). *)
-let only_member s =
-  let m = ref (-1) in
-  Bitset.iter (fun i -> if !m < 0 then m := i) s;
-  !m
-
 let decide p =
   let readers = Bitset.cardinal p.w_readers
   and writers = Bitset.cardinal p.w_writers in
@@ -118,7 +110,7 @@ let decide p =
       ~regime:p.regime
   in
   (if writers = 1 then begin
-     let d = only_member p.w_writers in
+     let d = Bitset.next p.w_writers 0 (* the one writer *) in
      if d = p.dom then p.dom_streak <- p.dom_streak + 1
      else begin
        p.dom <- d;

@@ -95,6 +95,7 @@ let create cfg =
       tlbs = Array.init cfg.nprocs (fun _ -> Tlb.create ?capacity:cfg.tlb_entries ());
       counters = Array.init topo.Topology.nssmps (fun _ -> Array.make Pstats.ncols 0);
       rel_resume = Array.make cfg.nprocs None;
+      home_frames = Array.make topo.Topology.nssmps [];
       ran = false;
       event_limit = cfg.event_limit;
       par_jobs = cfg.par_jobs;

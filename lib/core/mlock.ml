@@ -14,6 +14,11 @@ let acquire_fiber _sim t =
     true
   end
 
+let try_acquire t =
+  let free = not t.locked in
+  t.locked <- true;
+  free
+
 let acquire_k _sim t k =
   if not t.locked then begin
     t.locked <- true;

@@ -20,6 +20,9 @@ val acquire_fiber : Mgs_engine.Sim.t -> t -> bool
     [true] iff the fiber actually parked (so the caller knows whether to
     charge wait time). *)
 
+val try_acquire : t -> bool
+(** Take the lock if it is free, and say whether it was. *)
+
 val acquire_k : Mgs_engine.Sim.t -> t -> (unit -> unit) -> unit
 (** [acquire_k sim l k] runs [k] with the lock held — immediately if it
     is free, otherwise when ownership is handed over. *)

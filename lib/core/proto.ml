@@ -266,24 +266,87 @@ let adapt_decide m a se (p : Adapt.page) =
     then adapt_move_home m a p se
   end
 
+let send_rack m se proc =
+  let cur = se.s_cur_home and vpn = se.s_vpn in
+  Am.post m.am ~tag:"RACK" ~src:cur ~dst:proc ~words:0 ~cost:0 (fun _t ->
+      view_note m ~ssmp:(Topology.ssmp_of_proc m.topo proc) ~vpn cur;
+      wake_ack m proc)
+
+(* Parked work leaves from inside the last reply's handler, but belongs
+   to the waiter's transaction: it goes out under the waiter's own span
+   context, then the handler's is put back.  The parked lists are
+   newest first, and each drains oldest first, on the way back up. *)
+let rack_in m se (proc, ctx) =
+  let saved = span_current m in
+  span_set m ctx;
+  send_rack m se proc;
+  span_set m saved
+
+let rec rack_all m se = function
+  | [] -> ()
+  | r :: rest ->
+    rack_all m se rest;
+    rack_in m se r
+
+(* Deferred RELs, newest first: RACK, in that order, each whose SSMP
+   holds no copy, and return the others oldest first. *)
+let rec rack_covered m se pending = function
+  | [] -> pending
+  | ((r, _) as rel) :: rest ->
+    let rs = Topology.ssmp_of_proc m.topo r in
+    if Bitset.mem se.s_read_dir rs || Bitset.mem se.s_write_dir rs then
+      rack_covered m se (rel :: pending) rest
+    else begin
+      rack_in m se rel;
+      rack_covered m se pending rest
+    end
+
+let rec grant_all m se ~write = function
+  | [] -> ()
+  | (r, qctx, frame) :: rest ->
+    grant_all m se ~write rest;
+    span_close m qctx;
+    let saved = span_current m in
+    span_set m qctx;
+    send_data m se ~requester:r ~write ~frame;
+    span_set m saved
+
+let rec apply_diffs master = function
+  | [] -> ()
+  | d :: rest ->
+    apply_diffs master rest;
+    Pagedata.apply_diff master d
+
+(* The least SSMP at or above [i] in either directory (-1: none), and
+   how many there are: an epoch's targets, with no union built. *)
+let next_holder se i =
+  let r = Bitset.next se.s_read_dir i and w = Bitset.next se.s_write_dir i in
+  if r < 0 || (w >= 0 && w < r) then w else r
+
+let rec holders se i =
+  let t = next_holder se i in
+  if t < 0 then 0 else 1 + holders se (t + 1)
+
 let rec complete_release m se =
   (* Merge buffered write-backs: the retained writer's full page first,
      then every diff (diffs carry exactly the words their writers
      modified this epoch, so they must win over the full page).  A
      twinless copy recalled by an epoch extension also ships a full
      page, one that predates the first pass's merge — re-apply the
-     stashed first-pass diffs over it so they are not clobbered. *)
+     stashed first-pass diffs over it so they are not clobbered.  A
+     1WDATA's frame (a retained writer's page) returns to the pool. *)
   (match se.s_pending_page with
-  | Some p -> Pagedata.blit ~src:p ~dst:se.s_master
+  | Some p ->
+    Pagedata.blit ~src:p ~dst:se.s_master;
+    if se.s_retained >= 0 then pool_frame m se p
   | None -> ());
-  List.iter (fun d -> Pagedata.apply_diff se.s_master d) se.s_ext_diffs;
+  apply_diffs se.s_master se.s_ext_diffs;
   se.s_ext_diffs <- [];
-  let had_diffs = se.s_pending_diffs <> [] in
-  let applied = List.rev se.s_pending_diffs in
-  List.iter (fun d -> Pagedata.apply_diff se.s_master d) applied;
+  let diffs = se.s_pending_diffs in
+  apply_diffs se.s_master diffs;
   se.s_pending_page <- None;
   se.s_pending_diffs <- [];
-  if had_diffs && se.s_retained >= 0 then begin
+  if diffs <> [] && se.s_retained >= 0 then begin
     (* A concurrent upgrader (WNOTIFY racing the REL) also wrote this
        page, so the "single" writer's retained copy misses the merged
        diff words.  Recall it with a plain invalidation and finish the
@@ -293,7 +356,7 @@ let rec complete_release m se =
     se.s_retained <- -1;
     (* A twinless retained copy cannot diff at the recall: it yields its
        whole (pre-merge) page, so stash this pass's diffs for re-merge. *)
-    if se.s_retained_notwin then se.s_ext_diffs <- applied;
+    if se.s_retained_notwin then se.s_ext_diffs <- diffs;
     se.s_retained_notwin <- false;
     se.s_count <- 1;
     count m Pstats.invals 1;
@@ -301,7 +364,7 @@ let rec complete_release m se =
       ~src:cur ~dst:(-1) ~words:0 ~cost:0 ~dur:0;
     let dst = Hashtbl.find se.s_frame_procs ssmp in
     Am.post m.am ~tag:"INV" ~src:cur ~dst ~words:0 ~cost:0 (fun _t ->
-        client_inv m ~ssmp ~vpn:se.s_vpn ~single:false ~reply_to:cur)
+        client_inv m ~ssmp ~vpn:se.s_vpn ~single:false ~reply_to:cur ~lent:None)
   end
   else begin
   Bitset.clear se.s_read_dir;
@@ -323,33 +386,18 @@ let rec complete_release m se =
   se.s_pend_rl <- [];
   se.s_pend_rd <- [];
   se.s_pend_wr <- [];
-  (* Drain the parked work under each waiter's own span context: the
-     RACK / page grant leaves here, inside the last reply's handler, but
-     belongs to the waiter's transaction. *)
-  List.iter (fun (p, ctx) -> span_with m ctx (fun () -> send_rack m se p)) (List.rev racks);
-  let grant ~write (r, qctx, frame) =
-    span_close m qctx;
-    span_with m qctx (fun () -> send_data m se ~requester:r ~write ~frame)
-  in
-  List.iter (grant ~write:false) (List.rev rd);
-  List.iter (grant ~write:true) (List.rev wr);
+  rack_all m se racks;
+  grant_all m se ~write:false rd;
+  grant_all m se ~write:true wr;
   (* Deferred RELs: all their writes precede this point, so one batched
      follow-up epoch covers every one of them.  Releasers whose SSMP no
      longer holds a copy were fully merged by the epoch that just
      completed and can be acknowledged outright. *)
-  (match se.s_pend_rel_next with
+  let rels = se.s_pend_rel_next in
+  se.s_pend_rel_next <- [];
+  (match rack_covered m se [] rels with
   | [] -> ()
-  | rels ->
-    se.s_pend_rel_next <- [];
-    let covered, pending =
-      List.partition
-        (fun (r, _) ->
-          let rs = Topology.ssmp_of_proc m.topo r in
-          not (Bitset.mem se.s_read_dir rs || Bitset.mem se.s_write_dir rs))
-        rels
-    in
-    List.iter (fun (p, ctx) -> span_with m ctx (fun () -> send_rack m se p)) covered;
-    if pending <> [] then start_epoch m se ~releasers:(List.rev pending));
+  | pending -> start_epoch m se ~releasers:pending);
   (* Epoch boundary: the one place regimes switch and homes move.  A
      batched follow-up epoch (S_rel again) defers the decision to its
      own completion. *)
@@ -358,27 +406,16 @@ let rec complete_release m se =
   | _ -> ())
   end
 
-and send_rack m se proc =
-  let cur = se.s_cur_home and vpn = se.s_vpn in
-  Am.post m.am ~tag:"RACK" ~src:cur ~dst:proc ~words:0 ~cost:0 (fun _t ->
-      view_note m ~ssmp:(Topology.ssmp_of_proc m.topo proc) ~vpn cur;
-      wake_ack m proc)
-
 (* Begin an invalidation epoch on behalf of [releasers] (arcs 20-21). *)
 and start_epoch m se ~releasers =
   assert (se.s_state <> S_rel);
-  let targets =
-    let u = Bitset.copy se.s_read_dir in
-    Bitset.union_into u se.s_write_dir;
-    Bitset.elements u
-  in
   let single =
     m.features.single_writer_opt
     && se.s_state = S_write
     && Bitset.cardinal se.s_write_dir = 1
   in
   set_s_state m se S_rel;
-  se.s_count <- List.length targets;
+  se.s_count <- holders se 0;
   se.s_retained <- -1;
   se.s_pend_rl <- releasers;
   se.s_pend_rd <- [];
@@ -386,18 +423,24 @@ and start_epoch m se ~releasers =
   let cur = se.s_cur_home in
   obs_emit m ~engine:Mgs_obs.Event.Server ~tag:"sv.epoch_start" ~vpn:se.s_vpn
     ~src:cur ~cost:se.s_count ~dst:(-1) ~words:0 ~dur:0;
-  if targets = [] then complete_release m se
-  else
-    List.iter
-      (fun ssmp ->
-        let sw = single && Bitset.mem se.s_write_dir ssmp in
-        count m (if sw then Pstats.one_winvals else Pstats.invals) 1;
-        let dst = Hashtbl.find se.s_frame_procs ssmp in
-        Am.post m.am
-          ~tag:(if sw then "1WINV" else "INV")
-          ~src:cur ~dst ~words:0 ~cost:0
-          (fun _t -> client_inv m ~ssmp ~vpn:se.s_vpn ~single:sw ~reply_to:cur))
-      targets
+  if se.s_count = 0 then complete_release m se else send_invs m se ~single 0
+
+(* An INV to each target from [i] up, or a 1WINV to the single writer,
+   which the home lends a frame for its 1WDATA. *)
+and send_invs m se ~single i =
+  let ssmp = next_holder se i in
+  if ssmp >= 0 then begin
+    let sw = single && Bitset.mem se.s_write_dir ssmp in
+    count m (if sw then Pstats.one_winvals else Pstats.invals) 1;
+    let dst = Hashtbl.find se.s_frame_procs ssmp in
+    let cur = se.s_cur_home and vpn = se.s_vpn in
+    let lent = if sw then lend_frame m se else None in
+    Am.post m.am
+      ~tag:(if sw then "1WINV" else "INV")
+      ~src:cur ~dst ~words:0 ~cost:0
+      (fun _t -> client_inv m ~ssmp ~vpn ~single:sw ~reply_to:cur ~lent);
+    send_invs m se ~single (ssmp + 1)
+  end
 
 (* ACK / DIFF / 1WDATA / YIELD arrival at the home (arcs 22-23). *)
 and server_collect m ~vpn ~ssmp ~payload =
@@ -423,9 +466,10 @@ and server_collect m ~vpn ~ssmp ~payload =
     se.s_pending_page <- Some p;
     se.s_retained <- ssmp;
     se.s_retained_notwin <- nw
-  | `Clean nw ->
+  | `Clean (nw, lent) ->
     se.s_retained <- ssmp;
-    se.s_retained_notwin <- nw
+    se.s_retained_notwin <- nw;
+    (match lent with Some f -> pool_frame m se f | None -> ())
   | `Yield p ->
     (* a twinless write copy surrendering its page wholesale (no twin
        to diff against): its frame itself, merged and then dropped;
@@ -478,9 +522,10 @@ and finish_inv m ~ssmp ~vpn ~reply_to =
        keeps the retention without resending the page. *)
     count m Pstats.one_wclean 1;
     Mlock.release m.sim ce.mlock;
-    let nw = ce.c_notwin in
+    let nw = ce.c_notwin and lent = ce.inv_frame in
+    ce.inv_frame <- None;
     Am.post m.am ~tag:"1WCLEAN" ~src:rc ~dst:home ~words:0 ~cost:0 (fun _t ->
-        server_collect m ~vpn ~ssmp ~payload:(`Clean nw))
+        server_collect m ~vpn ~ssmp ~payload:(`Clean (nw, lent)))
   | 1 ->
     (* Read copy: free the page and acknowledge.  With the early-ack
        optimization (paper section 4.2.4) the ACK leaves before the
@@ -541,18 +586,19 @@ and finish_inv m ~ssmp ~vpn ~reply_to =
   | 3 when ce.c_notwin ->
     (* Single-writer regime: the retained copy has no twin to rebuild —
        ship the page home and keep the copy, skipping the retwin. *)
-    let data = Option.get ce.cdata in
-    let snapshot = Pagedata.copy data in
+    let snapshot = fill_frame ce.inv_frame ~from:(Option.get ce.cdata) in
+    ce.inv_frame <- None;
     count m Pstats.one_wdata 1;
     Mlock.release m.sim ce.mlock;
     Am.post m.am ~tag:"1WDATA" ~src:rc ~dst:home ~words:m.geom.Geom.page_words
       ~cost:(m.geom.Geom.page_words * c.proto.copy_per_word) (fun _t ->
         server_collect m ~vpn ~ssmp ~payload:(`Page (snapshot, true)))
   | 3 ->
-    (* Single-writer optimization: ship the whole page home, keep the
-       copy cached with a fresh twin. *)
+    (* Single-writer optimization: ship the whole page home in the lent
+       frame, keep the copy cached with a fresh twin. *)
     let data = Option.get ce.cdata in
-    let snapshot = Pagedata.copy data in
+    let snapshot = fill_frame ce.inv_frame ~from:data in
+    ce.inv_frame <- None;
     (match ce.ctwin with
     | Some t -> Pagedata.retwin t ~from:data
     | None -> assert false);
@@ -567,74 +613,86 @@ and finish_inv m ~ssmp ~vpn ~reply_to =
 
 (* INV / 1WINV arrival at an SSMP (arc 14): under the mapping lock,
    clean the page, interrupt every mapping processor with PINV, and
-   finish when the last PINV_ACK returns (arcs 15-16). *)
-and client_inv m ~ssmp ~vpn ~single ~reply_to =
-  let c = m.costs in
+   finish when the last PINV_ACK returns (arcs 15-16).  [lent] is the
+   frame a 1WINV carries for the 1WDATA. *)
+and client_inv m ~ssmp ~vpn ~single ~reply_to ~lent =
   let ce = get_centry m ssmp vpn in
   obs_emit m ~engine:Mgs_obs.Event.Remote_client ~tag:"rc.inv" ~vpn
     ~dst:(global_proc m ssmp 0) ~cost:(if single then 1 else 0) ~src:(-1) ~words:0 ~dur:0;
-  (* The continuation may run much later (mapping lock busy); capture
-     the invalidation's context now and reinstall it around the body so
-     the ACK / DIFF it sends stays attributed to this epoch. *)
-  let ictx = span_current m in
-  Mlock.acquire_k m.sim ce.mlock (fun () ->
-      span_with m ictx @@ fun () ->
-      match ce.pstate with
-      | P_inv ->
-        (* The copy is already gone (stale INV); just acknowledge. *)
-        let src = global_proc m ssmp 0 in
-        Mlock.release m.sim ce.mlock;
-        Am.post m.am ~tag:"ACK" ~src ~dst:reply_to ~words:0 ~cost:0 (fun _t ->
-            server_collect m ~vpn ~ssmp ~payload:`Ack)
-      | P_busy -> assert false (* a BUSY SSMP is never in the directories *)
-      | P_read | P_write ->
-        (* Table 1 arc 12 drops the page from the DUQ here, since the
-           in-flight invalidation will carry the SSMP's writes home.
-           We deliberately keep the entry: a local writer's release must
-           not complete before those writes are merged, and its REL —
-           arriving while the epoch is in REL_IN_PROG — is exactly what
-           blocks it until then (it gets RACKed at completion).  A REL
-           for an epoch that already completed finds empty directories
-           and acknowledges immediately, so the cost is one message. *)
-        let rc = global_proc m ssmp ce.frame_owner in
-        let was_write = ce.pstate = P_write in
-        ce.inv_tt <- (if single then 3 else if was_write then 2 else 1);
-        (* Cleaning cost: read invalidations and 1WINV clean the page up
-           front (arc 14); write invalidations pay the diff instead.
-           With the early-ack optimization the read-copy cleaning moves
-           off the critical path (it runs after the ACK, in finish_inv). *)
-        let clean_cost =
-          if single || ((not was_write) && not m.features.early_read_ack) then
-            Geom.lines_per_page m.geom * c.proto.clean_per_line
-          else 0
-        in
-        Am.run_on m.am ~tag:"rc.inv_clean" ~proc:rc ~at:(Sim.now m.sim) ~cost:clean_cost
-          (fun _t ->
-            let targets = Bitset.elements ce.tlb_dir in
-            ce.inv_count <- List.length targets;
-            if targets = [] then finish_inv m ~ssmp ~vpn ~reply_to
-            else
-              List.iter
-                (fun lidx ->
-                  let p = global_proc m ssmp lidx in
-                  count m Pstats.pinvs 1;
-                  Am.post m.am ~tag:"PINV" ~src:rc ~dst:p ~words:0 ~cost:c.proto.tlb_inv
-                    (fun _t ->
-                      Tlb.invalidate m.tlbs.(p) ~vpn;
-                      (* Arc 12: this epoch collects the page's writes,
-                         so drop the DUQ entry — but remember that the
-                         processor's next release must await the
-                         epoch's completion. *)
-                      let d = m.duqs.(p) in
-                      if Hashtbl.mem d.duq_set vpn then begin
-                        Hashtbl.remove d.duq_set vpn;
-                        Hashtbl.replace d.psync vpn ()
-                      end;
-                      Am.post m.am ~tag:"PINV_ACK" ~src:p ~dst:rc ~words:0 ~cost:0
-                        (fun _t ->
-                          ce.inv_count <- ce.inv_count - 1;
-                          if ce.inv_count = 0 then finish_inv m ~ssmp ~vpn ~reply_to)))
-                targets))
+  if Mlock.try_acquire ce.mlock then inv_locked m ce ~ssmp ~vpn ~single ~reply_to ~lent
+  else begin
+    (* The body runs later, when the lock is handed over: capture the
+       invalidation's context now and reinstall it around the body so
+       the ACK / DIFF it sends stays attributed to this epoch. *)
+    let ictx = span_current m in
+    Mlock.acquire_k m.sim ce.mlock (fun () ->
+        let saved = span_current m in
+        span_set m ictx;
+        inv_locked m ce ~ssmp ~vpn ~single ~reply_to ~lent;
+        span_set m saved)
+  end
+
+and inv_locked m ce ~ssmp ~vpn ~single ~reply_to ~lent =
+  let c = m.costs in
+  match ce.pstate with
+  | P_inv ->
+    (* The copy is already gone (stale INV); just acknowledge.  A
+       lent frame is dropped: the home's next 1WINV finds its pool
+       one short, and that writer copies. *)
+    let src = global_proc m ssmp 0 in
+    Mlock.release m.sim ce.mlock;
+    Am.post m.am ~tag:"ACK" ~src ~dst:reply_to ~words:0 ~cost:0 (fun _t ->
+        server_collect m ~vpn ~ssmp ~payload:`Ack)
+  | P_busy -> assert false (* a BUSY SSMP is never in the directories *)
+  | P_read | P_write ->
+    (* Table 1 arc 12 drops the page from the DUQ here, since the
+       in-flight invalidation will carry the SSMP's writes home.
+       We deliberately keep the entry: a local writer's release must
+       not complete before those writes are merged, and its REL —
+       arriving while the epoch is in REL_IN_PROG — is exactly what
+       blocks it until then (it gets RACKed at completion).  A REL
+       for an epoch that already completed finds empty directories
+       and acknowledges immediately, so the cost is one message. *)
+    let rc = global_proc m ssmp ce.frame_owner in
+    let was_write = ce.pstate = P_write in
+    ce.inv_tt <- (if single then 3 else if was_write then 2 else 1);
+    ce.inv_frame <- lent;
+    (* Cleaning cost: read invalidations and 1WINV clean the page up
+       front (arc 14); write invalidations pay the diff instead.
+       With the early-ack optimization the read-copy cleaning moves
+       off the critical path (it runs after the ACK, in finish_inv). *)
+    let clean_cost =
+      if single || ((not was_write) && not m.features.early_read_ack) then
+        Geom.lines_per_page m.geom * c.proto.clean_per_line
+      else 0
+    in
+    Am.run_on m.am ~tag:"rc.inv_clean" ~proc:rc ~at:(Sim.now m.sim) ~cost:clean_cost
+      (fun _t ->
+        ce.inv_count <- Bitset.cardinal ce.tlb_dir;
+        if ce.inv_count = 0 then finish_inv m ~ssmp ~vpn ~reply_to
+        else send_pinvs m ce ~ssmp ~rc ~reply_to 0)
+
+(* A PINV to each mapping processor from local index [l] up. *)
+and send_pinvs m ce ~ssmp ~rc ~reply_to l =
+  let lidx = Bitset.next ce.tlb_dir l and vpn = ce.c_vpn in
+  if lidx >= 0 then begin
+    let p = global_proc m ssmp lidx in
+    count m Pstats.pinvs 1;
+    Am.post m.am ~tag:"PINV" ~src:rc ~dst:p ~words:0 ~cost:m.costs.proto.tlb_inv (fun _t ->
+        Tlb.invalidate m.tlbs.(p) ~vpn;
+        (* Arc 12: this epoch collects the page's writes, so drop the DUQ
+           entry — but remember that the processor's next release must
+           await the epoch's completion. *)
+        let d = m.duqs.(p) in
+        if Hashtbl.mem d.duq_set vpn then begin
+          Hashtbl.remove d.duq_set vpn;
+          Hashtbl.replace d.psync vpn ()
+        end;
+        Am.post m.am ~tag:"PINV_ACK" ~src:p ~dst:rc ~words:0 ~cost:0 (fun _t ->
+            ce.inv_count <- ce.inv_count - 1;
+            if ce.inv_count = 0 then finish_inv m ~ssmp ~vpn ~reply_to));
+    send_pinvs m ce ~ssmp ~rc ~reply_to (lidx + 1)
+  end
 
 (* SYNC arrival: the releaser only needs the epoch that collected its
    writes to be complete.  If one is in flight, ride its RACK list
@@ -727,13 +785,57 @@ let upgrade m ~proc ce ~ctx =
 (* Release operation, client side (arcs 8-10).                         *)
 (* ------------------------------------------------------------------ *)
 
+(* Await, by SYNC, every epoch that collected [proc]'s writes: the
+   pages a PINV took out of its DUQ, but for those a REL of this
+   release covered. *)
+let rec sync m ~proc ~ssmp ~root =
+  let c = m.costs and duq = m.duqs.(proc) in
+  if Hashtbl.length duq.psync > 0 then begin
+    let vpn = Hashtbl.fold (fun vpn () _ -> vpn) duq.psync (-1) in
+    Hashtbl.remove duq.psync vpn;
+    if not (Hashtbl.mem duq.duq_set vpn) then begin
+      count m Pstats.syncs 1;
+      Cpu.advance m.cpus.(proc) Mgs (c.proto.duq_op + c.proto.msg_send);
+      let home = home_for m ~ssmp vpn in
+      Am.post m.am ~tag:"SYNC" ~src:proc ~dst:home ~words:0 ~cost:c.proto.duq_op (fun _t ->
+          server_sync m ~self:home ~vpn ~releaser:proc);
+      count m Pstats.sync_wait (await_acks m ~proc ~ctx:root 1)
+    end;
+    sync m ~proc ~ssmp ~root
+  end
+
+let send_rel m ~proc ~ssmp vpn =
+  let c = m.costs in
+  count m Pstats.releases 1;
+  Cpu.advance m.cpus.(proc) Mgs (c.proto.duq_op + c.proto.msg_send);
+  let home = home_for m ~ssmp vpn in
+  Am.post m.am ~tag:"REL" ~src:proc ~dst:home ~words:0 ~cost:c.proto.server_op (fun _t ->
+      server_rel m ~self:home ~vpn ~releaser:proc)
+
+(* Table 1 semantics: one REL outstanding at a time. *)
+let rec flush m ~proc ~ssmp ~root =
+  match duq_pop m.duqs.(proc) with
+  | None -> sync m ~proc ~ssmp ~root
+  | Some vpn ->
+    send_rel m ~proc ~ssmp vpn;
+    count m Pstats.rel_wait (await_acks m ~proc ~ctx:root 1);
+    flush m ~proc ~ssmp ~root
+
+(* Optimization over Table 1 arcs 8-10: every REL is sent before the
+   first RACK is awaited, overlapping independent pages' invalidation
+   epochs.  Returns how many were sent. *)
+let rec send_all m ~proc ~ssmp acc =
+  match duq_pop m.duqs.(proc) with
+  | None -> acc
+  | Some vpn ->
+    send_rel m ~proc ~ssmp vpn;
+    send_all m ~proc ~ssmp (acc + 1)
+
 let release_all m ~proc =
   if not (Topology.single_ssmp m.topo) then begin
-    let c = m.costs in
-    let cpu = m.cpus.(proc) in
     let ssmp = Topology.ssmp_of_proc m.topo proc in
     let duq = m.duqs.(proc) in
-    Cpu.sync_busy cpu;
+    Cpu.sync_busy m.cpus.(proc);
     if not (duq_is_empty duq && Hashtbl.length duq.psync = 0) then begin
       count m Pstats.release_ops 1;
       obs_emit m ~engine:Mgs_obs.Event.Local_client ~tag:"lc.release" ~src:proc
@@ -745,62 +847,11 @@ let release_all m ~proc =
           ~engine:Mgs_obs.Event.Local_client ~src:proc ()
       in
       span_set m root;
-      let take_sync () =
-        let pick = Hashtbl.fold (fun vpn () _ -> Some vpn) duq.psync None in
-        match pick with
-        | Some vpn ->
-          Hashtbl.remove duq.psync vpn;
-          if Hashtbl.mem duq.duq_set vpn then None (* the REL below covers it *)
-          else Some vpn
-        | None -> None
-      in
-      let rec sync () =
-        if Hashtbl.length duq.psync > 0 then begin
-          (match take_sync () with
-          | None -> ()
-          | Some vpn ->
-            count m Pstats.syncs 1;
-            Cpu.advance cpu Mgs (c.proto.duq_op + c.proto.msg_send);
-            let home = home_for m ~ssmp vpn in
-            Am.post m.am ~tag:"SYNC" ~src:proc ~dst:home ~words:0 ~cost:c.proto.duq_op
-              (fun _t -> server_sync m ~self:home ~vpn ~releaser:proc);
-            count m Pstats.sync_wait (await_acks m ~proc ~ctx:root 1));
-          sync ()
-        end
-      in
-      let send_rel vpn =
-        count m Pstats.releases 1;
-        Cpu.advance cpu Mgs (c.proto.duq_op + c.proto.msg_send);
-        let home = home_for m ~ssmp vpn in
-        Am.post m.am ~tag:"REL" ~src:proc ~dst:home ~words:0 ~cost:c.proto.server_op
-          (fun _t -> server_rel m ~self:home ~vpn ~releaser:proc)
-      in
       if m.features.pipelined_release then begin
-        (* optimization over Table 1 arcs 8-10: every REL is sent before
-           the first RACK is awaited, overlapping independent pages'
-           invalidation epochs *)
-        let rec send_all acc =
-          match duq_pop duq with
-          | None -> acc
-          | Some vpn ->
-            send_rel vpn;
-            send_all (acc + 1)
-        in
-        count m Pstats.rel_wait (await_acks m ~proc ~ctx:root (send_all 0));
-        sync ()
+        count m Pstats.rel_wait (await_acks m ~proc ~ctx:root (send_all m ~proc ~ssmp 0));
+        sync m ~proc ~ssmp ~root
       end
-      else begin
-        (* Table 1 semantics: one REL outstanding at a time *)
-        let rec flush () =
-          match duq_pop duq with
-          | None -> sync ()
-          | Some vpn ->
-            send_rel vpn;
-            count m Pstats.rel_wait (await_acks m ~proc ~ctx:root 1);
-            flush ()
-        in
-        flush ()
-      end;
+      else flush m ~proc ~ssmp ~root;
       span_close m root;
       span_set m Span.none
     end

@@ -40,13 +40,20 @@ let shoot_tlbs m ~ssmp ~vpn ~rc k =
    A BUSY mapping means the copy was already dropped (an upgrade in
    flight) — nothing to do, and blocking on the mapping lock would
    deadlock against the fetching fiber. *)
+(* Run [body] under [ce]'s mapping lock, in the arriving handler's span. *)
+let under_lock m ce body =
+  let ictx = span_current m in
+  Mlock.acquire_k m.sim ce.mlock (fun () ->
+      let saved = span_current m in
+      span_set m ictx;
+      body ();
+      span_set m saved)
+
 let client_inv m ~ssmp ~vpn ~(reply : Pagedata.page option -> unit) =
   let ce = get_centry m ssmp vpn in
   if ce.pstate = P_busy then reply None
   else
-    let ictx = span_current m in
-    Mlock.acquire_k m.sim ce.mlock (fun () ->
-        span_with m ictx @@ fun () ->
+    under_lock m ce (fun () ->
         match ce.pstate with
         | P_inv | P_busy ->
           Mlock.release m.sim ce.mlock;
@@ -71,9 +78,7 @@ let client_inv m ~ssmp ~vpn ~(reply : Pagedata.page option -> unit) =
 (* Downgrade the owner to a read copy, returning the page contents. *)
 let client_recall m ~ssmp ~vpn ~(reply : Pagedata.page -> unit) =
   let ce = get_centry m ssmp vpn in
-  let ictx = span_current m in
-  Mlock.acquire_k m.sim ce.mlock (fun () ->
-      span_with m ictx @@ fun () ->
+  under_lock m ce (fun () ->
       assert (ce.pstate = P_write);
       let rc = global_proc m ssmp ce.frame_owner in
       let dirty = ref 0 in
@@ -123,7 +128,10 @@ let rec do_grant m se ~requester ~write ~frame =
           se.s_pend_wr <- [];
           let serve ~write (r, qctx, frame) =
             span_close m qctx;
-            span_with m qctx (fun () -> server_req m ~vpn ~requester:r ~write ~frame)
+            let saved = span_current m in
+            span_set m qctx;
+            server_req m ~vpn ~requester:r ~write ~frame;
+            span_set m saved
           in
           List.iter (serve ~write:false) rd;
           List.iter (serve ~write:true) wr))

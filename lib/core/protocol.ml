@@ -30,6 +30,27 @@ let proto_of_name name =
       (Printf.sprintf "unknown protocol %S (known: %s)" name
          (String.concat ", " (names ())))
 
+(* Arcs 1, 7: map the page in this processor's TLB. *)
+let map m ~proc ce ~write =
+  Bitset.add ce.tlb_dir (local_idx m proc);
+  Tlb.fill m.tlbs.(proc) ~vpn:ce.c_vpn ~mode:(if write then Tlb.Rw else Tlb.Ro);
+  Cpu.advance m.cpus.(proc) Mgs m.costs.svm.tlb_write
+
+(* Arc 5: fetch from the home, BUSY with the mapping lock held, in the
+   SSMP's retired frame of the page if it has one; the grant handler
+   installs the copy and resumes the fiber. *)
+let fetch m ~proc ce ~write ~root =
+  let vpn = ce.c_vpn in
+  set_pstate m ce P_busy;
+  Cpu.advance m.cpus.(proc) Mgs m.costs.proto.msg_send;
+  let frame = take_frame ce in
+  (match m.protocol with
+  | Protocol_mgs -> Proto.request m ~proc ~vpn ~write ~frame
+  | Protocol_hlrc -> Proto_hlrc.request m ~proc ~vpn ~write ~frame
+  | Protocol_ivy -> Proto_ivy.request m ~proc ~vpn ~write ~frame);
+  count m Pstats.fetch_wait (await_fetch m ~proc ce ~ctx:root);
+  map m ~proc ce ~write
+
 let fault m ~proc ~vpn ~write =
   let c = m.costs in
   let cpu = m.cpus.(proc) in
@@ -49,45 +70,25 @@ let fault m ~proc ~vpn ~write =
   span_set m root;
   obs_emit m ~engine:Mgs_obs.Event.Local_client ~tag:"lc.fault" ~vpn ~src:proc
     ~cost:(if write then 1 else 0) ~dst:(-1) ~words:0 ~dur:0;
-  (* Arcs 1, 7: map the page in this processor's TLB. *)
-  let map () =
-    Bitset.add ce.tlb_dir (local_idx m proc);
-    Tlb.fill m.tlbs.(proc) ~vpn ~mode:(if write then Tlb.Rw else Tlb.Ro);
-    Cpu.advance cpu Mgs c.svm.tlb_write
-  in
-  (* Arc 5: fetch from the home, BUSY with the mapping lock held, in the
-     SSMP's retired frame of the page if it has one; the grant handler
-     installs the copy and resumes the fiber. *)
-  let fetch () =
-    set_pstate m ce P_busy;
-    Cpu.advance cpu Mgs c.proto.msg_send;
-    let frame = take_frame ce in
-    (match m.protocol with
-    | Protocol_mgs -> Proto.request m ~proc ~vpn ~write ~frame
-    | Protocol_hlrc -> Proto_hlrc.request m ~proc ~vpn ~write ~frame
-    | Protocol_ivy -> Proto_ivy.request m ~proc ~vpn ~write ~frame);
-    count m Pstats.fetch_wait (await_fetch m ~proc ce ~ctx:root);
-    map ()
-  in
   (match (ce.pstate, write) with
   | P_read, false | P_write, _ ->
     count m Pstats.tlb_local_fills 1;
-    map ()
+    map m ~proc ce ~write
   | P_read, true -> (
     (* Arc 2: write to the SSMP's read copy. *)
     count m Pstats.upgrades 1;
     match m.protocol with
     | Protocol_mgs ->
       (* the TLB write precedes UPGRADE, so [upgrade_wait] excludes it *)
-      map ();
+      map m ~proc ce ~write;
       Proto.upgrade m ~proc ce ~ctx:root
     | Protocol_hlrc ->
       Proto_hlrc.upgrade m ~proc ce;
-      map ()
+      map m ~proc ce ~write
     | Protocol_ivy ->
       Proto_ivy.drop_copy m ~proc ce;
-      fetch ())
-  | P_inv, _ -> fetch ()
+      fetch m ~proc ce ~write ~root)
+  | P_inv, _ -> fetch m ~proc ce ~write ~root
   | P_busy, _ ->
     (* The mapping lock is held throughout BUSY, so no second fiber can
        observe it. *)

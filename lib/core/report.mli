@@ -55,9 +55,6 @@ val lock_hit_ratio : t -> float
 (** Fraction of lock acquires satisfied without inter-SSMP
     communication; 1.0 when there were no acquires. *)
 
-val events_per_second : t -> float
-(** Simulator throughput; 0 when wall time was not measured. *)
-
 val pp_throughput : Format.formatter -> t -> unit
 (** [events=... peak_queue=... wall=...s (... events/s)] — printed in
     normal runs so perf regressions are visible without the bench. *)

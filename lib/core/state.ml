@@ -37,7 +37,8 @@ type page_state = P_inv | P_read | P_write | P_busy
    ({!take_frame}) and carries it to the home, which fills it from the
    master ({!grant_frame}) and ships it back as the grant.  A spare
    only ever serves its own page, and every retire site bumps [gen]
-   first, so a fast-path cache never reads a frame after it left. *)
+   first, so a fast-path cache never reads a frame after it left.  A
+   1WINV lends the 1WDATA a frame of the home's ({!lend_frame}). *)
 type centry = {
   c_vpn : int;
   mutable pstate : page_state;
@@ -58,6 +59,7 @@ type centry = {
   mutable fetch_resume : (unit -> unit) option; (* fiber blocked in BUSY / upgrade *)
   mutable inv_count : int; (* outstanding PINV_ACKs *)
   mutable inv_tt : int; (* 1 = read inv, 2 = write inv (diff), 3 = single writer *)
+  mutable inv_frame : Pagedata.page option; (* the frame a 1WINV lent, until the reply *)
   mutable c_dirty : bool; (* written since the last twin sync (dirty bit) *)
   mutable c_version : int; (* HLRC: home version this copy reflects *)
   mutable c_notwin : bool;
@@ -128,7 +130,7 @@ type sentry = {
   mutable s_ext_diffs : Pagedata.diff list;
       (* diffs applied in pass 1 of an epoch extension whose retained
          copy is twinless: the recalled full page would clobber them,
-         so they are re-applied after the blit in pass 2 *)
+         so they are re-applied after the blit in pass 2; newest first *)
   mutable s_retained_notwin : bool;
       (* the copy in [s_retained] has no twin (granted under the
          single-writer regime) *)
@@ -190,6 +192,7 @@ type t = {
          own row ({!count}), and every column is a commutative sum, so
          the column totals ({!total}) match at every job count *)
   rel_resume : (unit -> unit) option array; (* per proc: fiber awaiting RACK *)
+  home_frames : Pagedata.page list array; (* per SSMP, for its shard: {!lend_frame} *)
   mutable ran : bool; (* Machine.run has been called *)
   mutable event_limit : int; (* livelock guard for Machine.run *)
   mutable par_jobs : int;
@@ -292,6 +295,7 @@ let get_centry m ssmp vpn =
         fetch_resume = None;
         inv_count = 0;
         inv_tt = 0;
+        inv_frame = None;
         c_dirty = false;
         c_version = 0;
         c_notwin = false;
@@ -331,12 +335,30 @@ let take_frame ce =
   ce.cdata_free <- None;
   f
 
-let grant_frame se frame =
+let fill_frame frame ~from =
   match frame with
   | Some f ->
-    Pagedata.blit ~src:se.s_master ~dst:f;
+    Pagedata.blit ~src:from ~dst:f;
     f
-  | None -> Pagedata.copy se.s_master
+  | None -> Pagedata.copy from
+
+let grant_frame se frame = fill_frame frame ~from:se.s_master
+
+(* A home's pool: a single writer keeps its copy and ships the page home
+   in a 1WDATA (Table 1, arc 16), in a frame the home lends its 1WINV
+   ([None] from an empty pool: the writer copies) and pools again once
+   merged.  One pool serves every page an SSMP homes. *)
+let lend_frame m se =
+  let ssmp = Topology.ssmp_of_proc m.topo se.s_cur_home in
+  match m.home_frames.(ssmp) with
+  | f :: rest ->
+    m.home_frames.(ssmp) <- rest;
+    Some f
+  | [] -> None
+
+let pool_frame m se f =
+  let ssmp = Topology.ssmp_of_proc m.topo se.s_cur_home in
+  m.home_frames.(ssmp) <- f :: m.home_frames.(ssmp)
 
 let get_sentry m vpn =
   try Hashtbl.find m.servers vpn
@@ -431,17 +453,6 @@ let span_close m ctx =
   match m.obs with
   | None -> ()
   | Some tr -> Span.close (Mgs_obs.Trace.spans tr) ctx ~time:(Sim.now m.sim)
-
-(* Run [f] with [ctx] as the ambient context, restoring afterwards. *)
-let span_with m ctx f =
-  match m.obs with
-  | None -> f ()
-  | Some tr ->
-    let sp = Mgs_obs.Trace.spans tr in
-    let saved = Span.current sp in
-    Span.set_current sp ctx;
-    f ();
-    Span.set_current sp saved
 
 (* Structured event emission.  The protocol engines call this at every
    state transition.  The online invariant checker, when attached, is

@@ -30,6 +30,7 @@ type t = {
   (* the slab, by slot; a free slot's payloads are the no-ops *)
   mutable srcseq : int array;
   mutable own : int array;
+  mutable msgs : int array;
   mutable fns : (unit -> unit) array;
   mutable timeds : (int -> unit) array;
   mutable free : int array; (* the free slots, in [0, capacity - n) *)
@@ -38,6 +39,7 @@ type t = {
   mutable p_sched : int;
   mutable p_srcseq : int;
   mutable p_own : int;
+  mutable p_msg : int;
   mutable p_timed : int -> unit;
 }
 
@@ -49,6 +51,7 @@ let create () =
     n = 0;
     srcseq = [||];
     own = [||];
+    msgs = [||];
     fns = [||];
     timeds = [||];
     free = [||];
@@ -56,6 +59,7 @@ let create () =
     p_sched = 0;
     p_srcseq = 0;
     p_own = -1;
+    p_msg = -1;
     p_timed = nop_timed;
   }
 
@@ -74,6 +78,7 @@ let grow q =
   q.h <- extend q.h 3 0;
   q.srcseq <- extend q.srcseq 1 0;
   q.own <- extend q.own 1 0;
+  q.msgs <- extend q.msgs 1 0;
   q.fns <- extend q.fns 1 nop;
   q.timeds <- extend q.timeds 1 nop_timed;
   (* every old slot is in use: the free slots are the new ones *)
@@ -142,11 +147,12 @@ let rec sift_down q i f sc sl =
 
 (* A free slot holds the no-ops, so only a real payload is written.  A
    slot from the free list is always in range. *)
-let add q ~fire ~sched ~srcseq ~own fn timed =
+let add q ~fire ~sched ~srcseq ~own ~msg fn timed =
   if q.n = Array.length q.own then grow q;
   let slot = q.free.(Array.length q.own - q.n - 1) in
   Array.unsafe_set q.srcseq slot srcseq;
   Array.unsafe_set q.own slot own;
+  Array.unsafe_set q.msgs slot msg;
   if fn != nop then Array.unsafe_set q.fns slot fn;
   if timed != nop_timed then Array.unsafe_set q.timeds slot timed;
   q.n <- q.n + 1;
@@ -155,7 +161,7 @@ let add q ~fire ~sched ~srcseq ~own fn timed =
 let push q ~key ~own fn =
   add q ~fire:key.k_fire ~sched:key.k_sched
     ~srcseq:(pack ~src:key.k_src ~seq:key.k_seq)
-    ~own fn nop_timed
+    ~own ~msg:(-1) fn nop_timed
 
 exception Empty_queue
 
@@ -167,6 +173,7 @@ let pop_min q =
   q.p_sched <- Array.unsafe_get h 1;
   q.p_srcseq <- Array.unsafe_get q.srcseq slot;
   q.p_own <- Array.unsafe_get q.own slot;
+  q.p_msg <- Array.unsafe_get q.msgs slot;
   let fn = Array.unsafe_get q.fns slot and timed = Array.unsafe_get q.timeds slot in
   if fn != nop then Array.unsafe_set q.fns slot nop;
   if timed != nop_timed then Array.unsafe_set q.timeds slot nop_timed;
@@ -189,3 +196,5 @@ let popped_sched q = q.p_sched
 let popped_srcseq q = q.p_srcseq
 
 let popped_own q = q.p_own
+
+let popped_msg q = q.p_msg

@@ -19,9 +19,10 @@
     the pair.  The heap sifts [(fire, sched, slot)] triples in one int
     array and reads the slab only when [(fire, sched)] ties.  A slab
     slot holds the packed word, the owner shard (the one that will
-    execute the event: carried, not part of the order) and the payload,
-    a thunk or a timed callback that receives the fire time, the other
-    a no-op.  A slot is written once at {!add} and cleared at
+    execute the event: carried, not part of the order), a message word
+    (see {!Sim.at_msg}; [-1] for a plain event) and the payload, a thunk
+    or a timed callback that receives the fire time, the other a
+    no-op.  A slot is written once at {!add} and cleared at
     {!pop_min}: an event allocates nothing, and once popped the heap
     reaches nothing of it. *)
 
@@ -61,13 +62,14 @@ val min_fire : t -> int
     an option: the windowed drain reads it before every event. *)
 
 val add :
-  t -> fire:int -> sched:int -> srcseq:int -> own:int -> (unit -> unit) -> (int -> unit) -> unit
+  t -> fire:int -> sched:int -> srcseq:int -> own:int -> msg:int -> (unit -> unit) ->
+  (int -> unit) -> unit
 (** Queue an event keyed [(fire, sched, srcseq)], [srcseq] a {!pack}ed
-    word, for shard [own], with its thunk and its timed callback, one
-    of them a no-op. *)
+    word, for shard [own], with its message word and its thunk and timed
+    callback, one of them a no-op. *)
 
 val push : t -> key:key -> own:int -> (unit -> unit) -> unit
-(** {!add} of a thunk under a four-field key. *)
+(** {!add} of a thunk under a four-field key, with no message word. *)
 
 exception Empty_queue
 
@@ -84,3 +86,4 @@ val popped_fire : t -> int
 val popped_sched : t -> int
 val popped_srcseq : t -> int
 val popped_own : t -> int
+val popped_msg : t -> int

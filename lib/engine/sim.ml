@@ -39,8 +39,8 @@ type shard = {
   mutable executed : int;
   mutable clamped : int; (* past-due schedules clamped to the clock *)
   mutable peak : int;
-  (* cross-shard sends, merged at barriers: fire, sched, packed src/seq
-     and destination shard, four ints each, beside their payloads *)
+  (* cross-shard sends, merged at barriers: fire, sched, src/seq, dst
+     shard and message word, five ints each, beside their payloads *)
   mutable out_ints : int array;
   mutable out_fns : (unit -> unit) array;
   mutable out_timeds : (int -> unit) array;
@@ -67,6 +67,7 @@ type t = {
          after the shard clock and counters have advanced.  Used by the
          metrics sampler; the callback must only touch state owned by
          [shard] or the determinism contract breaks. *)
+  mutable deliver : int -> int -> int; (* a message's finish; see [at_msg] *)
 }
 
 exception Late_delivery of { dst : int; fire : int; clock : int }
@@ -120,11 +121,14 @@ let create () =
     windows = 0;
     wall = [| 0.; 0. |];
     on_event = None;
+    deliver = (fun _ t -> t);
   }
 
 let set_strict sim v = sim.strict <- v
 
 let set_on_event sim h = sim.on_event <- h
+
+let set_deliver sim f = sim.deliver <- f
 
 (* ------------------------------------------------------------------ *)
 (* Observation                                                         *)
@@ -213,42 +217,43 @@ let make_sharded sim ~nshards ~lookahead =
 (* Scheduling                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let push_local sim ~fire ~sched ~srcseq ~own fn timed =
+let push_local sim ~fire ~sched ~srcseq ~own ~msg fn timed =
   if sim.jobs > 1 then begin
     let d = sim.shards.(own) in
-    Shardq.add d.q ~fire ~sched ~srcseq ~own fn timed;
+    Shardq.add d.q ~fire ~sched ~srcseq ~own ~msg fn timed;
     let len = Shardq.length d.q in
     if len > d.peak then d.peak <- len
   end
   else begin
-    Shardq.add sim.g ~fire ~sched ~srcseq ~own fn timed;
+    Shardq.add sim.g ~fire ~sched ~srcseq ~own ~msg fn timed;
     let len = Shardq.length sim.g in
     if len > sim.gpeak then sim.gpeak <- len
   end
 
 (* Park a cross-shard event until the barrier; the arrays only grow. *)
-let outbox_add s ~fire ~sched ~srcseq ~dst fn timed =
+let outbox_add s ~fire ~sched ~srcseq ~dst ~msg fn timed =
   let n = s.out_n in
   if n = Array.length s.out_fns then begin
-    s.out_ints <- Array.append s.out_ints (Array.make (4 * (n + 16)) 0);
+    s.out_ints <- Array.append s.out_ints (Array.make (5 * (n + 16)) 0);
     s.out_fns <- Array.append s.out_fns (Array.make (n + 16) Shardq.nop);
     s.out_timeds <- Array.append s.out_timeds (Array.make (n + 16) Shardq.nop_timed)
   end;
   let a = s.out_ints in
-  a.(4 * n) <- fire;
-  a.((4 * n) + 1) <- sched;
-  a.((4 * n) + 2) <- srcseq;
-  a.((4 * n) + 3) <- dst;
+  a.(5 * n) <- fire;
+  a.((5 * n) + 1) <- sched;
+  a.((5 * n) + 2) <- srcseq;
+  a.((5 * n) + 3) <- dst;
+  a.((5 * n) + 4) <- msg;
   s.out_fns.(n) <- fn;
   s.out_timeds.(n) <- timed;
   s.out_n <- n + 1
 
-(* Schedule [fn] or [timed] (the other a no-op) on shard [dst] at time
-   [t], from shard [c] ([cur ()]).  The key is minted from the
-   scheduling shard's clock, id and counter: inside an event, the
-   executing shard's; host-side, the destination shard's.  Past-due
-   times are clamped to the scheduler's clock and counted. *)
-let schedule sim c dst t fn timed =
+(* Schedule [fn] or [timed] (the other a no-op) and message word [msg]
+   on shard [dst] at time [t], from shard [c] ([cur ()]).  The key is
+   minted from the scheduling shard's clock, id and counter: inside an
+   event, the executing shard's; host-side, the destination shard's.
+   Past-due times are clamped to the scheduler's clock and counted. *)
+let schedule sim c dst t ~msg fn timed =
   if dst < 0 || dst >= Array.length sim.shards then invalid_arg "Sim.at_shard: bad shard";
   let s = if c >= 0 then sim.shards.(c) else sim.shards.(dst) in
   let fire =
@@ -264,23 +269,29 @@ let schedule sim c dst t fn timed =
   if sim.jobs > 1 && c >= 0 && c <> dst then
     (* cross-shard send from inside an event: park in the outbox; the
        barrier merges it into [dst]'s heap before the next window *)
-    outbox_add s ~fire ~sched:s.clock ~srcseq ~dst fn timed
-  else push_local sim ~fire ~sched:s.clock ~srcseq ~own:dst fn timed
+    outbox_add s ~fire ~sched:s.clock ~srcseq ~dst ~msg fn timed
+  else push_local sim ~fire ~sched:s.clock ~srcseq ~own:dst ~msg fn timed
 
-let at_shard sim ~shard t fn = schedule sim (cur ()) shard t fn Shardq.nop_timed
+let at_shard sim ~shard t fn = schedule sim (cur ()) shard t ~msg:(-1) fn Shardq.nop_timed
 
-let at_shard_k sim ~shard t k = schedule sim (cur ()) shard t Shardq.nop k
+let at_shard_k sim ~shard t k = schedule sim (cur ()) shard t ~msg:(-1) Shardq.nop k
+
+let at_msg sim ~shard t ~msg k = schedule sim (cur ()) shard t ~msg Shardq.nop k
 
 (* [at] without an explicit target: stay on the executing shard (the
    common case — timers, fiber resumptions, local protocol work).
    Host-side calls without a target land on shard 0. *)
 let at sim t fn =
   let c = cur () in
-  schedule sim c (Int.max 0 c) t fn Shardq.nop_timed
+  schedule sim c (Int.max 0 c) t ~msg:(-1) fn Shardq.nop_timed
 
 let at_k sim t k =
   let c = cur () in
-  schedule sim c (Int.max 0 c) t Shardq.nop k
+  schedule sim c (Int.max 0 c) t ~msg:(-1) Shardq.nop k
+
+(* A message's arrival at [t]: [k] runs when the hook says its handler
+   finishes. *)
+let arrive sim ~msg t k = if msg < 0 then k t else at_k sim (sim.deliver msg t) k
 
 let after sim d f =
   if d < 0 then invalid_arg "Sim.after: negative delay";
@@ -297,10 +308,12 @@ let limit_msg ~limit ~executed ~clock ~pending =
 
 (* One event: pop the minimum of [q], advance its shard's clock, count
    it, record it in this domain's [r] as running, run the hook, call
-   it.  Both drains use it. *)
+   it — or, for a message, queue its continuation at the handler's
+   finish, as {!arrive} does.  Both drains use it. *)
 let step sim q r =
   let fn = Shardq.pop_min q in
   let timed = Shardq.take_timed q in
+  let msg = Shardq.popped_msg q in
   let s = sim.shards.(Shardq.popped_own q) in
   let t = Shardq.popped_fire q in
   if t > s.clock then s.clock <- t;
@@ -310,7 +323,11 @@ let step sim q r =
   r.sched <- Shardq.popped_sched q;
   r.srcseq <- Shardq.popped_srcseq q;
   (match sim.on_event with Some h -> h ~shard:s.id ~now:t | None -> ());
-  match if timed == Shardq.nop_timed then fn () else timed t with
+  match
+    if msg >= 0 then schedule sim s.id s.id (sim.deliver msg t) ~msg:(-1) Shardq.nop timed
+    else if timed == Shardq.nop_timed then fn ()
+    else timed t
+  with
   | () -> r.shard <- -1
   | exception e ->
     r.shard <- -1;
@@ -364,7 +381,7 @@ let drain sim s ~wend ~allow =
    argument was violated (an engine or cost-model bug, not a program
    bug): it moves to the destination's clock, is counted as a clamp
    there and, under strict mode, raised. *)
-let merge sim ~fire ~sched ~srcseq ~dst fn timed =
+let merge sim ~fire ~sched ~srcseq ~dst ~msg fn timed =
   let d = sim.shards.(dst) in
   let fire =
     if fire >= d.clock then fire
@@ -374,7 +391,7 @@ let merge sim ~fire ~sched ~srcseq ~dst fn timed =
       d.clock
     end
   in
-  Shardq.add d.q ~fire ~sched ~srcseq ~own:dst fn timed;
+  Shardq.add d.q ~fire ~sched ~srcseq ~own:dst ~msg fn timed;
   d.merges <- d.merges + 1;
   let len = Shardq.length d.q in
   if len > d.peak then d.peak <- len
@@ -388,8 +405,8 @@ let flush_outboxes sim =
       let a = s.out_ints and fn = s.out_fns.(j) and timed = s.out_timeds.(j) in
       s.out_fns.(j) <- Shardq.nop;
       s.out_timeds.(j) <- Shardq.nop_timed;
-      merge sim ~fire:a.(4 * j) ~sched:a.((4 * j) + 1) ~srcseq:a.((4 * j) + 2)
-        ~dst:a.((4 * j) + 3) fn timed
+      merge sim ~fire:a.(5 * j) ~sched:a.((5 * j) + 1) ~srcseq:a.((5 * j) + 2)
+        ~dst:a.((5 * j) + 3) ~msg:a.((5 * j) + 4) fn timed
     done
   done
 

@@ -109,6 +109,21 @@ val at_k : t -> time -> (time -> unit) -> unit
 val at_shard_k : t -> shard:int -> time -> (time -> unit) -> unit
 (** The timed form of {!at_shard}; see {!at_k}. *)
 
+val set_deliver : t -> (int -> time -> time) -> unit
+(** The hook, one per simulator, that turns a message word ({!at_msg})
+    and its arrival time into its handler's finish time, on the
+    destination's shard. *)
+
+val at_msg : t -> shard:int -> time -> msg:int -> (time -> unit) -> unit
+(** [at_msg sim ~shard t ~msg k] is {!at_shard_k} for a message whose
+    event carries the word [msg >= 0]: at arrival the engine queues [k]
+    at the hook's finish time with {!at_k}, as a closure over [msg]
+    would, with no closure.  [msg = -1] is a plain {!at_shard_k}. *)
+
+val arrive : t -> msg:int -> time -> (time -> unit) -> unit
+(** What an {!at_msg} event does at [t], for a transport that delivers
+    from an event of its own (the LAN's fault path). *)
+
 val after : t -> time -> (unit -> unit) -> unit
 (** [after sim d f] is [at sim (now sim + d) f].  [d] must be [>= 0]. *)
 

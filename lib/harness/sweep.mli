@@ -143,6 +143,4 @@ val breakup_penalty_rt : (int * int) list -> float
 
 val multigrain_potential_rt : (int * int) list -> float
 
-val multigrain_curvature_rt : (int * int) list -> float
-
 val curvature_class_rt : (int * int) list -> string

@@ -22,6 +22,7 @@ exception Net_partition of partition
    marshalling anything. *)
 type pending = {
   penv : Envelope.t;
+  pmsg : int; (* the message word, delivered with [Sim.arrive] *)
   pk : Mgs_engine.Sim.time -> unit;
   pseq : int;
   pchan : int;
@@ -132,7 +133,7 @@ let deliver lan rel pend now =
   let env = pend.penv in
   emit_delivery lan ~src:env.src ~dst:env.dst ~src_ssmp:env.src_ssmp ~dst_ssmp:env.dst_ssmp
     ~words:env.words ~post_at:pend.post_at ~arrive:now;
-  pend.pk now
+  Mgs_engine.Sim.arrive lan.sim ~msg:pend.pmsg now pend.pk
 
 let ack_arrived rel ~chan ~seq =
   match Hashtbl.find_opt rel.unacked.(chan) seq with
@@ -263,7 +264,7 @@ and on_timeout lan rel pend now =
     end
   end
 
-let send_reliable lan rel (env : Envelope.t) ~at k =
+let send_reliable lan rel (env : Envelope.t) ~at ~msg k =
   let chan = (env.src_ssmp * lan.nssmps) + env.dst_ssmp in
   let seq = rel.next_seq.(chan) in
   rel.next_seq.(chan) <- seq + 1;
@@ -276,7 +277,8 @@ let send_reliable lan rel (env : Envelope.t) ~at k =
     | None -> Mgs_obs.Span.none
   in
   let pend =
-    { penv = env; pk = k; pseq = seq; pchan = chan; post_at = at; pctx; retries = 0; cur_rto = 0 }
+    { penv = env; pmsg = msg; pk = k; pseq = seq; pchan = chan; post_at = at; pctx; retries = 0;
+      cur_rto = 0 }
   in
   let spec = Fault.spec_of rel.plan in
   pend.cur_rto <- min rto_cap (if spec.rto > 0 then spec.rto else auto_rto lan rel env);
@@ -285,9 +287,10 @@ let send_reliable lan rel (env : Envelope.t) ~at k =
 
 (* --- the one entry point ------------------------------------------- *)
 
-(* On the perfect wire the arrival event runs [k] itself; an
-   [Envelope.t] is built only for the fault path's [pending] record. *)
-let post lan ~tag ~src ~dst ~src_ssmp ~dst_ssmp ~words ~at k =
+(* On the perfect wire the arrival event carries [msg] and [k] itself;
+   an [Envelope.t] is built only for the fault path's [pending]
+   record. *)
+let post lan ~tag ~src ~dst ~src_ssmp ~dst_ssmp ~words ~at ~msg k =
   let p = lan.costs.Mgs_machine.Costs.proto in
   let l = lan.costs.Mgs_machine.Costs.lan in
   if src_ssmp = dst_ssmp then begin
@@ -296,12 +299,12 @@ let post lan ~tag ~src ~dst ~src_ssmp ~dst_ssmp ~words ~at k =
     let arrive =
       fifo_arrival lan ~src:src_ssmp ~dst:dst_ssmp (at + p.intra_msg + (words * p.dma_per_word))
     in
-    Mgs_engine.Sim.at_k lan.sim arrive k
+    Mgs_engine.Sim.at_msg lan.sim ~shard:(Int.max 0 (Mgs_engine.Sim.cur ())) arrive ~msg k
   end
   else
     match lan.rel with
     | Some rel ->
-      send_reliable lan rel { Envelope.tag; src; dst; src_ssmp; dst_ssmp; words } ~at k
+      send_reliable lan rel { Envelope.tag; src; dst; src_ssmp; dst_ssmp; words } ~at ~msg k
     | None ->
       let depart = max at lan.sender_free.(src_ssmp) in
       lan.sender_free.(src_ssmp) <- depart + l.send_occupancy;
@@ -312,11 +315,11 @@ let post lan ~tag ~src ~dst ~src_ssmp ~dst_ssmp ~words ~at k =
       c.messages <- c.messages + 1;
       c.data_words <- c.data_words + words;
       emit_delivery lan ~src ~dst ~src_ssmp ~dst_ssmp ~words ~post_at:at ~arrive;
-      Mgs_engine.Sim.at_shard_k lan.sim ~shard:dst_ssmp arrive k
+      Mgs_engine.Sim.at_msg lan.sim ~shard:dst_ssmp arrive ~msg k
 
 let send lan (env : Envelope.t) ~at k =
   post lan ~tag:env.tag ~src:env.src ~dst:env.dst ~src_ssmp:env.src_ssmp ~dst_ssmp:env.dst_ssmp
-    ~words:env.words ~at k
+    ~words:env.words ~at ~msg:(-1) k
 
 let stats lan =
   let t = fresh_stats () in

@@ -53,21 +53,24 @@ val next_rto : int -> int
 
 val post :
   t -> tag:string -> src:int -> dst:int -> src_ssmp:int -> dst_ssmp:int -> words:int ->
-  at:Mgs_engine.Sim.time -> (Mgs_engine.Sim.time -> unit) -> unit
-(** [post lan ~tag ~src ~dst ~src_ssmp ~dst_ssmp ~words ~at k] sends
-    [words] bulk words from SSMP [src_ssmp], leaving no earlier than
-    [at] (the sender's present), to [dst_ssmp]; [k] runs at the delivery
-    time.  [tag] and the processor endpoints [src] and [dst] only label
+  at:Mgs_engine.Sim.time -> msg:int -> (Mgs_engine.Sim.time -> unit) -> unit
+(** [post lan ~tag ~src ~dst ~src_ssmp ~dst_ssmp ~words ~at ~msg k]
+    sends [words] bulk words from SSMP [src_ssmp], leaving no earlier
+    than [at] (the sender's present), to [dst_ssmp], and delivers [msg]
+    and [k] there as {!Mgs_engine.Sim.at_msg} does: [k] runs at the
+    finish of [msg]'s handler, or at the delivery time when [msg] is
+    [-1].  [tag] and the processor endpoints [src] and [dst] only label
     trace events and a {!Net_partition}.  [src_ssmp = dst_ssmp] models a
     local protocol message: it bypasses the LAN (and any fault plan) and
     costs only the intra-SSMP message latency.  Under a fault plan, [k]
     still runs exactly once, in channel order, however the wire
     misbehaves — or {!Net_partition} ends the run.  Without one, the
-    delivery event carries [k] as a timed callback
-    ({!Mgs_engine.Sim.at_k}) and allocates only its key. *)
+    delivery event carries [msg] and [k] and allocates nothing; with
+    one, the transport keeps them until it delivers. *)
 
 val send : t -> Envelope.t -> at:Mgs_engine.Sim.time -> (Mgs_engine.Sim.time -> unit) -> unit
-(** [send lan env ~at k] is {!post} with [env]'s fields. *)
+(** [send lan env ~at k] is {!post} with [env]'s fields and no message
+    word: [k] runs at the delivery time. *)
 
 val stats : t -> stats
 

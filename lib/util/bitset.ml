@@ -4,8 +4,6 @@ let create n =
   if n < 0 then invalid_arg "Bitset.create";
   { words = Bytes.make ((n + 7) / 8) '\000'; cap = n; card = 0 }
 
-let capacity s = s.cap
-
 let check s i = if i < 0 || i >= s.cap then invalid_arg "Bitset: out of range"
 
 let get_bit s i = Char.code (Bytes.get s.words (i lsr 3)) land (1 lsl (i land 7)) <> 0
@@ -89,10 +87,3 @@ let union_into dst src =
 let choose s =
   let rec go i = if i >= s.cap then None else if get_bit s i then Some i else go (i + 1) in
   go 0
-
-let equal a b =
-  if a.cap <> b.cap then invalid_arg "Bitset.equal: capacity mismatch";
-  a.card = b.card && Bytes.equal a.words b.words
-
-let pp ppf s =
-  Format.fprintf ppf "{%s}" (String.concat ", " (List.map string_of_int (elements s)))

@@ -11,9 +11,6 @@ val create : int -> t
 (** [create n] is an empty set over the universe [0 .. n-1].
     @raise Invalid_argument if [n < 0]. *)
 
-val capacity : t -> int
-(** [capacity s] is the universe size given at creation. *)
-
 val add : t -> int -> unit
 (** [add s i] inserts [i].  @raise Invalid_argument if out of range. *)
 
@@ -52,9 +49,3 @@ val union_into : t -> t -> unit
 
 val choose : t -> int option
 (** [choose s] is the least member, if any. *)
-
-val equal : t -> t -> bool
-(** [equal a b] tests equality of membership (capacities must match). *)
-
-val pp : Format.formatter -> t -> unit
-(** Pretty-print as [{i1, i2, ...}]. *)

@@ -41,8 +41,9 @@ let test_pqueue_fifo_ties () =
    few thousand deep and its slab grows mid-run, reusing the slots that
    pops free.  The narrow ranges make ties on (fire, sched) and src
    common; [seq] counts pushes, so keys are distinct.  Each pop must
-   return the model's minimum: its key, its owner shard and its own
-   payload, the thunk or timed callback pushed with it. *)
+   return the model's minimum: its key, its owner shard, its message
+   word and its own payload, the thunk or timed callback pushed with
+   it. *)
 type entry = {
   e_key : int * int * int * int; (* fire, sched, src, seq *)
   e_own : int;
@@ -81,7 +82,7 @@ let prop_pqueue_10k =
             && Q.popped_fire q = fire
             && Q.popped_sched q = sched
             && Q.popped_srcseq q = Q.pack ~src ~seq
-            && Q.popped_own q = e.e_own && !ran = seq
+            && Q.popped_own q = e.e_own && Q.popped_msg q = seq && !ran = seq
             && Q.length q = !size
       in
       List.iter
@@ -99,7 +100,7 @@ let prop_pqueue_10k =
                   (if timed then (fun t -> if t = fire then ran := id) else Q.nop_timed);
               }
             in
-            Q.add q ~fire ~sched ~srcseq:(Q.pack ~src ~seq:id) ~own e.e_fn e.e_timed;
+            Q.add q ~fire ~sched ~srcseq:(Q.pack ~src ~seq:id) ~own ~msg:id e.e_fn e.e_timed;
             model := List.merge (fun a b -> compare a.e_key b.e_key) [ e ] !model;
             incr size;
             depth := max !depth !size)
@@ -480,6 +481,88 @@ let test_event_words () =
       Alcotest.(check int) "every thunk ran" (2 * (n + 1)) (Sim.events_executed sim))
     [ 1; 2 ]
 
+(* A message event carries its handler's word; at arrival the engine
+   asks the hook for the handler's finish and queues the continuation
+   there.  A chain of messages bouncing between two shards, the hook's
+   finish [arrival + msg], each continuation logging its shard, time
+   and key: the run must read the same, with the same event count, on
+   one heap and windowed as a closure that does the hook's work by hand
+   on one heap. *)
+let test_message_events () =
+  let run ~jobs ~closure =
+    let sim = Sim.create () in
+    Sim.make_sharded sim ~nshards:2 ~lookahead:100;
+    Sim.set_jobs sim jobs;
+    Sim.set_deliver sim (fun msg t -> t + msg);
+    let log = ref [] and left = ref 300 in
+    let rec k t =
+      let r = Sim.running () in
+      log := [ r.Sim.shard; t; Sim.now sim; r.Sim.fire; r.Sim.sched; r.Sim.srcseq ] :: !log;
+      if !left > 0 then begin
+        decr left;
+        let msg = !left mod 7 and shard = 1 - Sim.cur () in
+        let arrive = Sim.now sim + 100 + (!left mod 3) in
+        if closure then Sim.at_shard_k sim ~shard arrive (fun a -> Sim.at_k sim (a + msg) k)
+        else Sim.at_msg sim ~shard arrive ~msg k
+      end
+    in
+    Sim.at_shard_k sim ~shard:0 0 k;
+    ignore (Sim.run sim ());
+    (List.rev !log, Sim.events_executed sim)
+  in
+  let expect = run ~jobs:1 ~closure:true in
+  let check what got = Alcotest.(check (pair (list (list int)) int)) what expect got in
+  check "one heap" (run ~jobs:1 ~closure:false);
+  check "windowed" (run ~jobs:2 ~closure:false);
+  Alcotest.(check int) "both shards ran" 2
+    (List.length (List.sort_uniq compare (List.map List.hd (fst expect))))
+
+(* On a lossy LAN a message still reaches its handler once: the
+   transport keeps the word until it delivers and then calls the hook.
+   Each of [n] messages, to three SSMPs and under drops, duplicates,
+   delays and reorders, must meet the hook once and run its
+   continuation once, at the finish the hook returned; and the run must
+   read the same on one heap and windowed. *)
+let test_message_faulted_lan () =
+  let module Lan = Mgs_net.Lan in
+  let module Fault = Mgs_net.Fault in
+  let costs = Mgs_machine.Costs.default in
+  let n = 120 in
+  let run ~jobs =
+    let sim = Sim.create () in
+    Sim.make_sharded sim ~nshards:4 ~lookahead:costs.Mgs_machine.Costs.lan.latency;
+    Sim.set_jobs sim jobs;
+    let lan = Lan.create sim costs ~nssmps:4 in
+    let spec =
+      { Fault.none with Fault.drop = 0.3; dup = 0.3; delay_p = 0.3; delay_max = 1500;
+        reorder = 0.2; max_retries = 30 }
+    in
+    Lan.set_fault_plan lan (Some (Fault.make spec ~seed:5 ~nssmps:4));
+    (* each message's cell is written only on its destination's shard *)
+    let hooked = Array.make n 0 and finish = Array.make n (-1) and ran = Array.make n [] in
+    Sim.set_deliver sim (fun i t ->
+        hooked.(i) <- hooked.(i) + 1;
+        finish.(i) <- t + (10 * i) + 5;
+        finish.(i));
+    for i = 0 to n - 1 do
+      Lan.post lan ~tag:"T" ~src:0 ~dst:0 ~src_ssmp:0 ~dst_ssmp:(1 + (i mod 3))
+        ~words:(8 * (i mod 5)) ~at:0 ~msg:i (fun t -> ran.(i) <- (t, Sim.now sim) :: ran.(i))
+    done;
+    ignore (Sim.run sim ());
+    let st = Lan.stats lan in
+    Alcotest.(check bool) "faults fired" true (st.Lan.retransmits > 0 && st.Lan.dup_drops > 0);
+    Array.iteri
+      (fun i runs ->
+        match runs with
+        | [ (t, now) ] when hooked.(i) = 1 && t = finish.(i) && now = t -> ()
+        | _ ->
+          Alcotest.failf "message %d: hooked %d times, ran %d times" i hooked.(i)
+            (List.length runs))
+      ran;
+    Array.to_list finish
+  in
+  Alcotest.(check (list int)) "windowed" (run ~jobs:1) (run ~jobs:2)
+
 (* A [sleep_until] round trip allocates its effect (2 words), its
    continuation (3) and its resume thunk (4). *)
 let test_sleep_words () =
@@ -656,6 +739,10 @@ let () =
           Alcotest.test_case "cross-shard sends allocate nothing" `Quick
             test_cross_sends_allocate_nothing;
           Alcotest.test_case "a timed event allocates nothing" `Quick test_event_words;
+          Alcotest.test_case "a message crosses shards as its closure would" `Quick
+            test_message_events;
+          Alcotest.test_case "a lossy LAN runs each handler once" `Quick
+            test_message_faulted_lan;
         ] );
       ( "fiber",
         [

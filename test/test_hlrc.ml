@@ -233,7 +233,7 @@ let () =
       ( "frames",
         [
           Alcotest.test_case "a re-grant fills the retired frame" `Quick (fun () ->
-              Frames.check_pingpong Protocol_hlrc);
+              Frames.check_pingpong Protocol_hlrc ~budget:480);
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest [ prop_hlrc_random_drf ]);
     ]

@@ -209,7 +209,7 @@ let () =
       ( "frames",
         [
           Alcotest.test_case "a re-grant fills the retired frame" `Quick (fun () ->
-              Frames.check_pingpong Protocol_ivy);
+              Frames.check_pingpong Protocol_ivy ~budget:420);
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest [ prop_ivy_random_drf ]);
     ]

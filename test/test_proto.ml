@@ -423,6 +423,8 @@ let () =
       ( "frames",
         [
           Alcotest.test_case "a re-grant fills the retired frame" `Quick (fun () ->
-              Frames.check_pingpong Protocol_mgs);
+              Frames.check_pingpong Protocol_mgs ~budget:480);
+          Alcotest.test_case "a single-writer release copies no page" `Quick
+            Frames.check_single_writer;
         ] );
     ]
