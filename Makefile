@@ -26,7 +26,11 @@ test:
 # checks its files (strict JSON, schemas, balanced spans, monotone
 # sample times, merged-stream execution order, and — via --latency,
 # matching the run's 1000-cycle LAN — cross-SSMP handler starts that
-# respect the wire).  The third run, on a seeded lossy LAN, adds
+# respect the wire).  Every traced run must keep its whole run: output
+# that warns of an overflowed event ring or a full span store fails the
+# target, so the lint sees every event, not a tail.  The second run is
+# a water run small enough to keep whole that still reclassifies pages
+# and migrates homes.  The third run, on a seeded lossy LAN, adds
 # retransmission events, net.retry spans and the net.* metric columns,
 # and must still verify and report its retransmission work.  The
 # fourth runs two SSMPs at zero LAN latency: no lookahead, so one job,
@@ -36,18 +40,24 @@ test:
 # contended kv cell whose adaptive homes migrate, on two domains; it
 # records no trace, so it must not warn of a ring overflow.  The
 # tracked perf baseline is schema-checked along the way.
+WHOLE_RUN = ! grep -qE "overflowed|span store full"
+
 trace-lint: build
 	$(DUNE) exec bin/mgs_run.exe -- --app jacobi --procs 8 --cluster 2 \
 	  --size 32 --iters 2 --check --trace _build/lint-trace.json \
-	  --spans _build/lint-spans.json --metrics _build/lint-metrics.json
+	  --spans _build/lint-spans.json --metrics _build/lint-metrics.json > _build/lint.out
+	@cat _build/lint.out
+	@$(WHOLE_RUN) _build/lint.out
 	$(DUNE) exec bin/trace_lint.exe -- --latency 1000 \
 	  --chrome _build/lint-trace.json \
 	  --spans _build/lint-spans.json \
 	  --metrics _build/lint-metrics.json \
 	  --bench BENCH_sim.json
 	$(DUNE) exec bin/mgs_run.exe -- --app water --procs 8 --cluster 2 \
-	  --adapt --check --trace _build/lint-adapt-trace.json \
-	  --metrics _build/lint-adapt-metrics.json
+	  --size 12 --iters 3 --adapt --check --trace _build/lint-adapt-trace.json \
+	  --metrics _build/lint-adapt-metrics.json > _build/lint-adapt.out
+	@cat _build/lint-adapt.out
+	@$(WHOLE_RUN) _build/lint-adapt.out
 	$(DUNE) exec bin/trace_lint.exe -- --latency 1000 \
 	  --chrome _build/lint-adapt-trace.json \
 	  --metrics _build/lint-adapt-metrics.json
@@ -57,6 +67,7 @@ trace-lint: build
 	  --trace _build/lint-chaos-trace.json --spans _build/lint-chaos-spans.json \
 	  --metrics _build/lint-chaos-metrics.json > _build/lint-chaos.out
 	@cat _build/lint-chaos.out
+	@$(WHOLE_RUN) _build/lint-chaos.out
 	@grep -q "net: retries=" _build/lint-chaos.out
 	@grep -q "verification: OK" _build/lint-chaos.out
 	$(DUNE) exec bin/trace_lint.exe -- --latency 1000 \
@@ -65,7 +76,9 @@ trace-lint: build
 	  --metrics _build/lint-chaos-metrics.json
 	$(DUNE) exec bin/mgs_run.exe -- --app jacobi --procs 8 --cluster 2 \
 	  --size 32 --iters 2 --delay 0 --check --trace _build/lint-zero-trace.json \
-	  --spans _build/lint-zero-spans.json
+	  --spans _build/lint-zero-spans.json > _build/lint-zero.out
+	@cat _build/lint-zero.out
+	@$(WHOLE_RUN) _build/lint-zero.out
 	$(DUNE) exec bin/trace_lint.exe -- --latency 0 \
 	  --chrome _build/lint-zero-trace.json \
 	  --spans _build/lint-zero-spans.json

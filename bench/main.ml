@@ -39,9 +39,15 @@ let wargs ?size ?iters () = { Workload.default_args with Workload.size; iters }
 
 let wl ?size ?iters name = Workload.instantiate ~args:(wargs ?size ?iters ()) name
 
+(* The paper's machine at [nprocs] processors; a sweep or an ablation
+   replaces its cluster size. *)
+let machine ?protocol nprocs = Mgs.Machine.config ?protocol ~nprocs ~cluster:1 ()
+
+let sweep ?protocol w = Sweep.sweep ~jobs:!jobs (machine ?protocol nprocs) w
+
 (* Each application's sweep is computed once and shared by every target
    that needs it. *)
-let sweep_of w = lazy (Sweep.sweep ~jobs:!jobs ~nprocs w)
+let sweep_of w = lazy (sweep w)
 
 let jacobi = sweep_of (wl "jacobi")
 
@@ -63,7 +69,7 @@ let table3 () =
   print_newline ()
 
 let seq_runtime w =
-  let p = Sweep.run_point ~nprocs:1 ~cluster:1 w in
+  let p = Sweep.run_point (machine 1) w in
   p.Sweep.report.Mgs.Report.runtime
 
 let table4 () =
@@ -170,7 +176,7 @@ let summary () =
 let ablation study name () =
   Printf.printf "=== Ablation: %s ===\n" name;
   let w = wl ~size:64 "water" in
-  print_string (Mgs_harness.Ablation.run ~jobs:!jobs ~nprocs:16 ~variants:(study ()) w);
+  print_string (Mgs_harness.Ablation.run ~jobs:!jobs (machine 16) ~variants:(study ()) w);
   print_newline ()
 
 let ablation_single_writer =
@@ -188,7 +194,7 @@ let ablation_tlb () =
   Printf.printf "=== Ablation: software TLB capacity (Jacobi) ===\n";
   let w = wl "jacobi" in
   print_string
-    (Mgs_harness.Ablation.run ~jobs:!jobs ~nprocs:16
+    (Mgs_harness.Ablation.run ~jobs:!jobs (machine 16)
        ~variants:(Mgs_harness.Ablation.tlb_study ())
        w);
   print_newline ()
@@ -197,7 +203,7 @@ let ablation_pipeline () =
   Printf.printf "=== Ablation: serial vs pipelined release (Jacobi) ===\n";
   let w = wl "jacobi" in
   print_string
-    (Mgs_harness.Ablation.run ~jobs:!jobs ~nprocs:16
+    (Mgs_harness.Ablation.run ~jobs:!jobs (machine 16)
        ~variants:(Mgs_harness.Ablation.pipelined_release_study ())
        w);
   print_newline ()
@@ -205,12 +211,12 @@ let ablation_pipeline () =
 let ablation_protocol () =
   Printf.printf "=== Ablation: MGS vs Ivy baseline protocol ===\n";
   print_string
-    (Mgs_harness.Ablation.run ~jobs:!jobs ~nprocs:16
+    (Mgs_harness.Ablation.run ~jobs:!jobs (machine 16)
        ~variants:(Mgs_harness.Ablation.protocol_study ())
        (wl ~size:8 "tsp"));
   print_newline ();
   print_string
-    (Mgs_harness.Ablation.run ~jobs:!jobs ~nprocs:16
+    (Mgs_harness.Ablation.run ~jobs:!jobs (machine 16)
        ~variants:(Mgs_harness.Ablation.protocol_study ())
        (wl ~size:64 "water"));
   print_newline ()
@@ -255,12 +261,12 @@ let adapt_ablation () =
         let par = if nprocs > 16 then 4 else 1 in
         let check = nprocs <= 16 in
         let cell adapt =
-          (Sweep.run_point ~adapt ~check ~par ~protocol:"mgs" ~nprocs ~cluster w)
-            .Sweep.report
+          let cfg = Mgs.Machine.config ~par_jobs:par ~adapt ~nprocs ~cluster () in
+          (Sweep.run_point ~check cfg w).Sweep.report
         in
         {
           Figures.ar_app = name;
-          ar_protocol = "mgs";
+          ar_protocol = Mgs.State.Protocol_mgs;
           ar_procs = nprocs;
           ar_cluster = cluster;
           ar_static = cell false;
@@ -275,7 +281,7 @@ let adapt_ablation () =
    workload over the same framework. *)
 let extra_lu () =
   print_endline "=== Extra: LU decomposition (not in the paper) ===";
-  let points = Sweep.sweep ~jobs:!jobs ~nprocs (wl "lu") in
+  let points = sweep (wl "lu") in
   print_string (Figures.breakdown_figure ~title:"LU, P = 32" points);
   print_newline ()
 
@@ -285,18 +291,18 @@ let extra_lu () =
    keep.  Shown as a sweep plus the three-protocol comparison. *)
 let extra_radix () =
   print_endline "=== Extra: SPLASH-2 RADIX sort (not in the paper) ===";
-  let points = Sweep.sweep ~jobs:!jobs ~nprocs (wl "radix") in
+  let points = sweep (wl "radix") in
   print_string (Figures.breakdown_figure ~title:"Radix, P = 32" points);
   print_newline ();
   print_string
-    (Mgs_harness.Ablation.run ~jobs:!jobs ~nprocs:16
+    (Mgs_harness.Ablation.run ~jobs:!jobs (machine 16)
        ~variants:(Mgs_harness.Ablation.protocol_study ())
        (wl ~size:1024 "radix"));
   print_newline ()
 
 let extra_fft () =
   print_endline "=== Extra: six-step FFT (not in the paper) ===";
-  let points = Sweep.sweep ~jobs:!jobs ~nprocs (wl "fft") in
+  let points = sweep (wl "fft") in
   print_string (Figures.breakdown_figure ~title:"FFT, P = 32" points);
   print_newline ()
 
@@ -307,7 +313,7 @@ let hlrc_figs () =
   print_endline "=== Extra: Figures 6-10 under HLRC (lazy release consistency) ===";
   List.iter
     (fun (name, w) ->
-      let points = Sweep.sweep ~protocol:"hlrc" ~check:false ~jobs:!jobs ~nprocs w in
+      let points = sweep ~protocol:Mgs.State.Protocol_hlrc w in
       print_string (Figures.breakdown_figure ~title:(name ^ " under HLRC") points);
       print_newline ())
     [ ("Jacobi", wl "jacobi"); ("TSP", wl "tsp"); ("Water", wl "water"); ("Barnes-Hut", wl "barnes") ]
@@ -321,8 +327,8 @@ let scaling () =
     Mgs_util.Dpool.map ~jobs:!jobs
       (fun p ->
         let w = wl ~size:64 "water" in
-        let pt = Sweep.run_point ~nprocs:p ~cluster:(min 8 p) w in
-        let r = pt.Sweep.report in
+        let cfg = Mgs.Machine.config ~nprocs:p ~cluster:(min 8 p) () in
+        let r = (Sweep.run_point cfg w).Sweep.report in
         [
           string_of_int p;
           string_of_int r.Mgs.Report.runtime;
@@ -349,7 +355,7 @@ let csv () =
          Figures.csv_of_sweep ~name:"barnes" (Lazy.force barnes);
          Figures.csv_of_sweep ~name:"water-kernel" (Lazy.force wkern);
          Figures.csv_of_sweep ~name:"water-kernel-tiled" (Lazy.force wkern_tiled);
-         Figures.csv_of_sweep ~name:"radix" (Sweep.sweep ~jobs:!jobs ~nprocs (wl "radix"));
+         Figures.csv_of_sweep ~name:"radix" (sweep (wl "radix"));
        ])
 
 let messages () =

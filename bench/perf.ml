@@ -62,7 +62,8 @@ let timed ?(par = 1) ~app ~nprocs ~cluster run =
 
 let measure ?(par = 1) ?(check = true) ?(adapt = false) ~nprocs ~cluster (name, w) =
   timed ~par ~app:name ~nprocs ~cluster (fun () ->
-      let r = (Sweep.run_point ~check ~par ~adapt ~nprocs ~cluster w).Sweep.report in
+      let cfg = Mgs.Machine.config ~par_jobs:par ~adapt ~nprocs ~cluster () in
+      let r = (Sweep.run_point ~check cfg w).Sweep.report in
       (r.Mgs.Report.sim_events, r.Mgs.Report.runtime))
 
 (* Contended-lock microbenchmark rows: one per lock, under
@@ -71,7 +72,8 @@ let measure ?(par = 1) ?(check = true) ?(adapt = false) ~nprocs ~cluster (name, 
 let measure_lock ~cluster ~fibers lock =
   let app = "lock-" ^ Mgs_sync.Locks.name_of lock in
   timed ~app ~nprocs:(max fibers cluster) ~cluster (fun () ->
-      let pt = Mgs_harness.Micro.lock_point ~lock ~protocol:"mgs" ~cluster ~fibers () in
+      let protocol = Mgs.State.Protocol_mgs in
+      let pt = Mgs_harness.Micro.lock_point ~lock ~protocol ~cluster ~fibers () in
       (pt.Mgs_harness.Micro.lk_sim_events, pt.Mgs_harness.Micro.lk_runtime))
 
 (* Large-P rows on the windowed engine: P = 64..1024 processors at

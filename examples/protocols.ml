@@ -34,8 +34,8 @@ let () =
     assert (Mgs.Machine.peek m cell = float_of_int (8 * rounds));
     (report.Mgs.Report.runtime, report.Mgs.Report.lan_messages)
   in
-  (* protocols are picked by name: the same strings mgs_run --protocol
-     and Sweep.run_point ~protocol accept *)
+  (* protocols are picked by name: the strings mgs_run --protocol
+     accepts, resolved once to the machine's protocol tag *)
   let label = function
     | "mgs" -> "MGS (eager RC)"
     | "hlrc" -> "HLRC (lazy RC)"

@@ -55,6 +55,7 @@ let make_workload () =
   { Mgs_harness.Sweep.name = "stencil"; prepare }
 
 let () =
-  let points = Mgs_harness.Sweep.sweep ~nprocs:16 (make_workload ()) in
+  let cfg = Mgs.Machine.config ~nprocs:16 ~cluster:1 () in
+  let points = Mgs_harness.Sweep.sweep cfg (make_workload ()) in
   print_string
     (Mgs_harness.Figures.breakdown_figure ~title:"1-D stencil, P = 16, 1000-cycle LAN" points)

@@ -4,7 +4,6 @@ type config = {
   nprocs : int;
   cluster : int;
   page_words : int;
-  line_words : int;
   costs : Costs.t;
   event_limit : int;
   features : State.features;
@@ -20,7 +19,7 @@ type config = {
          default; off is byte-identical to a build without the layer. *)
 }
 
-let config ?(page_words = 256) ?(line_words = 4) ?(costs = Costs.default) ?lan_latency
+let config ?(page_words = 256) ?(costs = Costs.default) ?lan_latency
     ?(event_limit = 500_000_000) ?(shadow = Sys.getenv_opt "MGS_SHADOW" = Some "1")
     ?(features = State.default_features) ?(protocol = State.Protocol_mgs) ?tlb_entries
     ?(par_jobs = 1) ?(adapt = false) ~nprocs ~cluster () =
@@ -38,7 +37,6 @@ let config ?(page_words = 256) ?(line_words = 4) ?(costs = Costs.default) ?lan_l
     nprocs;
     cluster;
     page_words;
-    line_words;
     costs;
     event_limit;
     features;
@@ -53,7 +51,7 @@ type t = State.t
 
 let create cfg =
   let sim = Sim.create () in
-  let geom = Geom.create ~page_words:cfg.page_words ~line_words:cfg.line_words () in
+  let geom = Geom.create ~page_words:cfg.page_words () in
   let topo = Topology.create ~nprocs:cfg.nprocs ~cluster:cfg.cluster in
   (* shard per SSMP; the fixed inter-SSMP LAN latency is the
      conservative lookahead window (every cross-SSMP delivery pays at

@@ -19,7 +19,6 @@ type config = {
   nprocs : int;  (** P: total processors *)
   cluster : int;  (** C: processors per SSMP; must divide P *)
   page_words : int;
-  line_words : int;
   costs : Mgs_machine.Costs.t;
   event_limit : int;  (** livelock guard for [run] *)
   features : State.features;  (** protocol feature toggles (ablations) *)
@@ -47,7 +46,6 @@ type config = {
 
 val config :
   ?page_words:int ->
-  ?line_words:int ->
   ?costs:Mgs_machine.Costs.t ->
   ?lan_latency:int ->
   ?event_limit:int ->
@@ -61,7 +59,7 @@ val config :
   cluster:int ->
   unit ->
   config
-(** Defaults: 1 KB pages (256 words), 16 B lines, {!Mgs_machine.Costs.default} with
+(** Defaults: 1 KB pages (256 words), {!Mgs_machine.Costs.default} with
     its LAN latency overridden by [lan_latency] when given; [par_jobs]
     defaults to 1 (the calling domain); [adapt] defaults to [false].
     @raise Invalid_argument if [par_jobs < 1], or if [adapt] is combined
@@ -143,6 +141,8 @@ val shadow_mismatches : t -> int
 val topo : t -> Mgs_machine.Topology.t
 val costs : t -> Mgs_machine.Costs.t
 val geom : t -> Mgs_mem.Geom.t
+(** Page and line size; every machine has the paper's 16 B (4-word)
+    cache lines. *)
 
 val alloc : t -> words:int -> home:Mgs_mem.Allocator.home_policy -> int
 (** Reserve shared virtual memory (page-granular); returns the base

@@ -8,32 +8,30 @@
 
 type variant = {
   label : string;
-  page_words : int;
-  lan_latency : int;
-  features : Mgs.State.features;
-  protocol : string;  (** a {!Mgs.Protocol} name, e.g. ["mgs"] *)
-  tlb_entries : int option;
-  adapt : bool;  (** adaptive per-page coherence ({!Mgs_cache.Adapt}) *)
+  tweak : Mgs.Machine.config -> Mgs.Machine.config;
+      (** what the variant changes in the base machine *)
 }
 
 val baseline : variant
-(** 1 KB pages, 1000-cycle LAN, paper-default features. *)
+(** The base machine unchanged. *)
 
 val run :
   ?clusters:int list ->
   ?jobs:int ->
-  ?par:int ->
-  nprocs:int ->
+  Mgs.Machine.config ->
   variants:variant list ->
   Sweep.workload ->
   string
-(** Run the workload under every variant; render a table with one
-    runtime column per variant plus the framework metrics per variant.
-    [jobs] (default 1) fans the variant x cluster grid out over a domain
-    pool; [par] (default 1) runs the event engine inside each cell on
-    that many domains (one for zero-latency variants, which have no
-    lookahead window); the rendered table is identical for any [jobs]
-    or [par]. *)
+(** Run the workload under every variant of the base machine: each
+    cell is {!Sweep.run_point} on [{ (v.tweak base) with cluster }], so
+    it is verified and runs the invariant checker.  Render a table with
+    one runtime column per variant plus the framework metrics per
+    variant.  [clusters] defaults to the powers of two up to
+    [base.nprocs].  [jobs] (default 1) fans the variant x cluster grid
+    out over a domain pool; the base's [par_jobs] runs the event engine
+    inside each cell on that many domains (one for zero-latency
+    variants, which have no lookahead window); the rendered table is
+    identical for any [jobs] or [par_jobs]. *)
 
 val protocol_study : unit -> variant list
 (** MGS's eager multiple-writer RC protocol vs home-based lazy release

@@ -74,7 +74,7 @@ let pp_lock_table points =
         let g = p.Micro.lk_gap in
         [
           Mgs_sync.Locks.name_of p.Micro.lk_lock;
-          p.Micro.lk_protocol;
+          Mgs.Protocol.name_of p.Micro.lk_protocol;
           string_of_int p.Micro.lk_cluster;
           string_of_int p.Micro.lk_fibers;
           string_of_int p.Micro.lk_acquires;
@@ -103,7 +103,7 @@ let pp_lock_table points =
    home migrations, forwarded requests, yielded pages). *)
 type adapt_row = {
   ar_app : string;
-  ar_protocol : string;
+  ar_protocol : Mgs.State.protocol;
   ar_procs : int;
   ar_cluster : int;
   ar_static : Mgs.Report.t;
@@ -122,7 +122,7 @@ let pp_adapt_table rows =
         let ps = r.ar_adapt.Mgs.Report.pstats in
         [
           r.ar_app;
-          r.ar_protocol;
+          Mgs.Protocol.name_of r.ar_protocol;
           string_of_int r.ar_procs;
           string_of_int r.ar_cluster;
           string_of_int s;

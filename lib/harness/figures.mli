@@ -19,7 +19,7 @@ val pp_lock_table : Micro.lock_point list -> string
     ([ar_adapt]). *)
 type adapt_row = {
   ar_app : string;
-  ar_protocol : string;
+  ar_protocol : Mgs.State.protocol;
   ar_procs : int;
   ar_cluster : int;
   ar_static : Mgs.Report.t;

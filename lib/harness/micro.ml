@@ -8,16 +8,17 @@ type measurement = { name : string; group : string; paper : int; measured : int 
 
 let step = 1_000_000 (* cycle gap between sequenced steps *)
 
-let hw_costs (costs : Mgs_machine.Costs.t) = costs.hardware
+(* every micro machine runs the default costs *)
+let hw = Mgs_machine.Costs.default.hardware
+
+let xl = Mgs_machine.Costs.default.svm.array_translation
 
 (* --- hardware shared memory (single SSMP, C = P: no software protocol) *)
 
-let measure_hardware costs =
-  let cfg = Mgs.Machine.config ~costs ~nprocs:8 ~cluster:8 () in
-  let m = Mgs.Machine.create cfg in
+let measure_hardware () =
+  let m = Mgs.Machine.create (Mgs.Machine.config ~nprocs:8 ~cluster:8 ()) in
   let base = Mgs.Machine.alloc m ~words:1024 ~home:(Mgs_mem.Allocator.On_proc 0) in
   let lw = (Mgs.Machine.geom m).Mgs_mem.Geom.line_words in
-  let xl = costs.Mgs_machine.Costs.svm.array_translation in
   let results = Hashtbl.create 8 in
   let bracket ctx name extra f =
     let c0 = Mgs.Api.cycles ctx in
@@ -58,7 +59,7 @@ let measure_hardware costs =
          else begin
            (* warm proc 7's TLB on another line of the same page *)
            ignore (Mgs.Api.read ctx (line 6));
-           bracket ctx "Remote Software" (hw_costs costs).miss_remote (fun () ->
+           bracket ctx "Remote Software" hw.miss_remote (fun () ->
                ignore (Mgs.Api.read ctx (line 5)))
          end;
          Mgs.Api.idle_until ctx (20 * step)));
@@ -66,11 +67,10 @@ let measure_hardware costs =
 
 (* --- software virtual memory ---------------------------------------- *)
 
-let measure_svm costs =
-  let cfg = Mgs.Machine.config ~costs ~nprocs:1 ~cluster:1 () in
-  let m = Mgs.Machine.create cfg in
+let measure_svm () =
+  let m = Mgs.Machine.create (Mgs.Machine.config ~nprocs:1 ~cluster:1 ()) in
   let base = Mgs.Machine.alloc m ~words:128 ~home:(Mgs_mem.Allocator.On_proc 0) in
-  let hit = (hw_costs costs).cache_hit in
+  let hit = hw.cache_hit in
   let results = Hashtbl.create 4 in
   ignore
     (Mgs.Machine.run m (fun ctx ->
@@ -86,10 +86,8 @@ let measure_svm costs =
 
 (* --- software shared memory (multi-SSMP, zero LAN delay) ------------- *)
 
-let measure_ssm costs =
-  let costs = Mgs_machine.Costs.with_lan_latency costs 0 in
-  let cfg = Mgs.Machine.config ~costs ~nprocs:8 ~cluster:2 () in
-  let m = Mgs.Machine.create cfg in
+let measure_ssm () =
+  let m = Mgs.Machine.create (Mgs.Machine.config ~lan_latency:0 ~nprocs:8 ~cluster:2 ()) in
   let geom = Mgs.Machine.geom m in
   let pw = geom.Mgs_mem.Geom.page_words in
   (* one page per software measurement, all homed on proc 0 (SSMP 0) *)
@@ -97,8 +95,6 @@ let measure_ssm costs =
   let page_b = Mgs.Machine.alloc m ~words:pw ~home:(Mgs_mem.Allocator.On_proc 0) in
   let page_c = Mgs.Machine.alloc m ~words:pw ~home:(Mgs_mem.Allocator.On_proc 0) in
   let page_d = Mgs.Machine.alloc m ~words:pw ~home:(Mgs_mem.Allocator.On_proc 0) in
-  let xl = costs.Mgs_machine.Costs.svm.array_translation in
-  let hw = hw_costs costs in
   let results = Hashtbl.create 8 in
   let bracket ctx name extra f =
     let c0 = Mgs.Api.cycles ctx in
@@ -162,13 +158,13 @@ let paper_values =
     ("Release (2 writers)", "Software Shared Memory", 32570);
   ]
 
-let run_all ?(costs = Mgs_machine.Costs.default) () =
-  let hw = measure_hardware costs in
-  let svm = measure_svm costs in
-  let ssm = measure_ssm costs in
+let run_all () =
+  let hsm = measure_hardware () in
+  let svm = measure_svm () in
+  let ssm = measure_ssm () in
   let find name =
     match
-      ( Hashtbl.find_opt hw name,
+      ( Hashtbl.find_opt hsm name,
         Hashtbl.find_opt svm name,
         Hashtbl.find_opt ssm name )
     with
@@ -190,7 +186,7 @@ let run_all ?(costs = Mgs_machine.Costs.default) () =
 
 type lock_point = {
   lk_lock : Mgs_sync.Locks.kind;
-  lk_protocol : string;
+  lk_protocol : Mgs.State.protocol;
   lk_cluster : int;
   lk_fibers : int;  (** contending fibers (one per processor) *)
   lk_acquires : int;
@@ -201,16 +197,16 @@ type lock_point = {
   lk_sim_events : int;
 }
 
-let lock_point ?(iters = 16) ?(crit = 200) ?(think = 1500) ?(par = 1) ?(adapt = false)
-    ~lock ~protocol ~cluster ~fibers () =
+let crit = 200 (* cycles in each critical section *)
+
+let think = 1500 (* cycles between a release and the next acquire *)
+
+let lock_point ?(iters = 16) ?(par = 1) ~lock ~protocol ~cluster ~fibers () =
   (* enough processors for the contenders, rounded up so C divides P *)
   let nprocs = (max fibers cluster + cluster - 1) / cluster * cluster in
-  let cfg =
-    Mgs.Machine.config ~lan_latency:1000
-      ~protocol:(Mgs.Protocol.proto_of_name protocol) ~par_jobs:par ~adapt ~nprocs
-      ~cluster ()
+  let m =
+    Mgs.Machine.create (Mgs.Machine.config ~protocol ~par_jobs:par ~nprocs ~cluster ())
   in
-  let m = Mgs.Machine.create cfg in
   let counter =
     Mgs.Machine.alloc m
       ~words:(Mgs.Machine.geom m).Mgs_mem.Geom.page_words
@@ -240,7 +236,8 @@ let lock_point ?(iters = 16) ?(crit = 200) ?(think = 1500) ?(par = 1) ?(adapt = 
   if got <> expect then
     failwith
       (Printf.sprintf "lock bench %s/%s C=%d n=%d: counter %.0f, expected %.0f"
-         (Mgs_sync.Locks.name_of lock) protocol cluster fibers got expect);
+         (Mgs_sync.Locks.name_of lock) (Mgs.Protocol.name_of protocol) cluster fibers got
+         expect);
   {
     lk_lock = lock;
     lk_protocol = protocol;
@@ -254,30 +251,32 @@ let lock_point ?(iters = 16) ?(crit = 200) ?(think = 1500) ?(par = 1) ?(adapt = 
     lk_sim_events = report.Mgs.Report.sim_events;
   }
 
+type lock_spec = Mgs_sync.Locks.kind * Mgs.State.protocol * int * int
+
 (* The full family, in deterministic order; [jobs] fans points out over
    domains with byte-identical results.  [specs] rows are
    (lock, protocol, cluster, fibers). *)
-let lock_family ?iters ?crit ?think ?par ?adapt ?(jobs = 1) specs =
+let lock_family ?iters ?par ?(jobs = 1) specs =
   Mgs_util.Dpool.map ~jobs
     (fun (lock, protocol, cluster, fibers) ->
-      lock_point ?iters ?crit ?think ?par ?adapt ~lock ~protocol ~cluster ~fibers ())
+      lock_point ?iters ?par ~lock ~protocol ~cluster ~fibers ())
     specs
 
 (* lock scalability: every lock at C in {1,4,16} under every
-   protocol, at a fixed contention level *)
-let lock_cluster_specs ?(fibers = 16) () =
+   protocol, at a fixed contention level of 16 fibers *)
+let lock_cluster_specs () =
   List.concat_map
     (fun lock ->
       List.concat_map
-        (fun protocol ->
-          List.map (fun cluster -> (lock, protocol, cluster, fibers)) [ 1; 4; 16 ])
-        [ "mgs"; "hlrc"; "ivy" ])
+        (fun protocol -> List.map (fun cluster -> (lock, protocol, cluster, 16)) [ 1; 4; 16 ])
+        Mgs.State.[ Protocol_mgs; Protocol_hlrc; Protocol_ivy ])
     Mgs_sync.Locks.all
 
-(* contention scaling: 1..64 contending fibers at a fixed cluster *)
-let lock_contention_specs ?(cluster = 4) ?(protocol = "mgs") () =
+(* contention scaling: 1..64 contending fibers at C = 4 under MGS *)
+let lock_contention_specs () =
   List.concat_map
-    (fun lock -> List.map (fun fibers -> (lock, protocol, cluster, fibers)) [ 1; 4; 16; 64 ])
+    (fun lock ->
+      List.map (fun fibers -> (lock, Mgs.State.Protocol_mgs, 4, fibers)) [ 1; 4; 16; 64 ])
     Mgs_sync.Locks.all
 
 let print_table ms =

@@ -10,8 +10,9 @@ type measurement = {
   measured : int;  (** this simulator's value *)
 }
 
-val run_all : ?costs:Mgs_machine.Costs.t -> unit -> measurement list
-(** Execute every micro benchmark; order matches Table 3. *)
+val run_all : unit -> measurement list
+(** Execute every micro benchmark on the default costs; order matches
+    Table 3. *)
 
 val print_table : measurement list -> unit
 (** Render the Table 3 comparison (paper vs measured vs ratio). *)
@@ -27,7 +28,7 @@ val print_table : measurement list -> unit
 
 type lock_point = {
   lk_lock : Mgs_sync.Locks.kind;
-  lk_protocol : string;
+  lk_protocol : Mgs.State.protocol;
   lk_cluster : int;
   lk_fibers : int;  (** contending fibers (one per processor) *)
   lk_acquires : int;
@@ -40,12 +41,9 @@ type lock_point = {
 
 val lock_point :
   ?iters:int ->
-  ?crit:int ->
-  ?think:int ->
   ?par:int ->
-  ?adapt:bool ->
   lock:Mgs_sync.Locks.kind ->
-  protocol:string ->
+  protocol:Mgs.State.protocol ->
   cluster:int ->
   fibers:int ->
   unit ->
@@ -54,29 +52,21 @@ val lock_point :
     critical sections, 1500-cycle think time) on a machine with
     [max fibers cluster] processors (rounded up so C divides P).
     [par] (default 1) runs the event engine on that many domains
-    (results are identical for any value); [adapt] turns
-    on the adaptive coherence layer — lock-protected counters are the
-    canonical migratory pattern.
+    (results are identical for any value).
     @raise Failure if the protected counter lost an increment or the
     machine fails {!Mgs.Machine.assert_quiescent}. *)
 
-val lock_family :
-  ?iters:int ->
-  ?crit:int ->
-  ?think:int ->
-  ?par:int ->
-  ?adapt:bool ->
-  ?jobs:int ->
-  (Mgs_sync.Locks.kind * string * int * int) list ->
-  lock_point list
-(** Run (lock, protocol, cluster, fibers) specs in order; [jobs]
-    (default 1) fans points over domains with byte-identical results. *)
+type lock_spec = Mgs_sync.Locks.kind * Mgs.State.protocol * int * int
+(** (lock, protocol, cluster, fibers) *)
 
-val lock_cluster_specs : ?fibers:int -> unit -> (Mgs_sync.Locks.kind * string * int * int) list
-(** Every lock at C in [{1,4,16}] under every protocol, at a
-    fixed contention level (default 16 fibers). *)
+val lock_family : ?iters:int -> ?par:int -> ?jobs:int -> lock_spec list -> lock_point list
+(** Run specs in order; [jobs] (default 1) fans points over domains
+    with byte-identical results. *)
 
-val lock_contention_specs :
-  ?cluster:int -> ?protocol:string -> unit -> (Mgs_sync.Locks.kind * string * int * int) list
-(** Every lock at 1, 4, 16, and 64 contending fibers, at a
-    fixed cluster size (default 4) and protocol (default mgs). *)
+val lock_cluster_specs : unit -> lock_spec list
+(** Every lock at C in [{1,4,16}] under every protocol, with 16
+    contending fibers. *)
+
+val lock_contention_specs : unit -> lock_spec list
+(** Every lock at 1, 4, 16, and 64 contending fibers, at C = 4 under
+    MGS. *)

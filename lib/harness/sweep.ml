@@ -9,14 +9,7 @@ let clusters_of nprocs =
   let rec go c = if c > nprocs then [] else c :: go (2 * c) in
   go 1
 
-let run_point ?(page_words = 256) ?(costs = Mgs_machine.Costs.default) ?(lan_latency = 1000)
-    ?(protocol = "mgs") ?faults ?(fault_seed = 42) ?(verify = true) ?(check = true)
-    ?(par = 1) ?(adapt = false) ~nprocs ~cluster w =
-  let cfg =
-    Mgs.Machine.config ~page_words ~costs ~lan_latency
-      ~protocol:(Mgs.Protocol.proto_of_name protocol) ~par_jobs:par ~adapt ~nprocs ~cluster
-      ()
-  in
+let run_point ?faults ?(fault_seed = 42) ?(check = true) (cfg : Mgs.Machine.config) w =
   let m = Mgs.Machine.create cfg in
   let checker = if check then Some (Mgs.Machine.enable_checker m) else None in
   (match faults with
@@ -26,7 +19,7 @@ let run_point ?(page_words = 256) ?(costs = Mgs_machine.Costs.default) ?(lan_lat
   let report = Mgs.Machine.run m body in
   (* a partitioned run is a legitimate outcome under faults: the caller
      inspects [report.outcome]; only completed runs can be verified *)
-  if verify && Mgs.Report.completed report then begin
+  if Mgs.Report.completed report then begin
     Mgs.Machine.assert_quiescent m;
     wcheck m
   end;
@@ -34,62 +27,16 @@ let run_point ?(page_words = 256) ?(costs = Mgs_machine.Costs.default) ?(lan_lat
   | Some c ->
     Mgs.Invariant.finish c;
     if Mgs.Invariant.count c > 0 then
-      failwith (Format.asprintf "%s C=%d: %a" w.name cluster Mgs.Invariant.pp c)
+      failwith (Format.asprintf "%s C=%d: %a" w.name cfg.cluster Mgs.Invariant.pp c)
   | None -> ());
-  { cluster; report }
+  { cluster = cfg.cluster; report }
 
-let sweep ?page_words ?costs ?lan_latency ?protocol ?verify ?check ?par ?adapt ?clusters
-    ?(jobs = 1) ~nprocs w =
-  let clusters = Option.value ~default:(clusters_of nprocs) clusters in
+let sweep ?clusters ?(jobs = 1) (cfg : Mgs.Machine.config) w =
+  let clusters = Option.value ~default:(clusters_of cfg.nprocs) clusters in
   (* Every point is a self-contained machine, so the sweep fans out over
      a domain pool; Dpool.map returns results in cluster order, making
      the output independent of [jobs]. *)
-  Mgs_util.Dpool.map ~jobs
-    (fun cluster ->
-      run_point ?page_words ?costs ?lan_latency ?protocol ?verify ?check ?par ?adapt
-        ~nprocs ~cluster w)
-    clusters
-
-(* --- chaos sweeps ---------------------------------------------------- *)
-
-type chaos_point = { intensity : float; spec : Mgs_net.Fault.spec; point : point }
-
-(* The chaos contract has two halves, both asserted here rather than
-   left to callers: (1) every point terminates — either completed (then
-   verified like any sweep point) or as a typed partition, never a
-   hang; (2) a fixed seed fully determines the run, shown by executing
-   every point twice and comparing the simulated results exactly. *)
-let chaos ?(intensities = [ 0.0; 0.25; 0.5; 1.0 ]) ?(spec = Mgs_net.Fault.default_chaos)
-    ?protocol ?page_words ?costs ?lan_latency ?(check = false) ~seed ~nprocs ~cluster w =
-  List.mapi
-    (fun i intensity ->
-      let fspec = Mgs_net.Fault.scale spec ~intensity in
-      let faults = if Mgs_net.Fault.is_zero fspec then None else Some fspec in
-      let fault_seed = seed + (7919 * i) in
-      let go () =
-        run_point ?page_words ?costs ?lan_latency ?protocol ?faults ~fault_seed ~check
-          ~nprocs ~cluster w
-      in
-      let p1 = go () in
-      let p2 = go () in
-      if Mgs.Report.ident p1.report <> Mgs.Report.ident p2.report then
-        failwith
-          (Printf.sprintf "%s: chaos point intensity=%g seed=%d is not deterministic" w.name
-             intensity fault_seed);
-      { intensity; spec = fspec; point = p1 })
-    intensities
-
-let pp_chaos_table ppf points =
-  Format.fprintf ppf "%-10s %-12s %-10s %-8s %-8s %-8s %s@." "intensity" "runtime" "events"
-    "retries" "dups" "timeouts" "outcome";
-  List.iter
-    (fun cp ->
-      let r = cp.point.report in
-      Format.fprintf ppf "%-10g %-12d %-10d %-8d %-8d %-8d %a@." cp.intensity
-        r.Mgs.Report.runtime r.Mgs.Report.sim_events r.Mgs.Report.pstats.Mgs.Pstats.net_retries
-        r.Mgs.Report.pstats.Mgs.Pstats.net_dups r.Mgs.Report.pstats.Mgs.Pstats.net_timeouts
-        Mgs.Report.pp_outcome r.Mgs.Report.outcome)
-    points
+  Mgs_util.Dpool.map ~jobs (fun cluster -> run_point { cfg with cluster } w) clusters
 
 (* Pure versions on (cluster, runtime) pairs — the point-based API
    below delegates to these; they are exposed for testing. *)

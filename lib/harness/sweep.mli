@@ -16,99 +16,31 @@ val clusters_of : int -> int list
 (** Powers of two from 1 to P. *)
 
 val run_point :
-  ?page_words:int ->
-  ?costs:Mgs_machine.Costs.t ->
-  ?lan_latency:int ->
-  ?protocol:string ->
   ?faults:Mgs_net.Fault.spec ->
   ?fault_seed:int ->
-  ?verify:bool ->
   ?check:bool ->
-  ?par:int ->
-  ?adapt:bool ->
-  nprocs:int ->
-  cluster:int ->
+  Mgs.Machine.config ->
   workload ->
   point
-(** One configuration.  Default LAN latency 1000 cycles (section 5.2.1),
-    1 KB pages; [protocol] (default ["mgs"]) selects a coherence engine
-    by name ({!Mgs.Protocol.names}); [faults] installs a
-    deterministic fault plan (seeded by [fault_seed], default 42) on the
-    LAN; [verify] (default true) runs the workload's checker and
-    {!Mgs.Machine.assert_quiescent} — skipped when the run ended in a
-    partition, which the caller observes via [report.outcome]; [check]
-    (default true) runs the online protocol invariant checker
-    ({!Mgs.Invariant}) and fails on any violation; [par] (default 1)
-    runs the event engine on that many domains — byte-identical
-    results, with or without the checker.  [adapt] (default
-    false) turns on the adaptive per-page coherence layer
-    ({!Mgs_cache.Adapt}): online sharing-pattern classification, regime
-    switching, and home migration.
-    @raise Failure on a workload-verifier or invariant failure.
-    @raise Invalid_argument on an unknown protocol name, or on [adapt]
-    with a protocol that supports no adaptive regime (ivy). *)
+(** Build the machine [cfg] describes, run the workload on it, and
+    verify the run: the workload's checker and
+    {!Mgs.Machine.assert_quiescent}, skipped when the run ended in a
+    partition, which the caller observes via [report.outcome].
+    [faults] installs a deterministic fault plan (seeded by
+    [fault_seed], default 42) on the LAN; [check] (default true) runs
+    the online protocol invariant checker ({!Mgs.Invariant}) and fails
+    on any violation.  Results are byte-identical for every
+    [cfg.par_jobs], with or without the checker.
+    @raise Failure on a workload-verifier or invariant failure. *)
 
-val sweep :
-  ?page_words:int ->
-  ?costs:Mgs_machine.Costs.t ->
-  ?lan_latency:int ->
-  ?protocol:string ->
-  ?verify:bool ->
-  ?check:bool ->
-  ?par:int ->
-  ?adapt:bool ->
-  ?clusters:int list ->
-  ?jobs:int ->
-  nprocs:int ->
-  workload ->
-  point list
-(** All cluster sizes (ascending).  [jobs] (default 1) runs up to that
+val sweep : ?clusters:int list -> ?jobs:int -> Mgs.Machine.config -> workload -> point list
+(** {!run_point} on [{ cfg with cluster }] at every cluster size in
+    [clusters] (default the powers of two up to [cfg.nprocs], ascending),
+    with the invariant checker on.  [jobs] (default 1) runs up to that
     many points concurrently on separate domains ({!Mgs_util.Dpool});
-    [par] additionally runs the event engine {e inside} each point on
-    that many domains.  Results are identical regardless of either
-    knob. *)
-
-(** {1 Chaos sweeps}
-
-    Fault-intensity sweeps at a fixed configuration: the fault spec's
-    probabilities are scaled through a list of intensities and the
-    workload re-run under each resulting plan. *)
-
-type chaos_point = {
-  intensity : float;  (** the multiplier applied to [spec]'s rates *)
-  spec : Mgs_net.Fault.spec;  (** the scaled spec this point ran under *)
-  point : point;
-}
-
-val chaos :
-  ?intensities:float list ->
-  ?spec:Mgs_net.Fault.spec ->
-  ?protocol:string ->
-  ?page_words:int ->
-  ?costs:Mgs_machine.Costs.t ->
-  ?lan_latency:int ->
-  ?check:bool ->
-  seed:int ->
-  nprocs:int ->
-  cluster:int ->
-  workload ->
-  chaos_point list
-(** Run the workload once per intensity (default [0, 0.25, 0.5, 1.0])
-    under [spec] (default {!Mgs_net.Fault.default_chaos}) scaled by that
-    intensity; intensity 0 runs the plain faults-free machine.  Each
-    point is executed {e twice} and the two reports compared by
-    {!Mgs.Report.ident} — the fixed-seed determinism contract — and
-    completed runs are verified
-    like ordinary sweep points (partitions skip verification and are
-    reported in the point's [report.outcome]).  [check] defaults to
-    false: a partitioned run legitimately abandons protocol state
-    mid-flight, which the invariant checker would flag.
-    @raise Failure if a point's two executions disagree, or on a
-    workload-verifier failure in a completed run. *)
-
-val pp_chaos_table : Format.formatter -> chaos_point list -> unit
-(** One row per intensity: runtime, events, transport counters,
-    outcome. *)
+    [cfg.par_jobs] additionally runs the event engine {e inside} each
+    point on that many domains.  Results are identical regardless of
+    either knob. *)
 
 (** Framework metrics over a sweep (which must include C = 1 .. P). *)
 

@@ -23,12 +23,12 @@ let catch_up_to cpu b t = if cpu.clock < t then advance cpu b (t - cpu.clock)
 let sync_busy cpu = catch_up_to cpu Mgs cpu.busy_until
 
 let resume_charge cpu b t =
-  catch_up_to cpu Mgs (min cpu.busy_until t);
+  catch_up_to cpu Mgs (Int.min cpu.busy_until t);
   catch_up_to cpu b t
 
 let occupy cpu ~at ~cost =
   if cost < 0 then invalid_arg "Cpu.occupy: negative cost";
-  let start = max at cpu.busy_until in
+  let start = Int.max at cpu.busy_until in
   let fin = start + cost in
   cpu.busy_until <- fin;
   fin

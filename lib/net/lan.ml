@@ -81,7 +81,7 @@ let create sim costs ~nssmps =
    message and must not allocate a key tuple. *)
 let fifo_arrival lan ~src ~dst raw =
   let key = (src * lan.nssmps) + dst in
-  let arrive = max raw lan.last_arrival.(key) in
+  let arrive = Int.max raw lan.last_arrival.(key) in
   lan.last_arrival.(key) <- arrive;
   arrive
 
@@ -216,7 +216,7 @@ let rec transmit lan rel pend ~at =
   let spec = Fault.spec_of rel.plan in
   let g = Fault.chan_rng rel.plan ~src ~dst in
   let slow = slow_of rel ~src ~dst in
-  let depart = max at lan.sender_free.(src) in
+  let depart = Int.max at lan.sender_free.(src) in
   lan.sender_free.(src) <- depart + scaled slow l.send_occupancy;
   let dropped = Fault.flip g spec.drop in
   let dupped = Fault.flip g spec.dup in
@@ -281,7 +281,7 @@ let send_reliable lan rel (env : Envelope.t) ~at ~msg k =
       cur_rto = 0 }
   in
   let spec = Fault.spec_of rel.plan in
-  pend.cur_rto <- min rto_cap (if spec.rto > 0 then spec.rto else auto_rto lan rel env);
+  pend.cur_rto <- Int.min rto_cap (if spec.rto > 0 then spec.rto else auto_rto lan rel env);
   Hashtbl.replace rel.unacked.(chan) seq pend;
   transmit lan rel pend ~at
 
@@ -306,7 +306,7 @@ let post lan ~tag ~src ~dst ~src_ssmp ~dst_ssmp ~words ~at ~msg k =
     | Some rel ->
       send_reliable lan rel { Envelope.tag; src; dst; src_ssmp; dst_ssmp; words } ~at ~msg k
     | None ->
-      let depart = max at lan.sender_free.(src_ssmp) in
+      let depart = Int.max at lan.sender_free.(src_ssmp) in
       lan.sender_free.(src_ssmp) <- depart + l.send_occupancy;
       let arrive =
         fifo_arrival lan ~src:src_ssmp ~dst:dst_ssmp (depart + l.latency + (words * p.dma_per_word))

@@ -16,10 +16,10 @@ let create () =
 
 let bucket_of v =
   let rec go b x = if x = 0 then b else go (b + 1) (x lsr 1) in
-  if v <= 0 then 0 else min (go 0 v) (nbuckets - 1)
+  if v <= 0 then 0 else Int.min (go 0 v) (nbuckets - 1)
 
 let add t v =
-  let v = max 0 v in
+  let v = Int.max 0 v in
   let b = bucket_of v in
   t.counts.(b) <- t.counts.(b) + 1;
   t.n <- t.n + 1;
@@ -81,7 +81,7 @@ let percentile_bounds t q =
     done;
     let lo = if !b = 0 then 0 else 1 lsl (!b - 1) in
     let hi = if !b = 0 then 0 else (1 lsl !b) - 1 in
-    (max lo t.vmin, min hi t.vmax)
+    (Int.max lo t.vmin, Int.min hi t.vmax)
   end
 
 (* Upper bound of {!percentile_bounds} — a pessimistic point estimate. *)

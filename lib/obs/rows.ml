@@ -25,7 +25,7 @@ let cur_cell ncells =
   if c < 0 || c >= ncells then 0 else c
 
 let create ~width ~capacity ~cells ~ring =
-  let cap = max (min capacity 64) ((capacity + cells - 1) / cells) in
+  let cap = Int.max (Int.min capacity 64) ((capacity + cells - 1) / cells) in
   let nchunks = (cap + chunk_rows - 1) / chunk_rows in
   {
     width;
@@ -44,7 +44,7 @@ let add r =
   if n < r.cap then begin
     let ci = n / chunk_rows in
     if Array.length r.ints.(ci) = 0 then begin
-      let rows = min chunk_rows (r.cap - (ci * chunk_rows)) in
+      let rows = Int.min chunk_rows (r.cap - (ci * chunk_rows)) in
       r.ints.(ci) <- Array.make (rows * r.width) 0;
       if Array.length r.stamps > 0 then r.stamps.(ci) <- Array.make (rows * stamp_width) 0
     end;
@@ -77,7 +77,7 @@ let cmp_stamp r1 s1 r2 s2 =
 
 let added r = r.n
 
-let kept r = min r.n r.cap
+let kept r = Int.min r.n r.cap
 
 let dropped r = r.n - kept r
 

@@ -145,7 +145,7 @@ let open_span_x t ~(parent : ctx) ~time ~label ~engine ~vpn ~src ~dst ~src_ssmp 
   if slot < 0 then pack ~txn ~sid:(-2)
   else begin
     let a = Rows.chunk r slot and b = Rows.base r slot in
-    a.(b + f_parent) <- max (sid_of parent) (-1);
+    a.(b + f_parent) <- Int.max (sid_of parent) (-1);
     a.(b + f_txn) <- txn;
     a.(b + f_t0) <- time;
     a.(b + f_t1) <- -1;
@@ -177,7 +177,7 @@ let close t (ctx : ctx) ~time =
     if l < Rows.kept cl.rows then begin
       let a = Rows.chunk cl.rows l and b = Rows.base cl.rows l in
       if a.(b + f_t1) < 0 then begin
-        a.(b + f_t1) <- max time a.(b + f_t0);
+        a.(b + f_t1) <- Int.max time a.(b + f_t0);
         cl.c_open <- cl.c_open - 1
       end
     end
@@ -258,8 +258,8 @@ let view t =
         let k = Rows.cmp_stamp (rows a) (a / t.ncells) (rows b) (b / t.ncells) in
         if k <> 0 then k else compare a b)
       order;
-    let maxcn = Array.fold_left (fun acc cl -> max acc (Rows.kept cl.rows)) 0 t.cells in
-    let v_sid = Array.make (max 1 (maxcn * t.ncells)) (-1) in
+    let maxcn = Array.fold_left (fun acc cl -> Int.max acc (Rows.kept cl.rows)) 0 t.cells in
+    let v_sid = Array.make (Int.max 1 (maxcn * t.ncells)) (-1) in
     let v_txn = Hashtbl.create 256 in
     Array.iteri
       (fun dense enc ->
@@ -397,7 +397,7 @@ let attribute ~lo ~hi ivals acc =
   let ivals =
     List.filter_map
       (fun (a, b, pc) ->
-        let a = max a lo and b = min b hi in
+        let a = Int.max a lo and b = Int.min b hi in
         if b > a then Some (a, b, pc) else None)
       ivals
   in
@@ -504,8 +504,8 @@ let chrome_section buf t ~emit_sep =
   let v = view t in
   view_iter t v (fun s ->
       if s.t1 >= 0 then begin
-        let pid = if s.dst_ssmp >= 0 then s.dst_ssmp else max s.src_ssmp 0 in
-        let tid = if s.dst >= 0 then s.dst else max s.src 0 in
+        let pid = if s.dst_ssmp >= 0 then s.dst_ssmp else Int.max s.src_ssmp 0 in
+        let tid = if s.dst >= 0 then s.dst else Int.max s.src 0 in
         emit_sep ();
         Buffer.add_string buf
           (Printf.sprintf
@@ -528,8 +528,8 @@ let chrome_section buf t ~emit_sep =
               v.v_order.(s.parent))
           in
           let p = enc_get t p_enc in
-          let ppid = if p.dst_ssmp >= 0 then p.dst_ssmp else max p.src_ssmp 0 in
-          let ptid = if p.dst >= 0 then p.dst else max p.src 0 in
+          let ppid = if p.dst_ssmp >= 0 then p.dst_ssmp else Int.max p.src_ssmp 0 in
+          let ptid = if p.dst >= 0 then p.dst else Int.max p.src 0 in
           emit_sep ();
           Buffer.add_string buf
             (Printf.sprintf

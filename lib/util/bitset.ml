@@ -64,7 +64,7 @@ let rec next_in words b =
 and lowest_bit byte i = if byte land (1 lsl i) <> 0 then i else lowest_bit byte (i + 1)
 
 let next s i =
-  let i = max i 0 in
+  let i = Int.max i 0 in
   if i >= s.cap then -1
   else
     let b = i lsr 3 in

@@ -238,8 +238,8 @@ let adapt_total (p : Mgs.Pstats.t) =
 
 let test_adapt_off_identity () =
   let w = Mgs_apps.Water.workload Mgs_apps.Water.tiny in
-  let plain = Sweep.run_point ~protocol:"mgs" ~nprocs:8 ~cluster:2 w in
-  let off = Sweep.run_point ~adapt:false ~protocol:"mgs" ~nprocs:8 ~cluster:2 w in
+  let plain = Sweep.run_point (Mgs.Machine.config ~nprocs:8 ~cluster:2 ()) w in
+  let off = Sweep.run_point (Mgs.Machine.config ~adapt:false ~nprocs:8 ~cluster:2 ()) w in
   Alcotest.(check string) "adapt:false is the plain machine"
     (Mgs.Report.ident plain.Sweep.report) (Mgs.Report.ident off.Sweep.report);
   Alcotest.(check int) "no adaptive counter moves when off" 0
@@ -251,11 +251,13 @@ let test_adapt_par_identity () =
       List.iter
         (fun (aname, w) ->
           let run par =
-            (Sweep.run_point ~adapt:true ~check:true ~protocol ~par ~nprocs:8
-               ~cluster:2 w)
-              .Sweep.report
+            let cfg =
+              Mgs.Machine.config ~adapt:true ~protocol ~par_jobs:par ~nprocs:8 ~cluster:2 ()
+            in
+            (Sweep.run_point ~check:true cfg w).Sweep.report
           in
           let oracle = run 1 in
+          let protocol = Mgs.Protocol.name_of protocol in
           Alcotest.(check bool)
             (Printf.sprintf "%s/%s: the adaptive layer engaged" protocol aname)
             true
@@ -271,15 +273,16 @@ let test_adapt_par_identity () =
           ("jacobi", Mgs_apps.Jacobi.workload Mgs_apps.Jacobi.tiny);
           ("water", Mgs_apps.Water.workload Mgs_apps.Water.tiny);
         ])
-    [ "mgs"; "hlrc" ]
+    Mgs.State.[ Protocol_mgs; Protocol_hlrc ]
 
 let test_adapt_faulty_identity () =
   let w = Mgs_apps.Water.workload Mgs_apps.Water.tiny in
   let faults = Mgs_net.Fault.scale Mgs_net.Fault.default_chaos ~intensity:0.25 in
   let run par =
     Mgs.Report.ident
-      (Sweep.run_point ~adapt:true ~check:true ~faults ~protocol:"mgs" ~par ~nprocs:8
-         ~cluster:2 w)
+      (Sweep.run_point ~check:true ~faults
+         (Mgs.Machine.config ~adapt:true ~par_jobs:par ~nprocs:8 ~cluster:2 ())
+         w)
         .Sweep.report
   in
   Alcotest.(check string) "adaptive run under faults: par=2 matches par=1" (run 1)
@@ -293,7 +296,9 @@ let test_adapt_faulty_identity () =
 let test_adapt_serving () =
   let module Kv = Mgs_serve.Kv in
   let pstats p =
-    (Sweep.run_point ~adapt:true ~check:true ~nprocs:8 ~cluster:2 (Kv.workload p))
+    (Sweep.run_point ~check:true
+       (Mgs.Machine.config ~adapt:true ~nprocs:8 ~cluster:2 ())
+       (Kv.workload p))
       .Sweep.report.Mgs.Report.pstats
   in
   let herd =

@@ -7,7 +7,8 @@ let shapes = [ (4, 1); (4, 2); (4, 4); (8, 4); (8, 8); (16, 4) ]
 let check_workload w () =
   List.iter
     (fun (nprocs, cluster) ->
-      ignore (Mgs_harness.Sweep.run_point ~lan_latency:800 ~nprocs ~cluster w))
+      let cfg = Mgs.Machine.config ~lan_latency:800 ~nprocs ~cluster () in
+      ignore (Mgs_harness.Sweep.run_point cfg w))
     shapes
 
 let workloads =

@@ -55,8 +55,11 @@ let trivial_workload =
   in
   { Sweep.name = "trivial"; prepare }
 
+(* The machine every trivial sweep and ablation starts from: P = 4. *)
+let p4 = Mgs.Machine.config ~nprocs:4 ~cluster:1 ()
+
 let test_sweep_mechanics () =
-  let points = Sweep.sweep ~nprocs:4 trivial_workload in
+  let points = Sweep.sweep p4 trivial_workload in
   Alcotest.(check (list int)) "all cluster sizes" [ 1; 2; 4 ]
     (List.map (fun p -> p.Sweep.cluster) points);
   List.iter
@@ -68,12 +71,12 @@ let test_sweep_mechanics () =
     points
 
 let test_sweep_custom_clusters () =
-  let points = Sweep.sweep ~clusters:[ 2; 4 ] ~nprocs:4 trivial_workload in
+  let points = Sweep.sweep ~clusters:[ 2; 4 ] p4 trivial_workload in
   Alcotest.(check (list int)) "restricted" [ 2; 4 ]
     (List.map (fun p -> p.Sweep.cluster) points)
 
 let test_sweep_throughput_counters () =
-  let points = Sweep.sweep ~nprocs:4 trivial_workload in
+  let points = Sweep.sweep p4 trivial_workload in
   List.iter
     (fun p ->
       let r = p.Sweep.report in
@@ -100,8 +103,8 @@ let test_sweep_throughput_counters () =
    byte-for-byte what the sequential one does (wall_seconds is excluded
    from figures and CSV) *)
 let test_sweep_jobs_deterministic () =
-  let seq = Sweep.sweep ~jobs:1 ~nprocs:4 trivial_workload in
-  let par = Sweep.sweep ~jobs:4 ~nprocs:4 trivial_workload in
+  let seq = Sweep.sweep ~jobs:1 p4 trivial_workload in
+  let par = Sweep.sweep ~jobs:4 p4 trivial_workload in
   Alcotest.(check string) "breakdown figure identical"
     (Figures.breakdown_figure ~title:"t" seq)
     (Figures.breakdown_figure ~title:"t" par);
@@ -155,7 +158,7 @@ let test_fault_latency_renders () =
   in
   (* a trivial point, credited with 3 fetches of which the spans saw 2 *)
   let point cluster =
-    let p = Sweep.run_point ~nprocs:4 ~cluster trivial_workload in
+    let p = Sweep.run_point { p4 with cluster } trivial_workload in
     let r = p.Sweep.report in
     {
       p with
@@ -180,7 +183,7 @@ let test_fault_latency_renders () =
 
 let test_ablation_jobs_deterministic () =
   let run jobs =
-    Mgs_harness.Ablation.run ~clusters:[ 1; 2; 4 ] ~jobs ~nprocs:4
+    Mgs_harness.Ablation.run ~clusters:[ 1; 2; 4 ] ~jobs p4
       ~variants:(Mgs_harness.Ablation.protocol_study ())
       trivial_workload
   in
@@ -191,14 +194,14 @@ let test_ablation_jobs_deterministic () =
    the table is the same. *)
 let test_ablation_par_zero_latency () =
   let run par =
-    Mgs_harness.Ablation.run ~clusters:[ 1; 2; 4 ] ~par ~nprocs:4
+    Mgs_harness.Ablation.run ~clusters:[ 1; 2; 4 ] { p4 with par_jobs = par }
       ~variants:(Mgs_harness.Ablation.latency_study ())
       trivial_workload
   in
   Alcotest.(check string) "latency study identical at par 2" (run 1) (run 2)
 
 let test_figures_render () =
-  let points = Sweep.sweep ~nprocs:4 trivial_workload in
+  let points = Sweep.sweep p4 trivial_workload in
   let fig = Figures.breakdown_figure ~title:"Trivial" points in
   Alcotest.(check bool) "title present" true (contains fig "Trivial");
   Alcotest.(check bool) "metric line present" true (contains fig "breakup penalty");
@@ -251,7 +254,7 @@ let test_shard_table_windowed () =
   Alcotest.(check string) "footer" prefix (String.sub footer 0 (String.length prefix))
 
 let test_csv_and_messages () =
-  let points = Sweep.sweep ~nprocs:4 trivial_workload in
+  let points = Sweep.sweep p4 trivial_workload in
   let csv = Figures.csv_of_sweep ~name:"trivial" points in
   let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' csv) in
   Alcotest.(check int) "header + one line per cluster" 4 (List.length lines);
@@ -268,7 +271,7 @@ let test_csv_and_messages () =
 
 let test_ablation_run () =
   let out =
-    Mgs_harness.Ablation.run ~clusters:[ 1; 2; 4 ] ~nprocs:4
+    Mgs_harness.Ablation.run ~clusters:[ 1; 2; 4 ] p4
       ~variants:(Mgs_harness.Ablation.protocol_study ())
       trivial_workload
   in
@@ -281,37 +284,51 @@ let test_ablation_run () =
     (has "MGS (eager RC)" && has "HLRC (lazy RC)" && has "Ivy (SC)");
   Alcotest.(check bool) "metric rows" true (has "breakup" && has "potential")
 
-(* Chaos sweep: every point must terminate deterministically (chaos
-   itself re-runs each point and failwiths on divergence), intensity 0
-   must be the faults-off machine exactly, and a hot enough fault plan
-   must actually exercise the retry/dedup machinery. *)
-let test_chaos_sweep () =
-  let points =
-    Sweep.chaos ~intensities:[ 0.0; 4.0 ] ~check:true ~seed:11 ~nprocs:4 ~cluster:2
-      trivial_workload
-  in
-  Alcotest.(check int) "one point per intensity" 2 (List.length points);
-  List.iter
-    (fun (cp : Sweep.chaos_point) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "completed at intensity %.2f" cp.Sweep.intensity)
-        true
-        (Mgs.Report.completed cp.Sweep.point.Sweep.report))
-    points;
-  let quiet = List.hd points and hot = List.nth points 1 in
-  let stats (cp : Sweep.chaos_point) =
-    let ps = cp.Sweep.point.Sweep.report.Mgs.Report.pstats in
+(* Fault intensity: the default chaos plan scaled by an intensity.
+   Every point must terminate, and deterministically (each runs twice
+   and the reports must match exactly); intensity 0 must be the
+   faults-off machine exactly, and a hot enough fault plan must
+   actually exercise the retry/dedup machinery. *)
+let test_fault_intensity () =
+  let stats intensity =
+    let faults = Mgs_net.Fault.scale Mgs_net.Fault.default_chaos ~intensity in
+    let run () =
+      (Sweep.run_point ~faults ~fault_seed:11 { p4 with cluster = 2 } trivial_workload)
+        .Sweep.report
+    in
+    let r = run () in
+    Alcotest.(check string)
+      (Printf.sprintf "intensity %g repeats exactly" intensity)
+      (Mgs.Report.ident r)
+      (Mgs.Report.ident (run ()));
+    Alcotest.(check bool)
+      (Printf.sprintf "completed at intensity %g" intensity)
+      true (Mgs.Report.completed r);
+    let ps = r.Mgs.Report.pstats in
     (ps.Mgs.Pstats.net_retries, ps.Mgs.Pstats.net_dups, ps.Mgs.Pstats.net_timeouts)
   in
-  Alcotest.(check (triple int int int)) "intensity 0 is the perfect wire" (0, 0, 0) (stats quiet);
-  let retries, dups, _ = stats hot in
+  Alcotest.(check (triple int int int)) "intensity 0 is the perfect wire" (0, 0, 0) (stats 0.0);
+  let retries, dups, _ = stats 4.0 in
   Alcotest.(check bool) "hot plan retransmits" true (retries > 0);
-  Alcotest.(check bool) "hot plan drops duplicates" true (dups > 0);
-  let table = Format.asprintf "%a" Sweep.pp_chaos_table points in
-  Alcotest.(check bool) "table has header and outcomes" true
-    (contains table "intensity" && contains table "completed");
-  Alcotest.(check int) "one table row per point" 3
-    (List.length (List.filter (fun l -> l <> "") (String.split_on_char '\n' table)))
+  Alcotest.(check bool) "hot plan drops duplicates" true (dups > 0)
+
+(* A point runs every field of its machine, the ones only the ablations
+   set included: the single-writer optimization's 1WINVs vanish when it
+   is off, and a 2-entry TLB refills its way to a longer run. *)
+let test_point_runs_config () =
+  let run cfg w = (Sweep.run_point cfg w).Sweep.report in
+  let cfg = Mgs.Machine.config ~nprocs:8 ~cluster:2 () in
+  let tiny = Mgs_apps.Jacobi.workload Mgs_apps.Jacobi.tiny in
+  let one_winvals cfg = (run cfg tiny).Mgs.Report.pstats.Mgs.Pstats.one_winvals in
+  Alcotest.(check int) "1WINVs with the optimization" 5 (one_winvals cfg);
+  let features = { cfg.features with Mgs.State.single_writer_opt = false } in
+  Alcotest.(check int) "no 1WINV without it" 0 (one_winvals { cfg with features });
+  let small =
+    Mgs_apps.Jacobi.workload { Mgs_apps.Jacobi.default with Mgs_apps.Jacobi.n = 30; iters = 2 }
+  in
+  let runtime cfg = (run cfg small).Mgs.Report.runtime in
+  Alcotest.(check int) "unbounded TLB" 243310 (runtime cfg);
+  Alcotest.(check int) "2-entry TLB" 552064 (runtime { cfg with tlb_entries = Some 2 })
 
 let test_micro_structure () =
   let ms = Mgs_harness.Micro.run_all () in
@@ -346,7 +363,8 @@ let () =
             test_ablation_jobs_deterministic;
           Alcotest.test_case "--par with a zero-latency variant" `Quick
             test_ablation_par_zero_latency;
-          Alcotest.test_case "chaos sweep" `Quick test_chaos_sweep;
+          Alcotest.test_case "chaos sweep" `Quick test_fault_intensity;
+          Alcotest.test_case "a point runs its whole config" `Quick test_point_runs_config;
         ] );
       ( "rendering",
         [

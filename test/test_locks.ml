@@ -207,7 +207,8 @@ let test_parked_waiter_not_quiescent () =
 let test_lock_family_jobs_identical () =
   let specs =
     List.concat_map
-      (fun lock -> List.map (fun fibers -> (lock, "mgs", 4, fibers)) [ 4; 8 ])
+      (fun lock ->
+        List.map (fun fibers -> (lock, Mgs.State.Protocol_mgs, 4, fibers)) [ 4; 8 ])
       Locks.all
   in
   let seq = Micro.lock_family ~iters:4 ~jobs:1 specs in
@@ -230,7 +231,10 @@ let md5 s = Digest.to_hex (Digest.string s)
 let test_pinned_lock_table () =
   let specs =
     List.concat_map
-      (fun lock -> List.map (fun protocol -> (lock, protocol, 2, 4)) [ "mgs"; "hlrc"; "ivy" ])
+      (fun lock ->
+        List.map
+          (fun protocol -> (lock, protocol, 2, 4))
+          Mgs.State.[ Protocol_mgs; Protocol_hlrc; Protocol_ivy ])
       Locks.all
   in
   List.iter
@@ -245,7 +249,7 @@ let test_pinned_app_reports () =
   let ident w =
     md5
       (Mgs.Report.ident
-         (Mgs_harness.Sweep.run_point ~protocol:"mgs" ~nprocs:8 ~cluster:2 w)
+         (Mgs_harness.Sweep.run_point (Mgs.Machine.config ~nprocs:8 ~cluster:2 ()) w)
            .Mgs_harness.Sweep.report)
   in
   let water lock = Mgs_apps.Water.workload { Mgs_apps.Water.tiny with lock } in

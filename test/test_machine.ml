@@ -149,7 +149,9 @@ let test_costs_tlb_fill_sum () =
 let test_pstats_line () =
   let line ?faults ?adapt w =
     let r =
-      (Mgs_harness.Sweep.run_point ?faults ?adapt ~nprocs:8 ~cluster:2 w)
+      (Mgs_harness.Sweep.run_point ?faults
+         (Mgs.Machine.config ?adapt ~nprocs:8 ~cluster:2 ())
+         w)
         .Mgs_harness.Sweep.report
     in
     Format.asprintf "%a" Mgs.Pstats.pp r.Mgs.Report.pstats
@@ -194,7 +196,9 @@ let test_pstats_line () =
 let test_hlrc_ivy_pinned () =
   let cell protocol w =
     let r =
-      (Mgs_harness.Sweep.run_point ~protocol ~nprocs:8 ~cluster:2 w)
+      (Mgs_harness.Sweep.run_point
+         (Mgs.Machine.config ~protocol ~nprocs:8 ~cluster:2 ())
+         w)
         .Mgs_harness.Sweep.report
     in
     Format.asprintf "runtime=%d %a" r.Mgs.Report.runtime Mgs.Pstats.pp r.Mgs.Report.pstats
@@ -210,23 +214,23 @@ let test_hlrc_ivy_pinned () =
         "runtime=129670 tlb_fills=27 rreq=12 wreq=4 upgrades=8 rel=21 rel_ops=21 \
          inv=12 1winv=0 pinv=0 diffs=21 diff_words=224 1wdata=0 1wclean=0 acks=0 \
          syncs=0 sync_wait=0 rel_wait=267700 fetch_wait=162511 upgrade_wait=0",
-        cell "hlrc" jacobi );
+        cell Mgs.State.Protocol_hlrc jacobi );
       ( "hlrc water",
         "runtime=1780948 tlb_fills=445 rreq=115 wreq=8 upgrades=113 rel=275 \
          rel_ops=292 inv=119 1winv=0 pinv=0 diffs=275 diff_words=984 1wdata=0 \
          1wclean=0 acks=0 syncs=0 sync_wait=0 rel_wait=3280288 fetch_wait=321075 \
          upgrade_wait=0",
-        cell "hlrc" water );
+        cell Mgs.State.Protocol_hlrc water );
       ( "ivy jacobi",
         "runtime=366772 tlb_fills=26 rreq=10 wreq=21 upgrades=2 rel=0 rel_ops=0 \
          inv=24 1winv=2 pinv=45 diffs=0 diff_words=0 1wdata=0 1wclean=0 acks=0 \
          syncs=0 sync_wait=0 rel_wait=0 fetch_wait=921454 upgrade_wait=0",
-        cell "ivy" jacobi );
+        cell Mgs.State.Protocol_ivy jacobi );
       ( "ivy water",
         "runtime=3044302 tlb_fills=328 rreq=96 wreq=150 upgrades=145 rel=0 rel_ops=0 \
          inv=185 1winv=70 pinv=289 diffs=0 diff_words=0 1wdata=0 1wclean=0 acks=0 \
          syncs=0 sync_wait=0 rel_wait=0 fetch_wait=5964862 upgrade_wait=0",
-        cell "ivy" water );
+        cell Mgs.State.Protocol_ivy water );
     ]
 
 (* A run whose MCS lock, adaptive layer and lossy LAN move each counter

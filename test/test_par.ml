@@ -39,8 +39,11 @@ let test_machine_equivalence () =
             (fun (fname, faults) ->
               let run par =
                 Mgs.Report.ident
-                  (Mgs_harness.Sweep.run_point ~check:true ?faults ~protocol ~par
-                     ~nprocs:8 ~cluster:2 w)
+                  (Mgs_harness.Sweep.run_point ~check:true ?faults
+                     (Mgs.Machine.config
+                        ~protocol:(Mgs.Protocol.proto_of_name protocol)
+                        ~par_jobs:par ~nprocs:8 ~cluster:2 ())
+                     w)
                     .Mgs_harness.Sweep.report
               in
               let label p =
@@ -119,7 +122,9 @@ let test_job_ladder () =
   let w = Mgs_apps.Jacobi.workload Mgs_apps.Jacobi.tiny in
   let run par =
     Mgs.Report.ident
-      (Mgs_harness.Sweep.run_point ~check:false ~par ~nprocs:16 ~cluster:4 w)
+      (Mgs_harness.Sweep.run_point ~check:false
+         (Mgs.Machine.config ~par_jobs:par ~nprocs:16 ~cluster:4 ())
+         w)
         .Mgs_harness.Sweep.report
   in
   let oracle = run 1 in

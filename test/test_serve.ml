@@ -244,7 +244,9 @@ let test_kv_par_identity () =
 let test_kv_checked_identity () =
   let run par =
     Mgs.Report.ident
-      (Sweep.run_point ~check:true ~par ~nprocs:8 ~cluster:2 (Kv.workload Kv.tiny))
+      (Sweep.run_point ~check:true
+         (Mgs.Machine.config ~par_jobs:par ~nprocs:8 ~cluster:2 ())
+         (Kv.workload Kv.tiny))
         .Sweep.report
   in
   let oracle = run 1 in
@@ -333,7 +335,8 @@ let test_registry_bad_param () =
     if not (contains msg "bogus" && contains msg "theta") then
       Alcotest.failf "error %S does not name the bad knob and the accepted ones" msg
 
-let report_ident w = Mgs.Report.ident (Sweep.run_point ~nprocs:8 ~cluster:2 w).Sweep.report
+let report_ident w =
+  Mgs.Report.ident (Sweep.run_point (Mgs.Machine.config ~nprocs:8 ~cluster:2 ()) w).Sweep.report
 
 let test_registry_equals_direct () =
   List.iter

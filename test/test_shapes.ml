@@ -7,7 +7,7 @@ module Sweep = Mgs_harness.Sweep
 
 let nprocs = 16
 
-let sweep w = Sweep.sweep ~nprocs w
+let sweep w = Sweep.sweep (Mgs.Machine.config ~nprocs ~cluster:1 ()) w
 
 let jacobi = lazy (sweep (Mgs_apps.Jacobi.workload { Mgs_apps.Jacobi.default with Mgs_apps.Jacobi.n = 62; iters = 3 }))
 

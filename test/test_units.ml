@@ -157,7 +157,8 @@ let test_tiled_schedule_coverage () =
   List.iter
     (fun (nprocs, cluster) ->
       ignore
-        (Mgs_harness.Sweep.run_point ~lan_latency:500 ~nprocs ~cluster
+        (Mgs_harness.Sweep.run_point
+           (Mgs.Machine.config ~lan_latency:500 ~nprocs ~cluster ())
            (Mgs_apps.Water_kernel.workload_tiled
               { Mgs_apps.Water_kernel.tiny with Mgs_apps.Water_kernel.nmol = 24 })))
     [ (2, 1); (4, 1); (6, 2); (8, 2); (12, 4); (16, 8) ]
@@ -166,7 +167,8 @@ let test_fft_parallel_exact () =
   List.iter
     (fun (nprocs, cluster) ->
       ignore
-        (Mgs_harness.Sweep.run_point ~lan_latency:800 ~nprocs ~cluster
+        (Mgs_harness.Sweep.run_point
+           (Mgs.Machine.config ~lan_latency:800 ~nprocs ~cluster ())
            (Mgs_apps.Fft.workload Mgs_apps.Fft.tiny)))
     [ (4, 1); (4, 2); (4, 4); (8, 2) ]
 
