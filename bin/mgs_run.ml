@@ -13,14 +13,14 @@ open Cmdliner
    registry; Workloads.ensure forces the registering module to link. *)
 let () = Mgs_apps.Workloads.ensure ()
 
+let cli_err msg =
+  Printf.eprintf "mgs_run: %s\n%!" msg;
+  exit 2
+
 (* Resolve the workload and build its arguments, turning registry
    errors (unknown workload, unknown or malformed parameter) into CLI
    errors that list the accepted names. *)
 let workload ~app ~size ~iters ~lock ~params =
-  let cli_err msg =
-    Printf.eprintf "mgs_run: %s\n%!" msg;
-    exit 2
-  in
   let (module W : Mgs_harness.Workload.WORKLOAD) =
     try Mgs_harness.Workload.of_name app with Invalid_argument msg -> cli_err msg
   in
@@ -60,27 +60,25 @@ let with_out file f =
 let run app size iters params procs cluster delay page_bytes protocol lock faults seed
     sweep jobs par adapt no_verify trace spans metrics hist check csv engine_stats =
   let w, size_desc, epilogue = workload ~app ~size ~iters ~lock ~params in
-  let page_words = page_bytes / Mgs_mem.Geom.bytes_per_word in
   let verify = not no_verify in
-  if par < 1 then begin
-    Printf.eprintf "mgs_run: --par expects a positive domain count, got %d\n%!" par;
-    exit 2
-  end;
-  (* surface the Machine.config adapt/protocol incompatibility as a CLI
-     error instead of an uncaught exception *)
-  if adapt && protocol = "ivy" then begin
-    Printf.eprintf
-      "mgs_run: --adapt is not supported by protocol \"ivy\": none of the adaptive \
-       regimes (single-writer, invalidate-on-read) applies to it; use mgs or hlrc\n%!";
-    exit 2
-  end;
+  (* one machine description for every point; a configuration the
+     machine refuses (--par 0, --adapt under ivy) is a CLI error *)
+  let base =
+    try
+      Mgs.Machine.config
+        ~page_words:(page_bytes / Mgs_mem.Geom.bytes_per_word)
+        ~lan_latency:delay ~par_jobs:par ~adapt ~protocol ~nprocs:procs
+        ~cluster:(Option.value ~default:procs cluster)
+        ()
+    with Invalid_argument msg -> cli_err msg
+  in
   let fault_spec =
     match faults with
     | Some spec when not (Mgs_net.Fault.is_zero spec) -> Some spec
     | _ -> None
   in
   Printf.printf "app=%s (%s)  P=%d  delay=%d cycles  page=%dB  protocol=%s%s%s\n%!" app
-    size_desc procs delay page_bytes protocol
+    size_desc procs delay page_bytes (Mgs.Protocol.name_of protocol)
     (if adapt then "  adapt=on" else "")
     (match lock with
     | Mgs_sync.Locks.Token -> ""
@@ -95,11 +93,7 @@ let run app size iters params procs cluster delay page_bytes protocol lock fault
   let run_one cluster =
     let buf = Buffer.create 256 in
     let ppf = Format.formatter_of_buffer buf in
-    let cfg =
-      Mgs.Machine.config ~page_words ~lan_latency:delay ~par_jobs:par ~adapt
-        ~protocol:(Mgs.Protocol.proto_of_name protocol) ~nprocs:procs ~cluster ()
-    in
-    let m = Mgs.Machine.create cfg in
+    let m = Mgs.Machine.create { base with cluster } in
     if trace <> None || hist || spans <> None then ignore (Mgs.Machine.enable_trace m);
     if metrics <> None then ignore (Mgs.Machine.enable_metrics m);
     let checker = if check then Some (Mgs.Machine.enable_checker m) else None in
@@ -215,8 +209,7 @@ let run app size iters params procs cluster delay page_bytes protocol lock fault
          print_string (Mgs_harness.Figures.fault_latency latency_rows)
      end
      else begin
-       let cluster = Option.value ~default:procs cluster in
-       let p, out, v, b = run_one cluster in
+       let p, out, v, b = run_one base.cluster in
        print_string out;
        violations := v;
        note_outcome p;
@@ -279,7 +272,9 @@ let protocol_t =
   let names = Mgs.Protocol.names () in
   Arg.(
     value
-    & opt (enum (List.map (fun n -> (n, n)) names)) "mgs"
+    & opt
+        (enum (List.map (fun n -> (n, Mgs.Protocol.proto_of_name n)) names))
+        Mgs.State.Protocol_mgs
     & info [ "protocol" ] ~docv:"PROTO"
         ~doc:(Printf.sprintf "Inter-SSMP protocol: %s." (String.concat ", " names)))
 

@@ -1,284 +1,102 @@
-(* Every application packaged as a first-class [Mgs_harness.Workload]
-   and registered once, so the CLIs, the benchmark driver, and the perf
-   harness all select applications by name through one registry instead
-   of three hand-kept dispatch tables.
-
-   The generic knobs map onto each application's natural parameter:
-   [size] is n (jacobi/matmul/lu), ncities (tsp), nmol (water,
-   water-kernel), nbodies (barnes), m (fft) or nkeys (radix); [iters]
-   and [lock] apply only where the application honours them — anything
-   else is rejected with an error naming the accepted knobs. *)
-
-open Mgs_harness.Workload
-
-let jacobi : (module WORKLOAD) =
-  (module struct
-    let name = "jacobi"
-
-    let doc = "2-D grid relaxation (paper 5.2): coarse-grained boundary-row sharing"
-
-    let params =
-      [
-        size_param ~default:"126" ~doc:"interior points per dimension";
-        iters_param ~default:"5" ~doc:"relaxation iterations";
-      ]
-
-    let of_args (a : args) =
-      check_args ~name ~params a;
-      let d = Jacobi.default in
-      {
-        d with
-        Jacobi.n = Option.value ~default:d.Jacobi.n a.size;
-        iters = Option.value ~default:d.Jacobi.iters a.iters;
-      }
-
-    let instantiate a = Jacobi.workload (of_args a)
-
-    let problem_size a = Jacobi.problem_size (of_args a)
-
-    let tiny () = Jacobi.workload Jacobi.tiny
-
-    let epilogue = no_epilogue
-  end)
-
-let matmul : (module WORKLOAD) =
-  (module struct
-    let name = "matmul"
-
-    let doc = "matrix multiply (paper 5.2): read-shared inputs, private result bands"
-
-    let params = [ size_param ~default:"64" ~doc:"matrix dimension" ]
-
-    let of_args (a : args) =
-      check_args ~name ~params a;
-      let d = Matmul.default in
-      { d with Matmul.n = Option.value ~default:d.Matmul.n a.size }
-
-    let instantiate a = Matmul.workload (of_args a)
-
-    let problem_size a = Matmul.problem_size (of_args a)
-
-    let tiny () = Matmul.workload Matmul.tiny
-
-    let epilogue = no_epilogue
-  end)
-
-let tsp : (module WORKLOAD) =
-  (module struct
-    let name = "tsp"
-
-    let doc = "branch-and-bound TSP (paper 5.2): central work queue, heavy false sharing"
-
-    let params =
-      [
-        size_param ~default:"10" ~doc:"number of cities";
-        { lock_param with p_doc = "work-queue lock algorithm" };
-      ]
-
-    let of_args (a : args) =
-      check_args ~name ~params a;
-      let d = Tsp.default in
-      {
-        d with
-        Tsp.ncities = Option.value ~default:d.Tsp.ncities a.size;
-        lock = Option.value ~default:d.Tsp.lock a.lock;
-      }
-
-    let instantiate a = Tsp.workload (of_args a)
-
-    let problem_size a = Tsp.problem_size (of_args a)
-
-    let tiny () = Tsp.workload Tsp.tiny
-
-    let epilogue = no_epilogue
-  end)
-
-let water : (module WORKLOAD) =
-  (module struct
-    let name = "water"
-
-    let doc = "N-body molecular dynamics (paper 5.2): per-molecule locks, pairwise forces"
-
-    let params =
-      [
-        size_param ~default:"128" ~doc:"number of molecules";
-        iters_param ~default:"2" ~doc:"simulation steps";
-        { lock_param with p_doc = "molecule lock algorithm" };
-      ]
-
-    let of_args (a : args) =
-      check_args ~name ~params a;
-      let d = Water.default in
-      {
-        d with
-        Water.nmol = Option.value ~default:d.Water.nmol a.size;
-        iters = Option.value ~default:d.Water.iters a.iters;
-        lock = Option.value ~default:d.Water.lock a.lock;
-      }
-
-    let instantiate a = Water.workload (of_args a)
-
-    let problem_size a = Water.problem_size (of_args a)
-
-    let tiny () = Water.workload Water.tiny
-
-    let epilogue = no_epilogue
-  end)
-
-let barnes : (module WORKLOAD) =
-  (module struct
-    let name = "barnes"
-
-    let doc = "Barnes-Hut N-body (paper 5.2): shared octree build under per-cell locks"
-
-    let params =
-      [
-        size_param ~default:"128" ~doc:"number of bodies";
-        iters_param ~default:"2" ~doc:"simulation steps";
-        { lock_param with p_doc = "cell lock algorithm" };
-      ]
-
-    let of_args (a : args) =
-      check_args ~name ~params a;
-      let d = Barnes.default in
-      {
-        d with
-        Barnes.nbodies = Option.value ~default:d.Barnes.nbodies a.size;
-        iters = Option.value ~default:d.Barnes.iters a.iters;
-        lock = Option.value ~default:d.Barnes.lock a.lock;
-      }
-
-    let instantiate a = Barnes.workload (of_args a)
-
-    let problem_size a = Barnes.problem_size (of_args a)
-
-    let tiny () = Barnes.workload Barnes.tiny
-
-    let epilogue = no_epilogue
-  end)
-
-let water_kernel_of_args ~name ~params (a : args) =
-  check_args ~name ~params a;
-  let d = Water_kernel.default in
-  { d with Water_kernel.nmol = Option.value ~default:d.Water_kernel.nmol a.size }
-
-let water_kernel : (module WORKLOAD) =
-  (module struct
-    let name = "water-kernel"
-
-    let doc = "Water force kernel, untransformed (paper 5.2.3)"
-
-    let params = [ size_param ~default:"96" ~doc:"number of molecules" ]
-
-    let instantiate a = Water_kernel.workload (water_kernel_of_args ~name ~params a)
-
-    let problem_size a = Water_kernel.problem_size (water_kernel_of_args ~name ~params a)
-
-    let tiny () = Water_kernel.workload Water_kernel.tiny
-
-    let epilogue = no_epilogue
-  end)
-
-let water_kernel_tiled : (module WORKLOAD) =
-  (module struct
-    let name = "water-kernel-tiled"
-
-    let doc = "Water force kernel, loop-transformed tiling (paper 5.2.3)"
-
-    let params = [ size_param ~default:"96" ~doc:"number of molecules" ]
-
-    let instantiate a = Water_kernel.workload_tiled (water_kernel_of_args ~name ~params a)
-
-    let problem_size a = Water_kernel.problem_size (water_kernel_of_args ~name ~params a)
-
-    let tiny () = Water_kernel.workload_tiled Water_kernel.tiny
-
-    let epilogue = no_epilogue
-  end)
-
-let lu : (module WORKLOAD) =
-  (module struct
-    let name = "lu"
-
-    let doc = "dense LU factorization (SPLASH-2): read-broadcast pivot rows"
-
-    let params = [ size_param ~default:"48" ~doc:"matrix dimension" ]
-
-    let of_args (a : args) =
-      check_args ~name ~params a;
-      let d = Lu.default in
-      { d with Lu.n = Option.value ~default:d.Lu.n a.size }
-
-    let instantiate a = Lu.workload (of_args a)
-
-    let problem_size a = Lu.problem_size (of_args a)
-
-    let tiny () = Lu.workload Lu.tiny
-
-    let epilogue = no_epilogue
-  end)
-
-let fft : (module WORKLOAD) =
-  (module struct
-    let name = "fft"
-
-    let doc = "six-step FFT (SPLASH-2 lineage): all-to-all page-grain transposes"
-
-    let params = [ size_param ~default:"32" ~doc:"matrix edge (n = size^2 points)" ]
-
-    let of_args (a : args) =
-      check_args ~name ~params a;
-      let d = Fft.default in
-      { d with Fft.m = Option.value ~default:d.Fft.m a.size }
-
-    let instantiate a = Fft.workload (of_args a)
-
-    let problem_size a = Fft.problem_size (of_args a)
-
-    let tiny () = Fft.workload Fft.tiny
-
-    let epilogue = no_epilogue
-  end)
-
-let radix : (module WORKLOAD) =
-  (module struct
-    let name = "radix"
-
-    let doc = "parallel radix sort (SPLASH-2): scattered permutation writes"
-
-    let params = [ size_param ~default:"2048" ~doc:"number of keys" ]
-
-    let of_args (a : args) =
-      check_args ~name ~params a;
-      let d = Radix.default in
-      { d with Radix.nkeys = Option.value ~default:d.Radix.nkeys a.size }
-
-    let instantiate a = Radix.workload (of_args a)
-
-    let problem_size a = Radix.problem_size (of_args a)
-
-    let tiny () = Radix.workload Radix.tiny
-
-    let epilogue = no_epilogue
-  end)
-
-(* Registration happens at module initialization; [ensure] exists so
+(* Every application registered once as a [Mgs_harness.Workload.make]
+   of its name, the knobs it accepts and its constructors, so the CLIs,
+   the benchmark driver, and the perf harness all select applications
+   by name through one registry.
+
+   The generic knobs map onto each application's natural parameter,
+   starting from the application's own [default] record: [size] is n
+   (jacobi/matmul/lu), ncities (tsp), nmol (water, water-kernel),
+   nbodies (barnes), m (fft) or nkeys (radix); [iters] and [lock] apply
+   only where the application lists them — anything else is rejected
+   with an error naming the accepted knobs.
+
+   Registration happens at module initialization; [ensure] exists so
    executables can force this module to link (an archive member with no
    referenced value would otherwise be dropped, leaving the registry
    empty). *)
+
+open Mgs_harness.Workload
+
+(* the plain and the tiled Water kernel share one parameter record *)
+let water_kernel_of_args a =
+  let d = Water_kernel.default in
+  { d with Water_kernel.nmol = Option.value ~default:d.nmol a.size }
+
 let () =
   List.iter register
     [
-      jacobi;
-      matmul;
-      tsp;
-      water;
-      barnes;
-      water_kernel;
-      water_kernel_tiled;
-      lu;
-      fft;
-      radix;
+      make ~name:"jacobi" ~knobs:[ "size"; "iters" ]
+        ~of_args:(fun a ->
+          let d = Jacobi.default in
+          {
+            d with
+            Jacobi.n = Option.value ~default:d.n a.size;
+            iters = Option.value ~default:d.iters a.iters;
+          })
+        ~workload:Jacobi.workload ~problem_size:Jacobi.problem_size ~tiny:Jacobi.tiny
+        ~epilogue:no_epilogue;
+      make ~name:"matmul" ~knobs:[ "size" ]
+        ~of_args:(fun a ->
+          let d = Matmul.default in
+          { d with Matmul.n = Option.value ~default:d.n a.size })
+        ~workload:Matmul.workload ~problem_size:Matmul.problem_size ~tiny:Matmul.tiny
+        ~epilogue:no_epilogue;
+      make ~name:"tsp" ~knobs:[ "size"; "lock" ]
+        ~of_args:(fun a ->
+          let d = Tsp.default in
+          {
+            d with
+            Tsp.ncities = Option.value ~default:d.ncities a.size;
+            lock = Option.value ~default:d.lock a.lock;
+          })
+        ~workload:Tsp.workload ~problem_size:Tsp.problem_size ~tiny:Tsp.tiny
+        ~epilogue:no_epilogue;
+      make ~name:"water" ~knobs:[ "size"; "iters"; "lock" ]
+        ~of_args:(fun a ->
+          let d = Water.default in
+          {
+            d with
+            Water.nmol = Option.value ~default:d.nmol a.size;
+            iters = Option.value ~default:d.iters a.iters;
+            lock = Option.value ~default:d.lock a.lock;
+          })
+        ~workload:Water.workload ~problem_size:Water.problem_size ~tiny:Water.tiny
+        ~epilogue:no_epilogue;
+      make ~name:"barnes" ~knobs:[ "size"; "iters"; "lock" ]
+        ~of_args:(fun a ->
+          let d = Barnes.default in
+          {
+            d with
+            Barnes.nbodies = Option.value ~default:d.nbodies a.size;
+            iters = Option.value ~default:d.iters a.iters;
+            lock = Option.value ~default:d.lock a.lock;
+          })
+        ~workload:Barnes.workload ~problem_size:Barnes.problem_size ~tiny:Barnes.tiny
+        ~epilogue:no_epilogue;
+      make ~name:"water-kernel" ~knobs:[ "size" ] ~of_args:water_kernel_of_args
+        ~workload:Water_kernel.workload ~problem_size:Water_kernel.problem_size
+        ~tiny:Water_kernel.tiny ~epilogue:no_epilogue;
+      make ~name:"water-kernel-tiled" ~knobs:[ "size" ] ~of_args:water_kernel_of_args
+        ~workload:Water_kernel.workload_tiled ~problem_size:Water_kernel.problem_size
+        ~tiny:Water_kernel.tiny ~epilogue:no_epilogue;
+      make ~name:"lu" ~knobs:[ "size" ]
+        ~of_args:(fun a ->
+          let d = Lu.default in
+          { d with Lu.n = Option.value ~default:d.n a.size })
+        ~workload:Lu.workload ~problem_size:Lu.problem_size ~tiny:Lu.tiny
+        ~epilogue:no_epilogue;
+      make ~name:"fft" ~knobs:[ "size" ]
+        ~of_args:(fun a ->
+          let d = Fft.default in
+          { d with Fft.m = Option.value ~default:d.m a.size })
+        ~workload:Fft.workload ~problem_size:Fft.problem_size ~tiny:Fft.tiny
+        ~epilogue:no_epilogue;
+      make ~name:"radix" ~knobs:[ "size" ]
+        ~of_args:(fun a ->
+          let d = Radix.default in
+          { d with Radix.nkeys = Option.value ~default:d.nkeys a.size })
+        ~workload:Radix.workload ~problem_size:Radix.problem_size ~tiny:Radix.tiny
+        ~epilogue:no_epilogue;
       Mgs_serve.Kv.workload_module;
     ]
 

@@ -19,6 +19,17 @@ type config = {
          default; off is byte-identical to a build without the layer. *)
 }
 
+(* Run by [config] and again by [create], so a record update of a
+   checked config cannot skip it. *)
+let check cfg =
+  if cfg.par_jobs < 1 then invalid_arg "Machine.config: par_jobs < 1";
+  if cfg.adapt && cfg.protocol = State.Protocol_ivy then
+    invalid_arg
+      "Machine.config: protocol \"ivy\" supports no adaptive coherence regime \
+       (its single-writer pages have no twins to skip for the single-writer \
+       regime and every read already invalidates for the invalidate-on-read \
+       regime); --adapt requires mgs or hlrc"
+
 let config ?(page_words = 256) ?(costs = Costs.default) ?lan_latency
     ?(event_limit = 500_000_000) ?(shadow = Sys.getenv_opt "MGS_SHADOW" = Some "1")
     ?(features = State.default_features) ?(protocol = State.Protocol_mgs) ?tlb_entries
@@ -26,30 +37,28 @@ let config ?(page_words = 256) ?(costs = Costs.default) ?lan_latency
   let costs =
     match lan_latency with None -> costs | Some d -> Costs.with_lan_latency costs d
   in
-  if par_jobs < 1 then invalid_arg "Machine.config: par_jobs < 1";
-  if adapt && protocol = State.Protocol_ivy then
-    invalid_arg
-      "Machine.config: protocol \"ivy\" supports no adaptive coherence regime \
-       (its single-writer pages have no twins to skip for the single-writer \
-       regime and every read already invalidates for the invalidate-on-read \
-       regime); --adapt requires mgs or hlrc";
-  {
-    nprocs;
-    cluster;
-    page_words;
-    costs;
-    event_limit;
-    features;
-    protocol;
-    shadow;
-    tlb_entries;
-    par_jobs;
-    adapt;
-  }
+  let cfg =
+    {
+      nprocs;
+      cluster;
+      page_words;
+      costs;
+      event_limit;
+      features;
+      protocol;
+      shadow;
+      tlb_entries;
+      par_jobs;
+      adapt;
+    }
+  in
+  check cfg;
+  cfg
 
 type t = State.t
 
 let create cfg =
+  check cfg;
   let sim = Sim.create () in
   let geom = Geom.create ~page_words:cfg.page_words () in
   let topo = Topology.create ~nprocs:cfg.nprocs ~cluster:cfg.cluster in

@@ -68,6 +68,8 @@ val config :
 type t = State.t
 
 val create : config -> t
+(** @raise Invalid_argument as {!config} does, so a config changed by a
+    record update is checked too. *)
 
 val sim : t -> Mgs_engine.Sim.t
 

@@ -1,13 +1,13 @@
 (* First-class workloads behind one face: the CLIs, the benchmark
    driver, and the perf harness select an application by name, and
-   adding a workload means one [register] call — not a variant case in
-   three hand-kept dispatch tables.
+   adding a workload means one [register] of one [make] — not a variant
+   case in three hand-kept dispatch tables.
 
    The generic knobs every driver already exposes (--size, --iters,
    --lock) flow through [args]; anything application-specific rides the
-   [extra] key=value list, validated by the workload itself against its
-   published [params] spec, so an unknown knob is a loud error naming
-   the knobs that exist. *)
+   [extra] key=value list.  [make] checks both against the knobs the
+   workload accepts, so an unknown knob is a loud error naming the
+   knobs that exist. *)
 
 type args = {
   size : int option;  (** generic problem-size knob (--size) *)
@@ -18,14 +18,8 @@ type args = {
 
 let default_args = { size = None; iters = None; lock = None; extra = [] }
 
-type param = { p_name : string; p_default : string; p_doc : string }
-
 module type WORKLOAD = sig
   val name : string
-
-  val doc : string
-
-  val params : param list
 
   val instantiate : args -> Sweep.workload
 
@@ -36,34 +30,39 @@ module type WORKLOAD = sig
   val epilogue : Mgs.Machine.t -> string
 end
 
-(* --- spec helpers shared by implementations ------------------------- *)
-
-let no_epilogue _ = ""
-
-let param ~name ~default ~doc = { p_name = name; p_default = default; p_doc = doc }
-
-let size_param ~default ~doc = param ~name:"size" ~default ~doc
-
-let iters_param ~default ~doc = param ~name:"iters" ~default ~doc
-
-let lock_param =
-  param ~name:"lock" ~default:Mgs_sync.Locks.(name_of Token) ~doc:"lock algorithm"
-
-(* Reject any knob the workload did not declare — generic (size, iters,
+(* Reject any knob the workload does not accept — generic (size, iters,
    lock) and [extra] alike — naming the knobs that exist, as an unknown
    protocol or lock name does. *)
-let check_args ~name ~params (a : args) =
-  let known = List.map (fun p -> p.p_name) params in
-  let accepted = match known with [] -> "none" | _ -> String.concat ", " known in
+let check_args ~name ~knobs (a : args) =
   let reject_unknown k =
-    if not (List.mem k known) then
+    if not (List.mem k knobs) then
       invalid_arg
-        (Printf.sprintf "workload %s: unknown parameter %S (accepted: %s)" name k accepted)
+        (Printf.sprintf "workload %s: unknown parameter %S (accepted: %s)" name k
+           (String.concat ", " knobs))
   in
   (match a.size with Some _ -> reject_unknown "size" | None -> ());
   (match a.iters with Some _ -> reject_unknown "iters" | None -> ());
   (match a.lock with Some _ -> reject_unknown "lock" | None -> ());
   List.iter (fun (k, _) -> reject_unknown k) a.extra
+
+let make ~name ~knobs ~of_args ~workload ~problem_size ~tiny ~epilogue =
+  let of_args a =
+    check_args ~name ~knobs a;
+    of_args a
+  in
+  (module struct
+    let name = name
+
+    let instantiate a = workload (of_args a)
+
+    let problem_size a = problem_size (of_args a)
+
+    let tiny () = workload tiny
+
+    let epilogue = epilogue
+  end : WORKLOAD)
+
+let no_epilogue _ = ""
 
 let extra_int ~name (a : args) key ~default =
   match List.assoc_opt key a.extra with
@@ -92,14 +91,10 @@ let register ((module W : WORKLOAD) as impl) =
     invalid_arg (Printf.sprintf "Workload.register: %S already registered" W.name);
   Hashtbl.add registry W.name impl
 
-let find name = Hashtbl.find_opt registry name
-
-let mem name = Hashtbl.mem registry name
-
 let names () = List.sort compare (Hashtbl.fold (fun name _ acc -> name :: acc) registry [])
 
 let of_name name =
-  match find name with
+  match Hashtbl.find_opt registry name with
   | Some impl -> impl
   | None ->
     invalid_arg

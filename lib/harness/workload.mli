@@ -1,11 +1,11 @@
 (** First-class workload registry.
 
-    Every application packages itself as a {!WORKLOAD} module — a name,
-    a one-line description, a published parameter spec, and constructors
-    — and registers once.  The CLIs ([mgs_run --app]), the benchmark
-    driver, and the perf harness then select workloads by name; an
-    unknown name raises naming every registered workload, and an unknown
-    parameter raises naming every accepted one. *)
+    Every application registers once as a {!WORKLOAD} built by {!make}
+    from its name, the knobs it accepts, and its constructors.  The
+    CLIs ([mgs_run --app]), the benchmark driver, and the perf harness
+    then select workloads by name; an unknown name raises naming every
+    registered workload, and an unknown knob raises naming every
+    accepted one. *)
 
 type args = {
   size : int option;  (** generic problem-size knob (--size) *)
@@ -18,26 +18,17 @@ type args = {
 val default_args : args
 (** All knobs unset: every workload runs its published defaults. *)
 
-type param = { p_name : string; p_default : string; p_doc : string }
-(** One accepted parameter: name, default (rendered), one-line doc. *)
-
 module type WORKLOAD = sig
   val name : string
   (** Registry key; what [--app] and perf-row names say. *)
-
-  val doc : string
-  (** One line for listings. *)
-
-  val params : param list
-  (** Accepted knobs, including the generic size/iters/lock ones when
-      the workload honours them.  [instantiate] rejects anything else. *)
 
   val instantiate : args -> Sweep.workload
   (** Build the runnable workload.
       @raise Invalid_argument on an unknown or malformed parameter. *)
 
   val problem_size : args -> string
-  (** Human description of the instantiated problem. *)
+  (** Human description of the instantiated problem.
+      @raise Invalid_argument as [instantiate] does. *)
 
   val tiny : unit -> Sweep.workload
   (** Smoke-test-sized instance (seconds, not minutes). *)
@@ -48,35 +39,34 @@ module type WORKLOAD = sig
       nothing beyond the standard report. *)
 end
 
-(** {1 Spec-building helpers} *)
+val make :
+  name:string ->
+  knobs:string list ->
+  of_args:(args -> 'p) ->
+  workload:('p -> Sweep.workload) ->
+  problem_size:('p -> string) ->
+  tiny:'p ->
+  epilogue:(Mgs.Machine.t -> string) ->
+  (module WORKLOAD)
+(** The workload whose parameters are ['p].  Its [instantiate] and
+    [problem_size] first reject any knob — generic ([size], [iters],
+    [lock]) or [extra] — absent from [knobs], naming the accepted ones
+    in [knobs]' order, then build from [of_args]. *)
 
 val no_epilogue : Mgs.Machine.t -> string
 (** Always [""]. *)
 
-val param : name:string -> default:string -> doc:string -> param
-
-val size_param : default:string -> doc:string -> param
-
-val iters_param : default:string -> doc:string -> param
-
-val lock_param : param
-
-val check_args : name:string -> params:param list -> args -> unit
-(** @raise Invalid_argument on any knob — generic ([size]/[iters]/[lock])
-    or [extra] — absent from [params], naming the accepted keys. *)
-
 val extra_int : name:string -> args -> string -> default:int -> int
+(** The [extra] value of a key as an integer, or [default] when unset.
+    @raise Invalid_argument naming workload [name] on a non-integer. *)
 
 val extra_float : name:string -> args -> string -> default:float -> float
+(** As {!extra_int}, for a number. *)
 
 (** {1 The registry} *)
 
 val register : (module WORKLOAD) -> unit
 (** @raise Invalid_argument on a duplicate name. *)
-
-val find : string -> (module WORKLOAD) option
-
-val mem : string -> bool
 
 val names : unit -> string list
 (** Registered workload names, sorted. *)

@@ -4,9 +4,11 @@ let bytes_per_word = 4
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
-let create ?(page_words = 256) ?(line_words = 4) () =
+(* the paper's 16-byte cache line *)
+let line_words = 4
+
+let create ?(page_words = 256) () =
   if not (is_pow2 page_words) then invalid_arg "Geom.create: page_words not a power of two";
-  if not (is_pow2 line_words) then invalid_arg "Geom.create: line_words not a power of two";
   if line_words > page_words then invalid_arg "Geom.create: line larger than page";
   { page_words; line_words }
 

@@ -10,13 +10,13 @@
 
 type t = private {
   page_words : int;  (** words per page (power of two) *)
-  line_words : int;  (** words per cache line (power of two, divides page) *)
+  line_words : int;  (** words per cache line: always 4 (16 B) *)
 }
 
-val create : ?page_words:int -> ?line_words:int -> unit -> t
-(** Defaults: [page_words = 256] (1 KB), [line_words = 4] (16 B).
-    @raise Invalid_argument unless both are powers of two with
-    [line_words <= page_words]. *)
+val create : ?page_words:int -> unit -> t
+(** Default: [page_words = 256] (1 KB).
+    @raise Invalid_argument unless [page_words] is a power of two no
+    smaller than a line. *)
 
 val bytes_per_word : int
 (** 4: data values are 32-bit words. *)

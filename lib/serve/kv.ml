@@ -14,10 +14,7 @@
    concurrently — the upgrade-burst pattern the adaptive classifier
    resolves to the invalidate regime.  [home = "packed"] places every
    shard (and lock) on SSMP 0, the naive-allocator placement whose
-   repair by adaptive home migration the adapt gate demonstrates;
-   [local_pct] models session affinity, directing that percentage of
-   a client's requests at its own SSMP's shard, which gives pages a
-   stable dominant writer.
+   repair by adaptive home migration the adapt gate demonstrates.
 
    Load is open loop: every client fiber's full request schedule —
    arrival times, operations, keys — is precomputed host-side from
@@ -67,7 +64,6 @@ type params = {
   seed : int;
   lock : Mgs_sync.Locks.kind;  (** shard lock algorithm *)
   stripes : int;  (** locks per shard, keys interleaved; 1 = per-shard lock *)
-  local_pct : int;  (** % of requests with session affinity to the client's SSMP's shard *)
   home : string;  (** shard placement: "spread" (round robin) or "packed" (all on SSMP 0) *)
 }
 
@@ -88,7 +84,6 @@ let default =
     seed = 7;
     lock = Mgs_sync.Locks.Token;
     stripes = 1;
-    local_pct = 0;
     home = "spread";
   }
 
@@ -132,8 +127,6 @@ let validate p =
   if p.churn < 0 then invalid_arg "kv: churn must be nonnegative";
   if p.burst < 0 then invalid_arg "kv: burst must be nonnegative";
   if p.stripes < 1 then invalid_arg "kv: stripes must be positive";
-  if p.local_pct < 0 || p.local_pct > 100 then
-    invalid_arg "kv: local must be a percentage";
   if p.home <> "spread" && p.home <> "packed" then
     invalid_arg "kv: home must be \"spread\" or \"packed\""
 
@@ -151,7 +144,7 @@ type schedule = {
    arrival/op streams, per-user rank streams (stateless: one child
    generator per request, keyed by user then request nonce, so the
    million-user population costs no per-user state). *)
-let schedules p ~nprocs ~cluster =
+let schedules p ~nprocs =
   let master = Rng.create ~seed:(0x5EED + p.seed) in
   let zipf_master = Rng.split_key master ~key:1 in
   let perm_rng = Rng.split_key master ~key:2 in
@@ -159,22 +152,11 @@ let schedules p ~nprocs ~cluster =
   Rng.shuffle_in_place perm_rng perm;
   let dist = Zipf.dist ~n:p.nkeys ~theta:p.theta in
   let key_of ~rank ~epoch = 1 + perm.((rank + (epoch * 7919)) mod p.nkeys) in
-  (* session affinity: the keys of shard [s] are {s+1, s+1+nshards, ...};
-     an affine request keeps its zipfian rank but resolves it within the
-     client's own SSMP's shard group *)
-  let nssmps = nprocs / cluster in
-  let nshards = if p.nshards = 0 then nssmps else p.nshards in
-  let local_key_of ~shard ~rank ~epoch =
-    let group = ((p.nkeys - shard - 1) / nshards) + 1 in
-    shard + 1 + (((rank + (epoch * 7919)) mod group) * nshards)
-  in
   Array.init nprocs (fun c ->
       let crng = Rng.split_key master ~key:(1000 + c) in
       let arr_rng = Rng.split_key crng ~key:1 in
       let op_rng = Rng.split_key crng ~key:2 in
       let user_rng = Rng.split_key crng ~key:3 in
-      let loc_rng = Rng.split_key crng ~key:4 in
-      let my_shard = c / cluster mod nshards in
       let arrival = Array.make p.ops 0 in
       let opcode = Array.make p.ops Get in
       let key = Array.make p.ops 1 in
@@ -193,12 +175,7 @@ let schedules p ~nprocs ~cluster =
         let req_rng = Rng.split_key (Rng.split_key zipf_master ~key:user) ~key:((c * p.ops) + i) in
         let rank = Zipf.draw dist req_rng in
         let epoch = if p.churn = 0 then 0 else i / p.churn in
-        key.(i) <-
-          (if
-             p.local_pct > 0 && my_shard < p.nkeys
-             && Rng.int loc_rng 100 < p.local_pct
-           then local_key_of ~shard:my_shard ~rank ~epoch
-           else key_of ~rank ~epoch)
+        key.(i) <- key_of ~rank ~epoch
       done;
       { arrival; opcode; key })
 
@@ -272,7 +249,7 @@ let prepare p (m : Mgs.Machine.t) =
     Mgs.Machine.poke m (bases.(s) + (2 * !h)) (float_of_int k);
     Mgs.Machine.poke m (bases.(s) + (2 * !h) + 1) (float_of_int (encode ~key:k ~seq:0))
   done;
-  let scheds = schedules p ~nprocs ~cluster:topo.Mgs_machine.Topology.cluster in
+  let scheds = schedules p ~nprocs in
   let expected_puts = puts_per_key p scheds in
   (* per-proc accounting: each fiber writes only its own slot *)
   let violations = Array.make nprocs 0 in
@@ -434,8 +411,6 @@ let prepare p (m : Mgs.Machine.t) =
 
 let workload p = { Mgs_harness.Sweep.name = "KV"; prepare = prepare p }
 
-(* --- registry packaging --------------------------------------------- *)
-
 let epilogue m =
   match Mgs.Machine.trace m with
   | None -> ""
@@ -450,88 +425,35 @@ let epilogue m =
         (Mgs_obs.Span.dropped sp)
     else ""
 
-(* Aliases that survive the [open Mgs_harness.Workload] shadowing
-   inside the first-class module below. *)
-let kv_workload = workload
-
-let kv_tiny = tiny
-
-let kv_problem_size = problem_size
-
-let kv_epilogue = epilogue
-
-let workload_module : (module Mgs_harness.Workload.WORKLOAD) =
-  (module struct
-    open Mgs_harness.Workload
-
-    let name = "kv"
-
-    let doc = "request-serving KV tier: open-loop zipfian load, tail-latency report"
-
-    let params =
-      [
-        size_param ~default:(string_of_int default.nkeys) ~doc:"distinct keys";
-        iters_param ~default:(string_of_int default.ops) ~doc:"requests per client fiber";
-        { lock_param with p_doc = "shard lock algorithm" };
-        param ~name:"users" ~default:(string_of_int default.users)
-          ~doc:"simulated user population";
-        param ~name:"theta" ~default:(Printf.sprintf "%.2f" default.theta)
-          ~doc:"zipfian skew";
-        param ~name:"get" ~default:(string_of_int default.get_pct) ~doc:"% gets";
-        param ~name:"put" ~default:(string_of_int default.put_pct) ~doc:"% puts";
-        param ~name:"scan-len" ~default:(string_of_int default.scan_len)
-          ~doc:"keys per scan";
-        param ~name:"churn" ~default:(string_of_int default.churn)
-          ~doc:"requests per popularity epoch (0 = none)";
-        param ~name:"period" ~default:(string_of_int default.period)
-          ~doc:"mean inter-arrival gap, cycles";
-        param ~name:"burst" ~default:(string_of_int default.burst)
-          ~doc:"wave quantum, cycles (0 = independent arrivals)";
-        param ~name:"think" ~default:(string_of_int default.think)
-          ~doc:"modelled per-request compute, cycles";
-        param ~name:"shards" ~default:"0" ~doc:"hash shards (0 = one per SSMP)";
-        param ~name:"stripes" ~default:(string_of_int default.stripes)
-          ~doc:"locks per shard (keys interleaved)";
-        param ~name:"local" ~default:(string_of_int default.local_pct)
-          ~doc:"% requests with session affinity to the client's SSMP's shard";
-        param ~name:"home" ~default:default.home
-          ~doc:"shard placement: spread | packed";
-        param ~name:"seed" ~default:(string_of_int default.seed) ~doc:"load seed";
-      ]
-
-    let params_spec = params
-
-    let of_args (a : args) =
-      check_args ~name ~params:params_spec a;
+(* The registry entry: size -> nkeys, iters -> ops, lock, and every
+   other field under its [--param] name, each defaulting to [default]'s
+   value. *)
+let workload_module =
+  let module W = Mgs_harness.Workload in
+  let name = "kv" in
+  W.make ~name
+    ~knobs:
+      [ "size"; "iters"; "lock"; "users"; "theta"; "get"; "put"; "scan-len"; "churn";
+        "period"; "burst"; "think"; "shards"; "stripes"; "home"; "seed" ]
+    ~of_args:(fun a ->
       let d = default in
+      let int key default = W.extra_int ~name a key ~default in
       {
-        nkeys = Option.value ~default:d.nkeys a.size;
+        nkeys = Option.value ~default:d.nkeys a.W.size;
         ops = Option.value ~default:d.ops a.iters;
         lock = Option.value ~default:d.lock a.lock;
-        users = extra_int ~name a "users" ~default:d.users;
-        theta = extra_float ~name a "theta" ~default:d.theta;
-        get_pct = extra_int ~name a "get" ~default:d.get_pct;
-        put_pct = extra_int ~name a "put" ~default:d.put_pct;
-        scan_len = extra_int ~name a "scan-len" ~default:d.scan_len;
-        churn = extra_int ~name a "churn" ~default:d.churn;
-        period = extra_int ~name a "period" ~default:d.period;
-        burst = extra_int ~name a "burst" ~default:d.burst;
-        think = extra_int ~name a "think" ~default:d.think;
-        nshards = extra_int ~name a "shards" ~default:d.nshards;
-        stripes = extra_int ~name a "stripes" ~default:d.stripes;
-        local_pct = extra_int ~name a "local" ~default:d.local_pct;
-        home =
-          (match List.assoc_opt "home" a.extra with
-          | Some v -> v
-          | None -> d.home);
-        seed = extra_int ~name a "seed" ~default:d.seed;
-      }
-
-    let instantiate a = kv_workload (of_args a)
-
-    let problem_size a = kv_problem_size (of_args a)
-
-    let tiny () = kv_workload kv_tiny
-
-    let epilogue = kv_epilogue
-  end)
+        users = int "users" d.users;
+        theta = W.extra_float ~name a "theta" ~default:d.theta;
+        get_pct = int "get" d.get_pct;
+        put_pct = int "put" d.put_pct;
+        scan_len = int "scan-len" d.scan_len;
+        churn = int "churn" d.churn;
+        period = int "period" d.period;
+        burst = int "burst" d.burst;
+        think = int "think" d.think;
+        nshards = int "shards" d.nshards;
+        stripes = int "stripes" d.stripes;
+        home = Option.value ~default:d.home (List.assoc_opt "home" a.extra);
+        seed = int "seed" d.seed;
+      })
+    ~workload ~problem_size ~tiny ~epilogue

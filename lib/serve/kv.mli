@@ -41,10 +41,6 @@ type params = {
       (** locks per shard, keys interleaved over them; 1 (the default)
           is the classic per-shard big lock, larger values let puts to
           different keys of one page proceed concurrently *)
-  local_pct : int;
-      (** session affinity: % of a client's requests directed at its
-          own SSMP's shard (key chosen by zipfian rank within that
-          shard's key group); 0 = all traffic global *)
   home : string;
       (** shard/lock placement: ["spread"] (round robin over SSMPs,
           the default) or ["packed"] (everything on SSMP 0 — the naive
@@ -66,7 +62,7 @@ type schedule = {
   key : int array;  (** target key (scan start key for scans) *)
 }
 
-val schedules : params -> nprocs:int -> cluster:int -> schedule array
+val schedules : params -> nprocs:int -> schedule array
 (** The precomputed offered load, one schedule per client fiber — a
     pure function of [params] (exposed for the tests). *)
 
@@ -79,6 +75,7 @@ val epilogue : Mgs.Machine.t -> string
     store (empty without one), plus a warning when spans were dropped. *)
 
 val workload_module : (module Mgs_harness.Workload.WORKLOAD)
-(** The registry packaging: name ["kv"], size -> keys, iters -> ops,
-    plus users/theta/get/put/scan-len/churn/period/think/shards/
-    stripes/local/home/seed extra params. *)
+(** The registry entry: name ["kv"], size -> keys, iters -> ops, lock,
+    plus users/theta/get/put/scan-len/churn/period/burst/think/shards/
+    stripes/home/seed extra params, each defaulting to {!default}'s
+    field. *)

@@ -3,7 +3,7 @@
    driven demotion, home-migration gating, machine-level determinism of
    adaptive runs across engine job counts (invariant checker on),
    byte-identity of the default (adapt-off) configuration, engagement
-   on serving traffic, and the ivy guard. *)
+   on serving traffic, and the ivy guard, also on a record update. *)
 
 module Adapt = Mgs_cache.Adapt
 module Bitset = Mgs_util.Bitset
@@ -355,6 +355,20 @@ let test_ivy_rejected () =
        let rec scan i = i + k <= n && (String.sub msg i k = affix || scan (i + 1)) in
        scan 0)
 
+(* a record update of a checked config reaches the machine's check *)
+let test_ivy_rejected_on_update () =
+  let cfg =
+    {
+      (Mgs.Machine.config ~adapt:true ~nprocs:8 ~cluster:2 ()) with
+      protocol = Mgs.State.Protocol_ivy;
+    }
+  in
+  match Sweep.run_point cfg (Mgs_apps.Jacobi.workload Mgs_apps.Jacobi.tiny) with
+  | _ -> Alcotest.fail "an adaptive Ivy machine ran"
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool) "the config check refused it" true
+      (String.ends_with ~suffix:"requires mgs or hlrc" msg)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -387,6 +401,8 @@ let () =
           Alcotest.test_case "and under faults" `Quick test_adapt_faulty_identity;
           Alcotest.test_case "engages on serving traffic" `Quick test_adapt_serving;
           Alcotest.test_case "ivy rejected" `Quick test_ivy_rejected;
+          Alcotest.test_case "ivy rejected on record update" `Quick
+            test_ivy_rejected_on_update;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_switch_invariants ] );

@@ -7,7 +7,7 @@ module Alloc = Mgs_mem.Allocator
 
 let geom = Geom.create ()
 
-let small = Geom.create ~page_words:16 ~line_words:4 ()
+let small = Geom.create ~page_words:16 ()
 
 (* --- geometry ------------------------------------------------------- *)
 
@@ -29,7 +29,7 @@ let test_geom_validation () =
       ignore (Geom.create ~page_words:100 ()));
   Alcotest.check_raises "line larger than page"
     (Invalid_argument "Geom.create: line larger than page") (fun () ->
-      ignore (Geom.create ~page_words:4 ~line_words:8 ()))
+      ignore (Geom.create ~page_words:2 ()))
 
 let prop_geom_roundtrip =
   QCheck2.Test.make ~name:"vpn*page + offset = addr" ~count:500

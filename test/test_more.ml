@@ -5,7 +5,7 @@ module Pd = Mgs_mem.Pagedata
 module Geom = Mgs_mem.Geom
 module Costs = Mgs_machine.Costs
 
-let small = Geom.create ~page_words:32 ~line_words:4 ()
+let small = Geom.create ~page_words:32 ()
 
 (* diffs list offsets in strictly increasing order (merge code and the
    message-size accounting rely on a canonical form) *)

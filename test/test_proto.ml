@@ -365,7 +365,7 @@ let test_single_ssmp_has_no_protocol () =
     + report.Mgs.Report.pstats.Mgs.Pstats.write_fetches);
   Alcotest.(check (float 0.)) "zero MGS time" 0.0 report.Mgs.Report.breakdown.Mgs.Report.mgs
 
-let test_page_size_parameter () =
+let test_page_size_rels () =
   (* smaller pages mean more pages for the same data, hence more RELs
      when everything is flushed *)
   let releases page_words =
@@ -418,7 +418,7 @@ let () =
             test_quiescence_detects_dirty_duq;
           Alcotest.test_case "address bounds" `Quick test_address_bounds;
           Alcotest.test_case "C=P bypasses software" `Quick test_single_ssmp_has_no_protocol;
-          Alcotest.test_case "page size parameter" `Quick test_page_size_parameter;
+          Alcotest.test_case "page size parameter" `Quick test_page_size_rels;
         ] );
       ( "frames",
         [

@@ -4,7 +4,8 @@
    Tail and the bounded-memory Hist, an end-to-end verified KV run
    with tail-latency reporting identical across engines, a checked run
    identical across job counts, and the registry's contracts (lookup,
-   unknown-name errors, equivalence to direct construction). *)
+   unknown-name errors, every workload's accepted knobs, equivalence to
+   direct construction). *)
 
 module Sweep = Mgs_harness.Sweep
 module Workload = Mgs_harness.Workload
@@ -103,8 +104,8 @@ let qcheck_zipf_range =
 
 let test_schedules_pure () =
   let p = { Kv.tiny with Kv.ops = 50 } in
-  let s1 = Kv.schedules p ~nprocs:8 ~cluster:2
-  and s2 = Kv.schedules p ~nprocs:8 ~cluster:2 in
+  let s1 = Kv.schedules p ~nprocs:8
+  and s2 = Kv.schedules p ~nprocs:8 in
   Alcotest.(check int) "one schedule per client" 8 (Array.length s1);
   Alcotest.(check bool) "byte-identical rebuild" true (s1 = s2);
   Array.iter
@@ -123,7 +124,7 @@ let test_schedules_pure () =
 
 let test_schedules_mix () =
   let p = { Kv.default with Kv.ops = 2000; get_pct = 70; put_pct = 25 } in
-  let s = Kv.schedules p ~nprocs:4 ~cluster:2 in
+  let s = Kv.schedules p ~nprocs:4 in
   let count op =
     Array.fold_left
       (fun acc sch ->
@@ -327,13 +328,47 @@ let test_registry_unknown () =
         if not (contains msg n) then Alcotest.failf "error %S does not list %S" msg n)
       [ "jacobi"; "kv"; "water-kernel-tiled" ]
 
+(* Every registered workload's accepted knobs, in the order its error
+   lists them. *)
+let accepted =
+  [
+    ("barnes", "size, iters, lock");
+    ("fft", "size");
+    ("jacobi", "size, iters");
+    ( "kv",
+      "size, iters, lock, users, theta, get, put, scan-len, churn, period, burst, think, \
+       shards, stripes, home, seed" );
+    ("lu", "size");
+    ("matmul", "size");
+    ("radix", "size");
+    ("tsp", "size, lock");
+    ("water", "size, iters, lock");
+    ("water-kernel", "size");
+    ("water-kernel-tiled", "size");
+  ]
+
 let test_registry_bad_param () =
   let args = { Workload.default_args with Workload.extra = [ ("bogus", "1") ] } in
-  match Workload.instantiate ~args "kv" with
-  | _ -> Alcotest.fail "unknown param accepted"
-  | exception Invalid_argument msg ->
-    if not (contains msg "bogus" && contains msg "theta") then
-      Alcotest.failf "error %S does not name the bad knob and the accepted ones" msg
+  List.iter
+    (fun name ->
+      let knobs =
+        match List.assoc_opt name accepted with
+        | Some knobs -> knobs
+        | None -> Alcotest.failf "no accepted-knob list pinned for workload %S" name
+      in
+      let refusal f = match f () with _ -> "accepted" | exception Invalid_argument msg -> msg in
+      let want =
+        Printf.sprintf "workload %s: unknown parameter \"bogus\" (accepted: %s)" name knobs
+      in
+      Alcotest.(check string)
+        (name ^ " instantiate names the bad knob and the accepted ones")
+        want
+        (refusal (fun () -> ignore (Workload.instantiate ~args name)));
+      Alcotest.(check string)
+        (name ^ " problem_size refuses it alike")
+        want
+        (refusal (fun () -> ignore (Workload.problem_size ~args name))))
+    (Workload.names ())
 
 let report_ident w =
   Mgs.Report.ident (Sweep.run_point (Mgs.Machine.config ~nprocs:8 ~cluster:2 ()) w).Sweep.report
