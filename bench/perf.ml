@@ -66,7 +66,7 @@ let measure ?(par = 1) ?(check = true) ?(adapt = false) ~nprocs ~cluster (name, 
       let r = (Sweep.run_point ~check cfg w).Sweep.report in
       (r.Mgs.Report.sim_events, r.Mgs.Report.runtime))
 
-(* Contended-lock microbenchmark rows: one per lock, under
+(* Contended-lock microbenchmark rows: one per lock, checked and under
    the same byte-identity gate as the app rows — a sim_events/sim_cycles
    drift here means a lock algorithm's message flow changed. *)
 let measure_lock ~cluster ~fibers lock =
@@ -111,6 +111,20 @@ let large_rows () =
    rows newer than a baseline diff as "new" and never gate. *)
 let traced_rows () =
   let nprocs = 256 in
+  let observed (w : Sweep.workload) =
+    let prepare m =
+      let tr = Mgs.Machine.enable_trace m in
+      let mt = Mgs.Machine.enable_metrics m in
+      let body, check = w.prepare m in
+      let export m =
+        check m;
+        ignore (String.length (Mgs_obs.Trace.chrome_json tr));
+        ignore (String.length (Mgs_obs.Metrics.csv mt))
+      in
+      (body, export)
+    in
+    { w with prepare }
+  in
   let apps =
     [
       ( "jacobi+obs",
@@ -124,21 +138,7 @@ let traced_rows () =
   List.concat_map
     (fun cluster ->
       List.map
-        (fun (name, w) ->
-          timed ~par:4 ~app:name ~nprocs ~cluster (fun () ->
-              let cfg =
-                Mgs.Machine.config ~lan_latency:1000 ~par_jobs:4 ~nprocs ~cluster ()
-              in
-              let m = Mgs.Machine.create cfg in
-              let tr = Mgs.Machine.enable_trace m in
-              let mt = Mgs.Machine.enable_metrics m in
-              let body, check = w.Sweep.prepare m in
-              let report = Mgs.Machine.run m body in
-              Mgs.Machine.assert_quiescent m;
-              check m;
-              ignore (String.length (Mgs_obs.Trace.chrome_json tr));
-              ignore (String.length (Mgs_obs.Metrics.csv mt));
-              (report.Mgs.Report.sim_events, report.Mgs.Report.runtime)))
+        (fun (name, w) -> measure ~par:4 ~check:false ~nprocs ~cluster (name, observed w))
         apps)
     [ 16; 64 ]
 

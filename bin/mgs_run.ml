@@ -61,32 +61,27 @@ let run app size iters params procs cluster delay page_bytes protocol lock fault
     sweep jobs par adapt no_verify trace spans metrics hist check csv engine_stats =
   let w, size_desc, epilogue = workload ~app ~size ~iters ~lock ~params in
   let verify = not no_verify in
-  (* one machine description for every point; a configuration the
-     machine refuses (--par 0, --adapt under ivy) is a CLI error *)
+  (* one machine description for every point, fault plan included; a
+     configuration the machine refuses is a CLI error *)
   let base =
     try
       Mgs.Machine.config
         ~page_words:(page_bytes / Mgs_mem.Geom.bytes_per_word)
-        ~lan_latency:delay ~par_jobs:par ~adapt ~protocol ~nprocs:procs
+        ~lan_latency:delay ~par_jobs:par ~adapt ~protocol ?faults ~fault_seed:seed
+        ~nprocs:procs
         ~cluster:(Option.value ~default:procs cluster)
         ()
     with Invalid_argument msg -> cli_err msg
   in
-  let fault_spec =
-    match faults with
-    | Some spec when not (Mgs_net.Fault.is_zero spec) -> Some spec
-    | _ -> None
-  in
+  let faulted = not (Mgs_net.Fault.is_zero base.faults) in
   Printf.printf "app=%s (%s)  P=%d  delay=%d cycles  page=%dB  protocol=%s%s%s\n%!" app
     size_desc procs delay page_bytes (Mgs.Protocol.name_of protocol)
     (if adapt then "  adapt=on" else "")
     (match lock with
     | Mgs_sync.Locks.Token -> ""
     | kind -> "  lock=" ^ Mgs_sync.Locks.name_of kind);
-  (match fault_spec with
-  | Some spec ->
-    Printf.printf "faults: %s  seed=%d\n%!" (Mgs_net.Fault.to_string spec) seed
-  | None -> ());
+  if faulted then
+    Printf.printf "faults: %s  seed=%d\n%!" (Mgs_net.Fault.to_string base.faults) seed;
   (* A point may run on a helper domain (--sweep -j N), so it never
      prints directly: per-point output is buffered and emitted in
      cluster order afterwards, making -j N output identical to -j 1. *)
@@ -97,22 +92,18 @@ let run app size iters params procs cluster delay page_bytes protocol lock fault
     if trace <> None || hist || spans <> None then ignore (Mgs.Machine.enable_trace m);
     if metrics <> None then ignore (Mgs.Machine.enable_metrics m);
     let checker = if check then Some (Mgs.Machine.enable_checker m) else None in
-    (match fault_spec with
-    | Some spec -> Mgs.Machine.set_faults m ~seed spec
-    | None -> ());
     let body, wcheck = w.Mgs_harness.Sweep.prepare m in
     let report = Mgs.Machine.run m body in
     if verify && Mgs.Report.completed report then begin
       Mgs.Machine.assert_quiescent m;
       wcheck m
     end;
-    (match fault_spec with
-    | Some _ ->
+    if faulted then begin
       let s = Mgs_net.Lan.stats m.Mgs.State.lan in
       Format.fprintf ppf "net: retries=%d dups=%d timeouts=%d acks=%d@."
         s.Mgs_net.Lan.retransmits s.Mgs_net.Lan.dup_drops s.Mgs_net.Lan.timeouts
         s.Mgs_net.Lan.acks
-    | None -> ());
+    end;
     (match (trace, Mgs.Machine.trace m) with
     | Some base, Some tr ->
       let file = trace_file base ~sweep ~cluster in

@@ -43,10 +43,12 @@ let dst_bits = 20
 
 let max_cost = max_int lsr dst_bits
 
+let max_procs = 1 lsl dst_bits
+
 let create sim costs topo ~lan ~cpus =
   if Array.length cpus <> topo.Mgs_machine.Topology.nprocs then
     invalid_arg "Am.create: cpu count mismatch";
-  if topo.Mgs_machine.Topology.nprocs > 1 lsl dst_bits then invalid_arg "Am.create: too many procs";
+  if topo.Mgs_machine.Topology.nprocs > max_procs then invalid_arg "Am.create: too many procs";
   let nssmps = topo.Mgs_machine.Topology.nssmps in
   let am =
     {
@@ -203,7 +205,5 @@ let counts am =
   List.sort compare (Hashtbl.fold (fun tag n acc -> (tag, n) :: acc) merged [])
 
 let total_posted am = Array.fold_left ( + ) 0 am.total
-
-let in_flight am = Array.fold_left ( + ) 0 am.in_flight
 
 let in_flight_cell am c = am.in_flight.(c)

@@ -23,7 +23,10 @@ val create :
   t
 (** Installs the simulator's message hook ({!Mgs_engine.Sim.set_deliver}).
     @raise Invalid_argument unless there is one CPU per processor, and
-    at most [2{^20}] of them. *)
+    at most {!max_procs} of them. *)
+
+val max_procs : int
+(** [2{^20}]: a message word keeps its handler's processor in 20 bits. *)
 
 val post :
   t ->
@@ -73,11 +76,9 @@ val counts : t -> (string * int) list
 
 val total_posted : t -> int
 
-val in_flight : t -> int
-(** Messages posted whose handler has not yet been dispatched — the
-    network-occupancy gauge the metrics sampler reads. *)
-
 val in_flight_cell : t -> int -> int
-(** One SSMP's in-flight cell (posted from it minus delivered to it;
-    may be negative in isolation — only the sum is meaningful).  Safe
+(** One SSMP's in-flight cell, the network-occupancy gauge the metrics
+    sampler reads: messages posted from it minus messages delivered to
+    it, so it may be negative in isolation and only the sum over SSMPs
+    counts messages whose handler has not yet been dispatched.  Safe
     to read from that shard's own event context. *)

@@ -17,10 +17,14 @@ type config = {
       (* adaptive per-page coherence: online sharing-pattern
          classification, regime switching and home migration.  Off by
          default; off is byte-identical to a build without the layer. *)
+  faults : Mgs_net.Fault.spec;
+  fault_seed : int;
 }
 
-(* Run by [config] and again by [create], so a record update of a
-   checked config cannot skip it. *)
+(* Every argument check [create] reaches, run by [config] and again by
+   [create] (so a record update cannot skip it), which uses the topology
+   and geometry built here by the constructors owning their checks.  A
+   TLB is built only for its capacity check. *)
 let check cfg =
   if cfg.par_jobs < 1 then invalid_arg "Machine.config: par_jobs < 1";
   if cfg.adapt && cfg.protocol = State.Protocol_ivy then
@@ -28,12 +32,23 @@ let check cfg =
       "Machine.config: protocol \"ivy\" supports no adaptive coherence regime \
        (its single-writer pages have no twins to skip for the single-writer \
        regime and every read already invalidates for the invalidate-on-read \
-       regime); --adapt requires mgs or hlrc"
+       regime); --adapt requires mgs or hlrc";
+  let topo = Topology.create ~nprocs:cfg.nprocs ~cluster:cfg.cluster in
+  let geom = Geom.create ~page_words:cfg.page_words () in
+  ignore (Tlb.create ?capacity:cfg.tlb_entries ());
+  (* the bounds of [Sim.make_sharded] and [Am.create] *)
+  if cfg.costs.Costs.lan.Costs.latency < 0 then invalid_arg "Machine.config: lan_latency < 0";
+  if topo.Topology.nssmps > Mgs_engine.Shardq.max_shards then
+    invalid_arg "Machine.config: more SSMPs than the engine has shards";
+  if cfg.nprocs > Am.max_procs then
+    invalid_arg (Printf.sprintf "Machine.config: nprocs > %d" Am.max_procs);
+  (topo, geom)
 
 let config ?(page_words = 256) ?(costs = Costs.default) ?lan_latency
     ?(event_limit = 500_000_000) ?(shadow = Sys.getenv_opt "MGS_SHADOW" = Some "1")
     ?(features = State.default_features) ?(protocol = State.Protocol_mgs) ?tlb_entries
-    ?(par_jobs = 1) ?(adapt = false) ~nprocs ~cluster () =
+    ?(par_jobs = 1) ?(adapt = false) ?(faults = Mgs_net.Fault.none) ?(fault_seed = 42)
+    ~nprocs ~cluster () =
   let costs =
     match lan_latency with None -> costs | Some d -> Costs.with_lan_latency costs d
   in
@@ -50,18 +65,18 @@ let config ?(page_words = 256) ?(costs = Costs.default) ?lan_latency
       tlb_entries;
       par_jobs;
       adapt;
+      faults;
+      fault_seed;
     }
   in
-  check cfg;
+  ignore (check cfg);
   cfg
 
 type t = State.t
 
 let create cfg =
-  check cfg;
+  let topo, geom = check cfg in
   let sim = Sim.create () in
-  let geom = Geom.create ~page_words:cfg.page_words () in
-  let topo = Topology.create ~nprocs:cfg.nprocs ~cluster:cfg.cluster in
   (* shard per SSMP; the fixed inter-SSMP LAN latency is the
      conservative lookahead window (every cross-SSMP delivery pays at
      least that much wire time, so events a shard runs inside a window
@@ -74,6 +89,10 @@ let create cfg =
         Coherence.create cfg.costs geom ~cluster:cfg.cluster)
   in
   let lan = Lan.create sim cfg.costs ~nssmps:topo.Topology.nssmps in
+  (* a zero spec installs nothing: the faults-free machine, byte for byte *)
+  if not (Mgs_net.Fault.is_zero cfg.faults) then
+    Lan.set_fault_plan lan
+      (Mgs_net.Fault.make cfg.faults ~seed:cfg.fault_seed ~nssmps:topo.Topology.nssmps);
   let am = Am.create sim cfg.costs topo ~lan ~cpus in
   let clients =
     Array.init topo.Topology.nssmps (fun s ->
@@ -146,16 +165,6 @@ let enable_trace (m : t) =
 
 let trace (m : t) = m.store
 
-(* Transport gauges, registered by whichever of {!set_faults} and
-   {!enable_metrics} runs second.  Each cell reads only its own SSMP's
-   transport state: its LAN counter cell (retransmits are bumped by the
-   sender, dup drops by the receiver) and the sender-side unacked
-   tables of its outgoing channels. *)
-let net_probes (m : t) mt =
-  Mgs_obs.Metrics.probe_cell mt "net.retransmits" (fun c -> (Lan.cell m.lan c).Lan.retransmits);
-  Mgs_obs.Metrics.probe_cell mt "net.dup_drops" (fun c -> (Lan.cell m.lan c).Lan.dup_drops);
-  Mgs_obs.Metrics.probe_cell mt "net.unacked" (fun c -> Lan.unacked_cell m.lan c)
-
 (* The sampler rides the engine's per-event hook: before each event
    runs, {!Mgs_obs.Metrics.on_event} snapshots the executing shard's
    cell at every sampling boundary it crossed.  (A self-rescheduling
@@ -216,23 +225,19 @@ let enable_metrics ?interval ?max_samples (m : t) =
       column "adapt.fwds" Pstats.adapt_fwds;
       column "adapt.yields" Pstats.adapt_yields
     end;
-    if Option.is_some (Lan.fault_plan m.lan) then net_probes m mt;
+    (* transport gauges of a faulted machine: a cell reads its SSMP's
+       LAN counters and the unacked tables of its outgoing channels *)
+    if Option.is_some (Lan.fault_plan m.lan) then begin
+      probe "net.retransmits" (fun c -> (Lan.cell m.lan c).Lan.retransmits);
+      probe "net.dup_drops" (fun c -> (Lan.cell m.lan c).Lan.dup_drops);
+      probe "net.unacked" (fun c -> Lan.unacked_cell m.lan c)
+    end;
     Sim.set_on_event m.sim
       (Some (fun ~shard ~now -> Mgs_obs.Metrics.on_event mt ~cell:shard ~now));
     m.metrics <- Some mt;
     mt
 
 let metrics (m : t) = m.metrics
-
-let set_faults (m : t) ?(seed = 42) spec =
-  if Mgs_net.Fault.is_zero spec then Lan.set_fault_plan m.lan None
-  else begin
-    let plan = Mgs_net.Fault.make spec ~seed ~nssmps:m.topo.Topology.nssmps in
-    Lan.set_fault_plan m.lan (Some plan);
-    match m.metrics with Some mt -> net_probes m mt | None -> ()
-  end
-
-let fault_plan (m : t) = Lan.fault_plan m.lan
 
 let enable_checker (m : t) = Invariant.attach m
 

@@ -42,6 +42,11 @@ type config = {
           home to a dominant writer's SSMP.  Off by default; when off,
           every export and counter is byte-identical to a machine
           without the adaptive layer. *)
+  faults : Mgs_net.Fault.spec;
+      (** deterministic LAN faults; handlers still see exactly-once
+          in-order delivery.  A zero spec installs no plan: the machine
+          is the byte-identical faults-free one. *)
+  fault_seed : int;  (** seeds the fault plan *)
 }
 
 val config :
@@ -55,20 +60,26 @@ val config :
   ?tlb_entries:int ->
   ?par_jobs:int ->
   ?adapt:bool ->
+  ?faults:Mgs_net.Fault.spec ->
+  ?fault_seed:int ->
   nprocs:int ->
   cluster:int ->
   unit ->
   config
 (** Defaults: 1 KB pages (256 words), {!Mgs_machine.Costs.default} with
     its LAN latency overridden by [lan_latency] when given; [par_jobs]
-    defaults to 1 (the calling domain); [adapt] defaults to [false].
-    @raise Invalid_argument if [par_jobs < 1], or if [adapt] is combined
-    with a protocol that supports no adaptive regime (ivy). *)
+    defaults to 1 (the calling domain); [adapt] defaults to [false];
+    [faults] to {!Mgs_net.Fault.none} and [fault_seed] to 42.
+    @raise Invalid_argument on every argument {!create} would refuse:
+    [par_jobs < 1], [adapt] under ivy (no adaptive regime), a topology,
+    page size or TLB capacity its constructor refuses, a negative LAN
+    latency, or more than {!Mgs_am.Am.max_procs} processors. *)
 
 type t = State.t
 
 val create : config -> t
-(** @raise Invalid_argument as {!config} does, so a config changed by a
+(** Build the machine, its fault plan included.
+    @raise Invalid_argument as {!config} does, so a config changed by a
     record update is checked too. *)
 
 val sim : t -> Mgs_engine.Sim.t
@@ -111,23 +122,12 @@ val enable_metrics : ?interval:int -> ?max_samples:int -> t -> Mgs_obs.Metrics.t
     migration included.  It records nothing else: the trace stays off
     unless {!enable_trace} turns it on, and [spans.open] counts the
     open spans of whatever store {!enable_trace} or {!enable_spans}
-    created (0 without one).  Idempotent.  Call before [run]; the run's
-    final partial interval is always captured. *)
+    created (0 without one); a faulted machine adds [net.retransmits],
+    [net.dup_drops] and [net.unacked].  Idempotent.  Call before [run];
+    the run's final partial interval is always captured. *)
 
 val metrics : t -> Mgs_obs.Metrics.t option
 (** The installed metrics sampler, if any. *)
-
-val set_faults : t -> ?seed:int -> Mgs_net.Fault.spec -> unit
-(** Install a deterministic fault plan on the LAN (seed default 42):
-    the reliable transport activates and the wire misbehaves per the
-    spec, but protocol handlers still see exactly-once in-order
-    delivery.  A spec with all rates zero uninstalls instead, so
-    sweeping intensity through 0 degrades to the byte-identical
-    faults-free machine.  With metrics enabled too, in either order,
-    the per-SSMP transport gauges [net.retransmits], [net.dup_drops]
-    and [net.unacked] are registered.  Call before [run]. *)
-
-val fault_plan : t -> Mgs_net.Fault.plan option
 
 val enable_checker : t -> Invariant.t
 (** Attach the online invariant checker, which the protocol engines

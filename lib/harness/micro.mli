@@ -1,7 +1,8 @@
 (** Micro measurements reproducing Table 3: the cost of primitive MGS
     operations, measured by bracketing single operations inside tiny
     simulated programs (1 KB pages, zero inter-SSMP delay, as in the
-    paper). *)
+    paper).  These and the contended-lock runs below are checked
+    {!Sweep.run_point}s. *)
 
 type measurement = {
   name : string;
@@ -54,7 +55,7 @@ val lock_point :
     [par] (default 1) runs the event engine on that many domains
     (results are identical for any value).
     @raise Failure if the protected counter lost an increment or the
-    machine fails {!Mgs.Machine.assert_quiescent}. *)
+    run fails {!Sweep.run_point}'s checks. *)
 
 type lock_spec = Mgs_sync.Locks.kind * Mgs.State.protocol * int * int
 (** (lock, protocol, cluster, fibers) *)

@@ -9,12 +9,9 @@ let clusters_of nprocs =
   let rec go c = if c > nprocs then [] else c :: go (2 * c) in
   go 1
 
-let run_point ?faults ?(fault_seed = 42) ?(check = true) (cfg : Mgs.Machine.config) w =
+let run_point ?(check = true) (cfg : Mgs.Machine.config) w =
   let m = Mgs.Machine.create cfg in
   let checker = if check then Some (Mgs.Machine.enable_checker m) else None in
-  (match faults with
-  | Some spec -> Mgs.Machine.set_faults m ~seed:fault_seed spec
-  | None -> ());
   let body, wcheck = w.prepare m in
   let report = Mgs.Machine.run m body in
   (* a partitioned run is a legitimate outcome under faults: the caller

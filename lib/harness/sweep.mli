@@ -15,22 +15,17 @@ type point = { cluster : int; report : Mgs.Report.t }
 val clusters_of : int -> int list
 (** Powers of two from 1 to P. *)
 
-val run_point :
-  ?faults:Mgs_net.Fault.spec ->
-  ?fault_seed:int ->
-  ?check:bool ->
-  Mgs.Machine.config ->
-  workload ->
-  point
-(** Build the machine [cfg] describes, run the workload on it, and
-    verify the run: the workload's checker and
+val run_point : ?check:bool -> Mgs.Machine.config -> workload -> point
+(** Build the machine [cfg] describes, its fault plan included, run the
+    workload on it, and verify the run: the workload's checker and
     {!Mgs.Machine.assert_quiescent}, skipped when the run ended in a
-    partition, which the caller observes via [report.outcome].
-    [faults] installs a deterministic fault plan (seeded by
-    [fault_seed], default 42) on the LAN; [check] (default true) runs
-    the online protocol invariant checker ({!Mgs.Invariant}) and fails
-    on any violation.  Results are byte-identical for every
-    [cfg.par_jobs], with or without the checker.
+    partition, which the caller observes via [report.outcome].  [check]
+    (default true) runs the online protocol invariant checker
+    ({!Mgs.Invariant}) and fails on any violation.  Results are
+    byte-identical for every [cfg.par_jobs], with or without the
+    checker.  Every table [bench/main.exe] prints runs through here;
+    only [mgs_run], the examples, the tests and [perfbench/] build a
+    machine themselves.
     @raise Failure on a workload-verifier or invariant failure. *)
 
 val sweep : ?clusters:int list -> ?jobs:int -> Mgs.Machine.config -> workload -> point list

@@ -32,7 +32,8 @@ end
 
 (* Reject any knob the workload does not accept — generic (size, iters,
    lock) and [extra] alike — naming the knobs that exist, as an unknown
-   protocol or lock name does. *)
+   protocol or lock name does; then a size below 1 or a negative
+   iteration count. *)
 let check_args ~name ~knobs (a : args) =
   let reject_unknown k =
     if not (List.mem k knobs) then
@@ -40,10 +41,17 @@ let check_args ~name ~knobs (a : args) =
         (Printf.sprintf "workload %s: unknown parameter %S (accepted: %s)" name k
            (String.concat ", " knobs))
   in
+  let reject_below k least = function
+    | Some v when v < least ->
+      invalid_arg (Printf.sprintf "workload %s: %s must be at least %d, got %d" name k least v)
+    | _ -> ()
+  in
   (match a.size with Some _ -> reject_unknown "size" | None -> ());
   (match a.iters with Some _ -> reject_unknown "iters" | None -> ());
   (match a.lock with Some _ -> reject_unknown "lock" | None -> ());
-  List.iter (fun (k, _) -> reject_unknown k) a.extra
+  List.iter (fun (k, _) -> reject_unknown k) a.extra;
+  reject_below "size" 1 a.size;
+  reject_below "iters" 0 a.iters
 
 let make ~name ~knobs ~of_args ~workload ~problem_size ~tiny ~epilogue =
   let of_args a =

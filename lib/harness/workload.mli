@@ -51,7 +51,8 @@ val make :
 (** The workload whose parameters are ['p].  Its [instantiate] and
     [problem_size] first reject any knob — generic ([size], [iters],
     [lock]) or [extra] — absent from [knobs], naming the accepted ones
-    in [knobs]' order, then build from [of_args]. *)
+    in [knobs]' order, then a [size] below 1 or a negative [iters],
+    naming the workload, then build from [of_args]. *)
 
 val no_epilogue : Mgs.Machine.t -> string
 (** Always [""]. *)

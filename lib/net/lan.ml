@@ -339,19 +339,16 @@ let cell lan c = lan.cells.(c)
 let set_obs lan tr = lan.obs <- tr
 
 let set_fault_plan lan plan =
-  match plan with
-  | None -> lan.rel <- None
-  | Some plan ->
-    let n = lan.nssmps * lan.nssmps in
-    lan.rel <-
-      Some
-        {
-          plan;
-          next_seq = Array.make n 0;
-          unacked = Array.init n (fun _ -> Hashtbl.create 16);
-          next_deliver = Array.make n 0;
-          parked = Array.init n (fun _ -> Hashtbl.create 16);
-        }
+  let n = lan.nssmps * lan.nssmps in
+  lan.rel <-
+    Some
+      {
+        plan;
+        next_seq = Array.make n 0;
+        unacked = Array.init n (fun _ -> Hashtbl.create 16);
+        next_deliver = Array.make n 0;
+        parked = Array.init n (fun _ -> Hashtbl.create 16);
+      }
 
 let fault_plan lan =
   match lan.rel with

@@ -86,9 +86,9 @@ val set_obs : t -> Mgs_obs.Trace.t option -> unit
     retransmission a ["NET.RETRY"] event plus a [net.retry] span
     parented at the posting operation. *)
 
-val set_fault_plan : t -> Fault.plan option -> unit
-(** Install (or remove) a fault plan.  Installing allocates fresh
-    transport state; do it before traffic flows, not mid-run. *)
+val set_fault_plan : t -> Fault.plan -> unit
+(** Install a fault plan, with fresh transport state; do it before
+    traffic flows, not mid-run.  A LAN without one stays faults-free. *)
 
 val fault_plan : t -> Fault.plan option
 

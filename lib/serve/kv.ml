@@ -126,6 +126,8 @@ let validate p =
   if p.theta < 0. then invalid_arg "kv: theta must be nonnegative";
   if p.churn < 0 then invalid_arg "kv: churn must be nonnegative";
   if p.burst < 0 then invalid_arg "kv: burst must be nonnegative";
+  if p.think < 0 then invalid_arg "kv: think must be nonnegative";
+  if p.nshards < 0 then invalid_arg "kv: shards must be nonnegative";
   if p.stripes < 1 then invalid_arg "kv: stripes must be positive";
   if p.home <> "spread" && p.home <> "packed" then
     invalid_arg "kv: home must be \"spread\" or \"packed\""
@@ -202,7 +204,6 @@ let next_pow2 n =
   !x
 
 let prepare p (m : Mgs.Machine.t) =
-  validate p;
   let topo = Mgs.Machine.topo m in
   let nprocs = topo.Mgs_machine.Topology.nprocs in
   let nssmps = topo.Mgs_machine.Topology.nssmps in
@@ -409,7 +410,9 @@ let prepare p (m : Mgs.Machine.t) =
   in
   (body, check)
 
-let workload p = { Mgs_harness.Sweep.name = "KV"; prepare = prepare p }
+let workload p =
+  validate p;
+  { Mgs_harness.Sweep.name = "KV"; prepare = prepare p }
 
 let epilogue m =
   match Mgs.Machine.trace m with

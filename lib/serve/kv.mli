@@ -68,7 +68,9 @@ val schedules : params -> nprocs:int -> schedule array
 
 val workload : params -> Mgs_harness.Sweep.workload
 (** Verifies client-side decodes, final per-key put counts against the
-    schedules, and slot-table integrity. *)
+    schedules, and slot-table integrity.
+    @raise Invalid_argument on a malformed parameter, so the registry's
+    [instantiate] refuses it. *)
 
 val epilogue : Mgs.Machine.t -> string
 (** The {!Tail} p50/p99/p999 table rendered from the machine's span

@@ -48,10 +48,9 @@ let check_unaliased m =
 let run ?faults ?(adapt = false) ~protocol ~par ~nprocs ~cluster (w : Mgs_harness.Sweep.workload) =
   let cfg =
     Mgs.Machine.config ~lan_latency:1000 ~protocol:(Mgs.Protocol.proto_of_name protocol)
-      ~par_jobs:par ~adapt ~nprocs ~cluster ()
+      ~par_jobs:par ~adapt ?faults ~nprocs ~cluster ()
   in
   let m = Mgs.Machine.create cfg in
-  Option.iter (Mgs.Machine.set_faults m ~seed:42) faults;
   let body, verify = w.Mgs_harness.Sweep.prepare m in
   if Mgs.Report.completed (Mgs.Machine.run m body) then begin
     Mgs.Machine.assert_quiescent m;

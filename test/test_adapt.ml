@@ -280,8 +280,8 @@ let test_adapt_faulty_identity () =
   let faults = Mgs_net.Fault.scale Mgs_net.Fault.default_chaos ~intensity:0.25 in
   let run par =
     Mgs.Report.ident
-      (Sweep.run_point ~check:true ~faults
-         (Mgs.Machine.config ~adapt:true ~par_jobs:par ~nprocs:8 ~cluster:2 ())
+      (Sweep.run_point ~check:true
+         (Mgs.Machine.config ~adapt:true ~par_jobs:par ~faults ~nprocs:8 ~cluster:2 ())
          w)
         .Sweep.report
   in

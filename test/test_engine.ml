@@ -537,7 +537,7 @@ let test_message_faulted_lan () =
       { Fault.none with Fault.drop = 0.3; dup = 0.3; delay_p = 0.3; delay_max = 1500;
         reorder = 0.2; max_retries = 30 }
     in
-    Lan.set_fault_plan lan (Some (Fault.make spec ~seed:5 ~nssmps:4));
+    Lan.set_fault_plan lan (Fault.make spec ~seed:5 ~nssmps:4);
     (* each message's cell is written only on its destination's shard *)
     let hooked = Array.make n 0 and finish = Array.make n (-1) and ran = Array.make n [] in
     Sim.set_deliver sim (fun i t ->

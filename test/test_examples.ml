@@ -40,10 +40,12 @@ let run_example name =
   Alcotest.(check int) (name ^ " exits 0") 0 code;
   Alcotest.(check bool) (name ^ " produces output") true (String.length out > 0)
 
+(* A refusal comes before the banner: nothing of a run is printed. *)
 let cli_refuses args ~says () =
   let code, out = run_exe ~dir:"bin" "mgs_run" args in
   Alcotest.(check int) "exits 2" 2 code;
-  if not (contains out says) then Alcotest.failf "output %S lacks %S" out says
+  if not (contains out says) then Alcotest.failf "output %S lacks %S" out says;
+  if contains out "app=" then Alcotest.failf "output %S printed the banner" out
 
 let () =
   Alcotest.run "examples"
@@ -66,5 +68,54 @@ let () =
           Alcotest.test_case "par 0" `Quick
             (cli_refuses [ "--app"; "jacobi"; "--par"; "0" ]
                ~says:"mgs_run: Machine.config: par_jobs < 1");
+          Alcotest.test_case "cluster does not divide procs" `Quick
+            (cli_refuses
+               [ "--app"; "jacobi"; "--procs"; "8"; "--cluster"; "3" ]
+               ~says:"mgs_run: Topology.create: cluster must divide nprocs");
+          Alcotest.test_case "procs 0" `Quick
+            (cli_refuses [ "--app"; "jacobi"; "--procs"; "0" ]
+               ~says:"mgs_run: Topology.create: nprocs");
+          Alcotest.test_case "cluster 0" `Quick
+            (cli_refuses
+               [ "--app"; "jacobi"; "--procs"; "8"; "--cluster"; "0" ]
+               ~says:"mgs_run: Topology.create: cluster");
+          Alcotest.test_case "cluster above procs" `Quick
+            (cli_refuses
+               [ "--app"; "jacobi"; "--procs"; "8"; "--cluster"; "16" ]
+               ~says:"mgs_run: Topology.create: cluster");
+          Alcotest.test_case "page not a power of two" `Quick
+            (cli_refuses
+               [ "--app"; "jacobi"; "--page-bytes"; "100" ]
+               ~says:"mgs_run: Geom.create: page_words not a power of two");
+          Alcotest.test_case "negative delay" `Quick
+            (cli_refuses [ "--app"; "jacobi"; "--delay=-5" ]
+               ~says:"mgs_run: Machine.config: lan_latency < 0");
+          Alcotest.test_case "kv home" `Quick
+            (cli_refuses
+               [ "--app"; "kv"; "--param"; "home=bogus" ]
+               ~says:"mgs_run: kv: home must be \"spread\" or \"packed\"");
+          Alcotest.test_case "kv mix" `Quick
+            (cli_refuses
+               [ "--app"; "kv"; "--param"; "get=90"; "--param"; "put=20" ]
+               ~says:
+                 "mgs_run: kv: get/put percentages must be nonnegative and sum to at most \
+                  100");
+          Alcotest.test_case "kv negative think" `Quick
+            (cli_refuses
+               [ "--app"; "kv"; "--param"; "think=-5" ]
+               ~says:"mgs_run: kv: think must be nonnegative");
+          Alcotest.test_case "kv negative shards" `Quick
+            (cli_refuses
+               [ "--app"; "kv"; "--param"; "shards=-1" ]
+               ~says:"mgs_run: kv: shards must be nonnegative");
+          Alcotest.test_case "negative size" `Quick
+            (cli_refuses [ "--app"; "jacobi"; "--size=-3" ]
+               ~says:"mgs_run: workload jacobi: size must be at least 1, got -3");
+          Alcotest.test_case "size 0" `Quick
+            (cli_refuses [ "--app"; "water"; "--size"; "0" ]
+               ~says:"mgs_run: workload water: size must be at least 1, got 0");
+          Alcotest.test_case "negative iters" `Quick
+            (cli_refuses [ "--app"; "jacobi"; "--iters=-1" ]
+               ~says:"mgs_run: workload jacobi: iters must be at least 0, got -1");
         ] );
     ]

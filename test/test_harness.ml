@@ -293,7 +293,7 @@ let test_fault_intensity () =
   let stats intensity =
     let faults = Mgs_net.Fault.scale Mgs_net.Fault.default_chaos ~intensity in
     let run () =
-      (Sweep.run_point ~faults ~fault_seed:11 { p4 with cluster = 2 } trivial_workload)
+      (Sweep.run_point { p4 with cluster = 2; faults; fault_seed = 11 } trivial_workload)
         .Sweep.report
     in
     let r = run () in

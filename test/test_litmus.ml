@@ -17,11 +17,13 @@ let protocols = [ ("mgs", Protocol_mgs); ("hlrc", Protocol_hlrc); ("ivy", Protoc
 let checkers : (Mgs.Machine.t * Mgs.Invariant.t) list ref = ref []
 
 let machine ?(nprocs = 4) ?(lan_latency = 600) ?faults protocol =
-  let cfg = Mgs.Machine.config ~nprocs ~cluster:2 ~lan_latency ~protocol ~shadow:true () in
+  let cfg =
+    Mgs.Machine.config ~nprocs ~cluster:2 ~lan_latency ~protocol ~shadow:true ?faults
+      ~fault_seed:1234 ()
+  in
   let m = Mgs.Machine.create cfg in
   ignore (Mgs.Machine.enable_trace m);
   checkers := (m, Mgs.Machine.enable_checker m) :: !checkers;
-  (match faults with Some spec -> Mgs.Machine.set_faults m ~seed:1234 spec | None -> ());
   m
 
 let assert_invariants m =

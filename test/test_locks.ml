@@ -11,8 +11,10 @@ module Locks = Mgs_sync.Locks
 module Micro = Mgs_harness.Micro
 module Figures = Mgs_harness.Figures
 
-let make ?(nprocs = 8) ?(cluster = 2) ?(lan = 500) () =
-  let cfg = Mgs.Machine.config ~nprocs ~cluster ~lan_latency:lan () in
+let make ?(nprocs = 8) ?(cluster = 2) ?(lan = 500) ?faults ?seed () =
+  let cfg =
+    Mgs.Machine.config ~nprocs ~cluster ~lan_latency:lan ?faults ?fault_seed:seed ()
+  in
   Mgs.Machine.create cfg
 
 (* ------------------------------------------------------------------ *)
@@ -27,10 +29,7 @@ let make ?(nprocs = 8) ?(cluster = 2) ?(lan = 500) () =
    parked and [run] fails on incomplete fibers. *)
 let run_mutex ?faults ?(seed = 42) ?(iters = 6) ?(nprocs = 8) ?(cluster = 2) kind =
   let name = Locks.name_of kind in
-  let m = make ~nprocs ~cluster () in
-  (match faults with
-  | Some spec -> Mgs.Machine.set_faults m ~seed spec
-  | None -> ());
+  let m = make ~nprocs ~cluster ?faults ~seed () in
   let cell = Mgs.Machine.alloc m ~words:1 ~home:(Mgs_mem.Allocator.On_proc 0) in
   let lock = Locks.make m kind in
   let inside = ref 0 in
@@ -91,10 +90,7 @@ let prop_mutex_faulty =
 let run_fifo ?faults ?(seed = 42) kind =
   let name = Locks.name_of kind in
   let nprocs = 8 in
-  let m = make ~nprocs ~cluster:2 ~lan:1000 () in
-  (match faults with
-  | Some spec -> Mgs.Machine.set_faults m ~seed spec
-  | None -> ());
+  let m = make ~nprocs ~cluster:2 ~lan:1000 ?faults ~seed () in
   let lock = Locks.make m kind in
   let order = ref [] in
   ignore
@@ -171,9 +167,9 @@ let test_lock_counters () =
 (* Total loss: the cross-SSMP token request exhausts its retries, and
    the acquirer stays parked in the lock. *)
 let partitioned_acquire () =
-  let m = make ~nprocs:4 ~cluster:2 () in
+  let faults = Mgs_net.Fault.of_string "drop=1.0,retries=3" in
+  let m = make ~nprocs:4 ~cluster:2 ~faults ~seed:7 () in
   let lock = Locks.make m ~home:0 Token in
-  Mgs.Machine.set_faults m ~seed:7 (Mgs_net.Fault.of_string "drop=1.0,retries=3");
   let r =
     Mgs.Machine.run m (fun ctx ->
         if Mgs.Api.proc ctx = 2 then begin

@@ -149,8 +149,8 @@ let test_costs_tlb_fill_sum () =
 let test_pstats_line () =
   let line ?faults ?adapt w =
     let r =
-      (Mgs_harness.Sweep.run_point ?faults
-         (Mgs.Machine.config ?adapt ~nprocs:8 ~cluster:2 ())
+      (Mgs_harness.Sweep.run_point
+         (Mgs.Machine.config ?adapt ?faults ~nprocs:8 ~cluster:2 ())
          w)
         .Mgs_harness.Sweep.report
     in
@@ -236,9 +236,12 @@ let test_hlrc_ivy_pinned () =
 (* A run whose MCS lock, adaptive layer and lossy LAN move each counter
    group on several shards at once counts into every SSMP's row. *)
 let test_every_row_counted () =
-  let cfg = Mgs.Machine.config ~adapt:true ~par_jobs:2 ~nprocs:8 ~cluster:2 () in
+  let cfg =
+    Mgs.Machine.config ~adapt:true ~par_jobs:2
+      ~faults:(Mgs_net.Fault.scale Mgs_net.Fault.default_chaos ~intensity:0.5)
+      ~nprocs:8 ~cluster:2 ()
+  in
   let m = Mgs.Machine.create cfg in
-  Mgs.Machine.set_faults m (Mgs_net.Fault.scale Mgs_net.Fault.default_chaos ~intensity:0.5);
   let w = Mgs_apps.Water.workload { Mgs_apps.Water.tiny with lock = Mgs_sync.Locks.Mcs } in
   let body, check = w.Mgs_harness.Sweep.prepare m in
   ignore (Mgs.Machine.run m body);
@@ -268,8 +271,12 @@ let test_runs_once () =
    before the engine is touched, so the abandoned run's clock and event
    count stand. *)
 let test_partitioned_runs_once () =
-  let m = Mgs.Machine.create (Mgs.Machine.config ~par_jobs:2 ~nprocs:4 ~cluster:2 ()) in
-  Mgs.Machine.set_faults m ~seed:7 (Mgs_net.Fault.of_string "drop=1.0,retries=3");
+  let m =
+    Mgs.Machine.create
+      (Mgs.Machine.config ~par_jobs:2
+         ~faults:(Mgs_net.Fault.of_string "drop=1.0,retries=3")
+         ~fault_seed:7 ~nprocs:4 ~cluster:2 ())
+  in
   let cell = Mgs.Machine.alloc m ~words:1 ~home:(Mgs_mem.Allocator.On_proc 0) in
   let body ctx = if Mgs.Api.proc ctx = 2 then Mgs.Api.write ctx cell 1.0 in
   (match (Mgs.Machine.run m body).Mgs.Report.outcome with
@@ -283,26 +290,34 @@ let test_partitioned_runs_once () =
   Alcotest.(check int) "clock untouched" now (Mgs_engine.Sim.now sim);
   Alcotest.(check int) "no event executed" executed (Mgs_engine.Sim.events_executed sim)
 
-(* An all-zero spec uninstalls a plan: a machine whose lossy plan was
-   replaced by [Fault.none] runs exactly like one never faulted. *)
-let test_zero_spec_uninstalls () =
-  let run specs =
-    let m = Mgs.Machine.create (Mgs.Machine.config ~nprocs:8 ~cluster:2 ()) in
-    List.iter (Mgs.Machine.set_faults m) specs;
+(* A config whose spec is all zero installs no plan: its machine runs
+   exactly like one given no faults at all, whatever the seed, while
+   the same config at a non-zero intensity retransmits. *)
+let test_zero_spec_faults_free () =
+  let run ?faults ?fault_seed () =
+    let m =
+      Mgs.Machine.create (Mgs.Machine.config ?faults ?fault_seed ~nprocs:8 ~cluster:2 ())
+    in
     let body, verify =
       (Mgs_apps.Jacobi.workload Mgs_apps.Jacobi.tiny).Mgs_harness.Sweep.prepare m
     in
     let r = Mgs.Machine.run m body in
     verify m;
-    (Mgs.Report.ident r, (Mgs_net.Lan.stats m.Mgs.State.lan).Mgs_net.Lan.retransmits)
+    ( Mgs.Report.ident r,
+      Mgs_net.Lan.fault_plan m.Mgs.State.lan = None,
+      (Mgs_net.Lan.stats m.Mgs.State.lan).Mgs_net.Lan.retransmits )
   in
-  let lossy = Mgs_net.Fault.scale Mgs_net.Fault.default_chaos ~intensity:0.5 in
-  let plain, _ = run [] in
-  let _, retransmits = run [ lossy ] in
-  Alcotest.(check bool) "the plan retransmits" true (retransmits > 0);
-  let lifted, lifted_retransmits = run [ lossy; Mgs_net.Fault.none ] in
-  Alcotest.(check int) "no retransmission" 0 lifted_retransmits;
-  Alcotest.(check string) "the report of a never-faulted machine" plain lifted
+  let intensity x = Mgs_net.Fault.scale Mgs_net.Fault.default_chaos ~intensity:x in
+  let plain, _, _ = run () in
+  let _, _, retransmits = run ~faults:(intensity 0.5) () in
+  Alcotest.(check bool) "a lossy config retransmits" true (retransmits > 0);
+  List.iter
+    (fun (what, faults) ->
+      let ident, planless, retransmits = run ~faults ~fault_seed:7 () in
+      Alcotest.(check bool) (what ^ ": no plan installed") true planless;
+      Alcotest.(check int) (what ^ ": no retransmission") 0 retransmits;
+      Alcotest.(check string) (what ^ ": the faults-free report") plain ident)
+    [ ("Fault.none", Mgs_net.Fault.none); ("intensity 0", intensity 0.) ]
 
 (* Checking leaves the engine alone: with the shadow oracle and the
    invariant checker both on, a par-2 run still opens lookahead windows
@@ -383,7 +398,8 @@ let () =
           Alcotest.test_case "a machine runs once" `Quick test_runs_once;
           Alcotest.test_case "a partitioned machine runs once" `Quick
             test_partitioned_runs_once;
-          Alcotest.test_case "a zero spec uninstalls faults" `Quick test_zero_spec_uninstalls;
+          Alcotest.test_case "a config with a zero spec reports the faults-free Report.ident"
+            `Quick test_zero_spec_faults_free;
         ] );
       ( "checking",
         [

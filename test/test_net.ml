@@ -115,7 +115,7 @@ let test_fault_scale () =
 let test_zero_rate_plan_timing () =
   let sim = sim_for 4 in
   let lan = Lan.create sim costs ~nssmps:4 in
-  Lan.set_fault_plan lan (Some (Fault.make Fault.none ~seed:7 ~nssmps:4));
+  Lan.set_fault_plan lan (Fault.make Fault.none ~seed:7 ~nssmps:4);
   let arrived = ref (-1) in
   Lan.send lan (env ~src:0 ~dst:1 ~words:256) ~at:0 (fun t -> arrived := t);
   ignore (Sim.run sim ());
@@ -130,7 +130,7 @@ let test_slowdown_scales_latency () =
   let sim = sim_for 4 in
   let lan = Lan.create sim costs ~nssmps:4 in
   let spec = { Fault.none with Fault.slow = [ (1, 2.0) ] } in
-  Lan.set_fault_plan lan (Some (Fault.make spec ~seed:7 ~nssmps:4));
+  Lan.set_fault_plan lan (Fault.make spec ~seed:7 ~nssmps:4);
   let to_slow = ref (-1) and to_healthy = ref (-1) in
   Lan.send lan (env ~src:0 ~dst:1 ~words:0) ~at:0 (fun t -> to_slow := t);
   ignore (Sim.run sim ());
@@ -148,7 +148,7 @@ let test_partition_on_retry_exhaustion () =
   let sim = sim_for 4 in
   let lan = Lan.create sim costs ~nssmps:4 in
   let spec = { Fault.none with Fault.drop = 1.0; rto = 5000; max_retries = 2 } in
-  Lan.set_fault_plan lan (Some (Fault.make spec ~seed:7 ~nssmps:4));
+  Lan.set_fault_plan lan (Fault.make spec ~seed:7 ~nssmps:4);
   Lan.send lan (env ~src:0 ~dst:1 ~words:0) ~at:0 (fun _ ->
       Alcotest.fail "dropped message must not deliver");
   (match Sim.run sim () with
@@ -167,7 +167,7 @@ let test_lossy_delivers_exactly_once () =
     { Fault.none with Fault.drop = 0.4; dup = 0.3; delay_p = 0.3; delay_max = 1500;
       reorder = 0.2; max_retries = 30 }
   in
-  Lan.set_fault_plan lan (Some (Fault.make spec ~seed:11 ~nssmps:4));
+  Lan.set_fault_plan lan (Fault.make spec ~seed:11 ~nssmps:4);
   let n = 60 in
   let delivered = Array.make n 0 in
   let order = ref [] in
@@ -331,7 +331,7 @@ let run_chaos (drop, dup, delay_p, delay_max, reorder, seed, msgs) =
   in
   let sim = sim_for 4 in
   let lan = Lan.create sim costs ~nssmps:4 in
-  Lan.set_fault_plan lan (Some (Fault.make spec ~seed ~nssmps:4));
+  Lan.set_fault_plan lan (Fault.make spec ~seed ~nssmps:4);
   let deliveries = Hashtbl.create 64 in
   let chan_order = Hashtbl.create 16 in
   List.iteri

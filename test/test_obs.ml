@@ -914,20 +914,18 @@ let test_gauges_checked () =
   set_pstate m ce P_read;
   Mgs.Machine.assert_quiescent m
 
-(* The transport gauges need both a fault plan and a sampler; they are
-   registered by whichever call comes second. *)
-let test_net_gauges_either_order () =
-  let spec = Mgs_net.Fault.of_string "drop=0.1" in
-  let columns faults_first =
-    let m = small_machine () in
-    if faults_first then Mgs.Machine.set_faults m spec;
+(* The transport gauges sample a machine whose config carries a fault
+   plan, and only such a machine. *)
+let test_net_gauges_faulted () =
+  let columns ?faults () =
+    let m = Mgs.Machine.create (Mgs.Machine.config ?faults ~nprocs:4 ~cluster:2 ()) in
     let mt = Mgs.Machine.enable_metrics m in
-    if not faults_first then Mgs.Machine.set_faults m spec;
-    List.filter (fun c -> String.length c > 4 && String.sub c 0 4 = "net.") (Metrics.columns mt)
+    List.filter (fun c -> String.starts_with ~prefix:"net." c) (Metrics.columns mt)
   in
-  let net = [ "net.retransmits"; "net.dup_drops"; "net.unacked" ] in
-  Alcotest.(check (list string)) "metrics, then faults" net (columns false);
-  Alcotest.(check (list string)) "faults, then metrics" net (columns true)
+  Alcotest.(check (list string)) "a faulted machine"
+    [ "net.retransmits"; "net.dup_drops"; "net.unacked" ]
+    (columns ~faults:(Mgs_net.Fault.of_string "drop=0.1") ());
+  Alcotest.(check (list string)) "a faults-free machine" [] (columns ())
 
 let () =
   Alcotest.run "obs"
@@ -982,8 +980,8 @@ let () =
             test_checker_ignores_other_protocols;
           Alcotest.test_case "violation listing is par-identical" `Quick
             test_violation_listing_par_identical;
-          Alcotest.test_case "net gauges in either order" `Quick
-            test_net_gauges_either_order;
+          Alcotest.test_case "a faulted machine's sampler has the three net.* gauges" `Quick
+            test_net_gauges_faulted;
           Alcotest.test_case "metrics record nothing else" `Quick
             test_metrics_record_nothing_else;
           Alcotest.test_case "gauge columns match the state" `Quick test_gauges_checked;

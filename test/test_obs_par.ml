@@ -24,12 +24,11 @@ module Locks = Mgs_sync.Locks
 let exports ?faults ~protocol ~par w =
   let cfg =
     Mgs.Machine.config ~lan_latency:1000 ~par_jobs:par
-      ~protocol:(Mgs.Protocol.proto_of_name protocol) ~nprocs:8 ~cluster:2 ()
+      ~protocol:(Mgs.Protocol.proto_of_name protocol) ?faults ~nprocs:8 ~cluster:2 ()
   in
   let m = Mgs.Machine.create cfg in
   let tr = Mgs.Machine.enable_trace m in
   let mt = Mgs.Machine.enable_metrics m in
-  (match faults with Some spec -> Mgs.Machine.set_faults m spec | None -> ());
   let body, check = w.Mgs_harness.Sweep.prepare m in
   ignore (Mgs.Machine.run m body);
   Mgs.Machine.assert_quiescent m;

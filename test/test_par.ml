@@ -39,10 +39,10 @@ let test_machine_equivalence () =
             (fun (fname, faults) ->
               let run par =
                 Mgs.Report.ident
-                  (Mgs_harness.Sweep.run_point ~check:true ?faults
+                  (Mgs_harness.Sweep.run_point ~check:true
                      (Mgs.Machine.config
                         ~protocol:(Mgs.Protocol.proto_of_name protocol)
-                        ~par_jobs:par ~nprocs:8 ~cluster:2 ())
+                        ~par_jobs:par ?faults ~nprocs:8 ~cluster:2 ())
                      w)
                     .Mgs_harness.Sweep.report
               in

@@ -398,7 +398,27 @@ let test_registry_knobs () =
       ~args:{ Workload.default_args with Workload.size = Some 99 }
       "kv"
   in
-  if not (contains ps "99 keys") then Alcotest.failf "kv size knob ignored: %s" ps
+  if not (contains ps "99 keys") then Alcotest.failf "kv size knob ignored: %s" ps;
+  (* a size below 1 or a negative iteration count is refused, naming
+     the workload, before anything is built *)
+  let refusal f = match f () with _ -> "accepted" | exception Invalid_argument msg -> msg in
+  List.iter
+    (fun (name, args, want) ->
+      Alcotest.(check string) (name ^ " instantiate refuses") want
+        (refusal (fun () -> ignore (Workload.instantiate ~args name)));
+      Alcotest.(check string) (name ^ " problem_size refuses") want
+        (refusal (fun () -> ignore (Workload.problem_size ~args name))))
+    [
+      ( "jacobi",
+        { Workload.default_args with Workload.size = Some (-3) },
+        "workload jacobi: size must be at least 1, got -3" );
+      ( "water",
+        { Workload.default_args with Workload.size = Some 0 },
+        "workload water: size must be at least 1, got 0" );
+      ( "kv",
+        { Workload.default_args with Workload.iters = Some (-1) },
+        "workload kv: iters must be at least 0, got -1" );
+    ]
 
 let test_parse_kv () =
   Alcotest.(check (pair string string)) "split" ("theta", "1.2") (Workload.parse_kv "theta=1.2");
