@@ -312,7 +312,9 @@ let seed_t =
            spec are fully deterministic.")
 
 let sweep_t =
-  Arg.(value & flag & info [ "sweep"; "s" ] ~doc:"Sweep cluster sizes 1..P (powers of two).")
+  Arg.(
+    value & flag
+    & info [ "sweep"; "s" ] ~doc:"Sweep cluster sizes 1..P (the powers of two that divide P).")
 
 let jobs_t =
   Arg.(

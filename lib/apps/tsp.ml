@@ -103,7 +103,8 @@ let workload p =
             let rec go i = i < len && (cities.(i) = c || go (i + 1)) in
             go 0
           in
-          let completed = ref max_int in
+          (* only the seed path of a one-city problem is popped complete *)
+          let completed = ref (if len = n then cost + rd_dist last 0 else max_int) in
           for c = 1 to n - 1 do
             if not (in_path c) then begin
               compute ctx p.eval_cycles;

@@ -34,12 +34,11 @@ type t = {
   mutable fns : (unit -> unit) array;
   mutable timeds : (int -> unit) array;
   mutable free : int array; (* the free slots, in [0, capacity - n) *)
-  (* the last popped event *)
+  (* the last peeked or popped event *)
   mutable p_fire : int;
   mutable p_sched : int;
   mutable p_srcseq : int;
   mutable p_own : int;
-  mutable p_msg : int;
   mutable p_timed : int -> unit;
 }
 
@@ -59,7 +58,6 @@ let create () =
     p_sched = 0;
     p_srcseq = 0;
     p_own = -1;
-    p_msg = -1;
     p_timed = nop_timed;
   }
 
@@ -86,12 +84,12 @@ let grow q =
 
 (* Order on a [(fire, sched)] tie: [sched], then the slab's packed
    [src]/[seq] of slots [sa] and [sb]. *)
-let tie_before q sc sa sj sb =
+let[@inline] tie_before q sc sa sj sb =
   sc < sj || (sc = sj && Array.unsafe_get q.srcseq sa < Array.unsafe_get q.srcseq sb)
 
 (* The entry [(f, sc, slot sl)] sorts before heap entry [j].  Entry
    [j]'s sched and slot are read only when the fire times tie. *)
-let before q f sc sl j =
+let[@inline] before q f sc sl j =
   let h = q.h in
   let fj = Array.unsafe_get h (3 * j) in
   f < fj
@@ -99,7 +97,7 @@ let before q f sc sl j =
      && tie_before q sc sl (Array.unsafe_get h ((3 * j) + 1)) (Array.unsafe_get h ((3 * j) + 2))
 
 (* Heap entry [a] sorts before heap entry [b]. *)
-let entry_before q a b =
+let[@inline] entry_before q a b =
   let h = q.h in
   let fa = Array.unsafe_get h (3 * a) and fb = Array.unsafe_get h (3 * b) in
   fa < fb
@@ -110,13 +108,13 @@ let entry_before q a b =
           (Array.unsafe_get h ((3 * b) + 1))
           (Array.unsafe_get h ((3 * b) + 2))
 
-let set q i f sc sl =
+let[@inline] set q i f sc sl =
   let h = q.h in
   Array.unsafe_set h (3 * i) f;
   Array.unsafe_set h ((3 * i) + 1) sc;
   Array.unsafe_set h ((3 * i) + 2) sl
 
-let move q ~from i =
+let[@inline] move q ~from i =
   let h = q.h in
   set q i (Array.unsafe_get h (3 * from))
     (Array.unsafe_get h ((3 * from) + 1))
@@ -165,7 +163,7 @@ let push q ~key ~own fn =
 
 exception Empty_queue
 
-let pop_min q =
+let peek q =
   if q.n = 0 then raise Empty_queue;
   let h = q.h in
   let slot = Array.unsafe_get h 2 in
@@ -173,7 +171,12 @@ let pop_min q =
   q.p_sched <- Array.unsafe_get h 1;
   q.p_srcseq <- Array.unsafe_get q.srcseq slot;
   q.p_own <- Array.unsafe_get q.own slot;
-  q.p_msg <- Array.unsafe_get q.msgs slot;
+  Array.unsafe_get q.msgs slot
+
+let pop_min q =
+  if q.n = 0 then raise Empty_queue;
+  let h = q.h in
+  let slot = Array.unsafe_get h 2 in
   let fn = Array.unsafe_get q.fns slot and timed = Array.unsafe_get q.timeds slot in
   if fn != nop then Array.unsafe_set q.fns slot nop;
   if timed != nop_timed then Array.unsafe_set q.timeds slot nop_timed;
@@ -183,6 +186,14 @@ let pop_min q =
   q.free.(Array.length q.own - last - 1) <- slot;
   if last > 0 then sift_down q 0 h.(3 * last) h.((3 * last) + 1) h.((3 * last) + 2);
   fn
+
+(* The root keeps its slot and payload; one sift puts it in place. *)
+let rekey_min q ~fire ~sched ~srcseq =
+  if q.n = 0 then raise Empty_queue;
+  let slot = Array.unsafe_get q.h 2 in
+  Array.unsafe_set q.srcseq slot srcseq;
+  Array.unsafe_set q.msgs slot (-1);
+  sift_down q 0 fire sched slot
 
 let take_timed q =
   let k = q.p_timed in
@@ -196,5 +207,3 @@ let popped_sched q = q.p_sched
 let popped_srcseq q = q.p_srcseq
 
 let popped_own q = q.p_own
-
-let popped_msg q = q.p_msg

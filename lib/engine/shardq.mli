@@ -22,9 +22,11 @@
     execute the event: carried, not part of the order), a message word
     (see {!Sim.at_msg}; [-1] for a plain event) and the payload, a thunk
     or a timed callback that receives the fire time, the other a
-    no-op.  A slot is written once at {!add} and cleared at
-    {!pop_min}: an event allocates nothing, and once popped the heap
-    reaches nothing of it. *)
+    no-op.  A slot is written at {!add} and cleared when its event is
+    removed: an event allocates nothing, and once popped the heap
+    reaches nothing of it.  A message's arrival becomes its
+    continuation in place ({!rekey_min}): the slot and its callback
+    stay, and only the key and message word change. *)
 
 val max_shards : int
 (** Shard ids below this fit in a packed word. *)
@@ -73,17 +75,28 @@ val push : t -> key:key -> own:int -> (unit -> unit) -> unit
 
 exception Empty_queue
 
+val peek : t -> int
+(** Returns the minimum event's message word, and lets the [popped_*]
+    functions read its key and owner until the next peek or pop; the
+    event stays queued.
+    @raise Empty_queue when empty. *)
+
 val pop_min : t -> unit -> unit
 (** Removes the minimum event, frees its slot and returns its thunk;
-    {!take_timed} returns its timed callback, and the [popped_*]
-    functions read the rest, until the next pop.
+    {!take_timed} returns its timed callback.  The [popped_*] view is
+    the last {!peek}'s: peek first to read the event's key.
+    @raise Empty_queue when empty. *)
+
+val rekey_min : t -> fire:int -> sched:int -> srcseq:int -> unit
+(** Gives the minimum event the key [(fire, sched, srcseq)] and no
+    message word, and sifts it to its place once; its slot, owner and
+    payload stay.
     @raise Empty_queue when empty. *)
 
 val take_timed : t -> int -> unit
-(** The popped event's timed callback, which the heap then drops. *)
+(** The removed event's timed callback, which the heap then drops. *)
 
 val popped_fire : t -> int
 val popped_sched : t -> int
 val popped_srcseq : t -> int
 val popped_own : t -> int
-val popped_msg : t -> int

@@ -248,23 +248,30 @@ let outbox_add s ~fire ~sched ~srcseq ~dst ~msg fn timed =
   s.out_timeds.(n) <- timed;
   s.out_n <- n + 1
 
+(* The fire time of an event shard [s] schedules at [t]: past-due
+   times are clamped to its clock and counted. *)
+let clamp s t =
+  if t < s.clock then begin
+    s.clamped <- s.clamped + 1;
+    s.clock
+  end
+  else t
+
+(* Shard [s]'s next packed [src]/[seq] word. *)
+let mint s =
+  let srcseq = Shardq.pack ~src:s.id ~seq:s.ctr in
+  s.ctr <- s.ctr + 1;
+  srcseq
+
 (* Schedule [fn] or [timed] (the other a no-op) and message word [msg]
    on shard [dst] at time [t], from shard [c] ([cur ()]).  The key is
    minted from the scheduling shard's clock, id and counter: inside an
-   event, the executing shard's; host-side, the destination shard's.
-   Past-due times are clamped to the scheduler's clock and counted. *)
+   event, the executing shard's; host-side, the destination shard's. *)
 let schedule sim c dst t ~msg fn timed =
   if dst < 0 || dst >= Array.length sim.shards then invalid_arg "Sim.at_shard: bad shard";
   let s = if c >= 0 then sim.shards.(c) else sim.shards.(dst) in
-  let fire =
-    if t < s.clock then begin
-      s.clamped <- s.clamped + 1;
-      s.clock
-    end
-    else t
-  in
-  let srcseq = Shardq.pack ~src:s.id ~seq:s.ctr in
-  s.ctr <- s.ctr + 1;
+  let fire = clamp s t in
+  let srcseq = mint s in
   if c >= 0 && c <> dst then s.xsends <- s.xsends + 1;
   if sim.jobs > 1 && c >= 0 && c <> dst then
     (* cross-shard send from inside an event: park in the outbox; the
@@ -306,14 +313,14 @@ let limit_msg ~limit ~executed ~clock ~pending =
     "Sim.run: event limit exhausted (livelock?): limit=%d executed=%d clock=%d pending=%d"
     limit executed clock pending
 
-(* One event: pop the minimum of [q], advance its shard's clock, count
-   it, record it in this domain's [r] as running, run the hook, call
-   it — or, for a message, queue its continuation at the handler's
-   finish, as {!arrive} does.  Both drains use it. *)
+(* One event: peek at the minimum of [q], advance its shard's clock,
+   count it, record it in this domain's [r] as running, run the hook,
+   then pop and call it — or, for a message, turn it into its
+   continuation in place: the key {!arrive} would give it at the
+   handler's finish, minted by the executing shard, whose heap is [q].
+   Both drains use it. *)
 let step sim q r =
-  let fn = Shardq.pop_min q in
-  let timed = Shardq.take_timed q in
-  let msg = Shardq.popped_msg q in
+  let msg = Shardq.peek q in
   let s = sim.shards.(Shardq.popped_own q) in
   let t = Shardq.popped_fire q in
   if t > s.clock then s.clock <- t;
@@ -324,9 +331,15 @@ let step sim q r =
   r.srcseq <- Shardq.popped_srcseq q;
   (match sim.on_event with Some h -> h ~shard:s.id ~now:t | None -> ());
   match
-    if msg >= 0 then schedule sim s.id s.id (sim.deliver msg t) ~msg:(-1) Shardq.nop timed
-    else if timed == Shardq.nop_timed then fn ()
-    else timed t
+    if msg >= 0 then begin
+      let fire = clamp s (sim.deliver msg t) in
+      Shardq.rekey_min q ~fire ~sched:s.clock ~srcseq:(mint s)
+    end
+    else begin
+      let fn = Shardq.pop_min q in
+      let timed = Shardq.take_timed q in
+      if timed == Shardq.nop_timed then fn () else timed t
+    end
   with
   | () -> r.shard <- -1
   | exception e ->

@@ -117,8 +117,11 @@ val set_deliver : t -> (int -> time -> time) -> unit
 val at_msg : t -> shard:int -> time -> msg:int -> (time -> unit) -> unit
 (** [at_msg sim ~shard t ~msg k] is {!at_shard_k} for a message whose
     event carries the word [msg >= 0]: at arrival the engine queues [k]
-    at the hook's finish time with {!at_k}, as a closure over [msg]
-    would, with no closure.  [msg = -1] is a plain {!at_shard_k}. *)
+    at the hook's finish time under the key {!at_k} would mint, as a
+    closure over [msg] would, with no closure.  The arrival's heap entry
+    becomes the continuation in place ({!Shardq.rekey_min}), so an
+    arrival costs one sift and no write barrier.  [msg = -1] is a plain
+    {!at_shard_k}. *)
 
 val arrive : t -> msg:int -> time -> (time -> unit) -> unit
 (** What an {!at_msg} event does at [t], for a transport that delivers

@@ -26,9 +26,9 @@ val run :
     cell is {!Sweep.run_point} on [{ (v.tweak base) with cluster }], so
     it is verified and runs the invariant checker.  Render a table with
     one runtime column per variant plus the framework metrics per
-    variant.  [clusters] defaults to the powers of two up to
-    [base.nprocs].  [jobs] (default 1) fans the variant x cluster grid
-    out over a domain pool; the base's [par_jobs] runs the event engine
+    variant.  [clusters] defaults to [Sweep.clusters_of base.nprocs].
+    [jobs] (default 1) fans the variant x cluster grid out over a
+    domain pool; the base's [par_jobs] runs the event engine
     inside each cell on that many domains (one for zero-latency
     variants, which have no lookahead window); the rendered table is
     identical for any [jobs] or [par_jobs]. *)

@@ -5,8 +5,9 @@ type workload = {
 
 type point = { cluster : int; report : Mgs.Report.t }
 
+(* Past the first power of two that does not divide P, none does. *)
 let clusters_of nprocs =
-  let rec go c = if c > nprocs then [] else c :: go (2 * c) in
+  let rec go c = if c > nprocs || nprocs mod c <> 0 then [] else c :: go (2 * c) in
   go 1
 
 let run_point ?(check = true) (cfg : Mgs.Machine.config) w =

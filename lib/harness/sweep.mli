@@ -13,7 +13,8 @@ type workload = {
 type point = { cluster : int; report : Mgs.Report.t }
 
 val clusters_of : int -> int list
-(** Powers of two from 1 to P. *)
+(** The powers of two that divide P, ascending: every cluster size a
+    machine of P processors accepts that is a power of two. *)
 
 val run_point : ?check:bool -> Mgs.Machine.config -> workload -> point
 (** Build the machine [cfg] describes, its fault plan included, run the
@@ -30,7 +31,7 @@ val run_point : ?check:bool -> Mgs.Machine.config -> workload -> point
 
 val sweep : ?clusters:int list -> ?jobs:int -> Mgs.Machine.config -> workload -> point list
 (** {!run_point} on [{ cfg with cluster }] at every cluster size in
-    [clusters] (default the powers of two up to [cfg.nprocs], ascending),
+    [clusters] (default [clusters_of cfg.nprocs]),
     with the invariant checker on.  [jobs] (default 1) runs up to that
     many points concurrently on separate domains ({!Mgs_util.Dpool});
     [cfg.par_jobs] additionally runs the event engine {e inside} each

@@ -1,8 +1,11 @@
 type t = { nprocs : int; cluster : int; nssmps : int }
 
 let create ~nprocs ~cluster =
-  if nprocs <= 0 then invalid_arg "Topology.create: nprocs";
-  if cluster <= 0 || cluster > nprocs then invalid_arg "Topology.create: cluster";
+  if nprocs <= 0 then
+    invalid_arg (Printf.sprintf "Topology.create: nprocs must be at least 1, got %d" nprocs);
+  if cluster <= 0 || cluster > nprocs then
+    invalid_arg
+      (Printf.sprintf "Topology.create: cluster must be in 1..%d, got %d" nprocs cluster);
   if nprocs mod cluster <> 0 then invalid_arg "Topology.create: cluster must divide nprocs";
   { nprocs; cluster; nssmps = nprocs / cluster }
 

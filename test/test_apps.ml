@@ -16,6 +16,7 @@ let workloads =
     ("jacobi", Mgs_apps.Jacobi.workload Mgs_apps.Jacobi.tiny);
     ("matmul", Mgs_apps.Matmul.workload Mgs_apps.Matmul.tiny);
     ("tsp", Mgs_apps.Tsp.workload Mgs_apps.Tsp.tiny);
+    ("tsp, one city", Mgs_apps.Tsp.workload { Mgs_apps.Tsp.tiny with ncities = 1 });
     ("water", Mgs_apps.Water.workload Mgs_apps.Water.tiny);
     ("barnes-hut", Mgs_apps.Barnes.workload Mgs_apps.Barnes.tiny);
     ("water-kernel", Mgs_apps.Water_kernel.workload Mgs_apps.Water_kernel.tiny);

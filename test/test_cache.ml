@@ -206,9 +206,190 @@ let prop_invariants_hold =
       Co.check_invariants c;
       true)
 
+(* A spec-level model of the same protocol, written for clarity, not
+   space: each processor's direct-mapped slots as (line, state) pairs
+   and, per line, an owner and a list of sharers. *)
+module Spec = struct
+  type state = I | S | M
+
+  type t = {
+    slots : (int * int, int * state) Hashtbl.t; (* (proc, slot) -> line, state *)
+    dir : (int, int * int list) Hashtbl.t; (* line -> owner or -1, sharers *)
+    st : Co.stats;
+  }
+
+  let create () =
+    {
+      slots = Hashtbl.create 64;
+      dir = Hashtbl.create 64;
+      st =
+        {
+          Co.hits = 0;
+          local_misses = 0;
+          remote_misses = 0;
+          misses_2party = 0;
+          misses_3party = 0;
+          software_extensions = 0;
+        };
+    }
+
+  let slot_of line = line mod hw.cache_line_slots
+
+  let slot m p line = Option.value (Hashtbl.find_opt m.slots (p, slot_of line)) ~default:(-1, I)
+
+  let dir m line = Option.value (Hashtbl.find_opt m.dir line) ~default:(-1, [])
+
+  (* Another processor loses its copy, or keeps it read-only. *)
+  let zap m p line =
+    if fst (slot m p line) = line then Hashtbl.replace m.slots (p, slot_of line) (line, I)
+
+  let downgrade m p line =
+    if slot m p line = (line, M) then Hashtbl.replace m.slots (p, slot_of line) (line, S)
+
+  (* Table 3's class of a miss: from memory at the frame owner or
+     elsewhere, or from other caches, two-party when the one other
+     cache is the frame owner's. *)
+  type cls = Local | Remote | Two_party | Three_party
+
+  let charge m cls =
+    let st = m.st in
+    match cls with
+    | Local ->
+      st.local_misses <- st.local_misses + 1;
+      hw.miss_local
+    | Remote ->
+      st.remote_misses <- st.remote_misses + 1;
+      hw.miss_remote
+    | Two_party ->
+      st.misses_2party <- st.misses_2party + 1;
+      hw.miss_2party
+    | Three_party ->
+      st.misses_3party <- st.misses_3party + 1;
+      hw.miss_3party
+
+  let access m ~proc ~line ~fo ~write =
+    let tag, state = slot m proc line in
+    if tag = line && (state = M || (state = S && not write)) then begin
+      m.st.hits <- m.st.hits + 1;
+      hw.cache_hit
+    end
+    else begin
+      (* the slot's old line forgets this processor *)
+      if state <> I then begin
+        let o, sh = dir m tag in
+        Hashtbl.replace m.dir tag
+          ((if o = proc then -1 else o), List.filter (fun p -> p <> proc) sh)
+      end;
+      let o, sh = dir m line in
+      let overflow = List.length sh > hw.hw_dir_pointers in
+      let from_memory = if proc = fo then Local else Remote in
+      let cls =
+        if o >= 0 && o <> proc then begin
+          if write then zap m o line
+          else begin
+            downgrade m o line;
+            Hashtbl.replace m.dir line (-1, o :: sh)
+          end;
+          if o = fo then Two_party else Three_party
+        end
+        else if not write then from_memory
+        else begin
+          let others = List.filter (fun p -> p <> proc) sh in
+          List.iter (fun p -> zap m p line) others;
+          match others with
+          | [] -> from_memory
+          | [ x ] -> if x = fo then Two_party else Three_party
+          | _ -> Three_party
+        end
+      in
+      let base = charge m cls in
+      let o, sh = dir m line in
+      if write then begin
+        Hashtbl.replace m.dir line (proc, []);
+        Hashtbl.replace m.slots (proc, slot_of line) (line, M)
+      end
+      else begin
+        Hashtbl.replace m.dir line (o, if List.mem proc sh then sh else proc :: sh);
+        Hashtbl.replace m.slots (proc, slot_of line) (line, S)
+      end;
+      if overflow then begin
+        m.st.software_extensions <- m.st.software_extensions + 1;
+        base + hw.remote_software
+      end
+      else base
+    end
+
+  let flush_page m ~vpn =
+    let lpp = Geom.lines_per_page geom in
+    let present = ref 0 and dirty = ref 0 in
+    for line = vpn * lpp to ((vpn + 1) * lpp) - 1 do
+      let o, sh = dir m line in
+      if o >= 0 || sh <> [] then begin
+        incr present;
+        if o >= 0 then begin
+          incr dirty;
+          zap m o line
+        end;
+        List.iter (fun p -> zap m p line) sh;
+        Hashtbl.replace m.dir line (-1, [])
+      end
+    done;
+    (!present, !dirty)
+end
+
+(* The packed model against the spec model over random loads, stores
+   and page flushes, at cluster sizes on both sides of a 62-processor
+   sharer-mask word.  A few hot lines are shared by many processors, so
+   directories overflow the hardware pointers; lines one cache size
+   apart conflict in a slot; the flushes clean pages in use.  Every
+   stall and flush result, the final counters and the model's own
+   invariants must agree. *)
+type op = Access of int * int * int * bool | Flush of int
+
+let prop_matches_spec cluster =
+  let lines = [ 0; 1; 2; 3; 5; 8; 64; 65; 130; 4096; 4097; 4160; 8192 ] in
+  let vpns = [ 0; 1; 2; 64; 65; 128 ] in
+  QCheck2.Test.make ~count:60
+    ~name:(Printf.sprintf "matches the spec model at C=%d" cluster)
+    QCheck2.Gen.(
+      list_size (int_range 50 600)
+        (frequency
+           [
+             ( 24,
+               map
+                 (fun (proc, line, fo, write) -> Access (proc, line, fo, write))
+                 (quad (int_bound (cluster - 1)) (oneofl lines) (int_bound (cluster - 1))
+                    (frequencyl [ (3, false); (1, true) ])) );
+             (1, map (fun vpn -> Flush vpn) (oneofl vpns));
+           ]))
+    (fun ops ->
+      let c = make ~cluster () and m = Spec.create () in
+      let lw = geom.Geom.line_words in
+      List.iteri
+        (fun i op ->
+          match op with
+          | Access (proc, line, fo, write) ->
+            let got =
+              Co.access c ~proc ~addr:((line * lw) + (i mod lw)) ~frame_owner:fo
+                ~kind:(if write then Co.Write else Co.Read)
+            in
+            let want = Spec.access m ~proc ~line ~fo ~write in
+            if got <> want then
+              QCheck2.Test.fail_reportf "op %d: proc %d line %d: stall %d, spec %d" i proc line
+                got want
+          | Flush vpn ->
+            let dirty = ref 0 in
+            let present = Co.flush_page c ~vpn ~dirty in
+            if (present, !dirty) <> Spec.flush_page m ~vpn then
+              QCheck2.Test.fail_reportf "op %d: flush of page %d differs" i vpn)
+        ops;
+      Co.check_invariants c;
+      Co.stats c = m.Spec.st)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_no_stale_hits; prop_write_then_foreign_read_misses; prop_invariants_hold ]
+    ([ prop_no_stale_hits; prop_write_then_foreign_read_misses; prop_invariants_hold ]
+    @ List.map prop_matches_spec [ 1; 16; 62; 63; 64; 128 ])
 
 let () =
   Alcotest.run "cache"

@@ -36,72 +36,99 @@ let test_pqueue_fifo_ties () =
   Alcotest.(check (list string)) "ties pop in scheduling order" [ "x"; "y"; "z" ]
     (List.rev !log)
 
-(* 10k random pushes and pops, interleaved, against a sorted-list
-   model.  Pushes outnumber pops about two to one, so the heap runs a
-   few thousand deep and its slab grows mid-run, reusing the slots that
-   pops free.  The narrow ranges make ties on (fire, sched) and src
-   common; [seq] counts pushes, so keys are distinct.  Each pop must
-   return the model's minimum: its key, its owner shard, its message
-   word and its own payload, the thunk or timed callback pushed with
-   it. *)
+(* 10k random pushes, pops and re-keys, interleaved, against a
+   sorted-list model.  Pushes outnumber pops about two to one, so the
+   heap runs a few thousand deep and its slab grows mid-run, reusing the
+   slots that pops free.  The narrow ranges make ties on (fire, sched)
+   and src common; [seq] counts pushes and re-keys, so keys are
+   distinct.  Before each pop, the minimum's message word must be the
+   model's; the pop must return the model's minimum: its key, its owner
+   shard and its own payload, the thunk or timed callback pushed with
+   it.  A re-key gives the minimum a new key, earlier or later, and no
+   message word, and keeps its owner and payload. *)
 type entry = {
   e_key : int * int * int * int; (* fire, sched, src, seq *)
+  e_id : int; (* the push that made it: what its payload records *)
   e_own : int;
+  e_msg : int;
   e_fn : unit -> unit;
   e_timed : int -> unit;
 }
 
+type heap_op = Push | Pop | Rekey
+
 let prop_pqueue_10k =
-  QCheck2.Test.make ~name:"10k interleaved pushes and pops match a sorted-list model"
+  QCheck2.Test.make ~name:"10k interleaved pushes, pops and re-keys match a sorted-list model"
     ~count:10
     QCheck2.Gen.(
       list_size (return 10_000)
-        (option ~ratio:0.65
+        (pair
+           (frequencyl [ (60, Push); (30, Pop); (10, Rekey) ])
            (quad (int_bound 30) (int_bound 4) (int_bound 3) (pair (int_bound 7) bool))))
     (fun ops ->
       let q = Q.create () in
       let model = ref [] and size = ref 0 and seq = ref 0 and depth = ref 0 in
       let ok = ref true in
       let ran = ref (-1) in
+      let insert e = model := List.merge (fun a b -> compare a.e_key b.e_key) [ e ] !model in
+      let raises_empty f = match f () with () -> false | exception Q.Empty_queue -> true in
       let pop () =
         match !model with
-        | [] -> (
-          match (Q.pop_min q : unit -> unit) with
-          | _ -> ok := false
-          | exception Q.Empty_queue -> ())
+        | [] ->
+          ok :=
+            !ok
+            && raises_empty (fun () -> ignore (Q.peek q : int))
+            && raises_empty (fun () -> ignore (Q.pop_min q : unit -> unit))
         | e :: rest ->
           model := rest;
           decr size;
+          let msg = Q.peek q in
           let fn = Q.pop_min q in
           let timed = Q.take_timed q in
           let fire, sched, src, seq = e.e_key in
           ran := -1;
           if timed == Q.nop_timed then fn () else timed (Q.popped_fire q);
           ok :=
-            !ok && fn == e.e_fn && timed == e.e_timed
+            !ok && msg = e.e_msg && fn == e.e_fn && timed == e.e_timed
             && Q.popped_fire q = fire
             && Q.popped_sched q = sched
             && Q.popped_srcseq q = Q.pack ~src ~seq
-            && Q.popped_own q = e.e_own && Q.popped_msg q = seq && !ran = seq
+            && Q.popped_own q = e.e_own && !ran = e.e_id
             && Q.length q = !size
       in
+      let rekey (fire, sched, src) =
+        let id = !seq in
+        incr seq;
+        match !model with
+        | [] ->
+          ok :=
+            !ok && raises_empty (fun () -> Q.rekey_min q ~fire ~sched ~srcseq:(Q.pack ~src ~seq:id))
+        | e :: rest ->
+          model := rest;
+          Q.rekey_min q ~fire ~sched ~srcseq:(Q.pack ~src ~seq:id);
+          insert { e with e_key = (fire, sched, src, id); e_msg = -1 };
+          ok := !ok && Q.length q = !size
+      in
       List.iter
-        (function
-          | None -> pop ()
-          | Some (fire, sched, src, (own, timed)) ->
+        (fun (op, (fire, sched, src, (own, timed))) ->
+          match op with
+          | Pop -> pop ()
+          | Rekey -> rekey (fire, sched, src)
+          | Push ->
             let id = !seq in
             incr seq;
             let e =
               {
                 e_key = (fire, sched, src, id);
+                e_id = id;
                 e_own = own;
+                e_msg = id;
                 e_fn = (if timed then Q.nop else fun () -> ran := id);
-                e_timed =
-                  (if timed then (fun t -> if t = fire then ran := id) else Q.nop_timed);
+                e_timed = (if timed then fun _ -> ran := id else Q.nop_timed);
               }
             in
             Q.add q ~fire ~sched ~srcseq:(Q.pack ~src ~seq:id) ~own ~msg:id e.e_fn e.e_timed;
-            model := List.merge (fun a b -> compare a.e_key b.e_key) [ e ] !model;
+            insert e;
             incr size;
             depth := max !depth !size)
         ops;

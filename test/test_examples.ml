@@ -40,6 +40,19 @@ let run_example name =
   Alcotest.(check int) (name ^ " exits 0") 0 code;
   Alcotest.(check bool) (name ^ " produces output") true (String.length out > 0)
 
+(* A sweep of 12 processors runs the cluster sizes 12 accepts that are
+   powers of two, 1, 2 and 4, and verifies. *)
+let test_sweep_12 () =
+  let code, out =
+    run_exe ~dir:"bin" "mgs_run"
+      [ "--app"; "jacobi"; "--procs"; "12"; "--size"; "32"; "--iters"; "1"; "--sweep" ]
+  in
+  Alcotest.(check int) "exits 0" 0 code;
+  List.iter
+    (fun s -> if not (contains out s) then Alcotest.failf "output %S lacks %S" out s)
+    [ "C=1 |"; "C=2 |"; "C=4 |"; "verification: OK" ];
+  if contains out "C=8" then Alcotest.failf "output %S runs C=8" out
+
 (* A refusal comes before the banner: nothing of a run is printed. *)
 let cli_refuses args ~says () =
   let code, out = run_exe ~dir:"bin" "mgs_run" args in
@@ -54,6 +67,10 @@ let () =
         List.map
           (fun n -> Alcotest.test_case n `Slow (fun () -> run_example n))
           [ "quickstart"; "stencil"; "work_queue"; "protocols" ] );
+      ( "cli runs",
+        [
+          Alcotest.test_case "sweep of 12 processors" `Quick test_sweep_12;
+        ] );
       ( "cli refusals",
         [
           Alcotest.test_case "unknown param" `Quick
@@ -74,15 +91,15 @@ let () =
                ~says:"mgs_run: Topology.create: cluster must divide nprocs");
           Alcotest.test_case "procs 0" `Quick
             (cli_refuses [ "--app"; "jacobi"; "--procs"; "0" ]
-               ~says:"mgs_run: Topology.create: nprocs");
+               ~says:"mgs_run: Topology.create: nprocs must be at least 1, got 0");
           Alcotest.test_case "cluster 0" `Quick
             (cli_refuses
                [ "--app"; "jacobi"; "--procs"; "8"; "--cluster"; "0" ]
-               ~says:"mgs_run: Topology.create: cluster");
+               ~says:"mgs_run: Topology.create: cluster must be in 1..8, got 0");
           Alcotest.test_case "cluster above procs" `Quick
             (cli_refuses
                [ "--app"; "jacobi"; "--procs"; "8"; "--cluster"; "16" ]
-               ~says:"mgs_run: Topology.create: cluster");
+               ~says:"mgs_run: Topology.create: cluster must be in 1..8, got 16");
           Alcotest.test_case "page not a power of two" `Quick
             (cli_refuses
                [ "--app"; "jacobi"; "--page-bytes"; "100" ]

@@ -11,7 +11,9 @@ let contains s sub =
 
 let test_clusters_of () =
   Alcotest.(check (list int)) "powers of two" [ 1; 2; 4; 8; 16; 32 ] (Sweep.clusters_of 32);
-  Alcotest.(check (list int)) "single" [ 1 ] (Sweep.clusters_of 1)
+  Alcotest.(check (list int)) "single" [ 1 ] (Sweep.clusters_of 1);
+  Alcotest.(check (list int)) "the powers of two dividing 12" [ 1; 2; 4 ] (Sweep.clusters_of 12);
+  Alcotest.(check (list int)) "odd" [ 1 ] (Sweep.clusters_of 7)
 
 (* A synthetic curve with known metrics: P=8, T(8)=100, T(4)=400
    (breakup 300%), T(1)=800 (potential (800-400)/400 = 100%). *)

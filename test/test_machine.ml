@@ -25,8 +25,9 @@ let test_topology_validation () =
   Alcotest.check_raises "cluster must divide"
     (Invalid_argument "Topology.create: cluster must divide nprocs") (fun () ->
       ignore (Topo.create ~nprocs:6 ~cluster:4));
-  Alcotest.check_raises "cluster range" (Invalid_argument "Topology.create: cluster")
-    (fun () -> ignore (Topo.create ~nprocs:4 ~cluster:8));
+  Alcotest.check_raises "cluster range"
+    (Invalid_argument "Topology.create: cluster must be in 1..4, got 8") (fun () ->
+      ignore (Topo.create ~nprocs:4 ~cluster:8));
   let t = Topo.create ~nprocs:4 ~cluster:2 in
   Alcotest.check_raises "proc range" (Invalid_argument "Topology.ssmp_of_proc") (fun () ->
       ignore (Topo.ssmp_of_proc t 4))
