@@ -58,9 +58,8 @@ let with_out file f =
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
 
 let run app size iters params procs cluster delay page_bytes protocol lock faults seed
-    sweep jobs par adapt no_verify trace spans metrics hist check csv engine_stats =
+    sweep jobs par adapt trace spans metrics hist check csv engine_stats =
   let w, size_desc, epilogue = workload ~app ~size ~iters ~lock ~params in
-  let verify = not no_verify in
   (* one machine description for every point, fault plan included; a
      configuration the machine refuses is a CLI error *)
   let base =
@@ -94,7 +93,7 @@ let run app size iters params procs cluster delay page_bytes protocol lock fault
     let checker = if check then Some (Mgs.Machine.enable_checker m) else None in
     let body, wcheck = w.Mgs_harness.Sweep.prepare m in
     let report = Mgs.Machine.run m body in
-    if verify && Mgs.Report.completed report then begin
+    if Mgs.Report.completed report then begin
       Mgs.Machine.assert_quiescent m;
       wcheck m
     end;
@@ -214,7 +213,7 @@ let run app size iters params procs cluster delay page_bytes protocol lock fault
    with Trace_write_error msg ->
      Printf.eprintf "mgs_run: cannot write trace: %s\n%!" msg;
      exit 2);
-  if verify && not !partitioned then print_endline "verification: OK";
+  if not !partitioned then print_endline "verification: OK";
   if !violations > 0 then exit 3;
   if !partitioned then exit 4
 
@@ -351,9 +350,6 @@ let adapt_t =
            flag off every export is byte-identical to a build without the layer.  \
            Requires a protocol with adaptive regimes (mgs or hlrc).")
 
-let no_verify_t =
-  Arg.(value & flag & info [ "no-verify" ] ~doc:"Skip output verification.")
-
 let trace_t =
   Arg.(
     value
@@ -432,7 +428,6 @@ let cmd =
     Term.(
       const run $ app_t $ size_t $ iters_t $ params_t $ procs_t $ cluster_t $ delay_t $ page_t
       $ protocol_t $ lock_t $ faults_t $ seed_t $ sweep_t $ jobs_t $ par_t $ adapt_t
-      $ no_verify_t $ trace_t $ spans_t $ metrics_t $ hist_t $ check_t $ csv_t
-      $ engine_stats_t)
+      $ trace_t $ spans_t $ metrics_t $ hist_t $ check_t $ csv_t $ engine_stats_t)
 
 let () = exit (Cmd.eval cmd)

@@ -20,7 +20,10 @@
    opened — a cross-shard message cannot beat the LAN.  ADAPT slices
    (adaptive-coherence regime switches) must chain per page, walk only
    legal regime-lattice edges, and never land inside an invalidation
-   epoch.  Any violation prints to stderr and the exit status is 1. *)
+   epoch.  A metrics file's net.unacked series (a faulted run's
+   messages awaiting an ack) is never negative and ends at 0, so a
+   partitioned run's file fails.  Any violation prints to stderr and
+   the exit status is 1. *)
 
 open Mgs_obs
 
@@ -303,6 +306,8 @@ let lint_metrics file =
       (fun i s ->
         if Json.to_string s = None then errf file "series[%d] is not a string" i)
       series;
+    let unacked = List.find_index (fun s -> Json.to_string s = Some "net.unacked") series in
+    let last_unacked = ref 0. in
     let last_t = ref neg_infinity in
     List.iteri
       (fun i row ->
@@ -319,8 +324,16 @@ let lint_metrics file =
             if t < !last_t then
               errf file "%s time %g not monotone (previous %g)" what t !last_t;
             last_t := t
-          | [] -> errf file "%s is empty" what))
+          | [] -> errf file "%s is empty" what);
+          match Option.bind unacked (fun j -> List.nth_opt cells (j + 1)) with
+          | Some n ->
+            let n = num file (what ^ " net.unacked") n in
+            if n < 0. then errf file "%s net.unacked is negative (%g)" what n;
+            last_unacked := n
+          | None -> ())
       (arr file "samples" (get file "top-level object" v "samples"));
+    if !last_unacked <> 0. then
+      errf file "net.unacked ends at %g: messages were never acknowledged" !last_unacked;
     List.iteri
       (fun i h ->
         let what = Printf.sprintf "histograms[%d]" i in
@@ -352,7 +365,9 @@ let lint_bench file =
 let usage () =
   prerr_endline
     "usage: trace_lint [--latency N] [--chrome FILE | --spans FILE | --metrics FILE | \
-     --bench FILE]...";
+     --bench FILE]...\n\
+     --metrics fails a net.unacked series that goes negative or does not end at 0:\n\
+     a partitioned run ends with messages unacked, so its metrics file fails.";
   exit 2
 
 let () =

@@ -109,13 +109,11 @@ let on_event c ~engine ~tag ~vpn =
   if vpn >= 0 then
     let m = c.machine in
     match (engine : Mgs_obs.Event.engine) with
-    | Server -> (
-      match Hashtbl.find m.servers vpn with
-      | exception Not_found -> ()
-      | se ->
-        check_epoch c se ~vpn ~tag;
-        check_server c se ~vpn ~tag;
-        if tag = "sv.epoch_end" then check_oracle c se ~vpn)
+    | Server ->
+      let se = m.servers.(vpn) in
+      check_epoch c se ~vpn ~tag;
+      check_server c se ~vpn ~tag;
+      if tag = "sv.epoch_end" then check_oracle c se ~vpn
     | Local_client | Remote_client -> (
       let s = cur_slot () in
       match Hashtbl.find m.clients.(s).cl_pages vpn with

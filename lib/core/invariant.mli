@@ -16,13 +16,6 @@
     These invariants are MGS's: attaching to an Ivy or HLRC machine
     installs no hook, and such a machine is judged only by {!finish}. *)
 
-type violation = {
-  v_time : int;  (** simulated time of the triggering event *)
-  v_vpn : int;
-  v_tag : string;  (** tag of the triggering event *)
-  v_msg : string;
-}
-
 type t
 
 val attach : State.t -> t
@@ -40,11 +33,8 @@ val finish : t -> unit
 val count : t -> int
 (** Total violations detected, including ones beyond the storage cap. *)
 
-val violations : t -> violation list
-(** Detected violations ordered by (simulated time, SSMP, record
-    order), at most the first 64 — the same list at every job count. *)
-
 val pp : Format.formatter -> t -> unit
 (** [invariants: ok] (under Ivy and HLRC, [invariants: none for ivy],
     plus [(span balance ok)] when spans were recorded), or the
-    violation count and listing. *)
+    violation count and the first 64 violations, ordered by (simulated
+    time, SSMP, record order) — the same listing at every job count. *)

@@ -5,7 +5,6 @@ type config = {
   cluster : int;
   page_words : int;
   costs : Costs.t;
-  event_limit : int;
   features : State.features;
   protocol : State.protocol;
   shadow : bool;
@@ -45,7 +44,7 @@ let check cfg =
   (topo, geom)
 
 let config ?(page_words = 256) ?(costs = Costs.default) ?lan_latency
-    ?(event_limit = 500_000_000) ?(shadow = Sys.getenv_opt "MGS_SHADOW" = Some "1")
+    ?(shadow = Sys.getenv_opt "MGS_SHADOW" = Some "1")
     ?(features = State.default_features) ?(protocol = State.Protocol_mgs) ?tlb_entries
     ?(par_jobs = 1) ?(adapt = false) ?(faults = Mgs_net.Fault.none) ?(fault_seed = 42)
     ~nprocs ~cluster () =
@@ -58,7 +57,6 @@ let config ?(page_words = 256) ?(costs = Costs.default) ?lan_latency
       cluster;
       page_words;
       costs;
-      event_limit;
       features;
       protocol;
       shadow;
@@ -117,13 +115,12 @@ let create cfg =
       am;
       clients;
       duqs;
-      servers = Hashtbl.create 1024;
+      servers = [||];
       tlbs = Array.init cfg.nprocs (fun _ -> Tlb.create ?capacity:cfg.tlb_entries ());
       counters = Array.init topo.Topology.nssmps (fun _ -> Array.make Pstats.ncols 0);
       rel_resume = Array.make cfg.nprocs None;
       home_frames = Array.make topo.Topology.nssmps [];
       ran = false;
-      event_limit = cfg.event_limit;
       par_jobs = cfg.par_jobs;
       shadow = cfg.shadow;
       shadow_errors = Array.make topo.Topology.nssmps 0;
@@ -226,7 +223,7 @@ let enable_metrics ?interval ?max_samples (m : t) =
       column "adapt.yields" Pstats.adapt_yields
     end;
     (* transport gauges of a faulted machine: a cell reads its SSMP's
-       LAN counters and the unacked tables of its outgoing channels *)
+       LAN counters and how many of its messages await an ack *)
     if Option.is_some (Lan.fault_plan m.lan) then begin
       probe "net.retransmits" (fun c -> (Lan.cell m.lan c).Lan.retransmits);
       probe "net.dup_drops" (fun c -> (Lan.cell m.lan c).Lan.dup_drops);
@@ -243,22 +240,44 @@ let enable_checker (m : t) = Invariant.attach m
 
 let shadow_mismatches (m : t) = Array.fold_left ( + ) 0 m.shadow_errors
 let topo (m : t) = m.topo
-let costs (m : t) = m.costs
 let geom (m : t) = m.geom
 
+(* A page's server entry is made here and nowhere else: allocation is
+   host-side (apps build their working set in [prepare], before {!run}),
+   so a run never changes [servers] — which is what lets concurrent
+   shards read it without locks.  The master page starts zero-filled. *)
 let alloc (m : t) ~words ~home =
-  let addr = Allocator.alloc m.heap ~words ~home in
-  (* Materialize the server entry of every page up front: allocation is
-     host-side (apps build their working set in [prepare], before
-     {!run}), so with eager creation the [servers] table is never
-     mutated during a run — which is what lets concurrent shards read
-     it without locks.  [get_sentry] zero-fills the master page, same
-     as lazy first touch did. *)
+  let addr, homes = Allocator.alloc m.heap ~words ~home in
   let vpn0 = Geom.vpn_of_addr m.geom addr in
-  let vpn1 = Geom.vpn_of_addr m.geom (addr + words - 1) in
-  for vpn = vpn0 to vpn1 do
-    ignore (get_sentry m vpn)
-  done;
+  let nssmps = m.topo.Topology.nssmps in
+  let sentry i home =
+    {
+      s_vpn = vpn0 + i;
+      s_home_proc = home;
+      s_master = Pagedata.create m.geom;
+      s_read_dir = Bitset.create nssmps;
+      s_write_dir = Bitset.create nssmps;
+      s_frame_procs = Hashtbl.create 8;
+      s_state = S_read;
+      s_count = 0;
+      s_retained = -1;
+      s_pending_page = None;
+      s_pending_diffs = [];
+      s_pend_rd = [];
+      s_pend_wr = [];
+      s_pend_rl = [];
+      s_pend_rel_next = [];
+      s_ivy_grantee = -1;
+      s_ivy_grant_write = false;
+      s_version = 0;
+      s_cur_home = home;
+      s_ad = Option.map (fun _ -> Adapt.new_page ~nssmps) m.adapt;
+      s_ext_diffs = [];
+      s_retained_notwin = false;
+      s_shadow = (if m.shadow then Pagedata.create m.geom else [||]);
+    }
+  in
+  m.servers <- Array.append m.servers (Array.mapi sentry homes);
   addr
 
 let check_addr (m : t) addr =
@@ -285,12 +304,14 @@ let peek (m : t) addr =
     match ce.cdata with Some d -> d.(off) | None -> se.s_master.(off))
   | _ -> se.s_master.(off)
 
+(* A run that executes this many events is taken for a livelock. *)
+let event_limit = 500_000_000
+
 (* A machine runs once: its counters, LAN watermarks, fault streams and
    lock queues all start from creation, and nothing restores them. *)
 let run (m : t) body =
   if m.ran then invalid_arg "Machine.run: a machine runs once";
   m.ran <- true;
-  let limit = m.event_limit in
   let t0 = Unix.gettimeofday () in
   (* before any domain starts: cells sample in parallel into stores
      allocated here *)
@@ -307,7 +328,7 @@ let run (m : t) body =
             Cpu.finish m.cpus.(p)))
   in
   let outcome =
-    match Sim.run m.sim ~limit () with
+    match Sim.run m.sim ~limit:event_limit () with
     | _ ->
       Mgs_engine.Fiber.check_all_completed fibers;
       Report.Completed
@@ -346,7 +367,7 @@ let assert_quiescent (m : t) =
             failwith (Printf.sprintf "SSMP %d page %d: still BUSY" cl.cl_id vpn))
         cl.cl_pages)
     m.clients;
-  Hashtbl.iter
+  Array.iteri
     (fun vpn se ->
       if se.s_state = S_rel then
         failwith (Printf.sprintf "page %d: server still in REL_IN_PROG" vpn);

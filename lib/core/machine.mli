@@ -20,7 +20,6 @@ type config = {
   cluster : int;  (** C: processors per SSMP; must divide P *)
   page_words : int;
   costs : Mgs_machine.Costs.t;
-  event_limit : int;  (** livelock guard for [run] *)
   features : State.features;  (** protocol feature toggles (ablations) *)
   protocol : State.protocol;  (** inter-SSMP protocol: MGS or the Ivy baseline *)
   shadow : bool;
@@ -53,7 +52,6 @@ val config :
   ?page_words:int ->
   ?costs:Mgs_machine.Costs.t ->
   ?lan_latency:int ->
-  ?event_limit:int ->
   ?shadow:bool ->
   ?features:State.features ->
   ?protocol:State.protocol ->
@@ -141,14 +139,15 @@ val shadow_mismatches : t -> int
     [shadow] oracle is on and the protocol lost data). *)
 
 val topo : t -> Mgs_machine.Topology.t
-val costs : t -> Mgs_machine.Costs.t
 val geom : t -> Mgs_mem.Geom.t
 (** Page and line size; every machine has the paper's 16 B (4-word)
     cache lines. *)
 
 val alloc : t -> words:int -> home:Mgs_mem.Allocator.home_policy -> int
 (** Reserve shared virtual memory (page-granular); returns the base
-    word address.  Call before [run]. *)
+    word address.  Each new page gets its server entry here, homed
+    where {!Mgs_mem.Allocator.alloc} placed it and with a zero-filled
+    master copy; a run makes none.  Call before [run]. *)
 
 val poke : t -> int -> float -> unit
 (** Direct write to the home copy, outside simulated time — for
@@ -163,7 +162,8 @@ val run : t -> (Api.ctx -> unit) -> Report.t
     simulation to completion, and summarize.  Under a fault plan, a
     message that exhausts its retries ends the run early with
     [outcome = Partitioned _] in the report instead of hanging.
-    @raise Failure if any fiber deadlocks or the event limit trips.
+    @raise Failure if any fiber deadlocks or the run executes 500,000,000
+    events (a livelock guard).
     @raise Invalid_argument on a second call: a machine runs once. *)
 
 val assert_quiescent : t -> unit

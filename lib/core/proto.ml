@@ -787,7 +787,10 @@ let upgrade m ~proc ce ~ctx =
 
 (* Await, by SYNC, every epoch that collected [proc]'s writes: the
    pages a PINV took out of its DUQ, but for those a REL of this
-   release covered. *)
+   release covered.  The fold's pick, the last key in [psync]'s bucket
+   order, decides the order of the SYNCs: simulated results depend on
+   Stdlib's hash-table layout, so a different set structure here
+   changes the simulated machine. *)
 let rec sync m ~proc ~ssmp ~root =
   let c = m.costs and duq = m.duqs.(proc) in
   if Hashtbl.length duq.psync > 0 then begin

@@ -54,7 +54,7 @@ let aggregate_cache m : Coherence.stats =
     m.caches;
   acc
 
-let of_machine ?(wall_seconds = 0.) ?(outcome = Completed) m =
+let of_machine ~wall_seconds ~outcome m =
   let n = m.topo.Topology.nprocs in
   let mean bucket =
     let sum = Array.fold_left (fun acc cpu -> acc + Cpu.bucket_cycles cpu bucket) 0 m.cpus in

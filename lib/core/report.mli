@@ -38,12 +38,12 @@ type t = {
   sim_events : int;  (** discrete events executed by the simulator *)
   peak_queue : int;  (** high-water mark of the event queue *)
   wall_seconds : float;
-      (** host wall-clock time of {!Machine.run}; 0 when unmeasured.
-          Excluded from figures/CSV so parallel and sequential sweeps
-          render byte-identically. *)
+      (** host wall-clock time of {!Machine.run}.  Excluded from
+          figures/CSV so parallel and sequential sweeps render
+          byte-identically. *)
 }
 
-val of_machine : ?wall_seconds:float -> ?outcome:outcome -> State.t -> t
+val of_machine : wall_seconds:float -> outcome:outcome -> State.t -> t
 
 val completed : t -> bool
 

@@ -185,7 +185,9 @@ type t = {
   am : Am.t;
   clients : ssmp_client array;
   duqs : duq array; (* indexed by processor *)
-  servers : (int, sentry) Hashtbl.t; (* vpn -> home-side entry *)
+  mutable servers : sentry array;
+      (* indexed by page: every page's home-side entry, made by
+         [Machine.alloc] before the run, so a run only reads the array *)
   tlbs : Tlb.t array;
   counters : int array array;
       (* one row of {!Pstats} columns per SSMP: a shard bumps only its
@@ -194,7 +196,6 @@ type t = {
   rel_resume : (unit -> unit) option array; (* per proc: fiber awaiting RACK *)
   home_frames : Pagedata.page list array; (* per SSMP, for its shard: {!lend_frame} *)
   mutable ran : bool; (* Machine.run has been called *)
-  mutable event_limit : int; (* livelock guard for Machine.run *)
   mutable par_jobs : int;
       (* requested engine domains, >= 1 *)
   shadow : bool;
@@ -273,7 +274,9 @@ let local_idx m proc = proc mod m.topo.Topology.cluster
 
 let global_proc m ssmp lidx = (ssmp * m.topo.Topology.cluster) + lidx
 
-let home_proc_of_vpn m vpn = Allocator.home_of_vpn m.heap vpn
+let get_sentry m vpn = m.servers.(vpn)
+
+let home_proc_of_vpn m vpn = m.servers.(vpn).s_home_proc
 
 let client m ssmp = m.clients.(ssmp)
 
@@ -359,42 +362,6 @@ let lend_frame m se =
 let pool_frame m se f =
   let ssmp = Topology.ssmp_of_proc m.topo se.s_cur_home in
   m.home_frames.(ssmp) <- f :: m.home_frames.(ssmp)
-
-let get_sentry m vpn =
-  try Hashtbl.find m.servers vpn
-  with Not_found ->
-    let e =
-      {
-        s_vpn = vpn;
-        s_home_proc = home_proc_of_vpn m vpn;
-        s_master = Pagedata.create m.geom;
-        s_read_dir = Bitset.create m.topo.Topology.nssmps;
-        s_write_dir = Bitset.create m.topo.Topology.nssmps;
-        s_frame_procs = Hashtbl.create 8;
-        s_state = S_read;
-        s_count = 0;
-        s_retained = -1;
-        s_pending_page = None;
-        s_pending_diffs = [];
-        s_pend_rd = [];
-        s_pend_wr = [];
-        s_pend_rl = [];
-        s_pend_rel_next = [];
-        s_ivy_grantee = -1;
-        s_ivy_grant_write = false;
-        s_version = 0;
-        s_cur_home = home_proc_of_vpn m vpn;
-        s_ad =
-          (match m.adapt with
-          | Some _ -> Some (Adapt.new_page ~nssmps:m.topo.Topology.nssmps)
-          | None -> None);
-        s_ext_diffs = [];
-        s_retained_notwin = false;
-        s_shadow = (if m.shadow then Pagedata.create m.geom else [||]);
-      }
-    in
-    Hashtbl.add m.servers vpn e;
-    e
 
 (* Delayed update queue: a set with FIFO flush order. *)
 let duq_add d vpn =

@@ -8,8 +8,6 @@ type _ Effect.t +=
 
 let status fb = fb.status
 
-let name fb = fb.name
-
 let perform eff =
   try Effect.perform eff
   with Effect.Unhandled _ -> failwith "Fiber.suspend: called outside a fiber"

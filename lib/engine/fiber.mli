@@ -22,7 +22,6 @@ val spawn : Sim.t -> ?shard:int -> at:Sim.time -> name:string -> (unit -> unit) 
     SSMP-local work is the same one. *)
 
 val status : t -> status
-val name : t -> string
 
 val suspend : ((unit -> unit) -> unit) -> unit
 (** [suspend register] suspends the calling fiber.  [register] receives

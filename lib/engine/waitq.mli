@@ -21,9 +21,10 @@ val park_thunk : t -> (unit -> unit) -> unit
 (** [park_thunk q k] enqueues an arbitrary continuation (used by
     message handlers, which are not fibers, to defer work). *)
 
-val wake_one : Sim.t -> ?delay:Sim.time -> t -> bool
-(** [wake_one sim q] schedules the oldest parked thunk after [delay]
-    (default 0); [false] if the queue was empty. *)
+val wake_one : Sim.t -> t -> bool
+(** [wake_one sim q] schedules the oldest parked thunk now; [false] if
+    the queue was empty. *)
 
-val wake_all : Sim.t -> ?delay:Sim.time -> t -> int
-(** [wake_all sim q] schedules every parked thunk; returns how many. *)
+val wake_all : Sim.t -> t -> int
+(** [wake_all sim q] schedules every parked thunk now; returns how
+    many. *)

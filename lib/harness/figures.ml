@@ -13,7 +13,7 @@ let breakdown_figure ~title points =
   let bars =
     Mgs_util.Tableprint.stacked_bars ~title ~labels
       ~series_names:[ "User"; "Lock"; "Barrier"; "MGS" ]
-      ~values ()
+      ~values
   in
   let rows =
     List.map

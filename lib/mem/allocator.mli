@@ -23,15 +23,14 @@ val geom : t -> Geom.t
 
 val nprocs : t -> int
 
-val alloc : t -> words:int -> home:home_policy -> int
+val alloc : t -> words:int -> home:home_policy -> int * int array
 (** [alloc h ~words ~home] reserves [words] words (rounded up to whole
-    pages), assigns homes per [home], and returns the base address.
+    pages) and returns the base address and each new page's home
+    processor, in page order, as [home] assigns them.  The allocator
+    keeps no homes: the caller records them (the machine keeps each in
+    its page's server entry).
     @raise Invalid_argument if [words <= 0] or a processor id is out of
     range. *)
-
-val home_of_vpn : t -> int -> int
-(** Home processor of page [vpn].
-    @raise Not_found for pages never allocated. *)
 
 val pages_allocated : t -> int
 

@@ -19,7 +19,8 @@ exception Net_partition of partition
 (* Sender-side record of one logical message awaiting its ack.  The
    whole machine lives in one simulator process, so the receiver finds
    the payload (and continuation) through this record rather than
-   marshalling anything. *)
+   marshalling anything, and the ack event and the retransmission timer
+   hold it too. *)
 type pending = {
   penv : Envelope.t;
   pmsg : int; (* the message word, delivered with [Sim.arrive] *)
@@ -30,6 +31,7 @@ type pending = {
   pctx : Mgs_obs.Span.ctx;  (* ambient span at post, for retry spans *)
   mutable retries : int;
   mutable cur_rto : int;
+  mutable acked : bool;
 }
 
 (* Reliable-transport state, allocated only when a fault plan is
@@ -38,9 +40,11 @@ type pending = {
 type rel = {
   plan : Fault.plan;
   next_seq : int array;  (* per channel: next sequence number to send *)
-  unacked : (int, pending) Hashtbl.t array;  (* per channel, keyed by seq *)
+  unacked : int array;  (* per sending SSMP: its messages awaiting an ack *)
   next_deliver : int array;  (* per channel: receiver's in-order cursor *)
-  parked : (int, pending) Hashtbl.t array;  (* arrived out of order *)
+  parked : (int, pending) Hashtbl.t array;
+      (* per channel, keyed by seq: arrived ahead of [next_deliver], a
+         reorder buffer that the in-order drain looks up by number *)
 }
 
 type t = {
@@ -135,17 +139,20 @@ let deliver lan rel pend now =
     ~words:env.words ~post_at:pend.post_at ~arrive:now;
   Mgs_engine.Sim.arrive lan.sim ~msg:pend.pmsg now pend.pk
 
-let ack_arrived rel ~chan ~seq =
-  match Hashtbl.find_opt rel.unacked.(chan) seq with
-  | Some _ -> Hashtbl.remove rel.unacked.(chan) seq
-  | None -> ()
+(* A re-ack of a duplicate finds the message already acked. *)
+let ack_arrived rel pend =
+  if not pend.acked then begin
+    pend.acked <- true;
+    let src = pend.penv.Envelope.src_ssmp in
+    rel.unacked.(src) <- rel.unacked.(src) - 1
+  end
 
 (* Acknowledgement: a small control message back to the sender.  It
    pays the (slowdown-scaled) wire latency and can itself be lost, but
    carries no payload and does not compete for sender occupancy — the
    emulated LAN's control traffic rides for free, like the forward
    path's fixed latency. *)
-let send_ack lan rel ~chan ~seq ~src ~dst now =
+let send_ack lan rel pend ~src ~dst now =
   let c = lan.cells.(dst) in
   c.acks <- c.acks + 1;
   let spec = Fault.spec_of rel.plan in
@@ -158,7 +165,7 @@ let send_ack lan rel ~chan ~seq ~src ~dst now =
     let arrive = now + scaled (slow_of rel ~src ~dst) l.latency in
     (* the ack lands back on the sender's shard: [unacked] is sender
        state *)
-    Mgs_engine.Sim.at_shard lan.sim ~shard:src arrive (fun () -> ack_arrived rel ~chan ~seq)
+    Mgs_engine.Sim.at_shard lan.sim ~shard:src arrive (fun () -> ack_arrived rel pend)
   end
 
 let on_arrival lan rel pend now =
@@ -171,11 +178,11 @@ let on_arrival lan rel pend now =
        first ack may have been the casualty. *)
     let c = lan.cells.(dst) in
     c.dup_drops <- c.dup_drops + 1;
-    send_ack lan rel ~chan ~seq:pend.pseq ~src ~dst now
+    send_ack lan rel pend ~src ~dst now
   end
   else begin
     Hashtbl.replace rel.parked.(chan) pend.pseq pend;
-    send_ack lan rel ~chan ~seq:pend.pseq ~src ~dst now;
+    send_ack lan rel pend ~src ~dst now;
     (* Deliver every consecutive message now available, in order. *)
     let rec drain () =
       match Hashtbl.find_opt rel.parked.(chan) rel.next_deliver.(chan) with
@@ -240,7 +247,7 @@ let rec transmit lan rel pend ~at =
   Mgs_engine.Sim.at lan.sim fire (fun () -> on_timeout lan rel pend fire)
 
 and on_timeout lan rel pend now =
-  if Hashtbl.mem rel.unacked.(pend.pchan) pend.pseq then begin
+  if not pend.acked then begin
     (* still unacked: the message (or its ack) is lost or very late *)
     let c = lan.cells.(pend.penv.Envelope.src_ssmp) in
     c.timeouts <- c.timeouts + 1;
@@ -278,11 +285,11 @@ let send_reliable lan rel (env : Envelope.t) ~at ~msg k =
   in
   let pend =
     { penv = env; pmsg = msg; pk = k; pseq = seq; pchan = chan; post_at = at; pctx; retries = 0;
-      cur_rto = 0 }
+      cur_rto = 0; acked = false }
   in
   let spec = Fault.spec_of rel.plan in
   pend.cur_rto <- Int.min rto_cap (if spec.rto > 0 then spec.rto else auto_rto lan rel env);
-  Hashtbl.replace rel.unacked.(chan) seq pend;
+  rel.unacked.(env.src_ssmp) <- rel.unacked.(env.src_ssmp) + 1;
   transmit lan rel pend ~at
 
 (* --- the one entry point ------------------------------------------- *)
@@ -345,7 +352,7 @@ let set_fault_plan lan plan =
       {
         plan;
         next_seq = Array.make n 0;
-        unacked = Array.init n (fun _ -> Hashtbl.create 16);
+        unacked = Array.make lan.nssmps 0;
         next_deliver = Array.make n 0;
         parked = Array.init n (fun _ -> Hashtbl.create 16);
       }
@@ -356,18 +363,6 @@ let fault_plan lan =
   | None -> None
 
 let unacked lan =
-  match lan.rel with
-  | Some rel -> Array.fold_left (fun acc tbl -> acc + Hashtbl.length tbl) 0 rel.unacked
-  | None -> 0
+  match lan.rel with Some rel -> Array.fold_left ( + ) 0 rel.unacked | None -> 0
 
-(* Channel [src * nssmps + dst]: SSMP [c]'s outgoing channels are one
-   contiguous stripe. *)
-let unacked_cell lan c =
-  match lan.rel with
-  | Some rel ->
-    let n = ref 0 in
-    for chan = c * lan.nssmps to ((c + 1) * lan.nssmps) - 1 do
-      n := !n + Hashtbl.length rel.unacked.(chan)
-    done;
-    !n
-  | None -> 0
+let unacked_cell lan c = match lan.rel with Some rel -> rel.unacked.(c) | None -> 0

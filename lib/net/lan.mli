@@ -14,6 +14,10 @@
     exponential-backoff timer until acknowledged, and delivered to the
     handler exactly once and in channel order — so the protocol engines
     above see the same interface whether the wire is perfect or not.
+    A message awaiting its ack is held by its ack event and its
+    retransmission timer, not looked up; only the receiver's reorder
+    buffer, which the in-order drain probes by sequence number, is a
+    table per channel.
     With no plan installed none of this machinery runs and the
     simulation is byte-identical to a faults-free build. *)
 
@@ -94,8 +98,9 @@ val fault_plan : t -> Fault.plan option
 
 val unacked : t -> int
 (** Messages posted but not yet acknowledged; [0] at quiescence and
-    always [0] without a fault plan. *)
+    always [0] without a fault plan.  The sum of the per-SSMP counts
+    {!unacked_cell} reads. *)
 
 val unacked_cell : t -> int -> int
-(** The part of {!unacked} that SSMP [c] sent: sender-side state that
-    only [c]'s engine shard touches. *)
+(** The part of {!unacked} that SSMP [c] sent: one sender-side count
+    that only [c]'s engine shard touches. *)

@@ -103,8 +103,6 @@ let create ?(capacity = default_capacity) ?(cells = 1) () =
   in
   { ncells = cells; cells = Array.init cells (fun _ -> mk_cell ()); host_seq = 0 }
 
-let cells t = t.ncells
-
 (* The order stamp for an emission happening now: the executing event's
    key, or a synthetic host key ordered by emission time then a
    host-side counter.  [sched = max_int] makes a host emission sort

@@ -59,8 +59,6 @@ val create : ?capacity:int -> ?cells:int -> unit -> t
     is the shard count: pass the machine's SSMP count so each
     simulator domain writes its own cell. *)
 
-val cells : t -> int
-
 val stamp : t -> Rows.t -> int -> time:int -> unit
 (** [stamp t r slot ~time] writes into row [slot] of the stamped cell
     [r] the merge-order stamp for a record made now: the executing

@@ -47,8 +47,6 @@ let create ?(capacity = default_capacity) ?span_capacity ?(cells = 1) () =
 
 let spans t = t.spans
 
-let cells t = t.ncells
-
 let hist_of cl id =
   if id >= Array.length cl.hists then
     cl.hists <-

@@ -31,8 +31,6 @@ val create : ?capacity:int -> ?span_capacity:int -> ?cells:int -> unit -> t
     (default 1) is the shard count: pass the machine's SSMP count so
     each simulator domain writes its own cell. *)
 
-val cells : t -> int
-
 val spans : t -> Span.t
 (** The causal span collector that travels with this trace. *)
 

@@ -388,7 +388,10 @@ module Ticket = struct
   type state = {
     mutable next_ticket : int;
     mutable now_serving : int;
-    waiting : (int, unit -> unit) Hashtbl.t; (* ticket -> grant *)
+    waiting : (unit -> unit) Queue.t;
+        (* grants of the tickets above [now_serving], oldest first: the
+           home parks each one as it assigns it, so a release serves the
+           head *)
     mutable held : bool;
   }
 
@@ -415,7 +418,7 @@ module Ticket = struct
           immediate := true;
           grant ()
         end
-        else Hashtbl.replace l.waiting ticket grant);
+        else Queue.add grant l.waiting);
     blocked_wait t ctx root (fun () -> Mgs_engine.Waitq.park q);
     if !immediate && home_local t proc then count_hit t;
     exit_acquire t root ~proc
@@ -430,27 +433,15 @@ module Ticket = struct
     Am.post m.am ~tag:"TKT_REL" ~src:ctx.Mgs.Api.proc ~dst:t.home ~words:0
       ~cost:m.costs.sync.lock_local_release (fun _t ->
         l.now_serving <- l.now_serving + 1;
-        match Hashtbl.find_opt l.waiting l.now_serving with
-        | Some grant ->
-          Hashtbl.remove l.waiting l.now_serving;
-          grant ()
-        | None -> ());
+        match Queue.take_opt l.waiting with Some grant -> grant () | None -> ());
     close_root m root
 end
 
-(* The MCS and CLH node tables are touched from the requester's, the
-   home's, and the successor's shards, so [Mutex.protect] guards the
-   table structure; individual node fields stay unguarded — they are
-   only accessed from the owning processor's shard or with
-   message-enforced ordering. *)
-
-(* Deterministic node IDs without a shared counter: each processor
-   mints from its own stripe, so concurrent acquires on different
-   shards allocate the same IDs at every job count. *)
-let mint_id mint proc =
-  let k = mint.(proc) in
-  mint.(proc) <- k + 1;
-  proc + (Array.length mint * k)
+(* A queue node is a record that the closures of its acquire and
+   release hold, so nothing looks a node up: its fields are touched
+   only on its owner's shard or in message order, and the queue tail
+   only at the home.  A node holds closures, so the home compares nodes
+   with [==]. *)
 
 (* --- MCS queue lock ------------------------------------------------- *)
 
@@ -464,27 +455,22 @@ let mint_id mint proc =
 module Mcs = struct
   type node = {
     owner : int; (* proc waiting on (or holding via) this node *)
-    mutable next : int option; (* successor node id, once linked *)
+    mutable next : node option; (* successor, once linked *)
     wake : unit -> unit; (* resume the owner's parked fiber *)
-    mutable rel_parked : (unit -> unit) option; (* release awaiting link *)
+    mutable rel_parked : (node -> unit) option; (* release awaiting link *)
   }
 
   type state = {
-    nodes : (int, node) Hashtbl.t;
-    nodes_mu : Mutex.t;
-    mutable tail : int option; (* home's view of the queue tail *)
-    mint : int array; (* per-proc node-id counters; ids = proc + nprocs*k *)
-    mutable holder : int; (* node id of the current holder, -1 if free *)
+    mutable tail : node option; (* home's view of the queue tail *)
+    mutable holder : node option; (* the current holder's node *)
   }
 
   let acquire (ctx : Mgs.Api.ctx) t l =
     let m = t.m in
     let proc = ctx.Mgs.Api.proc in
     let root = enter_acquire_q t ctx in
-    let me = mint_id l.mint proc in
     let q, wake = parker m in
-    let node = { owner = proc; next = None; wake; rel_parked = None } in
-    Mutex.protect l.nodes_mu (fun () -> Hashtbl.replace l.nodes me node);
+    let me = { owner = proc; next = None; wake; rel_parked = None } in
     Cpu.advance ctx.cpu Lock m.costs.proto.msg_send;
     msg m;
     let free = ref false in
@@ -498,8 +484,7 @@ module Mcs = struct
           msg m;
           Am.post m.am ~tag:"MCS_GRANT" ~src:t.home ~dst:proc ~words:0
             ~cost:m.costs.sync.lock_local_acquire (fun _t -> wake ())
-        | Some pred_id ->
-          let pred = Mutex.protect l.nodes_mu (fun () -> Hashtbl.find l.nodes pred_id) in
+        | Some pred ->
           msg m;
           Am.post m.am ~tag:"MCS_LINK" ~src:t.home ~dst:pred.owner ~words:0
             ~cost:m.costs.sync.lock_local_acquire (fun _t ->
@@ -507,65 +492,54 @@ module Mcs = struct
               match pred.rel_parked with
               | Some k ->
                 pred.rel_parked <- None;
-                k ()
+                k me
               | None -> ()));
     blocked_wait t ctx root (fun () -> Mgs_engine.Waitq.park q);
-    l.holder <- me;
+    l.holder <- Some me;
     if !free && home_local t proc then count_hit t;
     exit_acquire t root ~proc
 
   let release (ctx : Mgs.Api.ctx) t l =
     let m = t.m in
     let proc = ctx.Mgs.Api.proc in
-    if l.holder < 0 then failwith "Locks(mcs): release of a free lock";
-    let me = l.holder in
-    l.holder <- -1;
-    let node = Mutex.protect l.nodes_mu (fun () -> Hashtbl.find l.nodes me) in
+    let me =
+      match l.holder with Some n -> n | None -> failwith "Locks(mcs): release of a free lock"
+    in
+    l.holder <- None;
     let root = enter_release_q t ctx in
     (* Direct handoff: one message from the old holder to the new. *)
-    let handoff succ_id =
-      let succ = Mutex.protect l.nodes_mu (fun () -> Hashtbl.find l.nodes succ_id) in
+    let handoff succ =
       msg m;
       Am.post m.am ~tag:"MCS_HANDOFF" ~src:proc ~dst:succ.owner ~words:0
-        ~cost:m.costs.sync.lock_local_acquire (fun _t ->
-          Mutex.protect l.nodes_mu (fun () -> Hashtbl.remove l.nodes me);
-          succ.wake ())
+        ~cost:m.costs.sync.lock_local_acquire (fun _t -> succ.wake ())
     in
     Cpu.advance ctx.cpu Lock m.costs.proto.msg_send;
-    (match node.next with
-    | Some succ_id -> handoff succ_id
+    (match me.next with
+    | Some succ -> handoff succ
     | None ->
       (* No known successor: swap the tail back at the home. *)
       msg m;
       let q, wake = parker m in
+      let pass succ =
+        handoff succ;
+        wake ()
+      in
       Am.post m.am ~tag:"MCS_SWAPREL" ~src:proc ~dst:t.home ~words:0
         ~cost:m.costs.sync.lock_local_release (fun _t ->
-          if l.tail = Some me then begin
+          match l.tail with
+          | Some n when n == me ->
             l.tail <- None;
             msg m;
             Am.post m.am ~tag:"MCS_RELOK" ~src:t.home ~dst:proc ~words:0
-              ~cost:m.costs.sync.lock_local_release (fun _t ->
-                Mutex.protect l.nodes_mu (fun () -> Hashtbl.remove l.nodes me);
-                wake ())
-          end
-          else begin
+              ~cost:m.costs.sync.lock_local_release (fun _t -> wake ())
+          | _ ->
             (* Someone swapped in behind us; wait for their LINK. *)
             msg m;
             Am.post m.am ~tag:"MCS_RELWAIT" ~src:t.home ~dst:proc ~words:0
               ~cost:m.costs.sync.lock_local_release (fun _t ->
-                match node.next with
-                | Some succ_id ->
-                  handoff succ_id;
-                  wake ()
-                | None ->
-                  node.rel_parked <-
-                    Some
-                      (fun () ->
-                        (match node.next with
-                        | Some succ_id -> handoff succ_id
-                        | None -> assert false);
-                        wake ()))
-          end);
+                match me.next with
+                | Some succ -> pass succ
+                | None -> me.rel_parked <- Some pass));
       blocked_wait t ctx root (fun () -> Mgs_engine.Waitq.park q));
     close_root m root
 end
@@ -577,7 +551,7 @@ end
    lives, and the predecessor's release grants the watcher directly.
    Unlike MCS the release never blocks — the released node persists
    until its successor consumes it, so a late WATCH simply finds
-   [released] already set.  Nodes are keyed by a per-lock sequence so a
+   [released] already set.  Every acquire makes its own node, so a
    processor can have one node per outstanding acquire. *)
 module Clh = struct
   type node = {
@@ -587,32 +561,24 @@ module Clh = struct
   }
 
   type state = {
-    nodes : (int, node) Hashtbl.t;
-    nodes_mu : Mutex.t;
-    mutable tail : int; (* node id *)
-    mint : int array; (* per-proc counters; ids = 1 + proc + nprocs*k *)
-    mutable holder : int; (* node id of the current holder, -1 if free *)
+    mutable tail : node; (* first a released sentinel owned by the home *)
+    mutable holder : node option; (* the current holder's node *)
   }
 
   let acquire (ctx : Mgs.Api.ctx) t l =
     let m = t.m in
     let proc = ctx.Mgs.Api.proc in
     let root = enter_acquire_q t ctx in
-    (* offset past the sentinel's id 0 *)
-    let me = 1 + mint_id l.mint proc in
-    Mutex.protect l.nodes_mu (fun () ->
-        Hashtbl.replace l.nodes me { owner = proc; released = false; watcher = None });
+    let me = { owner = proc; released = false; watcher = None } in
     let q, wake = parker m in
     Cpu.advance ctx.cpu Lock m.costs.proto.msg_send;
     msg m;
     let free = ref false in
     Am.post m.am ~tag:"CLH_SWAP" ~src:proc ~dst:t.home ~words:0
       ~cost:m.costs.sync.lock_local_acquire (fun _t ->
-        let prev = l.tail in
+        let pred = l.tail in
         l.tail <- me;
-        let pred = Mutex.protect l.nodes_mu (fun () -> Hashtbl.find l.nodes prev) in
         let grant () =
-          Mutex.protect l.nodes_mu (fun () -> Hashtbl.remove l.nodes prev);
           msg m;
           Am.post m.am ~tag:"CLH_GRANT" ~src:pred.owner ~dst:proc ~words:0
             ~cost:m.costs.sync.lock_local_acquire (fun _t -> wake ())
@@ -627,20 +593,20 @@ module Clh = struct
             end
             else pred.watcher <- Some grant));
     blocked_wait t ctx root (fun () -> Mgs_engine.Waitq.park q);
-    l.holder <- me;
+    l.holder <- Some me;
     if !free && home_local t proc then count_hit t;
     exit_acquire t root ~proc
 
   let release (ctx : Mgs.Api.ctx) t l =
-    if l.holder < 0 then failwith "Locks(clh): release of a free lock";
-    let me = l.holder in
-    l.holder <- -1;
-    let node = Mutex.protect l.nodes_mu (fun () -> Hashtbl.find l.nodes me) in
+    let me =
+      match l.holder with Some n -> n | None -> failwith "Locks(clh): release of a free lock"
+    in
+    l.holder <- None;
     let root = enter_release_q t ctx in
-    node.released <- true;
-    (match node.watcher with
+    me.released <- true;
+    (match me.watcher with
     | Some grant ->
-      node.watcher <- None;
+      me.watcher <- None;
       grant ()
     | None -> ());
     close_root t.m root
@@ -667,22 +633,16 @@ let make (m : Mgs.Machine.t) ?(home = 0) ?grant_bound kind =
       (Printf.sprintf "Locks.make: grant_bound applies to the token lock, not %s"
          (name_of kind)));
   let home_proc = Topology.first_proc_of_ssmp m.topo home in
-  let nprocs = m.topo.Topology.nprocs in
-  let node_table () = (Hashtbl.create 64, Mutex.create ()) in
   let st =
     match kind with
     | Token -> Token_st (Token.create m ~home ~grant_bound)
     | Tas -> Tas_st { held = false }
     | Ticket ->
-      Ticket_st { next_ticket = 0; now_serving = 0; waiting = Hashtbl.create 64; held = false }
-    | Mcs ->
-      let nodes, nodes_mu = node_table () in
-      Mcs_st { nodes; nodes_mu; tail = None; mint = Array.make nprocs 0; holder = -1 }
+      Ticket_st { next_ticket = 0; now_serving = 0; waiting = Queue.create (); held = false }
+    | Mcs -> Mcs_st { tail = None; holder = None }
     | Clh ->
-      let nodes, nodes_mu = node_table () in
       (* sentinel: an already-released node owned by the home *)
-      Hashtbl.replace nodes 0 { Clh.owner = home_proc; released = true; watcher = None };
-      Clh_st { nodes; nodes_mu; tail = 0; mint = Array.make nprocs 0; holder = -1 }
+      Clh_st { tail = { owner = home_proc; released = true; watcher = None }; holder = None }
   in
   {
     kind;

@@ -34,6 +34,10 @@
       watcher directly.  Release never blocks or messages unless a
       watcher is present.
 
+    Each acquire of a queue lock makes its own node, which the
+    acquire's and release's closures hold: no node is looked up by a
+    key, and no node table is shared between shards.
+
     Release is a release-consistency point: every algorithm flushes the
     SSMP's delayed update queue before ownership moves, which is what
     makes critical sections {e dilate} under software coherence

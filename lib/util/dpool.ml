@@ -35,5 +35,3 @@ let map ~jobs f xs =
          (function Some (Ok v) -> v | Some (Error e) -> raise e | None -> assert false)
          results)
   end
-
-let iter ~jobs f xs = ignore (map ~jobs (fun x -> f x) xs)

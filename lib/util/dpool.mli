@@ -16,7 +16,3 @@ val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] is [List.map f xs] computed on up to [jobs]
     domains.  [jobs <= 1] (or a singleton list) runs inline on the
     calling domain with no domain spawned. *)
-
-val iter : jobs:int -> ('a -> unit) -> 'a list -> unit
-(** [iter ~jobs f xs] runs [f] on every element, all effects completed
-    when it returns. *)

@@ -37,7 +37,6 @@ let float g x =
   (* 53 random bits scaled to [0,1). *)
   r /. 9007199254740992.0 *. x
 
-let bool g = Int64.logand (bits64 g) 1L = 1L
 
 let shuffle_in_place g a =
   for i = Array.length a - 1 downto 1 do

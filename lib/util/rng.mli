@@ -30,8 +30,5 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float g x] is uniform in [0, x). *)
 
-val bool : t -> bool
-(** [bool g] is a fair coin flip. *)
-
 val shuffle_in_place : t -> 'a array -> unit
 (** Fisher-Yates shuffle driven by [g]. *)

@@ -25,7 +25,7 @@ let fmt_cycles v =
 
 let fill_chars = [| '#'; '='; '+'; '.'; '~'; '%' |]
 
-let stacked_bars ~title ~labels ~series_names ~values ?(width = 60) () =
+let stacked_bars ~title ~labels ~series_names ~values =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf title;
   Buffer.add_char buf '\n';
@@ -38,7 +38,7 @@ let stacked_bars ~title ~labels ~series_names ~values ?(width = 60) () =
       Buffer.add_string buf " |";
       Array.iteri
         (fun j v ->
-          let n = int_of_float (Float.round (v /. maxv *. float_of_int width)) in
+          let n = int_of_float (Float.round (v /. maxv *. 60.)) in
           Buffer.add_string buf (String.make n fill_chars.(j mod Array.length fill_chars)))
         values.(i);
       Buffer.add_string buf (Printf.sprintf "  %s\n" (fmt_cycles totals.(i))))

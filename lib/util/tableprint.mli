@@ -16,13 +16,11 @@ val stacked_bars :
   labels:string list ->
   series_names:string list ->
   values:float array array ->
-  ?width:int ->
-  unit ->
   string
-(** [stacked_bars ~title ~labels ~series_names ~values ()] renders one
+(** [stacked_bars ~title ~labels ~series_names ~values] renders one
     horizontal stacked bar per label.  [values.(i).(j)] is the magnitude
-    of series [j] in bar [i]; bars are scaled so the longest fits
-    [width] characters.  Each series is drawn with a distinct fill
+    of series [j] in bar [i]; bars are scaled so the longest fits 60
+    characters.  Each series is drawn with a distinct fill
     character, with a legend line. *)
 
 val fmt_cycles : float -> string

@@ -26,7 +26,7 @@ let holders (m : Mgs.Machine.t) =
     (fun ssmp pool ->
       List.iteri (fun i f -> add (Printf.sprintf "SSMP %d pool frame %d" ssmp i) (Some f)) pool)
     m.home_frames;
-  Hashtbl.iter (fun vpn se -> add (Printf.sprintf "page %d master" vpn) (Some se.s_master)) m.servers;
+  Array.iteri (fun vpn se -> add (Printf.sprintf "page %d master" vpn) (Some se.s_master)) m.servers;
   !acc
 
 (* Fail if two holders share one array (a client frame that is also a
@@ -42,7 +42,7 @@ let check_unaliased m =
       go rest
   in
   go hs;
-  List.length hs - Hashtbl.length m.servers
+  List.length hs - Array.length m.servers
 
 (* One verified run of [w] that keeps its machine for the walk. *)
 let run ?faults ?(adapt = false) ~protocol ~par ~nprocs ~cluster (w : Mgs_harness.Sweep.workload) =

@@ -5,7 +5,8 @@
    must end the run with a typed outcome and leave a waiter that fails
    quiescence.  The microbenchmark
    family must be byte-identical under -j N, and its output and the
-   lock-using apps' reports are pinned. *)
+   lock-using apps' reports are pinned, as is a kv run that takes the
+   MCS release window. *)
 
 module Locks = Mgs_sync.Locks
 module Micro = Mgs_harness.Micro
@@ -263,6 +264,30 @@ let test_pinned_app_reports () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* The MCS release window.                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* A releaser that knows no successor swaps the tail back at the home;
+   when a successor has already swapped in but its LINK has not landed,
+   the home answers MCS_RELWAIT and the release waits for the link
+   before it hands off.  This kv run (what [mgs_run --app kv --iters 20
+   --lock mcs --procs 8 --cluster 2] runs) takes that path once, and
+   its report is pinned. *)
+let test_mcs_release_window () =
+  Mgs_apps.Workloads.ensure ();
+  let args = { Mgs_harness.Workload.default_args with iters = Some 20; lock = Some Mcs } in
+  let w = Mgs_harness.Workload.instantiate ~args "kv" in
+  let m = make ~lan:1000 () in
+  let body, verify = w.Mgs_harness.Sweep.prepare m in
+  let report = Mgs.Machine.run m body in
+  Mgs.Machine.assert_quiescent m;
+  verify m;
+  Alcotest.(check bool) "a release waited for its successor's link" true
+    (Mgs_am.Am.count m.Mgs.State.am "MCS_RELWAIT" >= 1);
+  Alcotest.(check string) "report" "18b7d7cc40f4c87a6a59c62af7a94b59"
+    (md5 (Mgs.Report.ident report))
+
+(* ------------------------------------------------------------------ *)
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
@@ -307,5 +332,8 @@ let () =
           Alcotest.test_case "pinned lock table" `Quick test_pinned_lock_table;
           Alcotest.test_case "pinned app reports" `Quick test_pinned_app_reports;
         ] );
+      ( "release window",
+        [ Alcotest.test_case "MCS release waits for the link" `Quick test_mcs_release_window ]
+      );
       ("properties", qsuite);
     ]

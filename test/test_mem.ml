@@ -241,8 +241,8 @@ let test_blit_mismatch () =
 
 let test_alloc_rounds_to_pages () =
   let h = Alloc.create small ~nprocs:4 in
-  let a = Alloc.alloc h ~words:5 ~home:(Alloc.On_proc 1) in
-  let b = Alloc.alloc h ~words:17 ~home:(Alloc.On_proc 2) in
+  let a, _ = Alloc.alloc h ~words:5 ~home:(Alloc.On_proc 1) in
+  let b, _ = Alloc.alloc h ~words:17 ~home:(Alloc.On_proc 2) in
   Alcotest.(check int) "first at 0" 0 a;
   Alcotest.(check int) "second page-aligned" 16 b;
   Alcotest.(check int) "pages" 3 (Alloc.pages_allocated h);
@@ -250,21 +250,19 @@ let test_alloc_rounds_to_pages () =
 
 let test_alloc_on_proc () =
   let h = Alloc.create small ~nprocs:4 in
-  ignore (Alloc.alloc h ~words:32 ~home:(Alloc.On_proc 3));
-  Alcotest.(check int) "home vpn 0" 3 (Alloc.home_of_vpn h 0);
-  Alcotest.(check int) "home vpn 1" 3 (Alloc.home_of_vpn h 1)
+  let _, homes = Alloc.alloc h ~words:32 ~home:(Alloc.On_proc 3) in
+  Alcotest.(check int) "home vpn 0" 3 homes.(0);
+  Alcotest.(check int) "home vpn 1" 3 homes.(1)
 
 let test_alloc_interleaved () =
   let h = Alloc.create small ~nprocs:3 in
-  ignore (Alloc.alloc h ~words:(16 * 5) ~home:Alloc.Interleaved);
-  Alcotest.(check (list int)) "round robin homes" [ 0; 1; 2; 0; 1 ]
-    (List.init 5 (fun v -> Alloc.home_of_vpn h v))
+  let _, homes = Alloc.alloc h ~words:(16 * 5) ~home:Alloc.Interleaved in
+  Alcotest.(check (list int)) "round robin homes" [ 0; 1; 2; 0; 1 ] (Array.to_list homes)
 
 let test_alloc_blocked () =
   let h = Alloc.create small ~nprocs:2 in
-  ignore (Alloc.alloc h ~words:(16 * 4) ~home:Alloc.Blocked);
-  Alcotest.(check (list int)) "block homes" [ 0; 0; 1; 1 ]
-    (List.init 4 (fun v -> Alloc.home_of_vpn h v))
+  let _, homes = Alloc.alloc h ~words:(16 * 4) ~home:Alloc.Blocked in
+  Alcotest.(check (list int)) "block homes" [ 0; 0; 1; 1 ] (Array.to_list homes)
 
 let test_alloc_errors () =
   let h = Alloc.create small ~nprocs:2 in
@@ -272,9 +270,7 @@ let test_alloc_errors () =
       ignore (Alloc.alloc h ~words:0 ~home:Alloc.Interleaved));
   Alcotest.check_raises "bad proc"
     (Invalid_argument "Allocator.alloc: processor out of range") (fun () ->
-      ignore (Alloc.alloc h ~words:1 ~home:(Alloc.On_proc 2)));
-  Alcotest.check_raises "unallocated page" Not_found (fun () ->
-      ignore (Alloc.home_of_vpn h 99))
+      ignore (Alloc.alloc h ~words:1 ~home:(Alloc.On_proc 2)))
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest

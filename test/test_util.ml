@@ -177,7 +177,6 @@ let test_stacked_bars () =
   let out =
     Tp.stacked_bars ~title:"t" ~labels:[ "a"; "b" ] ~series_names:[ "u"; "v" ]
       ~values:[| [| 1.0; 2.0 |]; [| 3.0; 1.0 |] |]
-      ()
   in
   let contains s sub =
     let n = String.length s and m = String.length sub in
