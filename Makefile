@@ -4,13 +4,14 @@
 # determinism, lock, adaptive and KV contracts), the CLI runs that
 # `trace-lint` checks end to end, the perf baseline diff, the paper's
 # tables and figures against their record, the repository benchmark's
-# self-check, and — when ocamlformat is installed — a
+# self-check, a scan of the simulator's objects for polymorphic
+# comparison, and — when ocamlformat is installed — a
 # formatting check that fails on drift.  Each contract has one gate.
 
 DUNE ?= dune
 
 .PHONY: all build test check fmt fmt-check trace-lint perf perf-diff claims-diff \
-  bench-selftest clean
+  bench-selftest poly-lint clean
 
 all: build
 
@@ -126,6 +127,32 @@ claims-diff: build
 bench-selftest:
 	python3 perfbench/run.py --selftest
 
+# No polymorphic comparison in the simulator's libraries: a polymorphic
+# [<] on ints is a C call into the runtime (caml_lessthan and its kin,
+# or Stdlib's polymorphic max, min and compare), and the call also makes
+# its caller spill its registers; an int annotation, Int.max or a typed
+# compare keeps it a machine compare.  Fails on any relocation to one of
+# them in the native objects of mgs_engine, mgs_am, mgs_net, mgs_cache,
+# mgs_machine, mgs_mem, mgs_svm, mgs_sync and mgs.  Where objdump is
+# absent it skips, as fmt-check does without ocamlformat.
+POLY_LIBS = engine am net cache machine mem svm sync core
+POLY_SYMS = (caml_(lessthan|lessequal|greaterthan|greaterequal|equal|notequal|compare)|camlStdlib(\.|__)(max|min|compare)_[0-9]+)([-+]|$$)
+
+poly-lint: build
+	@if command -v objdump >/dev/null 2>&1; then \
+	  hits=$$(for d in $(POLY_LIBS); do \
+	    for o in _build/default/lib/$$d/.*.objs/native/*.o; do \
+	      objdump -dr $$o | grep -E "R_[A-Z0-9_]+[[:space:]]+$(POLY_SYMS)" | sed "s|^|$$o:|"; \
+	    done; \
+	  done); \
+	  if [ -n "$$hits" ]; then \
+	    echo "$$hits"; echo "poly-lint: polymorphic comparison in the objects above"; exit 1; \
+	  fi; \
+	  echo "poly-lint: OK"; \
+	else \
+	  echo "objdump not installed; skipping polymorphic-comparison check"; \
+	fi
+
 # Formatting is enforced only where the tool exists: the pinned dev
 # environment has ocamlformat, minimal containers may not.
 fmt-check:
@@ -142,7 +169,7 @@ fmt:
 	  echo "ocamlformat not installed"; exit 1; \
 	fi
 
-check: build test trace-lint perf-diff claims-diff bench-selftest fmt-check
+check: build test trace-lint perf-diff claims-diff bench-selftest poly-lint fmt-check
 	@echo "check: OK"
 
 clean:

@@ -1,5 +1,9 @@
 module Span = Mgs_obs.Span
 
+(* Tag-keyed tables hash and compare as strings: a generic table's
+   polymorphic compare is a C call per probe. *)
+module Tagtbl = Hashtbl.Make (String)
+
 (* A tag's span labels and their engine classes: ["h." ^ tag] for a
    delivered message's handler, the bare tag for [run_on] work. *)
 type hlabel = {
@@ -19,8 +23,8 @@ type t = {
   topo : Mgs_machine.Topology.t;
   lan : Mgs_net.Lan.t;
   cpus : Mgs_machine.Cpu.t array;
-  counts : (string, int ref) Hashtbl.t array; (* per sender SSMP *)
-  hlabels : (string, hlabel) Hashtbl.t array;
+  counts : int ref Tagtbl.t array; (* per sender SSMP *)
+  hlabels : hlabel Tagtbl.t array;
       (* per tag, interned per handling SSMP (the intern happens on the
          handler's shard) *)
   total : int array; (* per sender SSMP *)
@@ -57,8 +61,8 @@ let create sim costs topo ~lan ~cpus =
       topo;
       lan;
       cpus;
-      counts = Array.init nssmps (fun _ -> Hashtbl.create 32);
-      hlabels = Array.init nssmps (fun _ -> Hashtbl.create 32);
+      counts = Array.init nssmps (fun _ -> Tagtbl.create 32);
+      hlabels = Array.init nssmps (fun _ -> Tagtbl.create 32);
       total = Array.make nssmps 0;
       in_flight = Array.make nssmps 0;
       obs = None;
@@ -72,16 +76,16 @@ let create sim costs topo ~lan ~cpus =
 let bump am ssmp tag =
   am.total.(ssmp) <- am.total.(ssmp) + 1;
   let counts = am.counts.(ssmp) in
-  match Hashtbl.find counts tag with
+  match Tagtbl.find counts tag with
   | n -> incr n
-  | exception Not_found -> Hashtbl.add counts tag (ref 1)
+  | exception Not_found -> Tagtbl.add counts tag (ref 1)
 
 (* The span labels for [tag], computed and classified once per distinct
    tag and handling SSMP: the tag set is small and fixed, and a fresh
    ["h." ^ tag] or a label classification per message is wasted work. *)
 let hlabel am ssmp tag =
   let hlabels = am.hlabels.(ssmp) in
-  match Hashtbl.find hlabels tag with
+  match Tagtbl.find hlabels tag with
   | hl -> hl
   | exception Not_found ->
     let h_label = "h." ^ tag in
@@ -92,7 +96,7 @@ let hlabel am ssmp tag =
         tag_engine = Span.engine_of_label tag;
       }
     in
-    Hashtbl.add hlabels tag hl;
+    Tagtbl.add hlabels tag hl;
     hl
 
 (* At [fin], close the handler's span [hctx] — only the one opened for
@@ -190,19 +194,22 @@ let set_obs am tr = am.obs <- tr
 
 let count am tag =
   Array.fold_left
-    (fun acc counts -> acc + match Hashtbl.find_opt counts tag with Some n -> !n | None -> 0)
+    (fun acc counts -> acc + match Tagtbl.find_opt counts tag with Some n -> !n | None -> 0)
     0 am.counts
 
 let counts am =
-  let merged = Hashtbl.create 32 in
+  let merged = Tagtbl.create 32 in
   Array.iter
     (fun counts ->
-      Hashtbl.iter
+      Tagtbl.iter
         (fun tag n ->
-          Hashtbl.replace merged tag (!n + Option.value ~default:0 (Hashtbl.find_opt merged tag)))
+          Tagtbl.replace merged tag (!n + Option.value ~default:0 (Tagtbl.find_opt merged tag)))
         counts)
     am.counts;
-  List.sort compare (Hashtbl.fold (fun tag n acc -> (tag, n) :: acc) merged [])
+  (* the tags are distinct *)
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    (Tagtbl.fold (fun tag n acc -> (tag, n) :: acc) merged [])
 
 let total_posted am = Array.fold_left ( + ) 0 am.total
 

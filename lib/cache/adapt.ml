@@ -2,6 +2,7 @@
    adapt.mli for the regime lattice and determinism contract. *)
 
 module Bitset = Mgs_util.Bitset
+module Inttbl = Mgs_util.Inttbl
 
 type regime = Rmw | Rsw | Rinv
 
@@ -155,13 +156,10 @@ let wants_migration p =
   p.dom >= 0 && p.dom_streak >= migrate_streak
   && (p.last_pattern = Single_writer || p.last_pattern = Producer_consumer)
 
-type t = {
-  views : (int, int) Hashtbl.t array;
-  fwd : (int, int) Hashtbl.t array;
-}
+type t = { views : int Inttbl.t array; fwd : int Inttbl.t array }
 
 let create ~nssmps =
   {
-    views = Array.init nssmps (fun _ -> Hashtbl.create 64);
-    fwd = Array.init nssmps (fun _ -> Hashtbl.create 16);
+    views = Array.init nssmps (fun _ -> Inttbl.create 64);
+    fwd = Array.init nssmps (fun _ -> Inttbl.create 16);
   }

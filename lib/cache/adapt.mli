@@ -111,10 +111,10 @@ val wants_migration : page -> bool
     tables, so every lookup and update touches only the owning shard's
     row (shard-safe under the parallel engine). *)
 type t = {
-  views : (int, int) Hashtbl.t array;
+  views : int Mgs_util.Inttbl.t array;
       (** [views.(ssmp)]: vpn -> last home proc this SSMP heard from.
           Absent = the allocator's static home. *)
-  fwd : (int, int) Hashtbl.t array;
+  fwd : int Mgs_util.Inttbl.t array;
       (** [fwd.(ssmp)]: vpn -> proc the home moved to, for requests
           that still arrive at a former home on this SSMP. *)
 }

@@ -1,3 +1,5 @@
+module Inttbl = Mgs_util.Inttbl
+
 type kind = Read | Write
 
 type stats = {
@@ -35,14 +37,14 @@ type t = {
   costs : Mgs_machine.Costs.t;
   geom : Mgs_mem.Geom.t;
   cluster : int;
-  nslots : int; (* slots per processor *)
+  nslots : int; (* slots per processor, a power of two *)
   slots : int array; (* [proc * nslots + slot] = line lsl 2 lor state *)
   lines_per_page : int;
   line_mask : int; (* lines_per_page - 1 *)
   lpp_shift : int; (* log2 lines_per_page: line lsr lpp_shift = vpn *)
   mwords : int; (* sharer-mask words per line *)
   stride : int; (* directory words per line: 1 + mwords *)
-  pages : (int, int array) Hashtbl.t; (* vpn -> directory words *)
+  pages : int array Inttbl.t; (* vpn -> directory words *)
   mutable memo_vpn : int; (* page streak memo; -1 = empty *)
   mutable memo_pd : int array;
   stats : stats;
@@ -62,8 +64,14 @@ let log2_pow2 n =
   let rec go k v = if v <= 1 then k else go (k + 1) (v lsr 1) in
   go 0 n
 
+let check_costs costs =
+  let nslots = costs.Mgs_machine.Costs.hardware.cache_line_slots in
+  if nslots <= 0 || nslots land (nslots - 1) <> 0 then
+    invalid_arg "Coherence.create: cache_line_slots not a power of two"
+
 let create costs geom ~cluster =
   if cluster <= 0 then invalid_arg "Coherence.create: cluster";
+  check_costs costs;
   let nslots = costs.Mgs_machine.Costs.hardware.cache_line_slots in
   let lpp = Mgs_mem.Geom.lines_per_page geom in
   let mwords = (cluster + mask_bits - 1) / mask_bits in
@@ -78,7 +86,7 @@ let create costs geom ~cluster =
     lpp_shift = log2_pow2 lpp;
     mwords;
     stride = 1 + mwords;
-    pages = Hashtbl.create 64;
+    pages = Inttbl.create 64;
     memo_vpn = -1;
     memo_pd = [||];
     stats = fresh_stats ();
@@ -88,13 +96,13 @@ let page_dir c vpn =
   if c.memo_vpn = vpn then c.memo_pd
   else begin
     let pd =
-      try Hashtbl.find c.pages vpn
+      try Inttbl.find c.pages vpn
       with Not_found ->
         let pd = Array.make (c.lines_per_page * c.stride) 0 in
         for i = 0 to c.lines_per_page - 1 do
           pd.(i * c.stride) <- -1
         done;
-        Hashtbl.add c.pages vpn pd;
+        Inttbl.add c.pages vpn pd;
         pd
     in
     c.memo_vpn <- vpn;
@@ -134,7 +142,9 @@ let clear_sharers c pd e =
     pd.(w) <- 0
   done
 
-let slot_of c ~proc ~line = (proc * c.nslots) + (line mod c.nslots)
+(* A line maps to slot [line mod nslots]; [nslots] is a power of two, so
+   a mask, not a division. *)
+let slot_of c ~proc ~line = (proc * c.nslots) + (line land (c.nslots - 1))
 
 (* Drop [proc]'s cache slot [i] from the directory when the slot is
    reassigned to a different line. *)
@@ -142,7 +152,7 @@ let evict c ~proc ~i =
   let v = c.slots.(i) in
   if v land 3 <> invalid then
     let old = v lsr 2 in
-    match Hashtbl.find c.pages (old lsr c.lpp_shift) with
+    match Inttbl.find c.pages (old lsr c.lpp_shift) with
     | pd ->
       let e = entry c old in
       if pd.(e) = proc then pd.(e) <- -1;
@@ -291,7 +301,7 @@ let access c ~proc ~addr ~frame_owner ~kind =
 
 let flush_page c ~vpn ~dirty =
   dirty := 0;
-  match Hashtbl.find c.pages vpn with
+  match Inttbl.find c.pages vpn with
   | exception Not_found -> 0
   | pd ->
     let base_line = vpn * c.lines_per_page in
@@ -330,7 +340,7 @@ let check_invariants c =
       let v = c.slots.((proc * c.nslots) + s) in
       let line = v lsr 2 and state = v land 3 in
       if state <> invalid then
-        match Hashtbl.find_opt c.pages (line lsr c.lpp_shift) with
+        match Inttbl.find_opt c.pages (line lsr c.lpp_shift) with
         | None ->
           failwith (Printf.sprintf "proc %d caches line %d with no directory entry" proc line)
         | Some pd ->
@@ -348,7 +358,7 @@ let check_invariants c =
      is reused; we only require that a recorded owner does not cache the
      line in Shared state.  Nor may a mask name a processor outside the
      cluster. *)
-  Hashtbl.iter
+  Inttbl.iter
     (fun vpn pd ->
       for li = 0 to c.lines_per_page - 1 do
         let e = li * c.stride in

@@ -35,7 +35,14 @@ type stats = {
 val create : Mgs_machine.Costs.t -> Mgs_mem.Geom.t -> cluster:int -> t
 (** [create costs geom ~cluster] models the caches of one SSMP of
     [cluster] processors.  Processor arguments below are {e local}
-    indices in [0 .. cluster-1]. *)
+    indices in [0 .. cluster-1].
+    @raise Invalid_argument unless [cluster >= 1] and {!check_costs}
+    accepts [costs]. *)
+
+val check_costs : Mgs_machine.Costs.t -> unit
+(** The check {!create} makes of its costs, without building a cache.
+    @raise Invalid_argument unless [cache_line_slots] is a power of two:
+    a line's slot is its number masked, not divided. *)
 
 val access : t -> proc:int -> addr:int -> frame_owner:int -> kind:kind -> int
 (** [access c ~proc ~addr ~frame_owner ~kind] simulates one load or

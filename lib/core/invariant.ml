@@ -26,7 +26,7 @@ type violation = {
 type slot = {
   mutable total : int;
   mutable stored : violation list; (* newest first, capped *)
-  expected : (int, int) Hashtbl.t; (* vpn -> expected s_count at next collect *)
+  expected : int Inttbl.t; (* vpn -> expected s_count at next collect *)
 }
 
 type t = { machine : State.t; slots : slot array }
@@ -45,7 +45,7 @@ let reportf c ~vpn ~tag fmt = Printf.ksprintf (report c ~vpn ~tag) fmt
 
 (* Non-negative [s_count] and directory discipline.  This runs on every
    server transition, so the scan uses plain loops and
-   [Bitset.mem]/[Hashtbl.mem] — no iterator closures or option boxes —
+   [Bitset.mem]/[Inttbl.mem] — no iterator closures or option boxes —
    to keep the checker's own allocation at zero. *)
 let check_server c se ~vpn ~tag =
   if se.s_count < 0 then reportf c ~vpn ~tag "s_count negative (%d)" se.s_count;
@@ -60,11 +60,11 @@ let check_server c se ~vpn ~tag =
        directories are rebuilt.  Two passes, read directory then write
        directory, preserving the order and multiplicity of reports. *)
     for ssmp = 0 to nssmps - 1 do
-      if Bitset.mem se.s_read_dir ssmp && not (Hashtbl.mem se.s_frame_procs ssmp) then
+      if Bitset.mem se.s_read_dir ssmp && not (Inttbl.mem se.s_frame_procs ssmp) then
         reportf c ~vpn ~tag "directory member SSMP %d has no frame processor" ssmp
     done;
     for ssmp = 0 to nssmps - 1 do
-      if Bitset.mem se.s_write_dir ssmp && not (Hashtbl.mem se.s_frame_procs ssmp) then
+      if Bitset.mem se.s_write_dir ssmp && not (Inttbl.mem se.s_frame_procs ssmp) then
         reportf c ~vpn ~tag "directory member SSMP %d has no frame processor" ssmp
     done
   end
@@ -75,20 +75,20 @@ let check_server c se ~vpn ~tag =
 let check_epoch c se ~vpn ~tag =
   let expected = c.slots.(cur_slot ()).expected in
   match tag with
-  | "sv.epoch_start" | "sv.epoch_extend" -> Hashtbl.replace expected vpn se.s_count
+  | "sv.epoch_start" | "sv.epoch_extend" -> Inttbl.replace expected vpn se.s_count
   | "sv.collect" -> (
     if se.s_count <= 0 then reportf c ~vpn ~tag "reply collected with s_count=%d" se.s_count;
-    match Hashtbl.find expected vpn with
+    match Inttbl.find expected vpn with
     | e ->
       if se.s_count <> e then
         reportf c ~vpn ~tag "s_count %d, expected %d (lost or duplicated reply)" se.s_count e;
-      Hashtbl.replace expected vpn (se.s_count - 1)
+      Inttbl.replace expected vpn (se.s_count - 1)
     | exception Not_found ->
       (* checker attached mid-epoch: adopt the observed count *)
-      Hashtbl.replace expected vpn (se.s_count - 1))
+      Inttbl.replace expected vpn (se.s_count - 1))
   | "sv.epoch_end" ->
     if se.s_count <> 0 then reportf c ~vpn ~tag "epoch completed with s_count=%d" se.s_count;
-    Hashtbl.remove expected vpn
+    Inttbl.remove expected vpn
   | _ -> ()
 
 (* Release-visibility oracle: every logical write to a page with no
@@ -116,7 +116,7 @@ let on_event c ~engine ~tag ~vpn =
       if tag = "sv.epoch_end" then check_oracle c se ~vpn
     | Local_client | Remote_client -> (
       let s = cur_slot () in
-      match Hashtbl.find m.clients.(s).cl_pages vpn with
+      match Inttbl.find m.clients.(s).cl_pages vpn with
       | ce ->
         if ce.pstate = P_busy && not (Mlock.held ce.mlock) then
           reportf c ~vpn ~tag "SSMP %d BUSY without holding the mapping lock" s
@@ -129,7 +129,7 @@ let attach m =
       machine = m;
       slots =
         Array.init m.topo.Topology.nssmps (fun _ ->
-            { total = 0; stored = []; expected = Hashtbl.create 64 });
+            { total = 0; stored = []; expected = Inttbl.create 64 });
     }
   in
   (* the invariants are MGS's; the other engines are judged only by

@@ -35,6 +35,7 @@ let check cfg =
   let topo = Topology.create ~nprocs:cfg.nprocs ~cluster:cfg.cluster in
   let geom = Geom.create ~page_words:cfg.page_words () in
   ignore (Tlb.create ?capacity:cfg.tlb_entries ());
+  Coherence.check_costs cfg.costs;
   (* the bounds of [Sim.make_sharded] and [Am.create] *)
   if cfg.costs.Costs.lan.Costs.latency < 0 then invalid_arg "Machine.config: lan_latency < 0";
   if topo.Topology.nssmps > Mgs_engine.Shardq.max_shards then
@@ -44,7 +45,7 @@ let check cfg =
   (topo, geom)
 
 let config ?(page_words = 256) ?(costs = Costs.default) ?lan_latency
-    ?(shadow = Sys.getenv_opt "MGS_SHADOW" = Some "1")
+    ?(shadow = match Sys.getenv_opt "MGS_SHADOW" with Some "1" -> true | _ -> false)
     ?(features = State.default_features) ?(protocol = State.Protocol_mgs) ?tlb_entries
     ?(par_jobs = 1) ?(adapt = false) ?(faults = Mgs_net.Fault.none) ?(fault_seed = 42)
     ~nprocs ~cluster () =
@@ -94,11 +95,11 @@ let create cfg =
   let am = Am.create sim cfg.costs topo ~lan ~cpus in
   let clients =
     Array.init topo.Topology.nssmps (fun s ->
-        { cl_id = s; cl_pages = Hashtbl.create 256; k_map = Hashtbl.create 256 })
+        { cl_id = s; cl_pages = Inttbl.create 256; k_map = Hashtbl.create 256 })
   in
   let duqs =
     Array.init cfg.nprocs (fun _ ->
-        { duq_set = Hashtbl.create 64; duq_q = Queue.create (); psync = Hashtbl.create 64 })
+        { duq_set = Inttbl.create 64; duq_q = Queue.create (); psync = Hashtbl.create 64 })
   in
   let m =
     {
@@ -196,7 +197,7 @@ let enable_metrics ?interval ?max_samples (m : t) =
           done;
           !acc)
     in
-    per_duq "duq.entries" (fun d -> Hashtbl.length d.duq_set);
+    per_duq "duq.entries" (fun d -> Inttbl.length d.duq_set);
     per_duq "duq.psync" (fun d -> Hashtbl.length d.psync);
     let column name k = probe name (fun c -> m.counters.(c).(k)) in
     column "sync.lock_acquires" Pstats.lock_acquires;
@@ -257,7 +258,7 @@ let alloc (m : t) ~words ~home =
       s_master = Pagedata.create m.geom;
       s_read_dir = Bitset.create nssmps;
       s_write_dir = Bitset.create nssmps;
-      s_frame_procs = Hashtbl.create 8;
+      s_frame_procs = Inttbl.create 8;
       s_state = S_read;
       s_count = 0;
       s_retained = -1;
@@ -352,14 +353,14 @@ let run (m : t) body =
 let assert_quiescent (m : t) =
   Array.iteri
     (fun p d ->
-      if Hashtbl.length d.duq_set <> 0 then
+      if Inttbl.length d.duq_set <> 0 then
         failwith (Printf.sprintf "proc %d: delayed update queue not empty" p);
       if Hashtbl.length d.psync <> 0 then
         failwith (Printf.sprintf "proc %d: pending-sync set not empty" p))
     m.duqs;
   Array.iter
     (fun cl ->
-      Hashtbl.iter
+      Inttbl.iter
         (fun vpn ce ->
           if Mlock.held ce.mlock then
             failwith (Printf.sprintf "SSMP %d page %d: mapping lock still held" cl.cl_id vpn);
@@ -386,7 +387,7 @@ let assert_quiescent (m : t) =
       let held =
         Array.fold_left
           (fun n cl ->
-            Hashtbl.fold (fun _ ce n -> if ce.pstate = st then n + 1 else n) cl.cl_pages n)
+            Inttbl.fold (fun _ ce n -> if ce.pstate = st then n + 1 else n) cl.cl_pages n)
           0 m.clients
       in
       let counted = total m (pstate_col st) in

@@ -13,7 +13,7 @@ let home_for m ~ssmp vpn =
   match m.adapt with
   | None -> home_proc_of_vpn m vpn
   | Some a -> (
-    match Hashtbl.find_opt a.Adapt.views.(ssmp) vpn with
+    match Inttbl.find_opt a.Adapt.views.(ssmp) vpn with
     | Some p -> p
     | None -> home_proc_of_vpn m vpn)
 
@@ -23,8 +23,8 @@ let view_note m ~ssmp ~vpn proc =
   match m.adapt with
   | None -> ()
   | Some a ->
-    if proc = home_proc_of_vpn m vpn then Hashtbl.remove a.Adapt.views.(ssmp) vpn
-    else Hashtbl.replace a.Adapt.views.(ssmp) vpn proc
+    if proc = home_proc_of_vpn m vpn then Inttbl.remove a.Adapt.views.(ssmp) vpn
+    else Inttbl.replace a.Adapt.views.(ssmp) vpn proc
 
 (* A server-bound message addressed to [self], a processor whose SSMP
    no longer homes [vpn]: repost it toward the current home and tell
@@ -38,7 +38,7 @@ let forward m ~self ~vpn ~tag ~cost k =
   | None -> false
   | Some a -> (
     let ssmp = Topology.ssmp_of_proc m.topo self in
-    match Hashtbl.find_opt a.Adapt.fwd.(ssmp) vpn with
+    match Inttbl.find_opt a.Adapt.fwd.(ssmp) vpn with
     | None -> false
     | Some next ->
       count m Pstats.adapt_fwds 1;
@@ -82,8 +82,8 @@ let adapt_move_home m a (p : Adapt.page) se =
   obs_emit m ~engine:Mgs_obs.Event.Server ~tag:"ADAPT.MIG" ~vpn ~src:cur ~dst:nhome
     ~words:m.geom.Geom.page_words ~cost:0 ~dur:0;
   se.s_cur_home <- nhome;
-  Hashtbl.replace a.Adapt.fwd.(cur_ssmp) vpn nhome;
-  Hashtbl.replace a.Adapt.views.(cur_ssmp) vpn nhome;
+  Inttbl.replace a.Adapt.fwd.(cur_ssmp) vpn nhome;
+  Inttbl.replace a.Adapt.views.(cur_ssmp) vpn nhome;
   p.Adapt.dom_streak <- 0;
   (* The custody message pays the page transfer and clears the
      destination's stale forwarding entry (if the page once lived
@@ -93,8 +93,8 @@ let adapt_move_home m a (p : Adapt.page) se =
       (m.costs.proto.frame_alloc
       + (m.geom.Geom.page_words * m.costs.proto.copy_per_word))
     (fun _t ->
-      Hashtbl.remove a.Adapt.fwd.(dom) vpn;
-      Hashtbl.replace a.Adapt.views.(dom) vpn nhome)
+      Inttbl.remove a.Adapt.fwd.(dom) vpn;
+      Inttbl.replace a.Adapt.views.(dom) vpn nhome)
 
 (* ------------------------------------------------------------------ *)
 (* Server engine: page replication (arcs 17-19, 22).                  *)
@@ -130,7 +130,7 @@ let send_data m se ~requester ~write ~frame =
     set_s_state m se S_write
   end
   else Bitset.add se.s_read_dir ssmp;
-  if not (Hashtbl.mem se.s_frame_procs ssmp) then Hashtbl.replace se.s_frame_procs ssmp requester;
+  if not (Inttbl.mem se.s_frame_procs ssmp) then Inttbl.replace se.s_frame_procs ssmp requester;
   obs_emit m ~engine:Mgs_obs.Event.Server ~tag:"sv.send_data" ~vpn:se.s_vpn
     ~src:cur ~dst:requester ~words:m.geom.Geom.page_words ~cost:0 ~dur:0;
   let payload = grant_frame se frame in
@@ -362,7 +362,7 @@ let rec complete_release m se =
     count m Pstats.invals 1;
     obs_emit m ~engine:Mgs_obs.Event.Server ~tag:"sv.epoch_extend" ~vpn:se.s_vpn
       ~src:cur ~dst:(-1) ~words:0 ~cost:0 ~dur:0;
-    let dst = Hashtbl.find se.s_frame_procs ssmp in
+    let dst = Inttbl.find se.s_frame_procs ssmp in
     Am.post m.am ~tag:"INV" ~src:cur ~dst ~words:0 ~cost:0 (fun _t ->
         client_inv m ~ssmp ~vpn:se.s_vpn ~single:false ~reply_to:cur ~lent:None)
   end
@@ -432,7 +432,7 @@ and send_invs m se ~single i =
   if ssmp >= 0 then begin
     let sw = single && Bitset.mem se.s_write_dir ssmp in
     count m (if sw then Pstats.one_winvals else Pstats.invals) 1;
-    let dst = Hashtbl.find se.s_frame_procs ssmp in
+    let dst = Inttbl.find se.s_frame_procs ssmp in
     let cur = se.s_cur_home and vpn = se.s_vpn in
     let lent = if sw then lend_frame m se else None in
     Am.post m.am
@@ -457,10 +457,10 @@ and server_collect m ~vpn ~ssmp ~payload =
     | Some p when Bitset.mem se.s_write_dir ssmp ->
       p.Adapt.w_clean <- p.Adapt.w_clean + 1
     | _ -> ());
-    Hashtbl.remove se.s_frame_procs ssmp
+    Inttbl.remove se.s_frame_procs ssmp
   | `Diff d ->
     se.s_pending_diffs <- d :: se.s_pending_diffs;
-    Hashtbl.remove se.s_frame_procs ssmp
+    Inttbl.remove se.s_frame_procs ssmp
   | `Page (p, nw) ->
     assert (se.s_pending_page = None);
     se.s_pending_page <- Some p;
@@ -476,7 +476,7 @@ and server_collect m ~vpn ~ssmp ~payload =
        nothing is retained *)
     assert (se.s_pending_page = None);
     se.s_pending_page <- Some p;
-    Hashtbl.remove se.s_frame_procs ssmp);
+    Inttbl.remove se.s_frame_procs ssmp);
   se.s_count <- se.s_count - 1;
   assert (se.s_count >= 0);
   if se.s_count = 0 then complete_release m se
@@ -684,8 +684,8 @@ and send_pinvs m ce ~ssmp ~rc ~reply_to l =
            entry — but remember that the processor's next release must
            await the epoch's completion. *)
         let d = m.duqs.(p) in
-        if Hashtbl.mem d.duq_set vpn then begin
-          Hashtbl.remove d.duq_set vpn;
+        if Inttbl.mem d.duq_set vpn then begin
+          Inttbl.remove d.duq_set vpn;
           Hashtbl.replace d.psync vpn ()
         end;
         Am.post m.am ~tag:"PINV_ACK" ~src:p ~dst:rc ~words:0 ~cost:0 (fun _t ->
@@ -796,7 +796,7 @@ let rec sync m ~proc ~ssmp ~root =
   if Hashtbl.length duq.psync > 0 then begin
     let vpn = Hashtbl.fold (fun vpn () _ -> vpn) duq.psync (-1) in
     Hashtbl.remove duq.psync vpn;
-    if not (Hashtbl.mem duq.duq_set vpn) then begin
+    if not (Inttbl.mem duq.duq_set vpn) then begin
       count m Pstats.syncs 1;
       Cpu.advance m.cpus.(proc) Mgs (c.proto.duq_op + c.proto.msg_send);
       let home = home_for m ~ssmp vpn in
@@ -842,7 +842,7 @@ let release_all m ~proc =
     if not (duq_is_empty duq && Hashtbl.length duq.psync = 0) then begin
       count m Pstats.release_ops 1;
       obs_emit m ~engine:Mgs_obs.Event.Local_client ~tag:"lc.release" ~src:proc
-        ~cost:(Hashtbl.length duq.duq_set) ~vpn:(-1) ~dst:(-1) ~words:0 ~dur:0;
+        ~cost:(Inttbl.length duq.duq_set) ~vpn:(-1) ~dst:(-1) ~words:0 ~dur:0;
       (* Transaction root for the whole DUQ drain; reinstalled after
          every RACK / SYNC wait so each REL inherits it. *)
       let root =
@@ -860,4 +860,4 @@ let release_all m ~proc =
     end
   end
 
-let duq_pending m ~proc = Hashtbl.length m.duqs.(proc).duq_set
+let duq_pending m ~proc = Inttbl.length m.duqs.(proc).duq_set

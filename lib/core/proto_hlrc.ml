@@ -152,7 +152,7 @@ let publish m ~proc ~into =
     let ssmp = Topology.ssmp_of_proc m.topo proc in
     let cl = client m ssmp in
     let cpu = m.cpus.(proc) in
-    Cpu.advance cpu Mgs (m.costs.proto.duq_op * max 1 (Hashtbl.length cl.k_map / 8));
+    Cpu.advance cpu Mgs (m.costs.proto.duq_op * Int.max 1 (Hashtbl.length cl.k_map / 8));
     Hashtbl.iter
       (fun vpn v ->
         let prev = Option.value ~default:0 (Hashtbl.find_opt into vpn) in
@@ -165,13 +165,13 @@ let apply_notices m ~proc map =
     let ssmp = Topology.ssmp_of_proc m.topo proc in
     let cl = client m ssmp in
     let cpu = m.cpus.(proc) in
-    Cpu.advance cpu Mgs (m.costs.proto.duq_op * max 1 (Hashtbl.length map / 8));
+    Cpu.advance cpu Mgs (m.costs.proto.duq_op * Int.max 1 (Hashtbl.length map / 8));
     let stale = ref [] in
     Hashtbl.iter
       (fun vpn v ->
         let prev = Option.value ~default:0 (Hashtbl.find_opt cl.k_map vpn) in
         if v > prev then Hashtbl.replace cl.k_map vpn v;
-        match Hashtbl.find_opt cl.cl_pages vpn with
+        match Inttbl.find_opt cl.cl_pages vpn with
         | Some ce when (ce.pstate = P_read || ce.pstate = P_write) && ce.c_version < v ->
           stale := vpn :: !stale
         | _ -> ())

@@ -108,7 +108,7 @@ let rec do_grant m se ~requester ~write ~frame =
     Bitset.add se.s_write_dir ssmp
   end
   else Bitset.add se.s_read_dir ssmp;
-  Hashtbl.replace se.s_frame_procs ssmp requester;
+  Inttbl.replace se.s_frame_procs ssmp requester;
   let payload = grant_frame se frame in
   Am.post m.am
     ~tag:(if write then "IVY_WDAT" else "IVY_RDAT")
@@ -175,10 +175,10 @@ and server_req m ~vpn ~requester ~write ~frame =
         List.iter
           (fun ssmp ->
             count m Pstats.invals 1;
-            let dst = Hashtbl.find se.s_frame_procs ssmp in
+            let dst = Inttbl.find se.s_frame_procs ssmp in
             Am.post m.am ~tag:"IVY_INV" ~src:se.s_home_proc ~dst ~words:0 ~cost:0
               (fun _t ->
-                let rc = Hashtbl.find se.s_frame_procs ssmp in
+                let rc = Inttbl.find se.s_frame_procs ssmp in
                 client_inv m ~ssmp ~vpn ~reply:(fun payload ->
                     let words =
                       match payload with Some _ -> m.geom.Geom.page_words | None -> 0
@@ -197,7 +197,7 @@ and server_req m ~vpn ~requester ~write ~frame =
                         | None -> ());
                         Bitset.remove se.s_read_dir ssmp;
                         Bitset.remove se.s_write_dir ssmp;
-                        Hashtbl.remove se.s_frame_procs ssmp;
+                        Inttbl.remove se.s_frame_procs ssmp;
                         se.s_count <- se.s_count - 1;
                         if se.s_count = 0 then
                           do_grant m se ~requester:se.s_ivy_grantee
@@ -211,10 +211,10 @@ and server_req m ~vpn ~requester ~write ~frame =
       | Some owner when owner <> src_ssmp ->
         (* downgrade the owner first so the master is current *)
         se.s_count <- 1;
-        let dst = Hashtbl.find se.s_frame_procs owner in
+        let dst = Inttbl.find se.s_frame_procs owner in
         count m Pstats.one_winvals 1;
         Am.post m.am ~tag:"IVY_RECALL" ~src:se.s_home_proc ~dst ~words:0 ~cost:0 (fun _t ->
-            let rc = Hashtbl.find se.s_frame_procs owner in
+            let rc = Inttbl.find se.s_frame_procs owner in
             client_recall m ~ssmp:owner ~vpn ~reply:(fun payload ->
                 Am.post m.am ~tag:"IVY_PAGE" ~src:rc ~dst:se.s_home_proc
                   ~words:m.geom.Geom.page_words

@@ -66,7 +66,7 @@ let of_machine ~wall_seconds ~outcome m =
     outcome;
     nprocs = n;
     cluster = m.topo.Topology.cluster;
-    runtime = Array.fold_left (fun acc cpu -> max acc cpu.Cpu.finished_at) 0 m.cpus;
+    runtime = Array.fold_left (fun acc cpu -> Int.max acc cpu.Cpu.finished_at) 0 m.cpus;
     breakdown =
       { user = mean Cpu.User; lock = mean Cpu.Lock; barrier = mean Cpu.Barrier; mgs = mean Cpu.Mgs };
     per_proc_total = Array.map Cpu.total_cycles m.cpus;

@@ -8,6 +8,7 @@
    active-message layer, CPUs, and the release operation). *)
 
 module Bitset = Mgs_util.Bitset
+module Inttbl = Mgs_util.Inttbl
 module Sim = Mgs_engine.Sim
 module Geom = Mgs_mem.Geom
 module Pagedata = Mgs_mem.Pagedata
@@ -70,19 +71,24 @@ type centry = {
 
 type ssmp_client = {
   cl_id : int;
-  cl_pages : (int, centry) Hashtbl.t; (* vpn -> entry *)
+  cl_pages : centry Inttbl.t; (* vpn -> entry *)
   k_map : (int, int) Hashtbl.t;
       (* HLRC: page versions this SSMP has learned about through
-         synchronization (its causal "knowledge") *)
+         synchronization (its causal "knowledge").  A generic table, as
+         are the lock and barrier notice maps it is folded into and out
+         of: they are off the event path, and their iteration orders
+         feed each other. *)
 }
 
 (* Per-processor delayed update queue (Table 1): the set of pages this
    processor has written since its last release.  [psync] holds pages
    whose entry was removed by a PINV (arc 12) because an invalidation
    epoch is collecting the writes: the next release must still await
-   that epoch's completion (a cheap SYNC, not a new flush). *)
+   that epoch's completion (a cheap SYNC, not a new flush).  [psync]
+   stays a generic table: {!Proto.sync} takes its pages in bucket order,
+   so that order is part of the simulated machine. *)
 type duq = {
-  duq_set : (int, unit) Hashtbl.t;
+  duq_set : unit Inttbl.t;
   duq_q : int Queue.t;
   psync : (int, unit) Hashtbl.t;
 }
@@ -96,7 +102,7 @@ type sentry = {
   s_master : Pagedata.page; (* the physical home copy *)
   s_read_dir : Bitset.t; (* SSMPs holding read copies *)
   s_write_dir : Bitset.t; (* SSMPs holding write copies *)
-  s_frame_procs : (int, int) Hashtbl.t; (* ssmp -> remote-client processor *)
+  s_frame_procs : int Inttbl.t; (* ssmp -> remote-client processor *)
   mutable s_state : server_state;
   mutable s_count : int; (* outstanding invalidation replies *)
   mutable s_retained : int; (* SSMP keeping its copy via 1WDATA; -1 none *)
@@ -270,7 +276,8 @@ let set_s_state m se st =
   if st = S_rel then count m Pstats.rel_in_prog 1;
   se.s_state <- st
 
-let local_idx m proc = proc mod m.topo.Topology.cluster
+let local_idx m proc =
+  proc - (Topology.ssmp_of_proc m.topo proc * m.topo.Topology.cluster)
 
 let global_proc m ssmp lidx = (ssmp * m.topo.Topology.cluster) + lidx
 
@@ -282,7 +289,7 @@ let client m ssmp = m.clients.(ssmp)
 
 let get_centry m ssmp vpn =
   let cl = m.clients.(ssmp) in
-  try Hashtbl.find cl.cl_pages vpn
+  try Inttbl.find cl.cl_pages vpn
   with Not_found ->
     let e =
       {
@@ -304,7 +311,7 @@ let get_centry m ssmp vpn =
         c_notwin = false;
       }
     in
-    Hashtbl.add cl.cl_pages vpn e;
+    Inttbl.add cl.cl_pages vpn e;
     count m Pstats.pages_inv 1;
     e
 
@@ -365,8 +372,8 @@ let pool_frame m se f =
 
 (* Delayed update queue: a set with FIFO flush order. *)
 let duq_add d vpn =
-  if not (Hashtbl.mem d.duq_set vpn) then begin
-    Hashtbl.replace d.duq_set vpn ();
+  if not (Inttbl.mem d.duq_set vpn) then begin
+    Inttbl.replace d.duq_set vpn ();
     Queue.add vpn d.duq_q
   end
 
@@ -374,13 +381,13 @@ let rec duq_pop d =
   match Queue.take_opt d.duq_q with
   | None -> None
   | Some vpn ->
-    if Hashtbl.mem d.duq_set vpn then begin
-      Hashtbl.remove d.duq_set vpn;
+    if Inttbl.mem d.duq_set vpn then begin
+      Inttbl.remove d.duq_set vpn;
       Some vpn
     end
     else duq_pop d
 
-let duq_is_empty d = Hashtbl.length d.duq_set = 0
+let duq_is_empty d = Inttbl.length d.duq_set = 0
 
 (* --- causal spans ----------------------------------------------------
 
@@ -512,4 +519,4 @@ let shoot_local_tlbs m ~ssmp ce =
     (fun l -> Tlb.invalidate m.tlbs.(global_proc m ssmp l) ~vpn:ce.c_vpn)
     ce.tlb_dir;
   Bitset.clear ce.tlb_dir;
-  m.costs.proto.tlb_inv * max 1 n
+  m.costs.proto.tlb_inv * Int.max 1 n

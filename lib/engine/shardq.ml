@@ -26,7 +26,10 @@ let nop_timed (_ : int) = ()
 
 type t = {
   mutable h : int array; (* entry i: fire at 3i, sched at 3i+1, slot at 3i+2 *)
-  mutable n : int;
+  mutable n : int; (* events queued *)
+  mutable vacant : bool;
+      (* a pop left the root empty: the entries sit at 1..n until the
+         next add takes the root or a read refills it ([refill]) *)
   (* the slab, by slot; a free slot's payloads are the no-ops *)
   mutable srcseq : int array;
   mutable own : int array;
@@ -48,6 +51,7 @@ let create () =
   {
     h = [||];
     n = 0;
+    vacant = false;
     srcseq = [||];
     own = [||];
     msgs = [||];
@@ -65,11 +69,9 @@ let length q = q.n
 
 let is_empty q = q.n = 0
 
-let min_fire q = if q.n = 0 then max_int else Array.unsafe_get q.h 0
-
 let grow q =
   let cap = Array.length q.own in
-  let ncap = max 16 (2 * cap) in
+  let ncap = Int.max 16 (2 * cap) in
   let extend a k fill =
     Array.init (k * ncap) (fun i -> if i < Array.length a then a.(i) else fill)
   in
@@ -83,8 +85,10 @@ let grow q =
   q.free <- Array.init ncap (fun i -> if i < ncap - cap then cap + i else 0)
 
 (* Order on a [(fire, sched)] tie: [sched], then the slab's packed
-   [src]/[seq] of slots [sa] and [sb]. *)
-let[@inline] tie_before q sc sa sj sb =
+   [src]/[seq] of slots [sa] and [sb].  The annotations keep the
+   compares machine compares: an untyped [<] is a C call, and the call
+   makes every sift level spill its registers. *)
+let[@inline] tie_before q (sc : int) sa (sj : int) sb =
   sc < sj || (sc = sj && Array.unsafe_get q.srcseq sa < Array.unsafe_get q.srcseq sb)
 
 (* The entry [(f, sc, slot sl)] sorts before heap entry [j].  Entry
@@ -143,8 +147,17 @@ let rec sift_down q i f sc sl =
     end
   end
 
+(* A pop's refill, deferred: the last leaf takes the vacant root. *)
+let refill q =
+  q.vacant <- false;
+  let h = q.h and last = q.n in
+  if last > 0 then sift_down q 0 h.(3 * last) h.((3 * last) + 1) h.((3 * last) + 2)
+
 (* A free slot holds the no-ops, so only a real payload is written.  A
-   slot from the free list is always in range. *)
+   slot from the free list is always in range.  An add after a pop takes
+   the vacant root and sifts down once: an event's successor usually
+   sorts near the top, and the refill it replaces would sift the last
+   leaf all the way down. *)
 let add q ~fire ~sched ~srcseq ~own ~msg fn timed =
   if q.n = Array.length q.own then grow q;
   let slot = q.free.(Array.length q.own - q.n - 1) in
@@ -154,7 +167,11 @@ let add q ~fire ~sched ~srcseq ~own ~msg fn timed =
   if fn != nop then Array.unsafe_set q.fns slot fn;
   if timed != nop_timed then Array.unsafe_set q.timeds slot timed;
   q.n <- q.n + 1;
-  sift_up q (q.n - 1) fire sched slot
+  if q.vacant then begin
+    q.vacant <- false;
+    sift_down q 0 fire sched slot
+  end
+  else sift_up q (q.n - 1) fire sched slot
 
 let push q ~key ~own fn =
   add q ~fire:key.k_fire ~sched:key.k_sched
@@ -163,7 +180,12 @@ let push q ~key ~own fn =
 
 exception Empty_queue
 
+let min_fire q =
+  if q.vacant then refill q;
+  if q.n = 0 then max_int else Array.unsafe_get q.h 0
+
 let peek q =
+  if q.vacant then refill q;
   if q.n = 0 then raise Empty_queue;
   let h = q.h in
   let slot = Array.unsafe_get h 2 in
@@ -173,22 +195,24 @@ let peek q =
   q.p_own <- Array.unsafe_get q.own slot;
   Array.unsafe_get q.msgs slot
 
+(* The payload leaves the slab now, so the heap reaches nothing of a
+   popped event; only the root's refill waits ([add]). *)
 let pop_min q =
+  if q.vacant then refill q;
   if q.n = 0 then raise Empty_queue;
-  let h = q.h in
-  let slot = Array.unsafe_get h 2 in
+  let slot = Array.unsafe_get q.h 2 in
   let fn = Array.unsafe_get q.fns slot and timed = Array.unsafe_get q.timeds slot in
   if fn != nop then Array.unsafe_set q.fns slot nop;
   if timed != nop_timed then Array.unsafe_set q.timeds slot nop_timed;
   q.p_timed <- timed;
-  let last = q.n - 1 in
-  q.n <- last;
-  q.free.(Array.length q.own - last - 1) <- slot;
-  if last > 0 then sift_down q 0 h.(3 * last) h.((3 * last) + 1) h.((3 * last) + 2);
+  q.n <- q.n - 1;
+  q.free.(Array.length q.own - q.n - 1) <- slot;
+  q.vacant <- true;
   fn
 
 (* The root keeps its slot and payload; one sift puts it in place. *)
 let rekey_min q ~fire ~sched ~srcseq =
+  if q.vacant then refill q;
   if q.n = 0 then raise Empty_queue;
   let slot = Array.unsafe_get q.h 2 in
   Array.unsafe_set q.srcseq slot srcseq;

@@ -26,7 +26,14 @@
     removed: an event allocates nothing, and once popped the heap
     reaches nothing of it.  A message's arrival becomes its
     continuation in place ({!rekey_min}): the slot and its callback
-    stay, and only the key and message word change. *)
+    stay, and only the key and message word change.
+
+    A pop leaves the root vacant.  An event usually schedules its
+    successor as it runs, so the next {!add} writes its entry into the
+    root and sifts it down once, where an immediate refill would sift
+    the last leaf down and the add sift its entry up; any other read
+    first moves the last leaf into the root.  Keys are distinct, so the
+    pop order is the same either way. *)
 
 val max_shards : int
 (** Shard ids below this fit in a packed word. *)
@@ -83,8 +90,10 @@ val peek : t -> int
 
 val pop_min : t -> unit -> unit
 (** Removes the minimum event, frees its slot and returns its thunk;
-    {!take_timed} returns its timed callback.  The [popped_*] view is
-    the last {!peek}'s: peek first to read the event's key.
+    {!take_timed} returns its timed callback.  The slot's payload is
+    cleared now; the root stays vacant until the next operation.  The
+    [popped_*] view is the last {!peek}'s: peek first to read the
+    event's key.
     @raise Empty_queue when empty. *)
 
 val rekey_min : t -> fire:int -> sched:int -> srcseq:int -> unit

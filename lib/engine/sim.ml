@@ -139,7 +139,7 @@ let now sim =
   if c >= 0 then sim.shards.(c).clock
   else
     (* host view: the engine has advanced to the latest shard clock *)
-    Array.fold_left (fun acc s -> max acc s.clock) 0 sim.shards
+    Array.fold_left (fun acc s -> Int.max acc s.clock) 0 sim.shards
 
 let events_executed sim = Array.fold_left (fun acc s -> acc + s.executed) 0 sim.shards
 
@@ -150,7 +150,7 @@ let pending sim =
       0 sim.shards
 
 let peak_pending sim =
-  max sim.gpeak (Array.fold_left (fun acc s -> acc + s.peak) 0 sim.shards)
+  Int.max sim.gpeak (Array.fold_left (fun acc s -> acc + s.peak) 0 sim.shards)
 
 type stats = { s_executed : int; s_peak : int; s_clamped : int }
 
@@ -532,7 +532,7 @@ let run sim ?(limit = max_int) () =
    at 1, the per-shard heaps at 2 or more — so it changes only while
    nothing is pending. *)
 let set_jobs sim jobs =
-  let jobs = if sim.lookahead = 0 then 1 else max 1 (min jobs (Array.length sim.shards)) in
+  let jobs = if sim.lookahead = 0 then 1 else Int.max 1 (Int.min jobs (Array.length sim.shards)) in
   if jobs <> sim.jobs then begin
     if pending sim > 0 then invalid_arg "Sim.set_jobs: events pending";
     sim.jobs <- jobs

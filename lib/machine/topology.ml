@@ -1,4 +1,4 @@
-type t = { nprocs : int; cluster : int; nssmps : int }
+type t = { nprocs : int; cluster : int; nssmps : int; proc_ssmp : int array }
 
 let create ~nprocs ~cluster =
   if nprocs <= 0 then
@@ -7,11 +7,18 @@ let create ~nprocs ~cluster =
     invalid_arg
       (Printf.sprintf "Topology.create: cluster must be in 1..%d, got %d" nprocs cluster);
   if nprocs mod cluster <> 0 then invalid_arg "Topology.create: cluster must divide nprocs";
-  { nprocs; cluster; nssmps = nprocs / cluster }
+  {
+    nprocs;
+    cluster;
+    nssmps = nprocs / cluster;
+    proc_ssmp = Array.init nprocs (fun p -> p / cluster);
+  }
 
+(* A table read, not a division: the event path asks this several times
+   per message. *)
 let ssmp_of_proc t p =
   if p < 0 || p >= t.nprocs then invalid_arg "Topology.ssmp_of_proc";
-  p / t.cluster
+  Array.unsafe_get t.proc_ssmp p
 
 let first_proc_of_ssmp t s =
   if s < 0 || s >= t.nssmps then invalid_arg "Topology.first_proc_of_ssmp";

@@ -8,6 +8,7 @@ type t = private {
   nprocs : int;  (** P: total processors *)
   cluster : int;  (** C: processors per SSMP *)
   nssmps : int;  (** P / C *)
+  proc_ssmp : int array;  (** per processor, its SSMP: what {!ssmp_of_proc} reads *)
 }
 
 val create : nprocs:int -> cluster:int -> t

@@ -36,8 +36,8 @@ let alloc h ~words ~home =
     | Blocked ->
       (* Chunk of consecutive pages per processor; remainders spread
          over the leading processors so every page has a home. *)
-      let per = max 1 ((npages + h.nprocs - 1) / h.nprocs) in
-      min (h.nprocs - 1) (i / per)
+      let per = Int.max 1 ((npages + h.nprocs - 1) / h.nprocs) in
+      Int.min (h.nprocs - 1) (i / per)
   in
   (* [Array.init] calls [home_of] in page order *)
   let homes = Array.init npages home_of in

@@ -11,6 +11,7 @@
 type t = private {
   page_words : int;  (** words per page (power of two) *)
   line_words : int;  (** words per cache line: always 4 (16 B) *)
+  page_shift : int;  (** log2 [page_words] *)
 }
 
 val create : ?page_words:int -> unit -> t
@@ -24,7 +25,7 @@ val bytes_per_word : int
 val page_bytes : t -> int
 
 val vpn_of_addr : t -> int -> int
-(** Virtual page number containing word address [addr]. *)
+(** Virtual page number containing word address [addr] ([addr >= 0]). *)
 
 val offset_of_addr : t -> int -> int
 (** Word offset of [addr] within its page. *)

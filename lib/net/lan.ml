@@ -1,3 +1,5 @@
+module Inttbl = Mgs_util.Inttbl
+
 type stats = {
   mutable messages : int;
   mutable data_words : int;
@@ -42,9 +44,10 @@ type rel = {
   next_seq : int array;  (* per channel: next sequence number to send *)
   unacked : int array;  (* per sending SSMP: its messages awaiting an ack *)
   next_deliver : int array;  (* per channel: receiver's in-order cursor *)
-  parked : (int, pending) Hashtbl.t array;
+  parked : pending Inttbl.t option array;
       (* per channel, keyed by seq: arrived ahead of [next_deliver], a
-         reorder buffer that the in-order drain looks up by number *)
+         reorder buffer that the in-order drain looks up by number; made
+         at the channel's first early arrival *)
 }
 
 type t = {
@@ -172,7 +175,12 @@ let on_arrival lan rel pend now =
   let chan = pend.pchan in
   let env = pend.penv in
   let src = env.Envelope.src_ssmp and dst = env.Envelope.dst_ssmp in
-  if pend.pseq < rel.next_deliver.(chan) || Hashtbl.mem rel.parked.(chan) pend.pseq then begin
+  let parked = rel.parked.(chan) in
+  let next = rel.next_deliver.(chan) in
+  if
+    pend.pseq < next
+    || match parked with Some b -> Inttbl.mem b pend.pseq | None -> false
+  then begin
     (* already delivered or already waiting: a duplicate (wire dup or a
        retransmission racing its original).  Drop it, but re-ack — the
        first ack may have been the casualty. *)
@@ -180,19 +188,35 @@ let on_arrival lan rel pend now =
     c.dup_drops <- c.dup_drops + 1;
     send_ack lan rel pend ~src ~dst now
   end
-  else begin
-    Hashtbl.replace rel.parked.(chan) pend.pseq pend;
-    send_ack lan rel pend ~src ~dst now;
-    (* Deliver every consecutive message now available, in order. *)
-    let rec drain () =
-      match Hashtbl.find_opt rel.parked.(chan) rel.next_deliver.(chan) with
-      | Some ready ->
-        Hashtbl.remove rel.parked.(chan) ready.pseq;
-        deliver lan rel ready now;
-        drain ()
-      | None -> ()
+  else if pend.pseq > next then begin
+    (* early: park it until the gap closes *)
+    let b =
+      match parked with
+      | Some b -> b
+      | None ->
+        let b = Inttbl.create 16 in
+        rel.parked.(chan) <- Some b;
+        b
     in
-    drain ()
+    Inttbl.replace b pend.pseq pend;
+    send_ack lan rel pend ~src ~dst now
+  end
+  else begin
+    send_ack lan rel pend ~src ~dst now;
+    deliver lan rel pend now;
+    (* then every parked message it makes consecutive, in order *)
+    match parked with
+    | None -> ()
+    | Some b ->
+      let rec drain () =
+        match Inttbl.find_opt b rel.next_deliver.(chan) with
+        | Some ready ->
+          Inttbl.remove b ready.pseq;
+          deliver lan rel ready now;
+          drain ()
+        | None -> ()
+      in
+      drain ()
   end
 
 let emit_retry lan pend now =
@@ -354,7 +378,7 @@ let set_fault_plan lan plan =
         next_seq = Array.make n 0;
         unacked = Array.make lan.nssmps 0;
         next_deliver = Array.make n 0;
-        parked = Array.init n (fun _ -> Hashtbl.create 16);
+        parked = Array.make n None;
       }
 
 let fault_plan lan =

@@ -17,7 +17,8 @@
     A message awaiting its ack is held by its ack event and its
     retransmission timer, not looked up; only the receiver's reorder
     buffer, which the in-order drain probes by sequence number, is a
-    table per channel.
+    table per channel, made at the channel's first early arrival (a
+    message that arrives in order is delivered without parking).
     With no plan installed none of this machinery runs and the
     simulation is byte-identical to a faults-free build. *)
 

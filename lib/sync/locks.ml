@@ -164,7 +164,7 @@ module Token = struct
 
   (* The handoff budget per recall scales with the cluster size: larger
      SSMPs have proportionally more local work to satisfy. *)
-  let local_grant_bound cluster = max 1 (cluster / 2)
+  let local_grant_bound cluster = Int.max 1 (cluster / 2)
 
   let home_ssmp t = Topology.ssmp_of_proc t.m.topo t.home
 
@@ -333,8 +333,8 @@ module Tas = struct
   (* Backoff base ~ one LAN round trip; capped so a long wait never
      over-sleeps past a free lock by more than the cap. *)
   let backoff m attempt =
-    let base = max 1 (2 * m.costs.lan.latency) in
-    base lsl min (attempt - 1) 5
+    let base = Int.max 1 (2 * m.costs.lan.latency) in
+    base lsl Int.min (attempt - 1) 5
 
   let acquire (ctx : Mgs.Api.ctx) t l =
     let m = t.m in

@@ -16,7 +16,7 @@ let holders (m : Mgs.Machine.t) =
   let add label = function Some p -> acc := (label, p) :: !acc | None -> () in
   Array.iter
     (fun cl ->
-      Hashtbl.iter
+      Mgs_util.Inttbl.iter
         (fun vpn ce ->
           add (Printf.sprintf "SSMP %d page %d copy" cl.cl_id vpn) ce.cdata;
           add (Printf.sprintf "SSMP %d page %d spare" cl.cl_id vpn) ce.cdata_free)

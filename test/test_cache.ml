@@ -107,6 +107,29 @@ let test_stats_classes () =
   Alcotest.(check int) "remote misses" 1 s.Co.remote_misses;
   Alcotest.(check int) "2party" 1 s.Co.misses_2party
 
+(* A line's slot is its number masked, so a slot count that is not a
+   power of two is refused; a small power of two still maps lines that
+   many apart to one slot. *)
+let test_slots_power_of_two () =
+  let with_slots n =
+    { costs with
+      Mgs_machine.Costs.hardware = { hw with Mgs_machine.Costs.cache_line_slots = n } }
+  in
+  List.iter
+    (fun n ->
+      Alcotest.check_raises
+        (Printf.sprintf "%d slots refused" n)
+        (Invalid_argument "Coherence.create: cache_line_slots not a power of two")
+        (fun () -> ignore (Co.create (with_slots n) geom ~cluster:2)))
+    [ 0; -4; 3; 6; 4095; 4097 ];
+  let c = Co.create (with_slots 2) geom ~cluster:2 in
+  ignore (rd c ~proc:0 ~addr:0 ~fo:0);
+  ignore (rd c ~proc:0 ~addr:8 ~fo:0);
+  Alcotest.(check int) "line 2 took line 0's slot" hw.miss_local (rd c ~proc:0 ~addr:0 ~fo:0);
+  ignore (rd c ~proc:0 ~addr:4 ~fo:0);
+  Alcotest.(check int) "line 1 has the other slot" hw.cache_hit (rd c ~proc:0 ~addr:0 ~fo:0);
+  Co.check_invariants c
+
 (* Regression: miss classes are decided by the party/ownership case, not
    by matching the returned stall against the cost table.  With degenerate
    costs where miss_local = miss_remote and miss_2party = miss_3party, a
@@ -412,6 +435,7 @@ let () =
           Alcotest.test_case "stats classes" `Quick test_stats_classes;
           Alcotest.test_case "stats under degenerate costs" `Quick
             test_stats_degenerate_costs;
+          Alcotest.test_case "slot count a power of two" `Quick test_slots_power_of_two;
         ] );
       ("properties", qsuite);
     ]

@@ -37,15 +37,22 @@ let test_pqueue_fifo_ties () =
     (List.rev !log)
 
 (* 10k random pushes, pops and re-keys, interleaved, against a
-   sorted-list model.  Pushes outnumber pops about two to one, so the
-   heap runs a few thousand deep and its slab grows mid-run, reusing the
-   slots that pops free.  The narrow ranges make ties on (fire, sched)
-   and src common; [seq] counts pushes and re-keys, so keys are
-   distinct.  Before each pop, the minimum's message word must be the
-   model's; the pop must return the model's minimum: its key, its owner
-   shard and its own payload, the thunk or timed callback pushed with
-   it.  A re-key gives the minimum a new key, earlier or later, and no
-   message word, and keeps its owner and payload. *)
+   sorted-list model.  A popped event's callback pushes 0 to 2 events
+   of its own, later than itself as a simulated event's successors are,
+   into the same heap: those adds land on the root the pop left vacant.
+   Pushes and callback pushes outnumber pops, so the heap runs a few
+   thousand deep and its slab grows mid-run, reusing the slots that pops
+   free.  The narrow ranges make ties on (fire, sched) and src common;
+   [seq] counts pushes and re-keys, so keys are distinct.  Before a pop
+   that looks first, the minimum's message word must be the model's;
+   every pop must return the model's minimum: its key, its owner shard
+   and its own payload, the thunk or timed callback pushed with it.  A
+   re-key gives the minimum a new key, earlier or later, and no message
+   word, and keeps its owner and payload.  After each operation
+   [length] and [is_empty] must match the model; an operation that
+   looks also checks [min_fire] and [peek], which refill a vacant root,
+   and one that does not leaves the refill to the next add, pop or
+   re-key. *)
 type entry = {
   e_key : int * int * int * int; (* fire, sched, src, seq *)
   e_id : int; (* the push that made it: what its payload records *)
@@ -58,13 +65,15 @@ type entry = {
 type heap_op = Push | Pop | Rekey
 
 let prop_pqueue_10k =
-  QCheck2.Test.make ~name:"10k interleaved pushes, pops and re-keys match a sorted-list model"
+  QCheck2.Test.make
+    ~name:"10k interleaved pushes, pops, callback pushes and re-keys match a sorted-list model"
     ~count:10
     QCheck2.Gen.(
       list_size (return 10_000)
-        (pair
-           (frequencyl [ (60, Push); (30, Pop); (10, Rekey) ])
-           (quad (int_bound 30) (int_bound 4) (int_bound 3) (pair (int_bound 7) bool))))
+        (triple
+           (frequencyl [ (40, Push); (50, Pop); (10, Rekey) ])
+           (quad (int_bound 30) (int_bound 4) (int_bound 3) (pair (int_bound 7) bool))
+           (pair (int_bound 2) bool)))
     (fun ops ->
       let q = Q.create () in
       let model = ref [] and size = ref 0 and seq = ref 0 and depth = ref 0 in
@@ -72,7 +81,32 @@ let prop_pqueue_10k =
       let ran = ref (-1) in
       let insert e = model := List.merge (fun a b -> compare a.e_key b.e_key) [ e ] !model in
       let raises_empty f = match f () with () -> false | exception Q.Empty_queue -> true in
-      let pop () =
+      (* push an event that, once popped, pushes [kids] events of its own *)
+      let rec push ~kids (fire, sched, src, (own, timed)) =
+        let id = !seq in
+        incr seq;
+        let run () =
+          ran := id;
+          for j = 0 to kids - 1 do
+            push ~kids:0 (fire + (5 * j), sched, src, (own, not timed))
+          done
+        in
+        let e =
+          {
+            e_key = (fire, sched, src, id);
+            e_id = id;
+            e_own = own;
+            e_msg = id;
+            e_fn = (if timed then Q.nop else run);
+            e_timed = (if timed then fun _ -> run () else Q.nop_timed);
+          }
+        in
+        Q.add q ~fire ~sched ~srcseq:(Q.pack ~src ~seq:id) ~own ~msg:id e.e_fn e.e_timed;
+        insert e;
+        incr size;
+        depth := max !depth !size
+      in
+      let pop ~look =
         match !model with
         | [] ->
           ok :=
@@ -82,19 +116,19 @@ let prop_pqueue_10k =
         | e :: rest ->
           model := rest;
           decr size;
-          let msg = Q.peek q in
+          let msg = if look then Q.peek q else e.e_msg in
           let fn = Q.pop_min q in
           let timed = Q.take_timed q in
           let fire, sched, src, seq = e.e_key in
           ran := -1;
-          if timed == Q.nop_timed then fn () else timed (Q.popped_fire q);
+          if timed == Q.nop_timed then fn () else timed fire;
           ok :=
-            !ok && msg = e.e_msg && fn == e.e_fn && timed == e.e_timed
-            && Q.popped_fire q = fire
-            && Q.popped_sched q = sched
-            && Q.popped_srcseq q = Q.pack ~src ~seq
-            && Q.popped_own q = e.e_own && !ran = e.e_id
-            && Q.length q = !size
+            !ok && msg = e.e_msg && fn == e.e_fn && timed == e.e_timed && !ran = e.e_id
+            && ((not look)
+               || Q.popped_fire q = fire
+                  && Q.popped_sched q = sched
+                  && Q.popped_srcseq q = Q.pack ~src ~seq
+                  && Q.popped_own q = e.e_own)
       in
       let rekey (fire, sched, src) =
         let id = !seq in
@@ -106,34 +140,33 @@ let prop_pqueue_10k =
         | e :: rest ->
           model := rest;
           Q.rekey_min q ~fire ~sched ~srcseq:(Q.pack ~src ~seq:id);
-          insert { e with e_key = (fire, sched, src, id); e_msg = -1 };
-          ok := !ok && Q.length q = !size
+          insert { e with e_key = (fire, sched, src, id); e_msg = -1 }
+      in
+      let check ~look =
+        ok := !ok && Q.length q = !size && Q.is_empty q = (!size = 0);
+        if look then
+          match !model with
+          | [] -> ok := !ok && Q.min_fire q = max_int && raises_empty (fun () -> ignore (Q.peek q : int))
+          | e :: _ ->
+            let fire, sched, src, seq = e.e_key in
+            ok :=
+              !ok && Q.min_fire q = fire && Q.peek q = e.e_msg
+              && Q.popped_fire q = fire
+              && Q.popped_sched q = sched
+              && Q.popped_srcseq q = Q.pack ~src ~seq
+              && Q.popped_own q = e.e_own
       in
       List.iter
-        (fun (op, (fire, sched, src, (own, timed))) ->
-          match op with
-          | Pop -> pop ()
+        (fun (op, ((fire, sched, src, _) as key), (kids, look)) ->
+          (match op with
+          | Pop -> pop ~look
           | Rekey -> rekey (fire, sched, src)
-          | Push ->
-            let id = !seq in
-            incr seq;
-            let e =
-              {
-                e_key = (fire, sched, src, id);
-                e_id = id;
-                e_own = own;
-                e_msg = id;
-                e_fn = (if timed then Q.nop else fun () -> ran := id);
-                e_timed = (if timed then fun _ -> ran := id else Q.nop_timed);
-              }
-            in
-            Q.add q ~fire ~sched ~srcseq:(Q.pack ~src ~seq:id) ~own ~msg:id e.e_fn e.e_timed;
-            insert e;
-            incr size;
-            depth := max !depth !size)
+          | Push -> push ~kids key);
+          check ~look)
         ops;
       while !size > 0 do
-        pop ()
+        pop ~look:true;
+        check ~look:false
       done;
       !ok && Q.is_empty q && !depth > 1_000)
 

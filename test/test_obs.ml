@@ -779,7 +779,7 @@ let test_checker_flags_corruption () =
         let se = get_sentry m vpn in
         Mgs_util.Bitset.add se.s_read_dir 1;
         Mgs_util.Bitset.add se.s_write_dir 1;
-        Hashtbl.replace se.s_frame_procs 1 2;
+        Mgs_util.Inttbl.replace se.s_frame_procs 1 2;
         "test.corrupt")
   in
   Alcotest.(check bool) "read/write directory overlap flagged" true (n > 0);

@@ -100,7 +100,7 @@ let test_frames_walk_catches_aliases () =
   let copies =
     Array.to_list m.clients
     |> List.concat_map (fun cl ->
-           Hashtbl.fold
+           Mgs_util.Inttbl.fold
              (fun _ ce acc -> if Option.is_some ce.cdata then ce :: acc else acc)
              cl.cl_pages [])
   in
